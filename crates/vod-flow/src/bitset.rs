@@ -46,6 +46,18 @@ impl BitSet {
         BitSet::default()
     }
 
+    /// Creates a set of `len` bits, all one. The padding bits of the last
+    /// word are zero, like after any other operation, so word-level scans
+    /// never see a bit past `len`.
+    pub fn ones(len: usize) -> Self {
+        let mut words = vec![u64::MAX; len.div_ceil(WORD_BITS)];
+        let tail = len % WORD_BITS;
+        if tail > 0 {
+            *words.last_mut().expect("a non-zero tail has a word") = (1u64 << tail) - 1;
+        }
+        BitSet { words, len }
+    }
+
     /// Clears the set and resizes it to `len` bits, all zero, reusing the
     /// allocation.
     pub fn reset(&mut self, len: usize) {
@@ -81,6 +93,12 @@ impl BitSet {
     pub fn contains(&self, i: usize) -> bool {
         debug_assert!(i < self.len, "bit {i} out of range {}", self.len);
         self.words[i / WORD_BITS] >> (i % WORD_BITS) & 1 == 1
+    }
+
+    /// True when bit `i` is set; an index past the end is not (the bit-set
+    /// counterpart of `slice.get(i).copied().unwrap_or(false)`).
+    pub fn get(&self, i: usize) -> bool {
+        i < self.len && self.contains(i)
     }
 
     /// Zeroes every bit, keeping the length.
@@ -175,12 +193,17 @@ impl BitAdjacency {
 /// Calls `f(index)` for every set bit of `words` (word-order, ascending).
 pub fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
     for (wi, &word) in words.iter().enumerate() {
-        let mut w = word;
-        while w != 0 {
-            let bit = w.trailing_zeros() as usize;
-            f(wi * WORD_BITS + bit);
-            w &= w - 1;
-        }
+        for_each_bit_of_word(wi, word, &mut f);
+    }
+}
+
+/// Calls `f(wi * 64 + bit)` for every set bit of `word`, ascending: one
+/// word's share of [`for_each_set_bit`], for callers that combine words
+/// (`a & !b`) or copy one out of a set they mutate while scanning.
+pub fn for_each_bit_of_word(wi: usize, mut word: u64, mut f: impl FnMut(usize)) {
+    while word != 0 {
+        f(wi * WORD_BITS + word.trailing_zeros() as usize);
+        word &= word - 1;
     }
 }
 
@@ -445,6 +468,19 @@ mod tests {
         s.clear_all();
         assert_eq!(s.count_ones(), 0);
         assert_eq!(s.len(), 130);
+    }
+
+    #[test]
+    fn ones_leaves_the_padding_bits_zero() {
+        for len in [0usize, 1, 63, 64, 65, 130] {
+            let s = BitSet::ones(len);
+            assert_eq!((s.len(), s.count_ones()), (len, len), "len {len}");
+            assert!(!s.get(len), "len {len}: past the end");
+            assert_eq!(s.get(len.saturating_sub(1)), len > 0, "len {len}");
+            let mut seen = Vec::new();
+            for_each_set_bit(s.words(), |i| seen.push(i));
+            assert_eq!(seen, (0..len).collect::<Vec<_>>(), "len {len}");
+        }
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! Each round the simulator:
 //!
 //! 1. ends playbacks that have reached the video duration `T` (the box
-//!    becomes free, leaves its swarm, and its playback record is emitted);
+//!    becomes free, leaves its swarm, and its playback record is emitted) —
+//!    like every per-round walk over the viewers, by visiting the set bits
+//!    of the active-viewer index in ascending box order, never all `n`
+//!    playback slots;
 //! 2. runs the candidate pipeline's round maintenance: the incremental
 //!    [`CandidateIndex`] drains exactly the cache entries whose eviction
 //!    round has come (the expiry wheel — O(expiring), not O(live state)),
@@ -42,10 +45,15 @@ use crate::scheduler::{
 };
 use crate::swarm::SwarmTracker;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::time::Instant;
-use vod_core::{BoxId, Placement, PlaybackCache, SortedSignature, StripeId, VideoId, VideoSystem};
+use vod_core::{
+    BoxId, FxHasher64, Placement, PlaybackCache, SortedSignature, StripeId, VideoId, VideoSystem,
+};
+use vod_flow::bitset::{for_each_bit_of_word, for_each_set_bit};
 use vod_flow::{
-    find_obstruction_in, CandidateBuf, ConnectionProblem, Dinic, FlowArena, RelayView, NO_STAMP,
+    find_obstruction_in, BitSet, CandidateBuf, ConnectionProblem, Dinic, FlowArena, RelayView,
+    NO_STAMP,
 };
 use vod_obs::{Stage, TraceHandle};
 use vod_workloads::{
@@ -126,23 +134,40 @@ impl SimConfig {
     }
 }
 
-/// Occupancy view over the simulator's playback table. Departed boxes are
-/// never free: a generator cannot hand a demand to a box that is down.
+/// Occupancy view over the simulator's viewer and liveness sets. Departed
+/// boxes are never free: a generator cannot hand a demand to a box that is
+/// down.
 struct Occupancy<'a> {
-    playing: &'a [Option<PlaybackState>],
-    alive: &'a [bool],
+    viewers: &'a BitSet,
+    alive: &'a BitSet,
 }
 
 impl OccupancyView for Occupancy<'_> {
     fn is_free(&self, box_id: BoxId) -> bool {
-        self.playing
-            .get(box_id.index())
-            .map(|p| p.is_none())
-            .unwrap_or(false)
-            && self.alive.get(box_id.index()).copied().unwrap_or(false)
+        self.alive.get(box_id.index()) && !self.viewers.contains(box_id.index())
     }
     fn box_count(&self) -> usize {
-        self.playing.len()
+        self.alive.len()
+    }
+    /// `alive & !viewers`, 64 boxes per step.
+    fn free_boxes_into(&self, out: &mut Vec<BoxId>) {
+        out.clear();
+        let words = self.alive.words().iter().zip(self.viewers.words());
+        for (wi, (&alive, &viewing)) in words.enumerate() {
+            for_each_bit_of_word(wi, alive & !viewing, |idx| out.push(BoxId(idx as u32)));
+        }
+    }
+}
+
+/// The report record of `viewer`'s playback `st`, ended or flushed with
+/// `stalled_rounds` stalls.
+fn playback_record(viewer: BoxId, st: &PlaybackState, stalled_rounds: u64) -> PlaybackRecord {
+    PlaybackRecord {
+        box_id: viewer,
+        video: st.video,
+        entered_at: st.entered_at,
+        startup_delay: st.startup_delay(),
+        stalled_rounds,
     }
 }
 
@@ -300,6 +325,13 @@ pub struct Simulator<'a> {
     scheduler: Box<dyn Scheduler>,
     round: u64,
     playing: Vec<Option<PlaybackState>>,
+    /// The active-viewer index: bit `b` is set iff `playing[b]` is `Some`.
+    /// Every per-round walk over the viewers (playback end, request
+    /// collection, the viewer count, the free list handed to generators)
+    /// visits set bits in ascending box order instead of all `n` slots.
+    /// Written only where `playing` is: [`Simulator::start_playback`] and
+    /// [`Simulator::end_playback`].
+    viewers: BitSet,
     /// Which boxes hold which stripe in their playback cache (incremental
     /// expiry-wheel index by default, legacy rescan structures under
     /// [`CandidateMode::Rescan`]).
@@ -313,8 +345,8 @@ pub struct Simulator<'a> {
     /// candidate row, self-serve check, and sourcing/swarming attribution
     /// reads this table, never the static one.
     placement: Placement,
-    /// Liveness per box: `false` after a leave/crash until rejoin.
-    alive: Vec<bool>,
+    /// Liveness per box: cleared by a leave/crash until rejoin.
+    alive: BitSet,
     /// Engine-driven churn process, when attached: drained every round
     /// inside [`Simulator::step`] so membership changes interleave with
     /// admissions.
@@ -387,7 +419,7 @@ pub struct Simulator<'a> {
     /// the index content (summarized by its change stamp), the requester,
     /// and the request's issue round — so a row whose stamp and request
     /// identity are unchanged is replayed without touching the index.
-    row_cache: HashMap<(BoxId, StripeId), CachedRow>,
+    row_cache: HashMap<(BoxId, StripeId), CachedRow, BuildHasherDefault<FxHasher64>>,
     row_cache_hits: u64,
     row_cache_misses: u64,
     /// Scratch a missed row is built into before it is pushed and cached.
@@ -452,17 +484,20 @@ impl<'a> Simulator<'a> {
         report
             .rounds
             .reserve(usize::try_from(config.max_rounds).unwrap_or(0).min(4096));
+        let mut viewers = BitSet::new();
+        viewers.reset(n);
         Simulator {
             system,
             config,
             scheduler,
             round: 0,
             playing: vec![None; n],
+            viewers,
             candidates,
             swarms: SwarmTracker::new(system.c()),
             stalls: vec![0; n],
             placement: system.placement().clone(),
-            alive: vec![true; n],
+            alive: BitSet::ones(n),
             churn: None,
             churn_buf: Vec::new(),
             faults: None,
@@ -490,7 +525,7 @@ impl<'a> Simulator<'a> {
             demand_buf: Vec::new(),
             box_seen: vec![0; n],
             seen_epoch: 0,
-            row_cache: HashMap::new(),
+            row_cache: HashMap::default(),
             row_cache_hits: 0,
             row_cache_misses: 0,
             row_scratch: Vec::new(),
@@ -583,12 +618,12 @@ impl<'a> Simulator<'a> {
 
     /// Whether box `b` is currently part of the population.
     pub fn is_alive(&self, b: BoxId) -> bool {
-        self.alive.get(b.index()).copied().unwrap_or(false)
+        self.alive.get(b.index())
     }
 
     /// Boxes currently part of the population.
     pub fn alive_count(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
+        self.alive.count_ones()
     }
 
     /// The attached repair planner, when repair is enabled.
@@ -748,11 +783,10 @@ impl<'a> Simulator<'a> {
     pub fn state_signature(&self) -> u64 {
         let mut sig = SortedSignature::new();
         sig.push(&(0u8, self.round));
-        for (idx, slot) in self.playing.iter().enumerate() {
-            if let Some(st) = slot {
-                sig.push(&(1u8, idx as u32, st));
-            }
-        }
+        for_each_set_bit(self.viewers.words(), |idx| {
+            let st = self.playing[idx].as_ref().expect("indexed viewer plays");
+            sig.push(&(1u8, idx as u32, st));
+        });
         match &self.candidates {
             CandidatePipeline::Incremental(index) => {
                 for (stripe, b, start) in index.iter_live() {
@@ -789,10 +823,8 @@ impl<'a> Simulator<'a> {
                 sig.push(&(7u8, stripe, pos as u32, *b));
             }
         }
-        for (idx, up) in self.alive.iter().enumerate() {
-            if !up {
-                sig.push(&(8u8, idx as u32));
-            }
+        for idx in (0..self.alive.len()).filter(|&idx| !self.alive.contains(idx)) {
+            sig.push(&(8u8, idx as u32));
         }
         // The repair queue drives future placement mutations. (An attached
         // churn model is external stochastic input, like the demand
@@ -838,6 +870,7 @@ impl<'a> Simulator<'a> {
         let mut fork = Simulator::with_scheduler(self.system, self.config, scheduler);
         fork.round = self.round;
         fork.playing = self.playing.clone();
+        fork.viewers = self.viewers.clone();
         fork.candidates = self.candidates.clone();
         fork.swarms = self.swarms.clone();
         fork.stalls = self.stalls.clone();
@@ -896,7 +929,7 @@ impl<'a> Simulator<'a> {
                     node.id,
                     self.playing.len()
                 );
-                self.alive[node.id.index()] = true;
+                self.alive.set(node.id.index());
             }
             RelayEvent::BoxLeft(id) => self.detach_box(*id),
             RelayEvent::UploadChanged(..) => {}
@@ -936,7 +969,7 @@ impl<'a> Simulator<'a> {
                 if self.relay_broker.is_some() {
                     let _ = self.apply_relay_event(RelayEvent::BoxJoined(node));
                 } else {
-                    self.alive[node.id.index()] = true;
+                    self.alive.set(node.id.index());
                     self.capacities[node.id.index()] = node.upload.stripe_slots(self.system.c());
                 }
             }
@@ -964,23 +997,9 @@ impl<'a> Simulator<'a> {
     /// memoized rows), and strips its replicas from the live allocation
     /// table, queueing them with the repair planner.
     fn detach_box(&mut self, id: BoxId) {
-        let idx = id.index();
         let now = self.round;
-        self.alive[idx] = false;
-        if let Some(st) = self.playing[idx].take() {
-            self.swarms.leave(st.video, id);
-            self.report.playbacks.push(PlaybackRecord {
-                box_id: id,
-                video: st.video,
-                entered_at: st.entered_at,
-                startup_delay: st.startup_delay(),
-                stalled_rounds: self.stalls[idx],
-            });
-            self.stalls[idx] = 0;
-        }
-        if let Some(tracker) = &mut self.delivery {
-            tracker.forget_viewer(id);
-        }
+        self.alive.unset(id.index());
+        self.end_playback(id);
         self.candidates.purge_box(id, now);
         let lost = self.placement.remove_box(id);
         for &stripe in &lost {
@@ -1022,17 +1041,12 @@ impl<'a> Simulator<'a> {
         if let Some(broker) = &self.relay_broker {
             self.report.relays = broker.utilization();
         }
-        for (idx, slot) in self.playing.iter().enumerate() {
-            if let Some(st) = slot {
-                self.report.playbacks.push(PlaybackRecord {
-                    box_id: BoxId(idx as u32),
-                    video: st.video,
-                    entered_at: st.entered_at,
-                    startup_delay: st.startup_delay(),
-                    stalled_rounds: self.stalls[idx],
-                });
-            }
-        }
+        for_each_set_bit(self.viewers.words(), |idx| {
+            let st = self.playing[idx].as_ref().expect("indexed viewer plays");
+            self.report
+                .playbacks
+                .push(playback_record(BoxId(idx as u32), st, self.stalls[idx]));
+        });
         self.report
     }
 
@@ -1227,33 +1241,43 @@ impl<'a> Simulator<'a> {
     }
 
     fn end_finished_playbacks(&mut self, now: u64) {
-        for idx in 0..self.playing.len() {
-            let finished = matches!(&self.playing[idx], Some(st) if st.ends_at <= now);
-            if finished {
-                let st = self.playing[idx].take().expect("checked above");
-                self.swarms.leave(st.video, BoxId(idx as u32));
-                self.report.playbacks.push(PlaybackRecord {
-                    box_id: BoxId(idx as u32),
-                    video: st.video,
-                    entered_at: st.entered_at,
-                    startup_delay: st.startup_delay(),
-                    stalled_rounds: self.stalls[idx],
-                });
-                self.stalls[idx] = 0;
-                if let Some(tracker) = &mut self.delivery {
-                    tracker.forget_viewer(BoxId(idx as u32));
+        for wi in 0..self.viewers.words().len() {
+            // A copy of the word: ending a playback clears its bit.
+            for_each_bit_of_word(wi, self.viewers.words()[wi], |idx| {
+                let st = self.playing[idx].as_ref().expect("indexed viewer plays");
+                if st.ends_at <= now {
+                    self.end_playback(BoxId(idx as u32));
                 }
-            }
+            });
+        }
+    }
+
+    /// Ends `id`'s playback, if it has one: the box leaves the viewer index
+    /// and its swarm, its record is emitted with the stalls so far, and the
+    /// delivery tracker drops its retry state (also for a box that was not
+    /// playing — a departed box may still have streams in backoff).
+    fn end_playback(&mut self, id: BoxId) {
+        let idx = id.index();
+        if let Some(st) = self.playing[idx].take() {
+            self.viewers.unset(idx);
+            self.swarms.leave(st.video, id);
+            self.report
+                .playbacks
+                .push(playback_record(id, &st, self.stalls[idx]));
+            self.stalls[idx] = 0;
+        }
+        if let Some(tracker) = &mut self.delivery {
+            tracker.forget_viewer(id);
         }
     }
 
     fn accept_demands(&mut self, generator: &mut dyn DemandGenerator, now: u64) -> usize {
         // Pull the round's demands into the pooled buffer (detached so the
-        // generator call can borrow `self.playing`).
+        // generator call can borrow the viewer and liveness sets).
         let mut demands = std::mem::take(&mut self.demand_buf);
         {
             let occupancy = Occupancy {
-                playing: &self.playing,
+                viewers: &self.viewers,
                 alive: &self.alive,
             };
             generator.demands_into(now, &occupancy, &mut demands);
@@ -1263,7 +1287,7 @@ impl<'a> Simulator<'a> {
             let idx = demand.box_id.index();
             if idx >= self.playing.len()
                 || self.playing[idx].is_some()
-                || !self.alive[idx]
+                || !self.alive.contains(idx)
                 || self.system.catalog().video(demand.video).is_none()
             {
                 self.report.rejected_demands += 1;
@@ -1325,6 +1349,7 @@ impl<'a> Simulator<'a> {
         }
 
         self.stalls[box_id.index()] = 0;
+        self.viewers.set(box_id.index());
         self.playing[box_id.index()] = Some(PlaybackState {
             video,
             entered_at: now,
@@ -1352,26 +1377,24 @@ impl<'a> Simulator<'a> {
             .and_then(DegradationController::active_stripe_limit);
         let mut suppressed = 0usize;
         let mut self_served = 0usize;
-        for (idx, slot) in self.playing.iter().enumerate() {
-            let viewer = BoxId(idx as u32);
-            if let Some(st) = slot {
-                st.for_each_active(viewer, now, |req| {
-                    if self.placement.stores(req.requester, req.stripe) {
-                        self_served += 1;
-                    } else if stripe_limit.is_some_and(|limit| req.stripe.index >= limit) {
-                        suppressed += 1;
-                    } else {
-                        match delivery
-                            .as_mut()
-                            .map_or(Admission::Emit, |t| t.admit(req.viewer, req.stripe, now))
-                        {
-                            Admission::Emit | Admission::Retry => out.push(req),
-                            Admission::Suppress => {}
-                        }
+        for_each_set_bit(self.viewers.words(), |idx| {
+            let st = self.playing[idx].as_ref().expect("indexed viewer plays");
+            st.for_each_active(BoxId(idx as u32), now, |req| {
+                if self.placement.stores(req.requester, req.stripe) {
+                    self_served += 1;
+                } else if stripe_limit.is_some_and(|limit| req.stripe.index >= limit) {
+                    suppressed += 1;
+                } else {
+                    match delivery
+                        .as_mut()
+                        .map_or(Admission::Emit, |t| t.admit(req.viewer, req.stripe, now))
+                    {
+                        Admission::Emit | Admission::Retry => out.push(req),
+                        Admission::Suppress => {}
                     }
-                });
-            }
-        }
+                }
+            });
+        });
         self.delivery = delivery;
         if suppressed > 0 {
             self.degrade
@@ -1414,11 +1437,8 @@ impl<'a> Simulator<'a> {
                         && row.requester == req.requester
                     {
                         self.row_cache_hits += 1;
-                        for &b in &row.boxes {
-                            self.cand_buf.push_box(b);
-                        }
+                        self.cand_buf.push_row(row.boxes.iter().copied());
                         self.cand_stamps.push(row.stamp);
-                        self.cand_buf.finish_row();
                         continue;
                     }
                 }
@@ -1485,10 +1505,7 @@ impl<'a> Simulator<'a> {
                     self.cand_stamps.push(NO_STAMP);
                 }
             }
-            for &b in &self.row_scratch {
-                self.cand_buf.push_box(b);
-            }
-            self.cand_buf.finish_row();
+            self.cand_buf.push_row(self.row_scratch.iter().copied());
         }
     }
 
@@ -1761,7 +1778,7 @@ impl<'a> Simulator<'a> {
             served_from_allocation,
             served_from_cache,
             upload_slots_available: self.capacities.iter().map(|&c| c as u64).sum(),
-            viewers: self.playing.iter().filter(|p| p.is_some()).count(),
+            viewers: self.viewers.count_ones(),
             max_swarm: self.swarms.max_swarm_size(),
             // Sharding schedulers expose per-round shard observability
             // (shard counts, split water-filling, reconciliation work).
@@ -2026,6 +2043,135 @@ mod tests {
                 fork.report_so_far().rounds.last(),
                 original.report_so_far().rounds.last()
             );
+        }
+    }
+
+    /// The full-scan oracle for the active-viewer index: bit `b` is set iff
+    /// `playing[b]` is `Some`, no dead box plays, and the free list handed to
+    /// generators is exactly the alive, idle boxes in ascending order —
+    /// through `free_boxes`, through `free_boxes_into` over a dirty buffer,
+    /// and box by box through `is_free` (`tests/active_set.rs` compares with
+    /// the trait's default filter).
+    fn assert_index_matches_full_scan(sim: &Simulator) {
+        let n = sim.playing.len();
+        assert_eq!((sim.viewers.len(), sim.alive.len()), (n, n));
+        let occupancy = Occupancy {
+            viewers: &sim.viewers,
+            alive: &sim.alive,
+        };
+        assert_eq!(occupancy.box_count(), n);
+        let mut free = Vec::new();
+        for (idx, slot) in sim.playing.iter().enumerate() {
+            assert_eq!(sim.viewers.contains(idx), slot.is_some(), "box {idx}");
+            assert!(slot.is_none() || sim.alive.contains(idx), "dead box {idx}");
+            let idle = slot.is_none() && sim.alive.contains(idx);
+            assert_eq!(occupancy.is_free(BoxId(idx as u32)), idle, "box {idx}");
+            if idle {
+                free.push(BoxId(idx as u32));
+            }
+        }
+        assert!(!occupancy.is_free(BoxId(n as u32)), "out of range is busy");
+        assert_eq!(
+            sim.viewers.count_ones(),
+            sim.playing.iter().flatten().count()
+        );
+        assert_eq!(occupancy.free_boxes(), free);
+        let mut pooled = vec![BoxId(7); 5];
+        occupancy.free_boxes_into(&mut pooled);
+        assert_eq!(pooled, free);
+    }
+
+    /// Word-boundary sizes: the index, the liveness set and the free list
+    /// stay exact at `n = 1, 63, 64, 65, 130` with every box playing, with a
+    /// box leaving and rejoining in consecutive rounds, and with every box
+    /// dead.
+    #[test]
+    fn active_index_is_exact_at_word_boundary_sizes() {
+        use vod_workloads::ChurnEvent;
+        for n in [1usize, 63, 64, 65, 130] {
+            let k = n.min(3) as u32;
+            let sys = small_system(n, 2.0, 4, k, 5);
+            // µ = n lets every box start at round 0.
+            let mut gen =
+                SequentialViewing::new(n, sys.m(), NextVideoPolicy::RoundRobin, n as f64, 7);
+            let mut sim = Simulator::new(&sys, SimConfig::new(40).continue_on_failure());
+            assert_index_matches_full_scan(&sim);
+            sim.step(&mut gen);
+            assert_eq!(sim.viewers.count_ones(), n, "n = {n}: every box plays");
+            assert_eq!(sim.report_so_far().rounds[0].viewers, n);
+            assert_index_matches_full_scan(&sim);
+
+            // The last box (the last bit of the last word) leaves, misses a
+            // round, and rejoins the next one.
+            let last = BoxId(n as u32 - 1);
+            let node = *sys.boxes().iter().nth(n - 1).unwrap();
+            sim.apply_churn(ChurnEvent::Left(last));
+            assert_index_matches_full_scan(&sim);
+            assert_eq!(sim.alive_count(), n - 1);
+            sim.step(&mut gen);
+            assert_eq!(sim.report_so_far().rounds[1].viewers, n - 1);
+            sim.apply_churn(ChurnEvent::Joined(node));
+            assert_index_matches_full_scan(&sim);
+            sim.step(&mut gen);
+            assert!(sim.playback(last).is_some(), "n = {n}: rejoined box plays");
+            assert_eq!(sim.report_so_far().rounds[2].viewers, n);
+            // Across a whole playback generation, ends and restarts included.
+            for _ in 0..8 {
+                sim.step(&mut gen);
+                assert_index_matches_full_scan(&sim);
+            }
+
+            // Every box dead: nothing plays, nothing is free, rounds go on.
+            for b in 0..n as u32 {
+                sim.apply_churn(ChurnEvent::Crashed(BoxId(b)));
+            }
+            assert_index_matches_full_scan(&sim);
+            assert_eq!((sim.alive_count(), sim.viewers.count_ones()), (0, 0));
+            sim.step(&mut gen);
+            let last_round = sim.report_so_far().rounds.last().unwrap();
+            assert_eq!((last_round.viewers, last_round.active_requests), (0, 0));
+            let signature = sim.state_signature();
+            let fork = sim.fork_with(Box::new(MaxFlowScheduler::new()));
+            assert_eq!(fork.state_signature(), signature);
+            let flushed = sim.report_so_far().playbacks.len();
+            assert_eq!(sim.into_report().playbacks.len(), flushed);
+        }
+    }
+
+    /// The index tracks the playback table bit for bit through engine-driven
+    /// churn with repair and through injected faults with retries and
+    /// degradation (both mutate `playing` from inside `step`).
+    #[test]
+    fn active_index_tracks_the_playback_table_under_churn_and_faults() {
+        use vod_workloads::{ChurnModel, SessionLength};
+        let sys = small_system(70, 2.0, 4, 3, 6);
+        let config = SimConfig::new(80)
+            .continue_on_failure()
+            .without_obstructions();
+        let mut churned = Simulator::new(&sys, config);
+        churned.attach_churn(
+            ChurnModel::new(sys.boxes(), 33)
+                .with_session(SessionLength::Geometric { leave_rate: 0.03 })
+                .with_crash_rate(0.01)
+                .with_rejoin_delay(1, 3)
+                .with_min_up(40),
+        );
+        churned.attach_repair(RepairPlanner::for_system(&sys, 6));
+        let mut faulty = Simulator::new(&sys, config);
+        faulty.attach_faults(
+            FaultModel::new(sys.boxes(), 0xFA17)
+                .with_degradation(0.05, vec![25, 50], 1, 3)
+                .with_drop_rate(60_000, 20_000),
+        );
+        faulty.attach_degradation(DegradationConfig::default());
+        for mut sim in [churned, faulty] {
+            let mut gen =
+                SequentialViewing::new(70, sys.m(), NextVideoPolicy::UniformRandom, 1.5, 5);
+            for _ in 0..80 {
+                sim.step(&mut gen);
+                assert_index_matches_full_scan(&sim);
+            }
+            assert!(sim.report_so_far().playbacks.len() > 70, "viewers cycled");
         }
     }
 

@@ -28,6 +28,7 @@
 
 use vod_core::json::{obj, Json, JsonCodec, JsonError};
 use vod_core::{BoxId, Catalog, Placement, StripeId, VideoSystem};
+use vod_flow::BitSet;
 
 /// One planned replica transfer: `dest` fetches `stripe` from `source`,
 /// spending one of `source`'s upload slots this round.
@@ -165,15 +166,15 @@ impl RepairPlanner {
         self.pending.dedup();
     }
 
-    /// Plans this round's transfers from the live placement. `alive[b]`
-    /// gates both sources and destinations; `capacities[b]` are the open
-    /// upload slots repair competes for (the caller deducts
+    /// Plans this round's transfers from the live placement. Bit `b` of
+    /// `alive` gates both sources and destinations; `capacities[b]` are the
+    /// open upload slots repair competes for (the caller deducts
     /// [`RepairPlanner::egress`] from its slot table before scheduling).
     /// Nothing is applied to `placement` until [`RepairPlanner::commit`].
     pub fn plan_round(
         &mut self,
         placement: &Placement,
-        alive: &[bool],
+        alive: &BitSet,
         capacities: &[u32],
     ) -> RepairRoundStats {
         self.transfers.clear();
@@ -245,20 +246,20 @@ impl RepairPlanner {
     fn pick_transfer(
         &self,
         placement: &Placement,
-        alive: &[bool],
+        alive: &BitSet,
         capacities: &[u32],
         stripe: StripeId,
     ) -> Option<(BoxId, BoxId)> {
         let source = placement.holders_of(stripe).iter().copied().find(|b| {
             let i = b.index();
-            alive.get(i).copied().unwrap_or(false)
+            alive.get(i)
                 && self.egress[i] < self.per_box_egress
                 && self.egress[i] < capacities.get(i).copied().unwrap_or(0)
         })?;
         let mut best: Option<(u32, BoxId)> = None;
         for i in 0..self.storage.len() {
             let b = BoxId(i as u32);
-            if !alive.get(i).copied().unwrap_or(false) || placement.stores(b, stripe) {
+            if !alive.get(i) || placement.stores(b, stripe) {
                 continue;
             }
             // A destination already picked for this stripe this round holds
@@ -350,8 +351,8 @@ mod tests {
         (boxes, catalog, p)
     }
 
-    fn depart(planner: &mut RepairPlanner, placement: &mut Placement, alive: &mut [bool], b: u32) {
-        alive[b as usize] = false;
+    fn depart(planner: &mut RepairPlanner, placement: &mut Placement, alive: &mut BitSet, b: u32) {
+        alive.unset(b as usize);
         let stripes = placement.remove_box(BoxId(b));
         planner.note_lost(&stripes);
     }
@@ -360,7 +361,7 @@ mod tests {
     fn drain(
         planner: &mut RepairPlanner,
         placement: &mut Placement,
-        alive: &[bool],
+        alive: &BitSet,
         capacities: &[u32],
     ) -> usize {
         let mut rounds = 0;
@@ -379,7 +380,7 @@ mod tests {
         let (boxes, catalog, mut placement) = setup(20, 24, 20, 4, 3);
         let storage: Vec<u32> = boxes.iter().map(|b| b.storage.slots()).collect();
         let mut planner = RepairPlanner::new(storage, 3, 4);
-        let mut alive = vec![true; 20];
+        let mut alive = BitSet::ones(20);
         let caps = vec![6u32; 20];
         for b in [2, 7, 11, 16] {
             depart(&mut planner, &mut placement, &mut alive, b);
@@ -407,7 +408,7 @@ mod tests {
         let (boxes, _catalog, mut placement) = setup(12, 24, 12, 4, 3);
         let storage: Vec<u32> = boxes.iter().map(|b| b.storage.slots()).collect();
         let mut planner = RepairPlanner::new(storage, 3, 3).with_per_box_egress(1);
-        let mut alive = vec![true; 12];
+        let mut alive = BitSet::ones(12);
         let caps = vec![2u32; 12];
         depart(&mut planner, &mut placement, &mut alive, 0);
         depart(&mut planner, &mut placement, &mut alive, 1);
@@ -421,7 +422,7 @@ mod tests {
         // Transfers only name alive sources that hold the stripe and alive
         // destinations that do not.
         for t in planner.transfers() {
-            assert!(alive[t.source.index()] && alive[t.dest.index()]);
+            assert!(alive.contains(t.source.index()) && alive.contains(t.dest.index()));
             assert!(placement.stores(t.source, t.stripe));
             assert!(!placement.stores(t.dest, t.stripe));
         }
@@ -441,7 +442,7 @@ mod tests {
             .unwrap();
         let storage: Vec<u32> = boxes.iter().map(|b| b.storage.slots()).collect();
         let mut planner = RepairPlanner::new(storage, 1, 8);
-        let mut alive = vec![true; 4];
+        let mut alive = BitSet::ones(4);
         for b in [0, 1, 2] {
             depart(&mut planner, &mut placement, &mut alive, b);
         }
@@ -466,7 +467,7 @@ mod tests {
     fn plan_is_a_pure_function_of_its_inputs() {
         let (boxes, _catalog, mut placement) = setup(16, 24, 16, 4, 3);
         let storage: Vec<u32> = boxes.iter().map(|b| b.storage.slots()).collect();
-        let mut alive = vec![true; 16];
+        let mut alive = BitSet::ones(16);
         let caps = vec![4u32; 16];
         let mut a = RepairPlanner::new(storage.clone(), 3, 5);
         depart(&mut a, &mut placement, &mut alive, 3);
@@ -484,7 +485,7 @@ mod tests {
         let storage: Vec<u32> = boxes.iter().map(|b| b.storage.slots()).collect();
         let mut planner = RepairPlanner::new(storage, 2, 8);
         planner.prime(&placement, &catalog);
-        let alive = vec![true; 10];
+        let alive = BitSet::ones(10);
         let stats = planner.plan_round(&placement, &alive, &[6u32; 10]);
         assert_eq!(stats.repaired, 0);
         assert_eq!(stats.pending, 0);

@@ -43,10 +43,23 @@ impl Swarm {
 }
 
 /// Tracks all swarms of the system.
+///
+/// A swarm's entry outlives its last member (the preload rotation continues
+/// from `entered_total` when the video is watched again), so the map grows
+/// with the number of videos ever watched. The global statistics are
+/// therefore kept as running aggregates, updated on every join and leave,
+/// and never walk the map.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SwarmTracker {
     swarms: HashMap<VideoId, Swarm>,
     stripes_per_video: u16,
+    /// `size_counts[s]` is the number of swarms of current size `s ≥ 1`
+    /// (slot 0 is unused).
+    size_counts: Vec<usize>,
+    /// The largest `s` with `size_counts[s] > 0`, or 0 when nobody views.
+    max_size: usize,
+    /// Members over all swarms.
+    total_viewers: usize,
 }
 
 impl SwarmTracker {
@@ -54,8 +67,8 @@ impl SwarmTracker {
     pub fn new(c: u16) -> Self {
         assert!(c > 0, "stripe count must be positive");
         SwarmTracker {
-            swarms: HashMap::new(),
             stripes_per_video: c,
+            ..SwarmTracker::default()
         }
     }
 
@@ -66,7 +79,17 @@ impl SwarmTracker {
         let stripe = (swarm.entered_total % self.stripes_per_video as u64) as StripeIndex;
         swarm.entered_total += 1;
         swarm.members.push((box_id, round));
-        swarm.peak_size = swarm.peak_size.max(swarm.members.len());
+        let size = swarm.members.len();
+        swarm.peak_size = swarm.peak_size.max(size);
+        if self.size_counts.len() <= size {
+            self.size_counts.resize(size + 1, 0);
+        }
+        self.size_counts[size] += 1;
+        if size > 1 {
+            self.size_counts[size - 1] -= 1;
+        }
+        self.max_size = self.max_size.max(size);
+        self.total_viewers += 1;
         stripe
     }
 
@@ -75,6 +98,17 @@ impl SwarmTracker {
         if let Some(swarm) = self.swarms.get_mut(&video) {
             if let Some(pos) = swarm.members.iter().position(|(b, _)| *b == box_id) {
                 swarm.members.remove(pos);
+                let size = swarm.members.len();
+                self.size_counts[size + 1] -= 1;
+                if size > 0 {
+                    self.size_counts[size] += 1;
+                }
+                // The shrunk swarm now has `max_size - 1` members, so when
+                // it was the last one at the maximum, that is the new one.
+                if self.size_counts[self.max_size] == 0 {
+                    self.max_size -= 1;
+                }
+                self.total_viewers -= 1;
             }
         }
     }
@@ -91,17 +125,17 @@ impl SwarmTracker {
 
     /// Number of videos with a non-empty swarm.
     pub fn active_swarms(&self) -> usize {
-        self.swarms.values().filter(|s| s.size() > 0).count()
+        self.size_counts.iter().sum()
     }
 
     /// Total number of boxes currently viewing something.
     pub fn total_viewers(&self) -> usize {
-        self.swarms.values().map(Swarm::size).sum()
+        self.total_viewers
     }
 
     /// Largest current swarm size across all videos.
     pub fn max_swarm_size(&self) -> usize {
-        self.swarms.values().map(Swarm::size).max().unwrap_or(0)
+        self.max_size
     }
 
     /// Iterator over `(video, swarm)` pairs.
@@ -160,6 +194,42 @@ mod tests {
         assert_eq!(t.max_swarm_size(), 2);
         t.leave(VideoId(1), BoxId(2));
         assert_eq!(t.active_swarms(), 1);
+    }
+
+    /// The running aggregates equal a walk over every swarm after each of a
+    /// long seeded sequence of joins and leaves (including leaves of boxes
+    /// that are not members, and swarms that empty and refill).
+    #[test]
+    fn aggregates_match_a_full_walk() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5A);
+        let mut t = SwarmTracker::new(4);
+        let mut watching: Vec<Option<VideoId>> = vec![None; 40];
+        for step in 0..4000u64 {
+            let b = rng.gen_range(0..watching.len());
+            match watching[b].take() {
+                Some(video) => t.leave(video, BoxId(b as u32)),
+                None if rng.gen_bool(0.1) => {
+                    t.leave(VideoId(rng.gen_range(0..6u32)), BoxId(b as u32))
+                }
+                None => {
+                    // A skewed choice, so one swarm grows large.
+                    let video = VideoId(rng.gen_range(0..6u32).min(rng.gen_range(0..6u32)));
+                    t.join(video, BoxId(b as u32), step);
+                    watching[b] = Some(video);
+                }
+            }
+            let sizes = || t.iter().map(|(_, s)| s.size());
+            assert_eq!(
+                t.max_swarm_size(),
+                sizes().max().unwrap_or(0),
+                "step {step}"
+            );
+            assert_eq!(t.total_viewers(), sizes().sum::<usize>(), "step {step}");
+            assert_eq!(t.active_swarms(), sizes().filter(|&s| s > 0).count());
+        }
+        assert!(t.max_swarm_size() > 3, "the walk never built a large swarm");
     }
 
     #[test]

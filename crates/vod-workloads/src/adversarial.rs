@@ -27,6 +27,8 @@ pub struct NeverOwnedAttack {
     /// box's unowned videos.
     cursor: Vec<usize>,
     limiter: SwarmGrowthLimiter,
+    /// The round's free boxes, kept across rounds.
+    free: Vec<BoxId>,
 }
 
 impl NeverOwnedAttack {
@@ -47,6 +49,7 @@ impl NeverOwnedAttack {
             unowned,
             cursor: vec![0; n],
             limiter: SwarmGrowthLimiter::new(catalog.len(), mu),
+            free: Vec::new(),
         }
     }
 
@@ -66,7 +69,8 @@ impl DemandGenerator for NeverOwnedAttack {
     fn demands_at(&mut self, round: u64, occupancy: &dyn OccupancyView) -> Vec<VideoDemand> {
         self.limiter.advance_to(round);
         let mut demands = Vec::new();
-        for b in occupancy.free_boxes() {
+        occupancy.free_boxes_into(&mut self.free);
+        for &b in &self.free {
             let list = &self.unowned[b.index()];
             if list.is_empty() {
                 continue;

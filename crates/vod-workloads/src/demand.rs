@@ -60,10 +60,22 @@ pub trait OccupancyView {
 
     /// Identifiers of all currently free boxes, in increasing order.
     fn free_boxes(&self) -> Vec<BoxId> {
-        (0..self.box_count() as u32)
-            .map(BoxId)
-            .filter(|&b| self.is_free(b))
-            .collect()
+        let mut out = Vec::new();
+        self.free_boxes_into(&mut out);
+        out
+    }
+
+    /// Buffer-reusing variant of [`OccupancyView::free_boxes`]: writes the
+    /// free boxes into `out` (cleared first), in increasing order. Generators
+    /// call this form with a buffer they keep across rounds; views with a
+    /// faster scan than one `is_free` call per box override it.
+    fn free_boxes_into(&self, out: &mut Vec<BoxId>) {
+        out.clear();
+        out.extend(
+            (0..self.box_count() as u32)
+                .map(BoxId)
+                .filter(|&b| self.is_free(b)),
+        );
     }
 }
 

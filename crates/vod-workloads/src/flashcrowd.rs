@@ -10,7 +10,7 @@ use crate::demand::{DemandGenerator, OccupancyView, SwarmGrowthLimiter, VideoDem
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use vod_core::VideoId;
+use vod_core::{BoxId, VideoId};
 
 /// Description of one flash crowd.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -31,6 +31,8 @@ pub struct FlashCrowd {
     joined: Vec<usize>,
     limiter: SwarmGrowthLimiter,
     rng: StdRng,
+    /// The round's free boxes, kept across rounds.
+    free: Vec<BoxId>,
 }
 
 impl FlashCrowd {
@@ -64,6 +66,7 @@ impl FlashCrowd {
             joined,
             limiter: SwarmGrowthLimiter::new(catalog_size, mu),
             rng: StdRng::seed_from_u64(seed),
+            free: Vec::new(),
         }
     }
 
@@ -77,9 +80,9 @@ impl DemandGenerator for FlashCrowd {
     fn demands_at(&mut self, round: u64, occupancy: &dyn OccupancyView) -> Vec<VideoDemand> {
         self.limiter.advance_to(round);
         let mut demands = Vec::new();
-        let mut free = occupancy.free_boxes();
-        free.shuffle(&mut self.rng);
-        let mut free_iter = free.into_iter();
+        occupancy.free_boxes_into(&mut self.free);
+        self.free.shuffle(&mut self.rng);
+        let mut free_iter = self.free.iter().copied();
 
         for (i, crowd) in self.crowds.iter().enumerate() {
             if round < crowd.start_round || self.joined[i] >= crowd.max_viewers {

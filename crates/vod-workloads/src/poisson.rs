@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
-use vod_core::VideoId;
+use vod_core::{BoxId, VideoId};
 
 /// How arriving viewers pick a video.
 #[derive(Clone, Debug)]
@@ -30,6 +30,8 @@ pub struct PoissonDemand {
     zipf: Option<ZipfSampler>,
     limiter: SwarmGrowthLimiter,
     rng: StdRng,
+    /// The round's free boxes, kept across rounds.
+    free: Vec<BoxId>,
 }
 
 impl PoissonDemand {
@@ -55,6 +57,7 @@ impl PoissonDemand {
             zipf,
             limiter: SwarmGrowthLimiter::new(catalog_size, mu),
             rng: StdRng::seed_from_u64(seed),
+            free: Vec::new(),
         }
     }
 
@@ -94,10 +97,12 @@ impl DemandGenerator for PoissonDemand {
     fn demands_at(&mut self, round: u64, occupancy: &dyn OccupancyView) -> Vec<VideoDemand> {
         self.limiter.advance_to(round);
         let arrivals = self.sample_poisson();
-        let mut free = occupancy.free_boxes();
+        // Detached so `sample_video` can borrow `self` inside the loop.
+        let mut free = std::mem::take(&mut self.free);
+        occupancy.free_boxes_into(&mut free);
         free.shuffle(&mut self.rng);
         let mut demands = Vec::new();
-        for b in free.into_iter().take(arrivals) {
+        for &b in free.iter().take(arrivals) {
             for _ in 0..8 {
                 let video = self.sample_video();
                 if self.limiter.admit(video, 1) == 1 {
@@ -106,6 +111,7 @@ impl DemandGenerator for PoissonDemand {
                 }
             }
         }
+        self.free = free;
         demands
     }
 

@@ -12,7 +12,7 @@ use crate::demand::{DemandGenerator, OccupancyView, SwarmGrowthLimiter, VideoDem
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use vod_core::VideoId;
+use vod_core::{BoxId, VideoId};
 
 /// How the next video of a box is chosen.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,6 +33,8 @@ pub struct SequentialViewing {
     next_index: Vec<usize>,
     limiter: SwarmGrowthLimiter,
     rng: StdRng,
+    /// The round's free boxes, kept across rounds.
+    free: Vec<BoxId>,
 }
 
 impl SequentialViewing {
@@ -45,6 +47,7 @@ impl SequentialViewing {
             next_index: (0..n).collect(),
             limiter: SwarmGrowthLimiter::new(catalog_size, mu),
             rng: StdRng::seed_from_u64(seed),
+            free: Vec::new(),
         }
     }
 }
@@ -53,7 +56,8 @@ impl DemandGenerator for SequentialViewing {
     fn demands_at(&mut self, round: u64, occupancy: &dyn OccupancyView) -> Vec<VideoDemand> {
         self.limiter.advance_to(round);
         let mut demands = Vec::new();
-        for b in occupancy.free_boxes() {
+        occupancy.free_boxes_into(&mut self.free);
+        for &b in &self.free {
             if b.index() >= self.next_index.len() {
                 continue;
             }

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
-use vod_core::VideoId;
+use vod_core::{BoxId, VideoId};
 
 /// A discrete Zipf sampler over `0..n` with exponent `s`
 /// (`P(i) ∝ 1/(i+1)^s`), implemented by inversion on the cumulative table.
@@ -82,6 +82,9 @@ pub struct ZipfDemand {
     arrivals_per_round: usize,
     limiter: SwarmGrowthLimiter,
     rng: StdRng,
+    /// The round's free boxes, kept across rounds so a round allocates
+    /// nothing proportional to the fleet.
+    free: Vec<BoxId>,
 }
 
 impl ZipfDemand {
@@ -98,6 +101,7 @@ impl ZipfDemand {
             arrivals_per_round,
             limiter: SwarmGrowthLimiter::new(catalog_size, mu),
             rng: StdRng::seed_from_u64(seed),
+            free: Vec::new(),
         }
     }
 }
@@ -105,10 +109,10 @@ impl ZipfDemand {
 impl DemandGenerator for ZipfDemand {
     fn demands_at(&mut self, round: u64, occupancy: &dyn OccupancyView) -> Vec<VideoDemand> {
         self.limiter.advance_to(round);
-        let mut free = occupancy.free_boxes();
-        free.shuffle(&mut self.rng);
+        occupancy.free_boxes_into(&mut self.free);
+        self.free.shuffle(&mut self.rng);
         let mut demands = Vec::new();
-        for b in free.into_iter().take(self.arrivals_per_round) {
+        for &b in self.free.iter().take(self.arrivals_per_round) {
             // Draw until a video with swarm headroom is found (bounded tries
             // so a fully saturated round terminates).
             for _ in 0..8 {

@@ -14,11 +14,11 @@
 //!   these fields existed still parse (mirroring the `candidates`
 //!   backcompat precedent).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod support;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use support::{thread_allocations, CountingAllocator};
 use vod_core::json::{Json, JsonCodec};
 use vod_core::{BoxId, RandomPermutationAllocator, SystemParams, VideoId, VideoSystem};
 use vod_sim::{
@@ -26,26 +26,6 @@ use vod_sim::{
     StageTimings, TimingNeutral, TraceHandle,
 };
 use vod_workloads::{DemandGenerator, OccupancyView, VideoDemand};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
@@ -98,11 +78,11 @@ fn traced_steady_state_engine_rounds_allocate_nothing() {
         assert!(sim.step(&mut gen), "warm-up round {round} must be feasible");
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     for round in 20..40u64 {
         assert!(sim.step(&mut gen), "steady round {round} must be feasible");
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = thread_allocations();
     assert_eq!(
         after - before,
         0,

@@ -13,34 +13,14 @@
 //! request collection, CSR candidate construction, scheduling, and metric
 //! recording together allocate nothing in steady state.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod support;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use support::{thread_allocations, CountingAllocator};
 use vod_core::{BoxId, RandomPermutationAllocator, StripeId, SystemParams, VideoId, VideoSystem};
 use vod_sim::{MaxFlowScheduler, RequestKey, Scheduler, SimConfig, Simulator};
 use vod_workloads::{DemandGenerator, OccupancyView, VideoDemand};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
@@ -82,13 +62,13 @@ fn steady_state_rounds_allocate_nothing() {
     }
     let rebuilds_after_warmup = scheduler.matcher().rebuilds();
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     for round in 0..10 {
         let cands = if round % 2 == 0 { &cands_a } else { &cands_b };
         scheduler.schedule_keyed(&caps, &keys, cands, &mut out);
         assert_eq!(out.iter().flatten().count(), 24, "steady round {round}");
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = thread_allocations();
 
     assert_eq!(
         after - before,
@@ -118,7 +98,7 @@ fn request_churn_reuses_pooled_slots_without_allocating() {
         scheduler.schedule_keyed(&caps, &keys, &cands, &mut out);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     for round in 40u32..60 {
         for (j, k) in keys.iter_mut().enumerate() {
             *k = key((round + j as u32) % 20, 0);
@@ -126,7 +106,7 @@ fn request_churn_reuses_pooled_slots_without_allocating() {
         scheduler.schedule_keyed(&caps, &keys, &cands, &mut out);
         assert_eq!(out.len(), 10);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = thread_allocations();
     assert_eq!(
         after - before,
         0,
@@ -183,11 +163,11 @@ fn steady_state_engine_rounds_allocate_nothing() {
         assert!(sim.step(&mut gen), "warm-up round {round} must be feasible");
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     for round in 20..40u64 {
         assert!(sim.step(&mut gen), "steady round {round} must be feasible");
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = thread_allocations();
     assert_eq!(
         after - before,
         0,

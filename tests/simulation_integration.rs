@@ -188,15 +188,15 @@ fn churn_repair_preserves_feasibility() {
     // Kill 4 distinct random boxes, stripping them from a live copy of the
     // allocation table and reporting the degraded stripes to the planner.
     let mut placement = sys.placement().clone();
-    let mut alive = vec![true; 30];
+    let mut alive = p2p_vod::flow::BitSet::ones(30);
     let mut planner = RepairPlanner::for_system(&sys, 8);
     let mut killed = 0;
     while killed < 4 {
         let b = BoxId(rng.gen_range(0..30u32));
-        if !alive[b.index()] {
+        if !alive.contains(b.index()) {
             continue;
         }
-        alive[b.index()] = false;
+        alive.unset(b.index());
         planner.note_lost(&placement.remove_box(b));
         killed += 1;
     }
@@ -227,7 +227,10 @@ fn churn_repair_preserves_feasibility() {
             assert!(placement.replica_count(stripe) >= 3);
         }
         for &holder in placement.holders_of(stripe) {
-            assert!(alive[holder.index()], "departed box still holds {stripe}");
+            assert!(
+                alive.contains(holder.index()),
+                "departed box still holds {stripe}"
+            );
         }
     }
 }

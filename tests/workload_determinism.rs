@@ -15,6 +15,7 @@
 //! poor-boxes pile-on, sequential).
 
 use p2p_vod::prelude::*;
+use p2p_vod::workloads::{CrowdSpec, OccupancyView};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -378,6 +379,191 @@ fn generators_respect_occupancy() {
                     d.box_id
                 );
             }
+        }
+    }
+}
+
+/// How many demands each golden stream pins.
+const GOLDEN: usize = 200;
+
+/// The generators that read the free list (`free_boxes_into`) and, except
+/// `SequentialViewing`, shuffle it with their own RNG — at fixed seeds,
+/// over `n` boxes and `m` videos.
+fn golden_generators(n: usize, m: usize) -> Vec<(&'static str, Box<dyn DemandGenerator>)> {
+    let crowds = (0..16)
+        .map(|i| CrowdSpec {
+            video: VideoId(i),
+            start_round: 3 * i as u64,
+            max_viewers: n / 3,
+        })
+        .collect();
+    vec![
+        ("zipf", Box::new(ZipfDemand::new(m, 0.8, 5, 1.5, 2009))),
+        (
+            "poisson",
+            Box::new(PoissonDemand::new(m, 4.0, Popularity::Zipf(1.1), 1.5, 2010)),
+        ),
+        (
+            "flash-crowd",
+            Box::new(FlashCrowd::staggered(crowds, m, 1.5, 2011)),
+        ),
+        (
+            "sequential",
+            Box::new(SequentialViewing::new(
+                n,
+                m,
+                NextVideoPolicy::UniformRandom,
+                1.5,
+                2012,
+            )),
+        ),
+    ]
+}
+
+/// Forwards to `inner` and logs every demand it emits.
+struct Logged<'a> {
+    inner: Box<dyn DemandGenerator>,
+    log: &'a mut Vec<VideoDemand>,
+}
+
+impl DemandGenerator for Logged<'_> {
+    fn demands_at(&mut self, round: u64, occupancy: &dyn OccupancyView) -> Vec<VideoDemand> {
+        let demands = self.inner.demands_at(round, occupancy);
+        self.log.extend_from_slice(&demands);
+        demands
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
+/// The first [`GOLDEN`] demands of each generator with their `fx_hash`,
+/// against a `Vec<bool>` occupancy on which a demanded box stays busy for
+/// five rounds (so every round's free list differs from the last one's).
+fn golden_streams_over_vec_bool() -> Vec<(&'static str, u64, Vec<VideoDemand>)> {
+    let (n, m) = (48usize, 30usize);
+    golden_generators(n, m)
+        .into_iter()
+        .map(|(label, mut generator)| {
+            let mut busy_until = vec![0u64; n];
+            let mut stream = Vec::new();
+            for round in 0.. {
+                let free: Vec<bool> = busy_until.iter().map(|&until| until <= round).collect();
+                for d in generator.demands_at(round, &free) {
+                    busy_until[d.box_id.index()] = round + 5;
+                    stream.push(d);
+                }
+                if stream.len() >= GOLDEN {
+                    break;
+                }
+                assert!(round < 500, "{label}: stream dried up");
+            }
+            stream.truncate(GOLDEN);
+            (label, vod_core::fx_hash(&stream), stream)
+        })
+        .collect()
+}
+
+/// The same generators driven by a `Simulator`, i.e. reading the engine's
+/// own `OccupancyView` (playbacks of `T = 6` rounds keep the free set
+/// moving).
+fn golden_streams_through_engine() -> Vec<(&'static str, u64, Vec<VideoDemand>)> {
+    let params = SystemParams::new(48, 2.0, 8, 4, 4, 1.5, 6);
+    let mut rng = StdRng::seed_from_u64(12);
+    let system =
+        VideoSystem::homogeneous(params, &RandomPermutationAllocator::new(4), &mut rng).unwrap();
+    golden_generators(system.n(), system.m())
+        .into_iter()
+        .map(|(label, inner)| {
+            let mut stream = Vec::new();
+            let mut logged = Logged {
+                inner,
+                log: &mut stream,
+            };
+            let mut sim = Simulator::new(&system, SimConfig::new(500).continue_on_failure());
+            while logged.log.len() < GOLDEN {
+                assert!(sim.round() < 500, "{label}: stream dried up");
+                sim.step(&mut logged);
+            }
+            stream.truncate(GOLDEN);
+            (label, vod_core::fx_hash(&stream), stream)
+        })
+        .collect()
+}
+
+fn demand(box_id: u32, video: u32, round: u64) -> VideoDemand {
+    VideoDemand::new(BoxId(box_id), VideoId(video), round)
+}
+
+/// Golden streams: the RNG draw order of the free-list generators (the full
+/// Fisher–Yates shuffle included) is pinned demand by demand, so a change to
+/// how the free list is produced or buffered cannot move it unnoticed. The
+/// benchmark's `expected/*.json` totals depend on exactly these streams.
+#[test]
+fn generator_streams_match_their_golden_values() {
+    let expected_vec_bool: [(&str, u64, [VideoDemand; 3]); 4] = [
+        (
+            "zipf",
+            0xdc06_90a8_b00e_66a2,
+            [demand(40, 16, 0), demand(16, 1, 0), demand(37, 5, 0)],
+        ),
+        (
+            "poisson",
+            0xc94b_02eb_632b_9f32,
+            [demand(19, 12, 0), demand(34, 11, 0), demand(39, 6, 0)],
+        ),
+        (
+            "flash-crowd",
+            0x03ce_c7f2_d743_37a7,
+            [demand(18, 0, 0), demand(0, 0, 0), demand(11, 0, 1)],
+        ),
+        (
+            "sequential",
+            0x66b1_fb8d_2f2e_ccb1,
+            [demand(0, 0, 0), demand(1, 15, 0), demand(2, 5, 0)],
+        ),
+    ];
+    let expected_engine: [(&str, u64, [VideoDemand; 3]); 4] = [
+        (
+            "zipf",
+            0x2eec_4cf3_29c4_5605,
+            [demand(40, 47, 0), demand(16, 3, 0), demand(37, 13, 0)],
+        ),
+        (
+            "poisson",
+            0xafde_d03e_fdec_bd4d,
+            [demand(19, 30, 0), demand(34, 26, 0), demand(39, 13, 0)],
+        ),
+        (
+            "flash-crowd",
+            0x71ab_e85f_796a_1f8e,
+            [demand(18, 0, 0), demand(0, 0, 0), demand(11, 0, 1)],
+        ),
+        (
+            "sequential",
+            0x1a83_9e7e_69a8_013c,
+            [demand(0, 0, 0), demand(1, 48, 0), demand(2, 16, 0)],
+        ),
+    ];
+    for (occupancy, streams, expected) in [
+        (
+            "Vec<bool>",
+            golden_streams_over_vec_bool(),
+            expected_vec_bool,
+        ),
+        ("engine", golden_streams_through_engine(), expected_engine),
+    ] {
+        for ((label, hash, stream), (want_label, want_hash, want_head)) in
+            streams.into_iter().zip(expected)
+        {
+            assert_eq!(label, want_label);
+            assert_eq!(stream.len(), GOLDEN, "{label} over {occupancy}");
+            assert_eq!(
+                (&stream[..3], hash),
+                (&want_head[..], want_hash),
+                "{label} over {occupancy}: the demand stream moved"
+            );
         }
     }
 }
