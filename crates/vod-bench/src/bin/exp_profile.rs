@@ -8,7 +8,10 @@
 //! including the sharded matcher's partition/split/solve/reconcile and the
 //! solvers' analyze/phase/relabel stages — relay accounting and re-plans),
 //! reporting per-stage p50/p99/max latencies from the recorder's
-//! log-bucketed histograms.
+//! log-bucketed histograms. Beside the times it prints the work the
+//! matcher's targeted augmenting search did (searches, augmentations,
+//! entries scanned, longest path) on the workloads the global max-flow
+//! scheduler runs.
 //!
 //! Four standard workloads are profiled: sustained churn, a flash crowd,
 //! a heterogeneous relayed fleet, and churn with budgeted repair on the
@@ -34,15 +37,19 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::Cell;
 use std::io::Write as _;
+use std::rc::Rc;
 use std::time::Instant;
 use vod_analysis::Table;
 use vod_bench::{print_header, BenchSink, Scale};
 use vod_core::{
-    Bandwidth, Catalog, RandomPermutationAllocator, SystemParams, VideoId, VideoSystem,
+    Bandwidth, BoxId, Catalog, RandomPermutationAllocator, SystemParams, VideoId, VideoSystem,
 };
+use vod_flow::{CandidateView, RelayView};
 use vod_sim::{
-    RepairPlanner, RunProfile, SimConfig, SimulationReport, Simulator, TraceHandle, TraceRecord,
+    MaxFlowScheduler, RepairPlanner, RequestKey, RunProfile, Scheduler, SearchCounters, SimConfig,
+    SimulationReport, Simulator, TraceHandle, TraceRecord,
 };
 use vod_workloads::{
     ChurnModel, DemandGenerator, FlashCrowd, MultiSwarmChurn, NextVideoPolicy, SequentialViewing,
@@ -134,6 +141,70 @@ fn sim_config(rounds: u64) -> SimConfig {
     SimConfig::new(rounds)
         .continue_on_failure()
         .without_obstructions()
+}
+
+/// Where a [`CountingScheduler`] leaves its matcher's cumulative search
+/// counters after every round (the simulator owns the scheduler, so the
+/// experiment reads them from here once a run is over).
+type SearchCell = Rc<Cell<SearchCounters>>;
+
+/// The default [`MaxFlowScheduler`], publishing its matcher's targeted-search
+/// work counters; every scheduling call is forwarded unchanged.
+struct CountingScheduler {
+    inner: MaxFlowScheduler,
+    search: SearchCell,
+}
+
+impl CountingScheduler {
+    fn boxed(search: &SearchCell) -> Box<dyn Scheduler> {
+        Box::new(CountingScheduler {
+            inner: MaxFlowScheduler::new(),
+            search: search.clone(),
+        })
+    }
+
+    fn publish(&self) {
+        self.search.set(self.inner.matcher().search_stats().total);
+    }
+}
+
+impl Scheduler for CountingScheduler {
+    fn schedule(&mut self, capacities: &[u32], candidates: &[Vec<BoxId>]) -> Vec<Option<BoxId>> {
+        self.inner.schedule(capacities, candidates)
+    }
+
+    fn schedule_keyed_view(
+        &mut self,
+        capacities: &[u32],
+        keys: &[RequestKey],
+        candidates: CandidateView<'_>,
+        out: &mut Vec<Option<BoxId>>,
+    ) {
+        self.inner
+            .schedule_keyed_view(capacities, keys, candidates, out);
+        self.publish();
+    }
+
+    fn schedule_relayed_view(
+        &mut self,
+        capacities: &[u32],
+        keys: &[RequestKey],
+        candidates: CandidateView<'_>,
+        relays: &RelayView,
+        out: &mut Vec<Option<BoxId>>,
+    ) {
+        self.inner
+            .schedule_relayed_view(capacities, keys, candidates, relays, out);
+        self.publish();
+    }
+
+    fn attach_tracer(&mut self, tracer: &TraceHandle) {
+        self.inner.attach_tracer(tracer);
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
 }
 
 /// One profiled workload: untraced and traced reports (which must be
@@ -286,6 +357,9 @@ fn main() {
     let fleet = relay_fleet(scale);
     let relay_rounds = scale.pick(60u64, 120);
 
+    // One cell per workload on the global max-flow scheduler (the sharded
+    // run's per-shard matchers are not reachable from outside).
+    let searches: [SearchCell; 3] = Default::default();
     let workloads: Vec<(&str, String, u64, WorkloadRun)> = vec![
         (
             "churn",
@@ -295,7 +369,11 @@ fn main() {
                 churn_rounds,
                 repeats,
                 &|| {
-                    let mut sim = Simulator::new(&churn_sys, sim_config(churn_rounds));
+                    let mut sim = Simulator::with_scheduler(
+                        &churn_sys,
+                        sim_config(churn_rounds),
+                        CountingScheduler::boxed(&searches[0]),
+                    );
                     sim.attach_churn(churn_model(&churn_sys));
                     sim
                 },
@@ -317,7 +395,13 @@ fn main() {
             profile_workload(
                 flash_rounds,
                 repeats,
-                &|| Simulator::new(&flash_sys, sim_config(flash_rounds)),
+                &|| {
+                    Simulator::with_scheduler(
+                        &flash_sys,
+                        sim_config(flash_rounds),
+                        CountingScheduler::boxed(&searches[1]),
+                    )
+                },
                 &|| {
                     Box::new(FlashCrowd::single(
                         VideoId(0),
@@ -336,7 +420,13 @@ fn main() {
             profile_workload(
                 relay_rounds,
                 repeats,
-                &|| Simulator::new(&fleet, sim_config(relay_rounds)),
+                &|| {
+                    Simulator::with_scheduler(
+                        &fleet,
+                        sim_config(relay_rounds),
+                        CountingScheduler::boxed(&searches[2]),
+                    )
+                },
                 &|| Box::new(MultiSwarmChurn::new(fleet.m(), 4, 6, 1.2, 5).with_rotation(6)),
             ),
         ),
@@ -382,6 +472,33 @@ fn main() {
             failed = true;
         }
     }
+
+    // ---- Work counters of the targeted search ----
+    // Every repeat replays the same rounds, so the cells hold one run's
+    // totals whichever repeat wrote them last.
+    let mut search_table = Table::new(
+        "Targeted augmenting search (whole run, global max-flow scheduler)",
+        &[
+            "workload",
+            "searches",
+            "augmented",
+            "entries scanned",
+            "per search",
+            "longest path",
+        ],
+    );
+    for ((label, _, _, _), cell) in workloads.iter().zip(&searches) {
+        let c = cell.get();
+        search_table.push_row(vec![
+            label.to_string(),
+            c.searches.to_string(),
+            c.augmented.to_string(),
+            c.edges_scanned.to_string(),
+            format!("{:.1}", c.edges_scanned as f64 / c.searches.max(1) as f64),
+            c.longest_path.to_string(),
+        ]);
+    }
+    println!("{}", search_table.to_markdown());
 
     // ---- The overhead gate ----
     let mut gate = Table::new(

@@ -16,7 +16,7 @@
 //! incrementally (the simulation engine's expiry-wheel index) already know
 //! which stripes changed each round; handing that knowledge down as stamps
 //! lets incremental consumers ([`crate::ShardedArena::reconcile_keyed_view`]
-//! and the matchers in `vod-sim`) skip their per-row sort-and-diff entirely
+//! and the matchers in `vod-sim`) skip their per-row diff entirely
 //! for untouched rows, instead of re-deriving the delta by hash lookups and
 //! vector compares.
 

@@ -549,6 +549,16 @@ impl HopcroftKarpSolve {
                 .map(|(_, e)| e as usize)
                 .expect("matched pair must come from a candidate edge")
         };
+        // Release every slot a row gave up before taking any: a row may
+        // move onto a full box whose slot another row frees in this same
+        // solve, and the arena checks each push against the edge's capacity.
+        for row in 0..rows {
+            let old = self.seed[row];
+            if old != self.match_of[row] && old != NONE {
+                arena.push(cand_edge(&self.shape, row, old), -1);
+                arena.push(self.shape.source_edge[old as usize] as usize, -1);
+            }
+        }
         for row in 0..rows {
             let old = self.seed[row];
             let new = self.match_of[row];
@@ -556,10 +566,7 @@ impl HopcroftKarpSolve {
                 continue;
             }
             debug_assert_ne!(new, NONE, "a solve never unmatches a request");
-            if old != NONE {
-                arena.push(cand_edge(&self.shape, row, old), -1);
-                arena.push(self.shape.source_edge[old as usize] as usize, -1);
-            } else {
+            if old == NONE {
                 arena.push(self.shape.sink_edge[row] as usize, 1);
             }
             arena.push(cand_edge(&self.shape, row, new), 1);
@@ -905,6 +912,40 @@ mod tests {
         // Re-solving the solved arena adds nothing.
         assert_eq!(solver.max_flow(&mut a, s, t), 0);
         assert_eq!(a.net_outflow(s), 3);
+    }
+
+    #[test]
+    fn bit_adapter_warm_start_moves_a_row_onto_a_box_freed_in_the_same_solve() {
+        // Two gadgets of two unit boxes: the narrow request (one candidate)
+        // is unserved because the wide one sits on its box, and the only
+        // fix is wide → other box, narrow → freed box. The gadgets list
+        // narrow and wide in opposite orders, so whichever order the
+        // write-back visits rows in, one narrow row comes before its wide.
+        let mut a = FlowArena::new();
+        a.clear(10);
+        let (source, sink) = (0, 9);
+        let source_edges: Vec<usize> = (1..=4).map(|b| a.add_edge(source, b, 1)).collect();
+        let narrow_first = a.add_edge(1, 5, 1);
+        let wide_first = a.add_edge(1, 6, 1);
+        a.add_edge(2, 6, 1);
+        let wide_second = a.add_edge(3, 7, 1);
+        a.add_edge(4, 7, 1);
+        let narrow_second = a.add_edge(3, 8, 1);
+        let sink_edges: Vec<usize> = (5..=8).map(|r| a.add_edge(r, sink, 1)).collect();
+        for (box_edge, cand, request_edge) in [
+            (source_edges[0], wide_first, sink_edges[1]),
+            (source_edges[2], wide_second, sink_edges[2]),
+        ] {
+            a.push(box_edge, 1);
+            a.push(cand, 1);
+            a.push(request_edge, 1);
+        }
+        assert_eq!(HopcroftKarpSolve::new().max_flow(&mut a, source, sink), 2);
+        assert_eq!(a.flow_on(narrow_first), 1);
+        assert_eq!(a.flow_on(narrow_second), 1);
+        for v in 1..=8 {
+            assert_eq!(a.net_outflow(v), 0, "node {v}");
+        }
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub use request::{PlaybackState, RequestKind, StripePlan, StripeRequest};
 pub use scheduler::{
     GreedyScheduler, IncrementalMatcher, MaxFlowScheduler, RandomScheduler, ReconcilePolicy,
     RelayBroker, RelayEvent, RelayRoundStats, RelayUtilization, RequestKey, Scheduler,
-    ShardRoundStats, ShardedMatcher, SplitPolicy,
+    SearchCounters, SearchStats, ShardRoundStats, ShardedMatcher, SplitPolicy,
 };
 pub use swarm::{Swarm, SwarmTracker};
 // Observability surface: the tracer types callers hand to

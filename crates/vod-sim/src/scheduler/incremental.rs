@@ -14,8 +14,21 @@
 //! * candidate-set changes patch edge capacities in place, reviving a
 //!   previously de-capacitated edge when a candidate returns (a box's cache
 //!   entry ageing out and re-appearing is common under churn);
-//! * the solver then *warm-starts* from the repaired residual flow, so it
-//!   only has to route the delta instead of re-solving from zero.
+//! * maximality is then restored from the repaired flow: with few unserved
+//!   requests by one *targeted* alternating search each, otherwise by the
+//!   solver, *warm-started* on the residual, so either way only the delta is
+//!   routed instead of re-solving from zero.
+//!
+//! Beside the arena the matcher keeps an **assignment mirror**: each slot
+//! remembers the candidate edge (and box) carrying its unit of flow, and
+//! each box heads an intrusive doubly-linked list of the slots assigned to
+//! it. The matcher's own flow edits keep the mirror exact; after a solver
+//! call — the only place flow moves behind the matcher's back —
+//! `resync_assignments` re-reads it. The targeted search therefore leaves a
+//! saturated box only along its ≤ `cap` matched edges (never along its whole
+//! adjacency list, which holds every candidate edge ever created, live or
+//! dead), and extraction, departure and capacity eviction read the mirror
+//! in O(1) per request.
 //!
 //! All bookkeeping (slots, edge lists, scratch buffers, the key map) reuses
 //! its allocations, so a steady-state round — same working set of requests —
@@ -23,7 +36,8 @@
 //! edges accumulate in the arena under heavy churn; when more than half of
 //! the arena is dead the matcher compacts by rebuilding in place (amortized
 //! O(1), still allocation-free once the arena has grown to the high-water
-//! mark).
+//! mark) and pushing the surviving requests' flow back onto the boxes the
+//! mirror remembered, so the round after a compaction is as warm as any.
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -52,17 +66,67 @@ pub struct RequestKey {
     pub stripe: StripeId,
 }
 
+/// "No slot" / "no box" in the assignment mirror's `u32` links (the mirror
+/// costs four bytes per box, so it stays off the large-fleet memory budget).
+const NIL: u32 = u32::MAX;
+
+/// Work counters of the targeted augmenting search: plain integer adds on
+/// the search path (no clock, no allocation).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SearchCounters {
+    /// Searches started (one per unserved request per targeted round).
+    pub searches: u64,
+    /// Searches that found an augmenting path.
+    pub augmented: u64,
+    /// Entries examined: request-row adjacency entries plus matched-list
+    /// entries of saturated boxes.
+    pub edges_scanned: u64,
+    /// Longest augmenting path pushed, in bipartite edges (1 = the request
+    /// found a box with a spare slot directly).
+    pub longest_path: u64,
+}
+
+/// [`SearchCounters`] of the last scheduled round and of the matcher's
+/// whole life (see [`IncrementalMatcher::search_stats`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SearchStats {
+    /// The last round alone (all zero when it ran no targeted search).
+    pub round: SearchCounters,
+    /// Every round so far.
+    pub total: SearchCounters,
+}
+
+/// One frame of the targeted search's alternating depth-first walk.
+#[derive(Clone, Copy, Debug)]
+enum Frame {
+    /// At a request: `cursor` is the next entry of the request node's arena
+    /// adjacency list to examine.
+    Request { slot: u32, cursor: Option<usize> },
+    /// At a saturated box entered along candidate edge `via` (box → the
+    /// request one frame down): `cursor` is the next slot of the box's
+    /// matched list to examine.
+    Box { via: usize, cursor: u32 },
+}
+
 /// One tracked request: its node in the arena and every edge ever created
 /// for it. Slots (and their edge lists) are pooled and reused.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct RequestSlot {
     node: NodeId,
     sink_edge: usize,
-    /// Candidate edges ever created for this node, sorted by box id. An edge
-    /// is *active* when its capacity is 1, de-capacitated (0) otherwise.
+    /// Candidate edges ever created for this node, one per box, in creation
+    /// order. An edge is *active* when its capacity is 1, de-capacitated (0)
+    /// otherwise.
     cand_edges: Vec<(BoxId, usize)>,
-    /// The raw candidate list as last given (pre-sort), letting unchanged
-    /// rounds skip the sort-and-diff entirely.
+    /// Assignment mirror: the box serving this request ([`NIL`] when
+    /// unserved) and the candidate edge carrying the unit of flow.
+    assigned_box: u32,
+    assigned_edge: usize,
+    /// Neighbours in `assigned_box`'s matched list ([`NIL`]-terminated).
+    next: u32,
+    prev: u32,
+    /// The raw candidate list as last given, letting unchanged rounds skip
+    /// the diff entirely.
     given: Vec<BoxId>,
     /// False until `given` reflects this slot's active edges (freshly
     /// allocated or recycled slots must run a full diff).
@@ -75,6 +139,25 @@ struct RequestSlot {
     stamp: u64,
     /// Position of this request in the current round's input.
     pos: usize,
+}
+
+impl Default for RequestSlot {
+    fn default() -> Self {
+        RequestSlot {
+            node: 0,
+            sink_edge: 0,
+            cand_edges: Vec::new(),
+            assigned_box: NIL,
+            assigned_edge: 0,
+            next: NIL,
+            prev: NIL,
+            given: Vec::new(),
+            given_valid: false,
+            given_stamp: 0,
+            stamp: 0,
+            pos: 0,
+        }
+    }
 }
 
 /// Reusable incremental matcher over one [`FlowArena`].
@@ -108,8 +191,9 @@ pub struct IncrementalMatcher {
     /// Source edge per box (always present, capacity may be 0).
     source_edges: Vec<usize>,
     slots: Vec<RequestSlot>,
-    /// Slot index per arena node (`usize::MAX` for non-request nodes).
-    node_slot: Vec<usize>,
+    /// Assignment mirror: first slot of each box's matched list ([`NIL`]
+    /// when the box serves nothing).
+    box_head: Vec<u32>,
     by_key: KeyMap<usize>,
     free_slots: Vec<usize>,
     sink: NodeId,
@@ -126,7 +210,6 @@ pub struct IncrementalMatcher {
     /// run); untouched rounds keep the previous maximum flow as-is.
     changed: bool,
     // Scratch buffers (reused every round).
-    sorted_cands: Vec<BoxId>,
     added_cands: Vec<BoxId>,
     stale_keys: Vec<RequestKey>,
     /// Slot index per input position for the current round (skips a second
@@ -135,10 +218,12 @@ pub struct IncrementalMatcher {
     /// Visit stamps for the targeted augmenting-path search.
     visit_stamp: Vec<u64>,
     visit_epoch: u64,
-    /// DFS scratch: `(node, adjacency cursor)` stack and the residual edges
-    /// of the current path (source-ward order).
-    dfs_stack: Vec<(NodeId, Option<usize>)>,
-    path_edges: Vec<usize>,
+    /// DFS scratch: the alternating request/box frames of the current path.
+    dfs_stack: Vec<Frame>,
+    /// Compaction scratch: the box serving each input position before the
+    /// arena was cleared ([`NIL`] for none).
+    kept_boxes: Vec<u32>,
+    search: SearchStats,
     /// Scratch for the debug-only maximality check (kept allocation-free so
     /// steady-state rounds allocate nothing even in debug builds).
     dbg_seen: Vec<bool>,
@@ -163,7 +248,7 @@ impl IncrementalMatcher {
             caps: Vec::new(),
             source_edges: Vec::new(),
             slots: Vec::new(),
-            node_slot: Vec::new(),
+            box_head: Vec::new(),
             by_key: KeyMap::default(),
             free_slots: Vec::new(),
             sink: 0,
@@ -174,14 +259,14 @@ impl IncrementalMatcher {
             rounds: 0,
             dirty: true,
             changed: false,
-            sorted_cands: Vec::new(),
             added_cands: Vec::new(),
             stale_keys: Vec::new(),
             round_slots: Vec::new(),
             visit_stamp: Vec::new(),
             visit_epoch: 0,
             dfs_stack: Vec::new(),
-            path_edges: Vec::new(),
+            kept_boxes: Vec::new(),
+            search: SearchStats::default(),
             dbg_seen: Vec::new(),
             dbg_stack: Vec::new(),
             csr_bridge: CandidateBuf::new(),
@@ -221,6 +306,12 @@ impl IncrementalMatcher {
         self.solver.name()
     }
 
+    /// Work done by the targeted augmenting search, for the last round and
+    /// in total. Rounds handed to the solver add nothing here.
+    pub fn search_stats(&self) -> SearchStats {
+        self.search
+    }
+
     /// Schedules one round incrementally. `keys[i]` is the stable identity
     /// of the request with candidate set `candidates[i]`; the assignment is
     /// written into `out` (reused, index-aligned with the input).
@@ -243,7 +334,7 @@ impl IncrementalMatcher {
     /// semantics over a borrowed flat [`CandidateView`] (the engine's native
     /// representation). When the view carries per-row change stamps, a
     /// surviving request whose stamp is unchanged skips the per-row
-    /// sort-and-diff entirely.
+    /// diff entirely.
     pub fn schedule_keyed_view(
         &mut self,
         capacities: &[u32],
@@ -253,15 +344,20 @@ impl IncrementalMatcher {
     ) {
         assert_eq!(keys.len(), candidates.len(), "one key per request");
         self.rounds += 1;
+        self.search.round = SearchCounters::default();
         let total_pairs = self.arena.edge_count() / 2;
         let needs_compaction = total_pairs > 64 && self.dead_pairs * 2 > total_pairs;
         self.changed = false;
-        if self.dirty || capacities.len() != self.caps.len() || needs_compaction {
+        if self.dirty || capacities.len() != self.caps.len() {
             self.rebuild(capacities, keys, candidates);
             // Cold instance: hand the whole thing to the configured solver.
-            self.total_flow += self.solver.max_flow(&mut self.arena, 0, self.sink);
+            self.solve();
         } else {
-            self.patch(capacities, keys, candidates);
+            if needs_compaction {
+                self.compact(capacities, keys, candidates);
+            } else {
+                self.patch(capacities, keys, candidates);
+            }
             if self.changed {
                 // The patched flow is valid but possibly not maximal; only
                 // unserved requests can be endpoints of augmenting paths.
@@ -271,15 +367,23 @@ impl IncrementalMatcher {
                 // instance) would thrash the targeted search — every
                 // successful augment invalidates the failure marks — so hand
                 // that case to the solver, warm-started on the residual.
+                //
+                // Tried and rejected: "always search, fall back to the
+                // solver once a round has scanned `arena_edges / 8` entries"
+                // took `steady-churn` `round_ms_p99` 7.9 → 4.7 ms but
+                // `relay-faults` `round_ms_p50` 7.1 → 15.5 ms (466 of 894
+                // rounds overflowed into a solver call on top of the
+                // search they had already paid for).
                 let unserved = self.count_unserved();
                 if unserved * 8 > self.round_slots.len() + 64 {
-                    self.total_flow += self.solver.max_flow(&mut self.arena, 0, self.sink);
+                    self.solve();
                 } else if unserved > 0 {
                     self.augment_unserved();
                 }
             }
         }
         debug_assert!(self.flow_is_consistent());
+        debug_assert!(self.mirror_matches_arena());
         debug_assert!(self.flow_is_maximal());
         self.extract(out);
     }
@@ -307,6 +411,7 @@ impl IncrementalMatcher {
     }
 
     /// Full reconstruction of the tracked instance inside the reused arena.
+    /// The rebuilt network carries no flow.
     fn rebuild(&mut self, capacities: &[u32], keys: &[RequestKey], candidates: CandidateView<'_>) {
         let boxes = capacities.len();
         self.arena.clear(boxes + 2);
@@ -328,10 +433,16 @@ impl IncrementalMatcher {
             slot.stamp = 0;
             slot.node = 0;
             slot.sink_edge = 0;
+            slot.assigned_box = NIL;
             self.free_slots.push(idx);
         }
-        self.node_slot.clear();
-        self.node_slot.resize(boxes + 2, usize::MAX);
+        self.box_head.clear();
+        self.box_head.resize(boxes, NIL);
+        // `set_candidates` keeps its marks in `visit_stamp` under the box
+        // node ids, and runs before any search has sized the table.
+        if self.visit_stamp.len() < boxes + 2 {
+            self.visit_stamp.resize(boxes + 2, 0);
+        }
         self.total_flow = 0;
         self.dead_pairs = 0;
         self.stamp += 1;
@@ -345,6 +456,41 @@ impl IncrementalMatcher {
         self.rebuilds += 1;
         self.dirty = false;
         self.changed = true;
+    }
+
+    /// Compaction: rebuilds the arena without its dead edges but keeps the
+    /// matching. Every surviving request whose previous box is still a
+    /// candidate with capacity left gets its unit of flow pushed back, so
+    /// the caller finishes warm instead of re-solving the round from zero.
+    fn compact(&mut self, capacities: &[u32], keys: &[RequestKey], candidates: CandidateView<'_>) {
+        let mut kept = std::mem::take(&mut self.kept_boxes);
+        kept.clear();
+        kept.extend(keys.iter().map(|key| {
+            self.by_key
+                .get(key)
+                .map_or(NIL, |&idx| self.slots[idx].assigned_box)
+        }));
+        self.rebuild(capacities, keys, candidates);
+        for (pos, &kept_box) in kept.iter().enumerate() {
+            if kept_box == NIL {
+                continue;
+            }
+            let source_edge = self.source_edges[kept_box as usize];
+            if self.arena.residual(source_edge) == 0 {
+                continue;
+            }
+            let slot_idx = self.round_slots[pos];
+            let slot = &self.slots[slot_idx];
+            let Some(&(_, edge)) = slot.cand_edges.iter().find(|&&(b, _)| b.0 == kept_box) else {
+                continue;
+            };
+            self.arena.push(source_edge, 1);
+            self.arena.push(edge, 1);
+            self.arena.push(slot.sink_edge, 1);
+            self.link(slot_idx, kept_box, edge);
+            self.total_flow += 1;
+        }
+        self.kept_boxes = kept;
     }
 
     /// Diffs the incoming round against the tracked instance, patching the
@@ -409,6 +555,8 @@ impl IncrementalMatcher {
         let slot_idx = match self.free_slots.pop() {
             Some(idx) => idx,
             None => {
+                // The mirror links slots by `u32` index.
+                assert!(self.slots.len() < NIL as usize, "request slot overflow");
                 self.slots.push(RequestSlot::default());
                 self.slots.len() - 1
             }
@@ -419,7 +567,6 @@ impl IncrementalMatcher {
         if needs_node {
             let node = self.arena.add_node();
             let sink_edge = self.arena.add_edge(node, self.sink, 1);
-            self.node_slot.resize(self.arena.node_count(), usize::MAX);
             let slot = &mut self.slots[slot_idx];
             slot.node = node;
             slot.sink_edge = sink_edge;
@@ -431,8 +578,7 @@ impl IncrementalMatcher {
                 self.dead_pairs -= 1;
             }
         }
-        let node = self.slots[slot_idx].node;
-        self.node_slot[node] = slot_idx;
+        debug_assert_eq!(self.slots[slot_idx].assigned_box, NIL);
         self.slots[slot_idx].stamp = self.stamp;
         self.slots[slot_idx].pos = pos;
         self.slots[slot_idx].given_valid = false;
@@ -461,66 +607,55 @@ impl IncrementalMatcher {
             return;
         }
         // Fast path: identical raw candidate list → active edges already
-        // match, nothing to sort or diff.
+        // match, nothing to diff.
         if self.slots[slot_idx].given_valid && self.slots[slot_idx].given == *cands {
             self.slots[slot_idx].given_stamp = stamp;
             return;
         }
+        // Mark-array diff: O(row), no sort, no order assumption on the
+        // producer. The marks live in `visit_stamp` under the box node ids
+        // (a diff and a search never interleave, and the epoch only grows):
+        // `wanted` marks the boxes of `cands`, `synced` those whose edge is
+        // in place, so duplicate ids in the row collapse.
         let boxes = self.caps.len();
-        self.sorted_cands.clear();
-        self.sorted_cands
-            .extend(cands.iter().copied().filter(|b| b.index() < boxes));
-        self.sorted_cands.sort();
-        self.sorted_cands.dedup();
-
-        self.added_cands.clear();
-        // Two-pointer diff over the sorted edge list and candidate list.
-        // Existing edges are revived/de-capacitated in place; missing
-        // candidates are collected and appended afterwards (appending while
-        // iterating would invalidate the walk).
-        let mut edge_cursor = 0;
-        let mut cand_cursor = 0;
-        while edge_cursor < self.slots[slot_idx].cand_edges.len()
-            || cand_cursor < self.sorted_cands.len()
-        {
-            let edge_entry = self.slots[slot_idx].cand_edges.get(edge_cursor).copied();
-            let cand = self.sorted_cands.get(cand_cursor).copied();
-            match (edge_entry, cand) {
-                (Some((edge_box, edge)), Some(cand_box)) if edge_box == cand_box => {
-                    if self.arena.edge(edge).original_cap == 0 {
-                        self.arena.set_capacity(edge, 1);
-                        self.dead_pairs -= 1;
-                        self.changed = true;
-                    }
-                    edge_cursor += 1;
-                    cand_cursor += 1;
+        let (wanted, synced) = (self.visit_epoch + 1, self.visit_epoch + 2);
+        self.visit_epoch = synced;
+        for b in cands.iter().filter(|b| b.index() < boxes) {
+            self.visit_stamp[1 + b.index()] = wanted;
+        }
+        for i in 0..self.slots[slot_idx].cand_edges.len() {
+            let (edge_box, edge) = self.slots[slot_idx].cand_edges[i];
+            let mark = &mut self.visit_stamp[1 + edge_box.index()];
+            if *mark == wanted {
+                *mark = synced;
+                if self.arena.edge(edge).original_cap == 0 {
+                    self.arena.set_capacity(edge, 1);
+                    self.dead_pairs -= 1;
+                    self.changed = true;
                 }
-                (Some((edge_box, edge)), Some(cand_box)) if edge_box < cand_box => {
-                    self.deactivate_cand_edge(slot_idx, edge_box, edge);
-                    edge_cursor += 1;
-                }
-                (Some((edge_box, edge)), None) => {
-                    self.deactivate_cand_edge(slot_idx, edge_box, edge);
-                    edge_cursor += 1;
-                }
-                (_, Some(cand_box)) => {
-                    self.added_cands.push(cand_box);
-                    cand_cursor += 1;
-                }
-                (None, None) => unreachable!("loop condition"),
+            } else {
+                self.deactivate_cand_edge(slot_idx, edge);
             }
         }
-        // Append the new edges, keeping the list sorted by box id.
-        let node = self.slots[slot_idx].node;
+        // Boxes still marked `wanted` have no edge yet. Create them in
+        // ascending box order, whatever order the producer listed them in,
+        // so the arena's adjacency order does not depend on the producer.
         let mut added = std::mem::take(&mut self.added_cands);
-        for &cand_box in added.iter() {
+        added.clear();
+        for &b in cands.iter().filter(|b| b.index() < boxes) {
+            let mark = &mut self.visit_stamp[1 + b.index()];
+            if *mark == wanted {
+                *mark = synced;
+                added.push(b);
+            }
+        }
+        added.sort_unstable();
+        let node = self.slots[slot_idx].node;
+        for &cand_box in &added {
             let edge = self.arena.add_edge(1 + cand_box.index(), node, 1);
-            let list = &mut self.slots[slot_idx].cand_edges;
-            let at = list.partition_point(|&(b, _)| b < cand_box);
-            list.insert(at, (cand_box, edge));
+            self.slots[slot_idx].cand_edges.push((cand_box, edge));
             self.changed = true;
         }
-        added.clear();
         self.added_cands = added;
         // Remember the raw list (and the stamp it was captured under) for
         // next round's fast paths.
@@ -532,52 +667,72 @@ impl IncrementalMatcher {
     }
 
     /// De-capacitates one candidate edge, cancelling its flow first.
-    fn deactivate_cand_edge(&mut self, slot_idx: usize, edge_box: BoxId, edge: usize) {
+    fn deactivate_cand_edge(&mut self, slot_idx: usize, edge: usize) {
         if self.arena.edge(edge).original_cap == 0 {
             return; // already inactive
         }
-        if self.arena.flow_on(edge) == 1 {
-            self.cancel_assignment(slot_idx, edge_box, edge);
+        let slot = &self.slots[slot_idx];
+        if slot.assigned_box != NIL && slot.assigned_edge == edge {
+            self.cancel_assignment(slot_idx);
         }
         self.arena.set_capacity(edge, 0);
         self.dead_pairs += 1;
         self.changed = true;
     }
 
-    /// Cancels one unit of flow running source → box → request → sink.
-    fn cancel_assignment(&mut self, slot_idx: usize, edge_box: BoxId, cand_edge: usize) {
+    /// Records that `slot_idx` is served by `box_idx` along `edge`: pushes
+    /// the slot onto the front of the box's matched list.
+    fn link(&mut self, slot_idx: usize, box_idx: u32, edge: usize) {
+        let head = self.box_head[box_idx as usize];
+        let slot = &mut self.slots[slot_idx];
+        debug_assert_eq!(slot.assigned_box, NIL, "slot is already linked");
+        slot.assigned_box = box_idx;
+        slot.assigned_edge = edge;
+        slot.prev = NIL;
+        slot.next = head;
+        if head != NIL {
+            self.slots[head as usize].prev = slot_idx as u32;
+        }
+        self.box_head[box_idx as usize] = slot_idx as u32;
+    }
+
+    /// Takes `slot_idx` off its box's matched list and marks it unserved.
+    fn unlink(&mut self, slot_idx: usize) {
+        let slot = &mut self.slots[slot_idx];
+        let (box_idx, prev, next) = (slot.assigned_box, slot.prev, slot.next);
+        debug_assert_ne!(box_idx, NIL, "slot is not linked");
+        slot.assigned_box = NIL;
+        if prev == NIL {
+            self.box_head[box_idx as usize] = next;
+        } else {
+            self.slots[prev as usize].next = next;
+        }
+        if next != NIL {
+            self.slots[next as usize].prev = prev;
+        }
+    }
+
+    /// Cancels the slot's unit of flow (source → box → request → sink).
+    fn cancel_assignment(&mut self, slot_idx: usize) {
+        let slot = &self.slots[slot_idx];
+        let (box_idx, cand_edge, sink_edge) =
+            (slot.assigned_box, slot.assigned_edge, slot.sink_edge);
         debug_assert_eq!(self.arena.flow_on(cand_edge), 1);
         self.arena.push(cand_edge, -1);
-        self.arena.push(self.source_edges[edge_box.index()], -1);
-        self.arena.push(self.slots[slot_idx].sink_edge, -1);
+        self.arena.push(self.source_edges[box_idx as usize], -1);
+        self.arena.push(sink_edge, -1);
+        self.unlink(slot_idx);
         self.total_flow -= 1;
     }
 
-    /// Applies a changed per-box capacity, evicting excess assignments when
-    /// the new capacity is below the box's current load.
+    /// Applies a changed per-box capacity, evicting assignments off the
+    /// box's matched list while its load is above the new capacity (the
+    /// search or the warm solve re-routes them elsewhere).
     fn patch_box_capacity(&mut self, box_idx: usize, new_cap: u32) {
         let source_edge = self.source_edges[box_idx];
-        let mut excess = self.arena.flow_on(source_edge) - new_cap as i64;
-        if excess > 0 {
-            // Walk the box's forward edges and cancel assignments until the
-            // load fits (the warm solve will re-route them elsewhere).
-            let node = 1 + box_idx;
-            let mut cursor = self.arena.first_edge(node);
-            while let Some(edge) = cursor {
-                if excess == 0 {
-                    break;
-                }
-                cursor = self.arena.next_edge(edge);
-                if edge % 2 != 0 || self.arena.flow_on(edge) != 1 {
-                    continue;
-                }
-                let target = self.arena.target(edge);
-                let slot_idx = self.node_slot[target];
-                debug_assert_ne!(slot_idx, usize::MAX, "box edge must point at a request");
-                self.cancel_assignment(slot_idx, BoxId(box_idx as u32), edge);
-                excess -= 1;
-            }
-            debug_assert_eq!(excess, 0);
+        let excess = self.arena.flow_on(source_edge) - new_cap as i64;
+        for _ in 0..excess {
+            self.cancel_assignment(self.box_head[box_idx] as usize);
         }
         self.arena.set_capacity(source_edge, new_cap as i64);
         self.caps[box_idx] = new_cap;
@@ -593,31 +748,59 @@ impl IncrementalMatcher {
     /// diff deactivates only the ones the new request does not need).
     fn remove_request(&mut self, key: RequestKey) {
         let slot_idx = self.by_key.remove(&key).expect("request is tracked");
-        // Cancel any flow through the request.
-        if self.arena.flow_on(self.slots[slot_idx].sink_edge) == 1 {
-            let carrying = self.slots[slot_idx]
-                .cand_edges
-                .iter()
-                .copied()
-                .find(|&(_, e)| self.arena.flow_on(e) == 1)
-                .expect("served request has a flow-carrying candidate edge");
-            self.cancel_assignment(slot_idx, carrying.0, carrying.1);
+        if self.slots[slot_idx].assigned_box != NIL {
+            self.cancel_assignment(slot_idx);
         }
         let sink_edge = self.slots[slot_idx].sink_edge;
         if self.arena.edge(sink_edge).original_cap != 0 {
             self.arena.set_capacity(sink_edge, 0);
             self.dead_pairs += 1;
         }
-        self.node_slot[self.slots[slot_idx].node] = usize::MAX;
         self.free_slots.push(slot_idx);
         self.changed = true;
+    }
+
+    /// Runs the solver on the arena as it stands (cold after a rebuild,
+    /// warm-started on the residual otherwise) and re-reads the mirror, which
+    /// the solver does not maintain.
+    fn solve(&mut self) {
+        self.total_flow += self.solver.max_flow(&mut self.arena, 0, self.sink);
+        self.resync_assignments();
+    }
+
+    /// Re-reads the mirror from the arena after a solver call, the only
+    /// place flow moves without the matcher's own bookkeeping. A slot whose
+    /// remembered edge still carries its flow costs one look; only a slot
+    /// the solver re-routed rescans its candidate edges.
+    fn resync_assignments(&mut self) {
+        for i in 0..self.round_slots.len() {
+            let slot_idx = self.round_slots[i];
+            let slot = &self.slots[slot_idx];
+            let linked = slot.assigned_box != NIL;
+            if linked && self.arena.flow_on(slot.assigned_edge) == 1 {
+                continue;
+            }
+            let carrying = (self.arena.flow_on(slot.sink_edge) == 1).then(|| {
+                slot.cand_edges
+                    .iter()
+                    .copied()
+                    .find(|&(_, e)| self.arena.flow_on(e) == 1)
+                    .expect("served request has a flow-carrying candidate edge")
+            });
+            if linked {
+                self.unlink(slot_idx);
+            }
+            if let Some((edge_box, edge)) = carrying {
+                self.link(slot_idx, edge_box.0, edge);
+            }
+        }
     }
 
     /// Number of this round's requests currently carrying no flow.
     fn count_unserved(&self) -> usize {
         self.round_slots
             .iter()
-            .filter(|&&slot_idx| self.arena.flow_on(self.slots[slot_idx].sink_edge) == 0)
+            .filter(|&&slot_idx| self.slots[slot_idx].assigned_box == NIL)
             .count()
     }
 
@@ -633,17 +816,34 @@ impl IncrementalMatcher {
         self.visit_epoch += 1;
         for i in 0..self.round_slots.len() {
             let slot_idx = self.round_slots[i];
-            let sink_edge = self.slots[slot_idx].sink_edge;
-            if self.arena.flow_on(sink_edge) == 0 && self.try_augment(slot_idx) {
+            if self.slots[slot_idx].assigned_box != NIL {
+                continue;
+            }
+            self.search.round.searches += 1;
+            if self.try_augment(slot_idx) {
+                self.search.round.augmented += 1;
                 self.total_flow += 1;
                 self.visit_epoch += 1;
             }
         }
+        let (round, total) = (self.search.round, &mut self.search.total);
+        total.searches += round.searches;
+        total.augmented += round.augmented;
+        total.edges_scanned += round.edges_scanned;
+        total.longest_path = total.longest_path.max(round.longest_path);
     }
 
-    /// Searches a residual path `source → … → request` backwards from the
-    /// request node and, when found, pushes one unit along it (plus the
-    /// request's sink edge). Returns whether the request is now served.
+    /// Searches an alternating path from the unserved request `slot_idx` to
+    /// a box with a spare slot and, when found, pushes one unit along it.
+    /// Returns whether the request is now served.
+    ///
+    /// The walk alternates two kinds of frame. A request frame walks the
+    /// request node's arena adjacency for active candidate edges carrying no
+    /// flow; a box with spare source capacity ends the search at once
+    /// (without this shortcut the walk would wander through the box's
+    /// alternating tree first). A saturated box's frame walks only the
+    /// box's matched list — the ≤ `cap` requests whose flow could be moved
+    /// elsewhere — not its adjacency list.
     fn try_augment(&mut self, slot_idx: usize) -> bool {
         let root = self.slots[slot_idx].node;
         if self.visit_stamp[root] == self.visit_epoch {
@@ -651,67 +851,104 @@ impl IncrementalMatcher {
         }
         self.visit_stamp[root] = self.visit_epoch;
         self.dfs_stack.clear();
-        self.path_edges.clear();
-        self.dfs_stack.push((root, self.arena.first_edge(root)));
+        self.dfs_stack.push(Frame::Request {
+            slot: slot_idx as u32,
+            cursor: self.arena.first_edge(root),
+        });
 
-        while let Some(&(_node, cursor)) = self.dfs_stack.last() {
-            // Incoming residual edges of `node` are the twins of the edges
-            // in its adjacency list.
-            let mut cursor = cursor;
-            let mut descended = false;
-            while let Some(idx) = cursor {
-                let next_cursor = self.arena.next_edge(idx);
-                let incoming = idx ^ 1;
-                let from = self.arena.target(idx);
-                if from != self.sink
-                    && self.visit_stamp[from] != self.visit_epoch
-                    && self.arena.residual(incoming) > 0
-                {
-                    if from == 0 {
-                        // Reached the source: push flow along the path.
-                        self.arena.push(incoming, 1);
-                        for k in 0..self.path_edges.len() {
-                            let e = self.path_edges[k];
-                            self.arena.push(e, 1);
+        while let Some(top) = self.dfs_stack.len().checked_sub(1) {
+            let descend = match self.dfs_stack[top] {
+                Frame::Request { slot, mut cursor } => {
+                    let mut descend = None;
+                    while let Some(idx) = cursor {
+                        cursor = self.arena.next_edge(idx);
+                        self.search.round.edges_scanned += 1;
+                        // The row's entries are the twins of the candidate
+                        // edges (plus the sink edge, which leads nowhere).
+                        let cand_edge = idx ^ 1;
+                        let box_node = self.arena.target(idx);
+                        if box_node == self.sink
+                            || self.visit_stamp[box_node] == self.visit_epoch
+                            || self.arena.residual(cand_edge) == 0
+                        {
+                            continue;
                         }
-                        self.arena.push(self.slots[slot_idx].sink_edge, 1);
-                        return true;
-                    }
-                    // Shortcut: a box with spare source capacity completes
-                    // the path immediately. Without this, depth-first order
-                    // (most-recent edge first) would wander through the
-                    // box's alternating tree before reaching its source
-                    // edge, which was added first and is iterated last.
-                    if from >= 1 && from <= self.caps.len() {
-                        let source_edge = self.source_edges[from - 1];
-                        if self.arena.residual(source_edge) > 0 {
-                            self.arena.push(source_edge, 1);
-                            self.arena.push(incoming, 1);
-                            for k in 0..self.path_edges.len() {
-                                let e = self.path_edges[k];
-                                self.arena.push(e, 1);
-                            }
-                            self.arena.push(self.slots[slot_idx].sink_edge, 1);
+                        let box_idx = box_node - 1;
+                        if self.arena.residual(self.source_edges[box_idx]) > 0 {
+                            self.push_path(box_idx, cand_edge);
                             return true;
                         }
+                        self.visit_stamp[box_node] = self.visit_epoch;
+                        descend = Some(Frame::Box {
+                            via: cand_edge,
+                            cursor: self.box_head[box_idx],
+                        });
+                        break;
                     }
-                    self.visit_stamp[from] = self.visit_epoch;
-                    // Remember where to resume on `node`, descend to `from`.
-                    let top = self.dfs_stack.len() - 1;
-                    self.dfs_stack[top].1 = next_cursor;
-                    self.path_edges.push(incoming);
-                    self.dfs_stack.push((from, self.arena.first_edge(from)));
-                    descended = true;
-                    break;
+                    self.dfs_stack[top] = Frame::Request { slot, cursor };
+                    descend
                 }
-                cursor = next_cursor;
-            }
-            if !descended {
-                self.dfs_stack.pop();
-                self.path_edges.pop();
+                Frame::Box { via, mut cursor } => {
+                    let mut descend = None;
+                    while cursor != NIL {
+                        let matched = &self.slots[cursor as usize];
+                        let slot = cursor;
+                        cursor = matched.next;
+                        self.search.round.edges_scanned += 1;
+                        if self.visit_stamp[matched.node] != self.visit_epoch {
+                            self.visit_stamp[matched.node] = self.visit_epoch;
+                            descend = Some(Frame::Request {
+                                slot,
+                                cursor: self.arena.first_edge(matched.node),
+                            });
+                            break;
+                        }
+                    }
+                    self.dfs_stack[top] = Frame::Box { via, cursor };
+                    descend
+                }
+            };
+            match descend {
+                Some(frame) => self.dfs_stack.push(frame),
+                None => {
+                    self.dfs_stack.pop();
+                }
             }
         }
         false
+    }
+
+    /// Pushes one unit along the path held in `dfs_stack`, completed by
+    /// candidate edge `last_edge` into `free_box` (a box with a spare slot),
+    /// and moves the mirror with it: every request on the path takes the box
+    /// one step nearer the free end, the root gains its sink unit.
+    fn push_path(&mut self, free_box: usize, last_edge: usize) {
+        let path_len = self.dfs_stack.len() as u64;
+        self.search.round.longest_path = self.search.round.longest_path.max(path_len);
+        self.arena.push(self.source_edges[free_box], 1);
+        let (mut new_box, mut new_edge) = (free_box as u32, last_edge);
+        while let Some(frame) = self.dfs_stack.pop() {
+            match frame {
+                Frame::Request { slot, .. } => {
+                    let slot_idx = slot as usize;
+                    if self.slots[slot_idx].assigned_box == NIL {
+                        // The root: the only unserved request on the path.
+                        self.arena.push(self.slots[slot_idx].sink_edge, 1);
+                    } else {
+                        // Its old box's slot goes to the request one frame
+                        // down, so that box's source edge is left alone.
+                        self.arena.push(self.slots[slot_idx].assigned_edge, -1);
+                        self.unlink(slot_idx);
+                    }
+                    self.arena.push(new_edge, 1);
+                    self.link(slot_idx, new_box, new_edge);
+                }
+                Frame::Box { via, .. } => {
+                    new_edge = via;
+                    new_box = (self.arena.target(via ^ 1) - 1) as u32;
+                }
+            }
+        }
     }
 
     /// Debug check: no augmenting path is left (every unserved request of
@@ -730,17 +967,11 @@ impl IncrementalMatcher {
     /// Writes the assignment for this round's requests into `out`.
     fn extract(&self, out: &mut Vec<Option<BoxId>>) {
         out.clear();
-        out.resize(self.round_slots.len(), None);
-        for (pos, &slot_idx) in self.round_slots.iter().enumerate() {
+        out.extend(self.round_slots.iter().enumerate().map(|(pos, &slot_idx)| {
             let slot = &self.slots[slot_idx];
             debug_assert_eq!(slot.pos, pos);
-            out[pos] = slot
-                .cand_edges
-                .iter()
-                .copied()
-                .find(|&(_, e)| self.arena.flow_on(e) == 1)
-                .map(|(b, _)| b);
-        }
+            (slot.assigned_box != NIL).then_some(BoxId(slot.assigned_box))
+        }));
     }
 
     /// Debug check: the arena's flow is a valid flow of value `total_flow`.
@@ -754,6 +985,38 @@ impl IncrementalMatcher {
             source_out += flow;
         }
         source_out == self.total_flow && self.arena.net_outflow(0) == self.total_flow
+    }
+
+    /// Debug check: the assignment mirror is exactly the arena's flow. Every
+    /// box's matched list is well linked, holds as many slots as the box's
+    /// source edge carries units, each along a flow-carrying candidate edge
+    /// from that box to that slot's node; and a request of this round is
+    /// linked exactly when its sink edge carries flow.
+    fn mirror_matches_arena(&self) -> bool {
+        for (box_idx, &head) in self.box_head.iter().enumerate() {
+            let mut load = 0;
+            let (mut prev, mut cursor) = (NIL, head);
+            while cursor != NIL {
+                let slot = &self.slots[cursor as usize];
+                if slot.assigned_box as usize != box_idx
+                    || slot.prev != prev
+                    || self.arena.flow_on(slot.assigned_edge) != 1
+                    || self.arena.target(slot.assigned_edge) != slot.node
+                    || self.arena.target(slot.assigned_edge ^ 1) != 1 + box_idx
+                {
+                    return false;
+                }
+                load += 1;
+                (prev, cursor) = (cursor, slot.next);
+            }
+            if load != self.arena.flow_on(self.source_edges[box_idx]) {
+                return false;
+            }
+        }
+        self.round_slots.iter().all(|&slot_idx| {
+            let slot = &self.slots[slot_idx];
+            (slot.assigned_box != NIL) == (self.arena.flow_on(slot.sink_edge) == 1)
+        })
     }
 }
 
@@ -828,7 +1091,10 @@ impl std::fmt::Debug for IncrementalMatcher {
 mod tests {
     use super::*;
     use crate::scheduler::assignment_is_valid;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use vod_core::VideoId;
+    use vod_flow::{HopcroftKarpSolve, PushRelabel};
 
     fn key(viewer: u32, video: u32, index: u16) -> RequestKey {
         RequestKey {
@@ -974,5 +1240,238 @@ mod tests {
         let cands = vec![vec![b(1)]];
         matcher.schedule_keyed(&caps, &keys, &cands, &mut out);
         assert_eq!(out, vec![Some(b(1))]);
+    }
+
+    /// One keyed round, checked three ways: the assignment is valid, its
+    /// size equals a cold solve of the same instance, and the mirror equals
+    /// the arena (asserted here so release test builds check it too).
+    fn checked_round(
+        matcher: &mut IncrementalMatcher,
+        caps: &[u32],
+        live: &[(RequestKey, Vec<BoxId>)],
+        out: &mut Vec<Option<BoxId>>,
+        what: &str,
+    ) {
+        let keys: Vec<RequestKey> = live.iter().map(|(k, _)| *k).collect();
+        let cands: Vec<Vec<BoxId>> = live.iter().map(|(_, c)| c.clone()).collect();
+        matcher.schedule_keyed(caps, &keys, &cands, out);
+        assert!(assignment_is_valid(out, caps, &cands), "{what}");
+        assert_eq!(
+            out.iter().flatten().count(),
+            cold_served(caps, &cands),
+            "{what}"
+        );
+        assert!(matcher.flow_is_consistent(), "{what}");
+        assert!(matcher.mirror_matches_arena(), "{what}");
+    }
+
+    fn random_row(rng: &mut StdRng, boxes: usize) -> Vec<BoxId> {
+        let degree = rng.gen_range(0..=boxes.min(6));
+        (0..degree)
+            .map(|_| b(rng.gen_range(0..boxes) as u32))
+            .collect()
+    }
+
+    /// A seeded script mixing arrivals, departures, candidate gains and
+    /// losses, capacity cuts and restores and — every 40 rounds, by swapping
+    /// in entirely fresh requests for a few rounds — enough dead edges to
+    /// force compactions. Returns the matcher's rebuild count.
+    fn run_script(solver: Box<dyn MaxFlowSolve>, boxes: usize, rounds: u32, seed: u64) -> u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let base: Vec<u32> = (0..boxes).map(|_| rng.gen_range(0u32..4)).collect();
+        let mut caps = base.clone();
+        let mut matcher = IncrementalMatcher::new(solver);
+        let mut out = Vec::new();
+        let mut live: Vec<(RequestKey, Vec<BoxId>)> = Vec::new();
+        let mut next_id = 0u32;
+        for round in 0..rounds {
+            if round % 40 >= 36 {
+                live.clear();
+            }
+            for _ in 0..rng.gen_range(0..6) {
+                live.push((key(next_id, next_id % 5, 0), random_row(&mut rng, boxes)));
+                next_id += 1;
+            }
+            while live.len() > 3 * boxes.max(4) || (rng.gen_bool(0.2) && !live.is_empty()) {
+                live.swap_remove(rng.gen_range(0..live.len()));
+            }
+            for _ in 0..rng.gen_range(0..3) {
+                if !live.is_empty() {
+                    let victim = rng.gen_range(0..live.len());
+                    live[victim].1 = random_row(&mut rng, boxes);
+                }
+            }
+            let box_idx = rng.gen_range(0..boxes);
+            caps[box_idx] = match rng.gen_range(0..3) {
+                0 => 0,
+                1 => base[box_idx],
+                _ => rng.gen_range(0u32..4),
+            };
+            let what = format!("{boxes} boxes, seed {seed}, round {round}");
+            checked_round(&mut matcher, &caps, &live, &mut out, &what);
+        }
+        matcher.rebuilds()
+    }
+
+    #[test]
+    fn mirror_equals_arena_through_a_seeded_script_under_every_solver() {
+        let solvers: [fn() -> Box<dyn MaxFlowSolve>; 3] = [
+            || Box::new(Dinic::new()),
+            || Box::new(HopcroftKarpSolve::new()),
+            || Box::new(PushRelabel::new()),
+        ];
+        for make_solver in solvers {
+            let rebuilds = run_script(make_solver(), 12, 300, 2009);
+            assert!(rebuilds > 1, "the script never forced a compaction");
+        }
+    }
+
+    #[test]
+    fn word_boundary_fleet_sizes() {
+        for boxes in [1, 63, 64, 65] {
+            run_script(Box::new(Dinic::new()), boxes, 60, boxes as u64);
+        }
+    }
+
+    #[test]
+    fn targeted_search_leaves_a_fat_box_along_matched_edges_only() {
+        // Box 0 has 5 000 candidate edges and `cap` slots, all taken by the
+        // first `cap` requests (box 1, their only alternative, starts
+        // closed); every other request sits on box 2.
+        let cap = 4u32;
+        let mut live: Vec<(RequestKey, Vec<BoxId>)> = Vec::new();
+        for i in 0..5_000 {
+            let alternative = if i < cap { b(1) } else { b(2) };
+            live.push((key(i, 0, 0), vec![b(0), alternative]));
+        }
+        let mut matcher = IncrementalMatcher::default();
+        let mut out = Vec::new();
+        checked_round(&mut matcher, &[cap, 0, 5_000], &live, &mut out, "setup");
+        assert!(out[..cap as usize].iter().all(|a| *a == Some(b(0))));
+
+        // Box 1 opens one slot and a request arrives that only box 0 can
+        // serve: newcomer → box 0 → one of its four requests → box 1.
+        live.push((key(5_000, 0, 0), vec![b(0)]));
+        checked_round(&mut matcher, &[cap, 1, 5_000], &live, &mut out, "arrival");
+        assert_eq!(out[5_000], Some(b(0)));
+        let round = matcher.search_stats().round;
+        assert_eq!((round.searches, round.augmented), (1, 1));
+        assert_eq!(round.longest_path, 3);
+        // The newcomer's row (one candidate + its sink edge), box 0's
+        // matched list, one displaced request's row (two candidates + its
+        // sink edge) — not box 0's 5 000-entry adjacency list.
+        assert!(
+            round.edges_scanned <= 2 + cap as u64 + 3,
+            "scanned {} entries",
+            round.edges_scanned
+        );
+        assert_eq!(matcher.search_stats().total, round);
+        assert_eq!(matcher.rebuilds(), 1);
+    }
+
+    #[test]
+    fn compaction_keeps_the_matching() {
+        // Twenty-four long-lived requests fill boxes 0..12 (2 slots each);
+        // eight short-lived ones a round rotate over boxes 12..24 (1 slot
+        // each), and their departures fill the arena with dead edges.
+        let mut caps = vec![2u32; 12];
+        caps.extend([1; 12]);
+        let stable: Vec<(RequestKey, Vec<BoxId>)> = (0..24)
+            .map(|i| (key(i, 0, 0), vec![b(i % 12), b((i + 1) % 12)]))
+            .collect();
+        let mut matcher = IncrementalMatcher::default();
+        let mut out = Vec::new();
+        let mut before = Vec::new();
+        let mut compactions = 0;
+        for round in 0u32..200 {
+            let mut live = stable.clone();
+            for i in 0..8 {
+                let id = 1_000 + round * 8 + i;
+                live.push((key(id, 1, 0), vec![b(12 + id % 12), b(12 + (id + 5) % 12)]));
+            }
+            let rebuilds = matcher.rebuilds();
+            let what = format!("round {round}");
+            checked_round(&mut matcher, &caps, &live, &mut out, &what);
+            assert_eq!(out[..24].iter().flatten().count(), 24, "{what}");
+            if round > 0 && matcher.rebuilds() > rebuilds {
+                compactions += 1;
+                // The survivors kept their boxes, so only the eight
+                // arrivals were searched for.
+                assert_eq!(out[..24], before[..], "{what}");
+                assert_eq!(matcher.search_stats().round.searches, 8, "{what}");
+            }
+            before = out[..24].to_vec();
+        }
+        assert!(compactions > 0, "compaction never kicked in");
+    }
+
+    #[test]
+    fn zero_capacity_boxes_serve_nothing() {
+        let live = vec![
+            (key(0, 0, 0), vec![b(0), b(1)]),
+            (key(1, 0, 0), vec![b(0)]),
+            (key(2, 0, 0), vec![b(1)]),
+        ];
+        let mut matcher = IncrementalMatcher::default();
+        let mut out = Vec::new();
+        checked_round(&mut matcher, &[0, 1], &live, &mut out, "cold");
+        assert_eq!(out[1], None);
+        checked_round(&mut matcher, &[0, 0], &live, &mut out, "all closed");
+        assert_eq!(out, vec![None, None, None]);
+        checked_round(&mut matcher, &[1, 0], &live, &mut out, "swapped");
+        assert_eq!(out[2], None);
+        assert_eq!(matcher.rebuilds(), 1);
+    }
+
+    #[test]
+    fn arrival_whose_only_candidate_is_cut_in_the_same_round() {
+        let mut live = vec![(key(0, 0, 0), vec![b(0)])];
+        let mut matcher = IncrementalMatcher::default();
+        let mut out = Vec::new();
+        checked_round(&mut matcher, &[1, 1], &live, &mut out, "before");
+        assert_eq!(out, vec![Some(b(0))]);
+        // Box 0 closes (evicting request 0) as request 1 arrives for it.
+        live.push((key(1, 0, 0), vec![b(0)]));
+        checked_round(&mut matcher, &[0, 1], &live, &mut out, "cut");
+        assert_eq!(out, vec![None, None]);
+        checked_round(&mut matcher, &[1, 1], &live, &mut out, "restored");
+        assert_eq!(out.iter().flatten().count(), 1);
+    }
+
+    #[test]
+    fn recycled_slot_starts_unassigned() {
+        let caps = [1, 1, 1];
+        let mut matcher = IncrementalMatcher::default();
+        let mut out = Vec::new();
+        let first = vec![(key(0, 0, 0), vec![b(0), b(1)])];
+        checked_round(&mut matcher, &caps, &first, &mut out, "first");
+        // Request 0 leaves in the round request 1 arrives (into a fresh
+        // slot: arrivals are placed before departures are swept) …
+        let second = vec![(key(1, 0, 0), vec![b(0)])];
+        checked_round(&mut matcher, &caps, &second, &mut out, "second");
+        assert_eq!(out, vec![Some(b(0))]);
+        // … and request 2 then inherits request 0's slot with its still
+        // active edges to boxes 0 and 1, of which it wants only box 1.
+        let third = vec![second[0].clone(), (key(2, 0, 0), vec![b(1), b(2)])];
+        checked_round(&mut matcher, &caps, &third, &mut out, "third");
+        assert_eq!(out.iter().flatten().count(), 2);
+        assert_eq!(matcher.slots.len(), 2, "the freed slot was not reused");
+        assert_eq!(matcher.rebuilds(), 1);
+    }
+
+    #[test]
+    fn duplicate_and_out_of_range_candidates_collapse() {
+        let caps = [1, 1];
+        let mut live = vec![(key(0, 0, 0), vec![b(1), b(1), b(7), b(0), b(1)])];
+        let mut matcher = IncrementalMatcher::default();
+        let mut out = Vec::new();
+        checked_round(&mut matcher, &caps, &live, &mut out, "cold");
+        // Two source edges, one sink edge, one candidate edge per real box.
+        assert_eq!(matcher.arena_edge_count(), 2 * (2 + 1 + 2));
+        live[0].1 = vec![b(9), b(0), b(0)];
+        live.push((key(1, 0, 0), vec![b(0), b(0), b(2)]));
+        checked_round(&mut matcher, &caps, &live, &mut out, "patched");
+        assert_eq!(out.iter().flatten().count(), 1);
+        assert_eq!(matcher.arena_edge_count(), 2 * (2 + 2 + 3));
     }
 }

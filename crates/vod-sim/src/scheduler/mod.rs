@@ -15,7 +15,7 @@ pub mod relay_broker;
 pub mod sharded;
 
 pub use greedy::GreedyScheduler;
-pub use incremental::{IncrementalMatcher, RequestKey};
+pub use incremental::{IncrementalMatcher, RequestKey, SearchCounters, SearchStats};
 pub use maxflow::MaxFlowScheduler;
 pub use random_pick::RandomScheduler;
 pub use relay_broker::{RelayBroker, RelayEvent, RelayRoundStats, RelayUtilization};

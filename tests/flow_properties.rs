@@ -338,7 +338,9 @@ fn reconciliation_restores_global_maximality() {
 
 /// Warm-started incremental solves match cold solves after random
 /// perturbations of the instance (request arrivals/departures, candidate
-/// churn) — for every solver behind the trait.
+/// churn, per-box capacity cuts and restores) — for every solver behind the
+/// trait. Debug builds also check the matcher's assignment mirror against
+/// the arena after every round.
 #[test]
 fn warm_started_incremental_matches_cold_solves() {
     let solvers: [fn() -> Box<dyn MaxFlowSolve>; 3] = [
@@ -350,7 +352,8 @@ fn warm_started_incremental_matches_cold_solves() {
         for seed in 0..CASES / 2 {
             let mut rng = StdRng::seed_from_u64(5_000 + seed);
             let boxes = rng.gen_range(3usize..8);
-            let caps: Vec<u32> = (0..boxes).map(|_| rng.gen_range(0u32..4)).collect();
+            let base: Vec<u32> = (0..boxes).map(|_| rng.gen_range(0u32..4)).collect();
+            let mut caps = base.clone();
             let mut matcher = IncrementalMatcher::new(make_solver());
             let mut out = Vec::new();
 
@@ -383,6 +386,15 @@ fn warm_started_incremental_matches_cold_solves() {
                     live[victim].1 = (0..degree)
                         .map(|_| BoxId(rng.gen_range(0usize..boxes) as u32))
                         .collect();
+                }
+                // A capacity cut (evicting the box's load) or its restore.
+                if rng.gen_bool(0.4) {
+                    let b = rng.gen_range(0usize..boxes);
+                    caps[b] = if caps[b] == base[b] {
+                        base[b] / 2
+                    } else {
+                        base[b]
+                    };
                 }
 
                 let keys: Vec<RequestKey> = live.iter().map(|(k, _)| *k).collect();
