@@ -213,21 +213,27 @@ const ROLE_BOX: u8 = 1;
 const ROLE_REQUEST: u8 = 2;
 
 /// Lemma-1 shape analysis of a [`FlowArena`]: recovers the
-/// `source →(budget) box →(1) request →(1) sink` structure (if the arena has
+/// `source →(budget) box →(q) request →(q) sink` structure (if the arena has
 /// it) and materialises the candidate sets as a [`BitAdjacency`] whose rows
-/// are requests and whose columns are boxes, both in node order.
+/// are requests and whose columns are boxes, both in node order. A row's
+/// demand `q` is 1 for a single request and the member count for a row
+/// class (requests with one candidate set, merged into one node by the
+/// incremental matcher); [`BipartiteShape::unit_rows`] says whether every
+/// live row is of the first kind.
 ///
 /// De-capacitated edges (`original_cap == 0`, the incremental matcher's
 /// logical removal) are treated as absent: they are excluded from the bit
 /// rows, and a request whose sink edge is de-capacitated is kept as a dead
-/// row that can never be matched. Any structure outside the Lemma-1 layout
-/// (non-unit candidate or sink edges, parallel edges, extra node layers such
-/// as the relay network's two-hop paths) marks the analysis invalid, and
-/// callers fall back to their scalar paths.
+/// row that can never be matched. Any structure outside the layout (a
+/// candidate edge whose capacity is not its row's demand, parallel edges,
+/// extra node layers such as the relay network's two-hop paths) marks the
+/// analysis invalid, and callers fall back to their scalar paths.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct BipartiteShape {
     /// True when the arena matched the Lemma-1 layout.
     pub valid: bool,
+    /// True when, besides, every live row has demand 1 (plain matching).
+    pub unit_rows: bool,
     /// Arena structure version this analysis corresponds to.
     pub version: u64,
     /// Source / sink node ids the analysis was run for.
@@ -281,6 +287,7 @@ impl BipartiteShape {
         self.source = source;
         self.sink = sink;
         self.valid = true;
+        self.unit_rows = true;
         self.role.clear();
         self.role.resize(n, ROLE_UNKNOWN);
         self.other.clear();
@@ -324,11 +331,8 @@ impl BipartiteShape {
         // node seen only on the `from` side of such edges is a budgetless
         // box (a zero-capacity box keeps its candidate edges but has no
         // source edge).
-        for &(from, to, idx) in &self.other {
-            if self.role[to as usize] != ROLE_REQUEST
-                || self.role[from as usize] == ROLE_REQUEST
-                || arena.edge(idx as usize).original_cap > 1
-            {
+        for &(from, to, _) in &self.other {
+            if self.role[to as usize] != ROLE_REQUEST || self.role[from as usize] == ROLE_REQUEST {
                 self.valid = false;
                 return false;
             }
@@ -372,10 +376,7 @@ impl BipartiteShape {
         self.sink_edge.clear();
         self.sink_edge.resize(self.requests.len(), NONE);
         for &(node, idx) in &self.snk_edges {
-            if arena.edge(idx as usize).original_cap > 1 {
-                self.valid = false;
-                return false;
-            }
+            self.unit_rows &= arena.edge(idx as usize).original_cap <= 1;
             let row = self.req_row[node as usize] as usize;
             let prev = self.sink_edge[row];
             if prev == NONE || arena.edge(prev as usize).original_cap == 0 {
@@ -409,8 +410,13 @@ impl BipartiteShape {
         for &(from, to, idx) in &self.other {
             let row = self.req_row[to as usize] as usize;
             let col = self.box_col[from as usize] as usize;
-            if self.adj.contains(row, col) {
-                self.valid = false; // parallel candidate edges
+            // A live row's candidate edges carry the row's demand (so at
+            // most one of them can be saturated at a time); a dead row's are
+            // never used, whatever they carry.
+            let demand = arena.edge(self.sink_edge[row] as usize).original_cap;
+            let off_demand = demand != 0 && arena.edge(idx as usize).original_cap != demand;
+            if off_demand || self.adj.contains(row, col) {
+                self.valid = false; // or parallel candidate edges
                 return false;
             }
             self.adj.set(row, col);
@@ -433,8 +439,9 @@ impl BipartiteShape {
             .zip(self.cand_edge[lo..hi].iter().copied())
     }
 
-    /// The box column `row` currently sends its unit of flow to, recovered
-    /// from the arena's live flows ([`NONE`] when unmatched).
+    /// The box column the unit-demand `row` currently takes its unit of
+    /// flow from, recovered from the arena's live flows ([`NONE`] when
+    /// unmatched).
     pub fn matched_col(&self, arena: &FlowArena, row: usize) -> u32 {
         for (col, edge) in self.cands(row) {
             if arena.flow_on(edge as usize) == 1 {
@@ -558,13 +565,37 @@ mod tests {
         let mut shape = BipartiteShape::default();
         assert!(!shape.analyze(&a, 0, 4));
 
-        // Non-unit candidate edges are rejected too.
+        // So is a candidate edge that does not carry its row's demand.
         let mut b = FlowArena::new();
         b.clear(4);
         b.add_edge(0, 1, 2);
         b.add_edge(1, 2, 2);
         b.add_edge(2, 3, 1);
         assert!(!shape.analyze(&b, 0, 3));
+    }
+
+    #[test]
+    fn shape_accepts_row_classes_and_says_so() {
+        // Row 3 is a class of three requests: demand 3 on its sink edge and
+        // on both candidate edges. Row 4 is a plain request.
+        let mut a = FlowArena::new();
+        a.clear(6);
+        a.add_edge(0, 1, 2);
+        a.add_edge(0, 2, 2);
+        a.add_edge(1, 3, 3);
+        a.add_edge(2, 3, 3);
+        a.add_edge(2, 4, 1);
+        let class_sink = a.add_edge(3, 5, 3);
+        a.add_edge(4, 5, 1);
+        let mut shape = BipartiteShape::default();
+        assert!(shape.analyze(&a, 0, 5));
+        assert!(!shape.unit_rows);
+        assert!(shape.adj.contains(0, 0) && shape.adj.contains(0, 1));
+        // A retired class (sink edge at 0) keeps whatever its candidate
+        // edges carried; it is a dead row, not a reason to give up.
+        a.set_capacity(class_sink, 0);
+        assert!(shape.analyze(&a, 0, 5));
+        assert!(shape.unit_rows);
     }
 
     #[test]

@@ -11,14 +11,20 @@
 //! matter how many requests the round carries.
 //!
 //! A view can also carry per-row **change stamps**: an opaque `u64` per
-//! request such that, for the same request key, an unchanged stamp across
-//! calls guarantees a bit-identical row. Producers that maintain candidates
-//! incrementally (the simulation engine's expiry-wheel index) already know
-//! which stripes changed each round; handing that knowledge down as stamps
-//! lets incremental consumers ([`crate::ShardedArena::reconcile_keyed_view`]
-//! and the matchers in `vod-sim`) skip their per-row diff entirely
-//! for untouched rows, instead of re-deriving the delta by hash lookups and
-//! vector compares.
+//! request with two guarantees. Across calls, for the same request key, an
+//! unchanged stamp means a bit-identical row. Within one view, equal stamps
+//! (other than [`NO_STAMP`]) mean identical rows, whatever the keys — the
+//! converse is not promised: identical rows may arrive under different
+//! stamps. Producers that maintain candidates incrementally (the simulation
+//! engine's expiry-wheel index) already know which rows changed each round
+//! and which requests share one — the engine builds a row once per (stripe,
+//! issue round) and stamps every request of the class with that build's
+//! number; handing that knowledge down as stamps lets incremental consumers
+//! ([`crate::ShardedArena::reconcile_keyed_view`] and the matchers in
+//! `vod-sim`) skip their per-row work entirely for untouched rows, instead
+//! of re-deriving the delta by hash lookups and vector compares. The
+//! `vod-sim` matcher, which merges requests with equal rows into one node,
+//! `debug_assert`s both guarantees on every row it takes on trust.
 
 use vod_core::BoxId;
 
@@ -124,7 +130,8 @@ impl CandidateBuf {
     }
 
     /// Borrowed view carrying per-row change stamps (`stamps[x]` is row
-    /// `x`'s stamp; [`NO_STAMP`] opts a row out).
+    /// `x`'s stamp; [`NO_STAMP`] opts a row out). Rows given equal stamps
+    /// must be identical (see the module docs).
     ///
     /// # Panics
     /// Panics when `stamps` disagrees in length with the row count.
@@ -191,8 +198,9 @@ impl<'a> CandidateView<'a> {
     }
 
     /// Change stamp of row `x`: for the same request key, an equal stamp on
-    /// a later call guarantees a bit-identical row. [`NO_STAMP`] when the
-    /// producer attached no change information.
+    /// a later call guarantees a bit-identical row, and so does an equal
+    /// stamp on another row of this view. [`NO_STAMP`] when the producer
+    /// attached no change information.
     pub fn row_stamp(&self, x: usize) -> u64 {
         match self.stamps {
             Some(stamps) => stamps[x],

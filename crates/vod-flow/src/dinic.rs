@@ -8,8 +8,8 @@
 //! it augments from whatever flow the arena already carries — warm-starting
 //! from the previous round's matching is just calling it again.
 //!
-//! On Lemma-1-shaped arenas (`source → boxes → requests → sink`, detected by
-//! the shape analysis in [`crate::bitset`] and cached on
+//! On Lemma-1-shaped arenas (`source → boxes → requests → sink`, rows of any
+//! demand; detected by the shape analysis in [`crate::bitset`] and cached on
 //! [`FlowArena::version`]) the per-phase level BFS runs word-parallel over
 //! the request×box bit matrix instead of chasing the edge linked lists. The
 //! levels it assigns are exactly the scalar BFS distances for every node the
@@ -30,7 +30,7 @@ use vod_obs::{Stage, TraceHandle};
 
 /// Maximum-flow solver state (level graph + adjacency cursors), reusable
 /// across solves.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Dinic {
     level: Vec<i32>,
     /// Per-node cursor into the adjacency list (edge index, `-1` exhausted).
@@ -40,8 +40,14 @@ pub struct Dinic {
     force_scalar: bool,
     /// Cached Lemma-1 shape analysis (keyed on the arena version).
     shape: BipartiteShape,
-    /// Per request row: matched box column this phase (`u32::MAX` free).
-    match_col: Vec<u32>,
+    /// Per request row: CSR offsets into `flow_col`, the box columns its
+    /// flow comes from this phase.
+    flow_off: Vec<u32>,
+    flow_col: Vec<u32>,
+    /// Per request row: the box column whose candidate edge is saturated
+    /// this phase (`u32::MAX` for none; at most one, as every candidate edge
+    /// of a row has the row's whole demand as its capacity).
+    sat_col: Vec<u32>,
     /// Box columns of the current BFS layer.
     box_frontier: Vec<u32>,
     /// Request rows of the current BFS layer.
@@ -111,12 +117,26 @@ impl Dinic {
 
         let rows = self.shape.requests.len();
         let cols = self.shape.boxes.len();
-        // Matched box per request, from the arena's live flows (they change
-        // between phases as the DFS pushes).
-        self.match_col.clear();
+        // The boxes each row's flow comes from, from the arena's live flows
+        // (they change between phases as the DFS pushes).
+        self.flow_off.clear();
+        self.flow_col.clear();
+        self.sat_col.clear();
         for row in 0..rows {
-            self.match_col.push(self.shape.matched_col(arena, row));
+            self.flow_off.push(self.flow_col.len() as u32);
+            let mut saturated = NONE;
+            for (col, edge) in self.shape.cands(row) {
+                let e = arena.edge(edge as usize);
+                if e.cap < e.original_cap {
+                    self.flow_col.push(col);
+                    if e.cap == 0 {
+                        saturated = col;
+                    }
+                }
+            }
+            self.sat_col.push(saturated);
         }
+        self.flow_off.push(self.flow_col.len() as u32);
 
         // Layer 1: boxes with residual source capacity.
         self.visited_boxes.reset(cols);
@@ -138,8 +158,8 @@ impl Dinic {
                 return false;
             }
             // Mask of the current box layer, then scan every unlabelled
-            // request row against it 64 boxes at a time. The request's own
-            // matched edge carries flow (residual 0), so its bit is skipped.
+            // request row against it 64 boxes at a time. A saturated
+            // candidate edge has no residual, so its bit is skipped.
             self.frontier_mask.reset(cols);
             for i in 0..self.box_frontier.len() {
                 self.frontier_mask.set(self.box_frontier[i] as usize);
@@ -150,7 +170,7 @@ impl Dinic {
                 let row = self.unvisited[i] as usize;
                 let mask = self.frontier_mask.words();
                 let adj_row = self.shape.adj.row(row);
-                let m = self.match_col[row];
+                let m = self.sat_col[row];
                 let mut reachable = false;
                 for (wi, &word) in adj_row.iter().enumerate() {
                     let mut w = word & mask[wi];
@@ -174,8 +194,8 @@ impl Dinic {
                 return false;
             }
             // Requests expand to the sink (via a live, unsaturated sink
-            // edge) and to their matched boxes (via the residual twin of the
-            // matched candidate edge).
+            // edge) and to the boxes their flow comes from (via the residual
+            // twins of the flow-carrying candidate edges).
             let mut sink_found = false;
             self.box_frontier.clear();
             for i in 0..self.req_frontier.len() {
@@ -184,11 +204,13 @@ impl Dinic {
                 if se != NONE && arena.residual(se as usize) > 0 {
                     sink_found = true;
                 }
-                let m = self.match_col[row];
-                if m != NONE && !self.visited_boxes.contains(m as usize) {
-                    self.visited_boxes.set(m as usize);
-                    self.level[self.shape.boxes[m as usize] as usize] = d + 2;
-                    self.box_frontier.push(m);
+                let flows = self.flow_off[row] as usize..self.flow_off[row + 1] as usize;
+                for &m in &self.flow_col[flows] {
+                    if !self.visited_boxes.contains(m as usize) {
+                        self.visited_boxes.set(m as usize);
+                        self.level[self.shape.boxes[m as usize] as usize] = d + 2;
+                        self.box_frontier.push(m);
+                    }
                 }
             }
             if sink_found {
@@ -456,6 +478,53 @@ mod tests {
         let fb = Dinic::scalar().max_flow(&mut b, 0, 6);
         assert_eq!(fa, fb);
         assert_eq!(fa, 1, "one additional unit on top of the warm one");
+        for idx in 0..a.edge_count() {
+            assert_eq!(a.residual(idx), b.residual(idx), "edge {idx}");
+        }
+    }
+
+    #[test]
+    fn bit_levels_on_row_classes_give_flows_identical_to_scalar() {
+        // Rows 5 and 6 are classes of three and two requests (demand on the
+        // sink edge and on every candidate edge), row 7 a plain request;
+        // boxes 1..=4 have budgets 2, 1, 2, 1. Warm: box 1 already sends
+        // both its units to row 5 and box 3 saturates its edge to row 6, so
+        // the phases have flow to move and a saturated edge to skip.
+        let build = |arena: &mut FlowArena| {
+            arena.clear(9);
+            let sources: Vec<usize> = [2, 1, 2, 1]
+                .iter()
+                .enumerate()
+                .map(|(i, &budget)| arena.add_edge(0, 1 + i, budget))
+                .collect();
+            let to_big = arena.add_edge(1, 5, 3);
+            arena.add_edge(2, 5, 3);
+            arena.add_edge(3, 5, 3);
+            let to_small = arena.add_edge(3, 6, 2);
+            arena.add_edge(4, 6, 2);
+            arena.add_edge(1, 7, 1);
+            arena.add_edge(4, 7, 1);
+            let big_sink = arena.add_edge(5, 8, 3);
+            let small_sink = arena.add_edge(6, 8, 2);
+            arena.add_edge(7, 8, 1);
+            for (source, cand, sink) in [
+                (sources[0], to_big, big_sink),
+                (sources[2], to_small, small_sink),
+            ] {
+                arena.push(source, 2);
+                arena.push(cand, 2);
+                arena.push(sink, 2);
+            }
+        };
+        let mut a = FlowArena::new();
+        let mut b = FlowArena::new();
+        build(&mut a);
+        build(&mut b);
+        let mut bit = Dinic::new();
+        let fa = bit.max_flow(&mut a, 0, 8);
+        assert!(bit.shape.valid && !bit.shape.unit_rows);
+        let fb = Dinic::scalar().max_flow(&mut b, 0, 8);
+        assert_eq!((fa, fb), (2, 2));
         for idx in 0..a.edge_count() {
             assert_eq!(a.residual(idx), b.residual(idx), "edge {idx}");
         }

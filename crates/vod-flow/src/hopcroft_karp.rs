@@ -19,6 +19,7 @@
 
 use crate::arena::FlowArena;
 use crate::bitset::{BipartiteShape, BitAdjacency, BitSet, NONE};
+use crate::dinic::Dinic;
 use crate::graph::NodeId;
 use crate::solver::MaxFlowSolve;
 use std::collections::VecDeque;
@@ -441,13 +442,17 @@ impl BitHopcroftKarp {
 /// therefore allocates) on every call — kept as the benchmark baseline the
 /// word-parallel kernels are measured against.
 ///
-/// # Panics
-/// [`MaxFlowSolve::max_flow`] panics if the arena is not Lemma-1 shaped.
+/// On any other arena — a relay network's two-hop paths, or a row class of
+/// several requests, whose sink and candidate edges carry the member count —
+/// both backends hand the solve to the scalar [`Dinic`] path, the way
+/// [`Dinic::new`] itself falls back from its word-parallel levels.
 #[derive(Clone, Debug, Default)]
 pub struct HopcroftKarpSolve {
     use_scalar: bool,
     shape: BipartiteShape,
     core: BitHopcroftKarp,
+    /// Solver for arenas that are not Lemma-1 shaped.
+    general: Dinic,
     /// Per box column: budget (source-edge original capacity).
     caps: Vec<u32>,
     /// Per request row: matched box column (`u32::MAX` free).
@@ -472,28 +477,30 @@ impl HopcroftKarpSolve {
     pub fn scalar() -> Self {
         HopcroftKarpSolve {
             use_scalar: true,
+            general: Dinic::scalar(),
             ..HopcroftKarpSolve::default()
         }
     }
 
     /// Word-parallel path: shape analysis (cached on the arena version) +
-    /// capacitated bit matching.
-    fn bit_max_flow(&mut self, arena: &mut FlowArena, source: NodeId, sink: NodeId) -> i64 {
+    /// capacitated bit matching. `None` when the arena is not Lemma-1
+    /// shaped (nothing has been touched then).
+    fn bit_max_flow(&mut self, arena: &mut FlowArena, source: NodeId, sink: NodeId) -> Option<i64> {
         if self.shape.version != arena.version()
             || self.shape.source != source
             || self.shape.sink != sink
         {
             let clock = self.tracer.begin();
-            let ok = self.shape.analyze(arena, source, sink);
-            assert!(ok, "arena is not Lemma-1 shaped");
-            // A request whose sink edge is de-capacitated (logically removed)
-            // must never be matched: drop its candidate bits. The analysis
-            // is cached, so this stays consistent until the structure
-            // changes.
-            for row in 0..self.shape.requests.len() {
-                let se = self.shape.sink_edge[row];
-                if se == NONE || arena.edge(se as usize).original_cap == 0 {
-                    self.shape.adj.clear_row(row);
+            if self.shape.analyze(arena, source, sink) && self.shape.unit_rows {
+                // A request whose sink edge is de-capacitated (logically
+                // removed) must never be matched: drop its candidate bits.
+                // The analysis is cached, so this stays consistent until the
+                // structure changes.
+                for row in 0..self.shape.requests.len() {
+                    let se = self.shape.sink_edge[row];
+                    if se == NONE || arena.edge(se as usize).original_cap == 0 {
+                        self.shape.adj.clear_row(row);
+                    }
                 }
             }
             self.tracer.end(
@@ -502,7 +509,9 @@ impl HopcroftKarpSolve {
                 self.shape.requests.len() as u64,
             );
         }
-        assert!(self.shape.valid, "arena is not Lemma-1 shaped");
+        if !(self.shape.valid && self.shape.unit_rows) {
+            return None;
+        }
 
         let cols = self.shape.boxes.len();
         let rows = self.shape.requests.len();
@@ -573,11 +582,13 @@ impl HopcroftKarpSolve {
             arena.push(self.shape.source_edge[new as usize] as usize, 1);
         }
 
-        size as i64 - initial as i64
+        Some(size as i64 - initial as i64)
     }
 
     /// Scalar path: sub-box expansion into a plain bipartite matching.
-    fn scalar_max_flow(&mut self, arena: &mut FlowArena, source: NodeId, sink: NodeId) -> i64 {
+    /// `None` when the arena is not Lemma-1 shaped (nothing has been touched
+    /// then: the arena is only written once the matching is known).
+    fn scalar_max_flow(arena: &mut FlowArena, source: NodeId, sink: NodeId) -> Option<i64> {
         let n = arena.node_count();
 
         // Discover the boxes (successors of the source) and their budgets.
@@ -589,10 +600,9 @@ impl HopcroftKarpSolve {
         while let Some(idx) = cursor {
             if idx % 2 == 0 {
                 let node = arena.target(idx);
-                assert!(
-                    box_index[node] == usize::MAX,
-                    "parallel source edges are not Lemma-1 shaped"
-                );
+                if box_index[node] != usize::MAX {
+                    return None; // parallel source edges
+                }
                 box_index[node] = boxes.len();
                 boxes.push((node, idx, total_slots));
                 total_slots += arena.edge(idx).original_cap as usize;
@@ -613,15 +623,9 @@ impl HopcroftKarpSolve {
                 // incremental arena de-capacitates edges instead of removing
                 // them).
                 if arena.edge(forward).original_cap != 0 {
-                    assert_eq!(
-                        arena.edge(forward).original_cap,
-                        1,
-                        "request sink edges must have unit capacity"
-                    );
-                    assert!(
-                        left_index[node] == usize::MAX,
-                        "parallel sink edges are not Lemma-1 shaped"
-                    );
+                    if arena.edge(forward).original_cap != 1 || left_index[node] != usize::MAX {
+                        return None; // a capacitated row, or parallel sink edges
+                    }
                     left_index[node] = requests.len();
                     requests.push((node, forward));
                 }
@@ -654,11 +658,9 @@ impl HopcroftKarpSolve {
                     && left_index[arena.target(idx)] != usize::MAX
                 {
                     let to = arena.target(idx);
-                    assert_eq!(
-                        arena.edge(idx).original_cap,
-                        1,
-                        "box→request edges must have unit capacity"
-                    );
+                    if arena.edge(idx).original_cap != 1 {
+                        return None; // a capacitated row
+                    }
                     let l = left_index[to];
                     cand_edges[l].push((bi, idx));
                     for s in 0..slots {
@@ -695,18 +697,19 @@ impl HopcroftKarpSolve {
             arena.push(sink_edge, 1);
         }
 
-        size as i64 - initial as i64
+        Some(size as i64 - initial as i64)
     }
 }
 
 impl MaxFlowSolve for HopcroftKarpSolve {
     fn max_flow(&mut self, arena: &mut FlowArena, source: NodeId, sink: NodeId) -> i64 {
         assert_ne!(source, sink, "source and sink must differ");
-        if self.use_scalar {
-            self.scalar_max_flow(arena, source, sink)
+        let matched = if self.use_scalar {
+            Self::scalar_max_flow(arena, source, sink)
         } else {
             self.bit_max_flow(arena, source, sink)
-        }
+        };
+        matched.unwrap_or_else(|| self.general.max_flow(arena, source, sink))
     }
 
     fn name(&self) -> &'static str {
@@ -719,6 +722,7 @@ impl MaxFlowSolve for HopcroftKarpSolve {
 
     fn attach_tracer(&mut self, tracer: &TraceHandle) {
         self.tracer = tracer.clone();
+        self.general.attach_tracer(tracer);
     }
 }
 
@@ -945,6 +949,52 @@ mod tests {
         assert_eq!(a.flow_on(narrow_second), 1);
         for v in 1..=8 {
             assert_eq!(a.net_outflow(v), 0, "node {v}");
+        }
+    }
+
+    #[test]
+    fn two_hop_chain_falls_back_to_the_general_solver() {
+        // source → box → relay → request → sink is not Lemma-1 shaped (an
+        // extra node layer); the word-parallel adapter used to panic on it.
+        let mut a = FlowArena::new();
+        a.clear(5);
+        a.add_edge(0, 1, 2);
+        a.add_edge(1, 2, 1);
+        let last_hop = a.add_edge(2, 3, 1);
+        a.add_edge(3, 4, 1);
+        let mut solver = HopcroftKarpSolve::new();
+        assert_eq!(solver.max_flow(&mut a, 0, 4), 1);
+        assert_eq!(a.flow_on(last_hop), 1);
+        assert_eq!(solver.max_flow(&mut a, 0, 4), 0, "already maximum");
+    }
+
+    #[test]
+    fn capacitated_row_falls_back_to_the_general_solver() {
+        // A row class of three requests: sink capacity 3 and candidate edges
+        // of capacity 3 from boxes of budget 2 and 2, next to a plain unit
+        // request on the second box. Both backends must route 3 + 1 units.
+        let build = |a: &mut FlowArena| {
+            a.clear(6);
+            a.add_edge(0, 1, 2);
+            a.add_edge(0, 2, 2);
+            a.add_edge(1, 3, 3);
+            a.add_edge(2, 3, 3);
+            a.add_edge(2, 4, 1);
+            let class_sink = a.add_edge(3, 5, 3);
+            a.add_edge(4, 5, 1);
+            class_sink
+        };
+        let solvers: [fn() -> HopcroftKarpSolve; 2] =
+            [HopcroftKarpSolve::new, HopcroftKarpSolve::scalar];
+        for make in solvers {
+            let mut a = FlowArena::new();
+            let class_sink = build(&mut a);
+            let mut solver = make();
+            assert_eq!(solver.max_flow(&mut a, 0, 5), 4, "{}", solver.name());
+            assert_eq!(a.flow_on(class_sink), 3, "{}", solver.name());
+            for v in 1..=4 {
+                assert_eq!(a.net_outflow(v), 0, "{}: node {v}", solver.name());
+            }
         }
     }
 

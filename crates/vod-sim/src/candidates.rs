@@ -29,10 +29,14 @@
 //!   the candidate rows the engine builds from them are **bit-identical**
 //!   (content *and* order) to what the legacy full-rescan pipeline
 //!   produced — schedules are provably unchanged;
-//! * every content change stamps the stripe with the current round
-//!   ([`CandidateIndex::stripe_stamp`]); the engine forwards these stamps
-//!   down the scheduler stack as [`vod_flow::CandidateView`] row stamps, so
-//!   incremental consumers skip their per-row diffs for untouched stripes.
+//! * every change that can alter a row *already built* from a stripe — an
+//!   expiry, a purge, a refresh, a holder-list change; not a fresh insert,
+//!   whose start is never before the issue round of an existing request —
+//!   draws the stripe a fresh [`CandidateIndex::shrink_stamp`]. The engine
+//!   validates its memoized class rows against it, so a growing crowd does
+//!   not rebuild the rows of the viewers already in it.
+//!   [`CandidateIndex::stripe_stamp`] adds the list's length, so it moves on
+//!   fresh inserts too: equal values guarantee an identical list.
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -147,9 +151,12 @@ pub struct CandidateIndex {
     /// in strict insertion order (ordered removals) so candidate rows match
     /// the legacy rescan pipeline bit for bit.
     lists: Vec<Vec<(BoxId, u64)>>,
-    /// Per-stripe change stamp: `round + 1` of the last content change
-    /// (insert, refresh, or expiry); 0 = never touched.
-    touched: Vec<u64>,
+    /// Per-stripe shrink stamp: the value of `shrinks` at the last change
+    /// other than a fresh insert; 0 = none yet.
+    shrunk: Vec<u64>,
+    /// Shrink events so far, over all stripes (so no two events share a
+    /// stamp, whatever rounds they happen in).
+    shrinks: u64,
     /// Packed (stripe, box) → current download start: O(1) membership and
     /// refresh detection.
     entries: EntryMap,
@@ -186,7 +193,8 @@ impl CandidateIndex {
             window,
             stripes_per_video: stripes_per_video.max(1),
             lists: Vec::new(),
-            touched: Vec::new(),
+            shrunk: Vec::new(),
+            shrinks: 0,
             entries: EntryMap::default(),
             wheel: (0..ring).map(|_| Vec::new()).collect(),
             drained_to: 0,
@@ -202,9 +210,15 @@ impl CandidateIndex {
             stripe.video.0 as usize * self.stripes_per_video as usize + stripe.index as usize;
         if slot >= self.lists.len() {
             self.lists.resize_with(slot + 1, Vec::new);
-            self.touched.resize(slot + 1, 0);
+            self.shrunk.resize(slot + 1, 0);
         }
         slot
+    }
+
+    /// Stamps a change of `slot`'s stripe that is not a fresh insert.
+    fn note_shrink(&mut self, slot: usize) {
+        self.shrinks += 1;
+        self.shrunk[slot] = self.shrinks;
     }
 
     /// Starts a round: drains every wheel bucket whose eviction round has
@@ -247,7 +261,7 @@ impl CandidateIndex {
                     .expect("live entry is listed");
                 // Ordered removal keeps the legacy insertion order intact.
                 list.remove(pos);
-                self.touched[slot] = now + 1;
+                self.note_shrink(slot);
                 self.live -= 1;
                 self.expired_this_round += 1;
             }
@@ -280,13 +294,12 @@ impl CandidateIndex {
                     .position(|&(b, _)| b == box_id)
                     .expect("live entry is listed");
                 list[pos].1 = start;
-                self.touched[slot] = now + 1;
+                self.note_shrink(slot);
             }
             None => {
                 self.entries.insert(key, start);
                 let slot = self.slot(stripe);
                 self.lists[slot].push((box_id, start));
-                self.touched[slot] = now + 1;
                 self.live += 1;
                 self.inserted_this_round += 1;
             }
@@ -327,7 +340,7 @@ impl CandidateIndex {
     /// cleanup — with the entry gone from the map, the current-start check
     /// skips them when their bucket drains. Returns the number of entries
     /// purged; they count toward this round's expiry stats.
-    pub fn purge_box(&mut self, box_id: BoxId, now: u64) -> usize {
+    pub fn purge_box(&mut self, box_id: BoxId) -> usize {
         let mut purged = 0;
         for slot in 0..self.lists.len() {
             let list = &mut self.lists[slot];
@@ -341,7 +354,7 @@ impl CandidateIndex {
                 (slot % c) as vod_core::StripeIndex,
             );
             self.entries.remove(&pack(stripe, box_id));
-            self.touched[slot] = now + 1;
+            self.note_shrink(slot);
             self.live -= 1;
             purged += 1;
         }
@@ -354,9 +367,9 @@ impl CandidateIndex {
     /// replica landed, a departed box was stripped from the live
     /// placement), so memoized candidate rows and incremental schedulers
     /// rebuild the row instead of replaying a stale one.
-    pub fn touch(&mut self, stripe: StripeId, now: u64) {
+    pub fn touch(&mut self, stripe: StripeId) {
         let slot = self.slot(stripe);
-        self.touched[slot] = now + 1;
+        self.note_shrink(slot);
     }
 
     /// Boxes currently holding `stripe` in their playback cache, with their
@@ -369,13 +382,27 @@ impl CandidateIndex {
         self.lists.get(slot).map_or(&[], Vec::as_slice)
     }
 
-    /// Change stamp of `stripe`'s holder list: `round + 1` of the last
-    /// content change, 0 when never touched. Equal stamps across rounds
-    /// guarantee an identical (content and order) holder list.
+    /// Change stamp of `stripe`'s holder list, 0 when never touched: its
+    /// [`CandidateIndex::shrink_stamp`] and, in the low 24 bits, its length
+    /// (between two shrink stamps the list only grows). Equal stamps across
+    /// rounds guarantee an identical (content and order) holder list.
     pub fn stripe_stamp(&self, stripe: StripeId) -> u64 {
+        let len = self.candidates(stripe).len() as u64;
+        debug_assert!(len < 1 << 24 && self.shrinks < 1 << 40);
+        self.shrink_stamp(stripe) << 24 | len
+    }
+
+    /// Shrink stamp of `stripe`: redrawn (never reused, by any stripe) on
+    /// every expiry, purge, refresh and [`CandidateIndex::touch`], 0 before
+    /// the first. A fresh insert leaves it alone: the new entry's start is
+    /// at or after the current round, so it is not *before* the issue round
+    /// of any request that already exists and enters none of their rows.
+    /// Equal stamps therefore guarantee that a row built from the stripe for
+    /// a fixed issue round is still what a rebuild would give.
+    pub fn shrink_stamp(&self, stripe: StripeId) -> u64 {
         let slot =
             stripe.video.0 as usize * self.stripes_per_video as usize + stripe.index as usize;
-        self.touched.get(slot).copied().unwrap_or(0)
+        self.shrunk.get(slot).copied().unwrap_or(0)
     }
 
     /// Live (stripe, box) entries currently indexed.
@@ -478,7 +505,7 @@ mod tests {
         }
         // Expiry touches the stripe.
         index.begin_round(6);
-        assert_eq!(index.stripe_stamp(s(0, 1)), 7);
+        assert!(index.stripe_stamp(s(0, 1)) > 1);
         // Other stripes are unaffected.
         assert_eq!(index.stripe_stamp(s(0, 0)), 0);
         // An ignored (older-start) insert does not touch.
@@ -486,6 +513,36 @@ mod tests {
         let stamp = index.stripe_stamp(s(1, 0));
         index.insert(s(1, 0), b(4), 7, 6);
         assert_eq!(index.stripe_stamp(s(1, 0)), stamp);
+    }
+
+    #[test]
+    fn shrink_stamps_ignore_fresh_inserts_and_are_never_reused() {
+        let mut index = CandidateIndex::new(5, 2);
+        index.begin_round(0);
+        assert_eq!(index.shrink_stamp(s(0, 1)), 0);
+        // A crowd growing: fresh inserts only.
+        index.insert(s(0, 1), b(0), 0, 0);
+        index.begin_round(1);
+        index.insert(s(0, 1), b(1), 1, 1);
+        index.insert(s(0, 0), b(1), 2, 1);
+        assert_eq!(index.shrink_stamp(s(0, 1)), 0);
+        // A refresh can take a box out of rows built earlier: new stamp.
+        index.insert(s(0, 1), b(0), 3, 1);
+        let refreshed = index.shrink_stamp(s(0, 1));
+        assert_ne!(refreshed, 0);
+        // Two events in one round — one before a row could have been built,
+        // one after — must not share a stamp, nor may two stripes.
+        index.touch(s(0, 1));
+        let touched = index.shrink_stamp(s(0, 1));
+        assert_ne!(touched, refreshed);
+        index.touch(s(0, 0));
+        assert_ne!(index.shrink_stamp(s(0, 0)), touched);
+        // Expiry (b(1)'s entry of round 1 leaves at round 7) and purge.
+        index.begin_round(7);
+        let expired = index.shrink_stamp(s(0, 1));
+        assert_ne!(expired, touched);
+        index.purge_box(b(0));
+        assert_ne!(index.shrink_stamp(s(0, 1)), expired);
     }
 
     #[test]
@@ -513,16 +570,16 @@ mod tests {
         index.insert(s(0, 1), b(1), 0, 0);
         index.insert(s(1, 0), b(3), 0, 0);
         index.begin_round(1);
-        let stamp_untouched = index.stripe_stamp(s(1, 0));
-        assert_eq!(index.purge_box(b(1), 1), 2);
+        let stamps_before = [s(0, 0), s(0, 1), s(1, 0)].map(|stripe| index.stripe_stamp(stripe));
+        assert_eq!(index.purge_box(b(1)), 2);
         assert_eq!(index.candidates(s(0, 0)), &[(b(2), 0)]);
         assert!(index.candidates(s(0, 1)).is_empty());
         assert_eq!(index.live_entries(), 2);
         assert_eq!(index.expired_this_round(), 2);
         // Touched stripes are stamped; unrelated stripes are not.
-        assert_eq!(index.stripe_stamp(s(0, 0)), 2);
-        assert_eq!(index.stripe_stamp(s(0, 1)), 2);
-        assert_eq!(index.stripe_stamp(s(1, 0)), stamp_untouched);
+        assert_ne!(index.stripe_stamp(s(0, 0)), stamps_before[0]);
+        assert_ne!(index.stripe_stamp(s(0, 1)), stamps_before[1]);
+        assert_eq!(index.stripe_stamp(s(1, 0)), stamps_before[2]);
         // The purged box's stale wheel records are skipped when their
         // buckets drain (no panic, no double eviction) — and the box can
         // re-insert after rejoining.

@@ -21,10 +21,11 @@
 //!    playing box whose request has been issued) into a pooled buffer,
 //!    builds each request's candidate supplier set `B(x)` — static
 //!    allocation holders plus playback caches that are ahead in the same
-//!    stripe — as one flat CSR [`vod_flow::CandidateView`] (with per-row
-//!    change stamps from the index, so incremental schedulers skip diffs
-//!    for untouched stripes), and hands the instance to the configured
-//!    [`Scheduler`];
+//!    stripe — as one flat CSR [`vod_flow::CandidateView`] (one row build
+//!    per (stripe, issue round), replayed for every request of the class
+//!    under that build's number as change stamp, so incremental schedulers
+//!    skip unchanged rows and recognise shared ones), and hands the instance
+//!    to the configured [`Scheduler`];
 //! 5. records metrics (including the per-round [`CandidateStats`]); if some
 //!    request is unserved the round is infeasible: the obstruction (Hall
 //!    violator) can be extracted and the run either aborts or keeps
@@ -171,16 +172,21 @@ fn playback_record(viewer: BoxId, st: &PlaybackState, stalled_rounds: u64) -> Pl
     }
 }
 
-/// One cached candidate row (see `Simulator::row_cache`): the box list a
-/// given (viewer, stripe) request resolved to, with the inputs it was built
-/// from. The row is replayable while the stripe's index stamp and the
-/// request's identity (requester, issue round) are unchanged — the index
-/// stamps every content change, so an equal stamp guarantees a bit-identical
-/// rebuild.
-struct CachedRow {
-    stamp: u64,
-    issued_at: u64,
-    requester: BoxId,
+/// One memoized class row (see `Simulator::row_cache`): the box list every
+/// request for a given (stripe, issue round) resolves to. The row is
+/// replayable while the stripe's shrink stamp is the one it was built
+/// under — the index redraws that stamp on every change that can alter an
+/// existing row, so an equal stamp guarantees a bit-identical rebuild.
+#[derive(Default)]
+struct ClassRow {
+    /// [`CandidateIndex::shrink_stamp`] of the stripe at build time.
+    shrink_stamp: u64,
+    /// Which build of a class row this is, counted over the whole run
+    /// (0 = not built yet): handed down as the row's change stamp, so equal
+    /// stamps mean the same build and therefore the same row.
+    build: u64,
+    /// `round + 1` of the last round that replayed the row.
+    used: u64,
     boxes: Vec<BoxId>,
 }
 
@@ -266,10 +272,10 @@ impl CandidatePipeline {
     /// with stamp bumps ([`CandidateIndex::purge_box`]); the legacy
     /// structures clear the box's cache and strip it from the per-stripe
     /// index. Purged entries count toward this round's expiry stats.
-    fn purge_box(&mut self, box_id: BoxId, now: u64) {
+    fn purge_box(&mut self, box_id: BoxId) {
         match self {
             CandidatePipeline::Incremental(index) => {
-                index.purge_box(box_id, now);
+                index.purge_box(box_id);
             }
             CandidatePipeline::Rescan {
                 caches,
@@ -294,9 +300,9 @@ impl CandidatePipeline {
     /// landed a replica, a departure stripped one): memoized rows and
     /// incremental schedulers rebuild instead of replaying. The rescan
     /// pipeline carries no stamps (every row rebuilds every round anyway).
-    fn touch(&mut self, stripe: StripeId, now: u64) {
+    fn touch(&mut self, stripe: StripeId) {
         if let CandidatePipeline::Incremental(index) = self {
-            index.touch(stripe, now);
+            index.touch(stripe);
         }
     }
 
@@ -414,15 +420,21 @@ pub struct Simulator<'a> {
     /// holders) — one epoch per request row.
     box_seen: Vec<u64>,
     seen_epoch: u64,
-    /// Per-(viewer, stripe) candidate-row cache for the incremental
+    /// Per-(stripe, issue round) class-row cache for the incremental
     /// pipeline: a row is a pure function of the stripe's static holders,
-    /// the index content (summarized by its change stamp), the requester,
-    /// and the request's issue round — so a row whose stamp and request
-    /// identity are unchanged is replayed without touching the index.
-    row_cache: HashMap<(BoxId, StripeId), CachedRow, BuildHasherDefault<FxHasher64>>,
+    /// the index entries that started before the issue round, and nothing
+    /// else — the requester is in neither (it does not store the stripe, or
+    /// the request would be self-served, and its own index entry starts at
+    /// the issue round) — so every viewer that issued the stripe in the same
+    /// round shares one row, built once and replayed for each of them until
+    /// the stripe's shrink stamp moves.
+    row_cache: HashMap<(StripeId, u64), ClassRow, BuildHasherDefault<FxHasher64>>,
+    /// Class rows built so far (the source of `ClassRow::build`).
+    row_builds: u64,
+    /// Class rows the last round replayed (the live share of `row_cache`).
+    rows_in_use: usize,
     row_cache_hits: u64,
-    row_cache_misses: u64,
-    /// Scratch a missed row is built into before it is pushed and cached.
+    /// Scratch the rescan pipeline builds each request's row into.
     row_scratch: Vec<BoxId>,
     /// Pooled stalled-viewer / failed-video accumulation with per-round
     /// generation marks (replacing the old linear `contains` scans).
@@ -526,8 +538,9 @@ impl<'a> Simulator<'a> {
             box_seen: vec![0; n],
             seen_epoch: 0,
             row_cache: HashMap::default(),
+            row_builds: 0,
+            rows_in_use: 0,
             row_cache_hits: 0,
-            row_cache_misses: 0,
             row_scratch: Vec::new(),
             stalled_viewers: Vec::new(),
             failed_videos: Vec::new(),
@@ -577,13 +590,14 @@ impl<'a> Simulator<'a> {
         self.system
     }
 
-    /// Candidate-row cache profile as `(hits, misses)`: rows replayed
-    /// because their stripe stamp and request identity were unchanged vs
-    /// rows built from the holder sets and the index. Always `(0, _)` under
-    /// the legacy rescan pipeline, which cannot cache (its eligibility
-    /// filter depends on the current round).
+    /// Candidate-row cache profile as `(hits, misses)`: request rows
+    /// replayed from a class row that was already built (this round, for an
+    /// earlier request of the class, or in an earlier round) vs class rows
+    /// built from the holder sets and the index. Always `(0, 0)` under the
+    /// legacy rescan pipeline, which cannot cache (its eligibility filter
+    /// depends on the current round).
     pub fn candidate_row_cache_stats(&self) -> (u64, u64) {
-        (self.row_cache_hits, self.row_cache_misses)
+        (self.row_cache_hits, self.row_builds)
     }
 
     /// The playback state of box `b`, when it is currently viewing.
@@ -997,13 +1011,12 @@ impl<'a> Simulator<'a> {
     /// memoized rows), and strips its replicas from the live allocation
     /// table, queueing them with the repair planner.
     fn detach_box(&mut self, id: BoxId) {
-        let now = self.round;
         self.alive.unset(id.index());
         self.end_playback(id);
-        self.candidates.purge_box(id, now);
+        self.candidates.purge_box(id);
         let lost = self.placement.remove_box(id);
         for &stripe in &lost {
-            self.candidates.touch(stripe, now);
+            self.candidates.touch(stripe);
         }
         if let Some(planner) = &mut self.repair {
             planner.note_lost(&lost);
@@ -1117,7 +1130,7 @@ impl<'a> Simulator<'a> {
         // replicas enter the live placement, serving from the next round on
         // (a transfer takes the round it was planned in).
         let clock = self.tracer.begin();
-        self.commit_repairs(now);
+        self.commit_repairs();
         self.tracer.end(clock, Stage::RepairCommit, 0);
         // Restore the fault overlay's deductions: the capacity table
         // carries only the round's transient loss, recomputed from the
@@ -1226,16 +1239,13 @@ impl<'a> Simulator<'a> {
     /// Commits the round's planned repairs: restores the deducted source
     /// capacities and lands the new replicas in the live placement, bumping
     /// the repaired stripes' candidate stamps so next round's rows rebuild.
-    fn commit_repairs(&mut self, now: u64) {
+    fn commit_repairs(&mut self) {
         let Some(planner) = &mut self.repair else {
             return;
         };
         for t in planner.transfers() {
             self.capacities[t.source.index()] += 1;
-            // The scheduler already synced this round's stamps (`now + 1`),
-            // so a post-schedule holder change must stamp one further ahead
-            // or memoized rows would replay the pre-repair holder list.
-            self.candidates.touch(t.stripe, now + 1);
+            self.candidates.touch(t.stripe);
         }
         planner.commit(&mut self.placement);
     }
@@ -1411,81 +1421,81 @@ impl<'a> Simulator<'a> {
     /// Per-box generation marks give O(1) dedup between the two sources;
     /// row order is identical under both pipelines (holders in placement
     /// order, then cache holders in index insertion order).
+    ///
+    /// The incremental pipeline works in class rows: one build per (stripe,
+    /// issue round), replayed into the buffer for every request of the
+    /// class, all under the build's number as their change stamp.
     fn fill_round_candidates(&mut self, now: u64, requests: &[StripeRequest]) {
         let window = self.system.duration() as u64;
         self.cand_buf.clear();
         self.cand_stamps.clear();
-        // The row cache is only worth keeping while it tracks the live
-        // request population; once it clearly outgrows it (viewers churned
-        // away, their rows can never hit again) drop it wholesale.
-        if self.row_cache.len() > 2 * requests.len() + 64 {
-            self.row_cache.clear();
-        }
-        for req in requests {
-            // Replay a cached row when its inputs are unchanged: same index
-            // stamp (the index stamps every per-stripe content change — the
-            // engine also bumps it when the stripe's *live-placement* holder
-            // list changes, on departures and committed repairs), same
-            // requester (excluded from the row), same issue round (the
-            // ahead-of-requester filter reads it). The legacy rescan
-            // pipeline is excluded — its ahead-filter depends on the
-            // current round, not on the issue round alone.
-            if let CandidatePipeline::Incremental(index) = &self.candidates {
-                if let Some(row) = self.row_cache.get(&(req.viewer, req.stripe)) {
-                    if row.stamp == index.stripe_stamp(req.stripe)
-                        && row.issued_at == req.issued_at
-                        && row.requester == req.requester
-                    {
+        match &self.candidates {
+            CandidatePipeline::Incremental(index) => {
+                // The row cache is only worth keeping while it tracks the
+                // live classes; once it clearly outgrows them (their viewers
+                // finished, the rows can never hit again) drop it wholesale.
+                if self.row_cache.len() > 2 * self.rows_in_use + 64 {
+                    self.row_cache.clear();
+                }
+                self.rows_in_use = 0;
+                for req in requests {
+                    let shrink_stamp = index.shrink_stamp(req.stripe);
+                    let row = self
+                        .row_cache
+                        .entry((req.stripe, req.issued_at))
+                        .or_default();
+                    if row.build != 0 && row.shrink_stamp == shrink_stamp {
                         self.row_cache_hits += 1;
-                        self.cand_buf.push_row(row.boxes.iter().copied());
-                        self.cand_stamps.push(row.stamp);
-                        continue;
+                    } else {
+                        self.seen_epoch += 1;
+                        let epoch = self.seen_epoch;
+                        row.boxes.clear();
+                        for &b in self.placement.holders_of(req.stripe) {
+                            self.box_seen[b.index()] = epoch;
+                            row.boxes.push(b);
+                        }
+                        // Entries are live by construction (the wheel drained
+                        // everything older than the window), so only the
+                        // ahead-of-the-class condition remains per entry.
+                        for &(b, start) in index.candidates(req.stripe) {
+                            debug_assert!(start + window >= now, "index kept an expired entry");
+                            if self.box_seen[b.index()] != epoch && start < req.issued_at {
+                                row.boxes.push(b);
+                            }
+                        }
+                        self.row_builds += 1;
+                        row.build = self.row_builds;
+                        row.shrink_stamp = shrink_stamp;
                     }
+                    if row.used != now + 1 {
+                        row.used = now + 1;
+                        self.rows_in_use += 1;
+                    }
+                    // What lets one row serve the whole class: no requester
+                    // is in it. A requester that stored the stripe would be
+                    // self-served, and `start_playback` filed (or refreshed)
+                    // its index entry at `start = issued_at`, not before.
+                    debug_assert!(
+                        !row.boxes.contains(&req.requester),
+                        "{} is a candidate of its own request for {:?}",
+                        req.requester,
+                        req.stripe
+                    );
+                    self.cand_buf.push_row(row.boxes.iter().copied());
+                    self.cand_stamps.push(row.build);
                 }
-                self.row_cache_misses += 1;
             }
-
-            self.seen_epoch += 1;
-            let epoch = self.seen_epoch;
-            self.row_scratch.clear();
-            for &b in self.placement.holders_of(req.stripe) {
-                if b != req.requester {
-                    self.box_seen[b.index()] = epoch;
-                    self.row_scratch.push(b);
-                }
-            }
-            match &self.candidates {
-                CandidatePipeline::Incremental(index) => {
-                    // Entries are live by construction (the wheel drained
-                    // everything older than the window), so only the
-                    // ahead-of-requester condition remains per entry.
-                    for &(b, start) in index.candidates(req.stripe) {
-                        debug_assert!(start + window >= now, "index kept an expired entry");
-                        if b != req.requester
-                            && self.box_seen[b.index()] != epoch
-                            && start < req.issued_at
-                        {
+            CandidatePipeline::Rescan { caches, index, .. } => {
+                for req in requests {
+                    self.seen_epoch += 1;
+                    let epoch = self.seen_epoch;
+                    self.row_scratch.clear();
+                    for &b in self.placement.holders_of(req.stripe) {
+                        if b != req.requester {
+                            self.box_seen[b.index()] = epoch;
                             self.row_scratch.push(b);
                         }
                     }
-                    let stamp = index.stripe_stamp(req.stripe);
-                    self.cand_stamps.push(stamp);
-                    let entry = self
-                        .row_cache
-                        .entry((req.viewer, req.stripe))
-                        .or_insert_with(|| CachedRow {
-                            stamp: 0,
-                            issued_at: 0,
-                            requester: req.requester,
-                            boxes: Vec::new(),
-                        });
-                    entry.stamp = stamp;
-                    entry.issued_at = req.issued_at;
-                    entry.requester = req.requester;
-                    entry.boxes.clear();
-                    entry.boxes.extend_from_slice(&self.row_scratch);
-                }
-                CandidatePipeline::Rescan { caches, index, .. } => {
                     if let Some(cached) = index.get(&req.stripe) {
                         for &b in cached {
                             if b != req.requester
@@ -1501,11 +1511,11 @@ impl<'a> Simulator<'a> {
                             }
                         }
                     }
+                    self.cand_buf.push_row(self.row_scratch.iter().copied());
                     // The legacy pipeline carries no change information.
                     self.cand_stamps.push(NO_STAMP);
                 }
             }
-            self.cand_buf.push_row(self.row_scratch.iter().copied());
         }
     }
 
@@ -1867,6 +1877,261 @@ mod tests {
         let mut rescan = Simulator::new(&sys, SimConfig::new(40).with_rescan_candidates());
         while rescan.round() < 40 && rescan.step(&mut gen) {}
         assert_eq!(rescan.candidate_row_cache_stats(), (0, 0));
+    }
+
+    /// What one scheduled round looked like from the scheduler's side of
+    /// the boundary.
+    #[derive(Default)]
+    struct SeenRound {
+        /// `(stamp, row)` per request key.
+        rows: HashMap<RequestKey, (u64, Vec<BoxId>)>,
+        arena_edges: usize,
+    }
+
+    /// The default scheduler, leaving the last round's view where the test
+    /// can read it.
+    struct Probe {
+        inner: MaxFlowScheduler,
+        seen: std::rc::Rc<std::cell::RefCell<SeenRound>>,
+    }
+
+    impl Probe {
+        fn boxed() -> (
+            Box<dyn Scheduler>,
+            std::rc::Rc<std::cell::RefCell<SeenRound>>,
+        ) {
+            let seen = std::rc::Rc::default();
+            let probe = Probe {
+                inner: MaxFlowScheduler::new(),
+                seen: std::rc::Rc::clone(&seen),
+            };
+            (Box::new(probe), seen)
+        }
+    }
+
+    impl Scheduler for Probe {
+        fn schedule(
+            &mut self,
+            capacities: &[u32],
+            candidates: &[Vec<BoxId>],
+        ) -> Vec<Option<BoxId>> {
+            self.inner.schedule(capacities, candidates)
+        }
+
+        fn schedule_keyed(
+            &mut self,
+            _: &[u32],
+            _: &[RequestKey],
+            _: &[Vec<BoxId>],
+            _: &mut Vec<Option<BoxId>>,
+        ) {
+            unreachable!("the engine drives the view entry points");
+        }
+
+        fn schedule_keyed_view(
+            &mut self,
+            capacities: &[u32],
+            keys: &[RequestKey],
+            candidates: vod_flow::CandidateView<'_>,
+            out: &mut Vec<Option<BoxId>>,
+        ) {
+            self.inner
+                .schedule_keyed_view(capacities, keys, candidates, out);
+            let mut seen = self.seen.borrow_mut();
+            seen.arena_edges = self.inner.matcher().arena_edge_count();
+            seen.rows.clear();
+            for (x, key) in keys.iter().enumerate() {
+                let row = (candidates.row_stamp(x), candidates.row(x).to_vec());
+                seen.rows.insert(*key, row);
+            }
+        }
+
+        fn schedule_relayed_view(
+            &mut self,
+            capacities: &[u32],
+            keys: &[RequestKey],
+            candidates: vod_flow::CandidateView<'_>,
+            _: &RelayView,
+            out: &mut Vec<Option<BoxId>>,
+        ) {
+            self.schedule_keyed_view(capacities, keys, candidates, out);
+        }
+
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+    }
+
+    /// The stripe requests active at `now`, by asking every playback.
+    fn active_requests(sim: &Simulator, now: u64) -> Vec<StripeRequest> {
+        let mut requests = Vec::new();
+        for b in 0..sim.system().n() as u32 {
+            if let Some(st) = sim.playback(BoxId(b)) {
+                requests.extend(st.active_requests(BoxId(b), now));
+            }
+        }
+        requests
+    }
+
+    #[test]
+    fn a_crowd_costs_the_matcher_its_distinct_rows_not_its_requests() {
+        // One whole-population crowd: every round the arena stays within a
+        // small factor of the *distinct* row entries (plus the n source
+        // edges), however many requests share them, and while the crowd
+        // grows a round builds rows only for the classes it creates — the
+        // rows of the viewers already in are replayed.
+        let n = 256;
+        let sys = small_system(n, 2.0, 6, 4, 40);
+        let (scheduler, seen) = Probe::boxed();
+        let mut sim = Simulator::with_scheduler(&sys, SimConfig::new(100), scheduler);
+        let mut gen = FlashCrowd::single(VideoId(0), n, sys.m(), 1.5, 3);
+        let mut largest_class = 0;
+        let mut growth_rounds = 0;
+        for now in 0..100 {
+            let builds_before = sim.candidate_row_cache_stats().1;
+            assert!(sim.step(&mut gen), "round {now} left a request unserved");
+            let seen = seen.borrow();
+            let mut classes: HashMap<&[BoxId], usize> = HashMap::new();
+            for (_, row) in seen.rows.values() {
+                *classes.entry(row).or_default() += 1;
+            }
+            let distinct_entries: usize = classes.keys().map(|row| row.len()).sum();
+            assert!(
+                seen.arena_edges <= 4 * (distinct_entries + n),
+                "round {now}: {} arena edges for {distinct_entries} distinct row entries",
+                seen.arena_edges
+            );
+            largest_class = largest_class.max(classes.values().copied().max().unwrap_or(0));
+
+            // No cache entry can expire before round T + 1 = 41: until
+            // then every row built belongs to a class issued this round.
+            if now <= 40 {
+                let created: std::collections::HashSet<StripeId> = active_requests(&sim, now)
+                    .iter()
+                    .filter(|req| req.issued_at == now)
+                    .map(|req| req.stripe)
+                    .collect();
+                let built = sim.candidate_row_cache_stats().1 - builds_before;
+                assert!(
+                    built <= created.len() as u64,
+                    "round {now}: {built} rows built for {} new classes",
+                    created.len()
+                );
+                growth_rounds += usize::from(!created.is_empty());
+            }
+        }
+        assert!(growth_rounds > 10, "the crowd never grew");
+        assert!(largest_class > 32, "largest class: {largest_class}");
+    }
+
+    /// Demands `video` for `viewer` in every round of `rounds`.
+    struct Scripted(Vec<(u64, BoxId, VideoId)>);
+
+    impl DemandGenerator for Scripted {
+        fn demands_at(&mut self, round: u64, _: &dyn OccupancyView) -> Vec<VideoDemand> {
+            self.0
+                .iter()
+                .filter(|&&(at, ..)| at == round)
+                .map(|&(at, box_id, video)| VideoDemand::new(box_id, video, at))
+                .collect()
+        }
+
+        fn name(&self) -> &'static str {
+            "scripted"
+        }
+    }
+
+    #[test]
+    fn a_redemanded_video_arrives_under_a_new_stamp() {
+        // Box 0 watches video 0 from round 0 and demands it again in round
+        // T, the round that playback ends: its preload stripe keeps the key
+        // (viewer, stripe) from round T - 1 to round T, but the request is a
+        // new one — issued at T, so the boxes that joined in between now
+        // count as ahead of it. A scheduler that trusted the old stamp would
+        // keep serving it from the old, shorter row.
+        let duration = 12u64;
+        let sys = small_system(16, 2.0, 4, 2, duration as u32);
+        let (scheduler, seen) = Probe::boxed();
+        let mut sim = Simulator::with_scheduler(&sys, SimConfig::new(40), scheduler);
+        let mut script = vec![(0, BoxId(0), VideoId(0)), (duration, BoxId(0), VideoId(0))];
+        script.extend((1..6).map(|i| (i as u64, BoxId(i), VideoId(0))));
+        let mut gen = Scripted(script);
+        let mut before = HashMap::new();
+        for now in 0..=duration {
+            assert!(sim.step(&mut gen), "round {now}");
+            if now == duration - 1 {
+                before = std::mem::take(&mut seen.borrow_mut().rows);
+            }
+        }
+        let seen = seen.borrow();
+        let carried: Vec<&RequestKey> = seen
+            .rows
+            .keys()
+            .filter(|key| key.viewer == BoxId(0) && before.contains_key(key))
+            .collect();
+        assert_eq!(carried.len(), 1, "the preload stripe, and only it");
+        let (old_stamp, old_row) = &before[carried[0]];
+        let (new_stamp, new_row) = &seen.rows[carried[0]];
+        assert!(new_row.len() > old_row.len(), "{old_row:?} -> {new_row:?}");
+        assert_ne!(new_stamp, old_stamp);
+    }
+
+    #[test]
+    fn no_requester_is_a_candidate_of_its_own_request() {
+        // What lets one row serve every request for a (stripe, issue round):
+        // the row never has to leave its requester out. Checked from the
+        // scheduler's side on a relayed fleet — where the requester of a
+        // poor box's stripe is its relay, which caches the stripe for
+        // several viewers at once — and, in debug builds, by the engine's
+        // own assertion on every request of every test.
+        use vod_core::{Bandwidth, Catalog};
+        let c: u16 = 4;
+        let uploads = [0.6, 0.6, 0.6, 2.6, 2.6, 2.6, 2.6, 2.6];
+        let boxes = VideoSystem::proportional_boxes(&uploads, 6.0, c);
+        let params = SystemParams::new(boxes.len(), 1.8, 8, c, 3, 1.3, 10);
+        let catalog = Catalog::uniform(4, 10, c);
+        let mut rng = StdRng::seed_from_u64(9);
+        let sys = VideoSystem::heterogeneous(
+            params,
+            boxes,
+            catalog,
+            &RandomPermutationAllocator::new(3),
+            Some(Bandwidth::from_streams(1.2)),
+            &mut rng,
+        )
+        .unwrap();
+        let (scheduler, seen) = Probe::boxed();
+        let config = SimConfig::new(60).continue_on_failure();
+        let mut sim = Simulator::with_scheduler(&sys, config, scheduler);
+        let mut gen = SequentialViewing::new(8, sys.m(), NextVideoPolicy::RoundRobin, 1.3, 3);
+        let (mut relayed, mut shared) = (0, 0);
+        for now in 0..60 {
+            sim.step(&mut gen);
+            let seen = seen.borrow();
+            for req in active_requests(&sim, now) {
+                let key = RequestKey {
+                    viewer: req.viewer,
+                    stripe: req.stripe,
+                };
+                // Self-served and suppressed requests never reach the view.
+                let Some((stamp, row)) = seen.rows.get(&key) else {
+                    continue;
+                };
+                assert!(
+                    !row.contains(&req.requester),
+                    "round {now}: {} is in the row of {req:?}",
+                    req.requester
+                );
+                relayed += usize::from(req.requester != req.viewer);
+                shared += seen
+                    .rows
+                    .iter()
+                    .filter(|(other, (s, _))| **other != key && s == stamp)
+                    .count();
+            }
+        }
+        assert!(relayed > 0, "no relayed request was scheduled");
+        assert!(shared > 0, "no two requests ever shared a class row");
     }
 
     #[test]

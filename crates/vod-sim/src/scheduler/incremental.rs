@@ -4,54 +4,74 @@
 //! most playbacks continue, so most stripe requests and their candidate sets
 //! carry over unchanged, and per-box capacities are static. The
 //! [`IncrementalMatcher`] exploits this by keeping one Lemma-1 flow network
-//! alive inside a [`FlowArena`] across rounds:
+//! alive inside a [`FlowArena`] across rounds — and it exploits a second
+//! regularity of the preloading strategy: every viewer that issues stripe
+//! `s` in round `t` has the *same* candidate set `B(x)`, and Lemma 1 only
+//! cares about `B(x)`, so such requests are interchangeable.
+//!
+//! The unit of work is therefore the **row class**: all requests of a round
+//! whose candidate rows are equal, entry for entry. A class is one arena
+//! node with sink capacity = its live members and one `box → class` edge per
+//! candidate (capacity = members); a request alone with its row is the
+//! degenerate class of one, and there is no other code path.
 //!
 //! * requests are identified by a stable [`RequestKey`]; each round the
-//!   incoming key set is diffed against the previous round's;
-//! * surviving requests keep their node, edges, **and assigned flow**;
-//!   departed requests have their flow cancelled and their edges
-//!   de-capacitated; new requests get (or reuse) a node and edges;
-//! * candidate-set changes patch edge capacities in place, reviving a
-//!   previously de-capacitated edge when a candidate returns (a box's cache
-//!   entry ageing out and re-appearing is common under churn);
+//!   incoming key set is diffed against the previous round's, and every
+//!   request is resolved to the class holding its row — by the producer's
+//!   change stamp when it proves the row unchanged, by hashing and comparing
+//!   the row otherwise, so stamped, unstamped and slice-of-vecs inputs build
+//!   the same classes in the same order;
+//! * a class whose row changed is *retargeted* in place: its node, the edges
+//!   to boxes it keeps **and the flow on them** stay, a dropped candidate's
+//!   flow is cancelled and its edge de-capacitated, a returning candidate's
+//!   edge is revived (a box's cache entry ageing out and re-appearing is
+//!   common under churn);
+//! * arrivals and departures only move a class's member count; the sink and
+//!   candidate capacities follow it, and flow above the new demand is
+//!   cancelled;
 //! * maximality is then restored from the repaired flow: with few unserved
-//!   requests by one *targeted* alternating search each, otherwise by the
+//!   units by one *targeted* alternating search each, otherwise by the
 //!   solver, *warm-started* on the residual, so either way only the delta is
 //!   routed instead of re-solving from zero.
 //!
-//! Beside the arena the matcher keeps an **assignment mirror**: each slot
-//! remembers the candidate edge (and box) carrying its unit of flow, and
-//! each box heads an intrusive doubly-linked list of the slots assigned to
-//! it. The matcher's own flow edits keep the mirror exact; after a solver
-//! call — the only place flow moves behind the matcher's back —
+//! Beside the arena the matcher keeps an **assignment mirror**: every
+//! `box → class` edge that carries flow has a record (its units, its box,
+//! its class) on two intrusive doubly-linked lists, its box's and its
+//! class's. The matcher's own flow edits keep the mirror exact; after a
+//! solver call — the only place flow moves behind the matcher's back —
 //! `resync_assignments` re-reads it. The targeted search therefore leaves a
-//! saturated box only along its ≤ `cap` matched edges (never along its whole
+//! saturated box only along its matched edges (never along its whole
 //! adjacency list, which holds every candidate edge ever created, live or
-//! dead), and extraction, departure and capacity eviction read the mirror
-//! in O(1) per request.
+//! dead), capacity eviction and departures cancel flow off the lists'
+//! heads, and extraction hands a class's units to its members in input
+//! order without reading the arena.
 //!
-//! All bookkeeping (slots, edge lists, scratch buffers, the key map) reuses
-//! its allocations, so a steady-state round — same working set of requests —
-//! performs **zero heap allocations** in the matching layer. De-capacitated
-//! edges accumulate in the arena under heavy churn; when more than half of
-//! the arena is dead the matcher compacts by rebuilding in place (amortized
-//! O(1), still allocation-free once the arena has grown to the high-water
-//! mark) and pushing the surviving requests' flow back onto the boxes the
-//! mirror remembered, so the round after a compaction is as warm as any.
+//! All bookkeeping (class slots, edge lists, mirror records, scratch
+//! buffers, the key and row maps) reuses its allocations, so a steady-state
+//! round — same working set of requests — performs **zero heap
+//! allocations** in the matching layer. De-capacitated edges and the edges
+//! of departed classes accumulate in the arena under churn; when more than
+//! half of the arena is dead the matcher compacts: it rebuilds the arena
+//! from its class table (amortized O(1), still allocation-free once the
+//! arena has grown to the high-water mark) and pushes every class's flow
+//! back where it was, so a round that compacts finishes as warm as any.
 
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use vod_core::{BoxId, StripeId};
 use vod_flow::{CandidateBuf, CandidateView, Dinic, FlowArena, MaxFlowSolve, NodeId, NO_STAMP};
 use vod_obs::TraceHandle;
 
-/// Deterministic multiply-xor hasher for the request-key map: the default
-/// SipHash dominates the per-round diff cost at thousands of lookups per
-/// round, and HashDoS resistance is irrelevant for simulator-internal keys
-/// (shared with the flow layer via [`vod_core::hash`]).
+/// Deterministic multiply-xor hasher for the request-key and row maps: the
+/// default SipHash dominates the per-round diff cost at thousands of lookups
+/// per round, and HashDoS resistance is irrelevant for simulator-internal
+/// keys (shared with the flow layer via [`vod_core::hash`]).
 pub type KeyHasher = vod_core::FxHasher64;
 
 type KeyMap<V> = HashMap<RequestKey, V, BuildHasherDefault<KeyHasher>>;
+
+/// Row hash → first class of the chain of classes whose row has that hash.
+type RowMap = HashMap<u64, u32, BuildHasherDefault<KeyHasher>>;
 
 /// Stable identity of a stripe request across rounds.
 ///
@@ -66,22 +86,31 @@ pub struct RequestKey {
     pub stripe: StripeId,
 }
 
-/// "No slot" / "no box" in the assignment mirror's `u32` links (the mirror
-/// costs four bytes per box, so it stays off the large-fleet memory budget).
+/// "No class" / "no link" in the `u32` indices of the class table and the
+/// assignment mirror (the mirror costs four bytes per box, so it stays off
+/// the large-fleet memory budget).
 const NIL: u32 = u32::MAX;
+
+/// An extraction cursor that has not been pointed at its class's matched
+/// list yet this round.
+const FRESH: u32 = u32::MAX - 1;
+
+/// "Entered from nowhere": the root frame of a targeted search.
+const NO_EDGE: usize = usize::MAX;
 
 /// Work counters of the targeted augmenting search: plain integer adds on
 /// the search path (no clock, no allocation).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchCounters {
-    /// Searches started (one per unserved request per targeted round).
+    /// Searches started (one per unserved unit per targeted round, until a
+    /// class's search fails).
     pub searches: u64,
     /// Searches that found an augmenting path.
     pub augmented: u64,
-    /// Entries examined: request-row adjacency entries plus matched-list
+    /// Entries examined: candidate edges of classes plus matched-list
     /// entries of saturated boxes.
     pub edges_scanned: u64,
-    /// Longest augmenting path pushed, in bipartite edges (1 = the request
+    /// Longest augmenting path pushed, in bipartite edges (1 = the class
     /// found a box with a spare slot directly).
     pub longest_path: u64,
 }
@@ -99,65 +128,112 @@ pub struct SearchStats {
 /// One frame of the targeted search's alternating depth-first walk.
 #[derive(Clone, Copy, Debug)]
 enum Frame {
-    /// At a request: `cursor` is the next entry of the request node's arena
-    /// adjacency list to examine.
-    Request { slot: u32, cursor: Option<usize> },
+    /// At a class entered by giving up one unit on `from_edge` (box one frame
+    /// down → this class; [`NO_EDGE`] for the root, which gives up nothing):
+    /// `cursor` is the next entry of the class's candidate edges to examine.
+    Class {
+        class: u32,
+        from_edge: usize,
+        cursor: u32,
+    },
     /// At a saturated box entered along candidate edge `via` (box → the
-    /// request one frame down): `cursor` is the next slot of the box's
-    /// matched list to examine.
+    /// class one frame down): `cursor` is the next link of the box's matched
+    /// list to examine.
     Box { via: usize, cursor: u32 },
 }
 
-/// One tracked request: its node in the arena and every edge ever created
-/// for it. Slots (and their edge lists) are pooled and reused.
-#[derive(Clone, Debug)]
-struct RequestSlot {
-    node: NodeId,
-    sink_edge: usize,
-    /// Candidate edges ever created for this node, one per box, in creation
-    /// order. An edge is *active* when its capacity is 1, de-capacitated (0)
-    /// otherwise.
-    cand_edges: Vec<(BoxId, usize)>,
-    /// Assignment mirror: the box serving this request ([`NIL`] when
-    /// unserved) and the candidate edge carrying the unit of flow.
-    assigned_box: u32,
-    assigned_edge: usize,
-    /// Neighbours in `assigned_box`'s matched list ([`NIL`]-terminated).
-    next: u32,
-    prev: u32,
-    /// The raw candidate list as last given, letting unchanged rounds skip
-    /// the diff entirely.
-    given: Vec<BoxId>,
-    /// False until `given` reflects this slot's active edges (freshly
-    /// allocated or recycled slots must run a full diff).
-    given_valid: bool,
-    /// The producer change stamp `given` was captured under
-    /// ([`vod_flow::NO_STAMP`] when the producer attached none): an equal
-    /// stamp on a later round proves the row unchanged without comparing it.
-    given_stamp: u64,
+/// One tracked request (the value of `by_key`): a member of the class
+/// holding its row.
+#[derive(Clone, Copy, Debug)]
+struct Member {
+    class: u32,
     /// Round stamp of the last round that listed this request.
-    stamp: u64,
-    /// Position of this request in the current round's input.
-    pos: usize,
+    seen: u64,
+    /// The producer change stamp the request's row last arrived under
+    /// ([`vod_flow::NO_STAMP`] when the producer attached none): an equal
+    /// stamp on the next round proves the row unchanged without comparing
+    /// it.
+    given_stamp: u64,
 }
 
-impl Default for RequestSlot {
-    fn default() -> Self {
-        RequestSlot {
-            node: 0,
-            sink_edge: 0,
-            cand_edges: Vec::new(),
-            assigned_box: NIL,
-            assigned_edge: 0,
-            next: NIL,
-            prev: NIL,
-            given: Vec::new(),
-            given_valid: false,
-            given_stamp: 0,
-            stamp: 0,
-            pos: 0,
-        }
-    }
+/// The part of a row class every request of every round reads: who is in
+/// it, what serves it, and whether its row has been seen this round. Kept
+/// apart from [`ClassSlot`] so that a steady-state round, which reads
+/// nothing else of a class, walks a table a third the size.
+#[derive(Clone, Copy, Debug)]
+struct ClassState {
+    /// Round stamp of the last round in which a request's row was matched
+    /// against the class's (so that row is this round's content).
+    touched: u64,
+    /// The change stamp a row equal to the class's arrived under this round;
+    /// meaningful only while `touched` is the current round.
+    given_stamp: u64,
+    /// Requests currently in the class.
+    members: u32,
+    /// Units of flow into the class (the mirror's copy of the flow on its
+    /// sink edge).
+    served: u32,
+    /// Assignment mirror: first link of the class's matched list.
+    head: u32,
+    /// Extraction cursor: the link whose units are being handed out
+    /// ([`FRESH`] from the round's first touch until the first hand-out) and
+    /// how many of them are left.
+    hand: u32,
+    hand_left: u32,
+    /// On this round's settle list.
+    dirty: bool,
+}
+
+/// The arena side of a row class: its node, every edge ever created for it
+/// and its row. Slots (and their edge lists) are pooled and reused.
+#[derive(Clone, Debug)]
+struct ClassSlot {
+    /// Arena node (0 = none in the current arena: node 0 is the source).
+    node: NodeId,
+    /// `node → sink`, capacity `settled`.
+    sink_edge: usize,
+    /// Candidate edges ever created for this node, one per box, in creation
+    /// order. An edge is *active* when its capacity is positive (then it is
+    /// `settled`), de-capacitated (0) otherwise.
+    cand_edges: Vec<(BoxId, usize)>,
+    /// How many of `cand_edges` are active.
+    active: u32,
+    /// The class's row, raw as the producer gave it.
+    given: Vec<BoxId>,
+    /// Hash of `given`, and the next class of the same hash in `by_row`.
+    hash: u64,
+    hash_next: u32,
+    /// The member count the arena reflects: the capacity of the sink edge
+    /// and of every active candidate edge (0 without a node or while pooled).
+    settled: u32,
+    /// True while the active edges do not reflect `given` (a new, recycled
+    /// or retargeted class before its round's settling).
+    needs_sync: bool,
+}
+
+/// Assignment-mirror record of one candidate edge that carries flow: it
+/// sits on its box's and its class's matched lists for as long as it does.
+/// Records are pooled; `link_at` finds an edge's record.
+#[derive(Clone, Copy, Debug)]
+struct FlowLink {
+    edge: u32,
+    class: u32,
+    /// The box the edge leaves and the units of flow on it, so extraction
+    /// reads the mirror alone.
+    box_idx: u32,
+    units: u32,
+    /// Neighbours in the box's matched list ([`NIL`]-terminated).
+    next: u32,
+    prev: u32,
+    /// Neighbours in the class's matched list ([`NIL`]-terminated).
+    class_next: u32,
+    class_prev: u32,
+}
+
+fn row_hash(row: &[BoxId]) -> u64 {
+    let mut hasher = KeyHasher::default();
+    row.hash(&mut hasher);
+    hasher.finish()
 }
 
 /// Reusable incremental matcher over one [`FlowArena`].
@@ -186,43 +262,52 @@ impl Default for RequestSlot {
 pub struct IncrementalMatcher {
     arena: FlowArena,
     solver: Box<dyn MaxFlowSolve>,
-    /// Current per-box capacity (stripe connections).
+    /// Current per-box capacity (stripe connections). Box `i` is arena node
+    /// `1 + i` and its source edge is edge `2 * i` (see `source_edge`).
     caps: Vec<u32>,
-    /// Source edge per box (always present, capacity may be 0).
-    source_edges: Vec<usize>,
-    slots: Vec<RequestSlot>,
-    /// Assignment mirror: first slot of each box's matched list ([`NIL`]
-    /// when the box serves nothing).
+    /// The row classes, in two tables of one length (see [`ClassState`]).
+    classes: Vec<ClassSlot>,
+    states: Vec<ClassState>,
+    free_classes: Vec<u32>,
+    by_row: RowMap,
+    by_key: KeyMap<Member>,
+    /// Assignment mirror: the pooled records of the flow-carrying candidate
+    /// edges, each sink or candidate edge pair's record ([`NIL`] without
+    /// flow; see `link_slot`), and the first link of each box's matched
+    /// list ([`NIL`] when the box serves nothing).
+    links: Vec<FlowLink>,
+    free_links: Vec<u32>,
+    link_at: Vec<u32>,
     box_head: Vec<u32>,
-    by_key: KeyMap<usize>,
-    free_slots: Vec<usize>,
     sink: NodeId,
     stamp: u64,
     total_flow: i64,
-    /// Edge pairs currently de-capacitated (candidate + sink edges).
+    /// Edge pairs that are garbage: de-capacitated candidate edges, and every
+    /// edge of a pooled class.
     dead_pairs: usize,
     rebuilds: u64,
     rounds: u64,
     /// True when the arena no longer reflects the tracked instance (e.g.
     /// after a cold one-shot solve) and must be rebuilt.
     dirty: bool,
-    /// True when the current round modified the instance (so the solver must
-    /// run); untouched rounds keep the previous maximum flow as-is.
+    /// True when the current round modified the instance (so maximality must
+    /// be restored); untouched rounds keep the previous maximum flow as-is.
     changed: bool,
     // Scratch buffers (reused every round).
     added_cands: Vec<BoxId>,
-    stale_keys: Vec<RequestKey>,
-    /// Slot index per input position for the current round (skips a second
-    /// hash pass during extraction).
-    round_slots: Vec<usize>,
+    stale_keys: Vec<(RequestKey, u32)>,
+    /// Class per input position for the current round.
+    pos_class: Vec<u32>,
+    /// The classes this round must settle in the arena — new, retargeted, or
+    /// with a changed member count — in first-mention order.
+    dirty_classes: Vec<u32>,
     /// Visit stamps for the targeted augmenting-path search.
     visit_stamp: Vec<u64>,
     visit_epoch: u64,
-    /// DFS scratch: the alternating request/box frames of the current path.
+    /// DFS scratch: the alternating class/box frames of the current path.
     dfs_stack: Vec<Frame>,
-    /// Compaction scratch: the box serving each input position before the
-    /// arena was cleared ([`NIL`] for none).
-    kept_boxes: Vec<u32>,
+    /// Compaction scratch: the flow on each surviving candidate edge.
+    kept_flows: Vec<i64>,
     search: SearchStats,
     /// Scratch for the debug-only maximality check (kept allocation-free so
     /// steady-state rounds allocate nothing even in debug builds).
@@ -246,11 +331,15 @@ impl IncrementalMatcher {
             arena: FlowArena::new(),
             solver,
             caps: Vec::new(),
-            source_edges: Vec::new(),
-            slots: Vec::new(),
-            box_head: Vec::new(),
+            classes: Vec::new(),
+            states: Vec::new(),
+            free_classes: Vec::new(),
+            by_row: RowMap::default(),
             by_key: KeyMap::default(),
-            free_slots: Vec::new(),
+            links: Vec::new(),
+            free_links: Vec::new(),
+            link_at: Vec::new(),
+            box_head: Vec::new(),
             sink: 0,
             stamp: 0,
             total_flow: 0,
@@ -261,11 +350,12 @@ impl IncrementalMatcher {
             changed: false,
             added_cands: Vec::new(),
             stale_keys: Vec::new(),
-            round_slots: Vec::new(),
+            pos_class: Vec::new(),
+            dirty_classes: Vec::new(),
             visit_stamp: Vec::new(),
             visit_epoch: 0,
             dfs_stack: Vec::new(),
-            kept_boxes: Vec::new(),
+            kept_flows: Vec::new(),
             search: SearchStats::default(),
             dbg_seen: Vec::new(),
             dbg_stack: Vec::new(),
@@ -279,8 +369,9 @@ impl IncrementalMatcher {
         self.solver.attach_tracer(tracer);
     }
 
-    /// The number of full rebuilds performed so far (1 after the first
-    /// round; steady-state rounds must not add more).
+    /// The number of full rebuilds of the arena performed so far, cold
+    /// rebuilds and compactions alike (1 after the first round;
+    /// steady-state rounds must not add more).
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
     }
@@ -333,8 +424,8 @@ impl IncrementalMatcher {
     /// View-based core of [`IncrementalMatcher::schedule_keyed`]: identical
     /// semantics over a borrowed flat [`CandidateView`] (the engine's native
     /// representation). When the view carries per-row change stamps, a
-    /// surviving request whose stamp is unchanged skips the per-row
-    /// diff entirely.
+    /// surviving request whose stamp is unchanged is not compared with its
+    /// class's row, let alone hashed.
     pub fn schedule_keyed_view(
         &mut self,
         capacities: &[u32],
@@ -345,28 +436,31 @@ impl IncrementalMatcher {
         assert_eq!(keys.len(), candidates.len(), "one key per request");
         self.rounds += 1;
         self.search.round = SearchCounters::default();
-        let total_pairs = self.arena.edge_count() / 2;
-        let needs_compaction = total_pairs > 64 && self.dead_pairs * 2 > total_pairs;
         self.changed = false;
         if self.dirty || capacities.len() != self.caps.len() {
-            self.rebuild(capacities, keys, candidates);
+            self.reset(capacities);
+            self.patch(capacities, keys, candidates);
             // Cold instance: hand the whole thing to the configured solver.
             self.solve();
         } else {
-            if needs_compaction {
-                self.compact(capacities, keys, candidates);
-            } else {
-                self.patch(capacities, keys, candidates);
+            self.patch(capacities, keys, candidates);
+            // Compact before maximality is restored, so the rounds a crowd
+            // leaves in — the ones most likely to go to the solver — solve
+            // over what is left, not over what left.
+            let total_pairs = self.arena.edge_count() / 2;
+            if total_pairs > 64 && self.dead_pairs * 2 > total_pairs {
+                self.compact();
             }
             if self.changed {
                 // The patched flow is valid but possibly not maximal; only
-                // unserved requests can be endpoints of augmenting paths.
-                // With few of them, targeted searches restore maximality
-                // without touching the (much larger) unchanged part of the
-                // network. A large unserved set (persistently infeasible
-                // instance) would thrash the targeted search — every
-                // successful augment invalidates the failure marks — so hand
-                // that case to the solver, warm-started on the residual.
+                // classes short of units can be endpoints of augmenting
+                // paths. With few units missing, targeted searches restore
+                // maximality without touching the (much larger) unchanged
+                // part of the network. A large unserved set (persistently
+                // infeasible instance) would thrash the targeted search —
+                // every successful augment invalidates the failure marks —
+                // so hand that case to the solver, warm-started on the
+                // residual.
                 //
                 // Tried and rejected: "always search, fall back to the
                 // solver once a round has scanned `arena_edges / 8` entries"
@@ -374,8 +468,8 @@ impl IncrementalMatcher {
                 // `relay-faults` `round_ms_p50` 7.1 → 15.5 ms (466 of 894
                 // rounds overflowed into a solver call on top of the
                 // search they had already paid for).
-                let unserved = self.count_unserved();
-                if unserved * 8 > self.round_slots.len() + 64 {
+                let unserved = keys.len() - self.total_flow as usize;
+                if unserved * 8 > keys.len() + 64 {
                     self.solve();
                 } else if unserved > 0 {
                     self.augment_unserved();
@@ -398,8 +492,6 @@ impl IncrementalMatcher {
         out: &mut Vec<Option<BoxId>>,
     ) {
         self.rounds += 1;
-        // Reuse the keyed machinery with positional pseudo-keys: stale state
-        // never leaks because the instance is rebuilt from scratch.
         let mut problem = vod_flow::ConnectionProblem::new(capacities.to_vec());
         for cands in candidates {
             problem.add_request(cands.iter().copied());
@@ -410,93 +502,155 @@ impl IncrementalMatcher {
         out.extend(matching.assignment);
     }
 
-    /// Full reconstruction of the tracked instance inside the reused arena.
-    /// The rebuilt network carries no flow.
-    fn rebuild(&mut self, capacities: &[u32], keys: &[RequestKey], candidates: CandidateView<'_>) {
-        let boxes = capacities.len();
+    /// Source edge of box `box_idx`: the arena's first edges, one per box in
+    /// box order (see [`IncrementalMatcher::clear_arena`]).
+    fn source_edge(box_idx: usize) -> usize {
+        2 * box_idx
+    }
+
+    /// Index in `link_at` of a sink or candidate edge (the source edges,
+    /// which come first in the arena, have no entry).
+    fn link_slot(&self, edge: usize) -> usize {
+        edge / 2 - self.caps.len()
+    }
+
+    /// Units of flow on candidate edge `edge`, by the mirror.
+    fn units_on(&self, edge: usize) -> i64 {
+        match self.link_at[self.link_slot(edge)] {
+            NIL => 0,
+            link => self.links[link as usize].units as i64,
+        }
+    }
+
+    /// Empties the arena down to `source → box` edges at the current
+    /// capacities, with an empty mirror. The caller recreates the classes'
+    /// nodes and edges.
+    fn clear_arena(&mut self) {
+        let boxes = self.caps.len();
         self.arena.clear(boxes + 2);
         self.sink = boxes + 1;
-        self.caps.clear();
-        self.caps.extend_from_slice(capacities);
-        self.source_edges.clear();
-        for (i, &cap) in capacities.iter().enumerate() {
-            self.source_edges
-                .push(self.arena.add_edge(0, 1 + i, cap as i64));
+        for (i, &cap) in self.caps.iter().enumerate() {
+            let edge = self.arena.add_edge(0, 1 + i, cap as i64);
+            debug_assert_eq!(edge, Self::source_edge(i));
         }
-        // Recycle every slot: clear its edges but keep the allocations. The
-        // arena was cleared, so stale node/edge ids must be forgotten
-        // (`node == 0` marks "no node": node 0 is always the source).
-        self.by_key.clear();
-        self.free_slots.clear();
-        for (idx, slot) in self.slots.iter_mut().enumerate() {
-            slot.cand_edges.clear();
-            slot.stamp = 0;
-            slot.node = 0;
-            slot.sink_edge = 0;
-            slot.assigned_box = NIL;
-            self.free_slots.push(idx);
-        }
+        self.links.clear();
+        self.free_links.clear();
+        self.link_at.clear();
         self.box_head.clear();
         self.box_head.resize(boxes, NIL);
-        // `set_candidates` keeps its marks in `visit_stamp` under the box
-        // node ids, and runs before any search has sized the table.
-        if self.visit_stamp.len() < boxes + 2 {
-            self.visit_stamp.resize(boxes + 2, 0);
+        self.dead_pairs = 0;
+        self.rebuilds += 1;
+    }
+
+    /// Forgets the tracked instance: an empty arena over `capacities` and
+    /// every class slot back in the pool (allocations kept).
+    fn reset(&mut self, capacities: &[u32]) {
+        self.caps.clear();
+        self.caps.extend_from_slice(capacities);
+        self.clear_arena();
+        self.by_key.clear();
+        self.by_row.clear();
+        self.free_classes.clear();
+        for idx in (0..self.classes.len()).rev() {
+            // `node == 0` marks "no node": node 0 is always the source.
+            let class = &mut self.classes[idx];
+            class.node = 0;
+            class.cand_edges.clear();
+            class.active = 0;
+            class.settled = 0;
+            let state = &mut self.states[idx];
+            state.members = 0;
+            state.served = 0;
+            state.head = NIL;
+            state.dirty = false;
+            self.free_classes.push(idx as u32);
+        }
+        // `sync_row` keeps its marks in `visit_stamp` under the box node
+        // ids, and runs before any search has sized the table.
+        if self.visit_stamp.len() < capacities.len() + 2 {
+            self.visit_stamp.resize(capacities.len() + 2, 0);
         }
         self.total_flow = 0;
-        self.dead_pairs = 0;
-        self.stamp += 1;
-
-        self.round_slots.clear();
-        for (pos, key) in keys.iter().enumerate() {
-            let slot_idx = self.alloc_slot(*key, pos);
-            self.set_candidates(slot_idx, candidates.row(pos), candidates.row_stamp(pos));
-            self.round_slots.push(slot_idx);
-        }
-        self.rebuilds += 1;
         self.dirty = false;
-        self.changed = true;
     }
 
-    /// Compaction: rebuilds the arena without its dead edges but keeps the
-    /// matching. Every surviving request whose previous box is still a
-    /// candidate with capacity left gets its unit of flow pushed back, so
-    /// the caller finishes warm instead of re-solving the round from zero.
-    fn compact(&mut self, capacities: &[u32], keys: &[RequestKey], candidates: CandidateView<'_>) {
-        let mut kept = std::mem::take(&mut self.kept_boxes);
+    /// Compaction: rebuilds the arena from the (settled) class table without
+    /// its dead edges and pushes every class's flow back onto the edges that
+    /// carried it, so the caller finishes warm instead of re-solving the
+    /// round from zero.
+    fn compact(&mut self) {
+        let mut kept = std::mem::take(&mut self.kept_flows);
         kept.clear();
-        kept.extend(keys.iter().map(|key| {
-            self.by_key
-                .get(key)
-                .map_or(NIL, |&idx| self.slots[idx].assigned_box)
-        }));
-        self.rebuild(capacities, keys, candidates);
-        for (pos, &kept_box) in kept.iter().enumerate() {
-            if kept_box == NIL {
+        let arena = &self.arena;
+        for (class, state) in self.classes.iter_mut().zip(&self.states) {
+            if state.members == 0 {
+                class.node = 0;
+                class.cand_edges.clear();
+                class.active = 0;
                 continue;
             }
-            let source_edge = self.source_edges[kept_box as usize];
-            if self.arena.residual(source_edge) == 0 {
-                continue;
-            }
-            let slot_idx = self.round_slots[pos];
-            let slot = &self.slots[slot_idx];
-            let Some(&(_, edge)) = slot.cand_edges.iter().find(|&&(b, _)| b.0 == kept_box) else {
-                continue;
-            };
-            self.arena.push(source_edge, 1);
-            self.arena.push(edge, 1);
-            self.arena.push(slot.sink_edge, 1);
-            self.link(slot_idx, kept_box, edge);
-            self.total_flow += 1;
+            class
+                .cand_edges
+                .retain(|&(_, edge)| arena.edge(edge).original_cap != 0);
+            kept.extend(class.cand_edges.iter().map(|&(_, e)| arena.flow_on(e)));
         }
-        self.kept_boxes = kept;
+        self.clear_arena();
+        let mut flows = kept.iter().copied();
+        for idx in 0..self.classes.len() {
+            let cap = self.states[idx].members as i64;
+            if cap == 0 {
+                continue;
+            }
+            self.create_node(idx, cap);
+            for i in 0..self.classes[idx].cand_edges.len() {
+                let cand_box = self.classes[idx].cand_edges[i].0;
+                let edge = self.add_cand_edge(idx, cand_box, cap);
+                self.classes[idx].cand_edges[i].1 = edge;
+                let flow = flows.next().expect("one kept flow per surviving edge");
+                if flow > 0 {
+                    self.arena.push(Self::source_edge(cand_box.index()), flow);
+                    self.shift(idx as u32, edge, flow);
+                    self.arena.push(self.classes[idx].sink_edge, flow);
+                }
+            }
+        }
+        self.kept_flows = kept;
     }
 
-    /// Diffs the incoming round against the tracked instance, patching the
-    /// arena in place and repairing flow validity.
+    /// Gives class `idx` a node in the current arena, with a sink edge of
+    /// capacity `cap` and nothing on its matched list.
+    fn create_node(&mut self, idx: usize, cap: i64) {
+        let node = self.arena.add_node();
+        let sink_edge = self.arena.add_edge(node, self.sink, cap);
+        self.link_at.push(NIL);
+        let class = &mut self.classes[idx];
+        class.node = node;
+        class.sink_edge = sink_edge;
+        class.settled = cap as u32;
+        self.states[idx].head = NIL;
+        self.states[idx].served = 0;
+    }
+
+    /// Creates the edge `cand_box → class idx` with capacity `cap` (the
+    /// caller records it in the class's `cand_edges`).
+    fn add_cand_edge(&mut self, idx: usize, cand_box: BoxId, cap: i64) -> usize {
+        let node = self.classes[idx].node;
+        let edge = self.arena.add_edge(1 + cand_box.index(), node, cap);
+        self.link_at.push(NIL);
+        debug_assert_eq!(
+            self.link_at.len() + self.caps.len(),
+            self.arena.edge_count() / 2
+        );
+        edge
+    }
+
+    /// Diffs the incoming round against the tracked instance: resolves every
+    /// request to its class, sweeps the departures, then settles each class
+    /// that is new, retargeted or changed in size — its node, edges and
+    /// capacities in the arena — repairing flow validity.
     fn patch(&mut self, capacities: &[u32], keys: &[RequestKey], candidates: CandidateView<'_>) {
         self.stamp += 1;
+        let now = self.stamp;
 
         // Per-box capacity changes (rare: capacities are static per system).
         for (i, &cap) in capacities.iter().enumerate() {
@@ -506,135 +660,335 @@ impl IncrementalMatcher {
         }
 
         // Upsert this round's requests.
-        self.round_slots.clear();
+        self.pos_class.clear();
+        self.dirty_classes.clear();
         let mut arrivals = false;
         for (pos, key) in keys.iter().enumerate() {
-            let slot_idx = match self.by_key.get(key) {
-                Some(&idx) => {
+            let (row, stamp) = (candidates.row(pos), candidates.row_stamp(pos));
+            let class = match self.by_key.get_mut(key) {
+                Some(member) => {
                     // A duplicate key in one round would silently alias two
-                    // requests onto one flow slot; reject it outright.
+                    // requests onto one unit of demand; reject it outright.
                     assert_ne!(
-                        self.slots[idx].stamp, self.stamp,
+                        member.seen, now,
                         "duplicate request key {key:?} in one round"
                     );
-                    self.slots[idx].stamp = self.stamp;
-                    self.slots[idx].pos = pos;
-                    idx
+                    member.seen = now;
+                    let unchanged = stamp != NO_STAMP && stamp == member.given_stamp;
+                    member.given_stamp = stamp;
+                    let old = member.class;
+                    // Untouched so far, the class still holds last round's
+                    // row, which was this request's; touched, it holds the
+                    // row of a request of this view, and equal stamps within
+                    // one view mean equal rows.
+                    let state = &self.states[old as usize];
+                    let proven = if state.touched != now {
+                        unchanged
+                    } else {
+                        stamp != NO_STAMP && stamp == state.given_stamp
+                    };
+                    if proven {
+                        debug_assert_eq!(
+                            self.classes[old as usize].given, row,
+                            "stale change stamp"
+                        );
+                        self.touch_class(old, stamp);
+                        old
+                    } else {
+                        let class = self.resolve_class(Some(old), row, stamp);
+                        if class != old {
+                            self.resize_class(old, -1);
+                            self.resize_class(class, 1);
+                            self.by_key.get_mut(key).expect("looked up above").class = class;
+                        }
+                        class
+                    }
                 }
                 None => {
                     arrivals = true;
-                    self.alloc_slot(*key, pos)
+                    let class = self.resolve_class(None, row, stamp);
+                    self.resize_class(class, 1);
+                    let member = Member {
+                        class,
+                        seen: now,
+                        given_stamp: stamp,
+                    };
+                    self.by_key.insert(*key, member);
+                    class
                 }
             };
-            self.set_candidates(slot_idx, candidates.row(pos), candidates.row_stamp(pos));
-            self.round_slots.push(slot_idx);
+            self.pos_class.push(class);
         }
 
         // Sweep requests that disappeared this round. With no arrivals and
         // matching cardinality the tracked set is exactly the input set, so
         // the sweep can be skipped.
         if arrivals || self.by_key.len() != keys.len() {
-            self.stale_keys.clear();
-            for (key, &slot_idx) in &self.by_key {
-                if self.slots[slot_idx].stamp != self.stamp {
-                    self.stale_keys.push(*key);
-                }
-            }
             // `stale_keys` is a scratch field, so detach it while mutating.
             let mut stale = std::mem::take(&mut self.stale_keys);
-            for key in stale.drain(..) {
-                self.remove_request(key);
+            stale.clear();
+            stale.extend(
+                self.by_key
+                    .iter()
+                    .filter(|(_, member)| member.seen != now)
+                    .map(|(key, member)| (*key, member.class)),
+            );
+            for (key, class) in stale.drain(..) {
+                self.by_key.remove(&key);
+                self.resize_class(class, -1);
             }
             self.stale_keys = stale;
         }
+
+        for i in 0..self.dirty_classes.len() {
+            self.settle(self.dirty_classes[i] as usize);
+        }
     }
 
-    /// Registers a new request under `key`, reusing a pooled slot (and its
-    /// arena node plus edge list) when one is free.
-    fn alloc_slot(&mut self, key: RequestKey, pos: usize) -> usize {
-        let slot_idx = match self.free_slots.pop() {
-            Some(idx) => idx,
-            None => {
-                // The mirror links slots by `u32` index.
-                assert!(self.slots.len() < NIL as usize, "request slot overflow");
-                self.slots.push(RequestSlot::default());
-                self.slots.len() - 1
+    /// The class holding `row` this round, for a request that was in class
+    /// `prev` last round (`None` for an arrival) and whose change stamp
+    /// proves nothing. Tables only — the arena is settled once the round's
+    /// membership is final.
+    ///
+    /// Identity is row *content*. The request stays in `prev` when that
+    /// class's row is still its own. Otherwise the row is looked up by hash
+    /// and compared; and when no class holds it, `prev` is retargeted to it
+    /// if this is the first of its requests to arrive this round (the rest
+    /// are about to present the same row), else a class is allocated.
+    fn resolve_class(&mut self, prev: Option<u32>, row: &[BoxId], stamp: u64) -> u32 {
+        if let Some(idx) = prev {
+            if self.classes[idx as usize].given == row {
+                self.touch_class(idx, stamp);
+                return idx;
             }
+        }
+        let hash = row_hash(row);
+        let mut cursor = self.by_row.get(&hash).copied().unwrap_or(NIL);
+        while cursor != NIL {
+            let class = &self.classes[cursor as usize];
+            if class.given == row {
+                self.touch_class(cursor, stamp);
+                return cursor;
+            }
+            cursor = class.hash_next;
+        }
+        let idx = match prev {
+            Some(idx) if self.states[idx as usize].touched != self.stamp => {
+                self.unregister_class(idx);
+                idx
+            }
+            _ => self.alloc_class(),
         };
-        // A recycled slot keeps its node and sink edge if it has them from a
-        // previous life in the *current* arena; otherwise create both.
-        let needs_node = self.slots[slot_idx].node == 0;
-        if needs_node {
-            let node = self.arena.add_node();
-            let sink_edge = self.arena.add_edge(node, self.sink, 1);
-            let slot = &mut self.slots[slot_idx];
-            slot.node = node;
-            slot.sink_edge = sink_edge;
-        } else {
-            // Revive the recycled sink edge.
-            let sink_edge = self.slots[slot_idx].sink_edge;
-            if self.arena.edge(sink_edge).original_cap == 0 {
-                self.arena.set_capacity(sink_edge, 1);
-                self.dead_pairs -= 1;
-            }
-        }
-        debug_assert_eq!(self.slots[slot_idx].assigned_box, NIL);
-        self.slots[slot_idx].stamp = self.stamp;
-        self.slots[slot_idx].pos = pos;
-        self.slots[slot_idx].given_valid = false;
-        let previous = self.by_key.insert(key, slot_idx);
-        assert!(
-            previous.is_none(),
-            "duplicate request key {key:?} in one round"
-        );
-        self.changed = true;
-        slot_idx
+        let class = &mut self.classes[idx as usize];
+        class.given.clear();
+        class.given.extend_from_slice(row);
+        class.needs_sync = true;
+        class.hash = hash;
+        class.hash_next = self.by_row.insert(hash, idx).unwrap_or(NIL);
+        self.touch_class(idx, stamp);
+        self.list_dirty(idx);
+        idx
     }
 
-    /// Patches the slot's candidate edges to match `cands`: revives or
-    /// creates edges for current candidates, de-capacitates edges for
-    /// dropped ones (cancelling their flow first).
-    fn set_candidates(&mut self, slot_idx: usize, cands: &[BoxId], stamp: u64) {
-        // Fastest path: the producer's change stamp proves the row unchanged
-        // since the last sync of this slot — no comparison needed at all
-        // (the engine's candidate-index diffs handed down as precomputed
-        // deltas).
-        if self.slots[slot_idx].given_valid
-            && stamp != NO_STAMP
-            && self.slots[slot_idx].given_stamp == stamp
-        {
-            debug_assert_eq!(self.slots[slot_idx].given, *cands, "stale change stamp");
+    /// Takes an empty class slot, reusing a pooled one (and its arena node
+    /// plus edge list) when one is free.
+    fn alloc_class(&mut self) -> u32 {
+        match self.free_classes.pop() {
+            Some(idx) => {
+                let class = &self.classes[idx as usize];
+                if class.node != 0 {
+                    // Back in use: its edges stop counting as garbage (the
+                    // settling diff de-capacitates those the new row drops).
+                    self.dead_pairs -= class.active as usize + 1;
+                }
+                idx
+            }
+            None => {
+                // The mirror links classes by `u32` index.
+                assert!(self.classes.len() < FRESH as usize, "class slot overflow");
+                self.classes.push(ClassSlot {
+                    node: 0,
+                    sink_edge: 0,
+                    cand_edges: Vec::new(),
+                    active: 0,
+                    given: Vec::new(),
+                    hash: 0,
+                    hash_next: NIL,
+                    settled: 0,
+                    needs_sync: true,
+                });
+                self.states.push(ClassState {
+                    touched: 0,
+                    given_stamp: NO_STAMP,
+                    members: 0,
+                    served: 0,
+                    head: NIL,
+                    hand: NIL,
+                    hand_left: 0,
+                    dirty: false,
+                });
+                self.classes.len() as u32 - 1
+            }
+        }
+    }
+
+    /// Takes class `idx` off its row-hash chain.
+    fn unregister_class(&mut self, idx: u32) {
+        let (hash, next) = {
+            let class = &self.classes[idx as usize];
+            (class.hash, class.hash_next)
+        };
+        let head = *self.by_row.get(&hash).expect("live class is registered");
+        if head == idx {
+            if next == NIL {
+                self.by_row.remove(&hash);
+            } else {
+                self.by_row.insert(hash, next);
+            }
             return;
         }
-        // Fast path: identical raw candidate list → active edges already
-        // match, nothing to diff.
-        if self.slots[slot_idx].given_valid && self.slots[slot_idx].given == *cands {
-            self.slots[slot_idx].given_stamp = stamp;
+        let mut cursor = head;
+        while self.classes[cursor as usize].hash_next != idx {
+            cursor = self.classes[cursor as usize].hash_next;
+        }
+        self.classes[cursor as usize].hash_next = next;
+    }
+
+    /// Notes that a request of this round presented class `idx`'s row, under
+    /// `stamp`.
+    fn touch_class(&mut self, idx: u32, stamp: u64) {
+        let state = &mut self.states[idx as usize];
+        if state.touched != self.stamp {
+            state.touched = self.stamp;
+            state.given_stamp = stamp;
+            state.hand = FRESH;
+        } else if stamp != NO_STAMP {
+            state.given_stamp = stamp;
+        }
+    }
+
+    /// A request joined (`delta = 1`) or left (`-1`) class `idx`.
+    fn resize_class(&mut self, idx: u32, delta: i32) {
+        let state = &mut self.states[idx as usize];
+        state.members = state.members.wrapping_add_signed(delta);
+        self.list_dirty(idx);
+    }
+
+    /// Puts class `idx` on this round's settle list (once).
+    fn list_dirty(&mut self, idx: u32) {
+        let state = &mut self.states[idx as usize];
+        if !state.dirty {
+            state.dirty = true;
+            self.dirty_classes.push(idx);
+        }
+    }
+
+    /// Brings class `idx`'s part of the arena in line with its tables: a
+    /// node if it has none, flow cut down to the member count, candidate
+    /// edges matching its row, and the member count as the capacity of the
+    /// sink edge and of every active candidate edge. A class left without
+    /// members is retired instead.
+    fn settle(&mut self, idx: usize) {
+        self.states[idx].dirty = false;
+        let members = self.states[idx].members as i64;
+        if members == 0 {
+            self.retire(idx);
             return;
         }
+        if self.classes[idx].node == 0 {
+            self.create_node(idx, members);
+            self.changed = true;
+        }
+        let mut excess = self.states[idx].served as i64 - members;
+        while excess > 0 {
+            let head = self.links[self.states[idx].head as usize];
+            let units = (head.units as i64).min(excess);
+            self.cancel_units(head.edge as usize, units);
+            excess -= units;
+        }
+        let resized = self.classes[idx].settled as i64 != members;
+        if self.classes[idx].needs_sync {
+            self.sync_row(idx, members);
+        } else if resized {
+            for i in 0..self.classes[idx].cand_edges.len() {
+                let edge = self.classes[idx].cand_edges[i].1;
+                if self.arena.edge(edge).original_cap != 0 {
+                    self.arena.set_capacity(edge, members);
+                }
+            }
+        }
+        if resized {
+            self.arena
+                .set_capacity(self.classes[idx].sink_edge, members);
+            self.classes[idx].settled = members as u32;
+            self.changed = true;
+        }
+    }
+
+    /// Retires a class whose last member left: cancels its flow,
+    /// de-capacitates its sink edge and returns the slot to the pool.
+    ///
+    /// Candidate edges are left active: with the sink edge at capacity 0 no
+    /// flow can route through the node, so they are harmless, and a recycled
+    /// slot often reuses them directly (its settling diff deactivates only
+    /// the ones the new row does not need). They do count as garbage for the
+    /// compaction trigger while the slot is pooled.
+    fn retire(&mut self, idx: usize) {
+        while self.states[idx].head != NIL {
+            let head = self.links[self.states[idx].head as usize];
+            self.cancel_units(head.edge as usize, head.units as i64);
+        }
+        let class = &mut self.classes[idx];
+        if class.node != 0 {
+            self.arena.set_capacity(class.sink_edge, 0);
+            class.settled = 0;
+            self.dead_pairs += class.active as usize + 1;
+        }
+        self.unregister_class(idx as u32);
+        self.free_classes.push(idx as u32);
+        self.changed = true;
+    }
+
+    /// Patches class `idx`'s candidate edges to match its row, every active
+    /// edge at capacity `cap`: revives or creates edges for current
+    /// candidates, de-capacitates edges for dropped ones (cancelling their
+    /// flow first).
+    fn sync_row(&mut self, idx: usize, cap: i64) {
         // Mark-array diff: O(row), no sort, no order assumption on the
         // producer. The marks live in `visit_stamp` under the box node ids
         // (a diff and a search never interleave, and the epoch only grows):
-        // `wanted` marks the boxes of `cands`, `synced` those whose edge is
+        // `wanted` marks the boxes of the row, `synced` those whose edge is
         // in place, so duplicate ids in the row collapse.
+        let given = std::mem::take(&mut self.classes[idx].given);
         let boxes = self.caps.len();
         let (wanted, synced) = (self.visit_epoch + 1, self.visit_epoch + 2);
         self.visit_epoch = synced;
-        for b in cands.iter().filter(|b| b.index() < boxes) {
+        for b in given.iter().filter(|b| b.index() < boxes) {
             self.visit_stamp[1 + b.index()] = wanted;
         }
-        for i in 0..self.slots[slot_idx].cand_edges.len() {
-            let (edge_box, edge) = self.slots[slot_idx].cand_edges[i];
+        for i in 0..self.classes[idx].cand_edges.len() {
+            let (edge_box, edge) = self.classes[idx].cand_edges[i];
             let mark = &mut self.visit_stamp[1 + edge_box.index()];
+            let edge_cap = self.arena.edge(edge).original_cap;
             if *mark == wanted {
                 *mark = synced;
-                if self.arena.edge(edge).original_cap == 0 {
-                    self.arena.set_capacity(edge, 1);
+                if edge_cap == 0 {
                     self.dead_pairs -= 1;
+                    self.classes[idx].active += 1;
+                }
+                if edge_cap != cap {
+                    self.arena.set_capacity(edge, cap);
                     self.changed = true;
                 }
-            } else {
-                self.deactivate_cand_edge(slot_idx, edge);
+            } else if edge_cap != 0 {
+                let units = self.units_on(edge);
+                if units > 0 {
+                    self.cancel_units(edge, units);
+                }
+                self.arena.set_capacity(edge, 0);
+                self.dead_pairs += 1;
+                self.classes[idx].active -= 1;
+                self.changed = true;
             }
         }
         // Boxes still marked `wanted` have no edge yet. Create them in
@@ -642,7 +996,7 @@ impl IncrementalMatcher {
         // so the arena's adjacency order does not depend on the producer.
         let mut added = std::mem::take(&mut self.added_cands);
         added.clear();
-        for &b in cands.iter().filter(|b| b.index() < boxes) {
+        for &b in given.iter().filter(|b| b.index() < boxes) {
             let mark = &mut self.visit_stamp[1 + b.index()];
             if *mark == wanted {
                 *mark = synced;
@@ -650,117 +1004,140 @@ impl IncrementalMatcher {
             }
         }
         added.sort_unstable();
-        let node = self.slots[slot_idx].node;
         for &cand_box in &added {
-            let edge = self.arena.add_edge(1 + cand_box.index(), node, 1);
-            self.slots[slot_idx].cand_edges.push((cand_box, edge));
+            let edge = self.add_cand_edge(idx, cand_box, cap);
+            self.classes[idx].cand_edges.push((cand_box, edge));
+            self.classes[idx].active += 1;
             self.changed = true;
         }
         self.added_cands = added;
-        // Remember the raw list (and the stamp it was captured under) for
-        // next round's fast paths.
-        let slot = &mut self.slots[slot_idx];
-        slot.given.clear();
-        slot.given.extend_from_slice(cands);
-        slot.given_valid = true;
-        slot.given_stamp = stamp;
+        self.classes[idx].given = given;
+        self.classes[idx].needs_sync = false;
     }
 
-    /// De-capacitates one candidate edge, cancelling its flow first.
-    fn deactivate_cand_edge(&mut self, slot_idx: usize, edge: usize) {
-        if self.arena.edge(edge).original_cap == 0 {
-            return; // already inactive
+    /// Notes that candidate edge `edge` of class `class` now carries `units`
+    /// of flow: the mirror's copies of the count (the edge's, and the
+    /// class's total), and a record on the box's and the class's matched
+    /// lists — pushed onto their fronts when flow appears, taken off and
+    /// pooled when it goes.
+    fn set_units(&mut self, class: u32, edge: usize, units: i64) {
+        let units = units as u32;
+        let slot = self.link_slot(edge);
+        let link = self.link_at[slot];
+        let before = if link == NIL {
+            0
+        } else {
+            self.links[link as usize].units
+        };
+        if units == before {
+            return;
         }
-        let slot = &self.slots[slot_idx];
-        if slot.assigned_box != NIL && slot.assigned_edge == edge {
-            self.cancel_assignment(slot_idx);
+        let state = &mut self.states[class as usize];
+        state.served = state.served - before + units;
+        if before != 0 && units != 0 {
+            self.links[link as usize].units = units;
+        } else if before == 0 {
+            let box_idx = (self.arena.target(edge ^ 1) - 1) as u32;
+            let (box_head, class_head) = (self.box_head[box_idx as usize], state.head);
+            let record = FlowLink {
+                edge: u32::try_from(edge).expect("arena edge ids fit the mirror"),
+                class,
+                box_idx,
+                units,
+                next: box_head,
+                prev: NIL,
+                class_next: class_head,
+                class_prev: NIL,
+            };
+            let link = match self.free_links.pop() {
+                Some(link) => {
+                    self.links[link as usize] = record;
+                    link
+                }
+                None => {
+                    self.links.push(record);
+                    self.links.len() as u32 - 1
+                }
+            };
+            if box_head != NIL {
+                self.links[box_head as usize].prev = link;
+            }
+            if class_head != NIL {
+                self.links[class_head as usize].class_prev = link;
+            }
+            self.box_head[box_idx as usize] = link;
+            self.states[class as usize].head = link;
+            self.link_at[slot] = link;
+        } else {
+            let FlowLink {
+                box_idx,
+                next,
+                prev,
+                class_next,
+                class_prev,
+                ..
+            } = self.links[link as usize];
+            if prev == NIL {
+                self.box_head[box_idx as usize] = next;
+            } else {
+                self.links[prev as usize].next = next;
+            }
+            if next != NIL {
+                self.links[next as usize].prev = prev;
+            }
+            if class_prev == NIL {
+                self.states[class as usize].head = class_next;
+            } else {
+                self.links[class_prev as usize].class_next = class_next;
+            }
+            if class_next != NIL {
+                self.links[class_next as usize].class_prev = class_prev;
+            }
+            self.free_links.push(link);
+            self.link_at[slot] = NIL;
         }
-        self.arena.set_capacity(edge, 0);
-        self.dead_pairs += 1;
+    }
+
+    /// Moves `delta` units onto (or, negative, off) candidate edge `edge` of
+    /// class `class`, keeping the mirror in step. The caller balances the
+    /// class's sink edge and the box's source edge.
+    fn shift(&mut self, class: u32, edge: usize, delta: i64) {
+        self.arena.push(edge, delta);
+        self.set_units(class, edge, self.arena.flow_on(edge));
+    }
+
+    /// Cancels `units` of the flow on candidate edge `edge` (source → box →
+    /// class → sink).
+    fn cancel_units(&mut self, edge: usize, units: i64) {
+        debug_assert!(units > 0 && units <= self.arena.flow_on(edge));
+        let FlowLink { class, box_idx, .. } =
+            self.links[self.link_at[self.link_slot(edge)] as usize];
+        self.shift(class, edge, -units);
+        self.arena.push(Self::source_edge(box_idx as usize), -units);
+        self.arena
+            .push(self.classes[class as usize].sink_edge, -units);
+        self.total_flow -= units;
         self.changed = true;
     }
 
-    /// Records that `slot_idx` is served by `box_idx` along `edge`: pushes
-    /// the slot onto the front of the box's matched list.
-    fn link(&mut self, slot_idx: usize, box_idx: u32, edge: usize) {
-        let head = self.box_head[box_idx as usize];
-        let slot = &mut self.slots[slot_idx];
-        debug_assert_eq!(slot.assigned_box, NIL, "slot is already linked");
-        slot.assigned_box = box_idx;
-        slot.assigned_edge = edge;
-        slot.prev = NIL;
-        slot.next = head;
-        if head != NIL {
-            self.slots[head as usize].prev = slot_idx as u32;
-        }
-        self.box_head[box_idx as usize] = slot_idx as u32;
-    }
-
-    /// Takes `slot_idx` off its box's matched list and marks it unserved.
-    fn unlink(&mut self, slot_idx: usize) {
-        let slot = &mut self.slots[slot_idx];
-        let (box_idx, prev, next) = (slot.assigned_box, slot.prev, slot.next);
-        debug_assert_ne!(box_idx, NIL, "slot is not linked");
-        slot.assigned_box = NIL;
-        if prev == NIL {
-            self.box_head[box_idx as usize] = next;
-        } else {
-            self.slots[prev as usize].next = next;
-        }
-        if next != NIL {
-            self.slots[next as usize].prev = prev;
-        }
-    }
-
-    /// Cancels the slot's unit of flow (source → box → request → sink).
-    fn cancel_assignment(&mut self, slot_idx: usize) {
-        let slot = &self.slots[slot_idx];
-        let (box_idx, cand_edge, sink_edge) =
-            (slot.assigned_box, slot.assigned_edge, slot.sink_edge);
-        debug_assert_eq!(self.arena.flow_on(cand_edge), 1);
-        self.arena.push(cand_edge, -1);
-        self.arena.push(self.source_edges[box_idx as usize], -1);
-        self.arena.push(sink_edge, -1);
-        self.unlink(slot_idx);
-        self.total_flow -= 1;
-    }
-
-    /// Applies a changed per-box capacity, evicting assignments off the
-    /// box's matched list while its load is above the new capacity (the
-    /// search or the warm solve re-routes them elsewhere).
+    /// Applies a changed per-box capacity, cancelling units off the box's
+    /// matched list while its load is above the new capacity (the search or
+    /// the warm solve re-routes them elsewhere).
     fn patch_box_capacity(&mut self, box_idx: usize, new_cap: u32) {
-        let source_edge = self.source_edges[box_idx];
-        let excess = self.arena.flow_on(source_edge) - new_cap as i64;
-        for _ in 0..excess {
-            self.cancel_assignment(self.box_head[box_idx] as usize);
+        let source_edge = Self::source_edge(box_idx);
+        let mut excess = self.arena.flow_on(source_edge) - new_cap as i64;
+        while excess > 0 {
+            let head = self.links[self.box_head[box_idx] as usize];
+            let units = (head.units as i64).min(excess);
+            self.cancel_units(head.edge as usize, units);
+            excess -= units;
         }
         self.arena.set_capacity(source_edge, new_cap as i64);
         self.caps[box_idx] = new_cap;
         self.changed = true;
     }
 
-    /// Removes a tracked request: cancels its flow and de-capacitates its
-    /// sink edge, returning the slot to the pool.
-    ///
-    /// Candidate edges are left active: with the sink edge at capacity 0 no
-    /// flow can route through the request node, so they are harmless, and a
-    /// recycled slot often reuses them directly (its next `set_candidates`
-    /// diff deactivates only the ones the new request does not need).
-    fn remove_request(&mut self, key: RequestKey) {
-        let slot_idx = self.by_key.remove(&key).expect("request is tracked");
-        if self.slots[slot_idx].assigned_box != NIL {
-            self.cancel_assignment(slot_idx);
-        }
-        let sink_edge = self.slots[slot_idx].sink_edge;
-        if self.arena.edge(sink_edge).original_cap != 0 {
-            self.arena.set_capacity(sink_edge, 0);
-            self.dead_pairs += 1;
-        }
-        self.free_slots.push(slot_idx);
-        self.changed = true;
-    }
-
-    /// Runs the solver on the arena as it stands (cold after a rebuild,
+    /// Runs the solver on the arena as it stands (cold after a reset,
     /// warm-started on the residual otherwise) and re-reads the mirror, which
     /// the solver does not maintain.
     fn solve(&mut self) {
@@ -769,42 +1146,22 @@ impl IncrementalMatcher {
     }
 
     /// Re-reads the mirror from the arena after a solver call, the only
-    /// place flow moves without the matcher's own bookkeeping. A slot whose
-    /// remembered edge still carries its flow costs one look; only a slot
-    /// the solver re-routed rescans its candidate edges.
+    /// place flow moves without the matcher's own bookkeeping: one look per
+    /// candidate edge of every live class.
     fn resync_assignments(&mut self) {
-        for i in 0..self.round_slots.len() {
-            let slot_idx = self.round_slots[i];
-            let slot = &self.slots[slot_idx];
-            let linked = slot.assigned_box != NIL;
-            if linked && self.arena.flow_on(slot.assigned_edge) == 1 {
+        for idx in 0..self.classes.len() {
+            if self.states[idx].members == 0 {
                 continue;
             }
-            let carrying = (self.arena.flow_on(slot.sink_edge) == 1).then(|| {
-                slot.cand_edges
-                    .iter()
-                    .copied()
-                    .find(|&(_, e)| self.arena.flow_on(e) == 1)
-                    .expect("served request has a flow-carrying candidate edge")
-            });
-            if linked {
-                self.unlink(slot_idx);
-            }
-            if let Some((edge_box, edge)) = carrying {
-                self.link(slot_idx, edge_box.0, edge);
+            for i in 0..self.classes[idx].cand_edges.len() {
+                let edge = self.classes[idx].cand_edges[i].1;
+                self.set_units(idx as u32, edge, self.arena.flow_on(edge));
             }
         }
     }
 
-    /// Number of this round's requests currently carrying no flow.
-    fn count_unserved(&self) -> usize {
-        self.round_slots
-            .iter()
-            .filter(|&&slot_idx| self.slots[slot_idx].assigned_box == NIL)
-            .count()
-    }
-
-    /// Attempts one augmenting path per unserved request of this round.
+    /// Attempts one augmenting path per unserved unit, a class at a time
+    /// until its first failure.
     ///
     /// Visit stamps persist across *failed* searches (the residual graph is
     /// unchanged by a failure, so nodes proven unable to reach the source
@@ -814,13 +1171,12 @@ impl IncrementalMatcher {
         // earlier rounds never collide with the current epoch.
         self.visit_stamp.resize(self.arena.node_count(), 0);
         self.visit_epoch += 1;
-        for i in 0..self.round_slots.len() {
-            let slot_idx = self.round_slots[i];
-            if self.slots[slot_idx].assigned_box != NIL {
-                continue;
-            }
-            self.search.round.searches += 1;
-            if self.try_augment(slot_idx) {
+        for idx in 0..self.states.len() {
+            while self.states[idx].served < self.states[idx].members {
+                self.search.round.searches += 1;
+                if !self.try_augment(idx as u32) {
+                    break;
+                }
                 self.search.round.augmented += 1;
                 self.total_flow += 1;
                 self.visit_epoch += 1;
@@ -833,73 +1189,79 @@ impl IncrementalMatcher {
         total.longest_path = total.longest_path.max(round.longest_path);
     }
 
-    /// Searches an alternating path from the unserved request `slot_idx` to
-    /// a box with a spare slot and, when found, pushes one unit along it.
-    /// Returns whether the request is now served.
+    /// Searches an alternating path from class `root`, short of a unit, to a
+    /// box with a spare slot and, when found, pushes one unit along it.
+    /// Returns whether the class gained the unit.
     ///
-    /// The walk alternates two kinds of frame. A request frame walks the
-    /// request node's arena adjacency for active candidate edges carrying no
-    /// flow; a box with spare source capacity ends the search at once
-    /// (without this shortcut the walk would wander through the box's
-    /// alternating tree first). A saturated box's frame walks only the
-    /// box's matched list — the ≤ `cap` requests whose flow could be moved
-    /// elsewhere — not its adjacency list.
-    fn try_augment(&mut self, slot_idx: usize) -> bool {
-        let root = self.slots[slot_idx].node;
-        if self.visit_stamp[root] == self.visit_epoch {
+    /// The walk alternates two kinds of frame. A class frame walks the
+    /// class's candidate edges for those with residual capacity; a box with
+    /// spare source capacity ends the search at once (without this shortcut
+    /// the walk would wander through the box's alternating tree first). A
+    /// saturated box's frame walks only the box's matched list — the classes
+    /// a unit of whose flow could be moved elsewhere — not its adjacency
+    /// list.
+    fn try_augment(&mut self, root: u32) -> bool {
+        let root_node = self.classes[root as usize].node;
+        if self.visit_stamp[root_node] == self.visit_epoch {
             return false; // proven unreachable earlier this epoch
         }
-        self.visit_stamp[root] = self.visit_epoch;
+        self.visit_stamp[root_node] = self.visit_epoch;
         self.dfs_stack.clear();
-        self.dfs_stack.push(Frame::Request {
-            slot: slot_idx as u32,
-            cursor: self.arena.first_edge(root),
+        self.dfs_stack.push(Frame::Class {
+            class: root,
+            from_edge: NO_EDGE,
+            cursor: 0,
         });
 
         while let Some(top) = self.dfs_stack.len().checked_sub(1) {
             let descend = match self.dfs_stack[top] {
-                Frame::Request { slot, mut cursor } => {
+                Frame::Class {
+                    class,
+                    from_edge,
+                    mut cursor,
+                } => {
                     let mut descend = None;
-                    while let Some(idx) = cursor {
-                        cursor = self.arena.next_edge(idx);
+                    let edges = &self.classes[class as usize].cand_edges;
+                    while let Some(&(cand_box, cand_edge)) = edges.get(cursor as usize) {
+                        cursor += 1;
                         self.search.round.edges_scanned += 1;
-                        // The row's entries are the twins of the candidate
-                        // edges (plus the sink edge, which leads nowhere).
-                        let cand_edge = idx ^ 1;
-                        let box_node = self.arena.target(idx);
-                        if box_node == self.sink
-                            || self.visit_stamp[box_node] == self.visit_epoch
+                        let box_idx = cand_box.index();
+                        if self.visit_stamp[1 + box_idx] == self.visit_epoch
                             || self.arena.residual(cand_edge) == 0
                         {
                             continue;
                         }
-                        let box_idx = box_node - 1;
-                        if self.arena.residual(self.source_edges[box_idx]) > 0 {
+                        if self.arena.residual(Self::source_edge(box_idx)) > 0 {
                             self.push_path(box_idx, cand_edge);
                             return true;
                         }
-                        self.visit_stamp[box_node] = self.visit_epoch;
+                        self.visit_stamp[1 + box_idx] = self.visit_epoch;
                         descend = Some(Frame::Box {
                             via: cand_edge,
                             cursor: self.box_head[box_idx],
                         });
                         break;
                     }
-                    self.dfs_stack[top] = Frame::Request { slot, cursor };
+                    self.dfs_stack[top] = Frame::Class {
+                        class,
+                        from_edge,
+                        cursor,
+                    };
                     descend
                 }
                 Frame::Box { via, mut cursor } => {
                     let mut descend = None;
                     while cursor != NIL {
-                        let matched = &self.slots[cursor as usize];
-                        let slot = cursor;
-                        cursor = matched.next;
+                        let record = self.links[cursor as usize];
+                        cursor = record.next;
                         self.search.round.edges_scanned += 1;
-                        if self.visit_stamp[matched.node] != self.visit_epoch {
-                            self.visit_stamp[matched.node] = self.visit_epoch;
-                            descend = Some(Frame::Request {
-                                slot,
-                                cursor: self.arena.first_edge(matched.node),
+                        let node = self.classes[record.class as usize].node;
+                        if self.visit_stamp[node] != self.visit_epoch {
+                            self.visit_stamp[node] = self.visit_epoch;
+                            descend = Some(Frame::Class {
+                                class: record.class,
+                                from_edge: record.edge as usize,
+                                cursor: 0,
                             });
                             break;
                         }
@@ -919,67 +1281,83 @@ impl IncrementalMatcher {
     }
 
     /// Pushes one unit along the path held in `dfs_stack`, completed by
-    /// candidate edge `last_edge` into `free_box` (a box with a spare slot),
-    /// and moves the mirror with it: every request on the path takes the box
-    /// one step nearer the free end, the root gains its sink unit.
+    /// candidate edge `last_edge` out of `free_box` (a box with a spare
+    /// slot), and moves the mirror with it: every class on the path takes a
+    /// unit from the box one step nearer the free end and gives up the one
+    /// it entered by, the root gains its sink unit.
     fn push_path(&mut self, free_box: usize, last_edge: usize) {
         let path_len = self.dfs_stack.len() as u64;
         self.search.round.longest_path = self.search.round.longest_path.max(path_len);
-        self.arena.push(self.source_edges[free_box], 1);
-        let (mut new_box, mut new_edge) = (free_box as u32, last_edge);
+        self.arena.push(Self::source_edge(free_box), 1);
+        let mut new_edge = last_edge;
         while let Some(frame) = self.dfs_stack.pop() {
             match frame {
-                Frame::Request { slot, .. } => {
-                    let slot_idx = slot as usize;
-                    if self.slots[slot_idx].assigned_box == NIL {
-                        // The root: the only unserved request on the path.
-                        self.arena.push(self.slots[slot_idx].sink_edge, 1);
+                Frame::Class {
+                    class, from_edge, ..
+                } => {
+                    self.shift(class, new_edge, 1);
+                    if from_edge == NO_EDGE {
+                        self.arena.push(self.classes[class as usize].sink_edge, 1);
                     } else {
-                        // Its old box's slot goes to the request one frame
-                        // down, so that box's source edge is left alone.
-                        self.arena.push(self.slots[slot_idx].assigned_edge, -1);
-                        self.unlink(slot_idx);
+                        // That box's slot goes to the class one frame down,
+                        // so its source edge is left alone.
+                        self.shift(class, from_edge, -1);
                     }
-                    self.arena.push(new_edge, 1);
-                    self.link(slot_idx, new_box, new_edge);
                 }
-                Frame::Box { via, .. } => {
-                    new_edge = via;
-                    new_box = (self.arena.target(via ^ 1) - 1) as u32;
-                }
+                Frame::Box { via, .. } => new_edge = via,
             }
         }
     }
 
-    /// Debug check: no augmenting path is left (every unserved request of
-    /// the current round is unreachable from the source in the residual
-    /// graph). Debug builds only; uses reusable scratch so it allocates
-    /// nothing in steady state.
+    /// Debug check: no augmenting path is left (every class that is short
+    /// of a unit is unreachable from the source in the residual graph).
+    /// Debug builds only; uses reusable scratch so it allocates nothing in
+    /// steady state.
     fn flow_is_maximal(&mut self) -> bool {
         self.arena
             .residual_reachable_into(0, &mut self.dbg_seen, &mut self.dbg_stack);
-        self.round_slots.iter().all(|&slot_idx| {
-            let slot = &self.slots[slot_idx];
-            self.arena.flow_on(slot.sink_edge) == 1 || !self.dbg_seen[slot.node]
-        })
+        self.classes
+            .iter()
+            .zip(&self.states)
+            .all(|(class, state)| state.served == state.members || !self.dbg_seen[class.node])
     }
 
-    /// Writes the assignment for this round's requests into `out`.
-    fn extract(&self, out: &mut Vec<Option<BoxId>>) {
+    /// Writes the assignment for this round's requests into `out`: each
+    /// class's units go to its members in input order, matched list first to
+    /// last. Reads the mirror only.
+    fn extract(&mut self, out: &mut Vec<Option<BoxId>>) {
         out.clear();
-        out.extend(self.round_slots.iter().enumerate().map(|(pos, &slot_idx)| {
-            let slot = &self.slots[slot_idx];
-            debug_assert_eq!(slot.pos, pos);
-            (slot.assigned_box != NIL).then_some(BoxId(slot.assigned_box))
-        }));
+        for &idx in &self.pos_class {
+            let state = &mut self.states[idx as usize];
+            if state.hand == FRESH {
+                state.hand = state.head;
+                state.hand_left = 0;
+            }
+            // A link runs dry when its last unit is handed out, so a cursor
+            // with nothing left is one that has not read its link yet.
+            if state.hand != NIL && state.hand_left == 0 {
+                state.hand_left = self.links[state.hand as usize].units;
+            }
+            if state.hand == NIL {
+                out.push(None);
+                continue;
+            }
+            let record = &self.links[state.hand as usize];
+            out.push(Some(BoxId(record.box_idx)));
+            state.hand_left -= 1;
+            if state.hand_left == 0 {
+                state.hand = record.class_next;
+            }
+        }
     }
 
     /// Debug check: the arena's flow is a valid flow of value `total_flow`.
     fn flow_is_consistent(&self) -> bool {
         let mut source_out = 0;
-        for &e in &self.source_edges {
-            let flow = self.arena.flow_on(e);
-            if flow < 0 || flow > self.arena.edge(e).original_cap {
+        for box_idx in 0..self.caps.len() {
+            let edge = Self::source_edge(box_idx);
+            let flow = self.arena.flow_on(edge);
+            if flow < 0 || flow > self.arena.edge(edge).original_cap {
                 return false;
             }
             source_out += flow;
@@ -988,34 +1366,60 @@ impl IncrementalMatcher {
     }
 
     /// Debug check: the assignment mirror is exactly the arena's flow. Every
-    /// box's matched list is well linked, holds as many slots as the box's
-    /// source edge carries units, each along a flow-carrying candidate edge
-    /// from that box to that slot's node; and a request of this round is
-    /// linked exactly when its sink edge carries flow.
+    /// candidate edge of a class has its flow as the mirror's unit count;
+    /// every box's matched list is well linked and its edges, each leaving
+    /// that box with units on it, add up to the flow on the box's source
+    /// edge; every class's matched list is well linked and its edges, each
+    /// entering that class's node, add up to the class's served count and
+    /// to the flow on its sink edge — so no flow-carrying edge is off the
+    /// lists.
     fn mirror_matches_arena(&self) -> bool {
         for (box_idx, &head) in self.box_head.iter().enumerate() {
             let mut load = 0;
             let (mut prev, mut cursor) = (NIL, head);
             while cursor != NIL {
-                let slot = &self.slots[cursor as usize];
-                if slot.assigned_box as usize != box_idx
-                    || slot.prev != prev
-                    || self.arena.flow_on(slot.assigned_edge) != 1
-                    || self.arena.target(slot.assigned_edge) != slot.node
-                    || self.arena.target(slot.assigned_edge ^ 1) != 1 + box_idx
+                let record = &self.links[cursor as usize];
+                let edge = record.edge as usize;
+                if record.prev != prev
+                    || record.units == 0
+                    || record.box_idx as usize != box_idx
+                    || self.arena.target(edge ^ 1) != 1 + box_idx
+                    || self.link_at[self.link_slot(edge)] != cursor
                 {
                     return false;
                 }
-                load += 1;
-                (prev, cursor) = (cursor, slot.next);
+                load += record.units as i64;
+                (prev, cursor) = (cursor, record.next);
             }
-            if load != self.arena.flow_on(self.source_edges[box_idx]) {
+            if load != self.arena.flow_on(Self::source_edge(box_idx)) {
                 return false;
             }
         }
-        self.round_slots.iter().all(|&slot_idx| {
-            let slot = &self.slots[slot_idx];
-            (slot.assigned_box != NIL) == (self.arena.flow_on(slot.sink_edge) == 1)
+        (0..self.classes.len()).all(|idx| {
+            let (class, state) = (&self.classes[idx], &self.states[idx]);
+            if class.node == 0 {
+                return state.head == NIL && state.served == 0;
+            }
+            let mirrored = class
+                .cand_edges
+                .iter()
+                .all(|&(_, edge)| self.arena.flow_on(edge) == self.units_on(edge));
+            let mut served = 0;
+            let (mut prev, mut cursor) = (NIL, state.head);
+            while cursor != NIL {
+                let record = &self.links[cursor as usize];
+                if record.class as usize != idx
+                    || record.class_prev != prev
+                    || self.arena.target(record.edge as usize) != class.node
+                {
+                    return false;
+                }
+                served += record.units;
+                (prev, cursor) = (cursor, record.class_next);
+            }
+            mirrored
+                && served == state.served
+                && served as i64 == self.arena.flow_on(class.sink_edge)
         })
     }
 }
@@ -1080,6 +1484,7 @@ impl std::fmt::Debug for IncrementalMatcher {
             .field("solver", &self.solver.name())
             .field("boxes", &self.caps.len())
             .field("tracked_requests", &self.by_key.len())
+            .field("classes", &(self.classes.len() - self.free_classes.len()))
             .field("total_flow", &self.total_flow)
             .field("rebuilds", &self.rebuilds)
             .field("rounds", &self.rounds)
@@ -1090,7 +1495,7 @@ impl std::fmt::Debug for IncrementalMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::assignment_is_valid;
+    use crate::scheduler::{assignment_is_valid, assignment_is_valid_view};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use vod_core::VideoId;
@@ -1216,10 +1621,16 @@ mod tests {
         let mut matcher = IncrementalMatcher::default();
         let mut out = Vec::new();
         for round in 0u32..300 {
-            // Entirely fresh keys each round: worst case for edge garbage.
+            // Entirely fresh keys each round, and rows no earlier round used
+            // in that order: worst case for edge garbage.
             let keys: Vec<RequestKey> = (0..6).map(|i| key(round * 10 + i, round % 5, 0)).collect();
             let cands: Vec<Vec<BoxId>> = (0..6u32)
-                .map(|i| vec![b((round + i) % 8), b((round + i + 3) % 8)])
+                .map(|i| {
+                    let mut row = vec![b((round + i) % 8), b((round + i + 3) % 8)];
+                    row.rotate_left((round / 8 % 2) as usize);
+                    row.push(b((round / 16 + i) % 8));
+                    row
+                })
                 .collect();
             matcher.schedule_keyed(&caps, &keys, &cands, &mut out);
             assert_eq!(out.iter().flatten().count(), 6, "round {round}");
@@ -1272,45 +1683,142 @@ mod tests {
             .collect()
     }
 
-    /// A seeded script mixing arrivals, departures, candidate gains and
-    /// losses, capacity cuts and restores and — every 40 rounds, by swapping
-    /// in entirely fresh requests for a few rounds — enough dead edges to
-    /// force compactions. Returns the matcher's rebuild count.
-    fn run_script(solver: Box<dyn MaxFlowSolve>, boxes: usize, rounds: u32, seed: u64) -> u64 {
+    /// Requests sharing one row, as the script's generator sees them: the
+    /// stamp is redrawn whenever the row changes, so equal stamps mean equal
+    /// rows (two groups may still hold equal rows under different stamps).
+    struct Group {
+        row: Vec<BoxId>,
+        stamp: u64,
+        members: Vec<RequestKey>,
+    }
+
+    /// A seeded script over row classes of 1–64 members: classes appear,
+    /// members join and leave mid-class or move to a row of their own, rows
+    /// shrink, box capacities are cut and restored and — every 40 rounds, by
+    /// swapping in an entirely fresh population for a few rounds — enough
+    /// edges die to force compactions. Three matchers run it side by side,
+    /// fed stamped rows, unstamped rows and slices of vecs: every round they
+    /// must return the same assignment vector, valid and as large as a cold
+    /// solve of the materialised rows, with mirror == arena in each. Returns
+    /// the rebuild count (the same in all three).
+    fn run_script(
+        make_solver: fn() -> Box<dyn MaxFlowSolve>,
+        boxes: usize,
+        rounds: u32,
+        seed: u64,
+    ) -> u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let base: Vec<u32> = (0..boxes).map(|_| rng.gen_range(0u32..4)).collect();
+        let base: Vec<u32> = (0..boxes).map(|_| rng.gen_range(0u32..12)).collect();
         let mut caps = base.clone();
-        let mut matcher = IncrementalMatcher::new(solver);
-        let mut out = Vec::new();
-        let mut live: Vec<(RequestKey, Vec<BoxId>)> = Vec::new();
-        let mut next_id = 0u32;
+        let mut matchers = [(); 3].map(|()| IncrementalMatcher::new(make_solver()));
+        let mut outs = [(); 3].map(|()| Vec::new());
+        let mut groups: Vec<Group> = Vec::new();
+        let (mut next_id, mut next_stamp) = (0u32, 0u64);
+        let mut fresh_key = move || {
+            next_id += 1;
+            key(next_id, next_id % 5, 0)
+        };
+        let mut fresh_stamp = move || {
+            next_stamp += 1;
+            next_stamp
+        };
+        let mut buf = CandidateBuf::new();
+        let mut loads = Vec::new();
         for round in 0..rounds {
             if round % 40 >= 36 {
-                live.clear();
-            }
-            for _ in 0..rng.gen_range(0..6) {
-                live.push((key(next_id, next_id % 5, 0), random_row(&mut rng, boxes)));
-                next_id += 1;
-            }
-            while live.len() > 3 * boxes.max(4) || (rng.gen_bool(0.2) && !live.is_empty()) {
-                live.swap_remove(rng.gen_range(0..live.len()));
+                groups.clear();
             }
             for _ in 0..rng.gen_range(0..3) {
-                if !live.is_empty() {
-                    let victim = rng.gen_range(0..live.len());
-                    live[victim].1 = random_row(&mut rng, boxes);
+                let size: usize = if rng.gen_bool(0.5) {
+                    1
+                } else {
+                    rng.gen_range(1usize..=64)
+                };
+                groups.push(Group {
+                    row: random_row(&mut rng, boxes),
+                    stamp: fresh_stamp(),
+                    members: (0..size).map(|_| fresh_key()).collect(),
+                });
+            }
+            for group in &mut groups {
+                if rng.gen_bool(0.3) {
+                    group.members.push(fresh_key());
+                }
+                if rng.gen_bool(0.3) {
+                    group
+                        .members
+                        .swap_remove(rng.gen_range(0..group.members.len()));
+                }
+            }
+            groups.retain(|group| !group.members.is_empty());
+            while groups.iter().map(|g| g.members.len()).sum::<usize>() > 300 {
+                groups.swap_remove(rng.gen_range(0..groups.len()));
+            }
+            if !groups.is_empty() {
+                // A row shrinks under all its members at once …
+                let pick = rng.gen_range(0..groups.len());
+                let group = &mut groups[pick];
+                if !group.row.is_empty() {
+                    group.row.remove(rng.gen_range(0..group.row.len()));
+                    group.stamp = fresh_stamp();
+                }
+                // … and one member leaves its class for a row of its own.
+                let pick = rng.gen_range(0..groups.len());
+                if groups[pick].members.len() > 1 {
+                    let member = groups[pick].members.pop().expect("two members");
+                    groups.push(Group {
+                        row: random_row(&mut rng, boxes),
+                        stamp: fresh_stamp(),
+                        members: vec![member],
+                    });
                 }
             }
             let box_idx = rng.gen_range(0..boxes);
             caps[box_idx] = match rng.gen_range(0..3) {
                 0 => 0,
                 1 => base[box_idx],
-                _ => rng.gen_range(0u32..4),
+                _ => rng.gen_range(0u32..12),
             };
+
+            // Input order interleaves the classes, as the engine's does.
+            let mut live: Vec<(RequestKey, usize)> = groups
+                .iter()
+                .enumerate()
+                .flat_map(|(g, group)| group.members.iter().map(move |&k| (k, g)))
+                .collect();
+            live.sort_unstable();
+            let keys: Vec<RequestKey> = live.iter().map(|&(k, _)| k).collect();
+            let rows: Vec<Vec<BoxId>> = live.iter().map(|&(_, g)| groups[g].row.clone()).collect();
+            let stamps: Vec<u64> = live.iter().map(|&(_, g)| groups[g].stamp).collect();
+            buf.fill_from_slices(&rows);
+            let [stamped, plain, bridged] = &mut matchers;
+            let [out_stamped, out_plain, out_bridged] = &mut outs;
+            stamped.schedule_keyed_view(&caps, &keys, buf.view_with_stamps(&stamps), out_stamped);
+            plain.schedule_keyed_view(&caps, &keys, buf.view(), out_plain);
+            bridged.schedule_keyed(&caps, &keys, &rows, out_bridged);
+
             let what = format!("{boxes} boxes, seed {seed}, round {round}");
-            checked_round(&mut matcher, &caps, &live, &mut out, &what);
+            assert_eq!(outs[0], outs[1], "{what}: stamps changed the assignment");
+            assert_eq!(
+                outs[1], outs[2],
+                "{what}: the bridge changed the assignment"
+            );
+            assert!(
+                assignment_is_valid_view(&outs[0], &caps, buf.view(), &mut loads),
+                "{what}"
+            );
+            assert_eq!(
+                outs[0].iter().flatten().count(),
+                cold_served(&caps, &rows),
+                "{what}"
+            );
+            for matcher in &matchers {
+                assert!(matcher.flow_is_consistent(), "{what}");
+                assert!(matcher.mirror_matches_arena(), "{what}");
+                assert_eq!(matcher.rebuilds(), matchers[0].rebuilds(), "{what}");
+            }
         }
-        matcher.rebuilds()
+        matchers[0].rebuilds()
     }
 
     #[test]
@@ -1321,7 +1829,7 @@ mod tests {
             || Box::new(PushRelabel::new()),
         ];
         for make_solver in solvers {
-            let rebuilds = run_script(make_solver(), 12, 300, 2009);
+            let rebuilds = run_script(make_solver, 12, 300, 2009);
             assert!(rebuilds > 1, "the script never forced a compaction");
         }
     }
@@ -1329,39 +1837,139 @@ mod tests {
     #[test]
     fn word_boundary_fleet_sizes() {
         for boxes in [1, 63, 64, 65] {
-            run_script(Box::new(Dinic::new()), boxes, 60, boxes as u64);
+            run_script(|| Box::new(Dinic::new()), boxes, 60, boxes as u64);
         }
     }
 
     #[test]
+    fn requests_sharing_a_row_share_one_node_and_one_edge_set() {
+        // Forty requests over two rows: two class nodes, five candidate
+        // edges and two sink edges, whatever the member counts.
+        let mut live: Vec<(RequestKey, Vec<BoxId>)> = Vec::new();
+        for i in 0..40 {
+            let row = if i % 4 == 0 {
+                vec![b(0), b(1)]
+            } else {
+                vec![b(1), b(2), b(3)]
+            };
+            live.push((key(i, 0, 0), row));
+        }
+        let caps = [6, 6, 20, 20];
+        let mut matcher = IncrementalMatcher::default();
+        let mut out = Vec::new();
+        checked_round(&mut matcher, &caps, &live, &mut out, "cold");
+        assert_eq!(out.iter().flatten().count(), 40);
+        assert_eq!(matcher.arena_edge_count(), 2 * (4 + 2 + 5));
+        // Members leave and join mid-class: capacities follow, no edge is
+        // added, and the survivors are served without a solver call.
+        live.retain(|(k, _)| k.viewer.0 % 3 != 0);
+        live.push((key(100, 0, 0), vec![b(0), b(1)]));
+        checked_round(&mut matcher, &caps, &live, &mut out, "churn");
+        assert_eq!(out.iter().flatten().count(), live.len());
+        assert_eq!(matcher.arena_edge_count(), 2 * (4 + 2 + 5));
+        assert_eq!(matcher.rebuilds(), 1);
+    }
+
+    #[test]
+    fn a_changed_row_retargets_its_class_in_place_and_keeps_the_flow() {
+        // Eight requests share [0, 1, 2]; box 2 then drops out of the row
+        // (a cache entry expired). The class keeps its node and the units on
+        // boxes 0 and 1; only box 2's three units are re-routed.
+        let caps = [3, 3, 3, 3];
+        let mut live: Vec<(RequestKey, Vec<BoxId>)> = (0..8)
+            .map(|i| (key(i, 0, 0), vec![b(0), b(1), b(2)]))
+            .collect();
+        let mut matcher = IncrementalMatcher::default();
+        let mut out = Vec::new();
+        checked_round(&mut matcher, &caps, &live, &mut out, "cold");
+        assert_eq!(out.iter().flatten().count(), 8);
+        let edges = matcher.arena_edge_count();
+        for (_, row) in &mut live {
+            *row = vec![b(0), b(1), b(3)];
+        }
+        checked_round(&mut matcher, &caps, &live, &mut out, "retargeted");
+        assert_eq!(out.iter().flatten().count(), 8);
+        assert_eq!(matcher.arena_edge_count(), edges + 2, "one new edge pair");
+        let round = matcher.search_stats().round;
+        assert!(round.searches <= 3, "{} searches", round.searches);
+        assert_eq!(matcher.rebuilds(), 1);
+    }
+
+    #[test]
+    fn a_departed_class_is_garbage_at_once() {
+        // Two 30-member classes over all 40 boxes and a small one. When the
+        // big two leave, their 82 edge pairs are garbage at once — not just
+        // their two sink edges — so the round they leave in compacts.
+        let boxes = 40u32;
+        let caps = vec![2u32; boxes as usize];
+        let forward: Vec<BoxId> = (0..boxes).map(b).collect();
+        let backward: Vec<BoxId> = (0..boxes).rev().map(b).collect();
+        let mut live: Vec<(RequestKey, Vec<BoxId>)> = Vec::new();
+        for i in 0..30 {
+            live.push((key(i, 0, 0), forward.clone()));
+            live.push((key(i, 0, 1), backward.clone()));
+        }
+        let small: Vec<(RequestKey, Vec<BoxId>)> = (0..4)
+            .map(|i| (key(100 + i, 1, 0), vec![b(0), b(1), b(2)]))
+            .collect();
+        live.extend(small.iter().cloned());
+        let mut matcher = IncrementalMatcher::default();
+        let mut out = Vec::new();
+        checked_round(&mut matcher, &caps, &live, &mut out, "all");
+        assert_eq!(matcher.arena_edge_count(), 2 * (40 + 3 + 40 + 40 + 3));
+        let before = out[60..].to_vec();
+        assert_eq!(matcher.rebuilds(), 1);
+        checked_round(&mut matcher, &caps, &small, &mut out, "departed");
+        assert_eq!(matcher.rebuilds(), 2);
+        let live_edges = 2 * (40 + 1 + 3);
+        assert!(
+            matcher.arena_edge_count() <= 2 * live_edges,
+            "{} arena edges for {live_edges} live ones",
+            matcher.arena_edge_count()
+        );
+        // The compaction kept the matching: nothing to search for, now or in
+        // the round after.
+        assert_eq!(out, before);
+        assert_eq!(matcher.search_stats().total.searches, 0);
+        checked_round(&mut matcher, &caps, &small, &mut out, "after");
+        assert_eq!(out, before);
+        assert_eq!(matcher.rebuilds(), 2);
+    }
+
+    #[test]
     fn targeted_search_leaves_a_fat_box_along_matched_edges_only() {
-        // Box 0 has 5 000 candidate edges and `cap` slots, all taken by the
-        // first `cap` requests (box 1, their only alternative, starts
-        // closed); every other request sits on box 2.
+        // Box 0 has 5 000 candidate edges (every request has a row of its
+        // own: its third candidate is a closed box no other request lists)
+        // and `cap` slots, all taken by the first `cap` requests (box 1,
+        // their only alternative, starts closed); every other request sits
+        // on box 2.
         let cap = 4u32;
         let mut live: Vec<(RequestKey, Vec<BoxId>)> = Vec::new();
         for i in 0..5_000 {
             let alternative = if i < cap { b(1) } else { b(2) };
-            live.push((key(i, 0, 0), vec![b(0), alternative]));
+            live.push((key(i, 0, 0), vec![b(0), alternative, b(3 + i)]));
         }
+        let mut caps = vec![0u32; 3 + 5_000];
+        caps[..3].copy_from_slice(&[cap, 0, 5_000]);
         let mut matcher = IncrementalMatcher::default();
         let mut out = Vec::new();
-        checked_round(&mut matcher, &[cap, 0, 5_000], &live, &mut out, "setup");
+        checked_round(&mut matcher, &caps, &live, &mut out, "setup");
         assert!(out[..cap as usize].iter().all(|a| *a == Some(b(0))));
 
         // Box 1 opens one slot and a request arrives that only box 0 can
         // serve: newcomer → box 0 → one of its four requests → box 1.
         live.push((key(5_000, 0, 0), vec![b(0)]));
-        checked_round(&mut matcher, &[cap, 1, 5_000], &live, &mut out, "arrival");
+        caps[1] = 1;
+        checked_round(&mut matcher, &caps, &live, &mut out, "arrival");
         assert_eq!(out[5_000], Some(b(0)));
         let round = matcher.search_stats().round;
         assert_eq!((round.searches, round.augmented), (1, 1));
         assert_eq!(round.longest_path, 3);
-        // The newcomer's row (one candidate + its sink edge), box 0's
-        // matched list, one displaced request's row (two candidates + its
-        // sink edge) — not box 0's 5 000-entry adjacency list.
+        // The newcomer's row (one candidate), box 0's matched list, one
+        // displaced request's row (three candidates) — not box 0's
+        // 5 000-entry adjacency list.
         assert!(
-            round.edges_scanned <= 2 + cap as u64 + 3,
+            round.edges_scanned <= 1 + cap as u64 + 3,
             "scanned {} entries",
             round.edges_scanned
         );
@@ -1371,14 +1979,26 @@ mod tests {
 
     #[test]
     fn compaction_keeps_the_matching() {
-        // Twenty-four long-lived requests fill boxes 0..12 (2 slots each);
-        // eight short-lived ones a round rotate over boxes 12..24 (1 slot
-        // each), and their departures fill the arena with dead edges.
+        // Twenty-four long-lived requests in twelve classes of two fill
+        // boxes 0..12 (2 slots each); eight short-lived ones a round rotate
+        // over boxes 12..24 (1 slot each), and their departures fill the
+        // arena with dead edges.
         let mut caps = vec![2u32; 12];
         caps.extend([1; 12]);
         let stable: Vec<(RequestKey, Vec<BoxId>)> = (0..24)
             .map(|i| (key(i, 0, 0), vec![b(i % 12), b((i + 1) % 12)]))
             .collect();
+        // The boxes serving each class (members `i` and `i + 12`), sorted:
+        // which member holds which of the class's units is not pinned.
+        let per_class = |out: &[Option<BoxId>]| -> Vec<[Option<BoxId>; 2]> {
+            (0..12)
+                .map(|i| {
+                    let mut pair = [out[i], out[i + 12]];
+                    pair.sort_unstable();
+                    pair
+                })
+                .collect()
+        };
         let mut matcher = IncrementalMatcher::default();
         let mut out = Vec::new();
         let mut before = Vec::new();
@@ -1387,20 +2007,25 @@ mod tests {
             let mut live = stable.clone();
             for i in 0..8 {
                 let id = 1_000 + round * 8 + i;
-                live.push((key(id, 1, 0), vec![b(12 + id % 12), b(12 + (id + 5) % 12)]));
+                let mut row = vec![b(12 + id % 12), b(12 + (id + 5) % 12)];
+                // No two rounds' rows alike, so none is recycled.
+                row.push(b(24 + round));
+                live.push((key(id, 1, 0), row));
             }
+            let mut round_caps = caps.clone();
+            round_caps.resize(24 + 200, 0);
             let rebuilds = matcher.rebuilds();
             let what = format!("round {round}");
-            checked_round(&mut matcher, &caps, &live, &mut out, &what);
+            checked_round(&mut matcher, &round_caps, &live, &mut out, &what);
             assert_eq!(out[..24].iter().flatten().count(), 24, "{what}");
             if round > 0 && matcher.rebuilds() > rebuilds {
                 compactions += 1;
                 // The survivors kept their boxes, so only the eight
                 // arrivals were searched for.
-                assert_eq!(out[..24], before[..], "{what}");
+                assert_eq!(per_class(&out), before, "{what}");
                 assert_eq!(matcher.search_stats().round.searches, 8, "{what}");
             }
-            before = out[..24].to_vec();
+            before = per_class(&out);
         }
         assert!(compactions > 0, "compaction never kicked in");
     }
@@ -1446,7 +2071,7 @@ mod tests {
         let first = vec![(key(0, 0, 0), vec![b(0), b(1)])];
         checked_round(&mut matcher, &caps, &first, &mut out, "first");
         // Request 0 leaves in the round request 1 arrives (into a fresh
-        // slot: arrivals are placed before departures are swept) …
+        // class slot: arrivals are placed before departures are swept) …
         let second = vec![(key(1, 0, 0), vec![b(0)])];
         checked_round(&mut matcher, &caps, &second, &mut out, "second");
         assert_eq!(out, vec![Some(b(0))]);
@@ -1455,7 +2080,7 @@ mod tests {
         let third = vec![second[0].clone(), (key(2, 0, 0), vec![b(1), b(2)])];
         checked_round(&mut matcher, &caps, &third, &mut out, "third");
         assert_eq!(out.iter().flatten().count(), 2);
-        assert_eq!(matcher.slots.len(), 2, "the freed slot was not reused");
+        assert_eq!(matcher.classes.len(), 2, "the freed slot was not reused");
         assert_eq!(matcher.rebuilds(), 1);
     }
 
