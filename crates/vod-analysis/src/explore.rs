@@ -739,31 +739,11 @@ fn admissible_batches(reference: &Simulator, system: &VideoSystem, mu: f64) -> V
     batches
 }
 
-/// Normalizes one round's metrics for cross-variant comparison. Blanked
-/// fields are scheduler-shape, not schedule: shard observability,
-/// relay-lending counters, and the allocation/cache sourcing split (the
-/// global and sharded max-flows may pick different suppliers for the same
-/// served set, so only the sum — `served`, which stays compared — is
-/// schedule-invariant; the sharded-vs-sharded gates still pin the split
-/// across thread counts). Wall-clock timing is scrubbed through the
-/// [`vod_sim::TimingNeutral`] rule ([`vod_sim::CandidateStats`] equality
-/// already ignores build time, and [`RoundMetrics`] equality ignores
-/// `timing` — scrubbing here keeps normalized records canonical for
-/// hashing and serialization too). Everything else must match bit for bit.
+/// Normalizes one round's metrics for cross-variant comparison: the rule
+/// is [`RoundMetrics::normalized`] (the sharded-vs-sharded gates still pin
+/// the sourcing split across thread counts).
 pub fn normalize_round(metrics: &RoundMetrics) -> RoundMetrics {
-    let mut m = metrics.clone();
-    m.shard = None;
-    m.served_from_allocation = 0;
-    m.served_from_cache = 0;
-    if let Some(relay) = &mut m.relay {
-        relay.contested_relays = 0;
-        relay.lent = 0;
-    }
-    if let Some(cand) = &mut m.candidates {
-        vod_sim::TimingNeutral::scrub(cand);
-    }
-    m.timing = None;
-    m
+    metrics.normalized()
 }
 
 /// Normalizes a whole report for cross-variant comparison (per-round

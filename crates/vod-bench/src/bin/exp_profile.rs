@@ -10,11 +10,12 @@
 //! reporting per-stage p50/p99/max latencies from the recorder's
 //! log-bucketed histograms. Beside the times it prints the work the
 //! matcher's targeted augmenting search did (searches, augmentations,
-//! entries scanned, longest path) on the workloads the global max-flow
-//! scheduler runs.
+//! passes, look-ahead hits, entries scanned, longest path) on the workloads
+//! the global max-flow scheduler runs.
 //!
-//! Four standard workloads are profiled: sustained churn, a flash crowd,
-//! a heterogeneous relayed fleet, and churn with budgeted repair on the
+//! Five standard workloads are profiled: sustained churn, a flash crowd,
+//! a heterogeneous relayed fleet, a fleet exactly at the threshold
+//! (u = 1.0, every slot taken), and churn with budgeted repair on the
 //! sharded scheduler. For each, the run is executed twice — recorder off
 //! and recorder on — and the experiment enforces the observability
 //! contract:
@@ -26,11 +27,14 @@
 //!   may exceed the recorder-off run by at most `PROFILE_GATE_TOLERANCE`
 //!   (default 5%) once the round is above the `PROFILE_GATE_MIN_MS` noise
 //!   floor (default 0.05 ms); `PROFILE_GATE_SKIP=1` reports without
-//!   failing, for hosts where wall-clock comparison is meaningless.
+//!   failing, for hosts where wall-clock comparison is meaningless;
+//! * **bounded search work** — entries scanned per targeted search stay
+//!   within `SEARCH_WORK_BOUND` on every workload. These are counts,
+//!   identical on every host and every run, so this gate is never skipped.
 //!
 //! `TRACE_JSONL=<path>` additionally exports the recorded span ring as
 //! JSON Lines (one `{"stage":…,"round":…,"ns":…,"payload":…}` object per
-//! line, all four workloads concatenated in run order). `--watch` replays
+//! line, all five workloads concatenated in run order). `--watch` replays
 //! the churn workload as a live inspector, redrawing the stage table as
 //! rounds execute. `BENCH_JSON` records the traced and untraced timings as
 //! separate series, extending the perf trajectory to recorder overhead.
@@ -62,6 +66,12 @@ fn env_f64(name: &str, default: f64) -> f64 {
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
 }
+
+/// Most entries a targeted search may scan, averaged over a workload's run.
+/// The tables below read 2–4; a search that walks into saturated boxes
+/// before it has looked along its own row for a spare slot read 596 on the
+/// benchmark's `relay-faults` (n = 512), over paths of up to 583 edges.
+const SEARCH_WORK_BOUND: u64 = 32;
 
 /// Span-ring capacity for the traced runs: large enough that quick-scale
 /// runs keep every record, small enough to stay preallocated-cheap.
@@ -101,6 +111,16 @@ fn flash_system(scale: Scale) -> VideoSystem {
     let mut rng = StdRng::seed_from_u64(42);
     VideoSystem::homogeneous(params, &RandomPermutationAllocator::new(4), &mut rng)
         .expect("flash-crowd system must allocate")
+}
+
+/// A homogeneous fleet exactly at the threshold: u = 1.0, so sequential
+/// viewers take every upload slot and an arrival is placed by moving others.
+fn tight_system(scale: Scale) -> VideoSystem {
+    let n = scale.pick(32, 64);
+    let params = SystemParams::new(n, 1.0, 4, 4, 3, 1.3, scale.pick(12, 16));
+    let mut rng = StdRng::seed_from_u64(0x2009);
+    VideoSystem::homogeneous(params, &RandomPermutationAllocator::new(3), &mut rng)
+        .expect("tight system must allocate")
 }
 
 /// A u*-compensated two-class fleet (the `exp_churn` relay recipe).
@@ -356,10 +376,12 @@ fn main() {
     let flash_rounds = scale.pick(50u64, 120);
     let fleet = relay_fleet(scale);
     let relay_rounds = scale.pick(60u64, 120);
+    let tight_sys = tight_system(scale);
+    let tight_rounds = scale.pick(80u64, 200);
 
     // One cell per workload on the global max-flow scheduler (the sharded
     // run's per-shard matchers are not reachable from outside).
-    let searches: [SearchCell; 3] = Default::default();
+    let searches: [SearchCell; 4] = Default::default();
     let workloads: Vec<(&str, String, u64, WorkloadRun)> = vec![
         (
             "churn",
@@ -431,6 +453,31 @@ fn main() {
             ),
         ),
         (
+            "tight",
+            format!("n{}r{tight_rounds}", tight_sys.n()),
+            tight_rounds,
+            profile_workload(
+                tight_rounds,
+                repeats,
+                &|| {
+                    Simulator::with_scheduler(
+                        &tight_sys,
+                        sim_config(tight_rounds),
+                        CountingScheduler::boxed(&searches[3]),
+                    )
+                },
+                &|| {
+                    Box::new(SequentialViewing::new(
+                        tight_sys.n(),
+                        tight_sys.m(),
+                        NextVideoPolicy::RoundRobin,
+                        1.3,
+                        41,
+                    ))
+                },
+            ),
+        ),
+        (
             "churn+repair",
             format!("n{}r{churn_rounds}t2", churn_sys.n()),
             churn_rounds,
@@ -482,6 +529,8 @@ fn main() {
             "workload",
             "searches",
             "augmented",
+            "passes",
+            "look-ahead hits",
             "entries scanned",
             "per search",
             "longest path",
@@ -493,10 +542,19 @@ fn main() {
             label.to_string(),
             c.searches.to_string(),
             c.augmented.to_string(),
+            c.passes.to_string(),
+            c.lookahead_hits.to_string(),
             c.edges_scanned.to_string(),
             format!("{:.1}", c.edges_scanned as f64 / c.searches.max(1) as f64),
             c.longest_path.to_string(),
         ]);
+        if c.edges_scanned > SEARCH_WORK_BOUND * c.searches {
+            eprintln!(
+                "FAIL [{label}]: {} entries scanned by {} searches — more than {SEARCH_WORK_BOUND} per search",
+                c.edges_scanned, c.searches
+            );
+            failed = true;
+        }
     }
     println!("{}", search_table.to_markdown());
 
@@ -583,6 +641,6 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "\nexp_profile: stage tables, bit-identical traced runs, and the overhead gate passed"
+        "\nexp_profile: stage tables, bit-identical traced runs, the search-work gate and the overhead gate passed"
     );
 }

@@ -1,10 +1,15 @@
-//! E14 — Solver backends: word-parallel kernels vs their scalar twins.
+//! E14 — Solver backends on cold instances: word-parallel kernels next to
+//! their scalar twins.
 //!
-//! Lemma 1 is solved once per round; after the candidate pipeline became
-//! incremental (PR 5) the max-flow solver inner loops are the dominant
-//! per-round cost. This experiment replays identical keyed round scripts
-//! through [`MaxFlowScheduler`] wired to each [`vod_flow::MaxFlowSolve`]
-//! backend and times them head-to-head:
+//! A solver runs where the matcher has no flow to start from: the keyed
+//! round after a reset (first round, fleet-size change) and every one-shot
+//! [`Scheduler::schedule`] call. Warm rounds never reach it — the
+//! [`vod_sim::IncrementalMatcher`] restores maximality by its own targeted
+//! search whatever share of the round is unserved — so replaying a script
+//! *warm* through each backend times the matcher six times over. This
+//! experiment therefore solves every round of identical scripts **cold**,
+//! through [`MaxFlowScheduler::schedule`] wired to each
+//! [`vod_flow::MaxFlowSolve`] backend, and times them head-to-head:
 //!
 //! * `dinic` (word-parallel level BFS on Lemma-1 shapes) vs `dinic-scalar`;
 //! * `hopcroft-karp` (capacitated word-parallel matcher) vs
@@ -12,20 +17,22 @@
 //! * `push-relabel` (gap + global-relabel heuristics) vs
 //!   `push-relabel-basic` (gap only).
 //!
-//! Four workload shapes cover the regimes the schedulers meet in the
+//! Four instance shapes cover the regimes the schedulers meet in the
 //! simulator: multi-swarm churn (many small blocks), a flash crowd (one
-//! dense block — the word-parallel sweet spot), an adversarial
-//! capacity-tight overload (long augmenting paths, the relabel stress
-//! case), and a heterogeneous-relay shape (a few high-`u` superboxes
-//! carrying most of the load, as produced by `u*`-compensation).
+//! dense block), an adversarial capacity-tight overload (long augmenting
+//! paths, the relabel stress case), and a heterogeneous-relay shape (a few
+//! high-`u` superboxes carrying most of the load, as produced by
+//! `u*`-compensation).
 //!
 //! The run doubles as a CI determinism gate: every backend must produce an
 //! identical per-round served sequence on every workload (they are all
-//! exact maximum-flow algorithms, and the scheduler extracts the same
-//! maximal schedule), and the run exits non-zero on any divergence.
+//! exact maximum-flow algorithms), and the run exits non-zero on any
+//! divergence.
 //!
 //! With `BENCH_JSON=<file>` the per-backend ms/round lands in the perf
-//! trajectory (`BENCH_<pr>.json`, gated by `exp_bench_gate`).
+//! trajectory (`BENCH_<pr>.json`, gated by `exp_bench_gate`) under
+//! `cold/<backend>` — new keys: the `<backend>` series of earlier files
+//! timed warm-started solves, which no longer exist.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -176,18 +183,17 @@ fn scalar_twin(series: &str) -> Option<&'static str> {
     }
 }
 
-/// One replay: per-round served counts (replay-invariant) plus the best
-/// wall-clock per round over `REPEATS`.
+/// One replay, every round solved cold: per-round served counts
+/// (replay-invariant) plus the best wall-clock per round over `REPEATS`.
 fn profile(script: &RoundScript, make: &fn() -> Box<dyn MaxFlowSolve>) -> (Vec<usize>, f64) {
     let mut best = f64::INFINITY;
     let mut per_round = Vec::new();
     for _ in 0..REPEATS {
         let mut scheduler = MaxFlowScheduler::with_solver(make());
-        let mut out = Vec::new();
         let mut served = Vec::with_capacity(script.rounds.len());
         let start = Instant::now();
-        for (keys, cands) in &script.rounds {
-            scheduler.schedule_keyed(&script.caps, keys, cands, &mut out);
+        for (_, cands) in &script.rounds {
+            let out = scheduler.schedule(&script.caps, cands);
             served.push(out.iter().flatten().count());
         }
         let elapsed = start.elapsed().as_secs_f64() * 1e3;
@@ -200,15 +206,15 @@ fn profile(script: &RoundScript, make: &fn() -> Box<dyn MaxFlowSolve>) -> (Vec<u
 fn main() {
     let scale = Scale::from_env();
     print_header(
-        "E14 exp_solvers — word-parallel solver kernels",
-        "all max-flow backends serve identical per-round schedules (Lemma 1 has a unique optimum value); word-parallel kernels beat their scalar twins where rows are dense",
+        "E14 exp_solvers — solver kernels on cold instances",
+        "all max-flow backends serve identical per-round sequences (Lemma 1 has a unique optimum value); the table is what each costs where production still calls one, on a cold instance",
         scale,
     );
 
     let mut sink = BenchSink::from_env(scale);
     let mut diverged = false;
     let mut table = Table::new(
-        "Solver wall-clock per round (identical served sequences required)",
+        "Cold solve wall-clock per round (identical served sequences required)",
         &[
             "workload",
             "solver",
@@ -258,7 +264,13 @@ fn main() {
                 format!("{ms:.4}"),
                 speedup,
             ]);
-            sink.record(series, shape.label, &shape.config, *ms, total_served as u64);
+            sink.record(
+                &format!("cold/{series}"),
+                shape.label,
+                &shape.config,
+                *ms,
+                total_served as u64,
+            );
         }
         verdicts.push(format!(
             "{}: hopcroft-karp {:.2}x vs scalar, dinic {:.2}x vs scalar, push-relabel {:.2}x vs basic",

@@ -2304,10 +2304,10 @@ mod tests {
             fork.step(&mut gen_fork);
             original.step(&mut gen_orig);
             assert_eq!(fork.state_signature(), original.state_signature());
-            assert_eq!(
-                fork.report_so_far().rounds.last(),
-                original.report_so_far().rounds.last()
-            );
+            // The fork's matcher starts cold, the original's is warm: both
+            // serve a maximum, from suppliers of their own choosing.
+            let last = |sim: &Simulator| sim.report_so_far().rounds.last().map(|r| r.normalized());
+            assert_eq!(last(&fork), last(&original));
         }
     }
 

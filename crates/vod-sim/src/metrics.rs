@@ -100,6 +100,35 @@ impl PartialEq for RoundMetrics {
     }
 }
 
+impl RoundMetrics {
+    /// The round with everything that is the scheduler's *choice* blanked,
+    /// for comparing runs whose schedulers differ (global vs sharded, warm
+    /// vs cold-started): shard observability, relay-lending counters, and
+    /// the allocation/cache sourcing split — Lemma 1 fixes how many requests
+    /// a round serves, not which supplier serves each, so two maximum flows
+    /// may split `served` differently and only the sum, which stays
+    /// compared, is schedule-invariant. Wall-clock timing is scrubbed
+    /// through the [`vod_obs::TimingNeutral`] rule ([`CandidateStats`]
+    /// equality already ignores build time, and equality here ignores
+    /// `timing` — scrubbing keeps normalized records canonical for hashing
+    /// and serialization too). Everything else must match bit for bit.
+    pub fn normalized(&self) -> RoundMetrics {
+        let mut m = self.clone();
+        m.shard = None;
+        m.served_from_allocation = 0;
+        m.served_from_cache = 0;
+        if let Some(relay) = &mut m.relay {
+            relay.contested_relays = 0;
+            relay.lent = 0;
+        }
+        if let Some(cand) = &mut m.candidates {
+            vod_obs::TimingNeutral::scrub(cand);
+        }
+        m.timing = None;
+        m
+    }
+}
+
 impl JsonCodec for RoundMetrics {
     fn to_json(&self) -> Json {
         obj(vec![

@@ -2,10 +2,11 @@
 //!
 //! Backed by the [`IncrementalMatcher`]: when driven through
 //! [`Scheduler::schedule_keyed`] (as the engine does) consecutive rounds
-//! patch one reused flow arena and warm-start the solver, so a steady-state
-//! round performs no heap allocation in the matching layer. The plain
-//! [`Scheduler::schedule`] entry point solves one-shot instances, still
-//! reusing the same arena storage.
+//! patch one reused flow arena and restore maximality from last round's
+//! flow, so a steady-state round performs no heap allocation in the
+//! matching layer and never calls the solver. The plain
+//! [`Scheduler::schedule`] entry point solves one-shot instances cold,
+//! still reusing the same arena storage.
 
 use super::{IncrementalMatcher, RequestKey, Scheduler};
 use vod_core::BoxId;

@@ -759,8 +759,7 @@ impl ShardedMatcher {
             // stale — every reroute away from it invalidates the failure
             // marks of the targeted search — while the rebuild path preloads
             // this round's fresh shard flows and repairs next to nothing.
-            // Mirror the incremental matcher's unserved-set heuristic and
-            // pick per round; the choice depends only on the (thread-count
+            // Pick per round; the choice depends only on the (thread-count
             // invariant) shard outcome, so determinism is preserved.
             let stale_warm_start = shard_unserved * 8 > keys.len() + 64;
             let start = Instant::now();
