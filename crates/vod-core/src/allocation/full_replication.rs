@@ -55,7 +55,7 @@ impl Allocator for FullReplicationAllocator {
             }
         }
 
-        let mut placement = Placement::empty(boxes.len());
+        let mut placement = Placement::empty(boxes.len(), catalog);
         for b in boxes.iter() {
             let slots = b.storage.slots() as usize;
             // Mandatory portion: one stripe of every video.

@@ -106,7 +106,7 @@ impl Allocator for RandomIndependentAllocator {
             });
         }
 
-        let mut placement = Placement::empty(boxes.len());
+        let mut placement = Placement::empty(boxes.len(), catalog);
         let capacities: Vec<usize> = boxes.iter().map(|b| b.storage.slots() as usize).collect();
 
         for stripe in catalog.stripes() {

@@ -55,7 +55,7 @@ impl Allocator for RandomPermutationAllocator {
         entries.resize(total_slots, None);
         entries.shuffle(rng);
 
-        let mut placement = Placement::empty(boxes.len());
+        let mut placement = Placement::empty(boxes.len(), catalog);
         let mut cursor = 0usize;
         for b in boxes.iter() {
             let slots = b.storage.slots() as usize;

@@ -41,7 +41,7 @@ impl Allocator for RoundRobinAllocator {
 
         let n = boxes.len();
         let capacities: Vec<usize> = boxes.iter().map(|b| b.storage.slots() as usize).collect();
-        let mut placement = Placement::empty(n);
+        let mut placement = Placement::empty(n, catalog);
         let c = catalog.stripes_per_video();
 
         for stripe in catalog.stripes() {

@@ -23,8 +23,9 @@
 //! round-to-round.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use vod_core::json::{obj, Json, JsonCodec, JsonError};
-use vod_core::{BoxId, SortedSignature, StripeId};
+use vod_core::{BoxId, FxHasher64, SortedSignature, StripeId};
 
 /// How one scheduled connection resolved this round.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -246,7 +247,11 @@ pub struct DeliveryTracker {
     timeout_ppm: u32,
     surge_ppm: u32,
     surge_until: u64,
-    streams: HashMap<(BoxId, StripeId), StreamState>,
+    /// Streams in backoff or abandoned (a few dozen), probed once per
+    /// request in `admit` and once per delivered connection. Nothing reads
+    /// the map's iteration order: `push_signature` folds through
+    /// [`SortedSignature`] and `forget_viewer` is a `retain`.
+    streams: HashMap<(BoxId, StripeId), StreamState, BuildHasherDefault<FxHasher64>>,
     round: DeliveryRoundStats,
 }
 
@@ -261,7 +266,7 @@ impl DeliveryTracker {
             timeout_ppm: 0,
             surge_ppm: 0,
             surge_until: 0,
-            streams: HashMap::new(),
+            streams: HashMap::default(),
             round: DeliveryRoundStats::default(),
         }
     }

@@ -1229,9 +1229,10 @@ impl<'a> Simulator<'a> {
     fn plan_repairs(&mut self) -> Option<RepairRoundStats> {
         let planner = self.repair.as_mut()?;
         let stats = planner.plan_round(&self.placement, &self.alive, &self.capacities);
-        for (idx, &egress) in planner.egress().iter().enumerate() {
-            debug_assert!(egress <= self.capacities[idx], "repair oversubscribed box");
-            self.capacities[idx] -= egress;
+        for t in planner.transfers() {
+            let open = &mut self.capacities[t.source.index()];
+            debug_assert!(*open > 0, "repair oversubscribed box");
+            *open -= 1;
         }
         Some(stats)
     }

@@ -104,6 +104,9 @@ pub struct RepairPlanner {
     lost: Vec<StripeId>,
     /// Transfers planned by the most recent [`RepairPlanner::plan_round`].
     transfers: Vec<RepairTransfer>,
+    /// The most recent plan's transfers once committed: what the next
+    /// [`RepairPlanner::plan_round`] walks to zero `egress` and `dest_load`.
+    committed: Vec<RepairTransfer>,
     /// Upload slots drawn per source box by the most recent plan.
     egress: Vec<u32>,
     /// Scratch: replicas planned onto each destination this round.
@@ -124,6 +127,7 @@ impl RepairPlanner {
             pending: Vec::new(),
             lost: Vec::new(),
             transfers: Vec::new(),
+            committed: Vec::new(),
             egress: vec![0; n],
             dest_load: vec![0; n],
             repaired_total: 0,
@@ -177,12 +181,7 @@ impl RepairPlanner {
         alive: &BitSet,
         capacities: &[u32],
     ) -> RepairRoundStats {
-        self.transfers.clear();
-        let n = self.storage.len();
-        self.egress.clear();
-        self.egress.resize(n, 0);
-        self.dest_load.clear();
-        self.dest_load.resize(n, 0);
+        self.clear_plan();
 
         // Compact the queue: drop healed stripes, move data-loss stripes to
         // the `lost` ledger (no replica left to copy from).
@@ -200,7 +199,7 @@ impl RepairPlanner {
 
         // Most-degraded first, stripe id on ties.
         self.pending
-            .sort_by_key(|&s| (placement.replica_count(s), s));
+            .sort_by_cached_key(|&s| (placement.replica_count(s), s));
 
         let mut budget = self.round_budget;
         let mut deferred = 0usize;
@@ -250,7 +249,8 @@ impl RepairPlanner {
         capacities: &[u32],
         stripe: StripeId,
     ) -> Option<(BoxId, BoxId)> {
-        let source = placement.holders_of(stripe).iter().copied().find(|b| {
+        let holders = placement.holders_of(stripe);
+        let source = holders.iter().copied().find(|b| {
             let i = b.index();
             alive.get(i)
                 && self.egress[i] < self.per_box_egress
@@ -258,27 +258,30 @@ impl RepairPlanner {
         })?;
         let mut best: Option<(u32, BoxId)> = None;
         for i in 0..self.storage.len() {
+            if !alive.get(i) {
+                continue;
+            }
             let b = BoxId(i as u32);
-            if !alive.get(i) || placement.stores(b, stripe) {
-                continue;
-            }
-            // A destination already picked for this stripe this round holds
-            // a planned (uncommitted) replica — skip it.
-            if self
-                .transfers
-                .iter()
-                .any(|t| t.stripe == stripe && t.dest == b)
-            {
-                continue;
-            }
             let used = placement.box_load(b) as u32 + self.dest_load[i];
             if used >= self.storage[i] {
                 continue;
             }
             let spare = self.storage[i] - used;
-            if best.is_none_or(|(top, _)| spare > top) {
-                best = Some((spare, b));
+            if best.is_some_and(|(top, _)| spare <= top) {
+                continue;
             }
+            // Only a box that would take the lead pays for the membership
+            // checks: it must not hold the stripe, nor a planned
+            // (uncommitted) replica of it from earlier this round.
+            if holders.contains(&b)
+                || self
+                    .transfers
+                    .iter()
+                    .any(|t| t.stripe == stripe && t.dest == b)
+            {
+                continue;
+            }
+            best = Some((spare, b));
         }
         best.map(|(_, dest)| (source, dest))
     }
@@ -289,6 +292,17 @@ impl RepairPlanner {
         for t in self.transfers.drain(..) {
             placement.add(t.dest, t.stripe);
             self.repaired_total += 1;
+            self.committed.push(t);
+        }
+    }
+
+    /// Forgets the previous plan, committed or not. `egress` and
+    /// `dest_load` are non-zero only at boxes its transfers name, so zeroing
+    /// those is zeroing all.
+    fn clear_plan(&mut self) {
+        for t in self.transfers.drain(..).chain(self.committed.drain(..)) {
+            self.egress[t.source.index()] = 0;
+            self.dest_load[t.dest.index()] = 0;
         }
     }
 
@@ -491,6 +505,127 @@ mod tests {
         assert_eq!(stats.pending, 0);
         planner.commit(&mut placement);
         assert_eq!(planner.repaired_total(), 0);
+    }
+
+    /// The repair rule as the module doc states it, with nothing shared
+    /// with [`RepairPlanner`] and no attempt at speed: every question is
+    /// answered by rescanning the plan so far.
+    fn naive_plan(
+        placement: &Placement,
+        catalog: &Catalog,
+        alive: &BitSet,
+        capacities: &[u32],
+        storage: &[u32],
+        (target, budget, egress_cap): (usize, usize, u32),
+        holder_led: &mut usize,
+    ) -> Vec<RepairTransfer> {
+        let mut queue: Vec<StripeId> = catalog
+            .stripes()
+            .filter(|&s| (1..target).contains(&placement.replica_count(s)))
+            .collect();
+        queue.sort_by_key(|&s| (placement.replica_count(s), s));
+        let mut plan: Vec<RepairTransfer> = Vec::new();
+        for stripe in queue {
+            let holders = placement.holders_of(stripe);
+            for _ in holders.len()..target {
+                if plan.len() == budget {
+                    break;
+                }
+                let drawn = |b: BoxId| plan.iter().filter(|t| t.source == b).count() as u32;
+                let source = holders.iter().copied().find(|&b| {
+                    alive.contains(b.index())
+                        && drawn(b) < egress_cap
+                        && drawn(b) < capacities[b.index()]
+                });
+                let spare = |b: BoxId| {
+                    let planned = plan.iter().filter(|t| t.dest == b).count();
+                    (storage[b.index()] as usize).saturating_sub(placement.box_load(b) + planned)
+                };
+                let taken = |b: BoxId| {
+                    holders.contains(&b) || plan.iter().any(|t| t.stripe == stripe && t.dest == b)
+                };
+                // Maximal spare storage, lowest id on ties.
+                let roomy = || {
+                    (0..storage.len() as u32)
+                        .map(BoxId)
+                        .filter(|&b| alive.contains(b.index()) && spare(b) > 0)
+                };
+                let best = |boxes: &mut dyn Iterator<Item = BoxId>| {
+                    boxes.max_by_key(|&b| (spare(b), std::cmp::Reverse(b)))
+                };
+                let dest = best(&mut roomy().filter(|&b| !taken(b)));
+                let (Some(source), Some(dest)) = (source, dest) else {
+                    break;
+                };
+                if best(&mut roomy()) != Some(dest) {
+                    *holder_led += 1; // the roomiest box was taken: runner-up wins
+                }
+                plan.push(RepairTransfer {
+                    stripe,
+                    source,
+                    dest,
+                });
+            }
+        }
+        plan
+    }
+
+    /// Reference test: the planner against the naive rule over a seeded
+    /// depart / rejoin / commit script, transfer for transfer every round.
+    #[test]
+    fn plan_matches_the_naive_rule_round_for_round() {
+        use rand::Rng;
+        const N: usize = 64;
+        for budget in [1u32, 4, 64] {
+            let (boxes, catalog, mut placement) = setup(N, 24, 100, 4, 3);
+            let storage: Vec<u32> = boxes.iter().map(|b| b.storage.slots()).collect();
+            let mut planner = RepairPlanner::new(storage.clone(), 3, budget).with_per_box_egress(2);
+            // Upload slots open to repair differ per box; some have none.
+            let caps: Vec<u32> = (0..N as u32).map(|b| b % 4).collect();
+            let mut alive = BitSet::ones(N);
+            let mut rng = StdRng::seed_from_u64(0x5e9a12 + budget as u64);
+            let (mut planned, mut holder_led) = (0usize, 0usize);
+            for round in 0..200 {
+                for _ in 0..rng.gen_range(0..3) {
+                    let b = rng.gen_range(0..N as u32);
+                    if alive.contains(b as usize) && alive.count_ones() > 40 {
+                        depart(&mut planner, &mut placement, &mut alive, b);
+                    } else if !alive.contains(b as usize) {
+                        alive.set(b as usize); // rejoins with empty storage
+                    }
+                }
+                let expected = naive_plan(
+                    &placement,
+                    &catalog,
+                    &alive,
+                    &caps,
+                    &storage,
+                    (3, budget as usize, 2),
+                    &mut holder_led,
+                );
+                let stats = planner.plan_round(&placement, &alive, &caps);
+                assert_eq!(
+                    planner.transfers(),
+                    expected,
+                    "budget {budget} round {round}"
+                );
+                assert_eq!(stats.repaired, expected.len());
+                for (b, &drawn) in planner.egress().iter().enumerate() {
+                    let by_plan = expected.iter().filter(|t| t.source.index() == b).count();
+                    assert_eq!(drawn as usize, by_plan, "egress of {b} in round {round}");
+                }
+                planned += expected.len();
+                planner.commit(&mut placement);
+            }
+            assert!(
+                planned > 50,
+                "budget {budget}: the script must keep repair busy"
+            );
+            assert!(
+                holder_led > 0,
+                "budget {budget}: no round where the roomiest box already held the stripe"
+            );
+        }
     }
 
     #[test]

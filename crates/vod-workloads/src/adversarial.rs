@@ -15,6 +15,41 @@
 use crate::demand::{DemandGenerator, OccupancyView, SwarmGrowthLimiter, VideoDemand};
 use vod_core::{BoxId, Catalog, Placement, VideoId};
 
+/// Which catalog videos one box stores data of, answered from the box's own
+/// stripe list: marking costs one write per stored stripe, and a video is
+/// owned when its mark carries the current box's epoch — so nothing is
+/// cleared between boxes and no lookup goes through the holder table.
+struct OwnedVideos {
+    /// Epoch of the last box that stored a stripe of each video.
+    mark: Vec<u64>,
+    epoch: u64,
+}
+
+impl OwnedVideos {
+    fn new(catalog: &Catalog) -> Self {
+        let videos = catalog.video_ids().map(|v| v.index() + 1).max();
+        OwnedVideos {
+            mark: vec![0; videos.unwrap_or(0)],
+            epoch: 0,
+        }
+    }
+
+    /// Makes `box_id` the box that [`OwnedVideos::owns`] answers for.
+    fn mark(&mut self, placement: &Placement, box_id: BoxId) {
+        self.epoch += 1;
+        for stripe in placement.stored_by(box_id) {
+            // A placement may hold videos the catalog does not list.
+            if let Some(mark) = self.mark.get_mut(stripe.video.index()) {
+                *mark = self.epoch;
+            }
+        }
+    }
+
+    fn owns(&self, video: VideoId) -> bool {
+        self.mark[video.index()] == self.epoch
+    }
+}
+
 /// Section 1.3's adversary: each free box demands a video it holds no data
 /// of (falling back to the globally least-replicated video if it holds data
 /// of everything).
@@ -34,15 +69,12 @@ pub struct NeverOwnedAttack {
 impl NeverOwnedAttack {
     /// Builds the attack against a specific placement.
     pub fn new(placement: &Placement, catalog: &Catalog, mu: f64) -> Self {
-        let c = catalog.stripes_per_video();
         let n = placement.box_count();
+        let mut owned = OwnedVideos::new(catalog);
         let mut unowned = Vec::with_capacity(n);
         for b in 0..n {
-            let id = BoxId(b as u32);
-            let list: Vec<VideoId> = catalog
-                .video_ids()
-                .filter(|&v| !placement.stores_any_of(id, v, c))
-                .collect();
+            owned.mark(placement, BoxId(b as u32));
+            let list: Vec<VideoId> = catalog.video_ids().filter(|&v| !owned.owns(v)).collect();
             unowned.push(list);
         }
         NeverOwnedAttack {
@@ -122,13 +154,12 @@ impl PoorBoxesSameVideo {
         catalog: &Catalog,
         mu: f64,
     ) -> Self {
-        let c = catalog.stripes_per_video();
+        let mut owned = OwnedVideos::new(catalog);
         let rich_unowned = rich
             .into_iter()
             .map(|b| {
-                let video = catalog
-                    .video_ids()
-                    .find(|&v| v != target && !placement.stores_any_of(b, v, c));
+                owned.mark(placement, b);
+                let video = catalog.video_ids().find(|&v| v != target && !owned.owns(v));
                 (b, video)
             })
             .collect();
@@ -224,6 +255,30 @@ mod tests {
                 "box {} was sent to a video it owns",
                 d.box_id
             );
+        }
+    }
+
+    #[test]
+    fn never_owned_lists_equal_the_per_stripe_definition() {
+        for m in [1, 5, 16] {
+            let (_, catalog, placement) = small_system(m);
+            let attack = NeverOwnedAttack::new(&placement, &catalog, 2.0);
+            for b in (0..8).map(BoxId) {
+                let by_definition: Vec<VideoId> = catalog
+                    .video_ids()
+                    .filter(|&v| !placement.stores_any_of(b, v, 4))
+                    .collect();
+                assert_eq!(attack.unowned[b.index()], by_definition, "m {m} box {b}");
+            }
+            let rich: Vec<BoxId> = (0..8).map(BoxId).collect();
+            let decoys =
+                PoorBoxesSameVideo::new(vec![], rich, VideoId(0), &placement, &catalog, 2.0);
+            for (b, video) in decoys.rich_unowned {
+                let by_definition = catalog
+                    .video_ids()
+                    .find(|&v| v != VideoId(0) && !placement.stores_any_of(b, v, 4));
+                assert_eq!(video, by_definition, "m {m} decoy of {b}");
+            }
         }
     }
 

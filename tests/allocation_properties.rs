@@ -121,6 +121,61 @@ fn round_robin_allocation_exact_replication() {
     }
 }
 
+/// Order-sensitive digest of a placement: every `(stripe, holders_of)` list
+/// in catalog order, then every `(box, stored_by)` list in box order.
+fn order_digest(boxes: &BoxSet, catalog: &Catalog, placement: &Placement) -> u64 {
+    let holders: Vec<(StripeId, &[BoxId])> = catalog
+        .stripes()
+        .map(|s| (s, placement.holders_of(s)))
+        .collect();
+    let stored: Vec<(BoxId, &[StripeId])> = boxes
+        .iter()
+        .map(|b| (b.id, placement.stored_by(b.id)))
+        .collect();
+    p2p_vod::core::fx_hash(&(holders, stored, placement.wasted_slots()))
+}
+
+/// Holder and storage *order* of one seeded system per allocator, pinned to
+/// the digests the `HashMap<StripeId, Vec<BoxId>>` placement produced (computed
+/// at the commit before the dense table replaced it). Candidate rows, repair
+/// sources and therefore every served-from-allocation count follow holder
+/// order, so a representation that permutes holders must fail here.
+#[test]
+fn holder_order_goldens_per_allocator() {
+    let boxes = BoxSet::homogeneous(
+        48,
+        Bandwidth::from_streams(1.5),
+        StorageSlots::from_slots(24),
+    );
+    let catalog = Catalog::uniform(96, 50, 4); // k·m·c = 3·96·4 = 48·24: storage is full
+    let small = Catalog::uniform(20, 50, 4); // full replication needs m ≤ slots
+    let cases: [(&dyn Allocator, &Catalog); 4] = [
+        (&RandomPermutationAllocator::new(3), &catalog),
+        (&RandomIndependentAllocator::new(3), &catalog),
+        (&RoundRobinAllocator::new(3), &catalog),
+        (&FullReplicationAllocator::new(), &small),
+    ];
+    let digests: Vec<(&str, u64)> = cases
+        .iter()
+        .map(|(allocator, catalog)| {
+            let placement = allocator
+                .allocate(&boxes, catalog, &mut StdRng::seed_from_u64(2009))
+                .unwrap();
+            (allocator.name(), order_digest(&boxes, catalog, &placement))
+        })
+        .collect();
+    assert_eq!(
+        digests,
+        [
+            ("random-permutation", 5798330043559464257),
+            ("random-independent", 2555078366789343818),
+            ("round-robin", 17671238331538606942),
+            ("full-replication", 2565553428120006824),
+        ],
+        "holder/storage order changed"
+    );
+}
+
 /// Bandwidth fixed-point arithmetic: stripe slots are always the floor of
 /// u·c and the effective capacity never exceeds the nominal one.
 #[test]
