@@ -2,11 +2,14 @@
 //!
 //! Backed by the [`IncrementalMatcher`]: when driven through
 //! [`Scheduler::schedule_keyed`] (as the engine does) consecutive rounds
-//! patch one reused flow arena and restore maximality from last round's
-//! flow, so a steady-state round performs no heap allocation in the
-//! matching layer and never calls the solver. The plain
-//! [`Scheduler::schedule`] entry point solves one-shot instances cold,
-//! still reusing the same arena storage.
+//! patch the matcher's own tables — candidate rows per row class, loads per
+//! box, the matching as linked records — and restore maximality from last
+//! round's matching, so a steady-state round performs no heap allocation in
+//! the matching layer, builds no flow network and never calls the solver.
+//! The solver sees the cold rounds (the first, and the one after a
+//! fleet-size change or a one-shot solve), whose Lemma-1 network is built
+//! in a pooled arena; the plain [`Scheduler::schedule`] entry point solves
+//! one-shot instances cold in the same arena storage.
 
 use super::{IncrementalMatcher, RequestKey, Scheduler};
 use vod_core::BoxId;
@@ -32,7 +35,7 @@ impl MaxFlowScheduler {
     }
 
     /// The incremental matcher behind this scheduler (observability:
-    /// rebuild count, arena size, current flow).
+    /// cold-build count, size of the tracked network, current flow).
     pub fn matcher(&self) -> &IncrementalMatcher {
         &self.matcher
     }
