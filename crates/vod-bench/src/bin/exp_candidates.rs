@@ -21,20 +21,16 @@
 //! It is also the CI gate for pipeline equivalence: the run exits non-zero
 //! unless (a) the rescan and incremental pipelines produce bit-identical
 //! simulation reports (schedules, metrics, failures; equality ignores only
-//! the build wall-clock), (b) the legacy-shaped scheduler entry points
+//! the build wall-clock) and (b) the legacy-shaped scheduler entry points
 //! (slice-of-vecs, reached through the `Scheduler` trait's default bridge)
-//! schedule identically to the native CSR path, and (c) the sharded
-//! scheduler at 1/2/4 threads serves exactly what the global matcher
-//! serves under the new pipeline.
+//! schedule identically to the native CSR path.
 
 use rand::SeedableRng;
 use std::time::Instant;
 use vod_analysis::Table;
-use vod_bench::{print_header, BenchSink, Scale};
+use vod_bench::{print_header, Scale};
 use vod_core::{BoxId, RandomPermutationAllocator, SystemParams, VideoId, VideoSystem};
-use vod_sim::{
-    MaxFlowScheduler, RequestKey, Scheduler, ShardedMatcher, SimConfig, SimulationReport, Simulator,
-};
+use vod_sim::{MaxFlowScheduler, RequestKey, Scheduler, SimConfig, SimulationReport, Simulator};
 use vod_workloads::{DemandGenerator, FlashCrowd, MultiSwarmChurn};
 
 /// Timing repetitions per configuration: schedules are deterministic, so
@@ -176,7 +172,6 @@ fn main() {
         scale,
     );
 
-    let mut sink = BenchSink::from_env(scale);
     let mut diverged = false;
     let mut table = Table::new(
         "Candidate pipeline cost per round (identical schedules required)",
@@ -227,39 +222,6 @@ fn main() {
                 break;
             }
         }
-        // Gate (c): sharded thread counts serve the global maximum under the
-        // new pipeline.
-        for threads in [1usize, 2, 4] {
-            let sharded = profile(&shape, config, || Box::new(ShardedMatcher::new(threads)));
-            for (a, b) in sharded.report.rounds.iter().zip(&incremental.report.rounds) {
-                if a.served != b.served || a.unserved != b.unserved {
-                    eprintln!(
-                        "FAIL: {} — sharded ({threads} threads) diverged at round {}",
-                        shape.label, a.round
-                    );
-                    diverged = true;
-                    break;
-                }
-            }
-        }
-
-        let config = format!("n{}r{}", shape.system.n(), shape.rounds);
-        for (series, profile) in [("cand/rescan", &rescan), ("cand/incremental", &incremental)] {
-            sink.record(
-                series,
-                shape.label,
-                &config,
-                profile.cand_ms_per_round,
-                profile.report.total_served(),
-            );
-        }
-        sink.record(
-            "run/incremental",
-            shape.label,
-            &config,
-            incremental.total_ms_per_round,
-            incremental.report.total_served(),
-        );
 
         let speedup = rescan.cand_ms_per_round / incremental.cand_ms_per_round.max(1e-9);
         for (label, profile, speedup_cell) in [
@@ -300,9 +262,5 @@ fn main() {
     println!("candidate-pipeline profile:");
     for verdict in &verdicts {
         println!("  {verdict}");
-    }
-    if let Err(err) = sink.flush() {
-        eprintln!("FAIL: could not write BENCH_JSON: {err}");
-        std::process::exit(1);
     }
 }

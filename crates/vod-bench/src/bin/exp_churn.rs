@@ -12,11 +12,11 @@
 //!   permanently and service degrades measurably — the gap is the
 //!   experiment's headline number;
 //! * **pipeline equivalence under churn** — the churned, repaired run is
-//!   replayed through the incremental, full-rescan, and sharded (1/2/4
-//!   thread) pipelines. Served and unserved counts and the per-round
-//!   repair stats must be identical everywhere; the run **exits non-zero
-//!   on any global-vs-sharded divergence**, extending the CI determinism
-//!   gates to live-population state;
+//!   replayed through the incremental and full-rescan pipelines and under
+//!   the textbook `NaiveScheduler`. Served and unserved counts and the
+//!   per-round repair stats must be identical everywhere; the run **exits
+//!   non-zero on any divergence**, extending the CI determinism gates to
+//!   live-population state;
 //! * **dynamic reservations** — a u*-compensated heterogeneous fleet under
 //!   mild load runs with worst-case `u* + 1 − 2u_b` reservations held
 //!   forever, then with saturation-driven sizing: calm relays shrink their
@@ -28,9 +28,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 use vod_analysis::Table;
-use vod_bench::{print_header, BenchSink, Scale};
+use vod_bench::{print_header, Scale};
 use vod_core::{Bandwidth, Catalog, RandomPermutationAllocator, SystemParams, VideoSystem};
-use vod_sim::{RepairPlanner, RepairRoundStats, SimConfig, SimulationReport, Simulator};
+use vod_sim::{
+    NaiveScheduler, RepairPlanner, RepairRoundStats, SimConfig, SimulationReport, Simulator,
+};
 use vod_workloads::{
     ChurnModel, MultiSwarmChurn, NextVideoPolicy, SequentialViewing, SessionLength,
 };
@@ -206,7 +208,6 @@ fn main() {
         "with budgeted repair the Theorem 1 service level survives sustained churn; without it replica erosion degrades service",
         scale,
     );
-    let mut sink = BenchSink::from_env(scale);
     let mut failed = false;
 
     // ---- Part 1: resilience — static vs churn+repair vs churn alone ----
@@ -272,27 +273,6 @@ fn main() {
         );
         failed = true;
     }
-    sink.record(
-        "churn",
-        "resilience/static",
-        &format!("n{}r{rounds}", sys.n()),
-        statik.ms_per_round,
-        statik.report.total_served(),
-    );
-    sink.record(
-        "churn",
-        "resilience/repair",
-        &format!("n{}r{rounds}b{budget}", sys.n()),
-        repaired.ms_per_round,
-        repaired.report.total_served(),
-    );
-    sink.record(
-        "churn",
-        "resilience/no-repair",
-        &format!("n{}r{rounds}", sys.n()),
-        unrepaired.ms_per_round,
-        unrepaired.report.total_served(),
-    );
 
     // ---- Part 2: pipeline equivalence under churn (the CI gate) ----
     let gate_rounds = scale.pick(40u64, 80);
@@ -307,21 +287,9 @@ fn main() {
             }),
         ),
         (
-            "sharded-1",
+            "naive",
             pipeline_trace(&sys, gate_rounds, budget, |config| {
-                Simulator::with_sharded_scheduler(&sys, config, 1)
-            }),
-        ),
-        (
-            "sharded-2",
-            pipeline_trace(&sys, gate_rounds, budget, |config| {
-                Simulator::with_sharded_scheduler(&sys, config, 2)
-            }),
-        ),
-        (
-            "sharded-4",
-            pipeline_trace(&sys, gate_rounds, budget, |config| {
-                Simulator::with_sharded_scheduler(&sys, config, 4)
+                Simulator::with_scheduler(&sys, config, Box::new(NaiveScheduler::new()))
             }),
         ),
     ];
@@ -342,7 +310,7 @@ fn main() {
     }
     let gate_repaired: u64 = reference.iter().map(|(_, _, r)| r.repaired as u64).sum();
     println!(
-        "equivalence: incremental, rescan, and sharded (1/2/4) pipelines agree on served, unserved, and repair stats across {gate_rounds} churned rounds ({gate_repaired} repairs) ✓\n"
+        "equivalence: incremental, rescan, and naive pipelines agree on served, unserved, and repair stats across {gate_rounds} churned rounds ({gate_repaired} repairs) ✓\n"
     );
 
     // ---- Part 3: dynamic relay reservations vs worst-case ----
@@ -398,25 +366,7 @@ fn main() {
         );
         failed = true;
     }
-    sink.record(
-        "churn",
-        "reservations/static",
-        &format!("n{}r{relay_rounds}", fleet.n()),
-        static_ms,
-        static_report.total_served(),
-    );
-    sink.record(
-        "churn",
-        "reservations/dynamic",
-        &format!("n{}r{relay_rounds}w{window}", fleet.n()),
-        dyn_ms,
-        dyn_report.total_served(),
-    );
 
-    if let Err(e) = sink.flush() {
-        eprintln!("bench sink flush failed: {e}");
-        failed = true;
-    }
     if failed {
         eprintln!("\nexp_churn: FAILED");
         std::process::exit(1);

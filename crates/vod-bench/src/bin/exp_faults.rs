@@ -19,19 +19,21 @@
 //!   — the gap is the experiment's headline number;
 //! * **pipeline equivalence under faults** — a fully loaded fault model
 //!   (degradation windows, flapping, drop/timeout hazards, drop surges)
-//!   plus retry and degradation is replayed through the incremental,
-//!   full-rescan, and sharded (1/2/4 thread) pipelines. Served, unserved,
-//!   delivery, and degradation stats must be identical everywhere; the
-//!   run **exits non-zero on any divergence**, extending the CI
-//!   determinism gates to faulted state.
+//!   plus retry and degradation is replayed through the incremental and
+//!   full-rescan pipelines and under the textbook `NaiveScheduler`.
+//!   Served, unserved, delivery, and degradation stats must be identical
+//!   everywhere; the run **exits non-zero on any divergence**, extending
+//!   the CI determinism gates to faulted state.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 use vod_analysis::Table;
-use vod_bench::{print_header, BenchSink, Scale};
+use vod_bench::{print_header, Scale};
 use vod_core::{BoxId, RandomPermutationAllocator, SystemParams, VideoSystem};
-use vod_sim::{DegradationConfig, DeliveryPolicy, SimConfig, SimulationReport, Simulator};
+use vod_sim::{
+    DegradationConfig, DeliveryPolicy, NaiveScheduler, SimConfig, SimulationReport, Simulator,
+};
 use vod_workloads::{FaultEvent, FaultModel, NextVideoPolicy, SequentialViewing};
 
 /// A homogeneous at-threshold system with enough slack that the fault-free
@@ -178,7 +180,6 @@ fn main() {
         "with retry and degradation the Theorem 1 service level survives outages and flaky delivery; without retry abandonment makes it measurably worse",
         scale,
     );
-    let mut sink = BenchSink::from_env(scale);
     let mut failed = false;
 
     let sys = fault_system(scale);
@@ -242,20 +243,6 @@ fn main() {
     println!(
         "identity: zero-rate fault model is bit-identical to the plain engine across {rounds} rounds ({:.3} vs {:.3} ms/round) ✓\n",
         plain.2, idle.2
-    );
-    sink.record(
-        "faults",
-        "identity/plain",
-        &format!("n{}r{rounds}", sys.n()),
-        plain.2,
-        plain.0.total_served(),
-    );
-    sink.record(
-        "faults",
-        "identity/zero-rate",
-        &format!("n{}r{rounds}", sys.n()),
-        idle.2,
-        idle.0.total_served(),
     );
 
     // ---- Part 2: outage recovery — retry + degradation vs no-retry ----
@@ -372,27 +359,6 @@ fn main() {
         eprintln!("FAIL: the drop hazard never fired or never retried — the gate tested nothing");
         failed = true;
     }
-    sink.record(
-        "faults",
-        "recovery/baseline",
-        &format!("n{}r{rounds}", sys.n()),
-        baseline.ms_per_round,
-        baseline.report.total_served(),
-    );
-    sink.record(
-        "faults",
-        "recovery/retry",
-        &format!("n{}r{rounds}d{drop_ppm}", sys.n()),
-        resilient.ms_per_round,
-        resilient.report.total_served(),
-    );
-    sink.record(
-        "faults",
-        "recovery/no-retry",
-        &format!("n{}r{rounds}d{drop_ppm}", sys.n()),
-        fragile.ms_per_round,
-        fragile.report.total_served(),
-    );
 
     // ---- Part 3: pipeline equivalence under faults (the CI gate) ----
     let gate_rounds = scale.pick(40u64, 80);
@@ -405,21 +371,9 @@ fn main() {
             }),
         ),
         (
-            "sharded-1",
+            "naive",
             pipeline_trace(&sys, gate_rounds, |config| {
-                Simulator::with_sharded_scheduler(&sys, config, 1)
-            }),
-        ),
-        (
-            "sharded-2",
-            pipeline_trace(&sys, gate_rounds, |config| {
-                Simulator::with_sharded_scheduler(&sys, config, 2)
-            }),
-        ),
-        (
-            "sharded-4",
-            pipeline_trace(&sys, gate_rounds, |config| {
-                Simulator::with_sharded_scheduler(&sys, config, 4)
+                Simulator::with_scheduler(&sys, config, Box::new(NaiveScheduler::new()))
             }),
         ),
     ];
@@ -439,13 +393,9 @@ fn main() {
         }
     }
     println!(
-        "equivalence: incremental, rescan, and sharded (1/2/4) pipelines agree on served, unserved, delivery, and degradation stats across {gate_rounds} faulted rounds ✓"
+        "equivalence: incremental, rescan, and naive pipelines agree on served, unserved, delivery, and degradation stats across {gate_rounds} faulted rounds ✓"
     );
 
-    if let Err(e) = sink.flush() {
-        eprintln!("bench sink flush failed: {e}");
-        failed = true;
-    }
     if failed {
         eprintln!("\nexp_faults: FAILED");
         std::process::exit(1);

@@ -6,16 +6,15 @@
 //! system fares against the poor-boxes-pile-on adversary, compared with the
 //! same fleet without relaying.
 //!
-//! Part 2 is the **sharded series**: the same heterogeneous fleet driven by
+//! Part 2 is the **relay series**: the same heterogeneous fleet driven by
 //! a poor-box-prioritized multi-swarm churn workload (relay edges crossing
-//! swarms), replayed through the global max-flow scheduler, the global
-//! incremental matcher, and the per-swarm sharded matcher at several thread
-//! counts. Every configuration must serve exactly the same number of
-//! requests every round — the run **exits non-zero on any divergence**, so
-//! it doubles as the CI smoke gate for heterogeneous sharding — and the
-//! run closes with the relay subsystem's utilization profile (per-relay
-//! reserved capacity vs observed forwarding load, saturation, cross-shard
-//! lending).
+//! swarms), replayed through the max-flow scheduler, the bare incremental
+//! matcher, and the textbook `NaiveScheduler`. Every configuration must
+//! serve exactly the same number of requests every round — the run **exits
+//! non-zero on any divergence**, so it doubles as the CI smoke gate for
+//! relayed scheduling — and the run closes with the relay subsystem's
+//! utilization profile (per-relay reserved capacity vs observed forwarding
+//! load, saturation).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,7 +26,7 @@ use vod_core::{
     VideoSystem,
 };
 use vod_sim::{
-    IncrementalMatcher, MaxFlowScheduler, Scheduler, ShardedMatcher, SimConfig, SimulationReport,
+    IncrementalMatcher, MaxFlowScheduler, NaiveScheduler, Scheduler, SimConfig, SimulationReport,
     Simulator,
 };
 use vod_workloads::{MultiSwarmChurn, PoorBoxesSameVideo};
@@ -88,7 +87,7 @@ fn run_fleet(poor_count: usize, rich_count: usize, relay: bool, scale: Scale) ->
     (report.all_rounds_feasible(), report.service_ratio())
 }
 
-/// One sharded-series replay: simulate the churn workload under the given
+/// One relay-series replay: simulate the churn workload under the given
 /// scheduler, returning the report and the wall-clock milliseconds per
 /// round.
 fn replay(
@@ -113,8 +112,8 @@ fn replay(
     (report, ms / rounds.max(1) as f64)
 }
 
-/// Asserts per-round equivalence of a sharded replay against the global
-/// reference; exits non-zero on divergence (the CI gate).
+/// Asserts per-round equivalence of a replay against the reference;
+/// exits non-zero on divergence (the CI gate).
 fn check_equivalent(label: &str, reference: &SimulationReport, candidate: &SimulationReport) {
     if reference.round_count() != candidate.round_count() {
         eprintln!(
@@ -135,10 +134,9 @@ fn check_equivalent(label: &str, reference: &SimulationReport, candidate: &Simul
     }
 }
 
-fn sharded_series(scale: Scale, total: usize) {
+fn relay_series(scale: Scale, total: usize) {
     // Richer relays (u = 4.2, headroom 3.0) host several poor boxes each,
-    // so one relay's forwarding demand spans several swarms at once — the
-    // shape where reserved capacity must be lent across shards.
+    // so one relay's forwarding demand spans several swarms at once.
     let poor_count = total * 2 / 3;
     let duration = scale.pick(24, 40);
     let system = build_fleet(poor_count, total - poor_count, 4.2, true, duration)
@@ -147,7 +145,7 @@ fn sharded_series(scale: Scale, total: usize) {
     let rounds = scale.pick(40u64, 160);
 
     println!(
-        "\n## Sharded series — {} boxes ({} poor), {} videos, {} rounds of poor-first multi-swarm churn\n",
+        "\n## Relay series — {} boxes ({} poor), {} videos, {} rounds of poor-first multi-swarm churn\n",
         system.n(),
         poor.len(),
         system.m(),
@@ -158,10 +156,12 @@ fn sharded_series(scale: Scale, total: usize) {
         replay(&system, &poor, rounds, Box::<IncrementalMatcher>::default());
     let (maxflow_report, maxflow_ms) =
         replay(&system, &poor, rounds, Box::new(MaxFlowScheduler::new()));
-    check_equivalent("global max-flow", &reference, &maxflow_report);
+    check_equivalent("max-flow", &reference, &maxflow_report);
+    let (naive_report, naive_ms) = replay(&system, &poor, rounds, Box::new(NaiveScheduler::new()));
+    check_equivalent("naive", &reference, &naive_report);
 
     let mut table = Table::new(
-        "Heterogeneous sharded-vs-global (identical schedules enforced)",
+        "Heterogeneous fleet under relayed churn (identical schedules enforced)",
         &[
             "scheduler",
             "ms/round",
@@ -169,55 +169,25 @@ fn sharded_series(scale: Scale, total: usize) {
             "served",
             "forwarded",
             "fwd starved",
-            "cross-swarm relays (peak)",
-            "lent across shards",
         ],
     );
-    let row = |label: String, ms: f64, report: &SimulationReport| {
-        let relay_rounds = || report.rounds.iter().filter_map(|r| r.relay.as_ref());
-        let lent: u64 = relay_rounds().map(|r| r.lent as u64).sum();
-        let contested = relay_rounds()
-            .map(|r| r.contested_relays)
-            .max()
-            .unwrap_or(0);
+    let row = |label: &str, ms: f64, report: &SimulationReport| {
         vec![
-            label,
+            label.to_string(),
             format!("{ms:.3}"),
             format!("{:.2}x", incremental_ms / ms.max(1e-9)),
             report.total_served().to_string(),
             report.total_forwarded().to_string(),
             report.total_forward_starved().to_string(),
-            contested.to_string(),
-            lent.to_string(),
         ]
     };
-    table.push_row(row("global incremental".into(), incremental_ms, &reference));
-    table.push_row(row("global max-flow".into(), maxflow_ms, &maxflow_report));
-
-    let mut sharded_single: Option<SimulationReport> = None;
-    for threads in [1usize, 2, 4] {
-        let (report, ms) = replay(
-            &system,
-            &poor,
-            rounds,
-            Box::new(ShardedMatcher::new(threads)),
-        );
-        check_equivalent(&format!("sharded {threads}t"), &reference, &report);
-        table.push_row(row(format!("sharded ({threads} thread)"), ms, &report));
-        if threads == 1 {
-            sharded_single = Some(report);
-        } else if let Some(single) = &sharded_single {
-            // Thread-count invariance is bit-exact, not just count-exact.
-            if &report != single {
-                eprintln!("DIVERGENCE [sharded {threads}t]: report differs from 1-thread run");
-                std::process::exit(1);
-            }
-        }
-    }
+    table.push_row(row("incremental", incremental_ms, &reference));
+    table.push_row(row("max-flow", maxflow_ms, &maxflow_report));
+    table.push_row(row("naive (reference)", naive_ms, &naive_report));
     println!("{}", table.to_markdown());
 
-    // Relay utilization profile (from the sharded single-thread run).
-    let report = sharded_single.expect("sharded run recorded");
+    // Relay utilization profile.
+    let report = reference;
     let mut profile = Table::new(
         "Relay utilization (reserved forwarding capacity vs observed load)",
         &[
@@ -296,5 +266,5 @@ fn main() {
     println!("{}", table.to_markdown());
     println!("(n = {total}, storage/upload ratio 6, u* = {U_STAR}, k = 3, µ = 1.2)");
 
-    sharded_series(scale, total);
+    relay_series(scale, total);
 }

@@ -5,18 +5,16 @@
 //! [`vod_sim::TraceHandle`] recorder and breaks each round into its
 //! pipeline stages (playback end, candidate maintenance/fill, churn drain,
 //! repair plan/commit, demand intake, request collection, scheduling —
-//! including the sharded matcher's partition/split/solve/reconcile and the
-//! solvers' analyze/phase/relabel stages — relay accounting and re-plans),
+//! including the solvers' analyze/phase/relabel stages — relay accounting
+//! and re-plans),
 //! reporting per-stage p50/p99/max latencies from the recorder's
 //! log-bucketed histograms. Beside the times it prints the work the
 //! matcher's targeted augmenting search did (searches, augmentations,
-//! passes, look-ahead hits, entries scanned, longest path) on the workloads
-//! the global max-flow scheduler runs.
+//! passes, look-ahead hits, entries scanned, longest path).
 //!
 //! Five standard workloads are profiled: sustained churn, a flash crowd,
 //! a heterogeneous relayed fleet, a fleet exactly at the threshold
-//! (u = 1.0, every slot taken), and churn with budgeted repair on the
-//! sharded scheduler. For each, the run is executed twice — recorder off
+//! (u = 1.0, every slot taken), and churn with budgeted repair. For each, the run is executed twice — recorder off
 //! and recorder on — and the experiment enforces the observability
 //! contract:
 //!
@@ -36,8 +34,7 @@
 //! JSON Lines (one `{"stage":…,"round":…,"ns":…,"payload":…}` object per
 //! line, all five workloads concatenated in run order). `--watch` replays
 //! the churn workload as a live inspector, redrawing the stage table as
-//! rounds execute. `BENCH_JSON` records the traced and untraced timings as
-//! separate series, extending the perf trajectory to recorder overhead.
+//! rounds execute.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,7 +43,7 @@ use std::io::Write as _;
 use std::rc::Rc;
 use std::time::Instant;
 use vod_analysis::Table;
-use vod_bench::{print_header, BenchSink, Scale};
+use vod_bench::{print_header, Scale};
 use vod_core::{
     Bandwidth, BoxId, Catalog, RandomPermutationAllocator, SystemParams, VideoId, VideoSystem,
 };
@@ -303,9 +300,8 @@ fn print_stage_table(label: &str, rounds: u64, profile: &RunProfile) {
         format!("{label} — per-stage profile over {rounds} rounds"),
         &["stage", "spans", "p50 µs", "p99 µs", "max µs", "% of round"],
     );
-    // Stage spans nest (schedule contains the shard and solver stages), so
-    // the share column is of the top-level pipeline time: the engine
-    // stages only.
+    // Stage spans nest (schedule contains the solver stages), so the share
+    // column is of the top-level pipeline time: the engine stages only.
     let total = profile.total_ns().max(1) as f64;
     for (stage, sp) in profile.occupied() {
         table.push_row(vec![
@@ -363,7 +359,6 @@ fn main() {
         "the stage recorder is behaviourally invisible: traced runs are bit-identical to untraced ones and add <5% wall clock",
         scale,
     );
-    let mut sink = BenchSink::from_env(scale);
     let tolerance = env_f64("PROFILE_GATE_TOLERANCE", 0.05);
     let min_ms = env_f64("PROFILE_GATE_MIN_MS", 0.05);
     let skip = std::env::var("PROFILE_GATE_SKIP").is_ok_and(|v| v == "1" || v == "true");
@@ -379,13 +374,11 @@ fn main() {
     let tight_sys = tight_system(scale);
     let tight_rounds = scale.pick(80u64, 200);
 
-    // One cell per workload on the global max-flow scheduler (the sharded
-    // run's per-shard matchers are not reachable from outside).
-    let searches: [SearchCell; 4] = Default::default();
-    let workloads: Vec<(&str, String, u64, WorkloadRun)> = vec![
+    // One cell per workload.
+    let searches: [SearchCell; 5] = Default::default();
+    let workloads: Vec<(&str, u64, WorkloadRun)> = vec![
         (
             "churn",
-            format!("n{}r{churn_rounds}", churn_sys.n()),
             churn_rounds,
             profile_workload(
                 churn_rounds,
@@ -412,7 +405,6 @@ fn main() {
         ),
         (
             "flash-crowd",
-            format!("n{}r{flash_rounds}", flash_sys.n()),
             flash_rounds,
             profile_workload(
                 flash_rounds,
@@ -437,7 +429,6 @@ fn main() {
         ),
         (
             "relay",
-            format!("n{}r{relay_rounds}", fleet.n()),
             relay_rounds,
             profile_workload(
                 relay_rounds,
@@ -454,7 +445,6 @@ fn main() {
         ),
         (
             "tight",
-            format!("n{}r{tight_rounds}", tight_sys.n()),
             tight_rounds,
             profile_workload(
                 tight_rounds,
@@ -479,14 +469,16 @@ fn main() {
         ),
         (
             "churn+repair",
-            format!("n{}r{churn_rounds}t2", churn_sys.n()),
             churn_rounds,
             profile_workload(
                 churn_rounds,
                 repeats,
                 &|| {
-                    let mut sim =
-                        Simulator::with_sharded_scheduler(&churn_sys, sim_config(churn_rounds), 2);
+                    let mut sim = Simulator::with_scheduler(
+                        &churn_sys,
+                        sim_config(churn_rounds),
+                        CountingScheduler::boxed(&searches[4]),
+                    );
                     sim.attach_churn(churn_model(&churn_sys));
                     sim.attach_repair(RepairPlanner::for_system(&churn_sys, 8));
                     sim
@@ -504,7 +496,7 @@ fn main() {
         ),
     ];
 
-    for (label, _, rounds, run) in &workloads {
+    for (label, rounds, run) in &workloads {
         print_stage_table(label, *rounds, &run.profile);
         if !run.profile.any() {
             eprintln!("FAIL [{label}]: traced run recorded no stage spans");
@@ -524,7 +516,7 @@ fn main() {
     // Every repeat replays the same rounds, so the cells hold one run's
     // totals whichever repeat wrote them last.
     let mut search_table = Table::new(
-        "Targeted augmenting search (whole run, global max-flow scheduler)",
+        "Targeted augmenting search (whole run)",
         &[
             "workload",
             "searches",
@@ -536,7 +528,7 @@ fn main() {
             "longest path",
         ],
     );
-    for ((label, _, _, _), cell) in workloads.iter().zip(&searches) {
+    for ((label, _, _), cell) in workloads.iter().zip(&searches) {
         let c = cell.get();
         search_table.push_row(vec![
             label.to_string(),
@@ -563,7 +555,7 @@ fn main() {
         "Recorder overhead (best-of-repeats ms/round)",
         &["workload", "off", "on", "overhead", "spans", "dropped"],
     );
-    for (label, _, _, run) in &workloads {
+    for (label, _, run) in &workloads {
         let overhead = run.ms_traced / run.ms_untraced - 1.0;
         gate.push_row(vec![
             label.to_string(),
@@ -598,7 +590,7 @@ fn main() {
     // ---- JSONL trace export ----
     if let Some(path) = std::env::var_os("TRACE_JSONL") {
         let mut out = String::new();
-        for (_, _, _, run) in &workloads {
+        for (_, _, run) in &workloads {
             for record in &run.trace {
                 out.push_str(&record.to_jsonl());
                 out.push('\n');
@@ -606,7 +598,7 @@ fn main() {
         }
         match std::fs::write(&path, out) {
             Ok(()) => {
-                let total: usize = workloads.iter().map(|(_, _, _, r)| r.trace.len()).sum();
+                let total: usize = workloads.iter().map(|(_, _, r)| r.trace.len()).sum();
                 println!("trace export: {total} spans -> {}", path.to_string_lossy());
             }
             Err(e) => {
@@ -616,26 +608,6 @@ fn main() {
         }
     }
 
-    for (label, config, _, run) in &workloads {
-        sink.record(
-            "profile/untraced",
-            label,
-            config,
-            run.ms_untraced,
-            run.untraced.total_served(),
-        );
-        sink.record(
-            "profile/traced",
-            label,
-            config,
-            run.ms_traced,
-            run.traced.total_served(),
-        );
-    }
-    if let Err(e) = sink.flush() {
-        eprintln!("bench sink flush failed: {e}");
-        failed = true;
-    }
     if failed {
         eprintln!("\nexp_profile: FAILED");
         std::process::exit(1);

@@ -28,17 +28,12 @@
 //! identical per-round served sequence on every workload (they are all
 //! exact maximum-flow algorithms), and the run exits non-zero on any
 //! divergence.
-//!
-//! With `BENCH_JSON=<file>` the per-backend ms/round lands in the perf
-//! trajectory (`BENCH_<pr>.json`, gated by `exp_bench_gate`) under
-//! `cold/<backend>` — new keys: the `<backend>` series of earlier files
-//! timed warm-started solves, which no longer exist.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 use vod_analysis::Table;
-use vod_bench::{multi_swarm_script, print_header, BenchSink, RoundScript, Scale};
+use vod_bench::{multi_swarm_script, print_header, RoundScript, Scale};
 use vod_core::{BoxId, StripeId, VideoId};
 use vod_flow::{Dinic, HopcroftKarpSolve, MaxFlowSolve, PushRelabel};
 use vod_sim::{MaxFlowScheduler, RequestKey, Scheduler};
@@ -49,7 +44,6 @@ const REPEATS: usize = 3;
 
 struct Shape {
     label: &'static str,
-    config: String,
     script: RoundScript,
 }
 
@@ -130,26 +124,21 @@ fn relay_script(boxes: usize, requests: usize, rounds: usize, seed: u64) -> Roun
 fn shapes(scale: Scale) -> Vec<Shape> {
     let (boxes, viewers, rounds) = scale.pick((96usize, 56usize, 20usize), (256, 150, 40));
     let requests = viewers * 4;
-    let config = format!("b{boxes}v{viewers}r{rounds}");
     vec![
         Shape {
             label: "churn",
-            config: config.clone(),
             script: multi_swarm_script(boxes, 12, viewers, 4, rounds, 0x5A),
         },
         Shape {
             label: "flash-crowd",
-            config: config.clone(),
             script: multi_swarm_script(boxes, 1, viewers, 4, rounds, 0xF1),
         },
         Shape {
             label: "adversarial",
-            config: format!("b{}q{requests}r{rounds}", boxes / 3),
             script: adversarial_script(boxes / 3, requests, rounds, 0xAD),
         },
         Shape {
             label: "hetero-relay",
-            config: format!("b{boxes}q{requests}r{rounds}"),
             script: relay_script(boxes, requests, rounds, 0xE7),
         },
     ]
@@ -211,7 +200,6 @@ fn main() {
         scale,
     );
 
-    let mut sink = BenchSink::from_env(scale);
     let mut diverged = false;
     let mut table = Table::new(
         "Cold solve wall-clock per round (identical served sequences required)",
@@ -264,13 +252,6 @@ fn main() {
                 format!("{ms:.4}"),
                 speedup,
             ]);
-            sink.record(
-                &format!("cold/{series}"),
-                shape.label,
-                &shape.config,
-                *ms,
-                total_served as u64,
-            );
         }
         verdicts.push(format!(
             "{}: hopcroft-karp {:.2}x vs scalar, dinic {:.2}x vs scalar, push-relabel {:.2}x vs basic",
@@ -291,9 +272,5 @@ fn main() {
     println!("word-parallel vs scalar twins:");
     for verdict in &verdicts {
         println!("  {verdict}");
-    }
-    if let Err(err) = sink.flush() {
-        eprintln!("FAIL: could not write BENCH_JSON: {err}");
-        std::process::exit(1);
     }
 }

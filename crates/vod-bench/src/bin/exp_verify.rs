@@ -10,8 +10,9 @@
 //! * **at-threshold**: a configuration satisfying Theorem 1's
 //!   `c > (2µ²−1)/(u−1)` is verified exhaustively — every admissible
 //!   sequence is served, and every explored transition is stepped through
-//!   the incremental, full-rescan, and sharded (1/2/4 thread) pipelines
-//!   with bit-equality of the normalized round metrics asserted;
+//!   the incremental and full-rescan pipelines and under the textbook
+//!   `NaiveScheduler`, with bit-equality of the normalized round metrics
+//!   asserted;
 //! * **below-threshold**: a starved configuration must fail, and the first
 //!   failing sequence is shrunk to a locally minimal counterexample that is
 //!   printed and re-verified by replay;
@@ -30,7 +31,7 @@ use vod_analysis::{
     crosscheck_first_moment, explore, is_admissible, replay_fails, shrink_counterexample,
     ExploreOutcome, ExploreSpec, HeteroSpec, SeedSystem, Table,
 };
-use vod_bench::{print_header, BenchSink, Scale};
+use vod_bench::{print_header, Scale};
 use vod_workloads::DemandTrace;
 
 /// A configuration satisfying Theorem 1 (`c > (2µ²−1)/(u−1)`): u = 3,
@@ -110,7 +111,6 @@ struct Run {
     label: &'static str,
     outcome: ExploreOutcome,
     elapsed_ms: f64,
-    config: String,
 }
 
 fn run_explore(label: &'static str, spec: &ExploreSpec) -> Run {
@@ -121,7 +121,6 @@ fn run_explore(label: &'static str, spec: &ExploreSpec) -> Run {
         label,
         outcome,
         elapsed_ms,
-        config: format!("{}h{}", spec.seed.label(), spec.horizon),
     }
 }
 
@@ -133,7 +132,6 @@ fn main() {
         scale,
     );
 
-    let mut sink = BenchSink::from_env(scale);
     let mut failed = false;
     let mut table = Table::new(
         "Bounded exhaustive exploration",
@@ -269,16 +267,6 @@ fn main() {
             format!("{:.0}", run.elapsed_ms),
             if *ok { "ok" } else { "FAIL" }.to_string(),
         ]);
-        // ms per 1k canonical states; `served` pins the exact state count,
-        // so any change to canonicalization or enumeration order that
-        // alters coverage trips the bench gate.
-        sink.record(
-            "explore",
-            run.label,
-            &run.config,
-            run.elapsed_ms / (run.outcome.canonical_states.max(1) as f64 / 1e3),
-            run.outcome.canonical_states,
-        );
     }
     println!("{}", table.to_markdown());
 
@@ -301,9 +289,7 @@ fn main() {
         ("starved", &starved, scale.pick(3u64, 4)),
         ("provisioned", &provisioned, 3),
     ] {
-        let start = Instant::now();
         let check = crosscheck_first_moment(base, horizon, &seeds);
-        let crosscheck_ms = start.elapsed().as_secs_f64() * 1e3;
         bound_table.push_row(vec![
             label.to_string(),
             check.trials.to_string(),
@@ -319,20 +305,8 @@ fn main() {
             );
             failed = true;
         }
-        sink.record(
-            "explore",
-            &format!("first-moment/{label}"),
-            &format!("{}h{horizon}x{}", base.label(), seeds.len()),
-            crosscheck_ms / seeds.len().max(1) as f64,
-            check.failing as u64,
-        );
     }
     println!("{}", bound_table.to_markdown());
-
-    if let Err(e) = sink.flush() {
-        eprintln!("bench sink flush failed: {e}");
-        failed = true;
-    }
 
     if failed {
         eprintln!("\nexp_verify: FAILED");

@@ -12,10 +12,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bench;
-
-pub use bench::{bench_pr_of, BenchEntry, BenchFile, BenchSink};
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vod_analysis::{SearchConfig, TrialSpec};
@@ -44,14 +40,6 @@ impl Scale {
         match self {
             Scale::Quick => quick,
             Scale::Full => full,
-        }
-    }
-
-    /// Lower-case name, as recorded in bench files.
-    pub fn name(self) -> &'static str {
-        match self {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
         }
     }
 }
@@ -117,9 +105,8 @@ pub fn print_header(experiment: &str, claim: &str, scale: Scale) {
     println!("scale: {scale:?} (set EXP_SCALE=full for larger grids)\n");
 }
 
-/// A pre-generated sequence of keyed scheduling rounds, shared by the
-/// sharding bench and `exp_sharding` so both measure the exact same
-/// instances.
+/// A pre-generated sequence of keyed scheduling rounds (`exp_solvers`'
+/// instances).
 pub struct RoundScript {
     /// Per-box upload capacities.
     pub caps: Vec<u32>,
@@ -127,21 +114,13 @@ pub struct RoundScript {
     pub rounds: Vec<(Vec<vod_sim::RequestKey>, Vec<Vec<vod_core::BoxId>>)>,
 }
 
-impl RoundScript {
-    /// Total requests over all rounds.
-    pub fn total_requests(&self) -> usize {
-        self.rounds.iter().map(|(k, _)| k.len()).sum()
-    }
-}
-
 /// Generates a seeded multi-swarm churn script directly at the scheduler
 /// interface: `swarms` concurrently hot videos, per-round viewer churn
 /// (arrivals and departures), `c` requests per viewer, candidates drawn
 /// from per-video holder sets plus occasional cross-swarm caches.
 ///
-/// This is the sharded scheduler's stress shape — many medium shards
-/// coupled through shared boxes — without the cost of running the full
-/// simulator inside a timing loop.
+/// Many medium swarms coupled through shared boxes, without the cost of
+/// running the full simulator inside a timing loop.
 pub fn multi_swarm_script(
     boxes: usize,
     swarms: usize,
@@ -219,18 +198,6 @@ pub fn multi_swarm_script(
     }
 }
 
-/// Replays a script through a scheduler, returning the total served count
-/// (used both for timing loops and to cross-check that two schedulers agree).
-pub fn replay_script(script: &RoundScript, scheduler: &mut dyn vod_sim::Scheduler) -> usize {
-    let mut out = Vec::new();
-    let mut served = 0;
-    for (keys, cands) in &script.rounds {
-        scheduler.schedule_keyed(&script.caps, keys, cands, &mut out);
-        served += out.iter().flatten().count();
-    }
-    served
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,17 +228,6 @@ mod tests {
         let b = multi_swarm_script(32, 4, 20, 2, 5, 7);
         assert_eq!(a.caps, b.caps);
         assert_eq!(a.rounds, b.rounds);
-        assert!(a.total_requests() > 0);
-    }
-
-    #[test]
-    fn script_replay_agrees_between_sharded_and_incremental() {
-        let script = multi_swarm_script(24, 3, 12, 2, 8, 3);
-        let mut incremental = vod_sim::MaxFlowScheduler::new();
-        let mut sharded = vod_sim::ShardedMatcher::new(2);
-        assert_eq!(
-            replay_script(&script, &mut incremental),
-            replay_script(&script, &mut sharded)
-        );
+        assert!(a.rounds.iter().any(|(keys, _)| !keys.is_empty()));
     }
 }

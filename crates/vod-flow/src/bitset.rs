@@ -17,9 +17,7 @@
 //!   [`FlowArena`] and materialises the [`BitAdjacency`], reused by the
 //!   word-parallel Hopcroft–Karp and Dinic fast paths.
 //!
-//! Column order follows box *node* order, which for sharded instances is the
-//! shard-local remap (`shard.rs` renumbers each shard's boxes contiguously
-//! from zero), so a shard's working set occupies the low words of every row.
+//! Column and row order follow *node* order in the arena.
 
 use crate::arena::FlowArena;
 use crate::graph::NodeId;
@@ -339,9 +337,7 @@ impl BipartiteShape {
             self.role[from as usize] = ROLE_BOX;
         }
 
-        // Columns and rows in node order: for sharded instances the
-        // shard-local remap already numbers each shard's boxes contiguously,
-        // so this keeps a shard's working set in the low words of every row.
+        // Columns and rows in node order.
         self.box_col.clear();
         self.box_col.resize(n, NONE);
         self.req_row.clear();

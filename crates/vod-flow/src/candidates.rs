@@ -2,11 +2,10 @@
 //!
 //! A round's candidate structure — for each stripe request, the boxes that
 //! possess its data — was historically a `Vec<Vec<BoxId>>`: one heap
-//! allocation per request per round, pointer-chasing for every consumer,
-//! and a full deep copy whenever a shard needed a remapped local view. The
-//! [`CandidateBuf`] replaces that with one pooled CSR (compressed sparse
-//! row) buffer: a flat `boxes` array plus a `offsets` array delimiting each
-//! request's row. Consumers borrow it as a [`CandidateView`] — `Copy`,
+//! allocation per request per round and pointer-chasing for every
+//! consumer. The [`CandidateBuf`] replaces that with one pooled CSR
+//! (compressed sparse row) buffer: a flat `boxes` array plus a `offsets`
+//! array delimiting each request's row. Consumers borrow it as a [`CandidateView`] — `Copy`,
 //! cheap to pass down the stack, and one contiguous allocation per round no
 //! matter how many requests the round carries.
 //!
@@ -20,9 +19,9 @@
 //! and which requests share one — the engine builds a row once per (stripe,
 //! issue round) and stamps every request of the class with that build's
 //! number; handing that knowledge down as stamps lets incremental consumers
-//! ([`crate::ShardedArena::reconcile_keyed_view`] and the matchers in
-//! `vod-sim`) skip their per-row work entirely for untouched rows, instead
-//! of re-deriving the delta by hash lookups and vector compares. The
+//! (the matcher in `vod-sim`) skip their per-row work entirely for untouched
+//! rows, instead of re-deriving the delta by hash lookups and vector
+//! compares. The
 //! `vod-sim` matcher, which merges requests with equal rows into one node,
 //! `debug_assert`s both guarantees on every row it takes on trust.
 

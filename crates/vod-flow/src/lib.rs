@@ -30,12 +30,6 @@
 //!   two-hop [`RelayNetwork`] (open supplier matching + per-relay reserved
 //!   forwarding capacity) with obstruction witnesses naming starved
 //!   reservations;
-//! * [`shard`] — per-swarm sharding of a round's instance: pooled
-//!   partitioning, deterministic budget splitting (demand-proportional,
-//!   deficit water-filling, or per-(shard, box) targeted), reserved-relay
-//!   lending across shards, maximality-restoring reconciliation
-//!   (rebuilding or persistent-incremental), and shard-local obstruction
-//!   extraction;
 //! * [`expander`] — sampled expansion estimation of allocation graphs.
 //!
 //! ## Solving a round
@@ -70,7 +64,6 @@ pub mod hopcroft_karp;
 pub mod matching;
 pub mod push_relabel;
 pub mod relay;
-pub mod shard;
 pub mod solver;
 
 pub use arena::{ArenaEdge, FlowArena};
@@ -83,8 +76,7 @@ pub use hall::{check_subset, find_obstruction, find_obstruction_in, verify_lemma
 pub use hopcroft_karp::{BitHopcroftKarp, HopcroftKarp, HopcroftKarpSolve};
 pub use matching::{ConnectionMatching, ConnectionProblem};
 pub use push_relabel::PushRelabel;
-pub use relay::{RelayMatching, RelayNetwork, RelayObstruction, RelayView, StarvedReservation};
-pub use shard::{
-    ReconcileStats, RelayLendStats, RelayShardView, ShardView, ShardedArena, SplitStats,
+pub use relay::{
+    RelayLendStats, RelayMatching, RelayNetwork, RelayObstruction, RelayView, StarvedReservation,
 };
 pub use solver::MaxFlowSolve;

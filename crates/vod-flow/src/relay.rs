@@ -56,6 +56,26 @@ pub struct RelayView<'a> {
     pub reserved: &'a [u32],
 }
 
+/// Per-round relay-lending counts a scheduler may report through
+/// `Scheduler::relay_stats`. No scheduler in the tree does; the type is
+/// kept for `benchmark/` until revision 2.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RelayLendStats {
+    /// Distinct relays drawn on by this round's relayed requests.
+    pub relays: usize,
+    /// Relays demanded by more than one swarm.
+    pub contested_relays: usize,
+    /// Total forwarding demand (relayed requests this round).
+    pub forward_demand: usize,
+    /// Forwarding slots granted (`Σ_a min(reserved_a, demand_a)` —
+    /// reservations are never oversubscribed).
+    pub granted: usize,
+    /// Granted slots serving a swarm other than their relay's dominant one.
+    pub lent: usize,
+    /// Forwarding demand no reservation could cover (`demand − granted`).
+    pub starved: usize,
+}
+
 /// Pooled two-hop extension of the Lemma-1 arena: open supplier matching
 /// plus per-relay reserved forwarding capacity, as one flow network.
 ///

@@ -21,9 +21,10 @@ use vod_obs::TraceHandle;
 
 /// A maximum-flow algorithm over a reusable [`FlowArena`].
 ///
-/// Solvers are required to be [`Send`] so per-shard solves (each with its
-/// own solver and arena) can run on scoped worker threads; every solver in
-/// this crate is plain owned data, so the bound is free.
+/// The [`Send`] bound has no user left — scheduling is single-threaded and
+/// the Monte-Carlo workers build their solvers on the thread that uses
+/// them — but `benchmark/` compiles against this trait as it stands, and
+/// every solver in this crate is plain owned data, so the bound is free.
 ///
 /// ```
 /// use vod_flow::{Dinic, FlowArena, MaxFlowSolve};

@@ -10,7 +10,7 @@
 //! arrays, and draining only happens when a run finishes.
 //!
 //! * [`stage`] — the [`Stage`] taxonomy: every timed phase of
-//!   `Simulator::step`, the sharded scheduler, and the flow solvers;
+//!   `Simulator::step` and the flow solvers;
 //! * [`record`] — [`TraceRecord`] `(stage, round, ns, payload)` events and
 //!   the preallocated wrapping [`TraceRing`];
 //! * [`hist`] — [`LogHistogram`]: fixed 64-bucket log2 latency histograms

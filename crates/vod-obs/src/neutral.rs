@@ -3,7 +3,7 @@
 //! Several metric types carry both *structural* fields (counts, sizes,
 //! verdicts — deterministic given the seed) and *wall-clock* fields
 //! (nanosecond timings — different on every run). Every bit-equality gate
-//! in the repo (sharded equivalence, corpus replay, the differential fuzz
+//! in the repo (corpus replay, the differential fuzz
 //! pipelines, the exp binaries' traced-vs-untraced checks) must compare
 //! only the structural part. Before this trait each such type hand-rolled
 //! its own `PartialEq`; implementing [`TimingNeutral`] instead routes them

@@ -184,7 +184,7 @@ mod tests {
             ..RunProfile::default()
         };
         p.add(Stage::Schedule, 100);
-        p.add(Stage::ShardSolve, 700);
+        p.add(Stage::HkPhase, 700);
         let back = RunProfile::from_json(&p.to_json()).unwrap();
         assert_eq!(back.rounds, 40);
         // PartialEq is timing-neutral, so compare the stage vectors.

@@ -3,8 +3,8 @@
 use crate::stage::Stage;
 
 /// One traced span or event: which stage, in which round, how long, plus a
-/// stage-specific payload (e.g. augmentations for an HK phase, request
-/// count for a shard solve).
+/// stage-specific payload (e.g. augmentations for an HK phase, slots lost
+/// for a fault drain).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceRecord {
     /// The pipeline stage this record times.

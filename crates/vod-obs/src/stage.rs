@@ -1,11 +1,10 @@
 //! The stage taxonomy: every timed phase of the round pipeline.
 //!
 //! One variant per instrumentation point, ordered the way a round executes:
-//! the engine's `step` phases first, then the sharded scheduler's internal
-//! stages, then the flow-solver phases that run inside a schedule call.
-//! The discriminants are stable indices into the fixed-size arrays of
-//! [`crate::StageTimings`] and [`crate::RunProfile`] — append new stages at
-//! the end rather than reordering.
+//! the engine's `step` phases first, then the flow-solver phases that run
+//! inside a schedule call. The discriminants index the fixed-size arrays of
+//! [`crate::StageTimings`] and [`crate::RunProfile`]; everything written to
+//! disk names a stage by [`Stage::name`], never by index.
 
 use vod_core::json::JsonError;
 
@@ -38,14 +37,6 @@ pub enum Stage {
     RepairCommit,
     /// `RelayBroker`: re-planning reservations after a churn event.
     RelayReplan,
-    /// `ShardedMatcher`: partitioning the round's requests by swarm.
-    ShardPartition,
-    /// `ShardedMatcher`: splitting box budgets across shards.
-    ShardSplit,
-    /// `ShardedMatcher`: one shard's solve (payload = request count).
-    ShardSolve,
-    /// `ShardedMatcher`: cross-shard reconciliation of leftover requests.
-    ShardReconcile,
     /// Flow solvers: Lemma-1 [`BipartiteShape`] analysis rebuilding the bit
     /// rows after an arena structure change.
     ///
@@ -67,7 +58,7 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages (the length of the per-stage arrays).
-    pub const COUNT: usize = 22;
+    pub const COUNT: usize = 18;
 
     /// Every stage, in discriminant order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -83,10 +74,6 @@ impl Stage {
         Stage::FailureDiagnose,
         Stage::RepairCommit,
         Stage::RelayReplan,
-        Stage::ShardPartition,
-        Stage::ShardSplit,
-        Stage::ShardSolve,
-        Stage::ShardReconcile,
         Stage::SolverAnalyze,
         Stage::HkPhase,
         Stage::GlobalRelabel,
@@ -116,10 +103,6 @@ impl Stage {
             Stage::FailureDiagnose => "failure-diagnose",
             Stage::RepairCommit => "repair-commit",
             Stage::RelayReplan => "relay-replan",
-            Stage::ShardPartition => "shard-partition",
-            Stage::ShardSplit => "shard-split",
-            Stage::ShardSolve => "shard-solve",
-            Stage::ShardReconcile => "shard-reconcile",
             Stage::SolverAnalyze => "solver-analyze",
             Stage::HkPhase => "hk-phase",
             Stage::GlobalRelabel => "global-relabel",
@@ -165,5 +148,9 @@ mod tests {
     #[test]
     fn unknown_name_is_an_error() {
         assert!(Stage::from_name("no-such-stage").is_err());
+        // A trace written before the per-swarm stages were deleted is
+        // rejected with a typed error, not mapped onto a neighbour.
+        let err = Stage::from_name("shard-solve").unwrap_err();
+        assert!(err.to_string().contains("shard-solve"), "{err}");
     }
 }

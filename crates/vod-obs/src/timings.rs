@@ -153,8 +153,8 @@ mod tests {
     fn json_round_trip_preserves_contents() {
         let mut t = StageTimings::default();
         t.add(Stage::Schedule, 1234);
-        t.add(Stage::ShardSolve, 55);
-        t.add(Stage::ShardSolve, 45);
+        t.add(Stage::HkPhase, 55);
+        t.add(Stage::HkPhase, 45);
         let back = StageTimings::from_json(&t.to_json()).unwrap();
         // PartialEq is timing-neutral (always true), so compare fields.
         assert_eq!(back.ns, t.ns);

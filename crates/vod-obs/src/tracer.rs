@@ -100,8 +100,7 @@ struct TracerShared {
 /// is `false`, and every span helper takes the no-op path without reading
 /// the clock. [`TraceHandle::recording`] builds an *on* handle whose clones
 /// all feed one shared ring + aggregate set (the engine hands clones to
-/// schedulers and solvers; shard worker threads emit through them
-/// concurrently). Recording locks a mutex and writes into preallocated
+/// schedulers and solvers). Recording locks a mutex and writes into preallocated
 /// storage — no allocation in steady state.
 #[derive(Clone, Default)]
 pub struct TraceHandle {
@@ -297,10 +296,10 @@ mod tests {
     fn clones_share_one_tracer() {
         let h = TraceHandle::recording(8);
         let clone = h.clone();
-        clone.emit_ns(Stage::ShardSolve, 10, 5);
+        clone.emit_ns(Stage::HkPhase, 10, 5);
         let trace = h.drain_trace();
         assert_eq!(trace.len(), 1);
-        assert_eq!(trace[0].stage, Stage::ShardSolve);
+        assert_eq!(trace[0].stage, Stage::HkPhase);
         assert_eq!(trace[0].payload, 5);
     }
 

@@ -62,7 +62,7 @@ struct WheelRecord {
 /// [`crate::metrics::RoundMetrics::candidates`].
 ///
 /// Equality ignores [`CandidateStats::build_ns`]: the bit-equality gates
-/// (sharded/relay equivalence, legacy-vs-incremental pipeline comparison)
+/// (scheduler equivalence, rescan-vs-incremental pipeline comparison)
 /// compare structure, never wall-clock.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CandidateStats {

@@ -41,9 +41,7 @@ use crate::repair::{RepairPlanner, RepairRoundStats};
 use crate::request::{
     direct_stripe_budget, homogeneous_plan, poor_plan, rich_plan, PlaybackState, StripeRequest,
 };
-use crate::scheduler::{
-    MaxFlowScheduler, RelayBroker, RelayEvent, RequestKey, Scheduler, ShardedMatcher,
-};
+use crate::scheduler::{MaxFlowScheduler, RelayBroker, RelayEvent, RequestKey, Scheduler};
 use crate::swarm::SwarmTracker;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -555,9 +553,8 @@ impl<'a> Simulator<'a> {
     }
 
     /// Attaches a recording trace handle: from the next [`Simulator::step`]
-    /// on, every pipeline stage (and the scheduler's internal stages —
-    /// shard partition/solve/reconcile, solver phases) emits timing spans
-    /// into it. Per-round aggregates land in
+    /// on, every pipeline stage (and the scheduler's solver phases) emits
+    /// timing spans into it. Per-round aggregates land in
     /// [`RoundMetrics::timing`](crate::metrics::RoundMetrics::timing) and
     /// the whole-run profile in
     /// [`SimulationReport::profile`](crate::metrics::SimulationReport::profile);
@@ -566,18 +563,6 @@ impl<'a> Simulator<'a> {
     pub fn attach_tracer(&mut self, tracer: TraceHandle) {
         self.scheduler.attach_tracer(&tracer);
         self.tracer = tracer;
-    }
-
-    /// Creates a simulator scheduling each round with the per-swarm
-    /// [`ShardedMatcher`] solving shards on `threads` worker threads. The
-    /// schedule (and thus the whole simulation) is identical for any thread
-    /// count; threads only change wall-clock time.
-    pub fn with_sharded_scheduler(
-        system: &'a VideoSystem,
-        config: SimConfig,
-        threads: usize,
-    ) -> Self {
-        Simulator::with_scheduler(system, config, Box::new(ShardedMatcher::new(threads)))
     }
 
     /// The current round.
@@ -1224,8 +1209,8 @@ impl<'a> Simulator<'a> {
     /// against the live capacity table, so serving and repair compete for
     /// the same `⌊u_b·c⌋` budgets. The plan reads only scheduler-invariant
     /// state (live placement, liveness, capacities) — never the assignment
-    /// — keeping placement evolution bit-identical across the global,
-    /// sharded, and rescan pipelines.
+    /// — keeping placement evolution bit-identical across schedulers and
+    /// candidate pipelines.
     fn plan_repairs(&mut self) -> Option<RepairRoundStats> {
         let planner = self.repair.as_mut()?;
         let stats = planner.plan_round(&self.placement, &self.alive, &self.capacities);
@@ -1593,8 +1578,7 @@ impl<'a> Simulator<'a> {
         ));
 
         // Fold this round's forwarding demand into the relay subsystem's
-        // utilization counters, merging the sharded scheduler's cross-swarm
-        // lending observability when it ran.
+        // utilization counters.
         let relay_metrics = match &mut self.relay_broker {
             Some(broker) => {
                 let clock = self.tracer.begin();
@@ -1603,11 +1587,7 @@ impl<'a> Simulator<'a> {
                 for relay in self.relay_of.iter().flatten() {
                     self.relay_loads[relay.index()] += 1;
                 }
-                let mut stats = broker.note_round(&self.relay_loads);
-                if let Some(lend) = self.scheduler.relay_stats() {
-                    stats.contested_relays = lend.contested_relays;
-                    stats.lent = lend.lent;
-                }
+                let stats = broker.note_round(&self.relay_loads);
                 self.tracer
                     .end(clock, Stage::RelayAccount, stats.forwarded as u64);
                 Some(stats)
@@ -1711,12 +1691,11 @@ impl<'a> Simulator<'a> {
         };
 
         // A round fails iff a *download* leg goes unserved — the quantity
-        // the paper's Lemma-1 feasibility (and every scheduler, sharded or
-        // global) decides. Forwarding starvation on reserved relay
-        // capacity does not fail the round: the reservation is the model's
-        // statically-provisioned resource (Theorem 2 sizes it for the
-        // worst case), so demand exceeding it is a model-assumption
-        // violation reported through `RelayRoundStats::starved` and
+        // the paper's Lemma-1 feasibility (and every scheduler) decides.
+        // Forwarding starvation on reserved relay capacity does not fail
+        // the round: the reservation is the model's statically-provisioned
+        // resource (Theorem 2 sizes it for the worst case), so demand
+        // exceeding it is a model-assumption violation reported through `RelayRoundStats::starved` and
         // `RelayUtilization::oversubscribed_rounds` each round, and named
         // per relay in `FailureRecord::starved_relays` whenever a failing
         // round is diagnosed below.
@@ -1791,9 +1770,6 @@ impl<'a> Simulator<'a> {
             upload_slots_available: self.capacities.iter().map(|&c| c as u64).sum(),
             viewers: self.viewers.count_ones(),
             max_swarm: self.swarms.max_swarm_size(),
-            // Sharding schedulers expose per-round shard observability
-            // (shard counts, split water-filling, reconciliation work).
-            shard: self.scheduler.shard_stats(),
             relay: relay_metrics,
             candidates: Some(self.round_cand_stats),
             repair: self.round_repair.take(),
@@ -1812,7 +1788,7 @@ impl<'a> Simulator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::GreedyScheduler;
+    use crate::scheduler::{GreedyScheduler, NaiveScheduler};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use vod_core::{RandomPermutationAllocator, SystemParams};
@@ -2170,28 +2146,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_scheduler_matches_maxflow_round_for_round() {
-        let sys = small_system(24, 2.0, 4, 4, 30);
-        let run = |sim: Simulator| {
-            let mut gen = SequentialViewing::new(24, sys.m(), NextVideoPolicy::RoundRobin, 1.5, 7);
-            sim.run(&mut gen)
-        };
-        let global = run(Simulator::new(&sys, SimConfig::new(50)));
-        for threads in [1usize, 4] {
-            let sharded = run(Simulator::with_sharded_scheduler(
-                &sys,
-                SimConfig::new(50),
-                threads,
-            ));
-            assert_eq!(sharded.round_count(), global.round_count());
-            for (a, b) in sharded.rounds.iter().zip(&global.rounds) {
-                assert_eq!(a.served, b.served, "round {}", a.round);
-                assert_eq!(a.unserved, b.unserved, "round {}", a.round);
-            }
-        }
-    }
-
-    #[test]
     fn greedy_scheduler_plugs_in() {
         let sys = small_system(16, 2.5, 4, 4, 25);
         let sim =
@@ -2442,7 +2396,7 @@ mod tests {
     }
 
     /// The state signature is insensitive to pipeline implementation: the
-    /// incremental and rescan candidate pipelines, and the sharded
+    /// incremental and rescan candidate pipelines, and the naive
     /// scheduler, all walk through identical signatures on the same
     /// demand sequence.
     #[test]
@@ -2457,15 +2411,15 @@ mod tests {
             config.with_rescan_candidates(),
             Box::new(MaxFlowScheduler::new()),
         );
-        let mut sharded = Simulator::with_sharded_scheduler(&sys, config, 2);
+        let mut naive = Simulator::with_scheduler(&sys, config, Box::new(NaiveScheduler::new()));
         let (mut g1, mut g2, mut g3) = (make_gen(), make_gen(), make_gen());
         for round in 0..20 {
             incremental.step(&mut g1);
             rescan.step(&mut g2);
-            sharded.step(&mut g3);
+            naive.step(&mut g3);
             let sig = incremental.state_signature();
             assert_eq!(sig, rescan.state_signature(), "round {round}");
-            assert_eq!(sig, sharded.state_signature(), "round {round}");
+            assert_eq!(sig, naive.state_signature(), "round {round}");
         }
     }
 
@@ -2509,7 +2463,7 @@ mod tests {
 
     /// Fault trajectories are scheduler-invariant: the same seeded fault
     /// model (capacity windows, drops, surges) plus retry and degradation
-    /// drives the incremental, rescan, and sharded pipelines through
+    /// drives the incremental, rescan, and naive pipelines through
     /// identical states and scheduling outcomes.
     #[test]
     fn pipelines_agree_under_injected_faults() {
@@ -2532,7 +2486,7 @@ mod tests {
                 config.with_rescan_candidates(),
                 Box::new(MaxFlowScheduler::new()),
             ),
-            Simulator::with_sharded_scheduler(&sys, config, 2),
+            Simulator::with_scheduler(&sys, config, Box::new(NaiveScheduler::new())),
         ];
         for sim in &mut sims {
             sim.attach_faults(make_faults());
@@ -2826,9 +2780,9 @@ mod tests {
 
     /// The live-population loop keeps every pipeline equivalence intact:
     /// with the same seeded churn process and repair planner attached, the
-    /// incremental, rescan, and sharded engines walk through identical
-    /// state signatures, and the sharded engine serves exactly as many
-    /// requests per round as the global one.
+    /// incremental, rescan, and naive engines walk through identical
+    /// state signatures, and the naive engine serves exactly as many
+    /// requests per round as the matcher's.
     #[test]
     fn pipelines_agree_under_engine_driven_churn() {
         use vod_workloads::{ChurnModel, SessionLength};
@@ -2844,8 +2798,8 @@ mod tests {
         let make_gen = || SequentialViewing::new(16, sys.m(), NextVideoPolicy::RoundRobin, 1.5, 5);
         let mut inc = Simulator::new(&sys, config);
         let mut rescan = Simulator::new(&sys, config.with_rescan_candidates());
-        let mut sharded = Simulator::with_sharded_scheduler(&sys, config, 2);
-        for sim in [&mut inc, &mut rescan, &mut sharded] {
+        let mut naive = Simulator::with_scheduler(&sys, config, Box::new(NaiveScheduler::new()));
+        for sim in [&mut inc, &mut rescan, &mut naive] {
             sim.attach_churn(churn());
             sim.attach_repair(RepairPlanner::for_system(&sys, 4));
         }
@@ -2853,13 +2807,13 @@ mod tests {
         for round in 0..30 {
             inc.step(&mut g1);
             rescan.step(&mut g2);
-            sharded.step(&mut g3);
+            naive.step(&mut g3);
             let sig = inc.state_signature();
             assert_eq!(sig, rescan.state_signature(), "round {round}");
-            assert_eq!(sig, sharded.state_signature(), "round {round}");
+            assert_eq!(sig, naive.state_signature(), "round {round}");
         }
-        let (global, shard) = (inc.report_so_far(), sharded.report_so_far());
-        for (a, b) in global.rounds.iter().zip(&shard.rounds) {
+        let (global, reference) = (inc.report_so_far(), naive.report_so_far());
+        for (a, b) in global.rounds.iter().zip(&reference.rounds) {
             assert_eq!(a.served, b.served, "round {}", a.round);
             assert_eq!(a.unserved, b.unserved, "round {}", a.round);
             assert_eq!(a.repair, b.repair, "round {}", a.round);

@@ -13,10 +13,9 @@
 //! * [`candidates`] — incremental candidate-index maintenance: the expiry
 //!   wheel behind each round's `B(x)` supplier sets;
 //! * [`swarm`] — per-video swarm tracking and preload-stripe rotation;
-//! * [`scheduler`] — max-flow, greedy, random, incremental, and per-swarm
-//!   sharded schedulers (parallel shard solves, deficit water-filling
-//!   budget splits, persistent incremental reconciliation), plus the
-//!   relay subsystem's [`RelayBroker`] (live `u*`-compensation:
+//! * [`scheduler`] — the incremental max-flow scheduler, the greedy and
+//!   random baselines, the textbook [`NaiveScheduler`] the tests check the
+//!   first against, plus the relay subsystem's [`RelayBroker`] (live `u*`-compensation:
 //!   reservation re-planning under churn, per-relay utilization, starved
 //!   reservation witnesses);
 //! * [`engine`] — the simulator itself, including the live-population loop
@@ -54,9 +53,9 @@ pub use metrics::{FailureRecord, PlaybackRecord, RoundMetrics, SimulationReport}
 pub use repair::{RepairPlanner, RepairRoundStats, RepairTransfer};
 pub use request::{PlaybackState, RequestKind, StripePlan, StripeRequest};
 pub use scheduler::{
-    GreedyScheduler, IncrementalMatcher, MaxFlowScheduler, RandomScheduler, ReconcilePolicy,
+    GreedyScheduler, IncrementalMatcher, MaxFlowScheduler, NaiveScheduler, RandomScheduler,
     RelayBroker, RelayEvent, RelayRoundStats, RelayUtilization, RequestKey, Scheduler,
-    SearchCounters, SearchStats, ShardRoundStats, ShardedMatcher, SplitPolicy,
+    SearchCounters, SearchStats, ShardRoundStats,
 };
 pub use swarm::{Swarm, SwarmTracker};
 // Observability surface: the tracer types callers hand to

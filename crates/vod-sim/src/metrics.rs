@@ -8,7 +8,7 @@
 use crate::candidates::CandidateStats;
 use crate::delivery::{DegradationRoundStats, DeliveryRoundStats, DeliverySummary};
 use crate::repair::RepairRoundStats;
-use crate::scheduler::{RelayRoundStats, RelayUtilization, ShardRoundStats};
+use crate::scheduler::{RelayRoundStats, RelayUtilization};
 use vod_core::json::{obj, Json, JsonCodec, JsonError};
 use vod_core::{BoxId, VideoId};
 use vod_obs::{RunProfile, StageTimings};
@@ -41,13 +41,9 @@ pub struct RoundMetrics {
     pub viewers: usize,
     /// Largest swarm size this round.
     pub max_swarm: usize,
-    /// Sharded-scheduler observability (shard counts, budget-split
-    /// water-filling, reconciliation work), when the round was scheduled by
-    /// a sharding scheduler; `None` otherwise.
-    pub shard: Option<ShardRoundStats>,
     /// Relay-subsystem observability (forwarding demand vs reserved
-    /// capacity, saturation, cross-shard lending), when the system is
-    /// heterogeneous with a compensation plan; `None` otherwise.
+    /// capacity, saturation), when the system is heterogeneous with a
+    /// compensation plan; `None` otherwise.
     pub relay: Option<RelayRoundStats>,
     /// Candidate-pipeline observability (index size, expiry/insert volume,
     /// build wall-clock; equality ignores the timing). `None` only in
@@ -91,7 +87,6 @@ impl PartialEq for RoundMetrics {
             && self.upload_slots_available == other.upload_slots_available
             && self.viewers == other.viewers
             && self.max_swarm == other.max_swarm
-            && self.shard == other.shard
             && self.relay == other.relay
             && self.candidates == other.candidates
             && self.repair == other.repair
@@ -102,25 +97,20 @@ impl PartialEq for RoundMetrics {
 
 impl RoundMetrics {
     /// The round with everything that is the scheduler's *choice* blanked,
-    /// for comparing runs whose schedulers differ (global vs sharded, warm
-    /// vs cold-started): shard observability, relay-lending counters, and
-    /// the allocation/cache sourcing split — Lemma 1 fixes how many requests
-    /// a round serves, not which supplier serves each, so two maximum flows
-    /// may split `served` differently and only the sum, which stays
-    /// compared, is schedule-invariant. Wall-clock timing is scrubbed
+    /// for comparing runs whose schedulers differ (the matcher vs the naive
+    /// reference, warm vs cold-started): the allocation/cache sourcing
+    /// split — Lemma 1 fixes how many requests a round serves, not which
+    /// supplier serves each, so two maximum flows may split `served`
+    /// differently and only the sum, which stays compared, is
+    /// schedule-invariant. Wall-clock timing is scrubbed
     /// through the [`vod_obs::TimingNeutral`] rule ([`CandidateStats`]
     /// equality already ignores build time, and equality here ignores
     /// `timing` — scrubbing keeps normalized records canonical for hashing
     /// and serialization too). Everything else must match bit for bit.
     pub fn normalized(&self) -> RoundMetrics {
         let mut m = self.clone();
-        m.shard = None;
         m.served_from_allocation = 0;
         m.served_from_cache = 0;
-        if let Some(relay) = &mut m.relay {
-            relay.contested_relays = 0;
-            relay.lent = 0;
-        }
         if let Some(cand) = &mut m.candidates {
             vod_obs::TimingNeutral::scrub(cand);
         }
@@ -149,7 +139,6 @@ impl JsonCodec for RoundMetrics {
             ),
             ("viewers", self.viewers.to_json()),
             ("max_swarm", self.max_swarm.to_json()),
-            ("shard", self.shard.to_json()),
             ("relay", self.relay.to_json()),
             ("candidates", self.candidates.to_json()),
             ("repair", self.repair.to_json()),
@@ -171,11 +160,6 @@ impl JsonCodec for RoundMetrics {
             upload_slots_available: u64::from_json(json.field("upload_slots_available")?)?,
             viewers: usize::from_json(json.field("viewers")?)?,
             max_swarm: usize::from_json(json.field("max_swarm")?)?,
-            // Absent in reports serialized before the shard field existed.
-            shard: match json.field("shard") {
-                Ok(value) => Option::from_json(value)?,
-                Err(_) => None,
-            },
             // Absent in reports serialized before the relay subsystem.
             relay: match json.field("relay") {
                 Ok(value) => Option::from_json(value)?,

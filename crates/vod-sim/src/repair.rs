@@ -13,9 +13,9 @@
 //! source *before* the round is scheduled, so the scheduler sees the reduced
 //! `⌊u_b·c⌋` capacities and a repair slot can never be double-spent on a
 //! viewer. Planning deliberately reads only scheduler-invariant state
-//! (placement, liveness, capacities) — never the round's assignment. The
-//! global max-flow and sharded schedulers agree on served *counts* but not
-//! on supplier identity, so any plan derived from per-box assignment loads
+//! (placement, liveness, capacities) — never the round's assignment. Two
+//! maximum-matching schedulers agree on served *counts* but not on
+//! supplier identity, so any plan derived from per-box assignment loads
 //! would make the placement evolve differently per scheduler and break the
 //! bit-identical equivalence gates.
 //!

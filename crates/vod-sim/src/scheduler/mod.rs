@@ -10,16 +10,16 @@
 mod greedy;
 pub mod incremental;
 mod maxflow;
+mod naive;
 mod random_pick;
 pub mod relay_broker;
-pub mod sharded;
 
 pub use greedy::GreedyScheduler;
 pub use incremental::{IncrementalMatcher, RequestKey, SearchCounters, SearchStats};
 pub use maxflow::MaxFlowScheduler;
+pub use naive::NaiveScheduler;
 pub use random_pick::RandomScheduler;
 pub use relay_broker::{RelayBroker, RelayEvent, RelayRoundStats, RelayUtilization};
-pub use sharded::{ReconcilePolicy, ShardRoundStats, ShardedMatcher, SplitPolicy};
 
 use vod_core::BoxId;
 use vod_flow::{CandidateView, RelayLendStats, RelayView};
@@ -96,11 +96,9 @@ pub trait Scheduler {
     /// slots. Relay structure never changes *which* requests find suppliers
     /// (forwarding draws on reserved capacity, disjoint from the open
     /// budgets the matching allocates), so the default implementation
-    /// ignores it and delegates to [`Scheduler::schedule_keyed`] — the
-    /// global matchers stay relay-blind and still produce the right
-    /// schedule. Relay-aware schedulers (the [`ShardedMatcher`]) override
-    /// this to additionally account reserved capacity across shards and
-    /// expose it through [`Scheduler::relay_stats`].
+    /// ignores it and delegates to [`Scheduler::schedule_keyed`]; every
+    /// scheduler in the tree is relay-blind and takes the default.
+    /// Kept for `benchmark/` until revision 2.
     fn schedule_relayed(
         &mut self,
         capacities: &[u32],
@@ -117,7 +115,7 @@ pub trait Scheduler {
     /// heterogeneous entry point). Defaults bridge exactly like
     /// [`Scheduler::schedule_keyed_view`]: rows are materialized and handed
     /// to the slice-of-vecs form, so relay-blind and external schedulers
-    /// need not care.
+    /// need not care. Kept for `benchmark/` until revision 2.
     fn schedule_relayed_view(
         &mut self,
         capacities: &[u32],
@@ -130,24 +128,20 @@ pub trait Scheduler {
         self.schedule_relayed(capacities, keys, &rows, relays, out);
     }
 
-    /// Per-round shard observability, for schedulers that shard the round's
-    /// instance (see [`ShardRoundStats`]). The engine threads this into
-    /// [`crate::metrics::RoundMetrics::shard`]; non-sharded schedulers
-    /// return `None` (the default).
+    /// Nothing implements or reads this. Kept for `benchmark/` until
+    /// revision 2.
     fn shard_stats(&self) -> Option<ShardRoundStats> {
         None
     }
 
-    /// Per-round relay-lending observability, for relay-aware schedulers
-    /// (see [`vod_flow::RelayLendStats`]). The engine merges this into
-    /// [`crate::metrics::RoundMetrics::relay`]; relay-blind schedulers
-    /// return `None` (the default).
+    /// Nothing implements or reads this. Kept for `benchmark/` until
+    /// revision 2.
     fn relay_stats(&self) -> Option<RelayLendStats> {
         None
     }
 
-    /// Installs a trace handle for scheduler-internal stage spans (shard
-    /// partition/solve/reconcile, solver phases). The engine calls this
+    /// Installs a trace handle for scheduler-internal stage spans (solver
+    /// phases). The engine calls this
     /// when a tracer is attached to the simulator; schedulers without
     /// internal stages keep the default no-op, and an off handle costs
     /// nothing on the hot path.
@@ -158,6 +152,11 @@ pub trait Scheduler {
     /// Short name for reports and benchmark labels.
     fn name(&self) -> &'static str;
 }
+
+/// The return type of [`Scheduler::shard_stats`]. Kept for `benchmark/`
+/// until revision 2.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ShardRoundStats;
 
 /// Checks that an assignment respects candidate sets and capacities
 /// (shared by tests and the engine's debug assertions).

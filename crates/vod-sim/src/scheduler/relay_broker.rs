@@ -14,8 +14,7 @@
 //! * **observe** — [`RelayBroker::note_round`] folds each round's
 //!   forwarding demand into per-relay utilization counters
 //!   ([`RelayUtilization`]) and returns the round's [`RelayRoundStats`],
-//!   which the engine threads into `RoundMetrics::relay` exactly like the
-//!   sharded scheduler's `shard_stats`;
+//!   which the engine threads into `RoundMetrics::relay`;
 //! * **witness** — [`RelayBroker::diagnose`] builds the two-hop
 //!   [`vod_flow::RelayNetwork`] over a round's instance and extracts the
 //!   [`RelayObstruction`] naming any starved reservation.
@@ -117,12 +116,6 @@ pub struct RelayRoundStats {
     pub starved: usize,
     /// Relays whose demand used every reserved slot.
     pub saturated_relays: usize,
-    /// Relays demanded by more than one swarm shard (sharded scheduling
-    /// only; 0 on the global path).
-    pub contested_relays: usize,
-    /// Reserved slots the sharded budget split lent across swarm shards
-    /// (sharded scheduling only; 0 on the global path).
-    pub lent: usize,
 }
 
 impl JsonCodec for RelayRoundStats {
@@ -134,8 +127,6 @@ impl JsonCodec for RelayRoundStats {
             ("forwarded", self.forwarded.to_json()),
             ("starved", self.starved.to_json()),
             ("saturated_relays", self.saturated_relays.to_json()),
-            ("contested_relays", self.contested_relays.to_json()),
-            ("lent", self.lent.to_json()),
         ])
     }
     fn from_json(json: &Json) -> Result<Self, JsonError> {
@@ -146,8 +137,6 @@ impl JsonCodec for RelayRoundStats {
             forwarded: usize::from_json(json.field("forwarded")?)?,
             starved: usize::from_json(json.field("starved")?)?,
             saturated_relays: usize::from_json(json.field("saturated_relays")?)?,
-            contested_relays: usize::from_json(json.field("contested_relays")?)?,
-            lent: usize::from_json(json.field("lent")?)?,
         })
     }
 }
@@ -677,10 +666,6 @@ impl RelayBroker {
     /// and returns the round's stats. `loads[b]` is the number of active
     /// relayed requests forwarding through box `b` this round (the engine
     /// counts them off the request attributions).
-    ///
-    /// Sharded-scheduling lending observability
-    /// ([`RelayRoundStats::contested_relays`], [`RelayRoundStats::lent`])
-    /// is merged in by the caller from the scheduler's `relay_stats` hook.
     pub fn note_round(&mut self, loads: &[u32]) -> RelayRoundStats {
         self.rounds += 1;
         let mut stats = RelayRoundStats::default();
@@ -1042,8 +1027,6 @@ mod tests {
             forwarded: 7,
             starved: 2,
             saturated_relays: 1,
-            contested_relays: 1,
-            lent: 3,
         };
         assert_eq!(RelayRoundStats::from_json(&stats.to_json()).unwrap(), stats);
         let util = RelayUtilization {

@@ -15,8 +15,7 @@
 //!   regional outages, delivery-drop surges) the engine overlays on its
 //!   live capacity table each round;
 //! * [`flashcrowd`] — maximal-growth flash crowds (Theorem 1's stress case);
-//! * [`multiswarm`] — many concurrently hot swarms with a sliding window
-//!   (the sharded scheduler's stress shape);
+//! * [`multiswarm`] — many concurrently hot swarms with a sliding window;
 //! * [`zipf`] / [`poisson`] — long-tailed and steady-state stochastic traffic;
 //! * [`sequential`] — back-to-back viewing keeping all `n` boxes busy;
 //! * [`trace`] — recordable, serializable, replayable demand traces.

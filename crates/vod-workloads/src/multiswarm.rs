@@ -1,23 +1,22 @@
 //! Multi-swarm churn workload: many concurrently active swarms with a
 //! sliding hot set.
 //!
-//! The per-swarm sharded scheduler's stress case is a round whose requests
-//! spread over many videos at once — many medium-sized shards coupled
-//! through shared box capacities — with the set of active swarms itself
-//! churning over time (new releases displacing old ones). This generator
-//! produces exactly that shape, with three knobs:
+//! A round whose requests spread over many videos at once — many
+//! medium-sized swarms coupled through shared box capacities — with the
+//! set of active swarms itself churning over time (new releases displacing
+//! old ones). This generator produces exactly that shape, with four knobs:
 //!
-//! * `swarms` — how many videos are simultaneously hot (≈ shard count);
+//! * `swarms` — how many videos are simultaneously hot;
 //! * `arrivals_per_round` — total new viewers spread round-robin across the
 //!   hot set each round (each admission still honours the `µ` growth bound);
 //! * `rotation_period` — every that-many rounds the hot window slides by one
-//!   video, so shards are born and die continuously (`0` keeps the hot set
+//!   video, so swarms are born and die continuously (`0` keeps the hot set
 //!   static);
 //! * `priority_boxes` — boxes admitted ahead of the shuffled remainder
 //!   each round. Pointing this at a heterogeneous fleet's *poor* boxes
 //!   keeps them watching across the whole hot window, so their relayed
 //!   requests spread over many swarms at once — the stress shape for
-//!   relay reservations crossing swarm shards.
+//!   relay reservations (the benchmark's `relay-faults` workload).
 //!
 //! All randomness comes from the seed, so the demand sequence is a pure
 //! function of `(knobs, seed, occupancy history)`.
@@ -74,7 +73,7 @@ impl MultiSwarmChurn {
     }
 
     /// Slides the hot window by one video every `period` rounds (`0`
-    /// disables rotation), churning shard membership.
+    /// disables rotation), churning swarm membership.
     pub fn with_rotation(mut self, period: u64) -> Self {
         self.rotation_period = period;
         self
@@ -114,8 +113,7 @@ impl DemandGenerator for MultiSwarmChurn {
     }
 
     /// Allocation-free override: the free-box scratch and the output buffer
-    /// are both reused, so a steady-state round allocates nothing (this is
-    /// the generator the sharding benches drive hardest).
+    /// are both reused, so a steady-state round allocates nothing.
     fn demands_into(
         &mut self,
         round: u64,

@@ -66,17 +66,17 @@ pub mod prelude {
     pub use vod_flow::{
         find_obstruction, find_obstruction_in, verify_lemma1, CandidateBuf, CandidateView,
         ConnectionMatching, ConnectionProblem, Dinic, FlowArena, HopcroftKarpSolve, MaxFlowSolve,
-        Obstruction, PushRelabel, ReconcileStats, RelayLendStats, RelayMatching, RelayNetwork,
-        RelayObstruction, RelayView, ShardedArena, SplitStats, StarvedReservation, NO_STAMP,
+        Obstruction, PushRelabel, RelayLendStats, RelayMatching, RelayNetwork, RelayObstruction,
+        RelayView, StarvedReservation, NO_STAMP,
     };
     pub use vod_sim::{
         Admission, CandidateIndex, CandidateMode, CandidateStats, DegradationConfig,
         DegradationController, DegradationRoundStats, DeliveryOutcome, DeliveryPolicy,
         DeliveryRoundStats, DeliverySummary, DeliveryTracker, FailurePolicy, GreedyScheduler,
-        IncrementalMatcher, MaxFlowScheduler, RandomScheduler, ReconcilePolicy, RelayBroker,
+        IncrementalMatcher, MaxFlowScheduler, NaiveScheduler, RandomScheduler, RelayBroker,
         RelayEvent, RelayRoundStats, RelayUtilization, RepairPlanner, RepairRoundStats,
-        RepairTransfer, RequestKey, Scheduler, ShardRoundStats, ShardedMatcher, SimConfig,
-        SimulationReport, Simulator, SplitPolicy,
+        RepairTransfer, RequestKey, Scheduler, ShardRoundStats, SimConfig, SimulationReport,
+        Simulator,
     };
     pub use vod_workloads::{
         ChurnCounts, ChurnEvent, ChurnModel, DemandGenerator, DemandTrace, FaultCounts, FaultEvent,

@@ -11,8 +11,8 @@
 //!   contract holds (equal stamp ⇒ identical list);
 //! * full-simulator runs compare [`CandidateMode::Rescan`] against the
 //!   default incremental mode across workloads (sequential, flash crowd,
-//!   multi-swarm churn) and schedulers (global max-flow, sharded 1/4
-//!   threads), including a heterogeneous fleet with relayed requesters —
+//!   multi-swarm churn) and schedulers (max-flow, the naive reference),
+//!   including a heterogeneous fleet with relayed requesters —
 //!   entire [`SimulationReport`]s must be equal (equality ignores only the
 //!   candidate build wall-clock);
 //! * the [`Scheduler`] trait's CSR entry points are checked against the
@@ -212,8 +212,7 @@ fn simulator_reports_identical_across_pipelines_workloads_and_schedulers() {
     type SchedFactory = Box<dyn Fn() -> Box<dyn Scheduler>>;
     let schedulers: Vec<(&str, SchedFactory)> = vec![
         ("max-flow", Box::new(|| Box::new(MaxFlowScheduler::new()))),
-        ("sharded-1", Box::new(|| Box::new(ShardedMatcher::new(1)))),
-        ("sharded-4", Box::new(|| Box::new(ShardedMatcher::new(4)))),
+        ("naive", Box::new(|| Box::new(NaiveScheduler::new()))),
     ];
 
     for (wl_name, make_gen) in &workloads {
@@ -262,8 +261,8 @@ fn simulator_reports_identical_across_pipelines_workloads_and_schedulers() {
 }
 
 /// Heterogeneous fleet (compensation plan, relayed requesters): pipeline
-/// equality holds through the relay subsystem too, and the sharded path
-/// stays bit-identical across thread counts under the incremental pipeline.
+/// equality holds through the relay subsystem too, under the matcher and
+/// under the naive reference, and the two serve the same counts.
 #[test]
 fn heterogeneous_relayed_runs_are_pipeline_invariant() {
     let c: u16 = 8;
@@ -298,25 +297,22 @@ fn heterogeneous_relayed_runs_are_pipeline_invariant() {
     };
 
     let config = SimConfig::new(25).continue_on_failure();
-    for threads in [1usize, 4] {
-        let incremental = run(config, Box::new(ShardedMatcher::new(threads)));
-        let rescan = run(
-            config.with_rescan_candidates(),
-            Box::new(ShardedMatcher::new(threads)),
-        );
-        assert_eq!(
-            incremental, rescan,
-            "threads {threads}: pipeline divergence"
-        );
+    let make: [fn() -> Box<dyn Scheduler>; 2] = [
+        || Box::new(MaxFlowScheduler::new()),
+        || Box::new(NaiveScheduler::new()),
+    ];
+    let [matcher, naive] = make.map(|make| {
+        let incremental = run(config, make());
+        let rescan = run(config.with_rescan_candidates(), make());
+        assert_eq!(incremental, rescan, "pipeline divergence");
         assert!(
             incremental.rounds.iter().any(|r| r.relay.is_some()),
             "relay stats missing"
         );
-    }
-    // Global matcher agrees with the sharded one under the new pipeline.
-    let global = run(config, Box::new(MaxFlowScheduler::new()));
-    let sharded = run(config, Box::new(ShardedMatcher::new(2)));
-    for (a, b) in sharded.rounds.iter().zip(&global.rounds) {
+        incremental
+    });
+    // The matcher agrees with the naive reference under the new pipeline.
+    for (a, b) in naive.rounds.iter().zip(&matcher.rounds) {
         assert_eq!(a.served, b.served, "round {}", a.round);
         assert_eq!(a.unserved, b.unserved, "round {}", a.round);
     }

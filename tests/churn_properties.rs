@@ -11,8 +11,9 @@
 //! * **monotone recovery** — absent further departures, the set of
 //!   under-replicated stripes only shrinks, round over round;
 //! * **scheduler invariance** — the repair trajectory (stats, placement,
-//!   totals) is bit-identical across the incremental, full-rescan, and
-//!   sharded (1/2/4 thread) pipelines;
+//!   totals) and every round's state signature are bit-identical across
+//!   the incremental and full-rescan pipelines and the engine under the
+//!   textbook `NaiveScheduler`;
 //! * **compensation validity** — after relays and poor boxes churn out, the
 //!   broker's live plan still validates against the surviving population
 //!   and the repaired placement stays within storage and liveness bounds.
@@ -138,8 +139,9 @@ fn under_replication_only_shrinks_absent_departures() {
 }
 
 /// The repair trajectory is a pure function of scheduler-invariant state:
-/// every pipeline (incremental, rescan, sharded 1/2/4) produces identical
-/// per-round repair stats, identical placements, and identical totals.
+/// every pipeline (incremental, rescan, naive) walks through identical
+/// state signatures and produces identical per-round repair stats,
+/// identical placements, and identical totals.
 #[test]
 fn repair_trajectory_is_identical_across_pipelines() {
     let sys = homogeneous(18, 2.2, 4, 3, 10, 31);
@@ -153,8 +155,10 @@ fn repair_trajectory_is_identical_across_pipelines() {
         sim.attach_churn(churn);
         sim.attach_repair(RepairPlanner::for_system(&sys, 3));
         let mut gen = viewing(&sys, 31);
+        let mut signatures = Vec::new();
         for _ in 0..rounds {
             sim.step(&mut gen);
+            signatures.push(sim.state_signature());
         }
         let stats: Vec<RepairRoundStats> = sim
             .report_so_far()
@@ -163,16 +167,18 @@ fn repair_trajectory_is_identical_across_pipelines() {
             .map(|r| r.repair.expect("repair attached"))
             .collect();
         let total = sim.repair_planner().unwrap().repaired_total();
-        (stats, sim.live_placement().clone(), total)
+        (stats, sim.live_placement().clone(), total, signatures)
     };
     let config = SimConfig::new(rounds).continue_on_failure();
     let reference = run(Simulator::new(&sys, config));
     let rescan = run(Simulator::new(&sys, config.with_rescan_candidates()));
     assert_eq!(reference, rescan, "rescan pipeline drifts");
-    for threads in [1usize, 2, 4] {
-        let sharded = run(Simulator::with_sharded_scheduler(&sys, config, threads));
-        assert_eq!(reference, sharded, "sharded({threads}) drifts");
-    }
+    let naive = run(Simulator::with_scheduler(
+        &sys,
+        config,
+        Box::new(NaiveScheduler::new()),
+    ));
+    assert_eq!(reference, naive, "naive scheduler drifts");
     assert!(reference.2 > 0, "the run must actually repair something");
 }
 

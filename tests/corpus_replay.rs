@@ -1,6 +1,8 @@
 //! Regression corpus: every seed file under `tests/corpus/` is replayed
-//! through every engine fast path — incremental, full-rescan, and sharded
-//! (1/2/4 threads) — and the normalized reports must be bit-identical.
+//! through the incremental and full-rescan pipelines and under the textbook
+//! `NaiveScheduler`, and the normalized reports must be bit-identical (the
+//! naive comparison pools per-playback stall counts; see
+//! `vod_analysis::normalize_report`).
 //!
 //! Seed files are self-contained [`SeedFile`] recipes (system parameters +
 //! allocation seed + demand trace), so a divergence dumped by `exp_verify`

@@ -3,10 +3,8 @@
 //! min-cut, Lemma 1 (matching exists iff no obstruction), validity of
 //! extracted matchings, warm-started incremental solves matching cold
 //! solves under random perturbations, and obstruction-witness validation:
-//! every Hall violator returned — global or shard-local — is re-checked
-//! against the Hall condition `U_{B(X)} < |X|/c` by an independent
-//! brute-force verifier, and sharded reconciliation is checked to restore
-//! global maximality from arbitrary partial assignments.
+//! every Hall violator returned is re-checked against the Hall condition
+//! `U_{B(X)} < |X|/c` by an independent brute-force verifier.
 //!
 //! Instances are generated from seeded RNG loops (the environment has no
 //! proptest), so every failure is reproducible from the printed seed.
@@ -247,95 +245,6 @@ fn global_obstruction_witnesses_survive_brute_force_recheck() {
     assert!(infeasible_seen > CASES / 4, "generator too benign");
 }
 
-/// Shard-local obstructions (a shard infeasible under the full capacities)
-/// re-checked by the same brute-force verifier on the *global* instance:
-/// request indices map back correctly and the Hall condition holds, so a
-/// shard-local witness certifies global infeasibility.
-#[test]
-fn shard_local_obstruction_witnesses_survive_brute_force_recheck() {
-    let mut witnesses = 0;
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(7_000 + seed);
-        let (caps, cands) = random_instance(&mut rng);
-        // Assign requests to 1..4 synthetic swarms.
-        let swarms = rng.gen_range(1u64..4);
-        let shard_of: Vec<u64> = (0..cands.len())
-            .map(|_| rng.gen_range(0u64..swarms))
-            .collect();
-        let mut sharded = ShardedArena::new();
-        let shard_count = sharded.partition(&shard_of, &cands, caps.len());
-        for idx in 0..shard_count {
-            let requests_of_shard: Vec<u32> = sharded.shard(idx).requests.to_vec();
-            if let Some(ob) = sharded.shard_obstruction(idx, &caps, &cands) {
-                witnesses += 1;
-                // Witness requests belong to the shard.
-                for &x in &ob.requests {
-                    assert!(
-                        requests_of_shard.contains(&(x as u32)),
-                        "seed {seed}: request {x} not in shard {idx}"
-                    );
-                }
-                let (neighbourhood, capacity) = brute_force_hall(&caps, &cands, &ob.requests);
-                assert_eq!(capacity, ob.capacity, "seed {seed} shard {idx}");
-                assert_eq!(
-                    neighbourhood.iter().copied().collect::<Vec<_>>(),
-                    ob.boxes,
-                    "seed {seed} shard {idx}"
-                );
-                assert!(
-                    capacity < ob.requests.len() as u64,
-                    "seed {seed} shard {idx}"
-                );
-                // A shard-local violator certifies global infeasibility.
-                let problem = build_problem(&caps, &cands);
-                assert!(!problem.is_feasible(), "seed {seed} shard {idx}");
-            }
-        }
-    }
-    assert!(witnesses > 0, "no shard-local witnesses exercised");
-}
-
-/// Sharded reconciliation restores global maximality from any partial
-/// assignment — empty, valid-but-greedy, or garbage — because it augments
-/// on the full residual network and may reroute preloaded flow.
-#[test]
-fn reconciliation_restores_global_maximality() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(8_000 + seed);
-        let (caps, cands) = random_instance(&mut rng);
-        let cold = build_problem(&caps, &cands).solve();
-        let mut sharded = ShardedArena::new();
-        // A noisy partial assignment: half the time the cold answer with
-        // random entries blanked, half the time random garbage.
-        let mut assignment: Vec<Option<BoxId>> = if rng.gen_bool(0.5) {
-            cold.assignment
-                .iter()
-                .map(|a| if rng.gen_bool(0.6) { *a } else { None })
-                .collect()
-        } else {
-            (0..cands.len())
-                .map(|_| {
-                    rng.gen_bool(0.4)
-                        .then(|| BoxId(rng.gen_range(0u32..(caps.len() as u32 + 2))))
-                })
-                .collect()
-        };
-        let stats = sharded.reconcile(&caps, &cands, &mut assignment);
-        let served = assignment.iter().flatten().count();
-        assert_eq!(served, cold.served(), "seed {seed}");
-        assert_eq!(served + stats.unmatched, cands.len(), "seed {seed}");
-        let as_matching = ConnectionMatching {
-            assignment,
-            flow: served as u64,
-            total_requests: cands.len(),
-        };
-        assert!(
-            as_matching.is_valid_for(&build_problem(&caps, &cands)),
-            "seed {seed}"
-        );
-    }
-}
-
 /// Warm-started incremental solves match cold solves after random
 /// perturbations of the instance (request arrivals/departures, candidate
 /// churn, per-box capacity cuts and restores) — for every solver behind the
@@ -418,201 +327,6 @@ fn warm_started_incremental_matches_cold_solves() {
                 };
                 assert!(warm.is_valid_for(&problem), "solver {si} seed {seed}");
             }
-        }
-    }
-}
-
-/// Assigns each request of a random instance to one of 1–5 synthetic
-/// swarms, returning the shard keys.
-fn random_shard_keys(cands: &[Vec<BoxId>], rng: &mut StdRng) -> Vec<u64> {
-    let swarms = rng.gen_range(1u64..5);
-    (0..cands.len())
-        .map(|_| rng.gen_range(0u64..swarms))
-        .collect()
-}
-
-/// Sums, per box, the budgets granted across all shards of the last split.
-fn budget_load(sharded: &ShardedArena, boxes: usize) -> Vec<u64> {
-    let mut load = vec![0u64; boxes];
-    for s in 0..sharded.shard_count() {
-        let view = sharded.shard(s);
-        for (&b, &budget) in view.boxes.iter().zip(view.budget) {
-            load[b as usize] += budget as u64;
-        }
-    }
-    load
-}
-
-/// Water-filling budget splits partition each box's capacity exactly — for
-/// any deficit history, per-box grants across shards sum to the capacity of
-/// every demanded box (in particular they never exceed `⌊u_b·c⌋`), so the
-/// per-shard subproblems stay capacity-disjoint.
-#[test]
-fn waterfill_split_partitions_every_box_capacity() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(9_000 + seed);
-        let (caps, cands) = random_instance(&mut rng);
-        let shard_of = random_shard_keys(&cands, &mut rng);
-        let mut sharded = ShardedArena::new();
-        let shard_count = sharded.partition(&shard_of, &cands, caps.len());
-        let deficits: Vec<u64> = (0..shard_count).map(|_| rng.gen_range(0u64..12)).collect();
-        sharded.split_budgets_waterfill(&caps, &deficits);
-        let load = budget_load(&sharded, caps.len());
-        // Which boxes are demanded at all?
-        let mut demanded = vec![false; caps.len()];
-        for s in 0..shard_count {
-            for &b in sharded.shard(s).boxes {
-                demanded[b as usize] = true;
-            }
-        }
-        for (b, (&granted, &cap)) in load.iter().zip(&caps).enumerate() {
-            if demanded[b] {
-                assert_eq!(granted, cap as u64, "seed {seed} box {b}");
-            } else {
-                assert_eq!(granted, 0, "seed {seed} box {b}");
-            }
-        }
-    }
-}
-
-/// With an empty (or all-zero) deficit history the water-filling split is
-/// bit-identical to the demand-proportional split — the new policy degrades
-/// gracefully when there is nothing to learn from.
-#[test]
-fn waterfill_split_with_empty_history_is_demand_proportional() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(10_000 + seed);
-        let (caps, cands) = random_instance(&mut rng);
-        let shard_of = random_shard_keys(&cands, &mut rng);
-
-        let mut proportional = ShardedArena::new();
-        let shard_count = proportional.partition(&shard_of, &cands, caps.len());
-        proportional.split_budgets(&caps);
-
-        for zeros in [vec![], vec![0u64; shard_count]] {
-            let mut waterfill = ShardedArena::new();
-            waterfill.partition(&shard_of, &cands, caps.len());
-            let stats = waterfill.split_budgets_waterfill(&caps, &zeros);
-            assert_eq!(stats.iterations, 0, "seed {seed}: no backlog, no grants");
-            for s in 0..shard_count {
-                assert_eq!(
-                    proportional.shard(s).budget,
-                    waterfill.shard(s).budget,
-                    "seed {seed} shard {s}"
-                );
-            }
-        }
-    }
-}
-
-/// The water-filling split is a pure function of (partition, capacities,
-/// deficits): re-running it on a fresh arena reproduces budgets and stats
-/// bit-for-bit. (Thread-count invariance of the full scheduler is covered
-/// by `tests/sharded_equivalence.rs` — the split runs before any worker
-/// thread exists.)
-#[test]
-fn waterfill_split_is_deterministic() {
-    for seed in 0..CASES / 2 {
-        let mut rng = StdRng::seed_from_u64(11_000 + seed);
-        let (caps, cands) = random_instance(&mut rng);
-        let shard_of = random_shard_keys(&cands, &mut rng);
-        let mut first = ShardedArena::new();
-        let shard_count = first.partition(&shard_of, &cands, caps.len());
-        let deficits: Vec<u64> = (0..shard_count).map(|_| rng.gen_range(0u64..12)).collect();
-        let stats_first = first.split_budgets_waterfill(&caps, &deficits);
-
-        let mut second = ShardedArena::new();
-        second.partition(&shard_of, &cands, caps.len());
-        let stats_second = second.split_budgets_waterfill(&caps, &deficits);
-        assert_eq!(stats_first, stats_second, "seed {seed}");
-        for s in 0..shard_count {
-            assert_eq!(
-                first.shard(s).budget,
-                second.shard(s).budget,
-                "seed {seed} shard {s}"
-            );
-        }
-    }
-}
-
-/// The persistent keyed reconciliation matches cold solves (and therefore
-/// the rebuilding reconciliation) across random keyed churn rounds — with
-/// arrivals, departures, candidate churn, per-round capacity changes, and
-/// arbitrary partial assignments to adopt — and its result is always a
-/// valid matching.
-#[test]
-fn persistent_keyed_reconcile_matches_cold_solves_under_churn() {
-    for seed in 0..CASES / 2 {
-        let mut rng = StdRng::seed_from_u64(12_000 + seed);
-        let boxes = rng.gen_range(3usize..8);
-        let mut caps: Vec<u32> = (0..boxes).map(|_| rng.gen_range(0u32..4)).collect();
-        let mut sharded = ShardedArena::new();
-
-        let mut live: Vec<(u128, Vec<BoxId>)> = Vec::new();
-        let mut next_key = 0u128;
-        for round in 0..14u64 {
-            // Arrivals.
-            for _ in 0..rng.gen_range(0usize..4) {
-                let degree = rng.gen_range(0usize..boxes);
-                let cands: Vec<BoxId> = (0..degree)
-                    .map(|_| BoxId(rng.gen_range(0usize..boxes) as u32))
-                    .collect();
-                live.push((next_key, cands));
-                next_key += 1;
-            }
-            // Departures.
-            while live.len() > 10 || (rng.gen_bool(0.3) && !live.is_empty()) {
-                let victim = rng.gen_range(0usize..live.len());
-                live.remove(victim);
-            }
-            // Candidate churn on a random survivor.
-            if !live.is_empty() && rng.gen_bool(0.7) {
-                let victim = rng.gen_range(0usize..live.len());
-                let degree = rng.gen_range(0usize..boxes);
-                live[victim].1 = (0..degree)
-                    .map(|_| BoxId(rng.gen_range(0usize..boxes) as u32))
-                    .collect();
-            }
-            // Occasional capacity change.
-            if rng.gen_bool(0.2) {
-                let b = rng.gen_range(0usize..boxes);
-                caps[b] = rng.gen_range(0u32..4);
-            }
-
-            let keys: Vec<u128> = live.iter().map(|(k, _)| *k).collect();
-            let cands: Vec<Vec<BoxId>> = live.iter().map(|(_, c)| c.clone()).collect();
-            // A noisy tentative assignment to adopt (sometimes garbage).
-            let mut assignment: Vec<Option<BoxId>> = cands
-                .iter()
-                .map(|c| {
-                    rng.gen_bool(0.5)
-                        .then(|| c.first().copied())
-                        .flatten()
-                        .or_else(|| {
-                            rng.gen_bool(0.1)
-                                .then(|| BoxId(rng.gen_range(0u32..(boxes as u32 + 2))))
-                        })
-                })
-                .collect();
-            let stats = sharded.reconcile_keyed(&caps, &keys, &cands, &mut assignment);
-
-            let cold = build_problem(&caps, &cands).solve();
-            let served = assignment.iter().flatten().count();
-            assert_eq!(served, cold.served(), "seed {seed} round {round}");
-            assert_eq!(
-                served + stats.unmatched,
-                cands.len(),
-                "seed {seed} round {round}"
-            );
-            let as_matching = ConnectionMatching {
-                assignment,
-                flow: served as u64,
-                total_requests: cands.len(),
-            };
-            assert!(
-                as_matching.is_valid_for(&build_problem(&caps, &cands)),
-                "seed {seed} round {round}"
-            );
         }
     }
 }
@@ -749,107 +463,6 @@ fn relay_obstruction_witnesses_survive_recheck() {
                     );
                 }
             }
-        }
-    }
-}
-
-/// The sharded relay-lending step partitions each relay's reservation
-/// exactly like the budget split partitions upload capacity: per relay,
-/// grants never exceed demand per shard, never sum above the reservation,
-/// and always sum to `min(reserved, demand)` — lending is deterministic
-/// and no reservation is ever oversubscribed, for any shard layout.
-#[test]
-fn relay_lending_partitions_reservations_across_shards() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(15_000 + seed);
-        let (caps, cands) = random_instance(&mut rng);
-        let shard_of = random_shard_keys(&cands, &mut rng);
-        let (relay_of, reserved) = random_relays(caps.len(), cands.len(), &mut rng);
-        let mut sharded = ShardedArena::new();
-        let shard_count = sharded.partition(&shard_of, &cands, caps.len());
-        let stats = sharded.split_relay_reserved(&reserved, &relay_of);
-
-        // Re-run on a fresh arena: bit-identical grants and stats.
-        let mut replay = ShardedArena::new();
-        replay.partition(&shard_of, &cands, caps.len());
-        assert_eq!(replay.split_relay_reserved(&reserved, &relay_of), stats);
-
-        let mut granted = vec![0u64; caps.len()];
-        let mut demand = vec![0u64; caps.len()];
-        for s in 0..shard_count {
-            let view = sharded.shard_relays(s);
-            let replay_view = replay.shard_relays(s);
-            assert_eq!(view.grant, replay_view.grant, "seed {seed} shard {s}");
-            for ((&a, &d), &g) in view.relays.iter().zip(view.demand).zip(view.grant) {
-                assert!(g <= d, "seed {seed}: shard {s} granted above demand");
-                granted[a as usize] += g as u64;
-                demand[a as usize] += d as u64;
-            }
-        }
-        let mut total_granted = 0u64;
-        for (a, &g) in granted.iter().enumerate() {
-            assert!(
-                g <= reserved[a] as u64,
-                "seed {seed}: relay {a} oversubscribed across shards"
-            );
-            assert_eq!(
-                g,
-                demand[a].min(reserved[a] as u64),
-                "seed {seed}: relay {a} under-granted"
-            );
-            total_granted += g;
-        }
-        assert_eq!(stats.granted as u64, total_granted, "seed {seed}");
-        assert_eq!(
-            stats.forward_demand as u64,
-            demand.iter().sum::<u64>(),
-            "seed {seed}"
-        );
-        assert_eq!(
-            stats.starved,
-            stats.forward_demand - stats.granted,
-            "seed {seed}"
-        );
-    }
-}
-
-/// The targeted per-(shard, box) split partitions capacity exactly for any
-/// slot targets, and with empty targets it is bit-identical to the
-/// demand-proportional split.
-#[test]
-fn targeted_split_partitions_capacity_and_degrades_to_proportional() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(16_000 + seed);
-        let (caps, cands) = random_instance(&mut rng);
-        let shard_of = random_shard_keys(&cands, &mut rng);
-        let mut sharded = ShardedArena::new();
-        let shard_count = sharded.partition(&shard_of, &cands, caps.len());
-        let slots: usize = (0..shard_count).map(|s| sharded.shard(s).boxes.len()).sum();
-        let targets: Vec<u64> = (0..slots).map(|_| rng.gen_range(0u64..6)).collect();
-        sharded.split_budgets_targeted(&caps, &targets);
-        let load = budget_load(&sharded, caps.len());
-        for (b, (&granted, &cap)) in load.iter().zip(&caps).enumerate() {
-            let demanded = (0..shard_count).any(|s| sharded.shard(s).boxes.contains(&(b as u32)));
-            if demanded {
-                assert_eq!(granted, cap as u64, "seed {seed} box {b}");
-            } else {
-                assert_eq!(granted, 0, "seed {seed} box {b}");
-            }
-        }
-
-        // Empty targets ≡ demand-proportional split, bit for bit.
-        let mut targeted = ShardedArena::new();
-        targeted.partition(&shard_of, &cands, caps.len());
-        targeted.split_budgets_targeted(&caps, &[]);
-        let mut proportional = ShardedArena::new();
-        proportional.partition(&shard_of, &cands, caps.len());
-        proportional.split_budgets(&caps);
-        for s in 0..shard_count {
-            assert_eq!(
-                targeted.shard(s).budget,
-                proportional.shard(s).budget,
-                "seed {seed} shard {s}"
-            );
         }
     }
 }

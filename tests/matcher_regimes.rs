@@ -8,7 +8,8 @@
 //!
 //! * **maximality** — every round's served count equals a cold solve of the
 //!   rows the matcher was handed, whatever it carried over from the round
-//!   before;
+//!   before, and equals the textbook [`NaiveScheduler`]'s matching of the
+//!   same rows, which shares no code with the solvers;
 //! * **work** — summed over the eight runs, the targeted search examines at
 //!   most half as many entries as the arena holds directed edges over the
 //!   same rounds: restoring maximality costs less than half a read of the
@@ -34,7 +35,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use vod_core::{BoxId, RandomPermutationAllocator, SystemParams, VideoId, VideoSystem};
 use vod_flow::{CandidateView, ConnectionProblem};
-use vod_sim::{MaxFlowScheduler, RequestKey, Scheduler, SimConfig, Simulator};
+use vod_sim::{MaxFlowScheduler, NaiveScheduler, RequestKey, Scheduler, SimConfig, Simulator};
 use vod_workloads::{CrowdSpec, DemandGenerator, FlashCrowd, NextVideoPolicy, SequentialViewing};
 
 const N: usize = 256;
@@ -47,9 +48,9 @@ struct Tally {
     rounds: u64,
     requests: u64,
     served: u64,
-    /// Rounds whose served count differed from the cold solve's: (round
-    /// index, warm, cold).
-    mismatches: Vec<(u64, usize, usize)>,
+    /// Rounds whose served count differed from the cold solve's or the
+    /// naive matching's: (round index, warm, cold, naive).
+    mismatches: Vec<(u64, usize, usize, usize)>,
     edges_scanned: u64,
     arena_edges: u64,
     searches: u64,
@@ -59,7 +60,8 @@ struct Tally {
 }
 
 /// The production [`MaxFlowScheduler`], every keyed round forwarded as is
-/// and then checked against a cold solve of the same rows.
+/// and then checked against a cold solve and a naive matching of the same
+/// rows.
 struct CheckedScheduler {
     inner: MaxFlowScheduler,
     tally: Rc<RefCell<Tally>>,
@@ -84,12 +86,14 @@ impl Scheduler for CheckedScheduler {
             cold.add_request(candidates.row(pos).iter().copied());
         }
         let (warm, cold) = (out.iter().flatten().count(), cold.solve().served());
+        let naive = NaiveScheduler::new().schedule(capacities, &candidates.to_vecs());
+        let naive = naive.iter().flatten().count();
         let matcher = self.inner.matcher();
         let round = matcher.search_stats().round;
         let mut tally = self.tally.borrow_mut();
-        if warm != cold {
+        if warm != cold || warm != naive {
             let at = tally.rounds;
-            tally.mismatches.push((at, warm, cold));
+            tally.mismatches.push((at, warm, cold, naive));
         }
         tally.rounds += 1;
         tally.requests += keys.len() as u64;
@@ -134,7 +138,7 @@ fn run(sys: &VideoSystem, label: &str, generator: &mut dyn DemandGenerator) -> (
     assert!(tally.rounds >= ROUNDS / 2, "{what}: idle run");
     assert!(
         tally.mismatches.is_empty(),
-        "{what}: (round, warm, cold) served counts differ: {:?}",
+        "{what}: (round, warm, cold, naive) served counts differ: {:?}",
         tally.mismatches
     );
     if upload >= 2.0 {

@@ -227,22 +227,21 @@ fn legacy_reports_without_profile_or_timing_still_parse() {
 
 #[test]
 fn clones_share_one_tracer_across_engine_layers() {
-    // The engine hands clones of one handle to the scheduler and solvers;
-    // a run on the sharded scheduler must fold shard-stage spans emitted
-    // from worker threads into the same profile.
+    // The engine hands clones of one handle to the scheduler, which hands
+    // one to its solver; the solver's spans (the cold round's shape
+    // analysis) must fold into the same profile as the engine's.
     let system = steady_system();
     let mut gen = OneShotCohort {
         n: 16,
         m: system.m(),
     };
-    let mut sim = Simulator::with_sharded_scheduler(&system, SimConfig::new(20), 2);
+    let mut sim = Simulator::new(&system, SimConfig::new(20));
     let tracer = TraceHandle::recording(4096);
     sim.attach_tracer(tracer.clone());
     for _ in 0..20u64 {
         sim.step(&mut gen);
     }
     let profile = tracer.run_profile().expect("recording handle");
-    assert!(profile.stage(Stage::ShardSolve).count > 0);
-    assert!(profile.stage(Stage::ShardPartition).count > 0);
+    assert!(profile.stage(Stage::SolverAnalyze).count > 0);
     assert!(profile.stage(Stage::Schedule).count > 0);
 }
