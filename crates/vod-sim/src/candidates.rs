@@ -164,6 +164,9 @@ pub struct CandidateIndex {
     wheel: Vec<Vec<WheelRecord>>,
     /// Every round up to and including this one has been drained.
     drained_to: u64,
+    /// Scratch of [`CandidateIndex::begin_round`]: the stripe slots a
+    /// drained bucket's expiries touch (empty between calls).
+    expiring_slots: Vec<usize>,
     /// Live entry count (= `entries.len()`, tracked for O(1) stats).
     live: usize,
     expired_this_round: usize,
@@ -198,6 +201,7 @@ impl CandidateIndex {
             entries: EntryMap::default(),
             wheel: (0..ring).map(|_| Vec::new()).collect(),
             drained_to: 0,
+            expiring_slots: Vec::new(),
             live: 0,
             expired_this_round: 0,
             inserted_this_round: 0,
@@ -222,8 +226,12 @@ impl CandidateIndex {
     }
 
     /// Starts a round: drains every wheel bucket whose eviction round has
-    /// come and resets the per-round counters. O(entries expiring now), not
-    /// O(live entries).
+    /// come and resets the per-round counters. O(entries expiring now + the
+    /// lists they leave), not O(live entries): a drained bucket's entries
+    /// leave the entry map one by one, each drawing its stripe a shrink
+    /// stamp, and then each stripe that lost any drops all of them in one
+    /// ordered pass over its list — however many of a crowd's entries
+    /// expire together, the list is walked once.
     pub fn begin_round(&mut self, now: u64) {
         self.expired_this_round = 0;
         self.inserted_this_round = 0;
@@ -235,6 +243,7 @@ impl CandidateIndex {
             // record's expiry always lies within one ring turn of its filing
             // round, but kept correct defensively) are compacted in place.
             let mut bucket = std::mem::take(&mut self.wheel[idx]);
+            let stamped_before = self.shrinks;
             let mut keep = 0;
             for i in 0..bucket.len() {
                 let record = bucket[i];
@@ -254,20 +263,32 @@ impl CandidateIndex {
                 }
                 self.entries.remove(&key);
                 let slot = self.slot(record.stripe);
-                let list = &mut self.lists[slot];
-                let pos = list
-                    .iter()
-                    .position(|&(b, _)| b == record.box_id)
-                    .expect("live entry is listed");
-                // Ordered removal keeps the legacy insertion order intact.
-                list.remove(pos);
+                // A stamp drawn since the drain began marks a stripe that is
+                // listed already.
+                if self.shrunk[slot] <= stamped_before {
+                    self.expiring_slots.push(slot);
+                }
                 self.note_shrink(slot);
-                self.live -= 1;
-                self.expired_this_round += 1;
             }
             bucket.truncate(keep);
             // Return the bucket's storage (and any kept records) to the ring.
             self.wheel[idx] = bucket;
+            // A listed entry leaves in this round exactly when its start
+            // says so (the map and the lists agree on starts, and every
+            // start was filed under its eviction round), so the entries to
+            // drop need no membership table: one ordered `retain` per
+            // stripe keeps the legacy insertion order intact.
+            let expired = (self.shrinks - stamped_before) as usize;
+            let mut dropped = 0;
+            for slot in self.expiring_slots.drain(..) {
+                let list = &mut self.lists[slot];
+                let before = list.len();
+                list.retain(|&(_, start)| start + self.window + 1 != round);
+                dropped += before - list.len();
+            }
+            debug_assert_eq!(dropped, expired, "lists and entry map disagree");
+            self.live -= expired;
+            self.expired_this_round += expired;
             self.drained_to = round;
         }
     }
@@ -588,6 +609,194 @@ mod tests {
             index.begin_round(now);
         }
         assert_eq!(index.live_entries(), 0);
+    }
+
+    /// The naive model of the index: every live `(stripe, box, start)` in
+    /// one insertion-ordered vector, swept in full every round.
+    #[derive(Default)]
+    struct NaiveIndex {
+        entries: Vec<(StripeId, BoxId, u64)>,
+        expired: usize,
+    }
+
+    impl NaiveIndex {
+        fn begin_round(&mut self, now: u64, window: u64) {
+            let before = self.entries.len();
+            self.entries.retain(|&(_, _, start)| start + window >= now);
+            self.expired = before - self.entries.len();
+        }
+
+        /// Returns what the insert was: `Some(true)` fresh, `Some(false)` a
+        /// refresh, `None` ignored.
+        fn insert(&mut self, stripe: StripeId, box_id: BoxId, start: u64) -> Option<bool> {
+            let held = self
+                .entries
+                .iter_mut()
+                .find(|(s, b, _)| (*s, *b) == (stripe, box_id));
+            match held {
+                Some(entry) if entry.2 >= start => None,
+                Some(entry) => {
+                    entry.2 = start;
+                    Some(false)
+                }
+                None => {
+                    self.entries.push((stripe, box_id, start));
+                    Some(true)
+                }
+            }
+        }
+
+        /// Returns the stripes the box was purged from.
+        fn purge_box(&mut self, box_id: BoxId) -> Vec<StripeId> {
+            let lost: Vec<StripeId> = self
+                .entries
+                .iter()
+                .filter(|&&(_, b, _)| b == box_id)
+                .map(|&(stripe, ..)| stripe)
+                .collect();
+            self.entries.retain(|&(_, b, _)| b != box_id);
+            self.expired += lost.len();
+            lost
+        }
+
+        fn list(&self, stripe: StripeId) -> Vec<(BoxId, u64)> {
+            self.entries
+                .iter()
+                .filter(|&&(s, ..)| s == stripe)
+                .map(|&(_, b, start)| (b, start))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn index_tracks_a_naive_model_through_a_seeded_script() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::HashSet;
+
+        let window = 5u64;
+        let stripes: Vec<StripeId> = (0..2).flat_map(|v| (0..2).map(move |i| s(v, i))).collect();
+        let boxes = 40u32;
+        let mut rng = StdRng::seed_from_u64(2009);
+        let mut index = CandidateIndex::new(window, 2);
+        let mut model = NaiveIndex::default();
+        // Every stamp any stripe ever showed: none may come back.
+        let mut drawn: HashSet<u64> = HashSet::new();
+        let mut most_expired_at_once = 0;
+
+        // One step of the script: `moved` lists the stripes whose stamp must
+        // have been redrawn since `before`; every other stamp must stand.
+        let check = |index: &CandidateIndex,
+                     model: &NaiveIndex,
+                     before: &[u64],
+                     moved: &[StripeId],
+                     drawn: &mut HashSet<u64>,
+                     what: &str| {
+            for (&stripe, &old) in stripes.iter().zip(before) {
+                assert_eq!(index.candidates(stripe), &model.list(stripe)[..], "{what}");
+                let stamp = index.shrink_stamp(stripe);
+                if moved.contains(&stripe) {
+                    assert!(stamp > old, "{what}: {stripe:?} kept stamp {old}");
+                    assert!(drawn.insert(stamp), "{what}: stamp {stamp} reused");
+                } else {
+                    assert_eq!(stamp, old, "{what}: {stripe:?} restamped");
+                }
+            }
+            assert_eq!(index.live_entries(), model.entries.len(), "{what}");
+            assert_eq!(index.expired_this_round(), model.expired, "{what}");
+            assert_eq!(index.iter_live().count(), model.entries.len(), "{what}");
+        };
+        let stamps = |index: &CandidateIndex| {
+            stripes
+                .iter()
+                .map(|&st| index.shrink_stamp(st))
+                .collect::<Vec<_>>()
+        };
+
+        let mut now = 0u64;
+        while now < 400 {
+            // Mostly one round at a time, sometimes several buckets at once.
+            now += if rng.gen_bool(0.1) {
+                rng.gen_range(2u64..5)
+            } else {
+                1
+            };
+            let what = format!("round {now}");
+            let before = stamps(&index);
+            let lists: Vec<usize> = stripes.iter().map(|&st| model.list(st).len()).collect();
+            index.begin_round(now);
+            model.begin_round(now, window);
+            let lost: Vec<StripeId> = stripes
+                .iter()
+                .zip(&lists)
+                .filter(|&(&st, &len)| model.list(st).len() < len)
+                .map(|(&st, _)| st)
+                .collect();
+            most_expired_at_once = most_expired_at_once.max(model.expired);
+            check(&index, &model, &before, &lost, &mut drawn, &what);
+
+            // A crowd joins one stripe under one start: they expire together.
+            if now.is_multiple_of(7) {
+                let stripe = stripes[rng.gen_range(0..stripes.len())];
+                let start = now + rng.gen_range(0u64..2);
+                for _ in 0..16 {
+                    let box_id = b(rng.gen_range(0..boxes));
+                    let before = stamps(&index);
+                    index.insert(stripe, box_id, start, now);
+                    let refreshed = model.insert(stripe, box_id, start) == Some(false);
+                    let moved = if refreshed { vec![stripe] } else { vec![] };
+                    check(&index, &model, &before, &moved, &mut drawn, &what);
+                }
+            }
+            for _ in 0..rng.gen_range(0..6) {
+                let stripe = stripes[rng.gen_range(0..stripes.len())];
+                let box_id = b(rng.gen_range(0..boxes));
+                let before = stamps(&index);
+                let moved = match rng.gen_range(0..10) {
+                    // Purge, and often come straight back under a start a
+                    // record is already filed for: a duplicate wheel record.
+                    0 => {
+                        let starts: Vec<_> = model
+                            .entries
+                            .iter()
+                            .filter(|&&(_, b, _)| b == box_id)
+                            .copied()
+                            .collect();
+                        assert_eq!(index.purge_box(box_id), starts.len(), "{what}");
+                        let moved = model.purge_box(box_id);
+                        check(&index, &model, &before, &moved, &mut drawn, &what);
+                        for (stripe, _, start) in starts {
+                            if start >= now && rng.gen_bool(0.7) {
+                                let before = stamps(&index);
+                                index.insert(stripe, box_id, start, now);
+                                assert_eq!(model.insert(stripe, box_id, start), Some(true));
+                                check(&index, &model, &before, &[], &mut drawn, &what);
+                            }
+                        }
+                        continue;
+                    }
+                    1 => {
+                        index.touch(stripe);
+                        vec![stripe]
+                    }
+                    // Fresh inserts, refreshes (a stale record stays behind)
+                    // and ignored older starts.
+                    _ => {
+                        let start = now + rng.gen_range(0u64..3);
+                        index.insert(stripe, box_id, start, now);
+                        match model.insert(stripe, box_id, start) {
+                            Some(false) => vec![stripe],
+                            _ => vec![],
+                        }
+                    }
+                };
+                check(&index, &model, &before, &moved, &mut drawn, &what);
+            }
+        }
+        assert!(
+            most_expired_at_once >= 8,
+            "at most {most_expired_at_once} entries ever expired together"
+        );
     }
 
     #[test]

@@ -22,10 +22,10 @@
 //!    builds each request's candidate supplier set `B(x)` — static
 //!    allocation holders plus playback caches that are ahead in the same
 //!    stripe — as one flat CSR [`vod_flow::CandidateView`] (one row build
-//!    per (stripe, issue round), replayed for every request of the class
-//!    under that build's number as change stamp, so incremental schedulers
-//!    skip unchanged rows and recognise shared ones), and hands the instance
-//!    to the configured [`Scheduler`];
+//!    per (stripe, issue round), stored once a round and shared by every
+//!    request of the class under that build's number as change stamp, so
+//!    incremental schedulers skip unchanged rows and resolve a shared one
+//!    once), and hands the instance to the configured [`Scheduler`];
 //! 5. records metrics (including the per-round [`CandidateStats`]); if some
 //!    request is unserved the round is infeasible: the obstruction (Hall
 //!    violator) can be extracted and the run either aborts or keeps
@@ -183,8 +183,10 @@ struct ClassRow {
     /// (0 = not built yet): handed down as the row's change stamp, so equal
     /// stamps mean the same build and therefore the same row.
     build: u64,
-    /// `round + 1` of the last round that replayed the row.
+    /// `round + 1` of the last round that replayed the row, and the id it
+    /// was stored under in that round's candidate buffer.
     used: u64,
+    stored: u32,
     boxes: Vec<BoxId>,
 }
 
@@ -1409,8 +1411,11 @@ impl<'a> Simulator<'a> {
     /// order, then cache holders in index insertion order).
     ///
     /// The incremental pipeline works in class rows: one build per (stripe,
-    /// issue round), replayed into the buffer for every request of the
-    /// class, all under the build's number as their change stamp.
+    /// issue round), stored in the buffer once a round and referred to by
+    /// every request of the class, all under the build's number as their
+    /// change stamp — the buffer is linear in a crowd. The rescan pipeline
+    /// stores one row per request, so `EngineVariant::GATE` compares shared
+    /// against unshared views every round.
     fn fill_round_candidates(&mut self, now: u64, requests: &[StripeRequest]) {
         let window = self.system.duration() as u64;
         self.cand_buf.clear();
@@ -1453,10 +1458,6 @@ impl<'a> Simulator<'a> {
                         row.build = self.row_builds;
                         row.shrink_stamp = shrink_stamp;
                     }
-                    if row.used != now + 1 {
-                        row.used = now + 1;
-                        self.rows_in_use += 1;
-                    }
                     // What lets one row serve the whole class: no requester
                     // is in it. A requester that stored the stripe would be
                     // self-served, and `start_playback` filed (or refreshed)
@@ -1467,7 +1468,16 @@ impl<'a> Simulator<'a> {
                         req.requester,
                         req.stripe
                     );
-                    self.cand_buf.push_row(row.boxes.iter().copied());
+                    // The class's first request of the round stores the row
+                    // (the index does not move during a fill, so a row is
+                    // not rebuilt after it); the others refer to it.
+                    if row.used != now + 1 {
+                        row.used = now + 1;
+                        self.rows_in_use += 1;
+                        row.stored = self.cand_buf.push_row(row.boxes.iter().copied());
+                    } else {
+                        self.cand_buf.push_shared(row.stored);
+                    }
                     self.cand_stamps.push(row.build);
                 }
             }
@@ -1863,6 +1873,11 @@ mod tests {
         /// `(stamp, row)` per request key.
         rows: HashMap<RequestKey, (u64, Vec<BoxId>)>,
         arena_edges: usize,
+        /// The view's own counts: rows and entries as stored, and entries
+        /// per request.
+        stored_rows: usize,
+        stored_entries: usize,
+        total_entries: usize,
     }
 
     /// The default scheduler, leaving the last round's view where the test
@@ -1916,6 +1931,9 @@ mod tests {
                 .schedule_keyed_view(capacities, keys, candidates, out);
             let mut seen = self.seen.borrow_mut();
             seen.arena_edges = self.inner.matcher().arena_edge_count();
+            seen.stored_rows = candidates.stored_rows();
+            seen.stored_entries = candidates.stored_entries();
+            seen.total_entries = candidates.total_entries();
             seen.rows.clear();
             for (x, key) in keys.iter().enumerate() {
                 let row = (candidates.row_stamp(x), candidates.row(x).to_vec());
@@ -1999,6 +2017,47 @@ mod tests {
         }
         assert!(growth_rounds > 10, "the crowd never grew");
         assert!(largest_class > 32, "largest class: {largest_class}");
+    }
+
+    #[test]
+    fn a_crowd_is_stored_once_per_class_and_counted_once_per_request() {
+        // One whole-population crowd, through growth, plateau and the first
+        // expiries: the view stores one row per class in use — its size is
+        // linear in the crowd — while `total_entries` still reads what one
+        // materialised row per request would hold.
+        let n = 512;
+        let sys = small_system(n, 2.0, 6, 4, 20);
+        let (scheduler, seen) = Probe::boxed();
+        let mut sim = Simulator::with_scheduler(&sys, SimConfig::new(60), scheduler);
+        let mut gen = FlashCrowd::single(VideoId(0), n, sys.m(), 1.5, 3);
+        let mut most_shared = 0.0f64;
+        for now in 0..60 {
+            assert!(sim.step(&mut gen), "round {now} left a request unserved");
+            let seen = seen.borrow();
+            // A class is a build stamp: one row, however many requests.
+            let mut class_rows: HashMap<u64, usize> = HashMap::new();
+            for (stamp, row) in seen.rows.values() {
+                let len = class_rows.entry(*stamp).or_insert(row.len());
+                assert_eq!(*len, row.len(), "round {now}: stamp {stamp} names two rows");
+            }
+            assert_eq!(seen.stored_rows, class_rows.len(), "round {now}");
+            assert_eq!(seen.stored_rows, sim.rows_in_use, "round {now}");
+            let class_entries: usize = class_rows.values().sum();
+            assert!(
+                seen.stored_entries <= class_entries,
+                "round {now}: {} entries stored for class rows of {class_entries}",
+                seen.stored_entries
+            );
+            let materialised: usize = seen.rows.values().map(|(_, row)| row.len()).sum();
+            assert_eq!(seen.total_entries, materialised, "round {now}");
+            if seen.stored_entries > 0 {
+                most_shared = most_shared.max(materialised as f64 / seen.stored_entries as f64);
+            }
+        }
+        assert!(
+            most_shared > 32.0,
+            "never shared more than {most_shared:.1}×"
+        );
     }
 
     /// Demands `video` for `viewer` in every round of `rounds`.

@@ -54,7 +54,7 @@ pub use repair::{RepairPlanner, RepairRoundStats, RepairTransfer};
 pub use request::{PlaybackState, RequestKind, StripePlan, StripeRequest};
 pub use scheduler::{
     GreedyScheduler, IncrementalMatcher, MaxFlowScheduler, NaiveScheduler, RandomScheduler,
-    RelayBroker, RelayEvent, RelayRoundStats, RelayUtilization, RequestKey, Scheduler,
+    RelayBroker, RelayEvent, RelayRoundStats, RelayUtilization, RequestKey, RowWork, Scheduler,
     SearchCounters, SearchStats, ShardRoundStats,
 };
 pub use swarm::{Swarm, SwarmTracker};

@@ -152,6 +152,19 @@ pub struct SearchStats {
     pub total: SearchCounters,
 }
 
+/// What resolving one round's requests to their classes cost in row reads
+/// (see [`IncrementalMatcher::row_work`]): plain integer adds, like
+/// [`SearchCounters`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RowWork {
+    /// Rows hashed to look their class up by content: at most one per
+    /// stored row of the view for arrivals, one per class whose row changed
+    /// for survivors — not one per request.
+    pub hashed_rows: u64,
+    /// Entries of those rows.
+    pub hashed_entries: u64,
+}
+
 /// One frame of the targeted search's alternating depth-first walk: a class
 /// on the path, and how far the walk has read its search row and the matched
 /// list of the saturated box of that row it is looking into.
@@ -330,6 +343,9 @@ pub struct IncrementalMatcher {
     stale_keys: Vec<(RequestKey, u32)>,
     /// Class per input position for the current round.
     pos_class: Vec<u32>,
+    /// Class per stored row of the current round's view, for the stored rows
+    /// an arrival has been resolved through ([`NIL`] for the others).
+    row_class: Vec<u32>,
     /// The classes this round must settle — new, retargeted or resized — in
     /// first-mention order, each with the members it entered the round with.
     dirty_classes: Vec<(u32, u32)>,
@@ -347,6 +363,7 @@ pub struct IncrementalMatcher {
     /// DFS scratch: the alternating class/box frames of the current path.
     dfs_stack: Vec<Frame>,
     search: SearchStats,
+    row_work: RowWork,
     /// Scratch of the debug-only maximality check, pooled so steady-state
     /// rounds allocate nothing in debug builds either: seen flags for the
     /// boxes, then the classes, and the walk's stack.
@@ -390,6 +407,7 @@ impl IncrementalMatcher {
             changed: false,
             stale_keys: Vec::new(),
             pos_class: Vec::new(),
+            row_class: Vec::new(),
             dirty_classes: Vec::new(),
             short_classes: Vec::new(),
             box_mark: Vec::new(),
@@ -397,6 +415,7 @@ impl IncrementalMatcher {
             visit_epoch: 0,
             dfs_stack: Vec::new(),
             search: SearchStats::default(),
+            row_work: RowWork::default(),
             dbg_seen: Vec::new(),
             dbg_stack: Vec::new(),
             csr_bridge: CandidateBuf::new(),
@@ -444,6 +463,14 @@ impl IncrementalMatcher {
         self.search
     }
 
+    /// Rows (and their entries) the last scheduled round hashed to resolve
+    /// its requests to classes. A request whose stamp proves its row
+    /// unchanged, and an arrival on a stored row another arrival of the round
+    /// came in on, cost nothing here.
+    pub fn row_work(&self) -> RowWork {
+        self.row_work
+    }
+
     /// Schedules one round incrementally. `keys[i]` is the stable identity
     /// of the request with candidate set `candidates[i]`; the assignment is
     /// written into `out` (reused, index-aligned with the input).
@@ -477,6 +504,7 @@ impl IncrementalMatcher {
         assert_eq!(keys.len(), candidates.len(), "one key per request");
         self.rounds += 1;
         self.search.round = SearchCounters::default();
+        self.row_work = RowWork::default();
         self.changed = false;
         if self.dirty || capacities.len() != self.caps.len() {
             self.reset(capacities);
@@ -612,8 +640,13 @@ impl IncrementalMatcher {
         self.pos_class.clear();
         self.dirty_classes.clear();
         let mut arrivals = false;
+        // An arrival reaches its class through its stored row: only the
+        // first one of a stored row has the row hashed and compared.
+        self.row_class.clear();
+        self.row_class.resize(candidates.stored_rows(), NIL);
         for (pos, key) in keys.iter().enumerate() {
-            let (row, stamp) = (candidates.row(pos), candidates.row_stamp(pos));
+            // The row itself is looked up only where it is read.
+            let stamp = candidates.row_stamp(pos);
             let class = match self.by_key.get_mut(key) {
                 Some(member) => {
                     // A duplicate key in one round would silently alias two
@@ -638,13 +671,14 @@ impl IncrementalMatcher {
                     };
                     if proven {
                         debug_assert_eq!(
-                            self.classes[old as usize].given, row,
+                            self.classes[old as usize].given,
+                            candidates.row(pos),
                             "stale change stamp"
                         );
                         self.touch_class(old, stamp);
                         old
                     } else {
-                        let class = self.resolve_class(Some(old), row, stamp);
+                        let class = self.resolve_class(Some(old), candidates.row(pos), stamp);
                         if class != old {
                             self.resize_class(old, -1);
                             self.resize_class(class, 1);
@@ -655,7 +689,25 @@ impl IncrementalMatcher {
                 }
                 None => {
                     arrivals = true;
-                    let class = self.resolve_class(None, row, stamp);
+                    let id = candidates.row_id(pos) as usize;
+                    let class = match self.row_class[id] {
+                        NIL => {
+                            let class = self.resolve_class(None, candidates.row(pos), stamp);
+                            self.row_class[id] = class;
+                            class
+                        }
+                        // Equal ids are one row, and a class touched this
+                        // round is not retargeted before the next: the class
+                        // recorded for the id still holds the row.
+                        class => {
+                            debug_assert_eq!(
+                                self.classes[class as usize].given,
+                                candidates.row(pos)
+                            );
+                            self.touch_class(class, stamp);
+                            class
+                        }
+                    };
                     self.resize_class(class, 1);
                     let member = Member {
                         class,
@@ -713,6 +765,8 @@ impl IncrementalMatcher {
             }
         }
         let hash = row_hash(row);
+        self.row_work.hashed_rows += 1;
+        self.row_work.hashed_entries += row.len() as u64;
         let mut cursor = self.by_row.get(&hash).copied().unwrap_or(NIL);
         while cursor != NIL {
             let class = &self.classes[cursor as usize];

@@ -15,7 +15,7 @@ mod random_pick;
 pub mod relay_broker;
 
 pub use greedy::GreedyScheduler;
-pub use incremental::{IncrementalMatcher, RequestKey, SearchCounters, SearchStats};
+pub use incremental::{IncrementalMatcher, RequestKey, RowWork, SearchCounters, SearchStats};
 pub use maxflow::MaxFlowScheduler;
 pub use naive::NaiveScheduler;
 pub use random_pick::RandomScheduler;
