@@ -10,7 +10,9 @@ use rand::Rng;
 use rand::SeedableRng;
 use std::time::Duration;
 use vod_core::{BoxId, StripeId, VideoId};
-use vod_flow::{ConnectionProblem, Dinic, FlowArena, HopcroftKarp, HopcroftKarpSolve, PushRelabel};
+use vod_flow::{
+    ConnectionProblem, Dinic, FlowArena, HopcroftKarp, HopcroftKarpSolve, MaxFlowSolve, PushRelabel,
+};
 use vod_sim::{IncrementalMatcher, RequestKey};
 
 /// A random connection-matching instance: `boxes` boxes of capacity `cap`,
@@ -71,6 +73,23 @@ fn bench_matching(criterion: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("dinic-unit", n), &n, |b, _| {
             b.iter(|| unit.solve_in(&mut arena, &mut dinic).served())
+        });
+    }
+
+    // One trial of the threshold sweep at u = 1 (128 boxes of c = 4 slots,
+    // c stripe requests per box, k = 4 candidates each): the tight cold
+    // solve every sweep trial pays, under each solver family.
+    let trial = instance(128, 4, 128 * 4, 4, 13);
+    let mut arena = FlowArena::new();
+    let families: [Box<dyn MaxFlowSolve>; 3] = [
+        Box::new(Dinic::new()),
+        Box::new(HopcroftKarpSolve::new()),
+        Box::new(PushRelabel::new()),
+    ];
+    for mut solver in families {
+        let id = BenchmarkId::new(solver.name(), "threshold-trial");
+        group.bench_function(id, |b| {
+            b.iter(|| trial.solve_in(&mut arena, solver.as_mut()).served())
         });
     }
     group.finish();

@@ -1,30 +1,28 @@
-//! E14 — Solver backends on cold instances: word-parallel kernels next to
-//! their scalar twins.
+//! E14 — The three solver families on cold instances.
 //!
 //! A solver runs where the matcher has no flow to start from: the keyed
 //! round after a reset (first round, fleet-size change) and every one-shot
 //! [`Scheduler::schedule`] call. Warm rounds never reach it — the
 //! [`vod_sim::IncrementalMatcher`] restores maximality by its own targeted
 //! search whatever share of the round is unserved — so replaying a script
-//! *warm* through each backend times the matcher six times over. This
+//! *warm* through each backend times the matcher three times over. This
 //! experiment therefore solves every round of identical scripts **cold**,
 //! through [`MaxFlowScheduler::schedule`] wired to each
-//! [`vod_flow::MaxFlowSolve`] backend, and times them head-to-head:
+//! [`vod_flow::MaxFlowSolve`] family, and times them head-to-head: `dinic`
+//! (word-parallel level BFS on Lemma-1 shapes), `hopcroft-karp`
+//! (capacitated word-parallel matcher) and `push-relabel` (gap +
+//! global-relabel heuristics).
 //!
-//! * `dinic` (word-parallel level BFS on Lemma-1 shapes) vs `dinic-scalar`;
-//! * `hopcroft-karp` (capacitated word-parallel matcher) vs
-//!   `hopcroft-karp-scalar` (PR 5 sub-box expansion path);
-//! * `push-relabel` (gap + global-relabel heuristics) vs
-//!   `push-relabel-basic` (gap only).
-//!
-//! Four instance shapes cover the regimes the schedulers meet in the
+//! Five instance shapes cover the regimes the schedulers meet in the
 //! simulator: multi-swarm churn (many small blocks), a flash crowd (one
 //! dense block), an adversarial capacity-tight overload (long augmenting
-//! paths, the relabel stress case), and a heterogeneous-relay shape (a few
+//! paths, the relabel stress case), a heterogeneous-relay shape (a few
 //! high-`u` superboxes carrying most of the load, as produced by
-//! `u*`-compensation).
+//! `u*`-compensation), and a threshold-trial shape sized like one trial of
+//! the paper's E1 sweep (`n = 128`, `c = 4`, `k = 4`, `u = 1`), whose first
+//! round is the cold solve every sweep trial pays.
 //!
-//! The run doubles as a CI determinism gate: every backend must produce an
+//! The run doubles as a CI determinism gate: every family must produce an
 //! identical per-round served sequence on every workload (they are all
 //! exact maximum-flow algorithms), and the run exits non-zero on any
 //! divergence.
@@ -121,6 +119,41 @@ fn relay_script(boxes: usize, requests: usize, rounds: usize, seed: u64) -> Roun
     }
 }
 
+/// One trial of the E1 threshold sweep at `u = 1`: 128 boxes of `⌊u·c⌋ = 4`
+/// slots, every box viewing (`c = 4` stripe requests each), each stripe held
+/// by `k = 4` random boxes. Demand equals supply, so the solve is tight.
+fn threshold_script(rounds: usize, seed: u64) -> RoundScript {
+    const N: usize = 128;
+    const C: usize = 4;
+    const K: usize = 4;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut script = Vec::with_capacity(rounds);
+    for _ in 0..rounds {
+        let mut keys = Vec::with_capacity(N * C);
+        let mut cands = Vec::with_capacity(N * C);
+        for viewer in 0..N {
+            let video = VideoId(rng.gen_range(0u32..N as u32));
+            for stripe in 0..C {
+                keys.push(RequestKey {
+                    viewer: BoxId(viewer as u32),
+                    stripe: StripeId::new(video, stripe as u16),
+                });
+                let mut list: Vec<BoxId> = (0..K)
+                    .map(|_| BoxId(rng.gen_range(0usize..N) as u32))
+                    .collect();
+                list.sort();
+                list.dedup();
+                cands.push(list);
+            }
+        }
+        script.push((keys, cands));
+    }
+    RoundScript {
+        caps: vec![C as u32; N],
+        rounds: script,
+    }
+}
+
 fn shapes(scale: Scale) -> Vec<Shape> {
     let (boxes, viewers, rounds) = scale.pick((96usize, 56usize, 20usize), (256, 150, 40));
     let requests = viewers * 4;
@@ -141,40 +174,26 @@ fn shapes(scale: Scale) -> Vec<Shape> {
             label: "hetero-relay",
             script: relay_script(boxes, requests, rounds, 0xE7),
         },
+        Shape {
+            label: "threshold-trial",
+            script: threshold_script(rounds, 0xE1),
+        },
     ]
 }
 
 /// Constructor of one boxed solver backend.
 type MakeSolver = fn() -> Box<dyn MaxFlowSolve>;
 
-/// The solver line-up: each word-parallel backend next to its scalar twin.
-fn backends() -> Vec<(&'static str, MakeSolver)> {
-    vec![
-        ("dinic", || Box::new(Dinic::new())),
-        ("dinic-scalar", || Box::new(Dinic::scalar())),
-        ("hopcroft-karp", || Box::new(HopcroftKarpSolve::new())),
-        ("hopcroft-karp-scalar", || {
-            Box::new(HopcroftKarpSolve::scalar())
-        }),
-        ("push-relabel", || Box::new(PushRelabel::new())),
-        ("push-relabel-basic", || Box::new(PushRelabel::basic())),
-    ]
-}
-
-/// The scalar twin each word-parallel backend is compared against in the
-/// speedup column.
-fn scalar_twin(series: &str) -> Option<&'static str> {
-    match series {
-        "dinic" => Some("dinic-scalar"),
-        "hopcroft-karp" => Some("hopcroft-karp-scalar"),
-        "push-relabel" => Some("push-relabel-basic"),
-        _ => None,
-    }
-}
+/// The solver line-up: one constructor per family.
+const FAMILIES: [MakeSolver; 3] = [
+    || Box::new(Dinic::new()),
+    || Box::new(HopcroftKarpSolve::new()),
+    || Box::new(PushRelabel::new()),
+];
 
 /// One replay, every round solved cold: per-round served counts
 /// (replay-invariant) plus the best wall-clock per round over `REPEATS`.
-fn profile(script: &RoundScript, make: &fn() -> Box<dyn MaxFlowSolve>) -> (Vec<usize>, f64) {
+fn profile(script: &RoundScript, make: MakeSolver) -> (Vec<usize>, f64) {
     let mut best = f64::INFINITY;
     let mut per_round = Vec::new();
     for _ in 0..REPEATS {
@@ -196,81 +215,47 @@ fn main() {
     let scale = Scale::from_env();
     print_header(
         "E14 exp_solvers — solver kernels on cold instances",
-        "all max-flow backends serve identical per-round sequences (Lemma 1 has a unique optimum value); the table is what each costs where production still calls one, on a cold instance",
+        "all three max-flow families serve identical per-round sequences (Lemma 1 has a unique optimum value); the table is what each costs where production still calls one, on a cold instance",
         scale,
     );
 
     let mut diverged = false;
     let mut table = Table::new(
         "Cold solve wall-clock per round (identical served sequences required)",
-        &[
-            "workload",
-            "solver",
-            "served",
-            "ms/round",
-            "speedup vs scalar twin",
-        ],
+        &["workload", "solver", "served", "ms/round"],
     );
-    let mut verdicts: Vec<String> = Vec::new();
 
     for shape in shapes(scale) {
-        let mut measured: Vec<(&'static str, Vec<usize>, f64)> = Vec::new();
-        for (series, make) in backends() {
-            let (per_round, ms) = profile(&shape.script, &make);
-            measured.push((series, per_round, ms));
-        }
-
-        // Determinism gate: every backend must serve the same sequence.
-        let (ref_name, reference, _) = &measured[0];
-        for (series, per_round, _) in &measured[1..] {
-            if per_round != reference {
-                eprintln!(
-                    "FAIL: {} — {series} served sequence diverged from {ref_name}",
-                    shape.label
-                );
-                diverged = true;
+        let mut reference: Option<(&str, Vec<usize>)> = None;
+        for make in FAMILIES {
+            let (per_round, ms) = profile(&shape.script, make);
+            let series = make().name();
+            // Determinism gate: every family must serve the same sequence.
+            match &reference {
+                None => reference = Some((series, per_round.clone())),
+                Some((ref_name, expected)) if *expected != per_round => {
+                    eprintln!(
+                        "FAIL: {} — {series} served sequence diverged from {ref_name}",
+                        shape.label
+                    );
+                    diverged = true;
+                }
+                Some(_) => {}
             }
-        }
-
-        let total_served: usize = reference.iter().sum();
-        let ms_of = |name: &str| -> f64 {
-            measured
-                .iter()
-                .find(|(s, _, _)| *s == name)
-                .map(|(_, _, ms)| *ms)
-                .expect("backend measured")
-        };
-        for (series, _, ms) in &measured {
-            let speedup = match scalar_twin(series) {
-                Some(twin) => format!("{:.2}x", ms_of(twin) / ms.max(1e-9)),
-                None => "—".to_string(),
-            };
             table.push_row(vec![
                 shape.label.to_string(),
                 series.to_string(),
-                total_served.to_string(),
+                per_round.iter().sum::<usize>().to_string(),
                 format!("{ms:.4}"),
-                speedup,
             ]);
         }
-        verdicts.push(format!(
-            "{}: hopcroft-karp {:.2}x vs scalar, dinic {:.2}x vs scalar, push-relabel {:.2}x vs basic",
-            shape.label,
-            ms_of("hopcroft-karp-scalar") / ms_of("hopcroft-karp").max(1e-9),
-            ms_of("dinic-scalar") / ms_of("dinic").max(1e-9),
-            ms_of("push-relabel-basic") / ms_of("push-relabel").max(1e-9),
-        ));
     }
 
     println!("{}", table.to_markdown());
 
     if diverged {
-        eprintln!("FAIL: solver backends disagreed on a served sequence");
+        eprintln!("FAIL: solver families disagreed on a served sequence");
         std::process::exit(1);
     }
-    println!("all backends served identical per-round sequences");
-    println!("word-parallel vs scalar twins:");
-    for verdict in &verdicts {
-        println!("  {verdict}");
-    }
+    println!("all three families served identical per-round sequences");
 }

@@ -1,31 +1,23 @@
-//! Reusable flow-graph arena: the solver-facing network representation.
+//! The flow network: a directed graph with integer capacities in flat,
+//! reusable storage.
 //!
-//! The per-round scheduling loop solves one max-flow instance per simulated
-//! round, and consecutive instances are nearly identical. Rebuilding a
-//! [`crate::graph::FlowNetwork`] each round costs one heap allocation per
-//! node (its adjacency is a `Vec<Vec<usize>>`). The [`FlowArena`] stores the
-//! same residual graph in flat arrays — an edge list with intrusive
-//! linked-list adjacency (`head`/`next`) — so [`FlowArena::clear`] and
-//! [`FlowArena::rebuild_from`] reuse every allocation: after warm-up, a
-//! steady-state round performs **zero** heap allocations in the flow layer.
+//! The connection-matching feasibility question of Lemma 1 is answered by a
+//! maximum-flow computation over this network. Capacities are integers: the
+//! caller scales the paper's rational capacities (`u_b`, `1/c`) by `c` so
+//! that one unit of flow corresponds to one stripe connection.
 //!
-//! Edge indices are assigned in insertion order and the residual twin of edge
-//! `e` is always `e ^ 1`, exactly as in [`crate::graph::FlowNetwork`], so the
-//! two representations are index-compatible and flows can be copied between
-//! them ([`FlowArena::rebuild_from`], [`crate::graph::FlowNetwork::sync_flows_from`]).
+//! The [`FlowArena`] stores the residual graph in flat arrays — an edge list
+//! with intrusive linked-list adjacency (`head`/`next`) — so
+//! [`FlowArena::clear`] reuses every allocation: rebuilding the network for
+//! the next solve allocates nothing once the arena has grown to the working
+//! set. Edge indices are assigned in insertion order and the residual twin
+//! of edge `e` is always `e ^ 1`.
 
-use crate::graph::{FlowNetwork, NodeId};
-use std::sync::atomic::{AtomicU64, Ordering};
+/// Index of a node in the network.
+pub type NodeId = usize;
 
 /// Sentinel terminating an adjacency list.
 const NIL: i64 = -1;
-
-/// Process-wide source of structure-version stamps: every structural
-/// mutation of any arena draws a fresh, globally unique stamp, so two arenas
-/// (or one arena at two points in time) share a version only when their
-/// structure is byte-identical — a clone and its original legitimately share
-/// one until either mutates.
-static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
 
 /// One directed edge of the arena (the residual twin lives at `index ^ 1`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,7 +26,7 @@ pub struct ArenaEdge {
     pub to: u32,
     /// Remaining residual capacity.
     pub cap: i64,
-    /// Capacity the edge was created (or last re-capacitated) with.
+    /// Capacity the edge was created with.
     pub original_cap: i64,
 }
 
@@ -46,10 +38,6 @@ pub struct FlowArena {
     head: Vec<i64>,
     /// Next edge in the source node's adjacency list (`-1` terminates).
     next: Vec<i64>,
-    /// Structure version: bumped to a globally unique stamp by every
-    /// mutation of the graph's *shape* (nodes, edges, capacities), but not by
-    /// flow pushes. Solvers key cached structure analyses on it.
-    version: u64,
 }
 
 impl FlowArena {
@@ -65,7 +53,6 @@ impl FlowArena {
             edges: Vec::with_capacity(edges),
             head: Vec::with_capacity(nodes),
             next: Vec::with_capacity(edges),
-            version: 0,
         }
     }
 
@@ -76,27 +63,12 @@ impl FlowArena {
         self.next.clear();
         self.head.clear();
         self.head.resize(nodes, NIL);
-        self.bump_version();
     }
 
     /// Adds one extra node and returns its id.
     pub fn add_node(&mut self) -> NodeId {
         self.head.push(NIL);
-        self.bump_version();
         self.head.len() - 1
-    }
-
-    /// The arena's structure version: changes (to a globally unique value)
-    /// whenever nodes or edges are added, the arena is cleared, or an edge is
-    /// re-capacitated — but not when flow is pushed. Two arenas with equal
-    /// versions have identical structure, so solvers can cache per-structure
-    /// analyses keyed on this value.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    fn bump_version(&mut self) {
-        self.version = NEXT_VERSION.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Number of nodes.
@@ -135,7 +107,6 @@ impl FlowArena {
         self.next.push(self.head[to]);
         self.head[from] = idx as i64;
         self.head[to] = idx as i64 + 1;
-        self.bump_version();
         idx
     }
 
@@ -169,22 +140,10 @@ impl FlowArena {
         debug_assert!(self.edges[idx ^ 1].cap >= 0, "over-cancelled edge {idx}");
     }
 
-    /// Re-capacitates edge `idx` to `cap`, preserving the flow currently on
-    /// it.
-    ///
-    /// # Panics
-    /// Panics (in debug builds) when the current flow exceeds the new
-    /// capacity — the caller must cancel excess flow first.
-    pub fn set_capacity(&mut self, idx: usize, cap: i64) {
-        assert!(cap >= 0, "capacity must be non-negative");
-        let flow = self.flow_on(idx);
-        debug_assert!(
-            flow <= cap,
-            "edge {idx} carries {flow} units, above the new capacity {cap}"
-        );
-        self.edges[idx].original_cap = cap;
-        self.edges[idx].cap = cap - flow;
-        self.bump_version();
+    /// True when some edge carries flow. Every solve starts from an arena
+    /// that does not (see [`crate::solver::MaxFlowSolve`]).
+    pub fn carries_flow(&self) -> bool {
+        self.edges.iter().any(|e| e.cap != e.original_cap)
     }
 
     /// First outgoing edge of `node`, or `None` (start of an adjacency walk;
@@ -206,41 +165,6 @@ impl FlowArena {
         EdgeIter {
             arena: self,
             cursor: self.head[node],
-        }
-    }
-
-    /// Resets every edge to its original capacity (discarding all flow) while
-    /// keeping the graph structure.
-    pub fn reset_flow(&mut self) {
-        for e in &mut self.edges {
-            e.cap = e.original_cap;
-        }
-    }
-
-    /// Rebuilds this arena as an index-exact copy of `network`, reusing the
-    /// arena's allocations. Edge indices, capacities, and current flow all
-    /// carry over.
-    pub fn rebuild_from(&mut self, network: &FlowNetwork) {
-        self.clear(network.node_count());
-        // FlowNetwork adjacency preserves insertion order per node but not
-        // globally, so recover each forward edge's source node first.
-        let mut sources = vec![0usize; network.edge_count()];
-        for node in 0..network.node_count() {
-            for &idx in network.edges_from(node) {
-                if idx % 2 == 0 {
-                    sources[idx] = node;
-                }
-            }
-        }
-        for idx in (0..network.edge_count()).step_by(2) {
-            let edge = network.edge(idx);
-            let new_idx = self.add_edge(sources[idx], edge.to, edge.original_cap);
-            debug_assert_eq!(new_idx, idx);
-            // Carry the current flow over.
-            let flow = edge.original_cap - edge.cap;
-            if flow != 0 {
-                self.push(idx, flow);
-            }
         }
     }
 
@@ -319,8 +243,42 @@ impl Iterator for EdgeIter<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// An `n`-node arena with the given `(from, to, capacity)` edges.
+    pub(crate) fn build(n: usize, edges: &[(usize, usize, i64)]) -> FlowArena {
+        let mut arena = FlowArena::new();
+        arena.clear(n);
+        for &(from, to, cap) in edges {
+            arena.add_edge(from, to, cap);
+        }
+        arena
+    }
+
+    /// CLRS figure 26.1-style network from 0 to 5, max flow 23.
+    pub(crate) const TEXTBOOK: [(usize, usize, i64); 10] = [
+        (0, 1, 16),
+        (0, 2, 13),
+        (1, 2, 10),
+        (2, 1, 4),
+        (1, 3, 12),
+        (3, 2, 9),
+        (2, 4, 14),
+        (4, 3, 7),
+        (3, 5, 20),
+        (4, 5, 4),
+    ];
+
+    /// Sum of the capacities of the forward edges crossing from `side` to
+    /// its complement: the capacity of the cut `side` defines.
+    pub(crate) fn cut_capacity(arena: &FlowArena, side: &[bool]) -> i64 {
+        (0..arena.edge_count())
+            .step_by(2)
+            .filter(|&idx| side[arena.target(idx ^ 1)] && !side[arena.target(idx)])
+            .map(|idx| arena.edge(idx).original_cap)
+            .sum()
+    }
 
     #[test]
     fn add_edge_creates_residual_twin() {
@@ -339,14 +297,24 @@ mod tests {
         let mut a = FlowArena::new();
         a.clear(2);
         let e = a.add_edge(0, 1, 5);
+        assert!(!a.carries_flow());
         a.push(e, 3);
         assert_eq!(a.residual(e), 2);
+        assert_eq!(a.residual(e ^ 1), 3);
         assert_eq!(a.flow_on(e), 3);
+        assert!(a.carries_flow());
         a.push(e, -3);
         assert_eq!(a.flow_on(e), 0);
-        a.push(e, 2);
-        a.reset_flow();
         assert_eq!(a.residual(e), 5);
+        assert!(!a.carries_flow());
+    }
+
+    #[test]
+    #[should_panic(expected = "node out of range")]
+    fn edge_to_a_missing_node_rejected() {
+        let mut a = FlowArena::new();
+        a.clear(2);
+        a.add_edge(0, 2, 1);
     }
 
     #[test]
@@ -368,19 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn set_capacity_preserves_flow() {
-        let mut a = FlowArena::new();
-        a.clear(2);
-        let e = a.add_edge(0, 1, 5);
-        a.push(e, 2);
-        a.set_capacity(e, 3);
-        assert_eq!(a.flow_on(e), 2);
-        assert_eq!(a.residual(e), 1);
-        a.set_capacity(e, 10);
-        assert_eq!(a.residual(e), 8);
-    }
-
-    #[test]
     fn adjacency_iteration_covers_all_edges() {
         let mut a = FlowArena::new();
         a.clear(3);
@@ -395,52 +350,16 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_from_network_is_index_exact() {
-        let mut g = FlowNetwork::with_nodes(4);
-        let e0 = g.add_edge(0, 1, 4);
-        let e1 = g.add_edge(1, 2, 3);
-        let _ = g.add_edge(2, 3, 2);
-        g.push(e0, 2);
-        g.push(e1, 1);
-
-        let mut a = FlowArena::new();
-        a.rebuild_from(&g);
-        assert_eq!(a.node_count(), 4);
-        assert_eq!(a.edge_count(), g.edge_count());
-        for idx in 0..g.edge_count() {
-            assert_eq!(a.residual(idx), g.residual(idx), "edge {idx}");
-            assert_eq!(a.target(idx), g.target(idx), "edge {idx}");
-        }
-    }
-
-    #[test]
     fn residual_reachability_matches_network_semantics() {
         let mut a = FlowArena::new();
         a.clear(3);
         let e01 = a.add_edge(0, 1, 1);
         let _e12 = a.add_edge(1, 2, 1);
+        // Saturate 0→1: nodes 1 and 2 are unreachable from 0, while from
+        // node 1 both 2 (forward) and 0 (residual) are reachable.
         a.push(e01, 1);
         assert_eq!(a.residual_reachable(0), vec![true, false, false]);
         assert_eq!(a.residual_reachable(1), vec![true, true, true]);
-    }
-
-    #[test]
-    fn version_tracks_structure_not_flow() {
-        let mut a = FlowArena::new();
-        a.clear(2);
-        let after_clear = a.version();
-        let e = a.add_edge(0, 1, 3);
-        let after_edge = a.version();
-        assert_ne!(after_clear, after_edge);
-        a.push(e, 2);
-        assert_eq!(a.version(), after_edge, "pushes must not bump the version");
-        a.set_capacity(e, 5);
-        assert_ne!(a.version(), after_edge);
-        // A clone shares the version until either side mutates.
-        let mut b = a.clone();
-        assert_eq!(a.version(), b.version());
-        b.add_node();
-        assert_ne!(a.version(), b.version());
     }
 
     #[test]

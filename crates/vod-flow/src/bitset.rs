@@ -19,8 +19,7 @@
 //!
 //! Column and row order follow *node* order in the arena.
 
-use crate::arena::FlowArena;
-use crate::graph::NodeId;
+use crate::arena::{FlowArena, NodeId};
 
 /// Number of bits per storage word.
 const WORD_BITS: usize = 64;
@@ -219,25 +218,17 @@ const ROLE_REQUEST: u8 = 2;
 /// incremental matcher); [`BipartiteShape::unit_rows`] says whether every
 /// live row is of the first kind.
 ///
-/// De-capacitated edges (`original_cap == 0`, the incremental matcher's
-/// logical removal) are treated as absent: they are excluded from the bit
-/// rows, and a request whose sink edge is de-capacitated is kept as a dead
-/// row that can never be matched. Any structure outside the layout (a
-/// candidate edge whose capacity is not its row's demand, parallel edges,
-/// extra node layers such as the relay network's two-hop paths) marks the
-/// analysis invalid, and callers fall back to their scalar paths.
+/// Any structure outside the layout (a row of demand 0, a candidate edge
+/// whose capacity is not its row's demand, parallel edges, extra node
+/// layers such as the relay network's two-hop paths) marks the analysis
+/// invalid, and callers fall back to their scalar paths. Solvers run it once
+/// per solve, on the freshly built arena.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct BipartiteShape {
     /// True when the arena matched the Lemma-1 layout.
     pub valid: bool,
-    /// True when, besides, every live row has demand 1 (plain matching).
+    /// True when, besides, every row has demand 1 (plain matching).
     pub unit_rows: bool,
-    /// Arena structure version this analysis corresponds to.
-    pub version: u64,
-    /// Source / sink node ids the analysis was run for.
-    pub source: NodeId,
-    /// See [`BipartiteShape::source`].
-    pub sink: NodeId,
     /// Box node ids, column order.
     pub boxes: Vec<u32>,
     /// Request node ids, row order.
@@ -245,8 +236,7 @@ pub(crate) struct BipartiteShape {
     /// Per box column: the `source → box` edge index ([`NONE`] when the box
     /// has no source edge; its budget is then zero).
     pub source_edge: Vec<u32>,
-    /// Per request row: the `request → sink` edge index ([`NONE`] when
-    /// absent; such a row is dead).
+    /// Per request row: the `request → sink` edge index.
     pub sink_edge: Vec<u32>,
     /// Per request row: CSR offsets into `cand_box` / `cand_edge`.
     pub cand_off: Vec<u32>,
@@ -258,10 +248,8 @@ pub(crate) struct BipartiteShape {
     pub adj: BitAdjacency,
     // --- pooled analysis scratch ---
     role: Vec<u8>,
-    /// Live forward edges that are neither source nor sink edges:
-    /// `(from, to, edge)`. De-capacitated candidates are dropped here, so
-    /// every later pass runs over live edges only and never re-reads the
-    /// arena.
+    /// Forward edges that are neither source nor sink edges:
+    /// `(from, to, edge)`.
     other: Vec<(u32, u32, u32)>,
     /// `(box node, edge)` source edges.
     src_edges: Vec<(u32, u32)>,
@@ -276,14 +264,10 @@ pub(crate) struct BipartiteShape {
 }
 
 impl BipartiteShape {
-    /// Analyses `arena` for the Lemma-1 layout rooted at `source` / `sink`,
-    /// recording [`FlowArena::version`] so callers can reuse the analysis
-    /// until the arena's structure changes. Returns [`BipartiteShape::valid`].
+    /// Analyses `arena` for the Lemma-1 layout rooted at `source` / `sink`.
+    /// Returns [`BipartiteShape::valid`].
     pub fn analyze(&mut self, arena: &FlowArena, source: NodeId, sink: NodeId) -> bool {
         let n = arena.node_count();
-        self.version = arena.version();
-        self.source = source;
-        self.sink = sink;
         self.valid = true;
         self.unit_rows = true;
         self.role.clear();
@@ -295,8 +279,7 @@ impl BipartiteShape {
         // Pass 1: one linear sweep of the flat edge array (a forward edge
         // lives at every even index and its twin's target is its source
         // node), bucketing each edge by its endpoints and assigning the
-        // roles forced by source/sink incidence. De-capacitated candidate
-        // edges are logically removed and dropped here.
+        // roles forced by source/sink incidence.
         let mut fwd = 0usize;
         let edge_total = arena.edge_count();
         while fwd < edge_total {
@@ -319,13 +302,13 @@ impl BipartiteShape {
             } else if from == sink || to == source {
                 self.valid = false;
                 return false;
-            } else if arena.edge(fwd).original_cap != 0 {
+            } else {
                 self.other.push((from as u32, to as u32, fwd as u32));
             }
             fwd += 2;
         }
 
-        // Pass 2: the remaining live forward edges must run box → request. A
+        // Pass 2: the remaining forward edges must run box → request. A
         // node seen only on the `from` side of such edges is a budgetless
         // box (a zero-capacity box keeps its candidate edges but has no
         // source edge).
@@ -372,19 +355,18 @@ impl BipartiteShape {
         self.sink_edge.clear();
         self.sink_edge.resize(self.requests.len(), NONE);
         for &(node, idx) in &self.snk_edges {
-            self.unit_rows &= arena.edge(idx as usize).original_cap <= 1;
+            let demand = arena.edge(idx as usize).original_cap;
             let row = self.req_row[node as usize] as usize;
-            let prev = self.sink_edge[row];
-            if prev == NONE || arena.edge(prev as usize).original_cap == 0 {
-                self.sink_edge[row] = idx;
-            } else if arena.edge(idx as usize).original_cap != 0 {
-                self.valid = false; // two live sink edges
+            if demand == 0 || self.sink_edge[row] != NONE {
+                self.valid = false; // a row of demand 0, or parallel sink edges
                 return false;
             }
+            self.unit_rows &= demand == 1;
+            self.sink_edge[row] = idx;
         }
 
-        // Candidate CSR (`other` already holds live edges only) by counting
-        // sort on request row, filling the bit matrix in the same sweep.
+        // Candidate CSR by counting sort on request row, filling the bit
+        // matrix in the same sweep.
         let rows = self.requests.len();
         self.cand_off.clear();
         self.cand_off.resize(rows + 1, 0);
@@ -406,12 +388,10 @@ impl BipartiteShape {
         for &(from, to, idx) in &self.other {
             let row = self.req_row[to as usize] as usize;
             let col = self.box_col[from as usize] as usize;
-            // A live row's candidate edges carry the row's demand (so at
-            // most one of them can be saturated at a time); a dead row's are
-            // never used, whatever they carry.
+            // A row's candidate edges carry the row's demand (so at most
+            // one of them can be saturated at a time).
             let demand = arena.edge(self.sink_edge[row] as usize).original_cap;
-            let off_demand = demand != 0 && arena.edge(idx as usize).original_cap != demand;
-            if off_demand || self.adj.contains(row, col) {
+            if arena.edge(idx as usize).original_cap != demand || self.adj.contains(row, col) {
                 self.valid = false; // or parallel candidate edges
                 return false;
             }
@@ -433,18 +413,6 @@ impl BipartiteShape {
             .iter()
             .copied()
             .zip(self.cand_edge[lo..hi].iter().copied())
-    }
-
-    /// The box column the unit-demand `row` currently takes its unit of
-    /// flow from, recovered from the arena's live flows ([`NONE`] when
-    /// unmatched).
-    pub fn matched_col(&self, arena: &FlowArena, row: usize) -> u32 {
-        for (col, edge) in self.cands(row) {
-            if arena.flow_on(edge as usize) == 1 {
-                return col;
-            }
-        }
-        NONE
     }
 }
 
@@ -527,7 +495,7 @@ mod tests {
         a.clear(6);
         let s0 = a.add_edge(0, 1, 2);
         let _s1 = a.add_edge(0, 2, 1);
-        let c0 = a.add_edge(1, 3, 1);
+        let _c0 = a.add_edge(1, 3, 1);
         let _c1 = a.add_edge(1, 4, 1);
         let _c2 = a.add_edge(2, 4, 1);
         let t0 = a.add_edge(3, 5, 1);
@@ -541,12 +509,7 @@ mod tests {
         assert!(shape.adj.contains(0, 0));
         assert!(shape.adj.contains(1, 0) && shape.adj.contains(1, 1));
         assert!(!shape.adj.contains(0, 1));
-        // Matched column recovery from a live flow.
-        a.push(s0, 1);
-        a.push(c0, 1);
-        a.push(t0, 1);
-        assert_eq!(shape.matched_col(&a, 0), 0);
-        assert_eq!(shape.matched_col(&a, 1), NONE);
+        assert_eq!(shape.cands(1).count(), 2);
     }
 
     #[test]
@@ -568,6 +531,19 @@ mod tests {
         b.add_edge(1, 2, 2);
         b.add_edge(2, 3, 1);
         assert!(!shape.analyze(&b, 0, 3));
+
+        // So is a row of demand 0, and a request with two sink edges.
+        let mut c = FlowArena::new();
+        c.clear(4);
+        c.add_edge(0, 1, 1);
+        c.add_edge(2, 3, 0);
+        assert!(!shape.analyze(&c, 0, 3));
+        c.clear(4);
+        c.add_edge(0, 1, 1);
+        c.add_edge(1, 2, 1);
+        c.add_edge(2, 3, 1);
+        c.add_edge(2, 3, 1);
+        assert!(!shape.analyze(&c, 0, 3));
     }
 
     #[test]
@@ -581,50 +557,11 @@ mod tests {
         a.add_edge(1, 3, 3);
         a.add_edge(2, 3, 3);
         a.add_edge(2, 4, 1);
-        let class_sink = a.add_edge(3, 5, 3);
+        a.add_edge(3, 5, 3);
         a.add_edge(4, 5, 1);
         let mut shape = BipartiteShape::default();
         assert!(shape.analyze(&a, 0, 5));
         assert!(!shape.unit_rows);
         assert!(shape.adj.contains(0, 0) && shape.adj.contains(0, 1));
-        // A retired class (sink edge at 0) keeps whatever its candidate
-        // edges carried; it is a dead row, not a reason to give up.
-        a.set_capacity(class_sink, 0);
-        assert!(shape.analyze(&a, 0, 5));
-        assert!(shape.unit_rows);
-    }
-
-    #[test]
-    fn shape_treats_decapacitated_edges_as_absent() {
-        let mut a = FlowArena::new();
-        a.clear(5);
-        let _s0 = a.add_edge(0, 1, 2);
-        let c0 = a.add_edge(1, 2, 1);
-        let _c1 = a.add_edge(1, 3, 1);
-        let t0 = a.add_edge(2, 4, 1);
-        let _t1 = a.add_edge(3, 4, 1);
-        a.set_capacity(c0, 0);
-        a.set_capacity(t0, 0);
-        let mut shape = BipartiteShape::default();
-        assert!(shape.analyze(&a, 0, 4));
-        // Request 2's candidate edge is gone from the matrix; its dead sink
-        // edge is still recorded so the row exists.
-        let r0 = shape.req_row[2] as usize;
-        assert!(!shape.adj.contains(r0, 0));
-        assert_eq!(shape.sink_edge[r0], t0 as u32);
-        assert_eq!(shape.cands(r0).count(), 0);
-    }
-
-    #[test]
-    fn shape_version_tracks_arena() {
-        let mut a = FlowArena::new();
-        a.clear(3);
-        a.add_edge(0, 1, 1);
-        a.add_edge(1, 2, 1);
-        let mut shape = BipartiteShape::default();
-        shape.analyze(&a, 0, 2);
-        assert_eq!(shape.version, a.version());
-        a.add_edge(0, 1, 1);
-        assert_ne!(shape.version, a.version());
     }
 }

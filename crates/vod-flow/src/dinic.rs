@@ -3,27 +3,23 @@
 //! Dinic runs in `O(V²E)` in general and `O(E·√V)` on the unit-capacity
 //! bipartite networks produced by the connection-matching reduction, which is
 //! why it is the default solver for the per-round scheduling problem. The
-//! solver keeps its level and cursor buffers between calls, so repeated
-//! solves over a reused [`FlowArena`] allocate nothing in steady state, and
-//! it augments from whatever flow the arena already carries — warm-starting
-//! from the previous round's matching is just calling it again.
+//! solver keeps its level and cursor buffers between calls, so solving a
+//! rebuilt [`FlowArena`] allocates nothing once they have grown.
 //!
-//! On Lemma-1-shaped arenas (`source → boxes → requests → sink`, rows of any
-//! demand; detected by the shape analysis in [`crate::bitset`] and cached on
-//! [`FlowArena::version`]) the per-phase level BFS runs word-parallel over
-//! the request×box bit matrix instead of chasing the edge linked lists. The
-//! levels it assigns are exactly the scalar BFS distances for every node the
-//! blocking-flow DFS can usefully visit (nodes past the sink's layer are
-//! left unlabelled, which only prunes provably dead DFS branches), so the
-//! resulting flows are **bit-identical** to the scalar path — the property
-//! tests assert this edge by edge. Non-Lemma-1 graphs (relay two-hop
-//! networks, the general textbook instances) fall back to the scalar BFS
-//! automatically; [`Dinic::scalar`] forces the fallback everywhere, as a
-//! baseline for benchmarks and equivalence tests.
+//! The input decides the level BFS. On Lemma-1-shaped arenas (`source →
+//! boxes → requests → sink`, rows of any demand; recognised by the shape
+//! analysis in [`crate::bitset`], run once per solve) the per-phase level
+//! BFS runs word-parallel over the request×box bit matrix instead of chasing
+//! the edge linked lists. The levels it assigns are exactly the scalar BFS
+//! distances for every node the blocking-flow DFS can usefully visit (nodes
+//! past the sink's layer are left unlabelled, which only prunes provably
+//! dead DFS branches), so the resulting flows are **bit-identical** to the
+//! scalar path — the tests assert this edge by edge. Every other arena
+//! (relay two-hop networks, the general textbook instances) takes the
+//! scalar BFS.
 
-use crate::arena::FlowArena;
+use crate::arena::{FlowArena, NodeId};
 use crate::bitset::{BipartiteShape, BitSet, NONE};
-use crate::graph::{FlowNetwork, NodeId};
 use crate::solver::MaxFlowSolve;
 use std::collections::VecDeque;
 use vod_obs::{Stage, TraceHandle};
@@ -36,9 +32,7 @@ pub struct Dinic {
     /// Per-node cursor into the adjacency list (edge index, `-1` exhausted).
     cursor: Vec<i64>,
     queue: VecDeque<NodeId>,
-    /// Forces the scalar level BFS even on Lemma-1-shaped arenas.
-    force_scalar: bool,
-    /// Cached Lemma-1 shape analysis (keyed on the arena version).
+    /// Lemma-1 shape analysis of the arena being solved.
     shape: BipartiteShape,
     /// Per request row: CSR offsets into `flow_col`, the box columns its
     /// flow comes from this phase.
@@ -69,16 +63,6 @@ impl Dinic {
         Dinic::default()
     }
 
-    /// Creates a solver that always uses the scalar level BFS — the
-    /// pre-word-parallel behaviour, kept as a benchmark baseline and for
-    /// bit-identity cross-checks.
-    pub fn scalar() -> Self {
-        Dinic {
-            force_scalar: true,
-            ..Dinic::default()
-        }
-    }
-
     /// Breadth-first construction of the level graph over residual edges.
     /// Returns `true` when the sink is still reachable.
     fn build_levels(&mut self, arena: &FlowArena, source: NodeId, sink: NodeId) -> bool {
@@ -102,7 +86,7 @@ impl Dinic {
     }
 
     /// Word-parallel level BFS over a Lemma-1-shaped arena (`self.shape`
-    /// must be valid for the arena's current structure).
+    /// must be a valid analysis of it).
     ///
     /// Produces exactly the scalar BFS distances for the source, every box
     /// and request on a shortest path prefix, and the sink; nodes strictly
@@ -193,15 +177,14 @@ impl Dinic {
             if self.req_frontier.is_empty() {
                 return false;
             }
-            // Requests expand to the sink (via a live, unsaturated sink
-            // edge) and to the boxes their flow comes from (via the residual
+            // Requests expand to the sink (via an unsaturated sink edge) and
+            // to the boxes their flow comes from (via the residual
             // twins of the flow-carrying candidate edges).
             let mut sink_found = false;
             self.box_frontier.clear();
             for i in 0..self.req_frontier.len() {
                 let row = self.req_frontier[i] as usize;
-                let se = self.shape.sink_edge[row];
-                if se != NONE && arena.residual(se as usize) > 0 {
+                if arena.residual(self.shape.sink_edge[row] as usize) > 0 {
                     sink_found = true;
                 }
                 let flows = self.flow_off[row] as usize..self.flow_off[row + 1] as usize;
@@ -246,23 +229,18 @@ impl Dinic {
 impl MaxFlowSolve for Dinic {
     fn max_flow(&mut self, arena: &mut FlowArena, source: NodeId, sink: NodeId) -> i64 {
         assert_ne!(source, sink, "source and sink must differ");
-        // Refresh the cached shape analysis when the arena's structure
-        // changed; the word-parallel BFS applies only to Lemma-1 shapes.
-        let use_bits = !self.force_scalar && {
-            if self.shape.version != arena.version()
-                || self.shape.source != source
-                || self.shape.sink != sink
-            {
-                let clock = self.tracer.begin();
-                self.shape.analyze(arena, source, sink);
-                self.tracer.end(
-                    clock,
-                    Stage::SolverAnalyze,
-                    self.shape.requests.len() as u64,
-                );
-            }
-            self.shape.valid
-        };
+        debug_assert!(
+            !arena.carries_flow(),
+            "a solve starts from an arena carrying no flow"
+        );
+        // The word-parallel BFS applies only to Lemma-1 shapes.
+        let clock = self.tracer.begin();
+        let use_bits = self.shape.analyze(arena, source, sink);
+        self.tracer.end(
+            clock,
+            Stage::SolverAnalyze,
+            self.shape.requests.len() as u64,
+        );
         let mut flow = 0;
         loop {
             let sink_reachable = if use_bits {
@@ -297,140 +275,138 @@ impl MaxFlowSolve for Dinic {
     }
 }
 
-/// Convenience wrapper: runs Dinic on a [`FlowNetwork`] and returns the flow
-/// value, leaving the network's residual capacities updated. Allocates a
-/// temporary arena — reuse a [`FlowArena`] plus a [`Dinic`] instance directly
-/// on hot paths.
-pub fn max_flow(graph: &mut FlowNetwork, source: NodeId, sink: NodeId) -> i64 {
-    let mut arena = FlowArena::new();
-    arena.rebuild_from(graph);
-    let flow = Dinic::new().max_flow(&mut arena, source, sink);
-    graph.sync_flows_from(&arena);
-    flow
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::tests::{build, cut_capacity, TEXTBOOK};
+
+    /// Solves the `n`-node network `edges` from node 0 to node `n - 1`.
+    fn solve(n: usize, edges: &[(usize, usize, i64)]) -> (FlowArena, i64) {
+        let mut arena = build(n, edges);
+        let flow = Dinic::new().max_flow(&mut arena, 0, n - 1);
+        (arena, flow)
+    }
 
     #[test]
     fn single_edge() {
-        let mut g = FlowNetwork::with_nodes(2);
-        g.add_edge(0, 1, 7);
-        assert_eq!(max_flow(&mut g, 0, 1), 7);
+        assert_eq!(solve(2, &[(0, 1, 7)]).1, 7);
     }
 
     #[test]
     fn series_takes_minimum() {
-        let mut g = FlowNetwork::with_nodes(3);
-        g.add_edge(0, 1, 5);
-        g.add_edge(1, 2, 3);
-        assert_eq!(max_flow(&mut g, 0, 2), 3);
+        assert_eq!(solve(3, &[(0, 1, 5), (1, 2, 3)]).1, 3);
     }
 
     #[test]
     fn parallel_paths_add_up() {
-        let mut g = FlowNetwork::with_nodes(4);
-        g.add_edge(0, 1, 2);
-        g.add_edge(0, 2, 3);
-        g.add_edge(1, 3, 2);
-        g.add_edge(2, 3, 3);
-        assert_eq!(max_flow(&mut g, 0, 3), 5);
+        let edges = [(0, 1, 2), (0, 2, 3), (1, 3, 2), (2, 3, 3)];
+        assert_eq!(solve(4, &edges).1, 5);
     }
 
     #[test]
     fn classic_textbook_network() {
-        // CLRS figure 26.1-style network, max flow 23.
-        let mut g = FlowNetwork::with_nodes(6);
-        g.add_edge(0, 1, 16);
-        g.add_edge(0, 2, 13);
-        g.add_edge(1, 2, 10);
-        g.add_edge(2, 1, 4);
-        g.add_edge(1, 3, 12);
-        g.add_edge(3, 2, 9);
-        g.add_edge(2, 4, 14);
-        g.add_edge(4, 3, 7);
-        g.add_edge(3, 5, 20);
-        g.add_edge(4, 5, 4);
-        assert_eq!(max_flow(&mut g, 0, 5), 23);
+        assert_eq!(solve(6, &TEXTBOOK).1, 23);
     }
 
     #[test]
     fn disconnected_sink_gives_zero() {
-        let mut g = FlowNetwork::with_nodes(4);
-        g.add_edge(0, 1, 10);
-        g.add_edge(2, 3, 10);
-        assert_eq!(max_flow(&mut g, 0, 3), 0);
+        assert_eq!(solve(4, &[(0, 1, 10), (2, 3, 10)]).1, 0);
     }
 
     #[test]
     fn flow_value_matches_min_cut() {
-        let mut g = FlowNetwork::with_nodes(5);
-        g.add_edge(0, 1, 4);
-        g.add_edge(0, 2, 2);
-        g.add_edge(1, 2, 1);
-        g.add_edge(1, 3, 2);
-        g.add_edge(2, 3, 3);
-        g.add_edge(3, 4, 5);
-        let f = max_flow(&mut g, 0, 4);
-        let side = g.residual_reachable(0);
+        let edges = [
+            (0, 1, 4),
+            (0, 2, 2),
+            (1, 2, 1),
+            (1, 3, 2),
+            (2, 3, 3),
+            (3, 4, 5),
+        ];
+        let (arena, f) = solve(5, &edges);
+        let side = arena.residual_reachable(0);
         assert!(side[0] && !side[4]);
-        assert_eq!(g.cut_capacity(&side), f);
+        assert_eq!(cut_capacity(&arena, &side), f);
     }
 
     #[test]
     fn flow_conservation_at_internal_nodes() {
-        let mut g = FlowNetwork::with_nodes(5);
-        g.add_edge(0, 1, 4);
-        g.add_edge(0, 2, 2);
-        g.add_edge(1, 3, 2);
-        g.add_edge(2, 3, 3);
-        g.add_edge(1, 2, 2);
-        g.add_edge(3, 4, 5);
-        let f = max_flow(&mut g, 0, 4);
-        assert_eq!(g.net_outflow(0), f);
-        assert_eq!(g.net_outflow(4), -f);
+        let edges = [
+            (0, 1, 4),
+            (0, 2, 2),
+            (1, 3, 2),
+            (2, 3, 3),
+            (1, 2, 2),
+            (3, 4, 5),
+        ];
+        let (arena, f) = solve(5, &edges);
+        assert_eq!(arena.net_outflow(0), f);
+        assert_eq!(arena.net_outflow(4), -f);
         for node in 1..4 {
-            assert_eq!(g.net_outflow(node), 0, "node {node}");
+            assert_eq!(arena.net_outflow(node), 0, "node {node}");
         }
     }
 
     #[test]
     fn rerun_after_reset_gives_same_value() {
-        let mut g = FlowNetwork::with_nodes(4);
-        g.add_edge(0, 1, 3);
-        g.add_edge(1, 2, 2);
-        g.add_edge(0, 2, 1);
-        g.add_edge(2, 3, 5);
-        let a = max_flow(&mut g, 0, 3);
-        g.reset();
-        let b = max_flow(&mut g, 0, 3);
-        assert_eq!(a, b);
-        assert_eq!(a, 3);
+        let edges = [(0, 1, 3), (1, 2, 2), (0, 2, 1), (2, 3, 5)];
+        let mut solver = Dinic::new();
+        let a = solver.max_flow(&mut build(4, &edges), 0, 3);
+        let b = solver.max_flow(&mut build(4, &edges), 0, 3);
+        assert_eq!((a, b), (3, 3));
     }
 
     #[test]
-    fn warm_start_on_partial_flow_reaches_the_same_maximum() {
-        let mut arena = FlowArena::new();
-        arena.clear(4);
-        let a01 = arena.add_edge(0, 1, 2);
-        let a13 = arena.add_edge(1, 3, 2);
-        arena.add_edge(0, 2, 3);
-        arena.add_edge(2, 3, 3);
-        // Pre-push one unit along 0 → 1 → 3, then warm-start.
-        arena.push(a01, 1);
-        arena.push(a13, 1);
-        let pushed = Dinic::new().max_flow(&mut arena, 0, 3);
-        assert_eq!(pushed + 1, 5);
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "carrying no flow")]
+    fn an_arena_carrying_flow_is_refused() {
+        let (mut arena, _) = solve(2, &[(0, 1, 7)]);
+        Dinic::new().max_flow(&mut arena, 0, 1);
+    }
+
+    /// Solves the arena `network` makes twice — as built, and with a dangling
+    /// edge out of the sink appended, which takes the arena out of the
+    /// Lemma-1 shape and the solver onto its scalar BFS — and asserts that
+    /// the bit path ran on the first, the scalar path on the second, and the
+    /// two leave the same flow on every shared edge. Returns the flow and
+    /// whether every row of the shape had demand 1.
+    fn bit_and_scalar_flows_agree(
+        network: impl Fn(&mut FlowArena, usize),
+        nodes: usize,
+        source: NodeId,
+        sink: NodeId,
+    ) -> (i64, bool) {
+        let mut bit_arena = FlowArena::new();
+        network(&mut bit_arena, nodes);
+        let mut bit = Dinic::new();
+        let fa = bit.max_flow(&mut bit_arena, source, sink);
+        assert!(bit.shape.valid, "the bit path ran");
+
+        let mut scalar_arena = FlowArena::new();
+        network(&mut scalar_arena, nodes + 1);
+        scalar_arena.add_edge(sink, nodes, 1);
+        let mut scalar = Dinic::new();
+        let fb = scalar.max_flow(&mut scalar_arena, source, sink);
+        assert!(!scalar.shape.valid, "the scalar path ran");
+
+        assert_eq!(fa, fb);
+        for idx in 0..bit_arena.edge_count() {
+            assert_eq!(
+                bit_arena.residual(idx),
+                scalar_arena.residual(idx),
+                "edge {idx}"
+            );
+        }
+        (fa, bit.shape.unit_rows)
     }
 
     #[test]
     fn bit_levels_give_flows_identical_to_scalar() {
         // Lemma-1 shape: 3 boxes (budgets 2,1,1), 5 requests with assorted
-        // candidate sets; solved twice from scratch, the bit path must leave
-        // exactly the same flow on every edge as the scalar path.
-        let build = |arena: &mut FlowArena| {
-            arena.clear(10);
+        // candidate sets; the bit path must leave exactly the same flow on
+        // every edge as the scalar path.
+        let network = |arena: &mut FlowArena, nodes: usize| {
+            arena.clear(nodes);
             arena.add_edge(0, 1, 2);
             arena.add_edge(0, 2, 1);
             arena.add_edge(0, 3, 1);
@@ -441,128 +417,54 @@ mod tests {
                 arena.add_edge(r, 9, 1);
             }
         };
-        let mut a = FlowArena::new();
-        let mut b = FlowArena::new();
-        build(&mut a);
-        build(&mut b);
-        let fa = Dinic::new().max_flow(&mut a, 0, 9);
-        let fb = Dinic::scalar().max_flow(&mut b, 0, 9);
-        assert_eq!(fa, fb);
-        for idx in 0..a.edge_count() {
-            assert_eq!(a.residual(idx), b.residual(idx), "edge {idx}");
-        }
-    }
-
-    #[test]
-    fn bit_path_warm_start_matches_scalar_warm_start() {
-        let build = |arena: &mut FlowArena| {
-            arena.clear(7);
-            let s0 = arena.add_edge(0, 1, 1);
-            arena.add_edge(0, 2, 1);
-            let c0 = arena.add_edge(1, 3, 1);
-            arena.add_edge(1, 4, 1);
-            arena.add_edge(2, 4, 1);
-            let t0 = arena.add_edge(3, 6, 1);
-            arena.add_edge(4, 6, 1);
-            arena.add_edge(5, 6, 1); // request with no candidates
-                                     // Warm flow: box 1 already serves request 3.
-            arena.push(s0, 1);
-            arena.push(c0, 1);
-            arena.push(t0, 1);
-        };
-        let mut a = FlowArena::new();
-        let mut b = FlowArena::new();
-        build(&mut a);
-        build(&mut b);
-        let fa = Dinic::new().max_flow(&mut a, 0, 6);
-        let fb = Dinic::scalar().max_flow(&mut b, 0, 6);
-        assert_eq!(fa, fb);
-        assert_eq!(fa, 1, "one additional unit on top of the warm one");
-        for idx in 0..a.edge_count() {
-            assert_eq!(a.residual(idx), b.residual(idx), "edge {idx}");
-        }
+        assert_eq!(bit_and_scalar_flows_agree(network, 10, 0, 9), (4, true));
     }
 
     #[test]
     fn bit_levels_on_row_classes_give_flows_identical_to_scalar() {
         // Rows 5 and 6 are classes of three and two requests (demand on the
         // sink edge and on every candidate edge), row 7 a plain request;
-        // boxes 1..=4 have budgets 2, 1, 2, 1. Warm: box 1 already sends
-        // both its units to row 5 and box 3 saturates its edge to row 6, so
-        // the phases have flow to move and a saturated edge to skip.
-        let build = |arena: &mut FlowArena| {
-            arena.clear(9);
-            let sources: Vec<usize> = [2, 1, 2, 1]
-                .iter()
-                .enumerate()
-                .map(|(i, &budget)| arena.add_edge(0, 1 + i, budget))
-                .collect();
-            let to_big = arena.add_edge(1, 5, 3);
-            arena.add_edge(2, 5, 3);
-            arena.add_edge(3, 5, 3);
-            let to_small = arena.add_edge(3, 6, 2);
-            arena.add_edge(4, 6, 2);
+        // boxes 1..=4 have budgets 2, 1, 2, 1. Supply equals demand, so
+        // every unit must find a place past the edges earlier phases
+        // saturated.
+        let network = |arena: &mut FlowArena, nodes: usize| {
+            arena.clear(nodes);
+            for (i, budget) in [2, 1, 2, 1].into_iter().enumerate() {
+                arena.add_edge(0, 1 + i, budget);
+            }
+            for (b, r, demand) in [(1, 5, 3), (2, 5, 3), (3, 5, 3), (3, 6, 2), (4, 6, 2)] {
+                arena.add_edge(b, r, demand);
+            }
             arena.add_edge(1, 7, 1);
             arena.add_edge(4, 7, 1);
-            let big_sink = arena.add_edge(5, 8, 3);
-            let small_sink = arena.add_edge(6, 8, 2);
+            arena.add_edge(5, 8, 3);
+            arena.add_edge(6, 8, 2);
             arena.add_edge(7, 8, 1);
-            for (source, cand, sink) in [
-                (sources[0], to_big, big_sink),
-                (sources[2], to_small, small_sink),
-            ] {
-                arena.push(source, 2);
-                arena.push(cand, 2);
-                arena.push(sink, 2);
-            }
         };
-        let mut a = FlowArena::new();
-        let mut b = FlowArena::new();
-        build(&mut a);
-        build(&mut b);
-        let mut bit = Dinic::new();
-        let fa = bit.max_flow(&mut a, 0, 8);
-        assert!(bit.shape.valid && !bit.shape.unit_rows);
-        let fb = Dinic::scalar().max_flow(&mut b, 0, 8);
-        assert_eq!((fa, fb), (2, 2));
-        for idx in 0..a.edge_count() {
-            assert_eq!(a.residual(idx), b.residual(idx), "edge {idx}");
-        }
+        assert_eq!(bit_and_scalar_flows_agree(network, 9, 0, 8), (6, false));
     }
 
     #[test]
     fn bit_shape_cache_refreshes_on_structure_change() {
+        // One solver over three arenas of different structure: the shape is
+        // analysed afresh for each, never reused from the last solve.
         let mut arena = FlowArena::new();
         let mut solver = Dinic::new();
-        arena.clear(4);
-        let s = arena.add_edge(0, 1, 1);
-        arena.add_edge(1, 2, 1);
-        arena.add_edge(2, 3, 1);
-        assert_eq!(solver.max_flow(&mut arena, 0, 3), 1);
-        // De-capacitate the source edge (structure change) and re-solve from
-        // scratch: the cached shape must refresh, not reuse stale budgets.
-        arena.reset_flow();
-        arena.set_capacity(s, 0);
-        assert_eq!(solver.max_flow(&mut arena, 0, 3), 0);
-        arena.set_capacity(s, 1);
-        assert_eq!(solver.max_flow(&mut arena, 0, 3), 1);
+        for budget in [1, 0, 1] {
+            arena.clear(4);
+            arena.add_edge(0, 1, budget);
+            arena.add_edge(1, 2, 1);
+            arena.add_edge(2, 3, 1);
+            assert_eq!(solver.max_flow(&mut arena, 0, 3), budget);
+        }
     }
 
     #[test]
     fn non_lemma1_graphs_fall_back_to_scalar_path() {
         // A diamond with an inner edge is not Lemma-1 shaped; Dinic::new()
         // must still solve it exactly (via the scalar fallback).
-        let build = |arena: &mut FlowArena| {
-            arena.clear(4);
-            arena.add_edge(0, 1, 2);
-            arena.add_edge(0, 2, 2);
-            arena.add_edge(1, 2, 1);
-            arena.add_edge(1, 3, 1);
-            arena.add_edge(2, 3, 2);
-        };
-        let mut a = FlowArena::new();
-        build(&mut a);
-        assert_eq!(Dinic::new().max_flow(&mut a, 0, 3), 3);
+        let edges = [(0, 1, 2), (0, 2, 2), (1, 2, 1), (1, 3, 1), (2, 3, 2)];
+        assert_eq!(solve(4, &edges).1, 3);
     }
 
     #[test]

@@ -1,281 +1,91 @@
-//! A directed flow network with integer capacities.
-//!
-//! The connection-matching feasibility question of Lemma 1 is answered by a
-//! maximum-flow computation; this module provides the shared network
-//! representation used by the [`crate::dinic`] and [`crate::push_relabel`]
-//! solvers. Capacities are integers: the caller scales the paper's rational
-//! capacities (`u_b`, `1/c`) by `c` so that one unit of flow corresponds to
-//! one stripe connection.
-
-/// Index of a node in the network.
-pub type NodeId = usize;
-
-/// One directed edge with its residual twin.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Edge {
-    /// Target node.
-    pub to: NodeId,
-    /// Remaining residual capacity.
-    pub cap: i64,
-    /// Original capacity at construction time.
-    pub original_cap: i64,
-}
-
-/// A directed flow network stored as an edge list with adjacency indices.
-///
-/// Every call to [`FlowNetwork::add_edge`] pushes the forward edge and its
-/// residual twin at consecutive indices, so edge `e ^ 1` is always the
-/// reverse of edge `e`.
-#[derive(Clone, Debug, Default)]
-pub struct FlowNetwork {
-    edges: Vec<Edge>,
-    adj: Vec<Vec<usize>>,
-}
-
-impl FlowNetwork {
-    /// Creates an empty network with `nodes` nodes.
-    pub fn with_nodes(nodes: usize) -> Self {
-        FlowNetwork {
-            edges: Vec::new(),
-            adj: vec![Vec::new(); nodes],
-        }
-    }
-
-    /// Adds one extra node and returns its id.
-    pub fn add_node(&mut self) -> NodeId {
-        self.adj.push(Vec::new());
-        self.adj.len() - 1
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// Number of directed edges (including residual twins).
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Adds a directed edge `from → to` with capacity `cap` and returns its
-    /// edge index (the residual twin is at `index ^ 1`).
-    ///
-    /// # Panics
-    /// Panics if either endpoint is out of range or the capacity is negative.
-    pub fn add_edge(&mut self, from: NodeId, to: NodeId, cap: i64) -> usize {
-        assert!(
-            from < self.adj.len() && to < self.adj.len(),
-            "node out of range"
-        );
-        assert!(cap >= 0, "capacity must be non-negative");
-        let idx = self.edges.len();
-        self.edges.push(Edge {
-            to,
-            cap,
-            original_cap: cap,
-        });
-        self.edges.push(Edge {
-            to: from,
-            cap: 0,
-            original_cap: 0,
-        });
-        self.adj[from].push(idx);
-        self.adj[to].push(idx + 1);
-        idx
-    }
-
-    /// The edge with the given index.
-    pub fn edge(&self, idx: usize) -> &Edge {
-        &self.edges[idx]
-    }
-
-    /// Indices of the edges leaving `node` (forward edges and residual twins).
-    pub fn edges_from(&self, node: NodeId) -> &[usize] {
-        &self.adj[node]
-    }
-
-    /// Flow currently pushed along edge `idx` (original capacity minus
-    /// residual capacity).
-    pub fn flow_on(&self, idx: usize) -> i64 {
-        self.edges[idx].original_cap - self.edges[idx].cap
-    }
-
-    /// Pushes `amount` units of flow along edge `idx`, updating the twin.
-    /// Negative amounts cancel previously pushed flow.
-    pub fn push(&mut self, idx: usize, amount: i64) {
-        self.edges[idx].cap -= amount;
-        self.edges[idx ^ 1].cap += amount;
-    }
-
-    /// Residual capacity of edge `idx`.
-    pub fn residual(&self, idx: usize) -> i64 {
-        self.edges[idx].cap
-    }
-
-    /// Target of edge `idx`.
-    pub fn target(&self, idx: usize) -> NodeId {
-        self.edges[idx].to
-    }
-
-    /// Resets every edge to its original capacity, zeroing all flow while
-    /// keeping the edge storage and adjacency allocations intact — the
-    /// network can be re-solved immediately without rebuilding.
-    pub fn reset(&mut self) {
-        for e in &mut self.edges {
-            e.cap = e.original_cap;
-        }
-    }
-
-    /// Copies the flow state (residual capacities) back from an
-    /// index-compatible [`crate::arena::FlowArena`], e.g. one produced by
-    /// [`crate::arena::FlowArena::rebuild_from`] and then solved.
-    ///
-    /// # Panics
-    /// Panics if the arena has a different edge count.
-    pub fn sync_flows_from(&mut self, arena: &crate::arena::FlowArena) {
-        assert_eq!(
-            self.edges.len(),
-            arena.edge_count(),
-            "arena is not index-compatible with this network"
-        );
-        for (idx, edge) in self.edges.iter_mut().enumerate() {
-            edge.cap = arena.residual(idx);
-        }
-    }
-
-    /// Total flow leaving `node` on forward edges minus flow entering it —
-    /// zero for every node except the source and sink of a valid flow.
-    pub fn net_outflow(&self, node: NodeId) -> i64 {
-        let mut net = 0;
-        for &idx in &self.adj[node] {
-            if idx % 2 == 0 {
-                // forward edge leaving `node`
-                net += self.flow_on(idx);
-            } else {
-                // residual twin: the forward edge enters `node`
-                net -= self.flow_on(idx ^ 1);
-            }
-        }
-        net
-    }
-
-    /// The set of nodes reachable from `start` in the residual graph
-    /// (edges with strictly positive residual capacity). After a maximum
-    /// flow this is the source side of a minimum cut.
-    pub fn residual_reachable(&self, start: NodeId) -> Vec<bool> {
-        let mut seen = vec![false; self.node_count()];
-        let mut stack = vec![start];
-        seen[start] = true;
-        while let Some(v) = stack.pop() {
-            for &idx in &self.adj[v] {
-                let e = &self.edges[idx];
-                if e.cap > 0 && !seen[e.to] {
-                    seen[e.to] = true;
-                    stack.push(e.to);
-                }
-            }
-        }
-        seen
-    }
-
-    /// Sum of original capacities of edges crossing from `side` to its
-    /// complement — the capacity of the cut defined by `side`.
-    pub fn cut_capacity(&self, side: &[bool]) -> i64 {
-        let mut total = 0;
-        for (from, adj) in self.adj.iter().enumerate() {
-            if !side[from] {
-                continue;
-            }
-            for &idx in adj {
-                if idx % 2 == 0 {
-                    let e = &self.edges[idx];
-                    if !side[e.to] {
-                        total += e.original_cap;
-                    }
-                }
-            }
-        }
-        total
-    }
-}
+//! Residual-graph contract of [`FlowArena`]: the invariants every solver and
+//! the Hall-obstruction extraction rely on — residual twins at `e ^ 1`,
+//! push symmetry, residual reachability, cut capacity, and conservation —
+//! checked through the public API. (The arena's storage-level behaviour is
+//! tested in `arena`.)
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::arena::tests::{build, cut_capacity, TEXTBOOK};
+    use crate::{Dinic, FlowArena, MaxFlowSolve};
 
     #[test]
     fn add_edge_creates_residual_twin() {
-        let mut g = FlowNetwork::with_nodes(2);
-        let e = g.add_edge(0, 1, 5);
-        assert_eq!(e, 0);
-        assert_eq!(g.edge(e).cap, 5);
-        assert_eq!(g.edge(e ^ 1).cap, 0);
-        assert_eq!(g.edge(e ^ 1).to, 0);
-        assert_eq!(g.edge_count(), 2);
+        let mut g = build(3, &[(0, 1, 5)]);
+        let e = g.add_edge(1, 2, 7);
+        assert_eq!(e, 2);
+        let forward = g.edge(e);
+        assert_eq!((forward.to, forward.cap, forward.original_cap), (2, 7, 7));
+        let twin = g.edge(e ^ 1);
+        assert_eq!((twin.to, twin.cap, twin.original_cap), (1, 0, 0));
+        assert_eq!(g.edge_count(), 4);
     }
 
     #[test]
     fn push_moves_capacity_to_twin() {
-        let mut g = FlowNetwork::with_nodes(2);
-        let e = g.add_edge(0, 1, 5);
-        g.push(e, 3);
-        assert_eq!(g.residual(e), 2);
-        assert_eq!(g.residual(e ^ 1), 3);
-        assert_eq!(g.flow_on(e), 3);
-        g.reset();
-        assert_eq!(g.residual(e), 5);
-        assert_eq!(g.flow_on(e), 0);
+        let mut g = build(2, &[(0, 1, 5)]);
+        g.push(0, 3);
+        assert_eq!(g.residual(0), 2);
+        assert_eq!(g.residual(1), 3);
+        assert_eq!(g.flow_on(0), 3);
+        // Pushing along the twin cancels flow on the forward edge.
+        g.push(1, 3);
+        assert_eq!(g.residual(0), 5);
+        assert_eq!(g.residual(1), 0);
+        assert_eq!(g.flow_on(0), 0);
+        assert!(!g.carries_flow());
     }
 
     #[test]
     fn residual_reachability() {
-        let mut g = FlowNetwork::with_nodes(3);
-        let e01 = g.add_edge(0, 1, 1);
-        let _e12 = g.add_edge(1, 2, 1);
-        // Saturate 0→1: node 1 and 2 unreachable from 0.
-        g.push(e01, 1);
-        let reach = g.residual_reachable(0);
-        assert_eq!(reach, vec![true, false, false]);
-        // From node 1 both 2 (forward) and 0 (residual) are reachable.
-        let reach = g.residual_reachable(1);
-        assert_eq!(reach, vec![true, true, true]);
+        // One unit routed 0→1→3 saturates both edges; 0→2→1 stays open.
+        let mut g = build(4, &[(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 1, 1)]);
+        g.push(0, 1);
+        g.push(4, 1);
+        // From 0, node 1 is reached through 2, but 3 is cut off.
+        assert_eq!(g.residual_reachable(0), vec![true, true, true, false]);
+        // From 3, the residual twins lead back 3→1→0, then forward to 2.
+        assert_eq!(g.residual_reachable(3), vec![true, true, true, true]);
+        let (mut seen, mut stack) = (Vec::new(), Vec::new());
+        g.residual_reachable_into(2, &mut seen, &mut stack);
+        assert_eq!(seen, vec![true, true, true, false]);
     }
 
     #[test]
     fn cut_capacity_counts_forward_edges_only() {
-        let mut g = FlowNetwork::with_nodes(4);
-        g.add_edge(0, 1, 3);
-        g.add_edge(0, 2, 2);
-        g.add_edge(1, 3, 1);
-        g.add_edge(2, 3, 4);
+        let g = build(4, &[(0, 1, 3), (0, 2, 2), (1, 3, 1), (2, 3, 4)]);
         // Cut {0} vs {1,2,3}: capacity 3 + 2.
-        assert_eq!(g.cut_capacity(&[true, false, false, false]), 5);
+        assert_eq!(cut_capacity(&g, &[true, false, false, false]), 5);
         // Cut {0,1,2} vs {3}: capacity 1 + 4.
-        assert_eq!(g.cut_capacity(&[true, true, true, false]), 5);
+        assert_eq!(cut_capacity(&g, &[true, true, true, false]), 5);
+        // An edge entering the side does not count.
+        assert_eq!(cut_capacity(&g, &[false, true, false, false]), 1);
     }
 
     #[test]
     fn net_outflow_conservation() {
-        let mut g = FlowNetwork::with_nodes(3);
-        let a = g.add_edge(0, 1, 2);
-        let b = g.add_edge(1, 2, 2);
-        g.push(a, 2);
-        g.push(b, 2);
-        assert_eq!(g.net_outflow(0), 2);
-        assert_eq!(g.net_outflow(1), 0);
-        assert_eq!(g.net_outflow(2), -2);
+        let mut g = build(6, &TEXTBOOK);
+        let flow = Dinic::new().max_flow(&mut g, 0, 5);
+        assert_eq!(flow, 23);
+        assert_eq!(g.net_outflow(0), 23);
+        assert_eq!(g.net_outflow(5), -23);
+        for v in 1..5 {
+            assert_eq!(g.net_outflow(v), 0, "node {v}");
+        }
     }
 
     #[test]
     #[should_panic(expected = "capacity must be non-negative")]
     fn negative_capacity_rejected() {
-        let mut g = FlowNetwork::with_nodes(2);
+        let mut g = FlowArena::new();
+        g.clear(2);
         g.add_edge(0, 1, -1);
     }
 
     #[test]
     fn add_node_grows_graph() {
-        let mut g = FlowNetwork::with_nodes(1);
+        let mut g = FlowArena::new();
+        g.clear(1);
         let n = g.add_node();
         assert_eq!(n, 1);
         assert_eq!(g.node_count(), 2);

@@ -4,23 +4,19 @@
 //! capacity `⌊u·c⌋` into that many unit sub-boxes — the paper uses the same
 //! "elementary sub-box" trick in Theorem 2's proof) the connection-matching
 //! problem becomes a plain bipartite matching, for which Hopcroft–Karp runs
-//! in `O(E·√V)` with small constants. The simulator uses it as a fast path
-//! and the property tests use it to cross-check the flow solvers.
+//! in `O(E·√V)` with small constants. The plain [`HopcroftKarp`] over that
+//! sub-box split is the tests' independent reference for the flow solvers.
 //!
-//! [`HopcroftKarpSolve`] wraps the matchers as a [`MaxFlowSolve`]
-//! implementation over Lemma-1-shaped [`FlowArena`] networks
+//! [`HopcroftKarpSolve`] wraps the word-parallel [`BitHopcroftKarp`] as a
+//! [`MaxFlowSolve`] over Lemma-1-shaped [`FlowArena`] networks
 //! (`source → boxes → requests → sink` with unit box→request and
-//! request→sink edges). Its default backend is the word-parallel
-//! [`BitHopcroftKarp`], which matches against capacitated boxes directly
-//! (no sub-box expansion, no per-call graph rebuild); the historical scalar
-//! path — `Vec<Vec<usize>>` adjacency plus the elementary sub-box split from
-//! Theorem 2's proof — stays available via [`HopcroftKarpSolve::scalar`] as
-//! the benchmark baseline.
+//! request→sink edges). It matches against capacitated boxes directly — no
+//! sub-box expansion, no per-call graph rebuild — and writes the matching
+//! back into the arena as a flow.
 
-use crate::arena::FlowArena;
+use crate::arena::{FlowArena, NodeId};
 use crate::bitset::{BipartiteShape, BitAdjacency, BitSet, NONE};
 use crate::dinic::Dinic;
-use crate::graph::NodeId;
 use crate::solver::MaxFlowSolve;
 use std::collections::VecDeque;
 use vod_obs::{Stage, TraceHandle};
@@ -55,30 +51,11 @@ impl HopcroftKarp {
     /// Computes a maximum matching. Returns `(size, pair_of_left)` where
     /// `pair_of_left[l]` is the right vertex matched to `l`, if any.
     pub fn solve(&self) -> (usize, Vec<Option<usize>>) {
-        let pair_left = vec![NIL; self.adj.len()];
-        let pair_right = vec![NIL; self.right_count];
-        self.solve_seeded(pair_left, pair_right, 0)
-    }
-
-    /// Computes a maximum matching starting from an existing partial matching
-    /// (`pair_left[l]` / `pair_right[r]` with `usize::MAX` meaning free,
-    /// `initial` its size). The augmenting-path phases only grow a matching,
-    /// so seeding warm-starts the search.
-    pub fn solve_seeded(
-        &self,
-        mut pair_left: Vec<usize>,
-        mut pair_right: Vec<usize>,
-        initial: usize,
-    ) -> (usize, Vec<Option<usize>>) {
         let n_left = self.adj.len();
-        assert_eq!(pair_left.len(), n_left, "seed has wrong left size");
-        assert_eq!(
-            pair_right.len(),
-            self.right_count,
-            "seed has wrong right size"
-        );
+        let mut pair_left = vec![NIL; n_left];
+        let mut pair_right = vec![NIL; self.right_count];
         let mut dist = vec![INF; n_left];
-        let mut matching = initial;
+        let mut matching = 0;
 
         loop {
             // BFS phase: layer the free left vertices.
@@ -189,10 +166,8 @@ impl BitHopcroftKarp {
     /// Computes a maximum matching of requests (rows of `adj`) onto boxes
     /// (columns) where box `b` accepts up to `caps[b]` requests.
     ///
-    /// `match_of` maps each request to its box (`u32::MAX` = free) and is
-    /// both the seed and the result: pre-matched pairs warm-start the
-    /// search (they must be edges of `adj` and respect `caps`), and on
-    /// return the slice holds the maximum matching. Returns the matching
+    /// On return `match_of` maps each request to its box (`u32::MAX` =
+    /// unmatched); its contents on entry are ignored. Returns the matching
     /// size.
     pub fn solve(&mut self, adj: &BitAdjacency, caps: &[u32], match_of: &mut [u32]) -> usize {
         self.solve_traced(adj, caps, match_of, &TraceHandle::off())
@@ -223,30 +198,15 @@ impl BitHopcroftKarp {
         self.prev.resize(rows, NONE);
         self.dist.clear();
         self.dist.resize(rows, INF);
-
-        let mut size = 0usize;
-        for (x, &m) in match_of.iter().enumerate() {
-            if m != NONE {
-                let b = m as usize;
-                debug_assert!(adj.contains(x, b), "seeded pair is not an edge");
-                self.load[b] += 1;
-                debug_assert!(self.load[b] <= caps[b], "seed exceeds box budget");
-                let h = self.head[b];
-                self.next[x] = h;
-                if h != NONE {
-                    self.prev[h as usize] = x as u32;
-                }
-                self.head[b] = x as u32;
-                size += 1;
-            }
-        }
+        match_of.fill(NONE);
         self.free_boxes.reset(cols);
-        for (b, (&load, &cap)) in self.load.iter().zip(caps).enumerate() {
-            if load < cap {
+        for (b, &cap) in caps.iter().enumerate() {
+            if cap > 0 {
                 self.free_boxes.set(b);
             }
         }
 
+        let mut size = 0usize;
         loop {
             let clock = tracer.begin();
             if !self.bfs(adj, caps, match_of) {
@@ -423,32 +383,23 @@ impl BitHopcroftKarp {
 /// A [`MaxFlowSolve`] adapter running Hopcroft–Karp on Lemma-1-shaped
 /// networks.
 ///
-/// The arena must have the connection-matching layout produced by
-/// [`crate::matching::ConnectionProblem::build_arena`]: every successor of
+/// On an arena with the connection-matching layout produced by
+/// [`crate::matching::ConnectionProblem::build_arena`] — every successor of
 /// `source` is a *box* whose source-edge capacity is its stripe budget, every
 /// predecessor of `sink` is a *request* with a unit sink edge, and every
-/// box→request edge has unit capacity. The adapter seeds the matcher with
-/// whatever flow the arena already carries, runs Hopcroft–Karp, and writes
-/// the resulting flow back into the arena so extraction and obstruction code
-/// behave exactly as with the flow solvers.
-///
-/// The default backend ([`HopcroftKarpSolve::new`]) is the word-parallel
-/// capacitated [`BitHopcroftKarp`]: the Lemma-1 shape analysis (cached on
-/// [`FlowArena::version`]) builds the bit rows, boxes keep their budgets,
-/// and repeated solves allocate nothing in steady state.
-/// [`HopcroftKarpSolve::scalar`] selects the historical scalar path — it
-/// splits each box into elementary sub-boxes (the trick used in the proof of
-/// Theorem 2) and rebuilds its `Vec<Vec<usize>>` matching graph (and
-/// therefore allocates) on every call — kept as the benchmark baseline the
-/// word-parallel kernels are measured against.
+/// box→request edge has unit capacity — the Lemma-1 shape analysis builds
+/// the bit rows, the capacitated [`BitHopcroftKarp`] matches them with the
+/// boxes keeping their budgets, and the matching is written into the arena
+/// as a flow, so extraction and obstruction code behave exactly as with the
+/// flow solvers. Repeated solves allocate nothing once the buffers have
+/// grown.
 ///
 /// On any other arena — a relay network's two-hop paths, or a row class of
 /// several requests, whose sink and candidate edges carry the member count —
-/// both backends hand the solve to the scalar [`Dinic`] path, the way
-/// [`Dinic::new`] itself falls back from its word-parallel levels.
+/// the adapter hands the solve to [`Dinic`], the way [`Dinic::new`] itself
+/// falls back from its word-parallel levels.
 #[derive(Clone, Debug, Default)]
 pub struct HopcroftKarpSolve {
-    use_scalar: bool,
     shape: BipartiteShape,
     core: BitHopcroftKarp,
     /// Solver for arenas that are not Lemma-1 shaped.
@@ -457,67 +408,33 @@ pub struct HopcroftKarpSolve {
     caps: Vec<u32>,
     /// Per request row: matched box column (`u32::MAX` free).
     match_of: Vec<u32>,
-    /// Matching seeded from the arena's flow, kept to write back only the
-    /// per-row deltas the solve produced.
-    seed: Vec<u32>,
     /// Span sink for shape analyses and matching phases (off by default).
     tracer: TraceHandle,
 }
 
 impl HopcroftKarpSolve {
-    /// Creates the adapter with the word-parallel [`BitHopcroftKarp`]
-    /// backend.
+    /// Creates the adapter.
     pub fn new() -> Self {
         HopcroftKarpSolve::default()
     }
 
-    /// Creates the adapter with the scalar sub-box-expansion backend (the
-    /// pre-word-parallel implementation, kept as a benchmark baseline and
-    /// cross-check).
-    pub fn scalar() -> Self {
-        HopcroftKarpSolve {
-            use_scalar: true,
-            general: Dinic::scalar(),
-            ..HopcroftKarpSolve::default()
-        }
-    }
-
-    /// Word-parallel path: shape analysis (cached on the arena version) +
-    /// capacitated bit matching. `None` when the arena is not Lemma-1
-    /// shaped (nothing has been touched then).
+    /// Word-parallel path: shape analysis + capacitated bit matching,
+    /// written into the arena as a flow. `None` when the arena is not a
+    /// Lemma-1 shape with unit rows (nothing has been touched then).
     fn bit_max_flow(&mut self, arena: &mut FlowArena, source: NodeId, sink: NodeId) -> Option<i64> {
-        if self.shape.version != arena.version()
-            || self.shape.source != source
-            || self.shape.sink != sink
-        {
-            let clock = self.tracer.begin();
-            if self.shape.analyze(arena, source, sink) && self.shape.unit_rows {
-                // A request whose sink edge is de-capacitated (logically
-                // removed) must never be matched: drop its candidate bits.
-                // The analysis is cached, so this stays consistent until the
-                // structure changes.
-                for row in 0..self.shape.requests.len() {
-                    let se = self.shape.sink_edge[row];
-                    if se == NONE || arena.edge(se as usize).original_cap == 0 {
-                        self.shape.adj.clear_row(row);
-                    }
-                }
-            }
-            self.tracer.end(
-                clock,
-                Stage::SolverAnalyze,
-                self.shape.requests.len() as u64,
-            );
-        }
-        if !(self.shape.valid && self.shape.unit_rows) {
+        let clock = self.tracer.begin();
+        let matchable = self.shape.analyze(arena, source, sink) && self.shape.unit_rows;
+        self.tracer.end(
+            clock,
+            Stage::SolverAnalyze,
+            self.shape.requests.len() as u64,
+        );
+        if !matchable {
             return None;
         }
 
-        let cols = self.shape.boxes.len();
-        let rows = self.shape.requests.len();
         self.caps.clear();
-        for col in 0..cols {
-            let e = self.shape.source_edge[col];
+        for &e in &self.shape.source_edge {
             let cap = if e == NONE {
                 0
             } else {
@@ -526,20 +443,7 @@ impl HopcroftKarpSolve {
             self.caps
                 .push(u32::try_from(cap).expect("box budget fits in u32"));
         }
-        self.match_of.clear();
-        self.match_of.resize(rows, NONE);
-        let mut initial = 0usize;
-        for row in 0..rows {
-            let col = self.shape.matched_col(arena, row);
-            if col != NONE {
-                self.match_of[row] = col;
-                initial += 1;
-            }
-        }
-
-        self.seed.clear();
-        self.seed.extend_from_slice(&self.match_of);
-
+        self.match_of.resize(self.shape.requests.len(), NONE);
         let size = self.core.solve_traced(
             &self.shape.adj,
             &self.caps,
@@ -547,177 +451,36 @@ impl HopcroftKarpSolve {
             &self.tracer,
         );
 
-        // Write back only the rows the solve changed. The arena's flow is a
-        // conserved unit flow, so before the solve it encodes exactly the
-        // seeded matching; augmentation only rematches or newly matches a
-        // request, never frees one.
-        let cand_edge = |shape: &BipartiteShape, row: usize, col: u32| -> usize {
-            shape
-                .cands(row)
-                .find(|&(c, _)| c == col)
-                .map(|(_, e)| e as usize)
-                .expect("matched pair must come from a candidate edge")
-        };
-        // Release every slot a row gave up before taking any: a row may
-        // move onto a full box whose slot another row frees in this same
-        // solve, and the arena checks each push against the edge's capacity.
-        for row in 0..rows {
-            let old = self.seed[row];
-            if old != self.match_of[row] && old != NONE {
-                arena.push(cand_edge(&self.shape, row, old), -1);
-                arena.push(self.shape.source_edge[old as usize] as usize, -1);
-            }
-        }
-        for row in 0..rows {
-            let old = self.seed[row];
-            let new = self.match_of[row];
-            if old == new {
+        for (row, &col) in self.match_of.iter().enumerate() {
+            if col == NONE {
                 continue;
             }
-            debug_assert_ne!(new, NONE, "a solve never unmatches a request");
-            if old == NONE {
-                arena.push(self.shape.sink_edge[row] as usize, 1);
-            }
-            arena.push(cand_edge(&self.shape, row, new), 1);
-            arena.push(self.shape.source_edge[new as usize] as usize, 1);
-        }
-
-        Some(size as i64 - initial as i64)
-    }
-
-    /// Scalar path: sub-box expansion into a plain bipartite matching.
-    /// `None` when the arena is not Lemma-1 shaped (nothing has been touched
-    /// then: the arena is only written once the matching is known).
-    fn scalar_max_flow(arena: &mut FlowArena, source: NodeId, sink: NodeId) -> Option<i64> {
-        let n = arena.node_count();
-
-        // Discover the boxes (successors of the source) and their budgets.
-        let mut box_index = vec![usize::MAX; n];
-        // (box node, source edge, slot base) per box; slots are contiguous.
-        let mut boxes: Vec<(NodeId, usize, usize)> = Vec::new();
-        let mut total_slots = 0usize;
-        let mut cursor = arena.first_edge(source);
-        while let Some(idx) = cursor {
-            if idx % 2 == 0 {
-                let node = arena.target(idx);
-                if box_index[node] != usize::MAX {
-                    return None; // parallel source edges
-                }
-                box_index[node] = boxes.len();
-                boxes.push((node, idx, total_slots));
-                total_slots += arena.edge(idx).original_cap as usize;
-            }
-            cursor = arena.next_edge(idx);
-        }
-
-        // Discover the requests (predecessors of the sink).
-        let mut left_index = vec![usize::MAX; n];
-        // (request node, sink edge) per request.
-        let mut requests: Vec<(NodeId, usize)> = Vec::new();
-        let mut cursor = arena.first_edge(sink);
-        while let Some(idx) = cursor {
-            if idx % 2 == 1 {
-                let forward = idx ^ 1;
-                let node = arena.target(idx);
-                // Zero-capacity sink edges are structurally absent (an
-                // incremental arena de-capacitates edges instead of removing
-                // them).
-                if arena.edge(forward).original_cap != 0 {
-                    if arena.edge(forward).original_cap != 1 || left_index[node] != usize::MAX {
-                        return None; // a capacitated row, or parallel sink edges
-                    }
-                    left_index[node] = requests.len();
-                    requests.push((node, forward));
-                }
-            }
-            cursor = arena.next_edge(idx);
-        }
-
-        // Candidate edges per request, the sub-box expansion, and the seed
-        // matching recovered from the arena's current flow.
-        let mut cand_edges: Vec<Vec<(usize, usize)>> = vec![Vec::new(); requests.len()];
-        let mut hk = HopcroftKarp::new(requests.len(), total_slots);
-        let mut slot_owner = vec![usize::MAX; total_slots];
-        let mut next_free: Vec<usize> = boxes.iter().map(|&(_, _, base)| base).collect();
-        let mut pair_left = vec![usize::MAX; requests.len()];
-        let mut pair_right = vec![usize::MAX; total_slots];
-        let mut initial = 0usize;
-
-        for (bi, &(node, _, base)) in boxes.iter().enumerate() {
-            let slots = arena.edge(boxes[bi].1).original_cap as usize;
-            for s in 0..slots {
-                slot_owner[base + s] = bi;
-            }
-            let mut cursor = arena.first_edge(node);
-            while let Some(idx) = cursor {
-                // Skip residual twins, de-capacitated (absent) edges, and
-                // edges whose target request is itself absent (a removed
-                // request keeps its candidate edges but loses its sink edge).
-                if idx % 2 == 0
-                    && arena.edge(idx).original_cap != 0
-                    && left_index[arena.target(idx)] != usize::MAX
-                {
-                    let to = arena.target(idx);
-                    if arena.edge(idx).original_cap != 1 {
-                        return None; // a capacitated row
-                    }
-                    let l = left_index[to];
-                    cand_edges[l].push((bi, idx));
-                    for s in 0..slots {
-                        hk.add_edge(l, base + s);
-                    }
-                    if arena.flow_on(idx) == 1 {
-                        let slot = next_free[bi];
-                        debug_assert!(slot < base + slots, "box over its budget");
-                        next_free[bi] += 1;
-                        pair_left[l] = slot;
-                        pair_right[slot] = l;
-                        initial += 1;
-                    }
-                }
-                cursor = arena.next_edge(idx);
-            }
-        }
-
-        let (size, pairs) = hk.solve_seeded(pair_left, pair_right, initial);
-
-        // Write the matching back into the arena as a flow.
-        arena.reset_flow();
-        for (l, slot) in pairs.iter().enumerate() {
-            let Some(slot) = slot else { continue };
-            let bi = slot_owner[*slot];
-            let (_, source_edge, _) = boxes[bi];
-            let (_, sink_edge) = requests[l];
-            let cand = cand_edges[l]
-                .iter()
-                .find(|&&(b, _)| b == bi)
+            let (_, cand) = self
+                .shape
+                .cands(row)
+                .find(|&(c, _)| c == col)
                 .expect("matched pair must come from a candidate edge");
-            arena.push(source_edge, 1);
-            arena.push(cand.1, 1);
-            arena.push(sink_edge, 1);
+            arena.push(self.shape.source_edge[col as usize] as usize, 1);
+            arena.push(cand as usize, 1);
+            arena.push(self.shape.sink_edge[row] as usize, 1);
         }
-
-        Some(size as i64 - initial as i64)
+        Some(size as i64)
     }
 }
 
 impl MaxFlowSolve for HopcroftKarpSolve {
     fn max_flow(&mut self, arena: &mut FlowArena, source: NodeId, sink: NodeId) -> i64 {
         assert_ne!(source, sink, "source and sink must differ");
-        let matched = if self.use_scalar {
-            Self::scalar_max_flow(arena, source, sink)
-        } else {
-            self.bit_max_flow(arena, source, sink)
-        };
-        matched.unwrap_or_else(|| self.general.max_flow(arena, source, sink))
+        debug_assert!(
+            !arena.carries_flow(),
+            "a solve starts from an arena carrying no flow"
+        );
+        self.bit_max_flow(arena, source, sink)
+            .unwrap_or_else(|| self.general.max_flow(arena, source, sink))
     }
 
     fn name(&self) -> &'static str {
-        if self.use_scalar {
-            "hopcroft-karp-scalar"
-        } else {
-            "hopcroft-karp"
-        }
+        "hopcroft-karp"
     }
 
     fn attach_tracer(&mut self, tracer: &TraceHandle) {
@@ -842,13 +605,14 @@ mod tests {
 
     #[test]
     fn bit_matcher_displaces_across_capacitated_boxes() {
-        // Box 0 (budget 1) serves requests 0 and 1; request 1 can also use
-        // box 1. Seeding 1→box0 forces a displacement to serve request 0.
-        let adj = bit_adj(2, 2, &[(0, 0), (1, 0), (1, 1)]);
-        let mut m = vec![u32::MAX, 0];
-        let size = BitHopcroftKarp::new().solve(&adj, &[1, 1], &mut m);
-        assert_eq!(size, 2);
-        assert_eq!(m, vec![0, 1]);
+        // Boxes 0 (budget 1) and 1 (budget 2): request 0 likes both and
+        // takes box 0 first, so request 1, which likes only box 0, is served
+        // by displacing request 0 onto box 1; request 2 fills box 1.
+        let adj = bit_adj(3, 2, &[(0, 0), (0, 1), (1, 0), (2, 1)]);
+        let mut m = vec![7; 3];
+        let size = BitHopcroftKarp::new().solve(&adj, &[1, 2], &mut m);
+        assert_eq!(size, 3);
+        assert_eq!(m, vec![1, 0, 1]);
     }
 
     #[test]
@@ -864,15 +628,6 @@ mod tests {
         for (i, &b) in m.iter().enumerate() {
             assert_eq!(b as usize, 129 - i);
         }
-    }
-
-    #[test]
-    fn bit_matcher_seed_counts_toward_size() {
-        let adj = bit_adj(2, 1, &[(0, 0), (1, 0)]);
-        let mut m = vec![0, u32::MAX];
-        let size = BitHopcroftKarp::new().solve(&adj, &[1], &mut m);
-        assert_eq!(size, 1);
-        assert_eq!(m, vec![0, u32::MAX]);
     }
 
     /// Lemma-1 arena: 2 boxes (budgets 2 and 1), 4 requests.
@@ -894,60 +649,29 @@ mod tests {
 
     #[test]
     fn bit_and_scalar_adapters_agree() {
-        let (mut a, s, t) = lemma1_arena();
-        let (mut b, _, _) = lemma1_arena();
-        let fa = HopcroftKarpSolve::new().max_flow(&mut a, s, t);
-        let fb = HopcroftKarpSolve::scalar().max_flow(&mut b, s, t);
-        assert_eq!(fa, fb);
-        assert_eq!(fa, 3);
-        // Both leave a valid flow behind: conservation at inner nodes.
-        for v in 1..=6 {
-            assert_eq!(a.net_outflow(v), 0, "node {v}");
-            assert_eq!(b.net_outflow(v), 0, "node {v}");
-        }
-    }
-
-    #[test]
-    fn bit_adapter_warm_start_returns_delta() {
-        let (mut a, s, t) = lemma1_arena();
-        let mut solver = HopcroftKarpSolve::new();
-        let first = solver.max_flow(&mut a, s, t);
-        assert_eq!(first, 3);
-        // Re-solving the solved arena adds nothing.
-        assert_eq!(solver.max_flow(&mut a, s, t), 0);
-        assert_eq!(a.net_outflow(s), 3);
-    }
-
-    #[test]
-    fn bit_adapter_warm_start_moves_a_row_onto_a_box_freed_in_the_same_solve() {
-        // Two gadgets of two unit boxes: the narrow request (one candidate)
-        // is unserved because the wide one sits on its box, and the only
-        // fix is wide → other box, narrow → freed box. The gadgets list
-        // narrow and wide in opposite orders, so whichever order the
-        // write-back visits rows in, one narrow row comes before its wide.
-        let mut a = FlowArena::new();
-        a.clear(10);
-        let (source, sink) = (0, 9);
-        let source_edges: Vec<usize> = (1..=4).map(|b| a.add_edge(source, b, 1)).collect();
-        let narrow_first = a.add_edge(1, 5, 1);
-        let wide_first = a.add_edge(1, 6, 1);
-        a.add_edge(2, 6, 1);
-        let wide_second = a.add_edge(3, 7, 1);
-        a.add_edge(4, 7, 1);
-        let narrow_second = a.add_edge(3, 8, 1);
-        let sink_edges: Vec<usize> = (5..=8).map(|r| a.add_edge(r, sink, 1)).collect();
-        for (box_edge, cand, request_edge) in [
-            (source_edges[0], wide_first, sink_edges[1]),
-            (source_edges[2], wide_second, sink_edges[2]),
+        // The scalar reference: the plain matcher over the elementary
+        // sub-box split of the same arena (box 1 → slots 0 and 1, box 2 →
+        // slot 2; request node `r` is left vertex `r - 3`).
+        let mut sub_boxes = HopcroftKarp::new(4, 3);
+        for (x, slot) in [
+            (0, 0),
+            (0, 1),
+            (1, 0),
+            (1, 1),
+            (1, 2),
+            (2, 0),
+            (2, 1),
+            (3, 2),
         ] {
-            a.push(box_edge, 1);
-            a.push(cand, 1);
-            a.push(request_edge, 1);
+            sub_boxes.add_edge(x, slot);
         }
-        assert_eq!(HopcroftKarpSolve::new().max_flow(&mut a, source, sink), 2);
-        assert_eq!(a.flow_on(narrow_first), 1);
-        assert_eq!(a.flow_on(narrow_second), 1);
-        for v in 1..=8 {
+        let (mut a, s, t) = lemma1_arena();
+        let flow = HopcroftKarpSolve::new().max_flow(&mut a, s, t);
+        assert_eq!(flow as usize, sub_boxes.solve().0);
+        assert_eq!(flow, 3);
+        // The bit adapter leaves a valid flow behind.
+        assert_eq!(a.net_outflow(s), 3);
+        for v in 1..=6 {
             assert_eq!(a.net_outflow(v), 0, "node {v}");
         }
     }
@@ -965,14 +689,13 @@ mod tests {
         let mut solver = HopcroftKarpSolve::new();
         assert_eq!(solver.max_flow(&mut a, 0, 4), 1);
         assert_eq!(a.flow_on(last_hop), 1);
-        assert_eq!(solver.max_flow(&mut a, 0, 4), 0, "already maximum");
     }
 
     #[test]
     fn capacitated_row_falls_back_to_the_general_solver() {
         // A row class of three requests: sink capacity 3 and candidate edges
         // of capacity 3 from boxes of budget 2 and 2, next to a plain unit
-        // request on the second box. Both backends must route 3 + 1 units.
+        // request on the second box. The fallback must route 3 + 1 units.
         let build = |a: &mut FlowArena| {
             a.clear(6);
             a.add_edge(0, 1, 2);
@@ -984,23 +707,20 @@ mod tests {
             a.add_edge(4, 5, 1);
             class_sink
         };
-        let solvers: [fn() -> HopcroftKarpSolve; 2] =
-            [HopcroftKarpSolve::new, HopcroftKarpSolve::scalar];
-        for make in solvers {
-            let mut a = FlowArena::new();
-            let class_sink = build(&mut a);
-            let mut solver = make();
-            assert_eq!(solver.max_flow(&mut a, 0, 5), 4, "{}", solver.name());
-            assert_eq!(a.flow_on(class_sink), 3, "{}", solver.name());
-            for v in 1..=4 {
-                assert_eq!(a.net_outflow(v), 0, "{}: node {v}", solver.name());
-            }
+        let mut a = FlowArena::new();
+        let class_sink = build(&mut a);
+        assert_eq!(HopcroftKarpSolve::new().max_flow(&mut a, 0, 5), 4);
+        assert_eq!(a.flow_on(class_sink), 3);
+        for v in 1..=4 {
+            assert_eq!(a.net_outflow(v), 0, "node {v}");
         }
     }
 
     #[test]
     fn adapter_names_distinguish_backends() {
-        assert_eq!(HopcroftKarpSolve::new().name(), "hopcroft-karp");
-        assert_eq!(HopcroftKarpSolve::scalar().name(), "hopcroft-karp-scalar");
+        // Reports name the adapter, whichever backend solved the arena.
+        let adapter = HopcroftKarpSolve::new();
+        assert_eq!(adapter.name(), "hopcroft-karp");
+        assert_ne!(adapter.name(), adapter.general.name());
     }
 }

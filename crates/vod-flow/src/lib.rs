@@ -6,9 +6,8 @@
 //! box's upload capacity — to a maximum-flow feasibility question on a
 //! bipartite network. This crate provides:
 //!
-//! * [`graph`] — the integer-capacity flow network representation;
-//! * [`arena`] — the reusable solver-facing [`FlowArena`] (flat storage,
-//!   zero steady-state allocation);
+//! * [`arena`] — the integer-capacity flow network, [`FlowArena`] (flat
+//!   storage, reused across builds);
 //! * [`candidates`] — the pooled flat CSR candidate representation
 //!   ([`CandidateBuf`] / borrowed [`CandidateView`], with optional per-row
 //!   change stamps) shared by every candidate-consuming stage;
@@ -19,10 +18,11 @@
 //! * [`dinic`] — Dinic's algorithm (default solver), with a word-parallel
 //!   level BFS on Lemma-1-shaped arenas;
 //! * [`push_relabel`] — FIFO push–relabel with gap + global-relabel
-//!   heuristics (cross-check / benchmarks);
-//! * [`hopcroft_karp`] — bipartite matching for the unit-capacity case, the
-//!   word-parallel capacitated [`BitHopcroftKarp`], plus the
-//!   [`HopcroftKarpSolve`] adapter exposing both as a [`MaxFlowSolve`];
+//!   heuristics;
+//! * [`hopcroft_karp`] — plain bipartite matching ([`HopcroftKarp`], the
+//!   tests' reference), the word-parallel capacitated [`BitHopcroftKarp`],
+//!   and the [`HopcroftKarpSolve`] adapter exposing the latter as a
+//!   [`MaxFlowSolve`];
 //! * [`matching`] — the connection-matching problem builder and solution
 //!   extraction;
 //! * [`hall`] — obstruction (Hall-violator) extraction from minimum cuts;
@@ -34,6 +34,8 @@
 //!
 //! ## Solving a round
 //!
+//! Every solve is cold: a solver receives a freshly built [`FlowArena`]
+//! carrying no flow and returns the max-flow value (see [`MaxFlowSolve`]).
 //! Build a [`ConnectionProblem`], pick a solver, and either let the problem
 //! allocate a throwaway arena ([`ConnectionProblem::solve_with`]) or reuse
 //! one across rounds ([`ConnectionProblem::solve_in`]):
@@ -58,7 +60,8 @@ pub mod bitset;
 pub mod candidates;
 pub mod dinic;
 pub mod expander;
-pub mod graph;
+#[cfg(test)]
+mod graph;
 pub mod hall;
 pub mod hopcroft_karp;
 pub mod matching;
@@ -66,12 +69,11 @@ pub mod push_relabel;
 pub mod relay;
 pub mod solver;
 
-pub use arena::{ArenaEdge, FlowArena};
+pub use arena::{ArenaEdge, FlowArena, NodeId};
 pub use bitset::{BitAdjacency, BitSet};
 pub use candidates::{CandidateBuf, CandidateView, NO_STAMP};
 pub use dinic::Dinic;
 pub use expander::{sample_expansion, ExpansionProfile};
-pub use graph::{Edge, FlowNetwork, NodeId};
 pub use hall::{check_subset, find_obstruction, find_obstruction_in, verify_lemma1, Obstruction};
 pub use hopcroft_karp::{BitHopcroftKarp, HopcroftKarp, HopcroftKarpSolve};
 pub use matching::{ConnectionMatching, ConnectionProblem};

@@ -20,9 +20,8 @@
 //! or reuse a caller-owned [`FlowArena`] through
 //! [`ConnectionProblem::solve_in`] to avoid per-round allocation.
 
-use crate::arena::FlowArena;
+use crate::arena::{FlowArena, NodeId};
 use crate::dinic::Dinic;
-use crate::graph::{FlowNetwork, NodeId};
 use crate::solver::MaxFlowSolve;
 use vod_core::BoxId;
 
@@ -81,46 +80,27 @@ impl ConnectionProblem {
         self.box_capacity.iter().map(|&c| c as u64).sum()
     }
 
-    /// Builds the flow network of Lemma 1 as a [`FlowNetwork`].
+    /// Builds the flow network of Lemma 1 into a reusable [`FlowArena`],
+    /// reusing the arena's allocations. Returns `(source, sink)`.
     ///
     /// Node layout: `0` = source, `1..=B` = boxes, `B+1..=B+R` = requests,
     /// `B+R+1` = sink.
-    pub fn build_network(&self) -> (FlowNetwork, NodeId, NodeId) {
-        let b = self.box_count();
-        let r = self.request_count();
-        let mut g = FlowNetwork::with_nodes(b + r + 2);
-        let (source, sink) = self.populate(|from, to, cap| {
-            g.add_edge(from, to, cap);
-        });
-        (g, source, sink)
-    }
-
-    /// Builds the flow network of Lemma 1 into a reusable [`FlowArena`]
-    /// (same node layout as [`ConnectionProblem::build_network`]), reusing
-    /// the arena's allocations. Returns `(source, sink)`.
     pub fn build_arena(&self, arena: &mut FlowArena) -> (NodeId, NodeId) {
-        arena.clear(self.box_count() + self.request_count() + 2);
-        self.populate(|from, to, cap| {
-            arena.add_edge(from, to, cap);
-        })
-    }
-
-    /// Emits the Lemma-1 edges through `add_edge`, returning `(source, sink)`.
-    fn populate(&self, mut add_edge: impl FnMut(NodeId, NodeId, i64)) -> (NodeId, NodeId) {
         let b = self.box_count();
         let source = 0usize;
         let sink = b + self.request_count() + 1;
+        arena.clear(sink + 1);
         for (i, &cap) in self.box_capacity.iter().enumerate() {
             if cap > 0 {
-                add_edge(source, 1 + i, cap as i64);
+                arena.add_edge(source, 1 + i, cap as i64);
             }
         }
         for (x, cands) in self.candidates.iter().enumerate() {
             let request_node = 1 + b + x;
             for &cand in cands {
-                add_edge(1 + cand.index(), request_node, 1);
+                arena.add_edge(1 + cand.index(), request_node, 1);
             }
-            add_edge(request_node, sink, 1);
+            arena.add_edge(request_node, sink, 1);
         }
         (source, sink)
     }

@@ -1,8 +1,8 @@
 //! FIFO push–relabel maximum-flow algorithm.
 //!
-//! An independent solver used to cross-check Dinic in property tests and to
-//! compare constant factors in the benchmarks. The implementation is the
-//! classic FIFO variant with the gap heuristic, `O(V³)`, plus the
+//! The third solver family next to Dinic and Hopcroft–Karp: the tests
+//! cross-check the three, and `exp_solvers` times them. The implementation
+//! is the classic FIFO variant with the gap heuristic, `O(V³)`, plus the
 //! *global-relabel* heuristic: periodically (and once right after
 //! initialisation) heights are reset to exact residual BFS distances — a
 //! backward BFS from the sink, then one from the source for the nodes the
@@ -10,16 +10,11 @@
 //! `n + dist-to-source`). Without it, the adversarial expander shapes (many
 //! requests competing for saturated budgets) force the FIFO discharge loop
 //! to lift nodes one level at a time through `Θ(n)` heights; with it, every
-//! height jumps straight to its true distance in one `O(E)` sweep. Like
-//! every [`MaxFlowSolve`] implementation it operates on the arena's current
-//! residual state (so it warm-starts from an existing flow) and reuses its
-//! height/excess/queue/BFS buffers across calls.
-//! [`PushRelabel::basic`] disables global relabelling (the historical
-//! behaviour) for benchmarks and cross-checks.
+//! height jumps straight to its true distance in one `O(E)` sweep. The
+//! solver reuses its height/excess/queue/BFS buffers across calls.
 
-use crate::arena::FlowArena;
+use crate::arena::{FlowArena, NodeId};
 use crate::bitset::BitSet;
-use crate::graph::{FlowNetwork, NodeId};
 use crate::solver::MaxFlowSolve;
 use std::collections::VecDeque;
 use vod_obs::{Stage, TraceHandle};
@@ -35,8 +30,6 @@ pub struct PushRelabel {
     in_queue: Vec<bool>,
     height_count: Vec<usize>,
     queue: VecDeque<NodeId>,
-    /// Enables the periodic global-relabel heuristic.
-    global_relabel: bool,
     /// Relabel operations since the last global relabel.
     relabels_since: usize,
     /// Number of global relabels performed over this solver's lifetime
@@ -69,7 +62,6 @@ impl PushRelabel {
             in_queue: Vec::new(),
             height_count: Vec::new(),
             queue: VecDeque::new(),
-            global_relabel: true,
             relabels_since: 0,
             global_relabels: 0,
             dist_sink: Vec::new(),
@@ -77,15 +69,6 @@ impl PushRelabel {
             visited: BitSet::new(),
             bfs_queue: Vec::new(),
             tracer: TraceHandle::off(),
-        }
-    }
-
-    /// Creates a solver with global relabelling disabled — the historical
-    /// gap-heuristic-only behaviour, kept as a benchmark baseline.
-    pub fn basic() -> Self {
-        PushRelabel {
-            global_relabel: false,
-            ..PushRelabel::new()
         }
     }
 
@@ -191,6 +174,10 @@ impl PushRelabel {
 impl MaxFlowSolve for PushRelabel {
     fn max_flow(&mut self, arena: &mut FlowArena, source: NodeId, sink: NodeId) -> i64 {
         assert_ne!(source, sink, "source and sink must differ");
+        debug_assert!(
+            !arena.carries_flow(),
+            "a solve starts from an arena carrying no flow"
+        );
         let n = arena.node_count();
         self.height.clear();
         self.height.resize(n, 0);
@@ -227,9 +214,7 @@ impl MaxFlowSolve for PushRelabel {
         // one O(E) sweep replaces Θ(n) single-step lifts on shapes (like the
         // adversarial expanders) where whole layers must climb past n.
         let relabel_period = n.max(16);
-        if self.global_relabel {
-            self.do_global_relabel(arena, source, sink);
-        }
+        self.do_global_relabel(arena, source, sink);
 
         while let Some(v) = self.queue.pop_front() {
             self.in_queue[v] = false;
@@ -293,11 +278,9 @@ impl MaxFlowSolve for PushRelabel {
                     }
                     // Periodic global relabel: reset every height to its
                     // exact residual distance.
-                    if self.global_relabel {
-                        self.relabels_since += 1;
-                        if self.relabels_since >= relabel_period {
-                            self.do_global_relabel(arena, source, sink);
-                        }
+                    self.relabels_since += 1;
+                    if self.relabels_since >= relabel_period {
+                        self.do_global_relabel(arena, source, sink);
                     }
                 }
             }
@@ -307,11 +290,7 @@ impl MaxFlowSolve for PushRelabel {
     }
 
     fn name(&self) -> &'static str {
-        if self.global_relabel {
-            "push-relabel"
-        } else {
-            "push-relabel-basic"
-        }
+        "push-relabel"
     }
 
     fn attach_tracer(&mut self, tracer: &TraceHandle) {
@@ -319,92 +298,56 @@ impl MaxFlowSolve for PushRelabel {
     }
 }
 
-/// Convenience wrapper: runs push–relabel on a [`FlowNetwork`] and returns
-/// the flow value, leaving the network's residual capacities updated.
-/// Allocates a temporary arena — reuse a [`FlowArena`] plus a
-/// [`PushRelabel`] instance directly on hot paths.
-pub fn max_flow(graph: &mut FlowNetwork, source: NodeId, sink: NodeId) -> i64 {
-    let mut arena = FlowArena::new();
-    arena.rebuild_from(graph);
-    let flow = PushRelabel::new().max_flow(&mut arena, source, sink);
-    graph.sync_flows_from(&arena);
-    flow
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::tests::{build, TEXTBOOK};
+    use crate::dinic::Dinic;
+
+    /// Push–relabel and Dinic values of the `n`-node network `edges` from
+    /// node 0 to node `n - 1`.
+    fn solve_both(n: usize, edges: &[(usize, usize, i64)]) -> (i64, i64) {
+        let pr = PushRelabel::new().max_flow(&mut build(n, edges), 0, n - 1);
+        let dinic = Dinic::new().max_flow(&mut build(n, edges), 0, n - 1);
+        (pr, dinic)
+    }
 
     #[test]
     fn single_edge() {
-        let mut g = FlowNetwork::with_nodes(2);
-        g.add_edge(0, 1, 9);
-        assert_eq!(max_flow(&mut g, 0, 1), 9);
+        assert_eq!(solve_both(2, &[(0, 1, 9)]).0, 9);
     }
 
     #[test]
     fn series_takes_minimum() {
-        let mut g = FlowNetwork::with_nodes(3);
-        g.add_edge(0, 1, 5);
-        g.add_edge(1, 2, 3);
-        assert_eq!(max_flow(&mut g, 0, 2), 3);
+        assert_eq!(solve_both(3, &[(0, 1, 5), (1, 2, 3)]).0, 3);
     }
 
     #[test]
     fn classic_textbook_network() {
-        let mut g = FlowNetwork::with_nodes(6);
-        g.add_edge(0, 1, 16);
-        g.add_edge(0, 2, 13);
-        g.add_edge(1, 2, 10);
-        g.add_edge(2, 1, 4);
-        g.add_edge(1, 3, 12);
-        g.add_edge(3, 2, 9);
-        g.add_edge(2, 4, 14);
-        g.add_edge(4, 3, 7);
-        g.add_edge(3, 5, 20);
-        g.add_edge(4, 5, 4);
-        assert_eq!(max_flow(&mut g, 0, 5), 23);
+        assert_eq!(solve_both(6, &TEXTBOOK).0, 23);
     }
 
     #[test]
     fn disconnected_sink_gives_zero() {
-        let mut g = FlowNetwork::with_nodes(4);
-        g.add_edge(0, 1, 10);
-        g.add_edge(2, 3, 10);
-        assert_eq!(max_flow(&mut g, 0, 3), 0);
+        assert_eq!(solve_both(4, &[(0, 1, 10), (2, 3, 10)]).0, 0);
     }
 
     #[test]
     fn agrees_with_dinic_on_a_bipartite_instance() {
         // 3 boxes (capacity 2 each) serving 5 requests, some unreachable.
-        let build = || {
-            let mut g = FlowNetwork::with_nodes(10);
-            let s = 0;
-            let t = 9;
-            for b in 1..=3 {
-                g.add_edge(s, b, 2);
-            }
-            let pairs = [(1, 4), (1, 5), (2, 5), (2, 6), (3, 6), (3, 7)];
-            for &(b, r) in &pairs {
-                g.add_edge(b, r, 1);
-            }
-            for r in 4..=8 {
-                g.add_edge(r, t, 1);
-            }
-            g
-        };
-        let mut a = build();
-        let mut b = build();
-        assert_eq!(max_flow(&mut a, 0, 9), crate::dinic::max_flow(&mut b, 0, 9));
+        let mut edges: Vec<(usize, usize, i64)> = (1..=3).map(|b| (0, b, 2)).collect();
+        for (b, r) in [(1, 4), (1, 5), (2, 5), (2, 6), (3, 6), (3, 7)] {
+            edges.push((b, r, 1));
+        }
+        edges.extend((4..=8).map(|r| (r, 9, 1)));
+        let (pr, dinic) = solve_both(10, &edges);
+        assert_eq!(pr, dinic);
     }
 
     #[test]
     fn unsaturable_excess_does_not_inflate_flow() {
         // Source pushes 10 into node 1, but only 1 can reach the sink.
-        let mut g = FlowNetwork::with_nodes(3);
-        g.add_edge(0, 1, 10);
-        g.add_edge(1, 2, 1);
-        assert_eq!(max_flow(&mut g, 0, 2), 1);
+        assert_eq!(solve_both(3, &[(0, 1, 10), (1, 2, 1)]).0, 1);
     }
 
     /// Deterministic congruential stream for building pseudo-random graphs.
@@ -415,33 +358,25 @@ mod tests {
         *seed >> 33
     }
 
-    fn random_network(seed: u64, n: usize, edges: usize) -> FlowNetwork {
+    fn random_edges(seed: u64, n: usize, edges: usize) -> Vec<(usize, usize, i64)> {
         let mut s = seed;
-        let mut g = FlowNetwork::with_nodes(n);
+        let mut out = Vec::new();
         for _ in 0..edges {
             let from = (lcg(&mut s) as usize) % (n - 1);
             let to = 1 + (lcg(&mut s) as usize) % (n - 1);
             if from != to {
-                g.add_edge(from, to, (lcg(&mut s) % 7 + 1) as i64);
+                out.push((from, to, (lcg(&mut s) % 7 + 1) as i64));
             }
         }
-        g
+        out
     }
 
     #[test]
-    fn global_relabel_and_basic_agree_with_dinic() {
+    fn global_relabel_agrees_with_dinic() {
         for seed in 0..12u64 {
-            let g = random_network(0xC0FFEE ^ seed, 24, 80);
-            let mut c = g.clone();
-            let mut arena = FlowArena::new();
-
-            arena.rebuild_from(&g);
-            let with_gr = PushRelabel::new().max_flow(&mut arena, 0, 23);
-            arena.rebuild_from(&g);
-            let basic = PushRelabel::basic().max_flow(&mut arena, 0, 23);
-            let dinic = crate::dinic::max_flow(&mut c, 0, 23);
-            assert_eq!(with_gr, dinic, "seed {seed}: global-relabel diverged");
-            assert_eq!(basic, dinic, "seed {seed}: basic diverged");
+            let edges = random_edges(0xC0FFEE ^ seed, 24, 80);
+            let (pr, dinic) = solve_both(24, &edges);
+            assert_eq!(pr, dinic, "seed {seed}");
         }
     }
 
@@ -450,26 +385,10 @@ mod tests {
         // A long chain forces heights to climb far past their initial values,
         // so periodic relabels trigger beyond the initial sweep.
         let n = 64;
-        let mut g = FlowNetwork::with_nodes(n);
-        for v in 0..n - 1 {
-            g.add_edge(v, v + 1, 2);
-        }
-        let mut arena = FlowArena::new();
-        arena.rebuild_from(&g);
+        let edges: Vec<(usize, usize, i64)> = (0..n - 1).map(|v| (v, v + 1, 2)).collect();
         let mut solver = PushRelabel::new();
-        assert_eq!(solver.max_flow(&mut arena, 0, n - 1), 2);
+        assert_eq!(solver.max_flow(&mut build(n, &edges), 0, n - 1), 2);
         assert!(solver.global_relabel_count() >= 1);
-
-        let mut basic = PushRelabel::basic();
-        arena.rebuild_from(&g);
-        assert_eq!(basic.max_flow(&mut arena, 0, n - 1), 2);
-        assert_eq!(basic.global_relabel_count(), 0);
-    }
-
-    #[test]
-    fn solver_names_distinguish_heuristic_modes() {
-        assert_eq!(PushRelabel::new().name(), "push-relabel");
-        assert_eq!(PushRelabel::basic().name(), "push-relabel-basic");
     }
 
     #[test]
@@ -480,40 +399,15 @@ mod tests {
         let boxes = 20;
         let requests = 40;
         let n = boxes + requests + 2;
-        let build = || {
-            let mut g = FlowNetwork::with_nodes(n);
-            let (s, t) = (0, n - 1);
-            for b in 0..boxes {
-                g.add_edge(s, 1 + b, 2);
-            }
-            for b in 0..boxes {
-                for r in 0..requests {
-                    g.add_edge(1 + b, 1 + boxes + r, 1);
-                }
-            }
+        let mut edges: Vec<(usize, usize, i64)> = (0..boxes).map(|b| (0, 1 + b, 2)).collect();
+        for b in 0..boxes {
             for r in 0..requests {
-                g.add_edge(1 + boxes + r, t, 1);
+                edges.push((1 + b, 1 + boxes + r, 1));
             }
-            g
-        };
-        let mut arena = FlowArena::new();
-        arena.rebuild_from(&build());
-        let flow = PushRelabel::new().max_flow(&mut arena, 0, n - 1);
-        let mut d = build();
-        assert_eq!(flow, crate::dinic::max_flow(&mut d, 0, n - 1));
-        assert_eq!(flow, (boxes * 2) as i64);
-    }
-
-    #[test]
-    fn warm_start_returns_only_additional_flow() {
-        let mut arena = FlowArena::new();
-        arena.clear(3);
-        let e01 = arena.add_edge(0, 1, 4);
-        let e12 = arena.add_edge(1, 2, 4);
-        arena.push(e01, 3);
-        arena.push(e12, 3);
-        let pushed = PushRelabel::new().max_flow(&mut arena, 0, 2);
-        assert_eq!(pushed, 1);
-        assert_eq!(arena.flow_on(e12), 4);
+        }
+        edges.extend((0..requests).map(|r| (1 + boxes + r, n - 1, 1)));
+        let (pr, dinic) = solve_both(n, &edges);
+        assert_eq!(pr, dinic);
+        assert_eq!(pr, (boxes * 2) as i64);
     }
 }

@@ -3,20 +3,16 @@
 //! Every solver in this crate — [`crate::dinic::Dinic`],
 //! [`crate::push_relabel::PushRelabel`], and the matching-backed
 //! [`crate::hopcroft_karp::HopcroftKarpSolve`] — implements [`MaxFlowSolve`]
-//! over a [`FlowArena`], replacing the old enum-style solver dispatch. The
-//! contract is *residual-state* based, which is what makes warm starts work:
+//! over a [`FlowArena`]. The contract is *cold*:
 //!
-//! * the arena may already carry a valid flow (e.g. last round's matching
-//!   patched for this round's changes);
-//! * `max_flow` augments that flow to a maximum flow and returns only the
-//!   **additional** flow pushed during this call;
-//! * solvers own their scratch buffers and reuse them across calls, so a
-//!   steady-state solve performs no heap allocation (the cross-checking
-//!   [`crate::hopcroft_karp::HopcroftKarpSolve`] adapter is the documented
-//!   exception: it rebuilds its matching graph per call).
+//! * the arena carries no flow on entry (it was just built; debug builds
+//!   assert this);
+//! * `max_flow` leaves a maximum `source → sink` flow in the arena and
+//!   returns its value;
+//! * solvers own their scratch buffers and reuse them across calls, so
+//!   solving a rebuilt arena allocates nothing once the buffers have grown.
 
-use crate::arena::FlowArena;
-use crate::graph::NodeId;
+use crate::arena::{FlowArena, NodeId};
 use vod_obs::TraceHandle;
 
 /// A maximum-flow algorithm over a reusable [`FlowArena`].
@@ -36,15 +32,16 @@ use vod_obs::TraceHandle;
 /// arena.add_edge(1, 2, 3);
 /// let mut solver = Dinic::new();
 /// assert_eq!(solver.max_flow(&mut arena, 0, 2), 3);
-/// // The contract is residual-state based: a second call finds the flow
-/// // already maximum and pushes nothing more.
-/// assert_eq!(solver.max_flow(&mut arena, 0, 2), 0);
+/// assert_eq!(arena.flow_on(2), 3);
+/// // A second solve starts from a rebuilt arena.
+/// arena.clear(2);
+/// arena.add_edge(0, 1, 4);
+/// assert_eq!(solver.max_flow(&mut arena, 0, 1), 4);
 /// ```
 pub trait MaxFlowSolve: Send {
-    /// Augments the arena's current flow to a maximum `source → sink` flow,
-    /// mutating residual capacities in place. Returns the flow pushed by this
-    /// call (the total flow is the caller's previous total plus this value;
-    /// on a freshly built arena it is the max-flow value itself).
+    /// Computes a maximum `source → sink` flow in an arena that carries no
+    /// flow, mutating residual capacities in place, and returns the max-flow
+    /// value.
     fn max_flow(&mut self, arena: &mut FlowArena, source: NodeId, sink: NodeId) -> i64;
 
     /// Short solver name for reports and benchmark labels.

@@ -2113,13 +2113,10 @@ mod tests {
 
     #[test]
     fn a_mostly_unserved_warm_round_is_searched_under_every_solver() {
-        let solvers: [fn() -> Box<dyn MaxFlowSolve>; 6] = [
+        let solvers: [fn() -> Box<dyn MaxFlowSolve>; 3] = [
             || Box::new(Dinic::new()),
-            || Box::new(Dinic::scalar()),
             || Box::new(HopcroftKarpSolve::new()),
-            || Box::new(HopcroftKarpSolve::scalar()),
             || Box::new(PushRelabel::new()),
-            || Box::new(PushRelabel::basic()),
         ];
         // Twenty classes of ten over 24 boxes of 8 slots (200 requests, 192
         // slots): tight, so units must be displaced, not just placed.
@@ -2369,13 +2366,10 @@ mod tests {
 
     #[test]
     fn a_cold_build_after_a_warm_script_serves_a_cold_solve_under_every_solver() {
-        let solvers: [fn() -> Box<dyn MaxFlowSolve>; 6] = [
+        let solvers: [fn() -> Box<dyn MaxFlowSolve>; 3] = [
             || Box::new(Dinic::new()),
-            || Box::new(Dinic::scalar()),
             || Box::new(HopcroftKarpSolve::new()),
-            || Box::new(HopcroftKarpSolve::scalar()),
             || Box::new(PushRelabel::new()),
-            || Box::new(PushRelabel::basic()),
         ];
         for make_solver in solvers {
             let (mut matcher, mut caps, live) = run_script(make_solver, 12, 100, 7);

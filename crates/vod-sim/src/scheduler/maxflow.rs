@@ -99,10 +99,20 @@ impl Scheduler for MaxFlowScheduler {
 mod tests {
     use super::*;
     use crate::scheduler::assignment_is_valid;
-    use vod_flow::{HopcroftKarpSolve, PushRelabel};
+    use vod_flow::{Dinic, HopcroftKarpSolve, PushRelabel};
 
     fn b(i: u32) -> BoxId {
         BoxId(i)
+    }
+
+    #[test]
+    fn the_default_solver_is_dinic() {
+        // Callers that look a solver up by the name the default scheduler
+        // reports (the benchmark times its solver that way) find Dinic.
+        assert_eq!(
+            MaxFlowScheduler::new().matcher().solver_name(),
+            Dinic::new().name()
+        );
     }
 
     #[test]
