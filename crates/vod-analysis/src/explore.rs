@@ -15,8 +15,8 @@
 //!   preload counters, capacities, and the relay plan), so converging
 //!   histories — playbacks ended, caches expired — are explored once;
 //! * doubles as a differential fuzz gate: every explored transition is
-//!   stepped through the incremental and full-rescan pipelines and through
-//!   the engine under the textbook [`vod_sim::NaiveScheduler`], with
+//!   stepped through the engine under the incremental matcher and under
+//!   the textbook [`vod_sim::NaiveScheduler`], with
 //!   bit-equality of the round metrics asserted, and any divergence is
 //!   dumped as a replayable [`SeedFile`];
 //! * shrinks failing demand sequences to minimal counterexamples
@@ -27,7 +27,7 @@
 //!
 //! The `exp_verify` binary (vod-bench) drives all four modes; corpus seed
 //! files under `tests/corpus/` are replayed forever by
-//! [`replay_seed`] through every pipeline.
+//! [`replay_seed`] through both engine variants.
 
 use crate::obstruction::{first_moment_bound, BoundParams};
 use rand::rngs::StdRng;
@@ -41,7 +41,7 @@ use vod_core::{
 };
 use vod_sim::{
     DegradationConfig, FailurePolicy, MaxFlowScheduler, NaiveScheduler, RepairPlanner,
-    RoundMetrics, SimConfig, SimulationReport, Simulator,
+    RoundMetrics, Scheduler, SimConfig, SimulationReport, Simulator,
 };
 use vod_workloads::{
     ChurnEvent, DemandGenerator, DemandTrace, FaultEvent, OccupancyView, TraceReplay, VideoDemand,
@@ -380,62 +380,48 @@ impl SeedFile {
 }
 
 /// The engine variants the differential gate steps in lock-step: the
-/// incremental reference, the legacy full-rescan candidate pipeline, and
-/// the textbook matching that shares no code with `vod-flow`.
+/// incremental reference and the textbook matching that shares no code
+/// with `vod-flow`. (Both build their candidate rows in the one candidate
+/// pipeline; `tests/active_set.rs` checks those rows against a naive cache
+/// model.)
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineVariant {
-    /// Incremental candidate index + max-flow scheduler (reference).
+    /// The max-flow scheduler's incremental matcher (reference).
     Incremental,
-    /// Legacy full-rescan candidate pipeline + max-flow scheduler.
-    Rescan,
-    /// Incremental candidates + [`NaiveScheduler`] (Kuhn's algorithm over
-    /// `Vec`-of-`Vec` state, reached through the trait's default bridges).
+    /// [`NaiveScheduler`] (Kuhn's algorithm over `Vec`-of-`Vec` state,
+    /// reached through the trait's default bridges).
     Naive,
 }
 
 impl EngineVariant {
     /// The differential gate's variant set (reference first).
-    pub const GATE: [EngineVariant; 3] = [
-        EngineVariant::Incremental,
-        EngineVariant::Rescan,
-        EngineVariant::Naive,
-    ];
+    pub const GATE: [EngineVariant; 2] = [EngineVariant::Incremental, EngineVariant::Naive];
 
     /// Display label.
     pub fn label(self) -> &'static str {
         match self {
             EngineVariant::Incremental => "incremental",
-            EngineVariant::Rescan => "rescan",
             EngineVariant::Naive => "naive",
+        }
+    }
+
+    /// A fresh scheduler of this variant.
+    fn scheduler(self) -> Box<dyn Scheduler> {
+        match self {
+            EngineVariant::Incremental => Box::new(MaxFlowScheduler::new()),
+            EngineVariant::Naive => Box::new(NaiveScheduler::new()),
         }
     }
 
     /// Builds a fresh simulator of this variant over `system`.
     pub fn simulator<'a>(self, system: &'a VideoSystem, config: SimConfig) -> Simulator<'a> {
-        match self {
-            EngineVariant::Incremental => {
-                Simulator::with_scheduler(system, config, Box::new(MaxFlowScheduler::new()))
-            }
-            EngineVariant::Rescan => Simulator::with_scheduler(
-                system,
-                config.with_rescan_candidates(),
-                Box::new(MaxFlowScheduler::new()),
-            ),
-            EngineVariant::Naive => {
-                Simulator::with_scheduler(system, config, Box::new(NaiveScheduler::new()))
-            }
-        }
+        Simulator::with_scheduler(system, config, self.scheduler())
     }
 
     /// Branches `sim` (which must be of this variant) with a fresh
     /// scheduler of the same kind.
     fn fork<'a>(self, sim: &Simulator<'a>) -> Simulator<'a> {
-        match self {
-            EngineVariant::Incremental | EngineVariant::Rescan => {
-                sim.fork_with(Box::new(MaxFlowScheduler::new()))
-            }
-            EngineVariant::Naive => sim.fork_with(Box::new(NaiveScheduler::new())),
-        }
+        sim.fork_with(self.scheduler())
     }
 }
 
@@ -447,7 +433,7 @@ pub struct ExploreSpec {
     /// Exploration depth in rounds (≤ 8 stays tractable).
     pub horizon: u64,
     /// Step every transition through all [`EngineVariant::GATE`] variants
-    /// and assert bit-equality (3× the engine work; off = reference only).
+    /// and assert bit-equality (2× the engine work; off = reference only).
     pub differential: bool,
     /// Stop at the first infeasible sequence instead of counting them all
     /// (counterexample search below the threshold).
@@ -741,9 +727,7 @@ pub fn normalize_round(metrics: &RoundMetrics) -> RoundMetrics {
 /// *sum* of [`vod_sim::PlaybackRecord::stalled_rounds`] over that pair of
 /// reports (`pool_stalls`) rather than each record's count — on
 /// `tests/corpus/below_threshold_counterexample.json` the two matchings
-/// differ only in whether b1 or b3 carries the one stalled round. The
-/// incremental and rescan pipelines share a scheduler and keep full
-/// equality, per-playback stalls included.
+/// differ only in whether b1 or b3 carries the one stalled round.
 pub fn normalize_report(report: &SimulationReport) -> SimulationReport {
     let mut r = report.clone();
     r.rounds = r.rounds.iter().map(normalize_round).collect();
@@ -764,7 +748,6 @@ pub fn explore(spec: &ExploreSpec) -> ExploreOutcome {
         max_rounds: spec.horizon,
         failure_policy: FailurePolicy::Abort,
         collect_obstructions: false,
-        candidates: vod_sim::CandidateMode::Incremental,
     };
     let variants: Vec<EngineVariant> = if spec.differential {
         EngineVariant::GATE.to_vec()
@@ -1160,8 +1143,9 @@ pub fn shrink_scripted(
     }
 }
 
-/// Replays a seed file through every [`EngineVariant::GATE`] pipeline and
-/// checks the normalized reports are bit-identical. Returns the reference
+/// Replays a seed file through both [`EngineVariant::GATE`] variants and
+/// checks the normalized reports are bit-identical, stalls pooled (see
+/// [`normalize_report`]). Returns the reference
 /// report, or a description of the first divergence. Seeds carrying churn
 /// or fault scripts (or a repair budget, or a degradation controller)
 /// replay them identically on every variant, each event landing before
@@ -1196,10 +1180,7 @@ pub fn replay_seed(seed: &SeedFile) -> Result<SimulationReport, String> {
     for variant in EngineVariant::GATE.into_iter().skip(1) {
         let mut normalized = normalize_report(&reference);
         let mut other = normalize_report(&run(variant));
-        let stalls = match variant {
-            EngineVariant::Naive => (pool_stalls(&mut normalized), pool_stalls(&mut other)),
-            _ => (0, 0),
-        };
+        let stalls = (pool_stalls(&mut normalized), pool_stalls(&mut other));
         if other != normalized || stalls.0 != stalls.1 {
             let detail = normalized
                 .rounds
@@ -1485,7 +1466,7 @@ mod tests {
         // k = 3 of 4 boxes per stripe tolerates one departure, so the
         // at-threshold guarantee must survive every interleaving of one
         // leave/rejoin (over the first two boxes) with admissible demands
-        // — with all three pipelines bit-identical on churned branches too.
+        // — with both variants bit-identical on churned branches too.
         let static_out = explore(&ExploreSpec {
             differential: false,
             ..ExploreSpec::new(tiny_seed(), 4)
@@ -1608,8 +1589,8 @@ mod tests {
         // k = 3 of 4 boxes per stripe tolerates one stalled holder, so the
         // at-threshold guarantee must survive every interleaving of one
         // fault window (stall or half-upload, over the first two boxes)
-        // with admissible demands — with all three pipelines bit-identical
-        // on faulted branches too.
+        // with admissible demands — with both variants bit-identical on
+        // faulted branches too.
         let static_out = explore(&ExploreSpec {
             differential: false,
             ..ExploreSpec::new(tiny_seed(), 4)

@@ -12,9 +12,9 @@
 //!   permanently and service degrades measurably — the gap is the
 //!   experiment's headline number;
 //! * **pipeline equivalence under churn** — the churned, repaired run is
-//!   replayed through the incremental and full-rescan pipelines and under
-//!   the textbook `NaiveScheduler`. Served and unserved counts and the
-//!   per-round repair stats must be identical everywhere; the run **exits
+//!   replayed under the incremental matcher and under the textbook
+//!   `NaiveScheduler`. Served and unserved counts and the per-round repair
+//!   stats must be identical; the run **exits
 //!   non-zero on any divergence**, extending the CI determinism gates to
 //!   live-population state;
 //! * **dynamic reservations** — a u*-compensated heterogeneous fleet under
@@ -279,38 +279,25 @@ fn main() {
     let reference = pipeline_trace(&sys, gate_rounds, budget, |config| {
         Simulator::new(&sys, config)
     });
-    let variants: Vec<(&str, RoundTrace)> = vec![
-        (
-            "rescan",
-            pipeline_trace(&sys, gate_rounds, budget, |config| {
-                Simulator::new(&sys, config.with_rescan_candidates())
-            }),
-        ),
-        (
-            "naive",
-            pipeline_trace(&sys, gate_rounds, budget, |config| {
-                Simulator::with_scheduler(&sys, config, Box::new(NaiveScheduler::new()))
-            }),
-        ),
-    ];
-    for (label, trace) in &variants {
-        if trace != &reference {
-            let round = reference
-                .iter()
-                .zip(trace)
-                .position(|(a, b)| a != b)
-                .unwrap_or(reference.len().min(trace.len()));
-            eprintln!(
-                "DIVERGENCE [{label}] under churn at round {round}: {:?} vs reference {:?}",
-                trace.get(round),
-                reference.get(round)
-            );
-            std::process::exit(1);
-        }
+    let naive = pipeline_trace(&sys, gate_rounds, budget, |config| {
+        Simulator::with_scheduler(&sys, config, Box::new(NaiveScheduler::new()))
+    });
+    if naive != reference {
+        let round = reference
+            .iter()
+            .zip(&naive)
+            .position(|(a, b)| a != b)
+            .unwrap_or(reference.len().min(naive.len()));
+        eprintln!(
+            "DIVERGENCE [naive] under churn at round {round}: {:?} vs reference {:?}",
+            naive.get(round),
+            reference.get(round)
+        );
+        std::process::exit(1);
     }
     let gate_repaired: u64 = reference.iter().map(|(_, _, r)| r.repaired as u64).sum();
     println!(
-        "equivalence: incremental, rescan, and naive pipelines agree on served, unserved, and repair stats across {gate_rounds} churned rounds ({gate_repaired} repairs) ✓\n"
+        "equivalence: incremental and naive pipelines agree on served, unserved, and repair stats across {gate_rounds} churned rounds ({gate_repaired} repairs) ✓\n"
     );
 
     // ---- Part 3: dynamic relay reservations vs worst-case ----

@@ -19,10 +19,10 @@
 //!   — the gap is the experiment's headline number;
 //! * **pipeline equivalence under faults** — a fully loaded fault model
 //!   (degradation windows, flapping, drop/timeout hazards, drop surges)
-//!   plus retry and degradation is replayed through the incremental and
-//!   full-rescan pipelines and under the textbook `NaiveScheduler`.
-//!   Served, unserved, delivery, and degradation stats must be identical
-//!   everywhere; the run **exits non-zero on any divergence**, extending
+//!   plus retry and degradation is replayed under the incremental matcher
+//!   and under the textbook `NaiveScheduler`. Served, unserved, delivery,
+//!   and degradation stats must be identical; the run **exits non-zero on
+//!   any divergence**, extending
 //!   the CI determinism gates to faulted state.
 
 use rand::rngs::StdRng;
@@ -363,37 +363,24 @@ fn main() {
     // ---- Part 3: pipeline equivalence under faults (the CI gate) ----
     let gate_rounds = scale.pick(40u64, 80);
     let reference = pipeline_trace(&sys, gate_rounds, |config| Simulator::new(&sys, config));
-    let variants: Vec<(&str, RoundTrace)> = vec![
-        (
-            "rescan",
-            pipeline_trace(&sys, gate_rounds, |config| {
-                Simulator::new(&sys, config.with_rescan_candidates())
-            }),
-        ),
-        (
-            "naive",
-            pipeline_trace(&sys, gate_rounds, |config| {
-                Simulator::with_scheduler(&sys, config, Box::new(NaiveScheduler::new()))
-            }),
-        ),
-    ];
-    for (label, trace) in &variants {
-        if trace != &reference {
-            let round = reference
-                .iter()
-                .zip(trace)
-                .position(|(a, b)| a != b)
-                .unwrap_or(reference.len().min(trace.len()));
-            eprintln!(
-                "DIVERGENCE [{label}] under faults at round {round}: {:?} vs reference {:?}",
-                trace.get(round),
-                reference.get(round)
-            );
-            std::process::exit(1);
-        }
+    let naive = pipeline_trace(&sys, gate_rounds, |config| {
+        Simulator::with_scheduler(&sys, config, Box::new(NaiveScheduler::new()))
+    });
+    if naive != reference {
+        let round = reference
+            .iter()
+            .zip(&naive)
+            .position(|(a, b)| a != b)
+            .unwrap_or(reference.len().min(naive.len()));
+        eprintln!(
+            "DIVERGENCE [naive] under faults at round {round}: {:?} vs reference {:?}",
+            naive.get(round),
+            reference.get(round)
+        );
+        std::process::exit(1);
     }
     println!(
-        "equivalence: incremental, rescan, and naive pipelines agree on served, unserved, delivery, and degradation stats across {gate_rounds} faulted rounds ✓"
+        "equivalence: incremental and naive pipelines agree on served, unserved, delivery, and degradation stats across {gate_rounds} faulted rounds ✓"
     );
 
     if failed {

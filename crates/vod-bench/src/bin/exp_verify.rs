@@ -10,7 +10,7 @@
 //! * **at-threshold**: a configuration satisfying Theorem 1's
 //!   `c > (2µ²−1)/(u−1)` is verified exhaustively — every admissible
 //!   sequence is served, and every explored transition is stepped through
-//!   the incremental and full-rescan pipelines and under the textbook
+//!   the engine under the incremental matcher and under the textbook
 //!   `NaiveScheduler`, with bit-equality of the normalized round metrics
 //!   asserted;
 //! * **below-threshold**: a starved configuration must fail, and the first

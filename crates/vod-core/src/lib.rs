@@ -13,7 +13,6 @@
 //!   classification and deficit computations;
 //! * [`params`] — the paper's Table 1 parameters and derived quantities
 //!   (`u′`, `ν`, `d′`, catalog size `d·n/k`);
-//! * [`cache`] — the sliding-window playback cache;
 //! * [`allocation`] — random permutation / random independent allocations and
 //!   two baselines (round-robin, full replication);
 //! * [`compensation`] — Theorem 2's `u*`-upload-compensation and
@@ -28,7 +27,6 @@
 #![forbid(unsafe_code)]
 
 pub mod allocation;
-pub mod cache;
 pub mod capacity;
 pub mod catalog;
 pub mod compensation;
@@ -44,7 +42,6 @@ pub use allocation::{
     Allocator, FullReplicationAllocator, Placement, RandomIndependentAllocator,
     RandomPermutationAllocator, RoundRobinAllocator,
 };
-pub use cache::PlaybackCache;
 pub use capacity::{Bandwidth, StorageSlots};
 pub use catalog::Catalog;
 pub use compensation::{

@@ -14,7 +14,7 @@ use vod_core::json::JsonError;
 pub enum Stage {
     /// `Simulator::step`: retiring playbacks that finished last round.
     PlaybackEnd,
-    /// Candidate-index maintenance (`CandidatePipeline::begin_round`): the
+    /// Candidate-index maintenance (`CandidateIndex::begin_round`): the
     /// expiry wheel tick behind each round's `B(x)` supplier sets.
     CandidateMaintain,
     /// Draining scheduled churn events (departures, crashes, rejoins).

@@ -3,15 +3,13 @@
 //! Every round the engine must know, per stripe, which boxes currently hold
 //! the stripe in their playback cache (the swarming half of Lemma 1's
 //! candidate set `B(x)`; the sourcing half — static allocation holders —
-//! never changes). The index was historically a
-//! `HashMap<StripeId, Vec<BoxId>>` kept alive by a full `retain` sweep over
-//! **every** live entry each round, plus `contains` scans on every insert
-//! and candidate fill — O(total cache state) per round even when nothing
-//! changed.
+//! never changes). A `HashMap<StripeId, Vec<BoxId>>` kept alive by a full
+//! `retain` sweep over **every** live entry each round would cost
+//! O(total cache state) per round even when nothing changed.
 //!
-//! The [`CandidateIndex`] replaces that with an incremental structure built
-//! on the observation that a cache entry's eviction round is known exactly
-//! at insertion: an entry downloaded from round `start` leaves the cache
+//! The [`CandidateIndex`] is instead an incremental structure built on the
+//! observation that a cache entry's eviction round is known exactly at
+//! insertion: an entry downloaded from round `start` leaves the cache
 //! window the first round `now` with `start + window < now`, i.e. at round
 //! `start + window + 1`. Entries are therefore bucketed into an **expiry
 //! wheel** (a ring of buckets indexed by eviction round), and per-round
@@ -21,22 +19,20 @@
 //! * [`CandidateIndex::begin_round`] drains exactly the bucket(s) whose
 //!   round has come, removing each expired entry from its per-stripe list;
 //! * [`CandidateIndex::insert`] gives O(1) membership via a packed-key map
-//!   (killing the old linear `contains` scans); a re-download of a cached
+//!   (no linear `contains` scans); a re-download of a cached
 //!   stripe updates the start in place and re-files the entry under its new
 //!   eviction round, leaving the stale wheel record to be skipped when its
 //!   bucket drains (current-start check);
 //! * per-stripe lists keep strict insertion order with ordered removals, so
-//!   the candidate rows the engine builds from them are **bit-identical**
-//!   (content *and* order) to what the legacy full-rescan pipeline
-//!   produced — schedules are provably unchanged;
+//!   a candidate row lists its cache holders in the order they started
+//!   caching — the order `tests/active_set.rs` checks every row against,
+//!   with a naive model of the caches;
 //! * every change that can alter a row *already built* from a stripe — an
 //!   expiry, a purge, a refresh, a holder-list change; not a fresh insert,
 //!   whose start is never before the issue round of an existing request —
 //!   draws the stripe a fresh [`CandidateIndex::shrink_stamp`]. The engine
 //!   validates its memoized class rows against it, so a growing crowd does
 //!   not rebuild the rows of the viewers already in it.
-//!   [`CandidateIndex::stripe_stamp`] adds the list's length, so it moves on
-//!   fresh inserts too: equal values guarantee an identical list.
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -62,8 +58,8 @@ struct WheelRecord {
 /// [`crate::metrics::RoundMetrics::candidates`].
 ///
 /// Equality ignores [`CandidateStats::build_ns`]: the bit-equality gates
-/// (scheduler equivalence, rescan-vs-incremental pipeline comparison)
-/// compare structure, never wall-clock.
+/// (scheduler equivalence, forks, corpus replays) compare structure, never
+/// wall-clock.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CandidateStats {
     /// Live (stripe, box) cache-index entries after this round's
@@ -148,8 +144,8 @@ pub struct CandidateIndex {
     /// Stripes per video, for dense stripe-slot arithmetic.
     stripes_per_video: u16,
     /// Per-stripe holder lists `(box, start)`, dense by stripe slot, kept
-    /// in strict insertion order (ordered removals) so candidate rows match
-    /// the legacy rescan pipeline bit for bit.
+    /// in strict insertion order (ordered removals): candidate rows list
+    /// cache holders in the order they started caching.
     lists: Vec<Vec<(BoxId, u64)>>,
     /// Per-stripe shrink stamp: the value of `shrinks` at the last change
     /// other than a fresh insert; 0 = none yet.
@@ -403,16 +399,6 @@ impl CandidateIndex {
         self.lists.get(slot).map_or(&[], Vec::as_slice)
     }
 
-    /// Change stamp of `stripe`'s holder list, 0 when never touched: its
-    /// [`CandidateIndex::shrink_stamp`] and, in the low 24 bits, its length
-    /// (between two shrink stamps the list only grows). Equal stamps across
-    /// rounds guarantee an identical (content and order) holder list.
-    pub fn stripe_stamp(&self, stripe: StripeId) -> u64 {
-        let len = self.candidates(stripe).len() as u64;
-        debug_assert!(len < 1 << 24 && self.shrinks < 1 << 40);
-        self.shrink_stamp(stripe) << 24 | len
-    }
-
     /// Shrink stamp of `stripe`: redrawn (never reused, by any stripe) on
     /// every expiry, purge, refresh and [`CandidateIndex::touch`], 0 before
     /// the first. A fresh insert leaves it alone: the new entry's start is
@@ -516,24 +502,22 @@ mod tests {
     fn stamps_change_exactly_on_content_changes() {
         let mut index = CandidateIndex::new(5, 2);
         index.begin_round(0);
-        assert_eq!(index.stripe_stamp(s(0, 1)), 0);
         index.insert(s(0, 1), b(0), 0, 0);
-        assert_eq!(index.stripe_stamp(s(0, 1)), 1);
         // Untouched rounds leave the stamp alone.
         for now in 1..=5 {
             index.begin_round(now);
-            assert_eq!(index.stripe_stamp(s(0, 1)), 1, "round {now}");
+            assert_eq!(index.shrink_stamp(s(0, 1)), 0, "round {now}");
         }
         // Expiry touches the stripe.
         index.begin_round(6);
-        assert!(index.stripe_stamp(s(0, 1)) > 1);
+        assert!(index.shrink_stamp(s(0, 1)) > 0);
         // Other stripes are unaffected.
-        assert_eq!(index.stripe_stamp(s(0, 0)), 0);
+        assert_eq!(index.shrink_stamp(s(0, 0)), 0);
         // An ignored (older-start) insert does not touch.
         index.insert(s(1, 0), b(4), 8, 6);
-        let stamp = index.stripe_stamp(s(1, 0));
+        let stamp = index.shrink_stamp(s(1, 0));
         index.insert(s(1, 0), b(4), 7, 6);
-        assert_eq!(index.stripe_stamp(s(1, 0)), stamp);
+        assert_eq!(index.shrink_stamp(s(1, 0)), stamp);
     }
 
     #[test]
@@ -591,16 +575,16 @@ mod tests {
         index.insert(s(0, 1), b(1), 0, 0);
         index.insert(s(1, 0), b(3), 0, 0);
         index.begin_round(1);
-        let stamps_before = [s(0, 0), s(0, 1), s(1, 0)].map(|stripe| index.stripe_stamp(stripe));
+        let stamps_before = [s(0, 0), s(0, 1), s(1, 0)].map(|stripe| index.shrink_stamp(stripe));
         assert_eq!(index.purge_box(b(1)), 2);
         assert_eq!(index.candidates(s(0, 0)), &[(b(2), 0)]);
         assert!(index.candidates(s(0, 1)).is_empty());
         assert_eq!(index.live_entries(), 2);
         assert_eq!(index.expired_this_round(), 2);
         // Touched stripes are stamped; unrelated stripes are not.
-        assert_ne!(index.stripe_stamp(s(0, 0)), stamps_before[0]);
-        assert_ne!(index.stripe_stamp(s(0, 1)), stamps_before[1]);
-        assert_eq!(index.stripe_stamp(s(1, 0)), stamps_before[2]);
+        assert_ne!(index.shrink_stamp(s(0, 0)), stamps_before[0]);
+        assert_ne!(index.shrink_stamp(s(0, 1)), stamps_before[1]);
+        assert_eq!(index.shrink_stamp(s(1, 0)), stamps_before[2]);
         // The purged box's stale wheel records are skipped when their
         // buckets drain (no panic, no double eviction) — and the box can
         // re-insert after rejoining.

@@ -7,11 +7,9 @@
 //!    like every per-round walk over the viewers, by visiting the set bits
 //!    of the active-viewer index in ascending box order, never all `n`
 //!    playback slots;
-//! 2. runs the candidate pipeline's round maintenance: the incremental
-//!    [`CandidateIndex`] drains exactly the cache entries whose eviction
-//!    round has come (the expiry wheel — O(expiring), not O(live state)),
-//!    while the legacy [`CandidateMode::Rescan`] pipeline re-sweeps every
-//!    cache and index entry like the pre-incremental engine did;
+//! 2. runs the candidate index's round maintenance: the [`CandidateIndex`]
+//!    drains exactly the cache entries whose eviction round has come (the
+//!    expiry wheel — O(expiring), not O(live state));
 //! 3. collects the new demands from the workload generator (honouring the
 //!    one-video-per-box constraint) and enters the corresponding boxes into
 //!    their swarms, assigning preload stripes round-robin (`p mod c`) and
@@ -46,13 +44,10 @@ use crate::swarm::SwarmTracker;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::time::Instant;
-use vod_core::{
-    BoxId, FxHasher64, Placement, PlaybackCache, SortedSignature, StripeId, VideoId, VideoSystem,
-};
+use vod_core::{BoxId, FxHasher64, Placement, SortedSignature, StripeId, VideoId, VideoSystem};
 use vod_flow::bitset::{for_each_bit_of_word, for_each_set_bit};
 use vod_flow::{
     find_obstruction_in, BitSet, CandidateBuf, ConnectionProblem, Dinic, FlowArena, RelayView,
-    NO_STAMP,
 };
 use vod_obs::{Stage, TraceHandle};
 use vod_workloads::{
@@ -71,23 +66,6 @@ pub enum FailurePolicy {
     Continue,
 }
 
-/// How the engine maintains each round's candidate supplier sets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum CandidateMode {
-    /// The incremental pipeline (default): playback-cache holders indexed
-    /// by the expiry-wheel [`CandidateIndex`], per-round maintenance
-    /// O(expiring entries) + O(insertions), O(1) membership, and change
-    /// stamps handed down to incremental schedulers.
-    #[default]
-    Incremental,
-    /// The legacy pipeline: a full `retain` sweep over every live cache
-    /// entry each round plus linear `contains` scans on inserts and fills.
-    /// Produces bit-identical candidate rows (content and order) — kept as
-    /// the verification baseline for the equivalence suites and the
-    /// `exp_candidates` old-vs-new profile.
-    Rescan,
-}
-
 /// Simulator configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct SimConfig {
@@ -98,8 +76,6 @@ pub struct SimConfig {
     /// Whether to extract the obstruction witness on failures (costs one
     /// extra max-flow per failing round).
     pub collect_obstructions: bool,
-    /// Candidate-pipeline implementation (incremental by default).
-    pub candidates: CandidateMode,
 }
 
 impl SimConfig {
@@ -109,7 +85,6 @@ impl SimConfig {
             max_rounds,
             failure_policy: FailurePolicy::Abort,
             collect_obstructions: true,
-            candidates: CandidateMode::Incremental,
         }
     }
 
@@ -122,13 +97,6 @@ impl SimConfig {
     /// Disables obstruction extraction.
     pub fn without_obstructions(mut self) -> Self {
         self.collect_obstructions = false;
-        self
-    }
-
-    /// Switches to the legacy full-rescan candidate pipeline (the
-    /// verification baseline; see [`CandidateMode::Rescan`]).
-    pub fn with_rescan_candidates(mut self) -> Self {
-        self.candidates = CandidateMode::Rescan;
         self
     }
 }
@@ -190,140 +158,6 @@ struct ClassRow {
     boxes: Vec<BoxId>,
 }
 
-/// The engine's candidate pipeline: either the incremental expiry-wheel
-/// index or the legacy full-rescan structures. Both expose the same
-/// maintenance/insert/stats surface and produce bit-identical candidate
-/// rows.
-#[derive(Clone)]
-enum CandidatePipeline {
-    /// Incremental index (see [`CandidateIndex`]).
-    Incremental(CandidateIndex),
-    /// The pre-incremental structures, maintained exactly like the legacy
-    /// engine did: per-box caches swept with `retain` every round, a
-    /// per-stripe `HashMap` index with linear membership scans.
-    Rescan {
-        caches: Vec<PlaybackCache>,
-        index: HashMap<StripeId, Vec<BoxId>>,
-        live: usize,
-        expired: usize,
-        inserted: usize,
-    },
-}
-
-impl CandidatePipeline {
-    /// Per-round maintenance: evicts entries that left the cache window and
-    /// resets the per-round counters.
-    fn begin_round(&mut self, now: u64, window: u64) {
-        match self {
-            CandidatePipeline::Incremental(index) => index.begin_round(now),
-            CandidatePipeline::Rescan {
-                caches,
-                index,
-                live,
-                expired,
-                inserted,
-            } => {
-                *inserted = 0;
-                let before: usize = caches.iter().map(PlaybackCache::len).sum();
-                for cache in caches.iter_mut() {
-                    cache.evict_older_than(now, window);
-                }
-                // Drop stale index entries so the index does not grow
-                // unboundedly (the legacy full sweep: O(all live entries)).
-                let caches_ref: &[PlaybackCache] = caches;
-                index.retain(|stripe, boxes| {
-                    boxes.retain(|b| caches_ref[b.index()].start_of(*stripe).is_some());
-                    !boxes.is_empty()
-                });
-                let after: usize = caches.iter().map(PlaybackCache::len).sum();
-                *expired = before - after;
-                *live = after;
-            }
-        }
-    }
-
-    /// Records that `box_id` starts caching `stripe` at round `start`.
-    fn insert(&mut self, box_id: BoxId, stripe: StripeId, start: u64, now: u64) {
-        match self {
-            CandidatePipeline::Incremental(index) => index.insert(stripe, box_id, start, now),
-            CandidatePipeline::Rescan {
-                caches,
-                index,
-                live,
-                inserted,
-                ..
-            } => {
-                let fresh = caches[box_id.index()].start_of(stripe).is_none();
-                caches[box_id.index()].insert(stripe, start);
-                let entry = index.entry(stripe).or_default();
-                if !entry.contains(&box_id) {
-                    entry.push(box_id);
-                }
-                if fresh {
-                    *live += 1;
-                    *inserted += 1;
-                }
-            }
-        }
-    }
-
-    /// Evicts every cache entry of `box_id` immediately (the box departed),
-    /// under both pipelines: the incremental index does ordered removals
-    /// with stamp bumps ([`CandidateIndex::purge_box`]); the legacy
-    /// structures clear the box's cache and strip it from the per-stripe
-    /// index. Purged entries count toward this round's expiry stats.
-    fn purge_box(&mut self, box_id: BoxId) {
-        match self {
-            CandidatePipeline::Incremental(index) => {
-                index.purge_box(box_id);
-            }
-            CandidatePipeline::Rescan {
-                caches,
-                index,
-                live,
-                expired,
-                ..
-            } => {
-                let removed = caches[box_id.index()].len();
-                caches[box_id.index()] = PlaybackCache::new();
-                index.retain(|_, boxes| {
-                    boxes.retain(|b| *b != box_id);
-                    !boxes.is_empty()
-                });
-                *live -= removed;
-                *expired += removed;
-            }
-        }
-    }
-
-    /// Bumps `stripe`'s change stamp after a static-holder change (repair
-    /// landed a replica, a departure stripped one): memoized rows and
-    /// incremental schedulers rebuild instead of replaying. The rescan
-    /// pipeline carries no stamps (every row rebuilds every round anyway).
-    fn touch(&mut self, stripe: StripeId) {
-        if let CandidatePipeline::Incremental(index) = self {
-            index.touch(stripe);
-        }
-    }
-
-    /// (live entries, expired this round, inserted this round).
-    fn stats(&self) -> (usize, usize, usize) {
-        match self {
-            CandidatePipeline::Incremental(index) => (
-                index.live_entries(),
-                index.expired_this_round(),
-                index.inserted_this_round(),
-            ),
-            CandidatePipeline::Rescan {
-                live,
-                expired,
-                inserted,
-                ..
-            } => (*live, *expired, *inserted),
-        }
-    }
-}
-
 /// The round-based protocol simulator.
 pub struct Simulator<'a> {
     system: &'a VideoSystem,
@@ -338,10 +172,9 @@ pub struct Simulator<'a> {
     /// Written only where `playing` is: [`Simulator::start_playback`] and
     /// [`Simulator::end_playback`].
     viewers: BitSet,
-    /// Which boxes hold which stripe in their playback cache (incremental
-    /// expiry-wheel index by default, legacy rescan structures under
-    /// [`CandidateMode::Rescan`]).
-    candidates: CandidatePipeline,
+    /// Which boxes hold which stripe in their playback cache, and since
+    /// when (the expiry-wheel index).
+    candidates: CandidateIndex,
     swarms: SwarmTracker,
     /// Stall-round counters for in-flight playbacks.
     stalls: Vec<u64>,
@@ -420,22 +253,20 @@ pub struct Simulator<'a> {
     /// holders) — one epoch per request row.
     box_seen: Vec<u64>,
     seen_epoch: u64,
-    /// Per-(stripe, issue round) class-row cache for the incremental
-    /// pipeline: a row is a pure function of the stripe's static holders,
-    /// the index entries that started before the issue round, and nothing
-    /// else — the requester is in neither (it does not store the stripe, or
-    /// the request would be self-served, and its own index entry starts at
-    /// the issue round) — so every viewer that issued the stripe in the same
-    /// round shares one row, built once and replayed for each of them until
-    /// the stripe's shrink stamp moves.
+    /// Per-(stripe, issue round) class-row cache: a row is a pure function
+    /// of the stripe's static holders, the index entries that started
+    /// before the issue round, and nothing else — the requester is in
+    /// neither (it does not store the stripe, or the request would be
+    /// self-served, and its own index entry starts at the issue round) — so
+    /// every viewer that issued the stripe in the same round shares one
+    /// row, built once and replayed for each of them until the stripe's
+    /// shrink stamp moves.
     row_cache: HashMap<(StripeId, u64), ClassRow, BuildHasherDefault<FxHasher64>>,
     /// Class rows built so far (the source of `ClassRow::build`).
     row_builds: u64,
     /// Class rows the last round replayed (the live share of `row_cache`).
     rows_in_use: usize,
     row_cache_hits: u64,
-    /// Scratch the rescan pipeline builds each request's row into.
-    row_scratch: Vec<BoxId>,
     /// Pooled stalled-viewer / failed-video accumulation with per-round
     /// generation marks (replacing the old linear `contains` scans).
     stalled_viewers: Vec<BoxId>,
@@ -476,19 +307,6 @@ impl<'a> Simulator<'a> {
         let relay_broker = system
             .compensation()
             .map(|plan| RelayBroker::from_plan(plan.clone(), system.boxes(), system.c()));
-        let candidates = match config.candidates {
-            CandidateMode::Incremental => CandidatePipeline::Incremental(CandidateIndex::new(
-                system.duration() as u64,
-                system.c(),
-            )),
-            CandidateMode::Rescan => CandidatePipeline::Rescan {
-                caches: vec![PlaybackCache::new(); n],
-                index: HashMap::new(),
-                live: 0,
-                expired: 0,
-                inserted: 0,
-            },
-        };
         let mut report = SimulationReport::default();
         // Bounded pre-reservation keeps steady-state rounds free of metric
         // reallocation (the zero-alloc engine contract); very long runs
@@ -505,7 +323,7 @@ impl<'a> Simulator<'a> {
             round: 0,
             playing: vec![None; n],
             viewers,
-            candidates,
+            candidates: CandidateIndex::new(system.duration() as u64, system.c()),
             swarms: SwarmTracker::new(system.c()),
             stalls: vec![0; n],
             placement: system.placement().clone(),
@@ -541,7 +359,6 @@ impl<'a> Simulator<'a> {
             row_builds: 0,
             rows_in_use: 0,
             row_cache_hits: 0,
-            row_scratch: Vec::new(),
             stalled_viewers: Vec::new(),
             failed_videos: Vec::new(),
             viewer_mark: vec![0; n],
@@ -580,9 +397,7 @@ impl<'a> Simulator<'a> {
     /// Candidate-row cache profile as `(hits, misses)`: request rows
     /// replayed from a class row that was already built (this round, for an
     /// earlier request of the class, or in an earlier round) vs class rows
-    /// built from the holder sets and the index. Always `(0, 0)` under the
-    /// legacy rescan pipeline, which cannot cache (its eligibility filter
-    /// depends on the current round).
+    /// built from the holder sets and the index.
     pub fn candidate_row_cache_stats(&self) -> (u64, u64) {
         (self.row_cache_hits, self.row_builds)
     }
@@ -779,8 +594,8 @@ impl<'a> Simulator<'a> {
     /// current round, the live capacity table, and the relay plan. Pooled
     /// scratch, warm scheduler state, and accumulated reports are excluded:
     /// the equivalence gates prove they never change a schedule. Components
-    /// are combined order-insensitively ([`SortedSignature`]), so both
-    /// candidate pipelines produce identical signatures for equal states.
+    /// are combined order-insensitively ([`SortedSignature`]); where order
+    /// is behaviour (holder lists), each component carries its position.
     pub fn state_signature(&self) -> u64 {
         let mut sig = SortedSignature::new();
         sig.push(&(0u8, self.round));
@@ -788,19 +603,8 @@ impl<'a> Simulator<'a> {
             let st = self.playing[idx].as_ref().expect("indexed viewer plays");
             sig.push(&(1u8, idx as u32, st));
         });
-        match &self.candidates {
-            CandidatePipeline::Incremental(index) => {
-                for (stripe, b, start) in index.iter_live() {
-                    sig.push(&(2u8, stripe, b, start));
-                }
-            }
-            CandidatePipeline::Rescan { caches, .. } => {
-                for (idx, cache) in caches.iter().enumerate() {
-                    for (stripe, start) in cache.iter() {
-                        sig.push(&(2u8, stripe, BoxId(idx as u32), start));
-                    }
-                }
-            }
+        for (stripe, b, start) in self.candidates.iter_live() {
+            sig.push(&(2u8, stripe, b, start));
         }
         for (video, swarm) in self.swarms.iter() {
             sig.push(&(3u8, video, swarm.entered_total()));
@@ -860,7 +664,7 @@ impl<'a> Simulator<'a> {
     /// Branches the simulation: an independent simulator continuing from
     /// this one's exact behavioural state, scheduling with `scheduler`.
     ///
-    /// Live state (round, playbacks, candidate pipeline, swarms, stalls,
+    /// Live state (round, playbacks, candidate index, swarms, stalls,
     /// report, capacity table, relay broker) is cloned; pooled scratch,
     /// memoized candidate rows, and the scheduler's warm state start cold —
     /// sound because the warm-vs-cold and incremental-vs-rebuild
@@ -898,7 +702,7 @@ impl<'a> Simulator<'a> {
     /// A [`RelayEvent::BoxLeft`] also detaches the box from the engine's
     /// live structures *the round it leaves*: its in-flight playback ends
     /// (recorded with its stalls so far), its playback-cache entries are
-    /// purged from the candidate pipeline, and its replicas are stripped
+    /// purged from the candidate index, and its replicas are stripped
     /// from the live allocation table (notifying the repair planner when
     /// one is attached). Without the purge, a departed box lingers as a
     /// stripe holder in candidate rows until cache expiry — and worse, a
@@ -994,7 +798,7 @@ impl<'a> Simulator<'a> {
 
     /// Detaches a departed box from every live structure, effective this
     /// round: terminates its in-flight playback (recording it), purges its
-    /// cache entries from the candidate pipeline (stamp bumps invalidate
+    /// cache entries from the candidate index (stamp bumps invalidate
     /// memoized rows), and strips its replicas from the live allocation
     /// table, queueing them with the repair planner.
     fn detach_box(&mut self, id: BoxId) {
@@ -1054,17 +858,16 @@ impl<'a> Simulator<'a> {
     /// served.
     pub fn step(&mut self, generator: &mut dyn DemandGenerator) -> bool {
         let now = self.round;
-        let window = self.system.duration() as u64;
         self.tracer.set_round(now);
 
         let clock = self.tracer.begin();
         self.end_finished_playbacks(now);
         self.tracer.end(clock, Stage::PlaybackEnd, 0);
-        // Candidate-pipeline maintenance is half of the round's candidate
+        // Candidate-index maintenance is half of the round's candidate
         // cost; the other half (row construction) is timed in
         // `schedule_round` and summed into the same per-round profile.
         let maintenance = Instant::now();
-        self.candidates.begin_round(now, window);
+        self.candidates.begin_round(now);
         let maintenance_ns = maintenance.elapsed().as_nanos() as u64;
         self.round_cand_stats = CandidateStats {
             build_ns: maintenance_ns,
@@ -1211,8 +1014,7 @@ impl<'a> Simulator<'a> {
     /// against the live capacity table, so serving and repair compete for
     /// the same `⌊u_b·c⌋` budgets. The plan reads only scheduler-invariant
     /// state (live placement, liveness, capacities) — never the assignment
-    /// — keeping placement evolution bit-identical across schedulers and
-    /// candidate pipelines.
+    /// — keeping placement evolution bit-identical across schedulers.
     fn plan_repairs(&mut self) -> Option<RepairRoundStats> {
         let planner = self.repair.as_mut()?;
         let stats = planner.plan_round(&self.placement, &self.alive, &self.capacities);
@@ -1340,9 +1142,9 @@ impl<'a> Simulator<'a> {
             let stripe = StripeId::new(video, stripe_idx as u16);
             let start = stripe_plan.activate_at();
             let requester = stripe_plan.requester(box_id);
-            self.candidates.insert(requester, stripe, start, now);
+            self.candidates.insert(stripe, requester, start, now);
             if requester != box_id {
-                self.candidates.insert(box_id, stripe, start, now);
+                self.candidates.insert(stripe, box_id, start, now);
             }
         }
 
@@ -1407,111 +1209,75 @@ impl<'a> Simulator<'a> {
     /// CSR buffer: static holders of the stripe plus boxes whose playback
     /// cache is ahead on the same stripe, excluding the requester itself.
     /// Per-box generation marks give O(1) dedup between the two sources;
-    /// row order is identical under both pipelines (holders in placement
-    /// order, then cache holders in index insertion order).
+    /// a row lists the holders in placement order, then the cache holders
+    /// in index insertion order.
     ///
-    /// The incremental pipeline works in class rows: one build per (stripe,
-    /// issue round), stored in the buffer once a round and referred to by
-    /// every request of the class, all under the build's number as their
-    /// change stamp — the buffer is linear in a crowd. The rescan pipeline
-    /// stores one row per request, so `EngineVariant::GATE` compares shared
-    /// against unshared views every round.
+    /// The fill works in class rows: one build per (stripe, issue round),
+    /// stored in the buffer once a round and referred to by every request
+    /// of the class, all under the build's number as their change stamp —
+    /// the buffer is linear in a crowd.
     fn fill_round_candidates(&mut self, now: u64, requests: &[StripeRequest]) {
         let window = self.system.duration() as u64;
+        let index = &self.candidates;
         self.cand_buf.clear();
         self.cand_stamps.clear();
-        match &self.candidates {
-            CandidatePipeline::Incremental(index) => {
-                // The row cache is only worth keeping while it tracks the
-                // live classes; once it clearly outgrows them (their viewers
-                // finished, the rows can never hit again) drop it wholesale.
-                if self.row_cache.len() > 2 * self.rows_in_use + 64 {
-                    self.row_cache.clear();
+        // The row cache is only worth keeping while it tracks the live
+        // classes; once it clearly outgrows them (their viewers finished,
+        // the rows can never hit again) drop it wholesale.
+        if self.row_cache.len() > 2 * self.rows_in_use + 64 {
+            self.row_cache.clear();
+        }
+        self.rows_in_use = 0;
+        for req in requests {
+            let shrink_stamp = index.shrink_stamp(req.stripe);
+            let row = self
+                .row_cache
+                .entry((req.stripe, req.issued_at))
+                .or_default();
+            if row.build != 0 && row.shrink_stamp == shrink_stamp {
+                self.row_cache_hits += 1;
+            } else {
+                self.seen_epoch += 1;
+                let epoch = self.seen_epoch;
+                row.boxes.clear();
+                for &b in self.placement.holders_of(req.stripe) {
+                    self.box_seen[b.index()] = epoch;
+                    row.boxes.push(b);
                 }
-                self.rows_in_use = 0;
-                for req in requests {
-                    let shrink_stamp = index.shrink_stamp(req.stripe);
-                    let row = self
-                        .row_cache
-                        .entry((req.stripe, req.issued_at))
-                        .or_default();
-                    if row.build != 0 && row.shrink_stamp == shrink_stamp {
-                        self.row_cache_hits += 1;
-                    } else {
-                        self.seen_epoch += 1;
-                        let epoch = self.seen_epoch;
-                        row.boxes.clear();
-                        for &b in self.placement.holders_of(req.stripe) {
-                            self.box_seen[b.index()] = epoch;
-                            row.boxes.push(b);
-                        }
-                        // Entries are live by construction (the wheel drained
-                        // everything older than the window), so only the
-                        // ahead-of-the-class condition remains per entry.
-                        for &(b, start) in index.candidates(req.stripe) {
-                            debug_assert!(start + window >= now, "index kept an expired entry");
-                            if self.box_seen[b.index()] != epoch && start < req.issued_at {
-                                row.boxes.push(b);
-                            }
-                        }
-                        self.row_builds += 1;
-                        row.build = self.row_builds;
-                        row.shrink_stamp = shrink_stamp;
+                // Entries are live by construction (the wheel drained
+                // everything older than the window), so only the
+                // ahead-of-the-class condition remains per entry.
+                for &(b, start) in index.candidates(req.stripe) {
+                    debug_assert!(start + window >= now, "index kept an expired entry");
+                    if self.box_seen[b.index()] != epoch && start < req.issued_at {
+                        row.boxes.push(b);
                     }
-                    // What lets one row serve the whole class: no requester
-                    // is in it. A requester that stored the stripe would be
-                    // self-served, and `start_playback` filed (or refreshed)
-                    // its index entry at `start = issued_at`, not before.
-                    debug_assert!(
-                        !row.boxes.contains(&req.requester),
-                        "{} is a candidate of its own request for {:?}",
-                        req.requester,
-                        req.stripe
-                    );
-                    // The class's first request of the round stores the row
-                    // (the index does not move during a fill, so a row is
-                    // not rebuilt after it); the others refer to it.
-                    if row.used != now + 1 {
-                        row.used = now + 1;
-                        self.rows_in_use += 1;
-                        row.stored = self.cand_buf.push_row(row.boxes.iter().copied());
-                    } else {
-                        self.cand_buf.push_shared(row.stored);
-                    }
-                    self.cand_stamps.push(row.build);
                 }
+                self.row_builds += 1;
+                row.build = self.row_builds;
+                row.shrink_stamp = shrink_stamp;
             }
-            CandidatePipeline::Rescan { caches, index, .. } => {
-                for req in requests {
-                    self.seen_epoch += 1;
-                    let epoch = self.seen_epoch;
-                    self.row_scratch.clear();
-                    for &b in self.placement.holders_of(req.stripe) {
-                        if b != req.requester {
-                            self.box_seen[b.index()] = epoch;
-                            self.row_scratch.push(b);
-                        }
-                    }
-                    if let Some(cached) = index.get(&req.stripe) {
-                        for &b in cached {
-                            if b != req.requester
-                                && self.box_seen[b.index()] != epoch
-                                && caches[b.index()].can_serve(
-                                    req.stripe,
-                                    req.issued_at,
-                                    now,
-                                    window,
-                                )
-                            {
-                                self.row_scratch.push(b);
-                            }
-                        }
-                    }
-                    self.cand_buf.push_row(self.row_scratch.iter().copied());
-                    // The legacy pipeline carries no change information.
-                    self.cand_stamps.push(NO_STAMP);
-                }
+            // What lets one row serve the whole class: no requester is in
+            // it. A requester that stored the stripe would be self-served,
+            // and `start_playback` filed (or refreshed) its index entry at
+            // `start = issued_at`, not before.
+            debug_assert!(
+                !row.boxes.contains(&req.requester),
+                "{} is a candidate of its own request for {:?}",
+                req.requester,
+                req.stripe
+            );
+            // The class's first request of the round stores the row (the
+            // index does not move during a fill, so a row is not rebuilt
+            // after it); the others refer to it.
+            if row.used != now + 1 {
+                row.used = now + 1;
+                self.rows_in_use += 1;
+                row.stored = self.cand_buf.push_row(row.boxes.iter().copied());
+            } else {
+                self.cand_buf.push_shared(row.stored);
             }
+            self.cand_stamps.push(row.build);
         }
     }
 
@@ -1527,11 +1293,10 @@ impl<'a> Simulator<'a> {
         let fill = Instant::now();
         self.fill_round_candidates(now, requests);
         let fill_ns = fill.elapsed().as_nanos() as u64;
-        let (live, expired, inserted) = self.candidates.stats();
         self.round_cand_stats = CandidateStats {
-            index_entries: live,
-            expired,
-            inserted,
+            index_entries: self.candidates.live_entries(),
+            expired: self.candidates.expired_this_round(),
+            inserted: self.candidates.inserted_this_round(),
             build_ns: self.round_cand_stats.build_ns + fill_ns,
         };
         // Like the maintenance half, the fill is already timed into the
@@ -1858,12 +1623,6 @@ mod tests {
         // A stripe request stays active (same issued_at) for the whole
         // playback, so stamp-stable rows replay from the cache.
         assert!(hits > misses, "hits {hits} vs misses {misses}");
-
-        // The legacy rescan pipeline cannot cache rows at all.
-        let mut gen = SequentialViewing::new(24, sys.m(), NextVideoPolicy::RoundRobin, 1.5, 7);
-        let mut rescan = Simulator::new(&sys, SimConfig::new(40).with_rescan_candidates());
-        while rescan.round() < 40 && rescan.step(&mut gen) {}
-        assert_eq!(rescan.candidate_row_cache_stats(), (0, 0));
     }
 
     /// What one scheduled round looked like from the scheduler's side of
@@ -2238,28 +1997,6 @@ mod tests {
     }
 
     #[test]
-    fn rescan_pipeline_reproduces_incremental_reports_bit_for_bit() {
-        // The legacy full-rescan pipeline and the incremental expiry-wheel
-        // index must produce identical simulations: same schedules, same
-        // metrics, same candidate-pipeline counters (equality ignores only
-        // the wall-clock build_ns).
-        let sys = small_system(24, 2.0, 4, 4, 18);
-        let run = |config: SimConfig| {
-            let mut gen = SequentialViewing::new(24, sys.m(), NextVideoPolicy::RoundRobin, 1.5, 7);
-            Simulator::new(&sys, config).run(&mut gen)
-        };
-        let incremental = run(SimConfig::new(45).continue_on_failure());
-        let rescan = run(SimConfig::new(45)
-            .continue_on_failure()
-            .with_rescan_candidates());
-        assert_eq!(incremental, rescan);
-        let stats = incremental.rounds[10]
-            .candidates
-            .expect("candidate stats are recorded");
-        assert!(stats.index_entries > 0, "index never populated");
-    }
-
-    #[test]
     fn candidate_stats_track_expiry_scale() {
         // With duration 6 and steady churn, entries keep expiring; the
         // expired counts across the run must equal insertions minus what is
@@ -2454,10 +2191,9 @@ mod tests {
         }
     }
 
-    /// The state signature is insensitive to pipeline implementation: the
-    /// incremental and rescan candidate pipelines, and the naive
-    /// scheduler, all walk through identical signatures on the same
-    /// demand sequence.
+    /// The state signature is insensitive to the scheduler: the matcher
+    /// and the naive scheduler walk through identical signatures on the
+    /// same demand sequence.
     #[test]
     fn state_signature_agrees_across_pipelines() {
         let sys = small_system(12, 2.0, 4, 4, 8);
@@ -2465,19 +2201,12 @@ mod tests {
         let make_gen = || SequentialViewing::new(12, sys.m(), NextVideoPolicy::RoundRobin, 1.5, 5);
         let mut incremental =
             Simulator::with_scheduler(&sys, config, Box::new(MaxFlowScheduler::new()));
-        let mut rescan = Simulator::with_scheduler(
-            &sys,
-            config.with_rescan_candidates(),
-            Box::new(MaxFlowScheduler::new()),
-        );
         let mut naive = Simulator::with_scheduler(&sys, config, Box::new(NaiveScheduler::new()));
-        let (mut g1, mut g2, mut g3) = (make_gen(), make_gen(), make_gen());
+        let (mut g1, mut g2) = (make_gen(), make_gen());
         for round in 0..20 {
             incremental.step(&mut g1);
-            rescan.step(&mut g2);
-            naive.step(&mut g3);
+            naive.step(&mut g2);
             let sig = incremental.state_signature();
-            assert_eq!(sig, rescan.state_signature(), "round {round}");
             assert_eq!(sig, naive.state_signature(), "round {round}");
         }
     }
@@ -2522,8 +2251,8 @@ mod tests {
 
     /// Fault trajectories are scheduler-invariant: the same seeded fault
     /// model (capacity windows, drops, surges) plus retry and degradation
-    /// drives the incremental, rescan, and naive pipelines through
-    /// identical states and scheduling outcomes.
+    /// drives the matcher and the naive scheduler through identical states
+    /// and scheduling outcomes.
     #[test]
     fn pipelines_agree_under_injected_faults() {
         let sys = small_system(16, 2.0, 4, 4, 10);
@@ -2540,11 +2269,6 @@ mod tests {
         };
         let mut sims = vec![
             Simulator::with_scheduler(&sys, config, Box::new(MaxFlowScheduler::new())),
-            Simulator::with_scheduler(
-                &sys,
-                config.with_rescan_candidates(),
-                Box::new(MaxFlowScheduler::new()),
-            ),
             Simulator::with_scheduler(&sys, config, Box::new(NaiveScheduler::new())),
         ];
         for sim in &mut sims {
@@ -2724,69 +2448,62 @@ mod tests {
 
     /// Staleness regression: the round a box leaves, it is gone from every
     /// live structure — liveness, capacities, the live allocation table,
-    /// and the candidate pipeline. Its playback-cache entries must not
-    /// linger as candidate rows until cache expiry, and a later rejoin
-    /// must not claim replicas the box no longer stores. Both candidate
-    /// pipelines walk through identical states under the same scripted
-    /// departure, so a one-sided purge would break the equality below.
+    /// and the candidate index. Its playback-cache entries must not linger
+    /// as candidate rows until cache expiry, and a later rejoin must not
+    /// claim replicas the box no longer stores.
     #[test]
     fn departed_box_is_purged_the_round_it_leaves() {
         use vod_workloads::ChurnEvent;
         let sys = small_system(16, 2.0, 4, 4, 20);
-        let make_gen = || SequentialViewing::new(16, sys.m(), NextVideoPolicy::RoundRobin, 1.5, 11);
-        let config = SimConfig::new(40).continue_on_failure();
-        let mut inc = Simulator::new(&sys, config);
-        let mut rescan = Simulator::new(&sys, config.with_rescan_candidates());
-        let (mut g1, mut g2) = (make_gen(), make_gen());
+        let mut gen = SequentialViewing::new(16, sys.m(), NextVideoPolicy::RoundRobin, 1.5, 11);
+        let mut sim = Simulator::new(&sys, SimConfig::new(40).continue_on_failure());
         for _ in 0..6 {
-            inc.step(&mut g1);
-            rescan.step(&mut g2);
+            sim.step(&mut gen);
         }
         let gone = BoxId(3);
-        let held_before: Vec<StripeId> = inc
+        let held_before: Vec<StripeId> = sim
             .live_placement()
             .stripes()
             .filter(|(_, holders)| holders.contains(&gone))
             .map(|(stripe, _)| stripe)
             .collect();
         assert!(!held_before.is_empty(), "box 3 held no replicas");
+        let cached = |sim: &Simulator| {
+            let entries = sim.candidates.iter_live();
+            entries.filter(|&(_, b, _)| b == gone).count()
+        };
+        assert!(cached(&sim) > 0, "box 3 cached nothing");
 
-        inc.apply_churn(ChurnEvent::Left(gone));
-        rescan.apply_churn(ChurnEvent::Left(gone));
+        sim.apply_churn(ChurnEvent::Left(gone));
         // Purged immediately — not at cache expiry, not at the next round.
-        assert!(!inc.is_alive(gone));
-        assert_eq!(inc.alive_count(), 15);
-        assert_eq!(inc.upload_slots(gone), 0);
-        for (stripe, holders) in inc.live_placement().stripes() {
+        assert!(!sim.is_alive(gone));
+        assert_eq!(sim.alive_count(), 15);
+        assert_eq!(sim.upload_slots(gone), 0);
+        for (stripe, holders) in sim.live_placement().stripes() {
             assert!(!holders.contains(&gone), "{stripe} still lists box 3");
         }
-        assert_eq!(inc.state_signature(), rescan.state_signature());
+        assert_eq!(cached(&sim), 0, "box 3's cache entries outlived it");
 
         // The box rejoins with fresh capacity but WITHOUT its old replicas
         // (nothing re-replicated them): candidate rows must not offer it as
         // a supplier of stripes it no longer stores.
         let node = *sys.boxes().iter().nth(gone.index()).unwrap();
-        inc.apply_churn(ChurnEvent::Joined(node));
-        rescan.apply_churn(ChurnEvent::Joined(node));
-        assert!(inc.is_alive(gone));
-        assert!(inc.upload_slots(gone) > 0);
+        sim.apply_churn(ChurnEvent::Joined(node));
+        assert!(sim.is_alive(gone));
+        assert!(sim.upload_slots(gone) > 0);
         for &stripe in &held_before {
-            assert!(!inc.live_placement().stores(gone, stripe));
+            assert!(!sim.live_placement().stores(gone, stripe));
         }
-        // Both pipelines continue bit-identically through the churned state.
-        for round in 0..10 {
-            inc.step(&mut g1);
-            rescan.step(&mut g2);
-            assert_eq!(
-                inc.state_signature(),
-                rescan.state_signature(),
-                "round {round}"
-            );
-            assert_eq!(
-                inc.report_so_far().rounds.last(),
-                rescan.report_so_far().rounds.last(),
-                "round {round}"
-            );
+        // Nor does any cache entry from before the departure come back.
+        let rejoined_at = sim.round();
+        for _ in 0..10 {
+            sim.step(&mut gen);
+            for (stripe, b, start) in sim.candidates.iter_live() {
+                assert!(
+                    b != gone || start >= rejoined_at,
+                    "{stripe}: box 3's entry from round {start} is back"
+                );
+            }
         }
     }
 
@@ -2837,9 +2554,9 @@ mod tests {
         assert_eq!(report, twin.report_so_far());
     }
 
-    /// The live-population loop keeps every pipeline equivalence intact:
+    /// The live-population loop keeps the scheduler equivalence intact:
     /// with the same seeded churn process and repair planner attached, the
-    /// incremental, rescan, and naive engines walk through identical
+    /// matcher's and the naive scheduler's engines walk through identical
     /// state signatures, and the naive engine serves exactly as many
     /// requests per round as the matcher's.
     #[test]
@@ -2856,20 +2573,20 @@ mod tests {
         };
         let make_gen = || SequentialViewing::new(16, sys.m(), NextVideoPolicy::RoundRobin, 1.5, 5);
         let mut inc = Simulator::new(&sys, config);
-        let mut rescan = Simulator::new(&sys, config.with_rescan_candidates());
         let mut naive = Simulator::with_scheduler(&sys, config, Box::new(NaiveScheduler::new()));
-        for sim in [&mut inc, &mut rescan, &mut naive] {
+        for sim in [&mut inc, &mut naive] {
             sim.attach_churn(churn());
             sim.attach_repair(RepairPlanner::for_system(&sys, 4));
         }
-        let (mut g1, mut g2, mut g3) = (make_gen(), make_gen(), make_gen());
+        let (mut g1, mut g2) = (make_gen(), make_gen());
         for round in 0..30 {
             inc.step(&mut g1);
-            rescan.step(&mut g2);
-            naive.step(&mut g3);
-            let sig = inc.state_signature();
-            assert_eq!(sig, rescan.state_signature(), "round {round}");
-            assert_eq!(sig, naive.state_signature(), "round {round}");
+            naive.step(&mut g2);
+            assert_eq!(
+                inc.state_signature(),
+                naive.state_signature(),
+                "round {round}"
+            );
         }
         let (global, reference) = (inc.report_so_far(), naive.report_so_far());
         for (a, b) in global.rounds.iter().zip(&reference.rounds) {

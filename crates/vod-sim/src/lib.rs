@@ -48,7 +48,7 @@ pub use delivery::{
     Admission, DegradationConfig, DegradationController, DegradationRoundStats, DeliveryOutcome,
     DeliveryPolicy, DeliveryRoundStats, DeliverySummary, DeliveryTracker,
 };
-pub use engine::{CandidateMode, FailurePolicy, SimConfig, Simulator};
+pub use engine::{FailurePolicy, SimConfig, Simulator};
 pub use metrics::{FailureRecord, PlaybackRecord, RoundMetrics, SimulationReport};
 pub use repair::{RepairPlanner, RepairRoundStats, RepairTransfer};
 pub use request::{PlaybackState, RequestKind, StripePlan, StripeRequest};

@@ -5,7 +5,7 @@
 //! de Montgolfier, Perino, Viennot — IPDPS 2009) as a Rust workspace:
 //!
 //! * [`core`] — the `(n, u, d)`-video-system model: boxes, videos,
-//!   stripes, catalogs, playback caches, random allocations, and the
+//!   stripes, catalogs, random allocations, and the
 //!   heterogeneous `u*`-balancing machinery;
 //! * [`flow`] — the max-flow / matching substrate behind the per-round
 //!   connection-matching feasibility (Lemma 1);
@@ -59,9 +59,8 @@ pub mod prelude {
     pub use vod_core::{
         compensate, relay_reservation, Allocator, Bandwidth, BoxId, BoxSet, Catalog,
         CompensationDelta, CompensationPlan, CoreError, FullReplicationAllocator, Json, JsonCodec,
-        JsonError, NodeBox, Placement, PlaybackCache, RandomIndependentAllocator,
-        RandomPermutationAllocator, RoundRobinAllocator, StorageSlots, StripeId, SystemParams,
-        Video, VideoId, VideoSystem,
+        JsonError, NodeBox, Placement, RandomIndependentAllocator, RandomPermutationAllocator,
+        RoundRobinAllocator, StorageSlots, StripeId, SystemParams, Video, VideoId, VideoSystem,
     };
     pub use vod_flow::{
         find_obstruction, find_obstruction_in, verify_lemma1, CandidateBuf, CandidateView,
@@ -70,13 +69,12 @@ pub mod prelude {
         RelayView, StarvedReservation, NO_STAMP,
     };
     pub use vod_sim::{
-        Admission, CandidateIndex, CandidateMode, CandidateStats, DegradationConfig,
-        DegradationController, DegradationRoundStats, DeliveryOutcome, DeliveryPolicy,
-        DeliveryRoundStats, DeliverySummary, DeliveryTracker, FailurePolicy, GreedyScheduler,
-        IncrementalMatcher, MaxFlowScheduler, NaiveScheduler, RandomScheduler, RelayBroker,
-        RelayEvent, RelayRoundStats, RelayUtilization, RepairPlanner, RepairRoundStats,
-        RepairTransfer, RequestKey, Scheduler, ShardRoundStats, SimConfig, SimulationReport,
-        Simulator,
+        Admission, CandidateIndex, CandidateStats, DegradationConfig, DegradationController,
+        DegradationRoundStats, DeliveryOutcome, DeliveryPolicy, DeliveryRoundStats,
+        DeliverySummary, DeliveryTracker, FailurePolicy, GreedyScheduler, IncrementalMatcher,
+        MaxFlowScheduler, NaiveScheduler, RandomScheduler, RelayBroker, RelayEvent,
+        RelayRoundStats, RelayUtilization, RepairPlanner, RepairRoundStats, RepairTransfer,
+        RequestKey, Scheduler, ShardRoundStats, SimConfig, SimulationReport, Simulator,
     };
     pub use vod_workloads::{
         ChurnCounts, ChurnEvent, ChurnModel, DemandGenerator, DemandTrace, FaultCounts, FaultEvent,

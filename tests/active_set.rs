@@ -1,5 +1,5 @@
-//! The engine's active-viewer index against full scans, through the public
-//! API only.
+//! The engine's active-viewer index and candidate rows against full scans
+//! and a naive cache model, through the public API only.
 //!
 //! `Simulator::step` visits the viewers through a bit index instead of
 //! scanning all `n` playback slots. These tests recompute, with a naive scan
@@ -8,10 +8,20 @@
 //! scheduler (captured by a pass-through scheduler), the order of the
 //! emitted `PlaybackRecord`s and the free list shown to the generator — on
 //! plain, churn + repair, faults + delivery + degradation and relayed
-//! simulators. The engine's own unit tests check the index bit for bit
-//! against the private playback table, and the edge sizes.
+//! simulators, and on the crowd, swarm-rotation, starved and relayed-fleet
+//! workloads.
+//!
+//! Every candidate row the scheduler receives is checked, in content and
+//! order, against [`CacheModel`]: the supplier set `B(x)` of PAPER.md §2.2
+//! (the stripe's holders, then every box whose playback cache started the
+//! stripe before the request, within the last `T` rounds, never the
+//! requester) written once over a `Vec` of cache entries, sharing no code
+//! with the engine's candidate index or its class-row memo. The engine's
+//! own unit tests check the viewer index bit for bit against the private
+//! playback table, and the edge sizes.
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use p2p_vod::prelude::*;
@@ -19,11 +29,27 @@ use p2p_vod::workloads::{ChurnEvent, FaultModel, OccupancyView};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Passes every round to a [`MaxFlowScheduler`] and keeps the request keys
-/// the engine handed over: the round's request vector, in engine order.
+/// What the engine handed the scheduler in the last round: the request
+/// keys, in engine order, and each request's candidate row.
+#[derive(Default)]
+struct Captured {
+    keys: Vec<RequestKey>,
+    rows: Vec<Vec<BoxId>>,
+}
+
+/// Passes every round to a [`MaxFlowScheduler`] and keeps what the engine
+/// handed over.
 struct CapturingScheduler {
     inner: MaxFlowScheduler,
-    keys: Rc<RefCell<Vec<RequestKey>>>,
+    captured: Rc<RefCell<Captured>>,
+}
+
+impl CapturingScheduler {
+    fn capture(&self, keys: &[RequestKey], candidates: CandidateView<'_>) {
+        let mut captured = self.captured.borrow_mut();
+        captured.keys = keys.to_vec();
+        captured.rows = candidates.to_vecs();
+    }
 }
 
 impl Scheduler for CapturingScheduler {
@@ -38,7 +64,7 @@ impl Scheduler for CapturingScheduler {
         candidates: CandidateView<'_>,
         out: &mut Vec<Option<BoxId>>,
     ) {
-        *self.keys.borrow_mut() = keys.to_vec();
+        self.capture(keys, candidates);
         self.inner
             .schedule_keyed_view(capacities, keys, candidates, out);
     }
@@ -51,7 +77,7 @@ impl Scheduler for CapturingScheduler {
         relays: &RelayView,
         out: &mut Vec<Option<BoxId>>,
     ) {
-        *self.keys.borrow_mut() = keys.to_vec();
+        self.capture(keys, candidates);
         self.inner
             .schedule_relayed_view(capacities, keys, candidates, relays, out);
     }
@@ -75,8 +101,12 @@ impl OccupancyView for DefaultScan<'_> {
 }
 
 /// Forwards to `inner` after checking the engine's free list against the
-/// default filter.
-struct CheckedOccupancy<G>(G);
+/// default filter, and keeps the boxes of the round's demands in the order
+/// the engine receives (and admits) them.
+struct CheckedOccupancy<G> {
+    inner: G,
+    demanded: Vec<BoxId>,
+}
 
 impl<G: DemandGenerator> DemandGenerator for CheckedOccupancy<G> {
     fn demands_at(&mut self, round: u64, occupancy: &dyn OccupancyView) -> Vec<VideoDemand> {
@@ -86,11 +116,86 @@ impl<G: DemandGenerator> DemandGenerator for CheckedOccupancy<G> {
         let mut pooled = vec![BoxId(u32::MAX); 3];
         occupancy.free_boxes_into(&mut pooled);
         assert_eq!(pooled, filtered, "round {round}");
-        self.0.demands_at(round, occupancy)
+        let demands = self.inner.demands_at(round, occupancy);
+        self.demanded = demands.iter().map(|d| d.box_id).collect();
+        demands
     }
 
     fn name(&self) -> &'static str {
-        self.0.name()
+        self.inner.name()
+    }
+}
+
+/// The playback caches of PAPER.md §2.2, written as plainly as possible:
+/// every live `(box, stripe, start)` entry, in insertion order.
+struct CacheModel {
+    /// The cache window `T`.
+    window: u64,
+    entries: Vec<(BoxId, StripeId, u64)>,
+}
+
+impl CacheModel {
+    /// `b` starts downloading (and caching) `stripe` at round `start`; a
+    /// stripe already cached keeps the later start, in place.
+    fn insert(&mut self, b: BoxId, stripe: StripeId, start: u64) {
+        match self.entries.iter_mut().find(|e| (e.0, e.1) == (b, stripe)) {
+            Some(entry) => entry.2 = entry.2.max(start),
+            None => self.entries.push((b, stripe, start)),
+        }
+    }
+
+    /// Files the entries of every playback admitted in round `now`, in the
+    /// order its box was demanded: each stripe's requester, then the viewer
+    /// itself when a relay downloads for it.
+    fn admit(&mut self, sim: &Simulator<'_>, demanded: &[BoxId], now: u64) {
+        for &viewer in demanded {
+            let Some(st) = sim.playback(viewer).filter(|st| st.entered_at == now) else {
+                continue;
+            };
+            for (idx, plan) in st.plan.iter().enumerate() {
+                let stripe = StripeId::new(st.video, idx as u16);
+                let requester = plan.requester(viewer);
+                self.insert(requester, stripe, plan.activate_at());
+                if requester != viewer {
+                    self.insert(viewer, stripe, plan.activate_at());
+                }
+            }
+        }
+    }
+
+    /// Drops every entry that left the window: `start + T < now`.
+    fn expire(&mut self, now: u64) {
+        let window = self.window;
+        self.entries.retain(|&(_, _, start)| start + window >= now);
+    }
+
+    /// A departed box's cache is gone.
+    fn depart(&mut self, b: BoxId) {
+        self.entries.retain(|e| e.0 != b);
+    }
+
+    /// `B(x)` of a request for `stripe` issued at `issued_at` and
+    /// downloaded by `requester`: the stripe's holders, then every box
+    /// whose cache started the stripe before the request, each box once and
+    /// never the requester.
+    fn row(
+        &self,
+        holders: &[BoxId],
+        stripe: StripeId,
+        issued_at: u64,
+        requester: BoxId,
+    ) -> Vec<BoxId> {
+        let mut row: Vec<BoxId> = holders
+            .iter()
+            .copied()
+            .filter(|&b| b != requester)
+            .collect();
+        for &(b, s, start) in &self.entries {
+            if s == stripe && start < issued_at && b != requester && !row.contains(&b) {
+                row.push(b);
+            }
+        }
+        row
     }
 }
 
@@ -121,22 +226,28 @@ fn relayed_system() -> VideoSystem {
     .unwrap()
 }
 
+fn viewing(system: &VideoSystem, seed: u64) -> SequentialViewing {
+    let (n, m) = (system.n(), system.m());
+    SequentialViewing::new(n, m, NextVideoPolicy::UniformRandom, 1.5, seed)
+}
+
 /// Every active request of every playing box, by a full scan in ascending
-/// box order: what the engine collects before it drops self-served,
-/// suppressed and backed-off requests.
-fn full_scan_requests(sim: &Simulator<'_>, now: u64) -> Vec<RequestKey> {
-    let mut keys = Vec::new();
+/// box order, with its requester and issue round: what the engine collects
+/// before it drops self-served, suppressed and backed-off requests.
+fn full_scan_requests(sim: &Simulator<'_>, now: u64) -> Vec<(RequestKey, BoxId, u64)> {
+    let mut requests = Vec::new();
     for b in 0..sim.system().n() as u32 {
         if let Some(st) = sim.playback(BoxId(b)) {
             st.for_each_active(BoxId(b), now, |req| {
-                keys.push(RequestKey {
+                let key = RequestKey {
                     viewer: req.viewer,
                     stripe: req.stripe,
-                })
+                };
+                requests.push((key, req.requester, req.issued_at));
             });
         }
     }
-    keys
+    requests
 }
 
 fn is_subsequence(part: &[RequestKey], whole: &[RequestKey]) -> bool {
@@ -153,15 +264,33 @@ enum Setup {
     Relayed,
 }
 
-/// Steps one simulator for `rounds` rounds, scripting churn from `seed`
-/// where the setup has it, and compares every indexed walk with its full
-/// scan after every step.
-fn check_against_full_scans(system: &VideoSystem, setup: Setup, rounds: u64, seed: u64) {
+/// What one checked run covered.
+struct Coverage {
+    report: SimulationReport,
+    /// Candidate rows compared with the cache model.
+    rows: usize,
+    /// Entries of those rows that came from playback caches, not holders.
+    cached_entries: usize,
+    /// Rows of requests a relay downloads for its viewer.
+    relayed_rows: usize,
+}
+
+/// Steps one simulator for `rounds` rounds under `demand`, scripting churn
+/// from `seed` where the setup has it, and compares every indexed walk with
+/// its full scan, and every candidate row with the cache model, after every
+/// step.
+fn check_against_full_scans<G: DemandGenerator>(
+    system: &VideoSystem,
+    setup: Setup,
+    rounds: u64,
+    seed: u64,
+    demand: G,
+) -> Coverage {
     let n = system.n();
-    let keys = Rc::new(RefCell::new(Vec::new()));
+    let captured = Rc::new(RefCell::new(Captured::default()));
     let scheduler = CapturingScheduler {
         inner: MaxFlowScheduler::new(),
-        keys: Rc::clone(&keys),
+        captured: Rc::clone(&captured),
     };
     let config = SimConfig::new(rounds)
         .continue_on_failure()
@@ -183,13 +312,20 @@ fn check_against_full_scans(system: &VideoSystem, setup: Setup, rounds: u64, see
         Setup::Plain | Setup::Relayed => {}
     }
     let exact_requests = matches!(setup, Setup::Plain | Setup::ChurnRepair | Setup::Relayed);
-    let mut generator = CheckedOccupancy(SequentialViewing::new(
-        n,
-        system.m(),
-        NextVideoPolicy::UniformRandom,
-        1.5,
-        seed,
-    ));
+    let mut generator = CheckedOccupancy {
+        inner: demand,
+        demanded: Vec::new(),
+    };
+    let mut model = CacheModel {
+        window: system.duration() as u64,
+        entries: Vec::new(),
+    };
+    let mut coverage = Coverage {
+        report: SimulationReport::default(),
+        rows: 0,
+        cached_entries: 0,
+        relayed_rows: 0,
+    };
     let mut rng = StdRng::seed_from_u64(seed ^ 0xC0FFEE);
     let mut alive = vec![true; n];
 
@@ -203,6 +339,7 @@ fn check_against_full_scans(system: &VideoSystem, setup: Setup, rounds: u64, see
                 let playing = sim.playback(id).map(|st| (st.video, st.entered_at));
                 let before = sim.report_so_far().playbacks.len();
                 sim.apply_churn(ChurnEvent::Left(id));
+                model.depart(id);
                 alive[b] = false;
                 let emitted = &sim.report_so_far().playbacks[before..];
                 let emitted: Vec<_> = emitted
@@ -228,8 +365,13 @@ fn check_against_full_scans(system: &VideoSystem, setup: Setup, rounds: u64, see
             })
             .collect();
         let records_before = sim.report_so_far().playbacks.len();
+        // The holders the round's rows are built from: a repair lands in
+        // the live placement after the rows are filled.
+        let holders = sim.live_placement().clone();
 
         sim.step(&mut generator);
+        model.expire(now);
+        model.admit(&sim, &generator.demanded, now);
 
         // Liveness is the model's, bit for bit and in total.
         for (b, &up) in alive.iter().enumerate() {
@@ -260,11 +402,12 @@ fn check_against_full_scans(system: &VideoSystem, setup: Setup, rounds: u64, see
 
         // The request vector keeps the full scan's order; without delivery
         // back-off and partial service it drops exactly the self-served ones.
-        let all = full_scan_requests(&sim, now);
-        let captured = keys.borrow();
-        assert_eq!(captured.len(), metrics.active_requests, "round {now}");
+        let scan = full_scan_requests(&sim, now);
+        let all: Vec<RequestKey> = scan.iter().map(|&(key, ..)| key).collect();
+        let captured = captured.borrow();
+        assert_eq!(captured.keys.len(), metrics.active_requests, "round {now}");
         assert!(
-            is_subsequence(&captured, &all),
+            is_subsequence(&captured.keys, &all),
             "round {now}: request order differs from the full scan"
         );
         if exact_requests {
@@ -273,6 +416,26 @@ fn check_against_full_scans(system: &VideoSystem, setup: Setup, rounds: u64, see
                 metrics.active_requests + metrics.self_served,
                 "round {now}: request count"
             );
+        }
+
+        // Every row the scheduler received is the model's `B(x)`, in
+        // content and order.
+        assert_eq!(captured.rows.len(), captured.keys.len(), "round {now}");
+        let issued: HashMap<RequestKey, (BoxId, u64)> = scan
+            .iter()
+            .map(|&(key, requester, issued_at)| (key, (requester, issued_at)))
+            .collect();
+        for (key, row) in captured.keys.iter().zip(&captured.rows) {
+            let (requester, issued_at) = issued[key];
+            let stripe_holders = holders.holders_of(key.stripe);
+            let expected = model.row(stripe_holders, key.stripe, issued_at, requester);
+            assert_eq!(
+                row, &expected,
+                "round {now}: row of {key:?} (requester {requester}, issued at {issued_at})"
+            );
+            coverage.rows += 1;
+            coverage.cached_entries += row.iter().filter(|b| !stripe_holders.contains(b)).count();
+            coverage.relayed_rows += usize::from(requester != key.viewer);
         }
     }
 
@@ -287,20 +450,35 @@ fn check_against_full_scans(system: &VideoSystem, setup: Setup, rounds: u64, see
         .map(|r| (r.box_id, r.video))
         .collect();
     assert_eq!(flushed, in_flight);
-    assert!(report.total_demands > n, "the run never cycled its viewers");
+    coverage.report = report;
+    coverage
+}
+
+/// The run cycled its viewers and served some requests from caches, so the
+/// model's second half was compared too.
+fn assert_exercised(coverage: &Coverage, n: usize) {
+    let demands = coverage.report.total_demands;
+    assert!(demands > n, "the run never cycled its viewers ({demands})");
+    assert!(coverage.cached_entries > 0, "no row listed a cache holder");
 }
 
 #[test]
 fn indexed_walks_equal_full_scans_on_a_plain_simulator() {
     for seed in [1u64, 2, 3] {
-        check_against_full_scans(&homogeneous(70, 4, 7, seed), Setup::Plain, 60, seed);
+        let system = homogeneous(70, 4, 7, seed);
+        let demand = viewing(&system, seed);
+        let coverage = check_against_full_scans(&system, Setup::Plain, 60, seed, demand);
+        assert_exercised(&coverage, system.n());
     }
 }
 
 #[test]
 fn indexed_walks_equal_full_scans_under_churn_and_repair() {
     for seed in [4u64, 5, 6] {
-        check_against_full_scans(&homogeneous(70, 3, 7, seed), Setup::ChurnRepair, 80, seed);
+        let system = homogeneous(70, 3, 7, seed);
+        let demand = viewing(&system, seed);
+        let coverage = check_against_full_scans(&system, Setup::ChurnRepair, 80, seed, demand);
+        assert_exercised(&coverage, system.n());
     }
 }
 
@@ -308,15 +486,103 @@ fn indexed_walks_equal_full_scans_under_churn_and_repair() {
 fn indexed_walks_equal_full_scans_under_faults_delivery_and_degradation() {
     for seed in [7u64, 8, 9] {
         let system = homogeneous(70, 4, 7, seed);
-        check_against_full_scans(&system, Setup::FaultsDeliveryDegradation, 60, seed);
+        let demand = viewing(&system, seed);
+        let setup = Setup::FaultsDeliveryDegradation;
+        let coverage = check_against_full_scans(&system, setup, 60, seed, demand);
+        assert_exercised(&coverage, system.n());
     }
 }
 
 #[test]
 fn indexed_walks_equal_full_scans_on_a_relayed_simulator() {
     for seed in [10u64, 11, 12] {
-        check_against_full_scans(&relayed_system(), Setup::Relayed, 80, seed);
+        let system = relayed_system();
+        let demand = viewing(&system, seed);
+        let coverage = check_against_full_scans(&system, Setup::Relayed, 80, seed, demand);
+        assert_exercised(&coverage, system.n());
+        assert!(
+            coverage.relayed_rows > 0,
+            "no relayed request was scheduled"
+        );
     }
+}
+
+/// One whole-system crowd on one video and rotating swarms: rows that grow
+/// round by round as the swarm fills, and classes that keep replaying.
+#[test]
+fn candidate_rows_match_the_cache_model_under_a_crowd_and_rotating_swarms() {
+    let system = homogeneous(28, 4, 16, 5);
+    let m = system.m();
+    let crowd = FlashCrowd::single(VideoId(0), 28, m, 1.5, 3);
+    let rotation = MultiSwarmChurn::new(m, 4, 5, 1.5, 11).with_rotation(5);
+    let coverages = [
+        check_against_full_scans(&system, Setup::Plain, 40, 3, crowd),
+        check_against_full_scans(&system, Setup::Plain, 40, 11, rotation),
+    ];
+    for coverage in &coverages {
+        assert!(coverage.rows > 0, "nothing was scheduled");
+        assert!(coverage.cached_entries > 0, "no row listed a cache holder");
+    }
+}
+
+/// u = 0.4 < 1 with one replica: chronically infeasible, so the rows of a
+/// system that stalls every round are compared too.
+#[test]
+fn candidate_rows_match_the_cache_model_on_a_starved_system() {
+    let params = SystemParams::new(12, 0.4, 8, 4, 1, 1.5, 16);
+    let mut rng = StdRng::seed_from_u64(6);
+    let system =
+        VideoSystem::homogeneous(params, &RandomPermutationAllocator::new(1), &mut rng).unwrap();
+    let demand = SequentialViewing::new(12, system.m(), NextVideoPolicy::RoundRobin, 1.5, 1);
+    let coverage = check_against_full_scans(&system, Setup::Plain, 25, 1, demand);
+    assert!(coverage.rows > 0, "nothing was scheduled");
+    assert!(
+        !coverage.report.all_rounds_feasible(),
+        "starved run must stall"
+    );
+}
+
+/// A u*-compensated fleet of 6 poor and 12 rich boxes, poor boxes first
+/// into rotating swarms: their stripes are downloaded by relays that cache
+/// them for several viewers at once.
+#[test]
+fn candidate_rows_match_the_cache_model_on_a_relayed_fleet_under_rotation() {
+    let c: u16 = 8;
+    let mut uploads = vec![0.6f64; 6];
+    uploads.extend(vec![2.6f64; 12]);
+    let boxes = VideoSystem::proportional_boxes(&uploads, 6.0, c);
+    let n = boxes.len();
+    let d_avg = boxes.average_storage_videos(c);
+    let avg_u = boxes.average_upload();
+    let u_star = Bandwidth::from_streams(1.2);
+    let k = 3u32;
+    let catalog_size = ((d_avg * n as f64) / k as f64).floor() as usize;
+    let catalog = Catalog::uniform(catalog_size, 20, c);
+    let params = SystemParams::new(n, avg_u, d_avg.round().max(1.0) as u32, c, k, 1.2, 20);
+    let mut rng = StdRng::seed_from_u64(77);
+    let system = VideoSystem::heterogeneous(
+        params,
+        boxes,
+        catalog,
+        &RandomPermutationAllocator::new(k),
+        Some(u_star),
+        &mut rng,
+    )
+    .expect("fleet is u*-compensable");
+    let poor = system.boxes().poor_ids(u_star);
+    let demand = MultiSwarmChurn::new(system.m(), 3, 5, 1.2, 5)
+        .with_rotation(6)
+        .with_priority_boxes(poor);
+    let coverage = check_against_full_scans(&system, Setup::Plain, 25, 5, demand);
+    assert!(coverage.cached_entries > 0, "no row listed a cache holder");
+    assert!(
+        coverage.relayed_rows > 0,
+        "no relayed request was scheduled"
+    );
+    assert!(
+        coverage.report.rounds.iter().any(|r| r.relay.is_some()),
+        "relay stats missing"
+    );
 }
 
 /// A fork carries the index with it: stepped side by side under the same

@@ -218,26 +218,3 @@ fn swarm_limiter_sequences_always_verify() {
         );
     }
 }
-
-/// Playback-cache window semantics: an entry can serve a later request only
-/// while it is fresh, and never one issued before its own start.
-#[test]
-fn cache_serving_window() {
-    for case in 0..CASES * 4 {
-        let mut rng = StdRng::seed_from_u64(500 + case);
-        let start = rng.gen_range(0u64..100);
-        let req = rng.gen_range(0u64..100);
-        let now_off = rng.gen_range(0u64..50);
-        let window = rng.gen_range(1u64..60);
-        let mut cache = PlaybackCache::new();
-        let stripe = StripeId::new(VideoId(0), 0);
-        cache.insert(stripe, start);
-        let now = req.max(start) + now_off;
-        let can = cache.can_serve(stripe, req, now, window);
-        assert_eq!(
-            can,
-            start < req && start + window >= now,
-            "case {case}: start={start} req={req} now={now} window={window}"
-        );
-    }
-}

@@ -1,159 +1,16 @@
-//! Candidate-pipeline equivalence gate: the expiry-wheel [`CandidateIndex`]
-//! and the flat CSR candidate plumbing must be *invisible* — bit-identical
-//! candidate rows, schedules, and reports compared to the legacy full-rescan
-//! pipeline and the legacy slice-of-vecs scheduler entry points.
-//!
-//! * seeded property loops drive the incremental index against a
-//!   brute-force model of the legacy structures (per-box playback caches +
-//!   full `retain` sweep) through churny rounds — joins, refreshes,
-//!   evictions, far-future starts — asserting the per-stripe holder lists
-//!   agree in content *and order* every round, and that the change-stamp
-//!   contract holds (equal stamp ⇒ identical list);
-//! * full-simulator runs compare [`CandidateMode::Rescan`] against the
-//!   default incremental mode across workloads (sequential, flash crowd,
-//!   multi-swarm churn) and schedulers (max-flow, the naive reference),
-//!   including a heterogeneous fleet with relayed requesters —
-//!   entire [`SimulationReport`]s must be equal (equality ignores only the
-//!   candidate build wall-clock);
-//! * the [`Scheduler`] trait's CSR entry points are checked against the
-//!   slice-of-vecs forms: a bridged scheduler that only implements the
-//!   legacy methods (exercising the default-impl bridge) schedules
-//!   bit-identically to the native view path, and content-hash change
-//!   stamps never alter an incremental matcher's schedule.
+//! The [`Scheduler`] trait's CSR entry points against the slice-of-vecs
+//! forms: a bridged scheduler that only implements the slice-of-vecs
+//! methods (exercising the default-impl bridge) schedules bit-identically
+//! to the native view path, and content-hash change stamps never alter an
+//! incremental matcher's schedule. The candidate rows themselves are
+//! checked against a naive cache model in `tests/active_set.rs`.
 
 use p2p_vod::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 const SEEDS: u64 = 8;
-
-// ---------------------------------------------------------------------------
-// Index vs brute-force model
-// ---------------------------------------------------------------------------
-
-/// The legacy candidate structures, maintained exactly like the
-/// pre-incremental engine: per-box caches swept in full every round plus an
-/// insertion-ordered per-stripe index with linear membership scans.
-#[derive(Default)]
-struct LegacyModel {
-    caches: HashMap<u32, PlaybackCache>,
-    index: HashMap<StripeId, Vec<BoxId>>,
-}
-
-impl LegacyModel {
-    fn begin_round(&mut self, now: u64, window: u64) {
-        for cache in self.caches.values_mut() {
-            cache.evict_older_than(now, window);
-        }
-        let caches = &self.caches;
-        self.index.retain(|stripe, boxes| {
-            boxes.retain(|b| {
-                caches
-                    .get(&b.0)
-                    .is_some_and(|cache| cache.start_of(*stripe).is_some())
-            });
-            !boxes.is_empty()
-        });
-    }
-
-    fn insert(&mut self, stripe: StripeId, box_id: BoxId, start: u64) {
-        self.caches
-            .entry(box_id.0)
-            .or_default()
-            .insert(stripe, start);
-        let entry = self.index.entry(stripe).or_default();
-        if !entry.contains(&box_id) {
-            entry.push(box_id);
-        }
-    }
-
-    /// The holder list of `stripe` with current starts, in index order.
-    fn holders(&self, stripe: StripeId) -> Vec<(BoxId, u64)> {
-        self.index
-            .get(&stripe)
-            .map(|boxes| {
-                boxes
-                    .iter()
-                    .map(|b| (*b, self.caches[&b.0].start_of(stripe).unwrap()))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    fn live_entries(&self) -> usize {
-        self.caches.values().map(PlaybackCache::len).sum()
-    }
-}
-
-/// The incremental index agrees with the brute-force legacy model on every
-/// stripe's holder list — content and order — across churny rounds, and its
-/// change stamps never claim "unchanged" across an actual change.
-#[test]
-fn index_matches_brute_force_recompute_under_churn() {
-    for seed in 0..SEEDS {
-        let mut rng = StdRng::seed_from_u64(0xCA17D + seed);
-        let window = rng.gen_range(3u64..12);
-        let c = rng.gen_range(1u16..5);
-        let videos = rng.gen_range(1u32..5);
-        let boxes = rng.gen_range(2u32..10);
-        let mut index = CandidateIndex::new(window, c);
-        let mut model = LegacyModel::default();
-        // Remembered (stamp, list) per stripe for the stamp contract.
-        let mut last_seen: HashMap<StripeId, (u64, Vec<(BoxId, u64)>)> = HashMap::new();
-
-        for now in 0u64..60 {
-            index.begin_round(now);
-            model.begin_round(now, window);
-
-            // Random churn: joins (sometimes with future starts, mirroring
-            // postponed/relayed activation), refreshes of existing entries.
-            for _ in 0..rng.gen_range(0usize..6) {
-                let stripe = StripeId::new(VideoId(rng.gen_range(0..videos)), rng.gen_range(0..c));
-                let box_id = BoxId(rng.gen_range(0..boxes));
-                let start = now + rng.gen_range(0u64..4);
-                index.insert(stripe, box_id, start, now);
-                model.insert(stripe, box_id, start);
-            }
-
-            // Bit-identical per-stripe lists, both ways.
-            for video in 0..videos {
-                for idx in 0..c {
-                    let stripe = StripeId::new(VideoId(video), idx);
-                    let incremental = index.candidates(stripe).to_vec();
-                    let brute = model.holders(stripe);
-                    assert_eq!(
-                        incremental, brute,
-                        "seed {seed} round {now} stripe {stripe:?}"
-                    );
-
-                    // Stamp contract: an unchanged stamp implies an
-                    // unchanged list.
-                    let stamp = index.stripe_stamp(stripe);
-                    if let Some((old_stamp, old_list)) = last_seen.get(&stripe) {
-                        if *old_stamp == stamp {
-                            assert_eq!(
-                                &incremental, old_list,
-                                "seed {seed} round {now} stripe {stripe:?}: stamp lied"
-                            );
-                        }
-                    }
-                    last_seen.insert(stripe, (stamp, incremental));
-                }
-            }
-            assert_eq!(
-                index.live_entries(),
-                model.live_entries(),
-                "seed {seed} round {now}: live-entry count"
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Full-simulator pipeline equivalence
-// ---------------------------------------------------------------------------
 
 fn homogeneous_system(n: usize, c: u16, duration: u32, seed: u64) -> VideoSystem {
     let params = SystemParams::new(n, 2.0, 8, c, 4, 1.5, duration);
@@ -170,157 +27,6 @@ fn run_sim(
     let mut gen = make_gen();
     Simulator::with_scheduler(system, config, scheduler).run(gen.as_mut())
 }
-
-/// Rescan vs incremental candidate pipelines produce identical reports
-/// (schedules, metrics, failures, candidate counters) for every workload ×
-/// scheduler combination, including stall-heavy infeasible runs.
-#[test]
-fn simulator_reports_identical_across_pipelines_workloads_and_schedulers() {
-    let sys = homogeneous_system(28, 4, 16, 5);
-    // u = 0.4 < 1 with a single replica: chronically infeasible, so the
-    // failure path runs every round.
-    let starved = {
-        let params = SystemParams::new(12, 0.4, 8, 4, 1, 1.5, 16);
-        let mut rng = StdRng::seed_from_u64(6);
-        VideoSystem::homogeneous(params, &RandomPermutationAllocator::new(1), &mut rng).unwrap()
-    };
-    type GenFactory = Box<dyn Fn() -> Box<dyn DemandGenerator>>;
-    let m = sys.m();
-    let workloads: Vec<(&str, GenFactory)> = vec![
-        (
-            "sequential",
-            Box::new(move || {
-                Box::new(SequentialViewing::new(
-                    28,
-                    m,
-                    NextVideoPolicy::RoundRobin,
-                    1.5,
-                    7,
-                ))
-            }),
-        ),
-        (
-            "flash-crowd",
-            Box::new(move || Box::new(FlashCrowd::single(VideoId(0), 28, m, 1.5, 3))),
-        ),
-        (
-            "multi-swarm churn",
-            Box::new(move || Box::new(MultiSwarmChurn::new(m, 4, 5, 1.5, 11).with_rotation(5))),
-        ),
-    ];
-
-    type SchedFactory = Box<dyn Fn() -> Box<dyn Scheduler>>;
-    let schedulers: Vec<(&str, SchedFactory)> = vec![
-        ("max-flow", Box::new(|| Box::new(MaxFlowScheduler::new()))),
-        ("naive", Box::new(|| Box::new(NaiveScheduler::new()))),
-    ];
-
-    for (wl_name, make_gen) in &workloads {
-        for (sched_name, make_sched) in &schedulers {
-            let config = SimConfig::new(40).continue_on_failure();
-            let incremental = run_sim(&sys, config, make_sched(), make_gen);
-            let rescan = run_sim(
-                &sys,
-                config.with_rescan_candidates(),
-                make_sched(),
-                make_gen,
-            );
-            assert_eq!(
-                incremental, rescan,
-                "pipeline divergence: workload {wl_name}, scheduler {sched_name}"
-            );
-        }
-    }
-
-    // A chronically starved system (stalls every round) exercises the
-    // failure path — obstruction extraction reads the same CSR rows.
-    let config = SimConfig::new(25).continue_on_failure();
-    let make_gen = || -> Box<dyn DemandGenerator> {
-        Box::new(SequentialViewing::new(
-            12,
-            starved.m(),
-            NextVideoPolicy::RoundRobin,
-            1.5,
-            1,
-        ))
-    };
-    let a = run_sim(
-        &starved,
-        config,
-        Box::new(MaxFlowScheduler::new()),
-        make_gen,
-    );
-    let b = run_sim(
-        &starved,
-        config.with_rescan_candidates(),
-        Box::new(MaxFlowScheduler::new()),
-        make_gen,
-    );
-    assert_eq!(a, b, "failure-path pipeline divergence");
-    assert!(!a.all_rounds_feasible(), "starved run must stall");
-}
-
-/// Heterogeneous fleet (compensation plan, relayed requesters): pipeline
-/// equality holds through the relay subsystem too, under the matcher and
-/// under the naive reference, and the two serve the same counts.
-#[test]
-fn heterogeneous_relayed_runs_are_pipeline_invariant() {
-    let c: u16 = 8;
-    let mut uploads = vec![0.6f64; 6];
-    uploads.extend(vec![2.6f64; 12]);
-    let boxes = VideoSystem::proportional_boxes(&uploads, 6.0, c);
-    let n = boxes.len();
-    let d_avg = boxes.average_storage_videos(c);
-    let avg_u = boxes.average_upload();
-    let u_star = Bandwidth::from_streams(1.2);
-    let k = 3u32;
-    let catalog_size = ((d_avg * n as f64) / k as f64).floor() as usize;
-    let catalog = Catalog::uniform(catalog_size, 20, c);
-    let params = SystemParams::new(n, avg_u, d_avg.round().max(1.0) as u32, c, k, 1.2, 20);
-    let mut rng = StdRng::seed_from_u64(77);
-    let system = VideoSystem::heterogeneous(
-        params,
-        boxes,
-        catalog,
-        &RandomPermutationAllocator::new(k),
-        Some(u_star),
-        &mut rng,
-    )
-    .expect("fleet is u*-compensable");
-    let poor = system.boxes().poor_ids(u_star);
-
-    let run = |config: SimConfig, scheduler: Box<dyn Scheduler>| {
-        let mut gen = MultiSwarmChurn::new(system.m(), 3, 5, 1.2, 5)
-            .with_rotation(6)
-            .with_priority_boxes(poor.clone());
-        Simulator::with_scheduler(&system, config, scheduler).run(&mut gen)
-    };
-
-    let config = SimConfig::new(25).continue_on_failure();
-    let make: [fn() -> Box<dyn Scheduler>; 2] = [
-        || Box::new(MaxFlowScheduler::new()),
-        || Box::new(NaiveScheduler::new()),
-    ];
-    let [matcher, naive] = make.map(|make| {
-        let incremental = run(config, make());
-        let rescan = run(config.with_rescan_candidates(), make());
-        assert_eq!(incremental, rescan, "pipeline divergence");
-        assert!(
-            incremental.rounds.iter().any(|r| r.relay.is_some()),
-            "relay stats missing"
-        );
-        incremental
-    });
-    // The matcher agrees with the naive reference under the new pipeline.
-    for (a, b) in naive.rounds.iter().zip(&matcher.rounds) {
-        assert_eq!(a.served, b.served, "round {}", a.round);
-        assert_eq!(a.unserved, b.unserved, "round {}", a.round);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// CSR entry points vs slice-of-vecs forms
-// ---------------------------------------------------------------------------
 
 /// A scheduler that implements only the legacy slice-of-vecs methods, so
 /// every engine call reaches it through the `Scheduler` trait's default

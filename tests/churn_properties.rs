@@ -12,8 +12,7 @@
 //!   under-replicated stripes only shrinks, round over round;
 //! * **scheduler invariance** — the repair trajectory (stats, placement,
 //!   totals) and every round's state signature are bit-identical across
-//!   the incremental and full-rescan pipelines and the engine under the
-//!   textbook `NaiveScheduler`;
+//!   the engine under the matcher and under the textbook `NaiveScheduler`;
 //! * **compensation validity** — after relays and poor boxes churn out, the
 //!   broker's live plan still validates against the surviving population
 //!   and the repaired placement stays within storage and liveness bounds.
@@ -139,7 +138,7 @@ fn under_replication_only_shrinks_absent_departures() {
 }
 
 /// The repair trajectory is a pure function of scheduler-invariant state:
-/// every pipeline (incremental, rescan, naive) walks through identical
+/// both schedulers (the matcher, naive) walk through identical
 /// state signatures and produces identical per-round repair stats,
 /// identical placements, and identical totals.
 #[test]
@@ -171,8 +170,6 @@ fn repair_trajectory_is_identical_across_pipelines() {
     };
     let config = SimConfig::new(rounds).continue_on_failure();
     let reference = run(Simulator::new(&sys, config));
-    let rescan = run(Simulator::new(&sys, config.with_rescan_candidates()));
-    assert_eq!(reference, rescan, "rescan pipeline drifts");
     let naive = run(Simulator::with_scheduler(
         &sys,
         config,

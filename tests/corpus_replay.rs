@@ -1,5 +1,5 @@
 //! Regression corpus: every seed file under `tests/corpus/` is replayed
-//! through the incremental and full-rescan pipelines and under the textbook
+//! through the engine under the matcher and under the textbook
 //! `NaiveScheduler`, and the normalized reports must be bit-identical (the
 //! naive comparison pools per-playback stall counts; see
 //! `vod_analysis::normalize_report`).
