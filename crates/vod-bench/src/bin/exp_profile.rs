@@ -47,7 +47,7 @@ use vod_bench::{print_header, Scale};
 use vod_core::{
     Bandwidth, BoxId, Catalog, RandomPermutationAllocator, SystemParams, VideoId, VideoSystem,
 };
-use vod_flow::{CandidateView, RelayView};
+use vod_flow::CandidateView;
 use vod_sim::{
     MaxFlowScheduler, RepairPlanner, RequestKey, RunProfile, Scheduler, SearchCounters, SimConfig,
     SimulationReport, Simulator, TraceHandle, TraceRecord,
@@ -199,19 +199,6 @@ impl Scheduler for CountingScheduler {
     ) {
         self.inner
             .schedule_keyed_view(capacities, keys, candidates, out);
-        self.publish();
-    }
-
-    fn schedule_relayed_view(
-        &mut self,
-        capacities: &[u32],
-        keys: &[RequestKey],
-        candidates: CandidateView<'_>,
-        relays: &RelayView,
-        out: &mut Vec<Option<BoxId>>,
-    ) {
-        self.inner
-            .schedule_relayed_view(capacities, keys, candidates, relays, out);
         self.publish();
     }
 

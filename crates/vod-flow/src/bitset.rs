@@ -220,7 +220,7 @@ const ROLE_REQUEST: u8 = 2;
 ///
 /// Any structure outside the layout (a row of demand 0, a candidate edge
 /// whose capacity is not its row's demand, parallel edges, extra node
-/// layers such as the relay network's two-hop paths) marks the analysis
+/// layers such as two-hop paths) marks the analysis
 /// invalid, and callers fall back to their scalar paths. Solvers run it once
 /// per solve, on the freshly built arena.
 #[derive(Clone, Debug, Default)]

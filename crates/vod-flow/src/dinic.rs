@@ -15,8 +15,7 @@
 //! past the sink's layer are left unlabelled, which only prunes provably
 //! dead DFS branches), so the resulting flows are **bit-identical** to the
 //! scalar path — the tests assert this edge by edge. Every other arena
-//! (relay two-hop networks, the general textbook instances) takes the
-//! scalar BFS.
+//! (the general textbook instances) takes the scalar BFS.
 
 use crate::arena::{FlowArena, NodeId};
 use crate::bitset::{BipartiteShape, BitSet, NONE};

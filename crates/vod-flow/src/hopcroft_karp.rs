@@ -394,8 +394,9 @@ impl BitHopcroftKarp {
 /// flow solvers. Repeated solves allocate nothing once the buffers have
 /// grown.
 ///
-/// On any other arena — a relay network's two-hop paths, or a row class of
-/// several requests, whose sink and candidate edges carry the member count —
+/// On any other arena — extra node layers such as a two-hop chain, or a row
+/// class of several requests, whose sink and candidate edges carry the
+/// member count —
 /// the adapter hands the solve to [`Dinic`], the way [`Dinic::new`] itself
 /// falls back from its word-parallel levels.
 #[derive(Clone, Debug, Default)]

@@ -26,11 +26,11 @@
 //! * [`matching`] — the connection-matching problem builder and solution
 //!   extraction;
 //! * [`hall`] — obstruction (Hall-violator) extraction from minimum cuts;
-//! * [`relay`] — heterogeneous `u*`-compensation as flow structure: the
-//!   two-hop [`RelayNetwork`] (open supplier matching + per-relay reserved
-//!   forwarding capacity) with obstruction witnesses naming starved
-//!   reservations;
-//! * [`expander`] — sampled expansion estimation of allocation graphs.
+//! * [`relay`] — the borrowed per-round relay attribution ([`RelayView`])
+//!   and lending counts ([`RelayLendStats`]) of the `Scheduler` trait's
+//!   relayed entry points. Relaying needs no flow structure of its own:
+//!   reservations are disjoint from the open budgets, so every round is a
+//!   plain Lemma-1 instance.
 //!
 //! ## Solving a round
 //!
@@ -59,7 +59,6 @@ pub mod arena;
 pub mod bitset;
 pub mod candidates;
 pub mod dinic;
-pub mod expander;
 #[cfg(test)]
 mod graph;
 pub mod hall;
@@ -73,12 +72,9 @@ pub use arena::{ArenaEdge, FlowArena, NodeId};
 pub use bitset::{BitAdjacency, BitSet};
 pub use candidates::{CandidateBuf, CandidateView, NO_STAMP};
 pub use dinic::Dinic;
-pub use expander::{sample_expansion, ExpansionProfile};
 pub use hall::{check_subset, find_obstruction, find_obstruction_in, verify_lemma1, Obstruction};
 pub use hopcroft_karp::{BitHopcroftKarp, HopcroftKarp, HopcroftKarpSolve};
 pub use matching::{ConnectionMatching, ConnectionProblem};
 pub use push_relabel::PushRelabel;
-pub use relay::{
-    RelayLendStats, RelayMatching, RelayNetwork, RelayObstruction, RelayView, StarvedReservation,
-};
+pub use relay::{RelayLendStats, RelayView};
 pub use solver::MaxFlowSolve;

@@ -46,9 +46,7 @@ use std::hash::BuildHasherDefault;
 use std::time::Instant;
 use vod_core::{BoxId, FxHasher64, Placement, SortedSignature, StripeId, VideoId, VideoSystem};
 use vod_flow::bitset::{for_each_bit_of_word, for_each_set_bit};
-use vod_flow::{
-    find_obstruction_in, BitSet, CandidateBuf, ConnectionProblem, Dinic, FlowArena, RelayView,
-};
+use vod_flow::{find_obstruction_in, BitSet, CandidateBuf, ConnectionProblem, Dinic, FlowArena};
 use vod_obs::{Stage, TraceHandle};
 use vod_workloads::{
     ChurnEvent, ChurnModel, DemandGenerator, FaultEvent, FaultModel, OccupancyView, VideoDemand,
@@ -234,19 +232,17 @@ pub struct Simulator<'a> {
     /// ([`Simulator::apply_relay_event`]).
     capacities: Vec<u32>,
     /// The relay subsystem, when the system carries a compensation plan:
-    /// owns the live reservation table, per-relay utilization counters,
-    /// and the two-hop witness network.
+    /// owns the live reservation table and per-relay utilization counters.
     relay_broker: Option<RelayBroker>,
     /// Reused per-round buffers: active requests, request keys, the flat
     /// CSR candidate buffer with its per-row change stamps, assignment,
-    /// relay attributions and per-relay forwarding loads, and the demand
-    /// batch pulled from the generator.
+    /// per-relay forwarding loads, and the demand batch pulled from the
+    /// generator.
     request_buf: Vec<StripeRequest>,
     sched_keys: Vec<RequestKey>,
     cand_buf: CandidateBuf,
     cand_stamps: Vec<u64>,
     assignment: Vec<Option<BoxId>>,
-    relay_of: Vec<Option<BoxId>>,
     relay_loads: Vec<u32>,
     demand_buf: Vec<VideoDemand>,
     /// Per-box generation marks for O(1) candidate dedup (holders vs cache
@@ -350,7 +346,6 @@ impl<'a> Simulator<'a> {
             cand_buf: CandidateBuf::new(),
             cand_stamps: Vec::new(),
             assignment: Vec::new(),
-            relay_of: Vec::new(),
             relay_loads: Vec::new(),
             demand_buf: Vec::new(),
             box_seen: vec![0; n],
@@ -681,7 +676,7 @@ impl<'a> Simulator<'a> {
         fork.stalls = self.stalls.clone();
         fork.report = self.report.clone();
         fork.capacities = self.capacities.clone();
-        fork.relay_broker = self.relay_broker.as_ref().map(RelayBroker::fork);
+        fork.relay_broker = self.relay_broker.clone();
         fork.placement = self.placement.clone();
         fork.alive = self.alive.clone();
         fork.churn = self.churn.clone();
@@ -1311,38 +1306,17 @@ impl<'a> Simulator<'a> {
             stripe: r.stripe,
         }));
 
-        // Relay attribution: a request downloaded by a box other than its
-        // viewer is a poor box's stripe being fetched by its relay — the
-        // relay's reservation forwards it every active round.
-        self.relay_of.clear();
-        if self.relay_broker.is_some() {
-            self.relay_of.extend(
-                requests
-                    .iter()
-                    .map(|r| (r.requester != r.viewer).then_some(r.requester)),
-            );
-        }
-
+        // Every system schedules the plain Lemma-1 instance: relay
+        // reservations are already netted out of `capacities` and are
+        // disjoint from the open budgets the matching allocates.
         let mut assignment = std::mem::take(&mut self.assignment);
         let clock = self.tracer.begin();
-        match &self.relay_broker {
-            Some(broker) => self.scheduler.schedule_relayed_view(
-                &self.capacities,
-                &self.sched_keys,
-                self.cand_buf.view_with_stamps(&self.cand_stamps),
-                &RelayView {
-                    relay_of: &self.relay_of,
-                    reserved: broker.reserved_slots(),
-                },
-                &mut assignment,
-            ),
-            None => self.scheduler.schedule_keyed_view(
-                &self.capacities,
-                &self.sched_keys,
-                self.cand_buf.view_with_stamps(&self.cand_stamps),
-                &mut assignment,
-            ),
-        }
+        self.scheduler.schedule_keyed_view(
+            &self.capacities,
+            &self.sched_keys,
+            self.cand_buf.view_with_stamps(&self.cand_stamps),
+            &mut assignment,
+        );
         self.tracer
             .end(clock, Stage::Schedule, requests.len() as u64);
         debug_assert!(crate::scheduler::assignment_is_valid_view(
@@ -1353,14 +1327,16 @@ impl<'a> Simulator<'a> {
         ));
 
         // Fold this round's forwarding demand into the relay subsystem's
-        // utilization counters.
+        // utilization counters. A request downloaded by a box other than its
+        // viewer is a poor box's stripe fetched by its relay, whose
+        // reservation forwards it every active round.
         let relay_metrics = match &mut self.relay_broker {
             Some(broker) => {
                 let clock = self.tracer.begin();
                 self.relay_loads.clear();
                 self.relay_loads.resize(self.capacities.len(), 0);
-                for relay in self.relay_of.iter().flatten() {
-                    self.relay_loads[relay.index()] += 1;
+                for req in requests.iter().filter(|r| r.requester != r.viewer) {
+                    self.relay_loads[req.requester.index()] += 1;
                 }
                 let stats = broker.note_round(&self.relay_loads);
                 self.tracer
@@ -1477,60 +1453,40 @@ impl<'a> Simulator<'a> {
         let feasible = unserved == 0;
         if !feasible {
             let clock = self.tracer.begin();
-            let (obstruction_size, obstruction_capacity, starved_relays) = if self
-                .config
-                .collect_obstructions
-            {
-                match &mut self.relay_broker {
-                    // Heterogeneous rounds diagnose through the two-hop
-                    // relay network: same supply-side Hall violator,
-                    // plus the starved reservations by name.
-                    Some(broker) => {
-                        match broker.diagnose_view(
-                            &self.capacities,
-                            self.cand_buf.view(),
-                            &self.relay_of,
-                        ) {
-                            Some(witness) => {
-                                let supply = !witness.requests.is_empty();
-                                (
-                                    supply.then_some(witness.requests.len()),
-                                    supply.then_some(witness.capacity),
-                                    witness.starved.iter().map(|s| s.relay).collect(),
-                                )
-                            }
-                            None => (None, None, Vec::new()),
-                        }
-                    }
-                    None => {
-                        let mut problem = ConnectionProblem::new(self.capacities.clone());
-                        for cand in self.cand_buf.view().rows() {
-                            problem.add_request(cand.iter().copied());
-                        }
-                        match find_obstruction_in(
-                            &problem,
-                            &mut self.obstruction_arena,
-                            &mut self.obstruction_solver,
-                        ) {
-                            Some(ob) => (Some(ob.requests.len()), Some(ob.capacity), Vec::new()),
-                            None => (None, None, Vec::new()),
-                        }
-                    }
-                }
-            } else {
-                (None, None, Vec::new())
-            };
-            self.tracer
-                .end(clock, Stage::FailureDiagnose, unserved as u64);
-            self.report.failures.push(FailureRecord {
+            let mut record = FailureRecord {
                 round: now,
                 unserved,
-                obstruction_size,
-                obstruction_capacity,
-                starved_relays,
+                obstruction_size: None,
+                obstruction_capacity: None,
+                starved_relays: Vec::new(),
                 videos: self.failed_videos.clone(),
                 fault_slots_lost: self.fault_slots_lost,
-            });
+            };
+            if self.config.collect_obstructions {
+                // The supply side is the one Lemma-1 min cut: reserve chains
+                // are dead ends of the two-hop residual graph, so relaying
+                // leaves it unchanged. The forwarding side is the relays
+                // whose demand exceeds their reservation, read after
+                // `note_round` retuned it.
+                let mut problem = ConnectionProblem::new(self.capacities.clone());
+                for cand in self.cand_buf.view().rows() {
+                    problem.add_request(cand.iter().copied());
+                }
+                if let Some(ob) = find_obstruction_in(
+                    &problem,
+                    &mut self.obstruction_arena,
+                    &mut self.obstruction_solver,
+                ) {
+                    record.obstruction_size = Some(ob.requests.len());
+                    record.obstruction_capacity = Some(ob.capacity);
+                }
+                if let Some(broker) = &self.relay_broker {
+                    record.starved_relays = broker.starved_relays(&self.relay_loads);
+                }
+            }
+            self.tracer
+                .end(clock, Stage::FailureDiagnose, unserved as u64);
+            self.report.failures.push(record);
         }
 
         let metrics = RoundMetrics {
@@ -1698,17 +1654,6 @@ mod tests {
                 let row = (candidates.row_stamp(x), candidates.row(x).to_vec());
                 seen.rows.insert(*key, row);
             }
-        }
-
-        fn schedule_relayed_view(
-            &mut self,
-            capacities: &[u32],
-            keys: &[RequestKey],
-            candidates: vod_flow::CandidateView<'_>,
-            _: &RelayView,
-            out: &mut Vec<Option<BoxId>>,
-        ) {
-            self.schedule_keyed_view(capacities, keys, candidates, out);
         }
 
         fn name(&self) -> &'static str {

@@ -228,9 +228,9 @@ pub struct FailureRecord {
     /// Upload capacity (stripe connections) of the obstruction's
     /// neighbourhood.
     pub obstruction_capacity: Option<u64>,
-    /// Relays whose forwarding reservation was starved this round, when
-    /// the obstruction was extracted through the relay subsystem's two-hop
-    /// network (heterogeneous systems only; empty otherwise).
+    /// Relays whose forwarding demand exceeded their reservation this
+    /// round, ascending box id, when obstructions are collected
+    /// (heterogeneous systems only; empty otherwise).
     pub starved_relays: Vec<BoxId>,
     /// Videos implicated in the unserved requests.
     pub videos: Vec<VideoId>,

@@ -1440,20 +1440,6 @@ impl crate::scheduler::Scheduler for IncrementalMatcher {
         IncrementalMatcher::schedule_keyed_view(self, capacities, keys, candidates, out);
     }
 
-    fn schedule_relayed_view(
-        &mut self,
-        capacities: &[u32],
-        keys: &[RequestKey],
-        candidates: CandidateView<'_>,
-        relays: &vod_flow::RelayView,
-        out: &mut Vec<Option<BoxId>>,
-    ) {
-        // Relay-blind (see `Scheduler::schedule_relayed`): stay on the
-        // native view path instead of the allocating default bridge.
-        let _ = relays;
-        IncrementalMatcher::schedule_keyed_view(self, capacities, keys, candidates, out);
-    }
-
     fn attach_tracer(&mut self, tracer: &TraceHandle) {
         IncrementalMatcher::attach_tracer(self, tracer);
     }

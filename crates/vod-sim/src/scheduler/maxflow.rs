@@ -70,22 +70,6 @@ impl Scheduler for MaxFlowScheduler {
             .schedule_keyed_view(capacities, keys, candidates, out);
     }
 
-    fn schedule_relayed_view(
-        &mut self,
-        capacities: &[u32],
-        keys: &[RequestKey],
-        candidates: CandidateView<'_>,
-        relays: &vod_flow::RelayView,
-        out: &mut Vec<Option<BoxId>>,
-    ) {
-        // Relay-blind (forwarding draws on reserved capacity, not on the
-        // open budgets the matching allocates): stay on the native view
-        // path instead of falling into the allocating default bridge.
-        let _ = relays;
-        self.matcher
-            .schedule_keyed_view(capacities, keys, candidates, out);
-    }
-
     fn attach_tracer(&mut self, tracer: &vod_obs::TraceHandle) {
         self.matcher.attach_tracer(tracer);
     }

@@ -91,14 +91,14 @@ pub trait Scheduler {
         self.schedule_keyed(capacities, keys, &rows, out);
     }
 
-    /// Relay-aware variant used for heterogeneous systems: `relays` names
-    /// each request's forwarding relay and the per-box reserved forwarding
-    /// slots. Relay structure never changes *which* requests find suppliers
-    /// (forwarding draws on reserved capacity, disjoint from the open
-    /// budgets the matching allocates), so the default implementation
-    /// ignores it and delegates to [`Scheduler::schedule_keyed`]; every
-    /// scheduler in the tree is relay-blind and takes the default.
-    /// Kept for `benchmark/` until revision 2.
+    /// Relay-aware variant: `relays` names each request's forwarding relay
+    /// and the per-box reserved forwarding slots. Relay structure never
+    /// changes *which* requests find suppliers (forwarding draws on reserved
+    /// capacity, disjoint from the open budgets the matching allocates), so
+    /// the default ignores it and delegates to [`Scheduler::schedule_keyed`].
+    /// Nothing in the tree calls or overrides it — the engine schedules
+    /// every system through [`Scheduler::schedule_keyed_view`]; it is kept
+    /// for `benchmark/` until revision 2.
     fn schedule_relayed(
         &mut self,
         capacities: &[u32],
@@ -111,11 +111,11 @@ pub trait Scheduler {
         self.schedule_keyed(capacities, keys, candidates, out);
     }
 
-    /// Flat-CSR variant of [`Scheduler::schedule_relayed`] (the engine's
-    /// heterogeneous entry point). Defaults bridge exactly like
-    /// [`Scheduler::schedule_keyed_view`]: rows are materialized and handed
-    /// to the slice-of-vecs form, so relay-blind and external schedulers
-    /// need not care. Kept for `benchmark/` until revision 2.
+    /// Flat-CSR variant of [`Scheduler::schedule_relayed`]. The default
+    /// bridges exactly like [`Scheduler::schedule_keyed_view`]: rows are
+    /// materialized and handed to the slice-of-vecs form. Nothing in the
+    /// tree calls or overrides it; it is kept for `benchmark/` until
+    /// revision 2.
     fn schedule_relayed_view(
         &mut self,
         capacities: &[u32],

@@ -15,16 +15,17 @@
 //!   forwarding demand into per-relay utilization counters
 //!   ([`RelayUtilization`]) and returns the round's [`RelayRoundStats`],
 //!   which the engine threads into `RoundMetrics::relay`;
-//! * **witness** — [`RelayBroker::diagnose`] builds the two-hop
-//!   [`vod_flow::RelayNetwork`] over a round's instance and extracts the
-//!   [`RelayObstruction`] naming any starved reservation.
+//! * **witness** — [`RelayBroker::starved_relays`] names the relays whose
+//!   forwarding demand exceeds their reservation. Reservations are disjoint
+//!   from the open budgets the matching allocates, so a failing round's
+//!   supply side is the plain Lemma-1 min cut and its forwarding side is
+//!   this count — no flow network of its own.
 
 use vod_core::json::{obj, Json, JsonCodec, JsonError};
 use vod_core::{
     relay_reservation, Bandwidth, BoxId, BoxSet, CompensationDelta, CompensationPlan, CoreError,
     NodeBox,
 };
-use vod_flow::{CandidateBuf, CandidateView, Dinic, RelayNetwork, RelayObstruction, RelayView};
 
 /// A churn event the broker re-plans reservations around.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -183,7 +184,11 @@ struct DynSizing {
 /// assert_eq!(deltas.len(), 1);
 /// assert_eq!(broker.plan().relay(BoxId(1)), Some(BoxId(2)));
 /// ```
-#[derive(Debug)]
+///
+/// A clone is an independent broker with the same live state (plan, box
+/// snapshots, reservation table, utilization counters); that is how
+/// [`crate::Simulator::fork_with`] branches a simulation.
+#[derive(Clone, Debug)]
 pub struct RelayBroker {
     u_star: Bandwidth,
     c: u16,
@@ -202,12 +207,6 @@ pub struct RelayBroker {
     migrations: u64,
     /// Opt-in dynamic reservation sizing; `None` = static plan sizing.
     dynamic: Option<DynSizing>,
-    /// Pooled witness machinery for [`RelayBroker::diagnose`].
-    net: RelayNetwork,
-    solver: Dinic,
-    /// Pooled CSR bridge for the slice-of-vecs [`RelayBroker::diagnose`]
-    /// entry point ([`RelayBroker::diagnose_view`] is the native path).
-    csr_bridge: CandidateBuf,
 }
 
 impl RelayBroker {
@@ -233,34 +232,9 @@ impl RelayBroker {
             rounds: 0,
             migrations: 0,
             dynamic: None,
-            net: RelayNetwork::new(),
-            solver: Dinic::new(),
-            csr_bridge: CandidateBuf::new(),
         };
         broker.sync_reserved_slots();
         broker
-    }
-
-    /// Clones the broker's live state (plan, box snapshots, reservation
-    /// table, utilization counters) into an independent broker with fresh
-    /// pooled witness machinery. Used by [`crate::Simulator::fork_with`] to
-    /// branch a simulation: both brokers evolve independently from here.
-    pub fn fork(&self) -> RelayBroker {
-        RelayBroker {
-            u_star: self.u_star,
-            c: self.c,
-            boxes: self.boxes.clone(),
-            plan: self.plan.clone(),
-            reserved_slots: self.reserved_slots.clone(),
-            util: self.util.clone(),
-            last_deltas: self.last_deltas.clone(),
-            rounds: self.rounds,
-            migrations: self.migrations,
-            dynamic: self.dynamic.clone(),
-            net: RelayNetwork::new(),
-            solver: Dinic::new(),
-            csr_bridge: CandidateBuf::new(),
-        }
     }
 
     /// The managed compensation plan.
@@ -322,9 +296,7 @@ impl RelayBroker {
         self.u_star
     }
 
-    /// Reserved forwarding slots per box, indexed by box id — the
-    /// `reserved` half of the [`RelayView`] handed to relay-aware
-    /// schedulers.
+    /// Reserved forwarding slots per box, indexed by box id.
     pub fn reserved_slots(&self) -> &[u32] {
         &self.reserved_slots
     }
@@ -709,42 +681,16 @@ impl RelayBroker {
             .collect()
     }
 
-    /// Builds and solves the two-hop [`RelayNetwork`] over one round's
-    /// instance and extracts the witness, or `None` when the round is
-    /// fully served on both legs. Pools the network and solver across
-    /// calls (failure-path diagnostics, not a hot path).
-    pub fn diagnose(
-        &mut self,
-        capacities: &[u32],
-        candidates: &[Vec<BoxId>],
-        relay_of: &[Option<BoxId>],
-    ) -> Option<RelayObstruction> {
-        let mut bridge = std::mem::take(&mut self.csr_bridge);
-        bridge.fill_from_slices(candidates);
-        let witness = self.diagnose_view(capacities, bridge.view(), relay_of);
-        self.csr_bridge = bridge;
-        witness
-    }
-
-    /// View-based core of [`RelayBroker::diagnose`]: identical semantics
-    /// over a borrowed flat [`vod_flow::CandidateView`] (the engine's
-    /// native representation of a round's candidate structure).
-    pub fn diagnose_view(
-        &mut self,
-        capacities: &[u32],
-        candidates: CandidateView<'_>,
-        relay_of: &[Option<BoxId>],
-    ) -> Option<RelayObstruction> {
-        self.net.build_view(
-            capacities,
-            candidates,
-            &RelayView {
-                relay_of,
-                reserved: &self.reserved_slots,
-            },
-        );
-        let matching = self.net.solve_in(&mut self.solver);
-        self.net.obstruction(&matching)
+    /// The relays whose forwarding demand exceeds their reservation, in
+    /// ascending box id. `loads[b]` counts the relayed requests forwarding
+    /// through box `b` this round, as for [`RelayBroker::note_round`]; the
+    /// reservation is the table as it stands, so after `note_round` it
+    /// includes that round's dynamic retune.
+    pub fn starved_relays(&self, loads: &[u32]) -> Vec<BoxId> {
+        (0..loads.len())
+            .filter(|&b| loads[b] > self.reserved_slots.get(b).copied().unwrap_or(0))
+            .map(|b| BoxId(b as u32))
+            .collect()
     }
 }
 
@@ -880,24 +826,22 @@ mod tests {
         // reservations (the mutations that did happen) are still exposed
         // through last_deltas, the slot table is re-synced (no forwarding
         // slots credited to the departed box), and diagnostics stay
-        // usable.
+        // usable: no relay remains, so any forwarding demand starves.
         assert!(broker.apply(RelayEvent::BoxLeft(BoxId(1))).is_err());
         for delta in broker.last_deltas() {
             mirror.apply_delta(delta);
         }
         assert_eq!(&mirror, broker.plan(), "mirror diverged on the error path");
         assert_eq!(broker.reserved_slots()[1], 0, "departed relay kept slots");
-        assert!(broker
-            .diagnose(&[1, 1, 1, 1], &[vec![BoxId(2)]], &[None])
-            .is_none());
+        assert!(broker.starved_relays(&[0; 4]).is_empty());
+        assert_eq!(broker.starved_relays(&[0, 1, 0, 0]), vec![BoxId(1)]);
 
         // A poor box joining an uncompensable system grows the slot table
         // with the universe even though placement fails.
         assert!(broker.apply(RelayEvent::BoxJoined(node(4, 0.5))).is_err());
         assert_eq!(broker.reserved_slots().len(), 5);
-        assert!(broker
-            .diagnose(&[1; 5], &[vec![BoxId(2)]], &[None])
-            .is_none());
+        assert!(broker.starved_relays(&[0; 5]).is_empty());
+        assert_eq!(broker.starved_relays(&[0, 0, 0, 0, 2]), vec![BoxId(4)]);
     }
 
     #[test]
@@ -926,23 +870,25 @@ mod tests {
 
     #[test]
     fn diagnose_names_starved_reservations() {
-        let mut broker = tests_broker();
+        let broker = tests_broker();
         let relay = broker.plan().relay(BoxId(2)).unwrap();
-        // 5 relayed requests through one relay with 4 reserved slots; the
-        // suppliers themselves are plentiful.
-        let caps = vec![8u32; 4];
-        let supplier = BoxId(if relay.0 == 0 { 1 } else { 0 });
-        let candidates = vec![vec![supplier]; 5];
-        let relay_of = vec![Some(relay); 5];
-        let witness = broker.diagnose(&caps, &candidates, &relay_of).unwrap();
-        assert!(witness.requests.is_empty());
-        assert_eq!(witness.starved.len(), 1);
-        assert_eq!(witness.starved[0].relay, relay);
-        assert_eq!(witness.starved[0].deficiency(), 1);
-        // A covered round diagnoses clean.
-        let relay_of = vec![Some(relay); 4];
-        let candidates = vec![vec![supplier]; 4];
-        assert!(broker.diagnose(&caps, &candidates, &relay_of).is_none());
+        let other = BoxId(1 - relay.0);
+        // 5 relayed requests through one relay with 4 reserved slots.
+        let mut loads = vec![0u32; 4];
+        loads[relay.index()] = 5;
+        assert_eq!(broker.starved_relays(&loads), vec![relay]);
+        // A round that uses every reserved slot is covered, not starved.
+        loads[relay.index()] = 4;
+        assert!(broker.starved_relays(&loads).is_empty());
+        // Several starved relays, ascending id; a box with no reservation
+        // starves on any forwarding demand.
+        loads[relay.index()] = 6;
+        loads[other.index()] = 5;
+        loads[3] = 1;
+        assert_eq!(
+            broker.starved_relays(&loads),
+            vec![BoxId(0), BoxId(1), BoxId(3)]
+        );
     }
 
     #[test]

@@ -65,8 +65,7 @@ pub mod prelude {
     pub use vod_flow::{
         find_obstruction, find_obstruction_in, verify_lemma1, CandidateBuf, CandidateView,
         ConnectionMatching, ConnectionProblem, Dinic, FlowArena, HopcroftKarpSolve, MaxFlowSolve,
-        Obstruction, PushRelabel, RelayLendStats, RelayMatching, RelayNetwork, RelayObstruction,
-        RelayView, StarvedReservation, NO_STAMP,
+        Obstruction, PushRelabel, NO_STAMP,
     };
     pub use vod_sim::{
         Admission, CandidateIndex, CandidateStats, DegradationConfig, DegradationController,

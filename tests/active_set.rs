@@ -69,19 +69,6 @@ impl Scheduler for CapturingScheduler {
             .schedule_keyed_view(capacities, keys, candidates, out);
     }
 
-    fn schedule_relayed_view(
-        &mut self,
-        capacities: &[u32],
-        keys: &[RequestKey],
-        candidates: CandidateView<'_>,
-        relays: &RelayView,
-        out: &mut Vec<Option<BoxId>>,
-    ) {
-        self.capture(keys, candidates);
-        self.inner
-            .schedule_relayed_view(capacities, keys, candidates, relays, out);
-    }
-
     fn name(&self) -> &'static str {
         "capturing max-flow"
     }
@@ -205,7 +192,7 @@ fn homogeneous(n: usize, k: u32, duration: u32, seed: u64) -> VideoSystem {
     VideoSystem::homogeneous(params, &RandomPermutationAllocator::new(k), &mut rng).unwrap()
 }
 
-/// Two upload classes with a compensation plan: the relayed entry point.
+/// Two upload classes with a compensation plan: relayed requests.
 fn relayed_system() -> VideoSystem {
     let c: u16 = 4;
     let uploads: Vec<f64> = (0..20)

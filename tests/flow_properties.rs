@@ -341,142 +341,6 @@ fn warm_started_incremental_matches_cold_solves() {
     }
 }
 
-/// Random relay attribution over a random instance: a subset of requests
-/// forwards through random relays, and each box gets a random reservation.
-fn random_relays(
-    boxes: usize,
-    requests: usize,
-    rng: &mut StdRng,
-) -> (Vec<Option<BoxId>>, Vec<u32>) {
-    let relay_of = (0..requests)
-        .map(|_| {
-            rng.gen_bool(0.4)
-                .then(|| BoxId(rng.gen_range(0usize..boxes) as u32))
-        })
-        .collect();
-    let reserved = (0..boxes).map(|_| rng.gen_range(0u32..4)).collect();
-    (relay_of, reserved)
-}
-
-/// The two-hop relay network never changes the download-leg matching (its
-/// supply side serves exactly the plain Lemma-1 maximum), and no relay's
-/// reservation is ever oversubscribed: per relay, forwarding equals
-/// `min(reserved, demand)` exactly.
-#[test]
-fn relay_network_preserves_supply_and_never_oversubscribes() {
-    let mut net = RelayNetwork::new();
-    let mut solver = Dinic::new();
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(13_000 + seed);
-        let (caps, cands) = random_instance(&mut rng);
-        let (relay_of, reserved) = random_relays(caps.len(), cands.len(), &mut rng);
-        net.build(
-            &caps,
-            &cands,
-            &RelayView {
-                relay_of: &relay_of,
-                reserved: &reserved,
-            },
-        );
-        let matching = net.solve_in(&mut solver);
-        let plain = build_problem(&caps, &cands).solve();
-        assert_eq!(
-            matching.supply_served(),
-            plain.served(),
-            "seed {seed}: relay structure changed the supply matching"
-        );
-        // Reservation invariant: forwarded ≤ reserved, and the maximum flow
-        // forwards exactly min(reserved, demand) per relay.
-        for (relay, forwarded, demand) in matching.relay_loads() {
-            let cap = reserved[relay.index()];
-            assert!(
-                forwarded <= cap,
-                "seed {seed}: relay {relay} oversubscribed ({forwarded} > {cap})"
-            );
-            assert_eq!(
-                forwarded,
-                demand.min(cap),
-                "seed {seed}: relay {relay} under-forwarded"
-            );
-        }
-        // The supply assignment is a valid matching of the plain problem.
-        let as_matching = ConnectionMatching {
-            assignment: matching.assignment.clone(),
-            flow: matching.supply_served() as u64,
-            total_requests: cands.len(),
-        };
-        assert!(
-            as_matching.is_valid_for(&build_problem(&caps, &cands)),
-            "seed {seed}"
-        );
-    }
-}
-
-/// Relay-network obstruction witnesses survive independent rechecks: the
-/// supply side is a brute-force-verified Hall violator, and every starved
-/// reservation genuinely has `demand > reserved`, names the right relay,
-/// and lists exactly the requests the forwarding flow left unserved.
-#[test]
-fn relay_obstruction_witnesses_survive_recheck() {
-    let mut net = RelayNetwork::new();
-    let mut solver = Dinic::new();
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(14_000 + seed);
-        let (caps, cands) = random_instance(&mut rng);
-        let (relay_of, reserved) = random_relays(caps.len(), cands.len(), &mut rng);
-        net.build(
-            &caps,
-            &cands,
-            &RelayView {
-                relay_of: &relay_of,
-                reserved: &reserved,
-            },
-        );
-        let matching = net.solve_in(&mut solver);
-        match net.obstruction(&matching) {
-            None => {
-                assert!(matching.is_complete(), "seed {seed}: witness missing");
-            }
-            Some(witness) => {
-                assert!(!matching.is_complete(), "seed {seed}: spurious witness");
-                if !witness.requests.is_empty() {
-                    // The supply-side set is a genuine Hall violator on the
-                    // plain instance.
-                    let recheck =
-                        vod_flow::check_subset(&build_problem(&caps, &cands), &witness.requests);
-                    assert!(
-                        recheck.is_violating(),
-                        "seed {seed}: supply witness is not a violator"
-                    );
-                    assert_eq!(recheck.capacity, witness.capacity, "seed {seed}");
-                }
-                for starved in &witness.starved {
-                    assert!(
-                        starved.demand > starved.reserved,
-                        "seed {seed}: relay {} not genuinely starved",
-                        starved.relay
-                    );
-                    assert_eq!(
-                        starved.reserved,
-                        reserved[starved.relay.index()],
-                        "seed {seed}"
-                    );
-                    let demand = relay_of
-                        .iter()
-                        .filter(|r| **r == Some(starved.relay))
-                        .count() as u32;
-                    assert_eq!(starved.demand, demand, "seed {seed}");
-                    assert_eq!(
-                        starved.requests.len() as u32,
-                        starved.demand - starved.reserved,
-                        "seed {seed}: starved request list size"
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// The word-parallel set primitives behave exactly like a naive boolean
 /// model under random set/unset/clear sequences: membership, popcount, and
 /// bit iteration over raw words all agree, including across the word
