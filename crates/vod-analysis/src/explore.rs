@@ -242,7 +242,7 @@ impl JsonCodec for ScriptedChurn {
 /// stepped, box `box_id` degrades to `pct`% of its upload slots (`pct = 0`
 /// is a full stall) for `duration` rounds, expiring on its own. The script
 /// stays a quadruple of integers — fault windows are applied through the
-/// engine's scheduler-invariant capacity overlay, so replays are
+/// engine's scheduler-invariant fault holds, so replays are
 /// bit-identical on every pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScriptedFault {
@@ -310,15 +310,15 @@ pub struct SeedFile {
     /// The demand sequence.
     pub demands: DemandTrace,
     /// Scripted churn events, applied before their round is stepped
-    /// (empty for static-population seeds; absent in older files).
+    /// (empty for static-population seeds).
     pub churn: Vec<ScriptedChurn>,
     /// Scripted fault windows, applied before their round is stepped
-    /// (empty for fault-free seeds; absent in older files).
+    /// (empty for fault-free seeds).
     pub faults: Vec<ScriptedFault>,
-    /// Per-round repair budget to attach (absent in older files).
+    /// Per-round repair budget to attach (`None` = no repair planner).
     pub repair_budget: Option<u32>,
     /// Graceful-degradation controller to attach to every variant
-    /// (absent in older files; `None` = no controller).
+    /// (`None` = no controller).
     pub degradation: Option<DegradationConfig>,
     /// Human-readable provenance (what this seed reproduces).
     pub note: String,
@@ -342,24 +342,10 @@ impl JsonCodec for SeedFile {
             system: SeedSystem::from_json(json.field("system")?)?,
             horizon: u64::from_json(json.field("horizon")?)?,
             demands: DemandTrace::from_json(json.field("demands")?)?,
-            // Absent in seeds dumped before the live-population loop.
-            churn: match json.field("churn") {
-                Ok(value) => Vec::from_json(value)?,
-                Err(_) => Vec::new(),
-            },
-            // Absent in seeds dumped before the fault-injection loop.
-            faults: match json.field("faults") {
-                Ok(value) => Vec::from_json(value)?,
-                Err(_) => Vec::new(),
-            },
-            repair_budget: match json.field("repair_budget") {
-                Ok(value) => Option::from_json(value)?,
-                Err(_) => None,
-            },
-            degradation: match json.field("degradation") {
-                Ok(value) => Option::from_json(value)?,
-                Err(_) => None,
-            },
+            churn: Vec::from_json(json.field("churn")?)?,
+            faults: Vec::from_json(json.field("faults")?)?,
+            repair_budget: Option::from_json(json.field("repair_budget")?)?,
+            degradation: Option::from_json(json.field("degradation")?)?,
             note: String::from_json(json.field("note")?)?,
         })
     }
@@ -1313,25 +1299,6 @@ mod tests {
         };
         let back = SeedFile::from_json_str(&file.to_json_string()).unwrap();
         assert_eq!(file, back);
-
-        // Seeds serialized before the live-population and fault-injection
-        // loops lack those fields and must load as static, fault-free runs.
-        let legacy = SeedFile {
-            churn: Vec::new(),
-            faults: Vec::new(),
-            repair_budget: None,
-            degradation: None,
-            ..file.clone()
-        };
-        let mut json = legacy.to_json_string();
-        json = json
-            .replace("\"churn\":[],", "")
-            .replace("\"faults\":[],", "")
-            .replace("\"repair_budget\":null,", "")
-            .replace("\"degradation\":null,", "");
-        assert!(!json.contains("churn"), "strip failed: {json}");
-        let loaded = SeedFile::from_json_str(&json).unwrap();
-        assert_eq!(loaded, legacy);
     }
 
     #[test]

@@ -43,16 +43,18 @@ impl JsonCodec for CompensationPlan {
         ])
     }
     fn from_json(json: &Json) -> Result<Self, JsonError> {
+        let relay_of: HashMap<BoxId, BoxId> = HashMap::from_json(json.field("relay_of")?)?;
+        let need_of: HashMap<BoxId, Bandwidth> = HashMap::from_json(json.field("need_of")?)?;
+        // Every assigned poor box carries its reservation, and nothing
+        // else does: mutation releases exactly what was reserved.
+        if need_of.len() != relay_of.len() || !need_of.keys().all(|b| relay_of.contains_key(b)) {
+            return Err(JsonError::new(
+                "`need_of` must list exactly the poor boxes of `relay_of`",
+            ));
+        }
         Ok(CompensationPlan {
-            relay_of: HashMap::from_json(json.field("relay_of")?)?,
-            // Absent in plans serialized before per-poor reservations were
-            // tracked; such plans support lookups, but mutation
-            // (assign/unassign/apply_delta) panics until the plan is
-            // rebuilt — see `CompensationPlan::release`.
-            need_of: match json.field("need_of") {
-                Ok(value) => HashMap::from_json(value)?,
-                Err(_) => HashMap::new(),
-            },
+            relay_of,
+            need_of,
             reserved_on: HashMap::from_json(json.field("reserved_on")?)?,
             u_star: Bandwidth::from_json(json.field("u_star")?)?,
         })
@@ -152,21 +154,12 @@ impl CompensationPlan {
 
     /// Drops `poor`'s current assignment (bookkeeping for
     /// [`CompensationPlan::assign`] / [`CompensationPlan::unassign`]).
-    ///
-    /// # Panics
-    /// Panics when the assignment has no tracked per-poor reservation —
-    /// a plan deserialized from the pre-`need_of` format supports lookups
-    /// but must be rebuilt (e.g. via [`compensate`]) before mutation;
-    /// silently releasing an unknown amount would corrupt the relay's
-    /// reserved total.
     fn release(&mut self, poor: BoxId) -> Option<BoxId> {
         let relay = self.relay_of.remove(&poor)?;
-        let need = self.need_of.remove(&poor).unwrap_or_else(|| {
-            panic!(
-                "poor box {poor} has a relay but no tracked reservation \
-                 (legacy pre-need_of plan?); rebuild the plan before mutating it"
-            )
-        });
+        let need = self
+            .need_of
+            .remove(&poor)
+            .unwrap_or_else(|| panic!("poor box {poor} has a relay but no tracked reservation"));
         let slot = self
             .reserved_on
             .get_mut(&relay)
@@ -606,29 +599,39 @@ mod tests {
     }
 
     #[test]
-    fn legacy_plan_json_supports_lookup_but_refuses_mutation() {
-        // A plan serialized before per-poor reservations were tracked has
-        // no "need_of" field: lookups must still work, but mutating it
-        // would silently corrupt the relays' reserved totals, so it
-        // panics instead.
+    fn plan_json_without_matching_reservations_is_rejected() {
+        // The pre-`need_of` format (no per-poor reservations) and a plan
+        // whose reservations name other boxes are refused at parse, so a
+        // parsed plan never releases an unknown amount.
         let mut relay_of = HashMap::new();
         relay_of.insert(BoxId(0), BoxId(1));
         let mut reserved_on = HashMap::new();
         reserved_on.insert(BoxId(1), Bandwidth::from_streams(1.2));
-        let legacy = crate::json::obj(vec![
-            ("relay_of", relay_of.to_json()),
-            ("reserved_on", reserved_on.to_json()),
-            ("u_star", Bandwidth::from_streams(1.2).to_json()),
-        ]);
-        let plan = CompensationPlan::from_json(&legacy).unwrap();
-        assert_eq!(plan.relay(BoxId(0)), Some(BoxId(1)));
-        assert_eq!(plan.reserved(BoxId(1)), Bandwidth::from_streams(1.2));
-        assert_eq!(plan.reservation_of(BoxId(0)), None);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            let mut plan = plan;
-            plan.unassign(BoxId(0))
-        }));
-        assert!(outcome.is_err(), "mutating a legacy plan must panic");
+        let plan_json = |need_of: Option<HashMap<BoxId, Bandwidth>>| {
+            let mut fields = vec![("relay_of", relay_of.to_json())];
+            if let Some(need_of) = need_of {
+                fields.push(("need_of", need_of.to_json()));
+            }
+            fields.push(("reserved_on", reserved_on.to_json()));
+            fields.push(("u_star", Bandwidth::from_streams(1.2).to_json()));
+            crate::json::obj(fields)
+        };
+        let err = CompensationPlan::from_json(&plan_json(None)).unwrap_err();
+        assert!(err.to_string().contains("need_of"), "{err}");
+        for keys in [vec![], vec![BoxId(2)], vec![BoxId(0), BoxId(2)]] {
+            let need_of = keys
+                .into_iter()
+                .map(|b| (b, Bandwidth::from_streams(1.2)))
+                .collect();
+            let err = CompensationPlan::from_json(&plan_json(Some(need_of))).unwrap_err();
+            assert!(err.to_string().contains("relay_of"), "{err}");
+        }
+        let need_of = [(BoxId(0), Bandwidth::from_streams(1.2))].into();
+        let plan = CompensationPlan::from_json(&plan_json(Some(need_of))).unwrap();
+        assert_eq!(
+            plan.reservation_of(BoxId(0)),
+            Some(Bandwidth::from_streams(1.2))
+        );
     }
 
     #[test]

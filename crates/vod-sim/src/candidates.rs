@@ -38,7 +38,6 @@ use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use vod_core::json::{obj, Json, JsonCodec, JsonError};
 use vod_core::{BoxId, StripeId};
-use vod_obs::{eq_ignoring_timing, TimingNeutral};
 
 type EntryMap = HashMap<u128, u64, BuildHasherDefault<vod_core::FxHasher64>>;
 
@@ -55,12 +54,11 @@ struct WheelRecord {
 }
 
 /// Per-round observability of the candidate pipeline, threaded into
-/// [`crate::metrics::RoundMetrics::candidates`].
-///
-/// Equality ignores [`CandidateStats::build_ns`]: the bit-equality gates
-/// (scheduler equivalence, forks, corpus replays) compare structure, never
-/// wall-clock.
-#[derive(Clone, Copy, Debug, Default)]
+/// [`crate::metrics::RoundMetrics::candidates`]. Pure structure: the
+/// pipeline's wall-clock lives in the tracer's
+/// [`Stage::CandidateMaintain`](vod_obs::Stage::CandidateMaintain) and
+/// [`Stage::CandidateFill`](vod_obs::Stage::CandidateFill) spans.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CandidateStats {
     /// Live (stripe, box) cache-index entries after this round's
     /// maintenance.
@@ -70,30 +68,7 @@ pub struct CandidateStats {
     /// New entries inserted this round (refreshes of existing entries do
     /// not count).
     pub inserted: usize,
-    /// Wall-clock nanoseconds spent on index maintenance plus candidate-row
-    /// construction this round (excluded from equality).
-    pub build_ns: u64,
 }
-
-impl TimingNeutral for CandidateStats {
-    type Structural = (usize, usize, usize);
-
-    fn structural(&self) -> Self::Structural {
-        (self.index_entries, self.expired, self.inserted)
-    }
-
-    fn scrub(&mut self) {
-        self.build_ns = 0;
-    }
-}
-
-impl PartialEq for CandidateStats {
-    fn eq(&self, other: &Self) -> bool {
-        eq_ignoring_timing(self, other)
-    }
-}
-
-impl Eq for CandidateStats {}
 
 impl JsonCodec for CandidateStats {
     fn to_json(&self) -> Json {
@@ -101,7 +76,6 @@ impl JsonCodec for CandidateStats {
             ("index_entries", self.index_entries.to_json()),
             ("expired", self.expired.to_json()),
             ("inserted", self.inserted.to_json()),
-            ("build_ns", self.build_ns.to_json()),
         ])
     }
     fn from_json(json: &Json) -> Result<Self, JsonError> {
@@ -109,7 +83,6 @@ impl JsonCodec for CandidateStats {
             index_entries: usize::from_json(json.field("index_entries")?)?,
             expired: usize::from_json(json.field("expired")?)?,
             inserted: usize::from_json(json.field("inserted")?)?,
-            build_ns: u64::from_json(json.field("build_ns")?)?,
         })
     }
 }
@@ -800,16 +773,15 @@ mod tests {
             index_entries: 4,
             expired: 1,
             inserted: 2,
-            build_ns: 123,
         };
         let mut b = a;
-        b.build_ns = 999_999;
         assert_eq!(a, b);
         b.expired = 2;
         assert_ne!(a, b);
-        // JSON round-trips every field, including the timing.
-        let parsed = CandidateStats::from_json(&a.to_json()).unwrap();
-        assert_eq!(parsed.build_ns, 123);
-        assert_eq!(parsed, a);
+        assert_eq!(CandidateStats::from_json(&a.to_json()).unwrap(), a);
+        // Reports written while the stats still carried their retired
+        // wall-clock field keep parsing: unknown keys are ignored.
+        let old = Json::parse(r#"{"index_entries":4,"expired":1,"inserted":2,"build_ns":123}"#);
+        assert_eq!(CandidateStats::from_json(&old.unwrap()).unwrap(), a);
     }
 }

@@ -34,6 +34,7 @@ use crate::delivery::{
     Admission, DegradationConfig, DegradationController, DeliveryOutcome, DeliveryPolicy,
     DeliverySummary, DeliveryTracker,
 };
+use crate::ledger::CapacityLedger;
 use crate::metrics::{FailureRecord, PlaybackRecord, RoundMetrics, SimulationReport};
 use crate::repair::{RepairPlanner, RepairRoundStats};
 use crate::request::{
@@ -43,7 +44,6 @@ use crate::scheduler::{MaxFlowScheduler, RelayBroker, RelayEvent, RequestKey, Sc
 use crate::swarm::SwarmTracker;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
-use std::time::Instant;
 use vod_core::{BoxId, FxHasher64, Placement, SortedSignature, StripeId, VideoId, VideoSystem};
 use vod_flow::bitset::{for_each_bit_of_word, for_each_set_bit};
 use vod_flow::{find_obstruction_in, BitSet, CandidateBuf, ConnectionProblem, Dinic, FlowArena};
@@ -156,6 +156,15 @@ struct ClassRow {
     boxes: Vec<BoxId>,
 }
 
+/// One open fault window: `box_id` keeps `pct` % of its at-rest budget
+/// until round `until` (0 = until restored).
+#[derive(Clone, Copy, Debug)]
+struct FaultWindow {
+    box_id: BoxId,
+    pct: u8,
+    until: u64,
+}
+
 /// The round-based protocol simulator.
 pub struct Simulator<'a> {
     system: &'a VideoSystem,
@@ -191,24 +200,15 @@ pub struct Simulator<'a> {
     /// Pooled buffer for the round's churn events.
     churn_buf: Vec<ChurnEvent>,
     /// Engine-driven fault process, when attached: drained every round
-    /// right after churn, so transient capacity loss overlays the same
-    /// table the repair planner and the scheduler read.
+    /// right after churn, so transient capacity loss is held on the same
+    /// ledger the repair planner and the scheduler read.
     faults: Option<FaultModel>,
     /// Pooled buffer for the round's fault events.
     fault_buf: Vec<FaultEvent>,
-    /// True once any fault has been attached or scripted: gates the whole
-    /// fault overlay so the faults-off path stays zero-cost.
-    faults_active: bool,
-    /// Per-box remaining-capacity percentage of the open fault window
-    /// (100 = healthy, 0 = fully stalled).
-    fault_pct: Vec<u8>,
-    /// Per-box fault-window expiry round (0 = no open window).
-    fault_until: Vec<u64>,
-    /// Upload slots deducted from each box *this round* by the fault
-    /// overlay; restored after the repair commit so the capacity table
-    /// never drifts.
-    fault_deducted: Vec<u32>,
-    /// Total slots the fault overlay removed this round (failure
+    /// The open fault windows, at most one per box, in no particular
+    /// order. Empty is the faults-off path: the drain then costs nothing.
+    fault_windows: Vec<FaultWindow>,
+    /// Total slots the round's fault holds removed (failure
     /// attribution: see [`FailureRecord::fault_slots_lost`]).
     fault_slots_lost: u64,
     /// Delivery-reliability state machine, when attached: resolves every
@@ -227,10 +227,11 @@ pub struct Simulator<'a> {
     /// `RoundMetrics::repair`).
     round_repair: Option<RepairRoundStats>,
     report: SimulationReport,
-    /// Per-box upload capacities: derived from the system at construction,
-    /// refreshed from the relay broker on churn events
-    /// ([`Simulator::apply_relay_event`]).
-    capacities: Vec<u32>,
+    /// Per-box upload-slot budgets and their only writer: at rest they are
+    /// the system's `⌊u_b·c⌋` net of relay reservations, set by churn and
+    /// by broker resyncs; within a round they carry the fault-window and
+    /// repair-transfer holds, all released when the round closes.
+    ledger: CapacityLedger,
     /// The relay subsystem, when the system carries a compensation plan:
     /// owns the live reservation table and per-relay utilization counters.
     relay_broker: Option<RelayBroker>,
@@ -269,8 +270,6 @@ pub struct Simulator<'a> {
     failed_videos: Vec<VideoId>,
     viewer_mark: Vec<u64>,
     video_mark: Vec<u64>,
-    /// The current round's candidate-pipeline profile (maintenance + fill).
-    round_cand_stats: CandidateStats,
     /// Scratch for the debug-only assignment validity check.
     dbg_loads: Vec<u32>,
     /// Scratch for obstruction extraction on failing rounds.
@@ -295,9 +294,11 @@ impl<'a> Simulator<'a> {
         scheduler: Box<dyn Scheduler>,
     ) -> Self {
         let n = system.n();
-        let capacities = (0..n as u32)
-            .map(|i| system.upload_slots(BoxId(i)))
-            .collect();
+        let ledger = CapacityLedger::new(
+            (0..n as u32)
+                .map(|i| system.upload_slots(BoxId(i)))
+                .collect(),
+        );
         // Heterogeneous systems get the relay subsystem: the broker mirrors
         // the system's compensation plan and manages it as live structure.
         let relay_broker = system
@@ -328,10 +329,7 @@ impl<'a> Simulator<'a> {
             churn_buf: Vec::new(),
             faults: None,
             fault_buf: Vec::new(),
-            faults_active: false,
-            fault_pct: vec![100; n],
-            fault_until: vec![0; n],
-            fault_deducted: vec![0; n],
+            fault_windows: Vec::new(),
             fault_slots_lost: 0,
             delivery: None,
             degrade: None,
@@ -339,7 +337,7 @@ impl<'a> Simulator<'a> {
             repair: None,
             round_repair: None,
             report,
-            capacities,
+            ledger,
             relay_broker,
             request_buf: Vec::new(),
             sched_keys: Vec::new(),
@@ -358,7 +356,6 @@ impl<'a> Simulator<'a> {
             failed_videos: Vec::new(),
             viewer_mark: vec![0; n],
             video_mark: vec![0; system.m()],
-            round_cand_stats: CandidateStats::default(),
             dbg_loads: Vec::new(),
             obstruction_arena: FlowArena::new(),
             obstruction_solver: Dinic::new(),
@@ -416,10 +413,11 @@ impl<'a> Simulator<'a> {
     }
 
     /// The live upload-slot capacity of box `b` as the scheduler sees it
-    /// (static allocation minus reservations, updated by
-    /// [`Simulator::apply_relay_event`]).
+    /// (static allocation minus reservations, updated by churn through
+    /// [`Simulator::apply_churn`]). Between rounds no hold is open, so this
+    /// is the box's at-rest budget.
     pub fn upload_slots(&self, b: BoxId) -> u32 {
-        self.capacities.get(b.index()).copied().unwrap_or(0)
+        self.ledger.slots().get(b.index()).copied().unwrap_or(0)
     }
 
     /// The live allocation table (static placement ⊖ departures ⊕ repairs).
@@ -446,9 +444,7 @@ impl<'a> Simulator<'a> {
     /// its events are drained at the top of every [`Simulator::step`] —
     /// after finished playbacks end, before new demands are admitted — so
     /// membership changes interleave with admissions instead of being
-    /// replayed between rounds. Heterogeneous systems route the events
-    /// through [`Simulator::apply_relay_event`] (re-planning reservations);
-    /// homogeneous systems mutate the capacity table directly.
+    /// replayed between rounds, through [`Simulator::apply_churn`].
     pub fn attach_churn(&mut self, model: ChurnModel) {
         assert!(
             model.box_count() <= self.playing.len(),
@@ -472,11 +468,10 @@ impl<'a> Simulator<'a> {
     /// Attaches an engine-driven fault process: from the next round on its
     /// events are drained right after churn — a faulted box stays in the
     /// population (replicas, playback, swarm membership intact) but its
-    /// effective upload budget is overlaid on the live capacity table for
-    /// the window, restored when the window closes. Attaching faults also
-    /// attaches a default-policy [`DeliveryTracker`] (unless one is
-    /// already attached) carrying the model's per-connection drop/timeout
-    /// hazards and outcome salt.
+    /// upload budget is held down on the capacity ledger every round the
+    /// window is open. Attaching faults also attaches a default-policy
+    /// [`DeliveryTracker`] (unless one is already attached) carrying the
+    /// model's per-connection drop/timeout hazards and outcome salt.
     pub fn attach_faults(&mut self, model: FaultModel) {
         assert!(
             model.box_count() <= self.playing.len(),
@@ -492,7 +487,6 @@ impl<'a> Simulator<'a> {
             model.drop_ppm(),
             model.timeout_ppm(),
         );
-        self.faults_active = true;
         self.faults = Some(model);
     }
 
@@ -528,16 +522,15 @@ impl<'a> Simulator<'a> {
     }
 
     /// Applies one fault event to the engine, scripted or model-driven: a
-    /// degradation or stall opens a per-box capacity window (a restore
-    /// closes it early) that the next round's fault overlay deducts from
-    /// the live capacity table; a drop surge raises the delivery tracker's
-    /// per-connection hazards. This is both the step-loop's internal path
-    /// for an attached [`FaultModel`] and the public entry point for
-    /// scripted faults (the explorer's fault-event branches). A
-    /// [`FaultEvent::DropSurge`] is a no-op unless a delivery tracker is
-    /// attached.
+    /// degradation or stall opens a per-box capacity window, replacing the
+    /// box's open one (a restore closes it early), that every round's
+    /// fault drain holds against the ledger; a drop surge raises the
+    /// delivery tracker's per-connection hazards. This is both the
+    /// step-loop's internal path for an attached [`FaultModel`] and the
+    /// public entry point for scripted faults (the explorer's fault-event
+    /// branches). A [`FaultEvent::DropSurge`] is a no-op unless a delivery
+    /// tracker is attached.
     pub fn apply_fault(&mut self, event: FaultEvent) {
-        self.faults_active = true;
         if let Some(box_id) = event.box_id() {
             assert!(
                 box_id.index() < self.playing.len(),
@@ -547,23 +540,24 @@ impl<'a> Simulator<'a> {
             );
         }
         match event {
-            FaultEvent::Degraded { box_id, pct, until } => {
-                self.fault_pct[box_id.index()] = pct;
-                self.fault_until[box_id.index()] = until;
-            }
-            FaultEvent::Stalled { box_id, until } => {
-                self.fault_pct[box_id.index()] = 0;
-                self.fault_until[box_id.index()] = until;
-            }
-            FaultEvent::Restored { box_id } => {
-                self.fault_pct[box_id.index()] = 100;
-                self.fault_until[box_id.index()] = 0;
-            }
+            FaultEvent::Degraded { box_id, pct, until } => self.open_window(box_id, pct, until),
+            FaultEvent::Stalled { box_id, until } => self.open_window(box_id, 0, until),
+            FaultEvent::Restored { box_id } => self.open_window(box_id, 100, 0),
             FaultEvent::DropSurge { add_ppm, until } => {
                 if let Some(tracker) = &mut self.delivery {
                     tracker.apply_surge(add_ppm, until);
                 }
             }
+        }
+    }
+
+    /// Replaces `box_id`'s open fault window with one keeping `pct` % of
+    /// its budget until round `until` (0 = until restored). A full-budget
+    /// window that never closes is no window at all.
+    fn open_window(&mut self, box_id: BoxId, pct: u8, until: u64) {
+        self.fault_windows.retain(|w| w.box_id != box_id);
+        if pct != 100 || until != 0 {
+            self.fault_windows.push(FaultWindow { box_id, pct, until });
         }
     }
 
@@ -604,7 +598,7 @@ impl<'a> Simulator<'a> {
         for (video, swarm) in self.swarms.iter() {
             sig.push(&(3u8, video, swarm.entered_total()));
         }
-        for (idx, cap) in self.capacities.iter().enumerate() {
+        for (idx, cap) in self.ledger.slots().iter().enumerate() {
             sig.push(&(4u8, idx as u32, *cap));
         }
         if let Some(broker) = &self.relay_broker {
@@ -642,10 +636,8 @@ impl<'a> Simulator<'a> {
         // degradation controller's window/mode all steer future rounds.
         // (An attached fault model is external stochastic input, like the
         // churn model.)
-        for idx in 0..self.fault_pct.len() {
-            if self.fault_pct[idx] != 100 || self.fault_until[idx] != 0 {
-                sig.push(&(11u8, idx as u32, self.fault_pct[idx], self.fault_until[idx]));
-            }
+        for w in &self.fault_windows {
+            sig.push(&(11u8, w.box_id.index() as u32, w.pct, w.until));
         }
         if let Some(tracker) = &self.delivery {
             tracker.push_signature(&mut sig);
@@ -675,88 +667,48 @@ impl<'a> Simulator<'a> {
         fork.swarms = self.swarms.clone();
         fork.stalls = self.stalls.clone();
         fork.report = self.report.clone();
-        fork.capacities = self.capacities.clone();
+        fork.ledger = self.ledger.clone();
         fork.relay_broker = self.relay_broker.clone();
         fork.placement = self.placement.clone();
         fork.alive = self.alive.clone();
         fork.churn = self.churn.clone();
         fork.repair = self.repair.clone();
         fork.faults = self.faults.clone();
-        fork.faults_active = self.faults_active;
-        fork.fault_pct = self.fault_pct.clone();
-        fork.fault_until = self.fault_until.clone();
+        fork.fault_windows = self.fault_windows.clone();
         fork.delivery = self.delivery.clone();
         fork.degrade = self.degrade.clone();
         fork
     }
 
-    /// Applies one churn event to the relay subsystem mid-run and re-syncs
-    /// the scheduler's capacity table from the live plan (departed boxes
-    /// drop to zero upload; freed or grown reservations open slots).
+    /// Applies one [`ChurnEvent`] to the engine, on homogeneous and
+    /// heterogeneous systems alike. This is both the step-loop's internal
+    /// path for an attached [`ChurnModel`] and the public entry point for
+    /// scripted churn (the explorer's churn-event branches).
     ///
-    /// A [`RelayEvent::BoxLeft`] also detaches the box from the engine's
-    /// live structures *the round it leaves*: its in-flight playback ends
-    /// (recorded with its stalls so far), its playback-cache entries are
-    /// purged from the candidate index, and its replicas are stripped
-    /// from the live allocation table (notifying the repair planner when
-    /// one is attached). Without the purge, a departed box lingers as a
-    /// stripe holder in candidate rows until cache expiry — and worse, a
-    /// later rejoin would claim replicas the box no longer stores.
+    /// A departure ([`ChurnEvent::Left`] or [`ChurnEvent::Crashed`]) also
+    /// detaches the box from the engine's live structures *the round it
+    /// leaves*: its in-flight playback ends (recorded with its stalls so
+    /// far), its playback-cache entries are purged from the candidate
+    /// index, and its replicas are stripped from the live allocation table
+    /// (notifying the repair planner when one is attached). Without the
+    /// purge, a departed box lingers as a stripe holder in candidate rows
+    /// until cache expiry — and worse, a later rejoin would claim replicas
+    /// the box no longer stores.
     ///
-    /// Returns the compensation deltas performed, or the broker's named
-    /// error when the population is no longer `u*`-compensable (the event's
-    /// plan mutations still happened, exactly as [`RelayBroker::apply`]
-    /// documents). Future playbacks plan against the updated live plan;
-    /// playbacks already in flight keep the plans they were admitted with.
+    /// Homogeneous systems then set the box's budget to `⌊u_b·c⌋` (0 once
+    /// it left). Heterogeneous systems hand the event to the relay broker,
+    /// which re-plans the reservations it touches
+    /// ([`RelayBroker::last_deltas`] lists the moves), and resync every
+    /// budget from the live plan. A failed re-plan leaves poor boxes
+    /// uncovered and the simulation continues — the resulting stalls are
+    /// the modelled behaviour. Future playbacks plan against the updated
+    /// live plan; playbacks already in flight keep the plans they were
+    /// admitted with.
     ///
     /// # Panics
-    /// Panics on homogeneous systems (no relay subsystem) and when a
-    /// [`RelayEvent::BoxJoined`] id lies outside the original box universe
-    /// (the engine's per-box tables are sized at construction).
-    pub fn apply_relay_event(
-        &mut self,
-        event: RelayEvent,
-    ) -> Result<Vec<vod_core::CompensationDelta>, vod_core::CoreError> {
-        assert!(
-            self.relay_broker.is_some(),
-            "relay events require a heterogeneous system with a compensation plan"
-        );
-        match &event {
-            RelayEvent::BoxJoined(node) => {
-                assert!(
-                    node.id.index() < self.playing.len(),
-                    "box {} joined outside the original universe of {} boxes",
-                    node.id,
-                    self.playing.len()
-                );
-                self.alive.set(node.id.index());
-            }
-            RelayEvent::BoxLeft(id) => self.detach_box(*id),
-            RelayEvent::UploadChanged(..) => {}
-        }
-        let broker = self.relay_broker.as_mut().expect("checked above");
-        let clock = self.tracer.begin();
-        let result = broker.apply(event);
-        self.tracer.end(
-            clock,
-            Stage::RelayReplan,
-            result.as_ref().map_or(0, |deltas| deltas.len() as u64),
-        );
-        for (idx, cap) in self.capacities.iter_mut().enumerate() {
-            *cap = broker.open_upload_slots(BoxId(idx as u32));
-        }
-        result
-    }
-
-    /// Applies one [`ChurnEvent`] to the engine, on homogeneous and
-    /// heterogeneous systems alike. Heterogeneous systems route through
-    /// [`Simulator::apply_relay_event`] (reservation re-planning; a failed
-    /// re-plan leaves poor boxes uncovered and the simulation continues —
-    /// the resulting stalls are the modelled behaviour). Homogeneous
-    /// systems mutate the liveness and capacity tables directly. This is
-    /// both the step-loop's internal path for an attached [`ChurnModel`]
-    /// and the public entry point for scripted churn (the explorer's
-    /// churn-event branches).
+    /// Panics when a [`ChurnEvent::Joined`] id lies outside the original
+    /// box universe (the engine's per-box tables are sized at
+    /// construction).
     pub fn apply_churn(&mut self, event: ChurnEvent) {
         match event {
             ChurnEvent::Joined(node) => {
@@ -766,28 +718,49 @@ impl<'a> Simulator<'a> {
                     node.id,
                     self.playing.len()
                 );
-                if self.relay_broker.is_some() {
-                    let _ = self.apply_relay_event(RelayEvent::BoxJoined(node));
-                } else {
-                    self.alive.set(node.id.index());
-                    self.capacities[node.id.index()] = node.upload.stripe_slots(self.system.c());
-                }
+                self.alive.set(node.id.index());
             }
-            ChurnEvent::Left(id) | ChurnEvent::Crashed(id) => {
-                if self.relay_broker.is_some() {
-                    let _ = self.apply_relay_event(RelayEvent::BoxLeft(id));
-                } else {
-                    self.detach_box(id);
-                    self.capacities[id.index()] = 0;
-                }
-            }
-            ChurnEvent::UploadChanged(id, upload) => {
-                if self.relay_broker.is_some() {
-                    let _ = self.apply_relay_event(RelayEvent::UploadChanged(id, upload));
-                } else {
-                    self.capacities[id.index()] = upload.stripe_slots(self.system.c());
-                }
-            }
+            ChurnEvent::Left(id) | ChurnEvent::Crashed(id) => self.detach_box(id),
+            ChurnEvent::UploadChanged(..) => {}
+        }
+        if self.relay_broker.is_some() {
+            self.apply_relay_event(match event {
+                ChurnEvent::Joined(node) => RelayEvent::BoxJoined(node),
+                ChurnEvent::Left(id) | ChurnEvent::Crashed(id) => RelayEvent::BoxLeft(id),
+                ChurnEvent::UploadChanged(id, upload) => RelayEvent::UploadChanged(id, upload),
+            });
+            return;
+        }
+        let slots = match event {
+            ChurnEvent::Joined(node) => node.upload.stripe_slots(self.system.c()),
+            ChurnEvent::Left(_) | ChurnEvent::Crashed(_) => 0,
+            ChurnEvent::UploadChanged(_, upload) => upload.stripe_slots(self.system.c()),
+        };
+        self.ledger.set(event.box_id(), slots);
+    }
+
+    /// Re-plans the relay reservations `event` touches, then resyncs the
+    /// ledger from the live plan.
+    fn apply_relay_event(&mut self, event: RelayEvent) {
+        let broker = self.relay_broker.as_mut().expect("relayed system");
+        let clock = self.tracer.begin();
+        let result = broker.apply(event);
+        self.tracer.end(
+            clock,
+            Stage::RelayReplan,
+            result.map_or(0, |deltas| deltas.len() as u64),
+        );
+        self.resync_from_broker();
+    }
+
+    /// Sets every box's at-rest budget to its open slots under the relay
+    /// broker's live plan: departed boxes drop to zero, freed or grown
+    /// reservations open slots.
+    fn resync_from_broker(&mut self) {
+        let broker = self.relay_broker.as_ref().expect("relayed system");
+        for idx in 0..self.ledger.slots().len() {
+            let b = BoxId(idx as u32);
+            self.ledger.set(b, broker.open_upload_slots(b));
         }
     }
 
@@ -858,29 +831,18 @@ impl<'a> Simulator<'a> {
         let clock = self.tracer.begin();
         self.end_finished_playbacks(now);
         self.tracer.end(clock, Stage::PlaybackEnd, 0);
-        // Candidate-index maintenance is half of the round's candidate
-        // cost; the other half (row construction) is timed in
-        // `schedule_round` and summed into the same per-round profile.
-        let maintenance = Instant::now();
+        let clock = self.tracer.begin();
         self.candidates.begin_round(now);
-        let maintenance_ns = maintenance.elapsed().as_nanos() as u64;
-        self.round_cand_stats = CandidateStats {
-            build_ns: maintenance_ns,
-            ..CandidateStats::default()
-        };
-        // The maintenance half is already timed unconditionally (it feeds
-        // `CandidateStats::build_ns`), so the span reuses that measurement.
-        self.tracer
-            .emit_ns(Stage::CandidateMaintain, maintenance_ns, 0);
+        self.tracer.end(clock, Stage::CandidateMaintain, 0);
         // Engine-driven churn: membership changes land before admissions,
         // interleaved with the round rather than replayed between rounds.
         let clock = self.tracer.begin();
         self.drain_churn(now);
         self.tracer.end(clock, Stage::ChurnDrain, 0);
-        // Fault overlay: open this round's fault windows (model events +
-        // scripted ones still pending), expire finished windows, and
-        // deduct the transient capacity loss before the repair planner and
-        // the scheduler read the table. Restored after the repair commit.
+        // Fault holds: open this round's fault windows (model events +
+        // scripted ones still pending), expire finished windows, and hold
+        // the transient capacity loss before the repair planner and the
+        // scheduler read the ledger.
         let clock = self.tracer.begin();
         if let Some(tracker) = &mut self.delivery {
             tracker.begin_round(now);
@@ -891,8 +853,8 @@ impl<'a> Simulator<'a> {
         self.fault_slots_lost = self.drain_faults(now);
         self.tracer
             .end(clock, Stage::FaultDrain, self.fault_slots_lost);
-        // Repair planning deducts the transfer slots from the source boxes'
-        // budgets before the scheduler sees them.
+        // Repair planning holds the transfer slots on the source boxes'
+        // post-fault budgets before the scheduler sees them.
         let clock = self.tracer.begin();
         self.round_repair = self.plan_repairs();
         let planned = self.round_repair.as_ref().map_or(0, |s| s.repaired as u64);
@@ -911,34 +873,22 @@ impl<'a> Simulator<'a> {
         let (metrics, feasible) = self.schedule_round(now, &requests, self_served, new_demands);
         self.request_buf = requests;
         self.report.rounds.push(metrics);
-        // Commit the planned repairs: capacities are restored and the new
-        // replicas enter the live placement, serving from the next round on
-        // (a transfer takes the round it was planned in).
+        // Commit the planned repairs: the new replicas enter the live
+        // placement, serving from the next round on (a transfer takes the
+        // round it was planned in).
         let clock = self.tracer.begin();
         self.commit_repairs();
         self.tracer.end(clock, Stage::RepairCommit, 0);
-        // Restore the fault overlay's deductions: the capacity table
-        // carries only the round's transient loss, recomputed from the
-        // open windows each round (so churned capacities never drift).
-        if self.faults_active {
-            for idx in 0..self.fault_deducted.len() {
-                if self.fault_deducted[idx] != 0 {
-                    self.capacities[idx] += self.fault_deducted[idx];
-                    self.fault_deducted[idx] = 0;
-                }
-            }
-        }
+        // The round's fault and repair holds end with it.
+        self.ledger.release();
         // Dynamic reservation sizing re-tunes inside `note_round`; pick the
-        // shifted capacities up for the next round.
+        // shifted budgets up for the next round.
         if self
             .relay_broker
             .as_ref()
             .is_some_and(RelayBroker::dynamic_reservations_enabled)
         {
-            let broker = self.relay_broker.as_ref().expect("checked above");
-            for (idx, cap) in self.capacities.iter_mut().enumerate() {
-                *cap = broker.open_upload_slots(BoxId(idx as u32));
-            }
+            self.resync_from_broker();
         }
         // The repair commit lands after the metrics push, so the round's
         // timing aggregate is patched into the record it belongs to.
@@ -968,13 +918,10 @@ impl<'a> Simulator<'a> {
     }
 
     /// Drains the attached fault model's events for `now`, expires the
-    /// fault windows whose round has come, and overlays the open windows
-    /// on the live capacity table (`keep = ⌊cap·pct/100⌋`, recomputed
-    /// fresh each round). Returns the upload slots removed.
+    /// fault windows whose round has come, and holds each open window's
+    /// loss `cap − ⌊cap·pct/100⌋` on the ledger. Returns the upload slots
+    /// held. O(open windows), not O(n).
     fn drain_faults(&mut self, now: u64) -> u64 {
-        if !self.faults_active {
-            return 0;
-        }
         if self.faults.is_some() {
             let mut events = std::mem::take(&mut self.fault_buf);
             self.faults
@@ -986,50 +933,43 @@ impl<'a> Simulator<'a> {
             }
             self.fault_buf = events;
         }
+        self.fault_windows.retain(|w| w.until == 0 || w.until > now);
         let mut lost = 0u64;
-        for idx in 0..self.fault_pct.len() {
-            if self.fault_until[idx] != 0 && self.fault_until[idx] <= now {
-                self.fault_until[idx] = 0;
-                self.fault_pct[idx] = 100;
-            }
-            let pct = self.fault_pct[idx];
-            if pct < 100 {
-                let cap = self.capacities[idx];
-                let keep = (cap as u64 * pct as u64 / 100) as u32;
-                let loss = cap - keep;
-                self.fault_deducted[idx] = loss;
-                self.capacities[idx] = keep;
+        for w in &self.fault_windows {
+            if w.pct < 100 {
+                let cap = self.ledger.slots()[w.box_id.index()];
+                let loss = cap - (cap as u64 * w.pct as u64 / 100) as u32;
+                self.ledger.hold(w.box_id, loss);
                 lost += loss as u64;
             }
         }
         lost
     }
 
-    /// Plans this round's repair transfers and charges their upload slots
-    /// against the live capacity table, so serving and repair compete for
-    /// the same `⌊u_b·c⌋` budgets. The plan reads only scheduler-invariant
-    /// state (live placement, liveness, capacities) — never the assignment
-    /// — keeping placement evolution bit-identical across schedulers.
+    /// Plans this round's repair transfers and holds one upload slot on
+    /// each transfer's source, so serving and repair compete for the same
+    /// `⌊u_b·c⌋` budgets. The plan reads only scheduler-invariant state
+    /// (live placement, liveness, the post-fault ledger) — never the
+    /// assignment — keeping placement evolution bit-identical across
+    /// schedulers.
     fn plan_repairs(&mut self) -> Option<RepairRoundStats> {
         let planner = self.repair.as_mut()?;
-        let stats = planner.plan_round(&self.placement, &self.alive, &self.capacities);
+        let stats = planner.plan_round(&self.placement, &self.alive, self.ledger.slots());
         for t in planner.transfers() {
-            let open = &mut self.capacities[t.source.index()];
-            debug_assert!(*open > 0, "repair oversubscribed box");
-            *open -= 1;
+            self.ledger.hold(t.source, 1);
         }
         Some(stats)
     }
 
-    /// Commits the round's planned repairs: restores the deducted source
-    /// capacities and lands the new replicas in the live placement, bumping
-    /// the repaired stripes' candidate stamps so next round's rows rebuild.
+    /// Commits the round's planned repairs: lands the new replicas in the
+    /// live placement, bumping the repaired stripes' candidate stamps so
+    /// next round's rows rebuild. (The transfer holds end with the round's
+    /// [`CapacityLedger::release`].)
     fn commit_repairs(&mut self) {
         let Some(planner) = &mut self.repair else {
             return;
         };
         for t in planner.transfers() {
-            self.capacities[t.source.index()] += 1;
             self.candidates.touch(t.stripe);
         }
         planner.commit(&mut self.placement);
@@ -1112,7 +1052,7 @@ impl<'a> Simulator<'a> {
         // Plans consult the *live* plan when the relay subsystem is active
         // (the broker starts as a mirror of the system's static plan, so
         // behaviour is unchanged until a churn event is applied through
-        // [`Simulator::apply_relay_event`]). A poor box whose relay could
+        // [`Simulator::apply_churn`]). A poor box whose relay could
         // not be re-placed after churn falls back to the direct rich plan.
         let (plan, playback_starts_at) = match &self.relay_broker {
             None => homogeneous_plan(c, preload, now),
@@ -1283,21 +1223,15 @@ impl<'a> Simulator<'a> {
         self_served: usize,
         new_demands: usize,
     ) -> (RoundMetrics, bool) {
-        // Build the flat candidate rows (timed into the round's candidate
-        // profile together with the maintenance half from `step`).
-        let fill = Instant::now();
+        let clock = self.tracer.begin();
         self.fill_round_candidates(now, requests);
-        let fill_ns = fill.elapsed().as_nanos() as u64;
-        self.round_cand_stats = CandidateStats {
+        self.tracer
+            .end(clock, Stage::CandidateFill, requests.len() as u64);
+        let candidate_stats = CandidateStats {
             index_entries: self.candidates.live_entries(),
             expired: self.candidates.expired_this_round(),
             inserted: self.candidates.inserted_this_round(),
-            build_ns: self.round_cand_stats.build_ns + fill_ns,
         };
-        // Like the maintenance half, the fill is already timed into the
-        // candidate profile — the span reuses the measurement.
-        self.tracer
-            .emit_ns(Stage::CandidateFill, fill_ns, requests.len() as u64);
         // Stable request identities let incremental schedulers patch the
         // previous round's flow network instead of rebuilding it.
         self.sched_keys.clear();
@@ -1307,12 +1241,12 @@ impl<'a> Simulator<'a> {
         }));
 
         // Every system schedules the plain Lemma-1 instance: relay
-        // reservations are already netted out of `capacities` and are
+        // reservations are already netted out of the ledger and are
         // disjoint from the open budgets the matching allocates.
         let mut assignment = std::mem::take(&mut self.assignment);
         let clock = self.tracer.begin();
         self.scheduler.schedule_keyed_view(
-            &self.capacities,
+            self.ledger.slots(),
             &self.sched_keys,
             self.cand_buf.view_with_stamps(&self.cand_stamps),
             &mut assignment,
@@ -1321,7 +1255,7 @@ impl<'a> Simulator<'a> {
             .end(clock, Stage::Schedule, requests.len() as u64);
         debug_assert!(crate::scheduler::assignment_is_valid_view(
             &assignment,
-            &self.capacities,
+            self.ledger.slots(),
             self.cand_buf.view(),
             &mut self.dbg_loads,
         ));
@@ -1334,7 +1268,7 @@ impl<'a> Simulator<'a> {
             Some(broker) => {
                 let clock = self.tracer.begin();
                 self.relay_loads.clear();
-                self.relay_loads.resize(self.capacities.len(), 0);
+                self.relay_loads.resize(self.ledger.slots().len(), 0);
                 for req in requests.iter().filter(|r| r.requester != r.viewer) {
                     self.relay_loads[req.requester.index()] += 1;
                 }
@@ -1468,7 +1402,7 @@ impl<'a> Simulator<'a> {
                 // leaves it unchanged. The forwarding side is the relays
                 // whose demand exceeds their reservation, read after
                 // `note_round` retuned it.
-                let mut problem = ConnectionProblem::new(self.capacities.clone());
+                let mut problem = ConnectionProblem::new(self.ledger.slots().to_vec());
                 for cand in self.cand_buf.view().rows() {
                     problem.add_request(cand.iter().copied());
                 }
@@ -1498,11 +1432,11 @@ impl<'a> Simulator<'a> {
             unserved,
             served_from_allocation,
             served_from_cache,
-            upload_slots_available: self.capacities.iter().map(|&c| c as u64).sum(),
+            upload_slots_available: self.ledger.total(),
             viewers: self.viewers.count_ones(),
             max_swarm: self.swarms.max_swarm_size(),
             relay: relay_metrics,
-            candidates: Some(self.round_cand_stats),
+            candidates: Some(candidate_stats),
             repair: self.round_repair.take(),
             delivery: delivery_stats,
             degradation: degradation_stats,
@@ -2344,8 +2278,8 @@ mod tests {
         }
     }
 
-    /// An upload change through the engine refreshes the live slot table
-    /// used by subsequent scheduling rounds.
+    /// An upload change churned into a relayed engine refreshes the live
+    /// slot table used by subsequent scheduling rounds.
     #[test]
     fn apply_relay_event_refreshes_capacities() {
         use vod_core::{Bandwidth, Catalog};
@@ -2370,11 +2304,10 @@ mod tests {
             sim.step(&mut gen);
         }
         let before = sim.upload_slots(BoxId(4));
-        sim.apply_relay_event(RelayEvent::UploadChanged(
+        sim.apply_churn(ChurnEvent::UploadChanged(
             BoxId(4),
             Bandwidth::from_streams(3.4),
-        ))
-        .unwrap();
+        ));
         let after = sim.upload_slots(BoxId(4));
         assert!(after > before, "{after} vs {before}");
         let broker = sim.relay_broker().unwrap();

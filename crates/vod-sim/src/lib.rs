@@ -37,6 +37,7 @@
 pub mod candidates;
 pub mod delivery;
 pub mod engine;
+mod ledger;
 pub mod metrics;
 pub mod repair;
 pub mod request;

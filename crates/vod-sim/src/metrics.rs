@@ -45,9 +45,9 @@ pub struct RoundMetrics {
     /// capacity, saturation), when the system is heterogeneous with a
     /// compensation plan; `None` otherwise.
     pub relay: Option<RelayRoundStats>,
-    /// Candidate-pipeline observability (index size, expiry/insert volume,
-    /// build wall-clock; equality ignores the timing). `None` only in
-    /// reports serialized before the pipeline existed.
+    /// Candidate-pipeline observability (index size, expiry/insert
+    /// volume). `None` only in reports serialized before the pipeline
+    /// existed.
     pub candidates: Option<CandidateStats>,
     /// Stripe-repair observability (queue depth, transfers, budget slots
     /// spent), when a repair planner is attached; `None` otherwise. Repair
@@ -102,18 +102,14 @@ impl RoundMetrics {
     /// split — Lemma 1 fixes how many requests a round serves, not which
     /// supplier serves each, so two maximum flows may split `served`
     /// differently and only the sum, which stays compared, is
-    /// schedule-invariant. Wall-clock timing is scrubbed
-    /// through the [`vod_obs::TimingNeutral`] rule ([`CandidateStats`]
-    /// equality already ignores build time, and equality here ignores
-    /// `timing` — scrubbing keeps normalized records canonical for hashing
-    /// and serialization too). Everything else must match bit for bit.
+    /// schedule-invariant. The wall-clock `timing` is dropped (equality
+    /// already ignores it; dropping keeps normalized records canonical for
+    /// hashing and serialization too). Everything else must match bit for
+    /// bit.
     pub fn normalized(&self) -> RoundMetrics {
         let mut m = self.clone();
         m.served_from_allocation = 0;
         m.served_from_cache = 0;
-        if let Some(cand) = &mut m.candidates {
-            vod_obs::TimingNeutral::scrub(cand);
-        }
         m.timing = None;
         m
     }

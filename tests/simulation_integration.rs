@@ -236,11 +236,11 @@ fn churn_repair_preserves_feasibility() {
 }
 
 /// Relay churn driven *through the engine loop*: boxes leave, rejoin, and
-/// change upload mid-run via [`Simulator::apply_relay_event`], and after
-/// every event and every round the engine's slot table agrees with the
-/// broker's reservation-adjusted capacities, every covered poor box has a
-/// live rich relay, and a mirror plan replaying the emitted deltas tracks
-/// the broker's plan exactly.
+/// change upload mid-run via [`Simulator::apply_churn`], and after every
+/// event and every round the engine's slot table agrees with the broker's
+/// reservation-adjusted capacities, every present poor box has a live rich
+/// relay, and a mirror plan replaying the broker's deltas tracks the
+/// broker's plan exactly.
 #[test]
 fn relay_churn_through_engine_keeps_slot_tables_consistent() {
     let c: u16 = 8;
@@ -291,6 +291,19 @@ fn relay_churn_through_engine_keeps_slot_tables_consistent() {
                 "{when}: relay {relay:?} is not rich"
             );
         }
+        // Every re-plan succeeded: no present poor box is left uncovered.
+        for idx in 0..n {
+            let b = BoxId(idx as u32);
+            if broker
+                .node(b)
+                .is_some_and(|node| node.upload < broker.u_star())
+            {
+                assert!(
+                    broker.plan().relay(b).is_some(),
+                    "{when}: poor {b:?} uncovered"
+                );
+            }
+        }
     };
 
     let mut applied = 0usize;
@@ -301,30 +314,28 @@ fn relay_churn_through_engine_keeps_slot_tables_consistent() {
         let event = match round {
             // A rich box sheds upload (still above u*): reservations must
             // survive on reduced headroom.
-            5 => Some(RelayEvent::UploadChanged(
+            5 => Some(ChurnEvent::UploadChanged(
                 BoxId(4),
                 Bandwidth::from_streams(1.8),
             )),
             // A relay leaves: its poor boxes migrate to surviving riches.
-            12 => Some(RelayEvent::BoxLeft(BoxId(5))),
+            12 => Some(ChurnEvent::Left(BoxId(5))),
             // It rejoins fatter and becomes assignable again.
-            20 => Some(RelayEvent::BoxJoined(NodeBox {
+            20 => Some(ChurnEvent::Joined(NodeBox {
                 upload: Bandwidth::from_streams(3.0),
                 ..rich_template
             })),
             // Another relay drains to poor-level upload: every poor box it
             // covered must migrate away.
-            28 => Some(RelayEvent::UploadChanged(
+            28 => Some(ChurnEvent::UploadChanged(
                 BoxId(6),
                 Bandwidth::from_streams(0.6),
             )),
             _ => None,
         };
         if let Some(event) = event {
-            let deltas = sim
-                .apply_relay_event(event)
-                .unwrap_or_else(|e| panic!("event at round {round} rejected: {e}"));
-            for delta in &deltas {
+            sim.apply_churn(event);
+            for delta in sim.relay_broker().unwrap().last_deltas() {
                 mirror.apply_delta(delta);
             }
             applied += 1;
