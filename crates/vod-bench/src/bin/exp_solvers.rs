@@ -1,13 +1,12 @@
 //! E14 — The three solver families on cold instances.
 //!
-//! A solver runs where the matcher has no flow to start from: the keyed
-//! round after a reset (first round, fleet-size change) and every one-shot
-//! [`Scheduler::schedule`] call. Warm rounds never reach it — the
-//! [`vod_sim::IncrementalMatcher`] restores maximality by its own targeted
-//! search whatever share of the round is unserved — so replaying a script
-//! *warm* through each backend times the matcher three times over. This
-//! experiment therefore solves every round of identical scripts **cold**,
-//! through [`MaxFlowScheduler::schedule`] wired to each
+//! A solver runs on one call only: the one-shot [`Scheduler::schedule`].
+//! Keyed rounds never reach it — the [`vod_sim::IncrementalMatcher`]
+//! routes every keyed round by its own targeted search, the cold round
+//! after a reset (first round, fleet-size change) from the empty matching —
+//! so replaying a script keyed through each backend times the matcher three
+//! times over. This experiment therefore solves every round of identical
+//! scripts **cold**, through [`MaxFlowScheduler::schedule`] wired to each
 //! [`vod_flow::MaxFlowSolve`] family, and times them head-to-head: `dinic`
 //! (word-parallel level BFS on Lemma-1 shapes), `hopcroft-karp`
 //! (capacitated word-parallel matcher) and `push-relabel` (gap +
@@ -19,8 +18,9 @@
 //! paths, the relabel stress case), a heterogeneous-relay shape (a few
 //! high-`u` superboxes carrying most of the load, as produced by
 //! `u*`-compensation), and a threshold-trial shape sized like one trial of
-//! the paper's E1 sweep (`n = 128`, `c = 4`, `k = 4`, `u = 1`), whose first
-//! round is the cold solve every sweep trial pays.
+//! the paper's E1 sweep (`n = 128`, `c = 4`, `k = 4`, `u = 1`). No sweep
+//! trial pays these solves any more (its cold first round is searched
+//! too); the table is what a one-shot [`Scheduler::schedule`] costs.
 //!
 //! The run doubles as a CI determinism gate: every family must produce an
 //! identical per-round served sequence on every workload (they are all
@@ -215,7 +215,7 @@ fn main() {
     let scale = Scale::from_env();
     print_header(
         "E14 exp_solvers — solver kernels on cold instances",
-        "all three max-flow families serve identical per-round sequences (Lemma 1 has a unique optimum value); the table is what each costs where production still calls one, on a cold instance",
+        "all three max-flow families serve identical per-round sequences (Lemma 1 has a unique optimum value); the table is what each costs on a one-shot Scheduler::schedule call, the one entry point that still reaches a solver",
         scale,
     );
 

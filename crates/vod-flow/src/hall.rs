@@ -3,9 +3,11 @@
 //! A *request obstruction* is a subset `X` of requests whose candidate boxes
 //! cannot collectively serve it: `U_{B(X)} < |X|/c` (equivalently, in scaled
 //! units, `Σ_{b ∈ B(X)} ⌊u_b·c⌋ < |X|`). Lemma 1 states a connection matching
-//! exists iff no obstruction exists. When the per-round matching fails, the
-//! simulator uses this module to extract the offending set from the minimum
-//! cut — the same object the paper's probabilistic analysis counts.
+//! exists iff no obstruction exists. This module extracts the offending set
+//! from the minimum cut of a fresh Dinic solve — the same object the paper's
+//! probabilistic analysis counts. It is the reference the simulator's own
+//! cut (read off each failing round's assignment, with no flow network) is
+//! checked against.
 
 use crate::arena::FlowArena;
 use crate::dinic::Dinic;
@@ -65,20 +67,9 @@ pub fn check_subset(problem: &ConnectionProblem, subset: &[usize]) -> Obstructio
 /// as well. Those requests are exactly the ones that can never be reached by
 /// additional flow, and `U_{B(X)} < |X|` is guaranteed.
 pub fn find_obstruction(problem: &ConnectionProblem) -> Option<Obstruction> {
-    find_obstruction_in(problem, &mut FlowArena::new(), &mut Dinic::new())
-}
-
-/// Arena-reusing variant of [`find_obstruction`]: the Lemma-1 network is
-/// rebuilt inside `arena` (reusing its allocations) and solved with `solver`,
-/// so callers extracting obstructions every failing round pay no per-call
-/// graph allocation.
-pub fn find_obstruction_in(
-    problem: &ConnectionProblem,
-    arena: &mut FlowArena,
-    solver: &mut dyn MaxFlowSolve,
-) -> Option<Obstruction> {
-    let (source, sink) = problem.build_arena(arena);
-    let flow = solver.max_flow(arena, source, sink);
+    let mut arena = FlowArena::new();
+    let (source, sink) = problem.build_arena(&mut arena);
+    let flow = Dinic::new().max_flow(&mut arena, source, sink);
     if flow as usize == problem.request_count() {
         return None;
     }

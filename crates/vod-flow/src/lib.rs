@@ -72,7 +72,7 @@ pub use arena::{ArenaEdge, FlowArena, NodeId};
 pub use bitset::{BitAdjacency, BitSet};
 pub use candidates::{CandidateBuf, CandidateView, NO_STAMP};
 pub use dinic::Dinic;
-pub use hall::{check_subset, find_obstruction, find_obstruction_in, verify_lemma1, Obstruction};
+pub use hall::{check_subset, find_obstruction, verify_lemma1, Obstruction};
 pub use hopcroft_karp::{BitHopcroftKarp, HopcroftKarp, HopcroftKarpSolve};
 pub use matching::{ConnectionMatching, ConnectionProblem};
 pub use push_relabel::PushRelabel;

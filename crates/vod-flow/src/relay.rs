@@ -14,7 +14,7 @@
 //!
 //! Relaying is therefore bookkeeping, not flow structure: the engine
 //! schedules every round as a plain Lemma-1 instance, diagnoses a failing
-//! round through the one Lemma-1 min cut (`hall::find_obstruction_in`),
+//! round through the one Lemma-1 min cut (read off the round's assignment),
 //! and names a relay as starved when its forwarding demand exceeds its
 //! reservation. Nothing in the tree calls the relayed entry points; these
 //! two types are kept for `benchmark/` until revision 2.

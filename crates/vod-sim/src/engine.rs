@@ -25,15 +25,18 @@
 //!    incremental schedulers skip unchanged rows and resolve a shared one
 //!    once), and hands the instance to the configured [`Scheduler`];
 //! 5. records metrics (including the per-round [`CandidateStats`]); if some
-//!    request is unserved the round is infeasible: the obstruction (Hall
-//!    violator) can be extracted and the run either aborts or keeps
-//!    counting stalls, per the failure policy.
+//!    request is unserved the round is infeasible: its obstruction (the
+//!    Hall violator of Lemma 1's min cut) is read off the round's own
+//!    assignment by one alternating search ([`HallCut`]; no flow network,
+//!    no second solve) and the run either aborts or keeps counting stalls,
+//!    per the failure policy.
 
 use crate::candidates::{CandidateIndex, CandidateStats};
 use crate::delivery::{
     Admission, DegradationConfig, DegradationController, DeliveryOutcome, DeliveryPolicy,
     DeliverySummary, DeliveryTracker,
 };
+use crate::hall_cut::HallCut;
 use crate::ledger::CapacityLedger;
 use crate::metrics::{FailureRecord, PlaybackRecord, RoundMetrics, SimulationReport};
 use crate::repair::{RepairPlanner, RepairRoundStats};
@@ -46,7 +49,7 @@ use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use vod_core::{BoxId, FxHasher64, Placement, SortedSignature, StripeId, VideoId, VideoSystem};
 use vod_flow::bitset::{for_each_bit_of_word, for_each_set_bit};
-use vod_flow::{find_obstruction_in, BitSet, CandidateBuf, ConnectionProblem, Dinic, FlowArena};
+use vod_flow::{BitSet, CandidateBuf};
 use vod_obs::{Stage, TraceHandle};
 use vod_workloads::{
     ChurnEvent, ChurnModel, DemandGenerator, FaultEvent, FaultModel, OccupancyView, VideoDemand,
@@ -71,8 +74,9 @@ pub struct SimConfig {
     pub max_rounds: u64,
     /// Behaviour on an infeasible round.
     pub failure_policy: FailurePolicy,
-    /// Whether to extract the obstruction witness on failures (costs one
-    /// extra max-flow per failing round).
+    /// Whether to extract the obstruction witness on failures (one
+    /// alternating search over the failing round's assignment, see
+    /// [`HallCut`]; no flow network is built).
     pub collect_obstructions: bool,
 }
 
@@ -272,9 +276,8 @@ pub struct Simulator<'a> {
     video_mark: Vec<u64>,
     /// Scratch for the debug-only assignment validity check.
     dbg_loads: Vec<u32>,
-    /// Scratch for obstruction extraction on failing rounds.
-    obstruction_arena: FlowArena,
-    obstruction_solver: Dinic,
+    /// Scratch for reading the Lemma-1 cut of a failing round.
+    hall_cut: HallCut,
     /// Round-pipeline span sink. Off by default: every span site goes
     /// through a `TraceHandle` whose disabled path is a single `Option`
     /// check (no clock read, no lock), so untraced runs pay nothing.
@@ -357,8 +360,7 @@ impl<'a> Simulator<'a> {
             viewer_mark: vec![0; n],
             video_mark: vec![0; system.m()],
             dbg_loads: Vec::new(),
-            obstruction_arena: FlowArena::new(),
-            obstruction_solver: Dinic::new(),
+            hall_cut: HallCut::new(),
             tracer: TraceHandle::off(),
         }
     }
@@ -1397,22 +1399,17 @@ impl<'a> Simulator<'a> {
                 fault_slots_lost: self.fault_slots_lost,
             };
             if self.config.collect_obstructions {
-                // The supply side is the one Lemma-1 min cut: reserve chains
-                // are dead ends of the two-hop residual graph, so relaying
-                // leaves it unchanged. The forwarding side is the relays
-                // whose demand exceeds their reservation, read after
-                // `note_round` retuned it.
-                let mut problem = ConnectionProblem::new(self.ledger.slots().to_vec());
-                for cand in self.cand_buf.view().rows() {
-                    problem.add_request(cand.iter().copied());
-                }
-                if let Some(ob) = find_obstruction_in(
-                    &problem,
-                    &mut self.obstruction_arena,
-                    &mut self.obstruction_solver,
-                ) {
-                    record.obstruction_size = Some(ob.requests.len());
-                    record.obstruction_capacity = Some(ob.capacity);
+                // The supply side is the one Lemma-1 min cut, read off the
+                // round's assignment: reserve chains are dead ends of the
+                // two-hop residual graph, so relaying leaves it unchanged.
+                // The forwarding side is the relays whose demand exceeds
+                // their reservation, read after `note_round` retuned it.
+                if let Some(cut) =
+                    self.hall_cut
+                        .read(self.ledger.slots(), self.cand_buf.view(), &assignment)
+                {
+                    record.obstruction_size = Some(cut.size);
+                    record.obstruction_capacity = Some(cut.capacity);
                 }
                 if let Some(broker) = &self.relay_broker {
                     record.starved_relays = broker.starved_relays(&self.relay_loads);

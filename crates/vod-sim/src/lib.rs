@@ -20,6 +20,8 @@
 //!   reservation witnesses);
 //! * [`engine`] — the simulator itself, including the live-population loop
 //!   (engine-driven churn, liveness-aware occupancy, live allocation table);
+//! * [`HallCut`] — a failing round's Lemma-1 cut (the obstruction witness),
+//!   read off the round's own assignment by one alternating search;
 //! * [`metrics`] — per-round and aggregate measurements;
 //! * [`repair`] — budgeted, deterministic re-replication of stripes that
 //!   lost replicas to departures, competing with serving traffic through
@@ -37,6 +39,7 @@
 pub mod candidates;
 pub mod delivery;
 pub mod engine;
+mod hall_cut;
 mod ledger;
 pub mod metrics;
 pub mod repair;
@@ -50,6 +53,7 @@ pub use delivery::{
     DeliveryPolicy, DeliveryRoundStats, DeliverySummary, DeliveryTracker,
 };
 pub use engine::{FailurePolicy, SimConfig, Simulator};
+pub use hall_cut::{HallCut, HallDeficit};
 pub use metrics::{FailureRecord, PlaybackRecord, RoundMetrics, SimulationReport};
 pub use repair::{RepairPlanner, RepairRoundStats, RepairTransfer};
 pub use request::{PlaybackState, RequestKind, StripePlan, StripeRequest};

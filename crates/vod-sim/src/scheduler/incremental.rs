@@ -48,12 +48,13 @@
 //! capacity eviction and departures cancel flow off the lists' heads, and
 //! extraction hands a class's units to its members in input order.
 //!
-//! A [`FlowArena`] and a solver appear in two places only. The **cold
-//! round** — the first, the one after a fleet-size change and the one after
-//! a one-shot solve — settles the class table as any round does, builds its
-//! Lemma-1 network in the pooled arena, hands it to the configured solver,
-//! reads each entry's flow into the mirror and clears the arena again; and
-//! [`IncrementalMatcher::schedule_cold`] solves a one-shot instance there.
+//! The **cold round** — the first, the one after a fleet-size change and the
+//! one after a one-shot solve — is a warm round from the empty matching: it
+//! starts the tables over, settles the class table as any round does, and
+//! the same passes of the targeted search place every unit. No keyed round
+//! builds a flow network or calls the solver; a [`FlowArena`] and the
+//! configured solver serve [`IncrementalMatcher::schedule_cold`] only, the
+//! one-shot instance behind [`Scheduler::schedule`](crate::scheduler::Scheduler::schedule).
 //!
 //! All bookkeeping (class slots, search rows, mirror records, scratch, the
 //! key and row maps) reuses its allocations, so a steady-state round — same
@@ -302,13 +303,13 @@ fn row_hash(row: &[BoxId]) -> u64 {
 /// assert_eq!(out.iter().flatten().count(), 2);
 ///
 /// // An identical round patches nothing and keeps the matching: still
-/// // optimal, still exactly one cold build.
+/// // optimal, still exactly one cold round.
 /// matcher.schedule_keyed(&caps, &keys, &cands, &mut out);
 /// assert_eq!(out.iter().flatten().count(), 2);
 /// assert_eq!(matcher.rebuilds(), 1);
 /// ```
 pub struct IncrementalMatcher {
-    /// Pooled storage for the cold build and `schedule_cold`.
+    /// Pooled storage of `schedule_cold`, the one caller of the solver.
     arena: FlowArena,
     solver: Box<dyn MaxFlowSolve>,
     /// Per box: its capacity (stripe connections), the units it sends, and
@@ -381,8 +382,9 @@ impl Default for IncrementalMatcher {
 }
 
 impl IncrementalMatcher {
-    /// Creates a matcher whose cold instances (the first round, and the round
-    /// after a fleet-size change or a one-shot solve) go to `solver`.
+    /// Creates a matcher whose one-shot instances
+    /// ([`IncrementalMatcher::schedule_cold`]) go to `solver`; keyed rounds,
+    /// cold ones included, never call it.
     pub fn new(solver: Box<dyn MaxFlowSolve>) -> Self {
         IncrementalMatcher {
             arena: FlowArena::new(),
@@ -422,15 +424,16 @@ impl IncrementalMatcher {
         }
     }
 
-    /// Installs a trace handle on the underlying flow solver, so solver
-    /// phases (shape analyses, HK phases, global relabels) emit spans.
+    /// Installs a trace handle on the underlying flow solver, so the solver
+    /// phases of one-shot solves (shape analyses, HK phases, global
+    /// relabels) emit spans.
     pub fn attach_tracer(&mut self, tracer: &TraceHandle) {
         self.solver.attach_tracer(tracer);
     }
 
-    /// The number of cold builds so far: rounds that started the tables over
-    /// and went to the solver (1 after the first round; steady-state rounds
-    /// must not add more).
+    /// The number of cold rounds so far: keyed rounds that started the
+    /// tables over and searched from the empty matching (1 after the first
+    /// round; steady-state rounds must not add more).
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
     }
@@ -452,13 +455,15 @@ impl IncrementalMatcher {
         2 * (self.caps.len() + self.live_classes + self.live_entries)
     }
 
-    /// The solver driving this matcher.
+    /// The solver of this matcher's one-shot solves.
     pub fn solver_name(&self) -> &'static str {
         self.solver.name()
     }
 
     /// Work done by the targeted augmenting search, for the last round and
-    /// in total. Cold rounds, which the solver routes, add nothing here.
+    /// in total. Every keyed round's routing is here, a cold round's (which
+    /// places every unit from the empty matching) included; one-shot solves
+    /// add nothing.
     pub fn search_stats(&self) -> SearchStats {
         self.search
     }
@@ -507,17 +512,15 @@ impl IncrementalMatcher {
         self.row_work = RowWork::default();
         self.changed = false;
         if self.dirty || capacities.len() != self.caps.len() {
+            // A cold round is a warm one from the empty matching.
             self.reset(capacities);
-            self.patch(capacities, keys, candidates);
-            self.solve_cold();
-        } else {
-            self.patch(capacities, keys, candidates);
-            // The patched matching is valid but possibly not maximal, and
-            // only classes short of units can be endpoints of augmenting
-            // paths.
-            if self.changed && keys.len() as i64 > self.total_flow {
-                self.augment_unserved();
-            }
+            self.rebuilds += 1;
+        }
+        self.patch(capacities, keys, candidates);
+        // The patched matching is valid but possibly not maximal, and only
+        // classes short of units can be endpoints of augmenting paths.
+        if self.changed && keys.len() as i64 > self.total_flow {
+            self.augment_unserved();
         }
         debug_assert!(self.flow_is_consistent());
         debug_assert!(self.flow_is_maximal());
@@ -568,49 +571,6 @@ impl IncrementalMatcher {
         self.short_classes.clear();
         (self.total_flow, self.live_classes, self.live_entries) = (0, 0, 0);
         self.dirty = false;
-    }
-
-    /// The cold round, after `reset` and `patch`: the configured solver
-    /// routes the whole settled class table. Builds its Lemma-1 network in
-    /// the pooled arena — a source edge per box in box order, then each
-    /// class's node, sink edge and candidate edges in search-row order —
-    /// reads every candidate edge's flow into the mirror and empties it.
-    fn solve_cold(&mut self) {
-        let boxes = self.caps.len();
-        let sink = boxes + 1;
-        self.arena.clear(boxes + 2);
-        for (box_idx, &cap) in self.caps.iter().enumerate() {
-            self.arena.add_edge(0, 1 + box_idx, cap as i64);
-        }
-        for (class, state) in self.classes.iter().zip(&self.states) {
-            if state.members == 0 {
-                continue;
-            }
-            let (node, members) = (self.arena.add_node(), state.members as i64);
-            self.arena.add_edge(node, sink, members);
-            for &(box_idx, _) in &class.cand {
-                self.arena.add_edge(1 + box_idx as usize, node, members);
-            }
-        }
-        self.total_flow = self.solver.max_flow(&mut self.arena, 0, sink);
-        // Edge ids follow insertion order, a twin after each edge.
-        let mut edge = 2 * boxes;
-        for idx in 0..self.classes.len() {
-            if self.states[idx].members == 0 {
-                continue;
-            }
-            edge += 2;
-            for pos in 0..self.classes[idx].cand.len() {
-                let units = self.arena.flow_on(edge) as u32;
-                if units > 0 {
-                    self.add_units(idx as u32, pos as u32, units);
-                }
-                edge += 2;
-            }
-        }
-        debug_assert_eq!(edge, self.arena.edge_count());
-        self.arena.clear(0);
-        self.rebuilds += 1;
     }
 
     /// Diffs the incoming round against the tracked instance: applies the
@@ -1483,6 +1443,13 @@ mod tests {
         BoxId(i)
     }
 
+    /// The life-time counters after a round that did `round` on top of
+    /// `before`.
+    fn after(mut before: SearchCounters, round: SearchCounters) -> SearchCounters {
+        before.absorb(&round);
+        before
+    }
+
     fn cold_served(caps: &[u32], cands: &[Vec<BoxId>]) -> usize {
         let mut problem = vod_flow::ConnectionProblem::new(caps.to_vec());
         for c in cands {
@@ -1705,7 +1672,7 @@ mod tests {
     /// stamped rows, unstamped rows and slices of vecs: every round they must
     /// return the same assignment vector, valid and as large as a cold solve
     /// of the materialised rows, each with consistent, maximal tables that
-    /// hold nothing but the live rows and one cold build behind it. Returns
+    /// hold nothing but the live rows and one cold round behind it. Returns
     /// the stamped matcher with the last round's capacities and requests.
     fn run_script(
         make_solver: fn() -> Box<dyn MaxFlowSolve>,
@@ -1868,7 +1835,7 @@ mod tests {
         assert_eq!(out.iter().flatten().count(), 40);
         assert_eq!(matcher.arena_edge_count(), 2 * (4 + 2 + 5));
         // Members leave and join mid-class: capacities follow, no edge is
-        // added, and the survivors are served without a solver call.
+        // added, and the survivors keep their units.
         live.retain(|(k, _)| k.viewer.0 % 3 != 0);
         live.push((key(100, 0, 0), vec![b(0), b(1)]));
         checked_round(&mut matcher, &caps, &live, &mut out, "churn");
@@ -1926,14 +1893,18 @@ mod tests {
         assert_eq!(matcher.arena_edge_count(), 2 * (40 + 3 + 40 + 40 + 3));
         let before = out[60..].to_vec();
         assert_eq!(matcher.rebuilds(), 1);
+        // The cold round places all 64 units, each by a path of its own.
+        let cold = matcher.search_stats().total;
+        assert_eq!(cold.augmented, 64);
         checked_round(&mut matcher, &caps, &small, &mut out, "departed");
         assert_eq!(matcher.arena_edge_count(), 2 * (40 + 1 + 3));
         // A pure departure keeps the matching of what stays: nothing to
         // search for, now or in the round after.
         assert_eq!(out, before);
-        assert_eq!(matcher.search_stats().total.searches, 0);
+        assert_eq!(matcher.search_stats().total, cold);
         checked_round(&mut matcher, &caps, &small, &mut out, "after");
         assert_eq!(out, before);
+        assert_eq!(matcher.search_stats().total, cold);
         assert_eq!(matcher.rebuilds(), 1);
     }
 
@@ -1956,6 +1927,7 @@ mod tests {
         let mut out = Vec::new();
         checked_round(&mut matcher, &caps, &live, &mut out, "setup");
         assert!(out[..cap as usize].iter().all(|a| *a == Some(b(0))));
+        let cold = matcher.search_stats().total;
 
         // Box 1 opens one slot and a request arrives that only box 0 can
         // serve: newcomer → box 0 → one of its four requests → box 1.
@@ -1974,7 +1946,7 @@ mod tests {
             "scanned {} entries",
             round.edges_scanned
         );
-        assert_eq!(matcher.search_stats().total, round);
+        assert_eq!(matcher.search_stats().total, after(cold, round));
         assert_eq!(matcher.rebuilds(), 1);
     }
 
@@ -2020,6 +1992,8 @@ mod tests {
         let mut matcher = IncrementalMatcher::default();
         let mut out = Vec::new();
         checked_round(&mut matcher, &caps, &live, &mut out, "setup");
+        let cold = matcher.search_stats().total;
+        assert_eq!((cold.passes, cold.searches, cold.lookahead_hits), (1, 1, 1));
         // Six members arrive under one row: one root, six searches, and the
         // pass's marks do not stand in the root's way after its first unit.
         live.extend((0..6).map(|i| (key(i, 0, 0), vec![b(0), b(1), b(2)])));
@@ -2028,7 +2002,7 @@ mod tests {
         let round = matcher.search_stats().round;
         assert_eq!((round.searches, round.augmented), (6, 6));
         assert_eq!((round.passes, round.lookahead_hits), (1, 6));
-        assert_eq!(matcher.search_stats().total, round);
+        assert_eq!(matcher.search_stats().total, after(cold, round));
     }
 
     #[test]
@@ -2038,6 +2012,8 @@ mod tests {
         let mut matcher = IncrementalMatcher::default();
         let mut out = Vec::new();
         checked_round(&mut matcher, &caps, &live, &mut out, "setup");
+        let cold = matcher.search_stats().total;
+        assert_eq!(cold.passes, 1);
         // Three members, two slots: two units placed directly, then a
         // failure, which nothing the pass did can have caused.
         live.extend((0..3).map(|i| (key(i, 0, 0), vec![b(0)])));
@@ -2054,23 +2030,31 @@ mod tests {
         assert_eq!(out.iter().flatten().count(), 4);
         let round = matcher.search_stats().round;
         assert_eq!((round.passes, round.searches, round.augmented), (1, 1, 1));
-        assert_eq!(matcher.search_stats().total.passes, 2);
+        assert_eq!(matcher.search_stats().total.passes, cold.passes + 2);
     }
 
     /// Box 0 (two slots) is full of a two-member class that can also use box
     /// 2; two newcomers can only use box 0.
+    /// Returns the matcher, the search counters of the cold setup round and
+    /// of the newcomers' round, and the newcomers' round's assignment.
     fn newcomers_behind_a_full_box(
         box_2_slots: u32,
-    ) -> (IncrementalMatcher, SearchCounters, Vec<Option<BoxId>>) {
+    ) -> (
+        IncrementalMatcher,
+        SearchCounters,
+        SearchCounters,
+        Vec<Option<BoxId>>,
+    ) {
         let mut live: Vec<(RequestKey, Vec<BoxId>)> =
             (0..2).map(|i| (key(i, 0, 0), vec![b(0), b(2)])).collect();
         let mut matcher = IncrementalMatcher::default();
         let mut out = Vec::new();
         checked_round(&mut matcher, &[2, 0, 0], &live, &mut out, "setup");
+        let cold = matcher.search_stats().round;
         live.extend((0..2).map(|i| (key(10 + i, 1, 0), vec![b(0)])));
         checked_round(&mut matcher, &[2, 0, box_2_slots], &live, &mut out, "in");
         let round = matcher.search_stats().round;
-        (matcher, round, out)
+        (matcher, cold, round, out)
     }
 
     #[test]
@@ -2078,7 +2062,7 @@ mod tests {
         // The first search moves one of box 0's units over to box 2; the
         // second finds box 0 marked for the rest of the pass and is retried,
         // successfully, by pass two, after which nothing is short.
-        let (_, round, out) = newcomers_behind_a_full_box(2);
+        let (_, _, round, out) = newcomers_behind_a_full_box(2);
         assert_eq!(out.iter().flatten().count(), 4);
         assert_eq!(round.passes, 2);
         assert_eq!((round.searches, round.augmented), (3, 2));
@@ -2090,11 +2074,13 @@ mod tests {
         // Box 2 has room for one unit only. Pass one moves it there and
         // fails the second newcomer on box 0's mark, which proves nothing;
         // pass two fails it under fresh marks, and that is the proof.
-        let (matcher, round, out) = newcomers_behind_a_full_box(1);
+        let (matcher, cold, round, out) = newcomers_behind_a_full_box(1);
         assert_eq!(out.iter().flatten().count(), 3);
         assert_eq!(round.passes, 2);
         assert_eq!((round.searches, round.augmented), (3, 1));
-        assert_eq!(matcher.search_stats().total, round);
+        // The cold round placed its class's two units on box 0 directly.
+        assert_eq!((cold.searches, cold.lookahead_hits), (2, 2));
+        assert_eq!(matcher.search_stats().total, after(cold, round));
     }
 
     #[test]
@@ -2291,6 +2277,7 @@ mod tests {
         assert_eq!(search_row(&matcher, live[0].0), [2, 3, 5, 7]);
         assert_eq!(out.iter().flatten().count(), 3);
         let served = out.clone();
+        let cold = matcher.search_stats().total;
 
         // The one box that serves none of the three leaves the row, and the
         // producer lists the rest backwards: the entries that stay keep their
@@ -2307,7 +2294,8 @@ mod tests {
         kept.reverse();
         assert_eq!(search_row(&matcher, live[0].0), kept);
         assert_eq!(out, served);
-        assert_eq!(matcher.search_stats().total, SearchCounters::default());
+        assert_eq!(matcher.search_stats().round, SearchCounters::default());
+        assert_eq!(matcher.search_stats().total, cold);
 
         // Boxes join the row: behind what was there, in ascending id, not
         // where the producer put them. A class arriving on a warm round is
@@ -2362,10 +2350,11 @@ mod tests {
             let what = matcher.solver_name();
             assert!(live.len() > 50, "{what}: the script ended idle");
             let mut out = Vec::new();
-            // Twice over — by a fleet-size change, then by a one-shot solve —
-            // the tables start over: the solver routes the whole instance,
-            // the mirror reads it back, and an unchanged warm round after it
-            // finds nothing to do.
+            // Twice over — by a fleet-size change, then by a one-shot solve
+            // (the one call that reaches the solver) — the tables start
+            // over: the search routes the whole instance from the empty
+            // matching, and an unchanged warm round after it finds nothing
+            // to do.
             for builds in [2, 3] {
                 if builds == 2 {
                     caps.push(3);

@@ -5,11 +5,11 @@
 //! patch the matcher's own tables — candidate rows per row class, loads per
 //! box, the matching as linked records — and restore maximality from last
 //! round's matching, so a steady-state round performs no heap allocation in
-//! the matching layer, builds no flow network and never calls the solver.
-//! The solver sees the cold rounds (the first, and the one after a
-//! fleet-size change or a one-shot solve), whose Lemma-1 network is built
-//! in a pooled arena; the plain [`Scheduler::schedule`] entry point solves
-//! one-shot instances cold in the same arena storage.
+//! the matching layer. No keyed round builds a flow network or calls the
+//! solver: a cold round (the first, and the one after a fleet-size change
+//! or a one-shot solve) is searched from the empty matching like any other.
+//! The solver serves the plain [`Scheduler::schedule`] entry point only,
+//! which solves one-shot instances cold in a pooled arena.
 
 use super::{IncrementalMatcher, RequestKey, Scheduler};
 use vod_core::BoxId;
@@ -22,12 +22,13 @@ pub struct MaxFlowScheduler {
 }
 
 impl MaxFlowScheduler {
-    /// Scheduler backed by Dinic's algorithm.
+    /// Scheduler whose one-shot solves use Dinic's algorithm.
     pub fn new() -> Self {
         MaxFlowScheduler::default()
     }
 
-    /// Scheduler backed by an explicit flow solver.
+    /// Scheduler whose one-shot solves ([`Scheduler::schedule`]) go to an
+    /// explicit flow solver.
     pub fn with_solver(solver: Box<dyn MaxFlowSolve>) -> Self {
         MaxFlowScheduler {
             matcher: IncrementalMatcher::new(solver),

@@ -63,9 +63,9 @@ pub mod prelude {
         RoundRobinAllocator, StorageSlots, StripeId, SystemParams, Video, VideoId, VideoSystem,
     };
     pub use vod_flow::{
-        find_obstruction, find_obstruction_in, verify_lemma1, CandidateBuf, CandidateView,
-        ConnectionMatching, ConnectionProblem, Dinic, FlowArena, HopcroftKarpSolve, MaxFlowSolve,
-        Obstruction, PushRelabel, NO_STAMP,
+        find_obstruction, verify_lemma1, CandidateBuf, CandidateView, ConnectionMatching,
+        ConnectionProblem, Dinic, FlowArena, HopcroftKarpSolve, MaxFlowSolve, Obstruction,
+        PushRelabel, NO_STAMP,
     };
     pub use vod_sim::{
         Admission, CandidateIndex, CandidateStats, DegradationConfig, DegradationController,

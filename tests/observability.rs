@@ -18,10 +18,16 @@ mod support;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::Cell;
+use std::rc::Rc;
 use support::{thread_allocations, CountingAllocator};
 use vod_core::json::{Json, JsonCodec};
 use vod_core::{BoxId, RandomPermutationAllocator, SystemParams, VideoId, VideoSystem};
-use vod_sim::{SimConfig, SimulationReport, Simulator, Stage, StageTimings, TraceHandle};
+use vod_flow::CandidateView;
+use vod_sim::{
+    MaxFlowScheduler, RequestKey, Scheduler, SearchStats, SimConfig, SimulationReport, Simulator,
+    Stage, StageTimings, TraceHandle,
+};
 use vod_workloads::{DemandGenerator, OccupancyView, VideoDemand};
 
 #[global_allocator]
@@ -205,23 +211,76 @@ fn legacy_reports_without_profile_or_timing_still_parse() {
     assert_eq!(parsed, traced);
 }
 
+/// The default [`MaxFlowScheduler`], leaving its matcher's search counters
+/// in a shared cell after every keyed round (the simulator owns the
+/// scheduler).
+struct PublishingScheduler {
+    inner: MaxFlowScheduler,
+    search: Rc<Cell<SearchStats>>,
+}
+
+impl Scheduler for PublishingScheduler {
+    fn schedule(&mut self, capacities: &[u32], candidates: &[Vec<BoxId>]) -> Vec<Option<BoxId>> {
+        self.inner.schedule(capacities, candidates)
+    }
+
+    fn schedule_keyed_view(
+        &mut self,
+        capacities: &[u32],
+        keys: &[RequestKey],
+        candidates: CandidateView<'_>,
+        out: &mut Vec<Option<BoxId>>,
+    ) {
+        self.inner
+            .schedule_keyed_view(capacities, keys, candidates, out);
+        self.search.set(self.inner.matcher().search_stats());
+    }
+
+    fn attach_tracer(&mut self, tracer: &TraceHandle) {
+        self.inner.attach_tracer(tracer);
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
 #[test]
 fn clones_share_one_tracer_across_engine_layers() {
     // The engine hands clones of one handle to the scheduler, which hands
-    // one to its solver; the solver's spans (the cold round's shape
-    // analysis) must fold into the same profile as the engine's.
+    // one to its solver. No engine round reaches the solver — the matcher
+    // routes every keyed round by its own search, the cold first one from
+    // the empty matching — so the run's scheduling shows as the engine's
+    // `schedule` spans and the matcher's search counters, and a solver span
+    // (a one-shot solve's shape analysis) folds into the same profile
+    // through another clone.
     let system = steady_system();
     let mut gen = OneShotCohort {
         n: 16,
         m: system.m(),
     };
-    let mut sim = Simulator::new(&system, SimConfig::new(20));
+    let search = Rc::new(Cell::new(SearchStats::default()));
+    let scheduler = PublishingScheduler {
+        inner: MaxFlowScheduler::new(),
+        search: search.clone(),
+    };
+    let mut sim = Simulator::with_scheduler(&system, SimConfig::new(20), Box::new(scheduler));
     let tracer = TraceHandle::recording(4096);
     sim.attach_tracer(tracer.clone());
     for _ in 0..20u64 {
         sim.step(&mut gen);
     }
     let profile = tracer.run_profile().expect("recording handle");
+    assert_eq!(profile.stage(Stage::Schedule).count, 20);
+    assert_eq!(profile.stage(Stage::SolverAnalyze).count, 0);
+    // The matcher's search placed the cohort's stripe units.
+    let total = search.get().total;
+    assert!(total.augmented > 0 && total.passes > 0, "{total:?}");
+
+    let mut one_shot = MaxFlowScheduler::new();
+    one_shot.attach_tracer(&tracer);
+    let served = one_shot.schedule(&[1, 1], &[vec![BoxId(0)], vec![BoxId(0), BoxId(1)]]);
+    assert_eq!(served.iter().flatten().count(), 2);
+    let profile = tracer.run_profile().expect("recording handle");
     assert!(profile.stage(Stage::SolverAnalyze).count > 0);
-    assert!(profile.stage(Stage::Schedule).count > 0);
 }

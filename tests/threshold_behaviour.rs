@@ -35,9 +35,20 @@ fn below_threshold_large_catalog_is_defeated() {
             !report.all_rounds_feasible(),
             "u = {u} should be defeated by the never-owned adversary"
         );
-        // The obstruction witness is a genuine Hall violator.
-        let f = &report.failures[0];
-        assert!(f.obstruction_capacity.unwrap() < f.obstruction_size.unwrap() as u64);
+        // The obstruction witness is a genuine Hall violator, and by
+        // König–Egerváry duality its deficiency is exactly the number of
+        // requests the (maximum) matching left unserved.
+        for f in &report.failures {
+            let size = f.obstruction_size.unwrap() as u64;
+            let capacity = f.obstruction_capacity.unwrap();
+            assert!(capacity < size, "u = {u}, round {}", f.round);
+            assert_eq!(
+                size - capacity,
+                f.unserved as u64,
+                "u = {u}, round {}",
+                f.round
+            );
+        }
     }
 }
 
