@@ -40,8 +40,8 @@ use vod_core::{
     VideoSystem,
 };
 use vod_sim::{
-    DegradationConfig, FailurePolicy, MaxFlowScheduler, NaiveScheduler, RepairPlanner,
-    RoundMetrics, Scheduler, SimConfig, SimulationReport, Simulator,
+    DegradationConfig, MaxFlowScheduler, NaiveScheduler, RepairPlanner, RoundMetrics, Scheduler,
+    SimConfig, SimulationReport, Simulator,
 };
 use vod_workloads::{
     ChurnEvent, DemandGenerator, DemandTrace, FaultEvent, OccupancyView, TraceReplay, VideoDemand,
@@ -285,12 +285,14 @@ impl JsonCodec for ScriptedFault {
         ])
     }
     fn from_json(json: &Json) -> Result<Self, JsonError> {
+        let pct = u32::from_json(json.field("pct")?)?;
+        if pct > 100 {
+            return Err(JsonError::new(format!("fault pct {pct} is above 100")));
+        }
         Ok(ScriptedFault {
             round: u64::from_json(json.field("round")?)?,
             box_id: u32::from_json(json.field("box")?)?,
-            pct: u32::from_json(json.field("pct")?)?
-                .try_into()
-                .map_err(|_| JsonError::new("fault pct must fit in a byte"))?,
+            pct: pct as u8,
             duration: u64::from_json(json.field("duration")?)?,
         })
     }
@@ -337,8 +339,11 @@ impl JsonCodec for SeedFile {
             ("note", self.note.to_json()),
         ])
     }
+    /// Also rejects scripts a replay could not apply: a churn or fault
+    /// event on a box outside the universe, or a churn script at odds with
+    /// the membership it produces (see `churn_script_valid`).
     fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(SeedFile {
+        let seed = SeedFile {
             system: SeedSystem::from_json(json.field("system")?)?,
             horizon: u64::from_json(json.field("horizon")?)?,
             demands: DemandTrace::from_json(json.field("demands")?)?,
@@ -347,7 +352,21 @@ impl JsonCodec for SeedFile {
             repair_budget: Option::from_json(json.field("repair_budget")?)?,
             degradation: Option::from_json(json.field("degradation")?)?,
             note: String::from_json(json.field("note")?)?,
-        })
+        };
+        let n = seed.system.n;
+        let boxes = seed.churn.iter().map(|e| ("churn", e.box_id));
+        let mut boxes = boxes.chain(seed.faults.iter().map(|f| ("fault", f.box_id)));
+        if let Some((kind, b)) = boxes.find(|&(_, b)| b as usize >= n) {
+            return Err(JsonError::new(format!(
+                "{kind} script names box {b} outside the universe of {n} boxes"
+            )));
+        }
+        if !churn_script_valid(&seed.churn, n) {
+            return Err(JsonError::new(
+                "churn script makes a departed box leave or a live box rejoin",
+            ));
+        }
+        Ok(seed)
     }
 }
 
@@ -730,11 +749,7 @@ fn pool_stalls(report: &mut SimulationReport) -> u64 {
 /// Runs the bounded exhaustive exploration described by `spec`.
 pub fn explore(spec: &ExploreSpec) -> ExploreOutcome {
     let system = spec.seed.build();
-    let config = SimConfig {
-        max_rounds: spec.horizon,
-        failure_policy: FailurePolicy::Abort,
-        collect_obstructions: false,
-    };
+    let config = SimConfig::new(spec.horizon);
     let variants: Vec<EngineVariant> = if spec.differential {
         EngineVariant::GATE.to_vec()
     } else {
@@ -906,16 +921,20 @@ fn step_edge(
     };
 
     if ctx.spec.differential {
-        let reference = normalize_round(
-            children[0]
-                .report_so_far()
-                .rounds
-                .last()
-                .expect("just stepped"),
-        );
+        // The landed round, and the Lemma-1 cut of its failure record when
+        // it failed (an expanded path has no earlier failure).
+        let outcome = |sim: &Simulator| {
+            let report = sim.report_so_far();
+            let round = normalize_round(report.rounds.last().expect("just stepped"));
+            let cut = report.failures.last().map(|f| {
+                debug_assert_eq!(f.round + 1, sim.round(), "an expanded path failed earlier");
+                (f.obstruction_size, f.obstruction_capacity)
+            });
+            (round, cut)
+        };
+        let reference = outcome(&children[0]);
         for (i, child) in children.iter().enumerate().skip(1) {
-            let other = normalize_round(child.report_so_far().rounds.last().expect("just stepped"));
-            if other != reference || feasible[i] != feasible[0] {
+            if outcome(child) != reference || feasible[i] != feasible[0] {
                 ctx.out.divergences.push(SeedFile {
                     system: ctx.spec.seed.clone(),
                     horizon: ctx.spec.horizon,
@@ -990,9 +1009,7 @@ pub fn replay_fails_scripted(
     horizon: u64,
 ) -> bool {
     let system = seed.build();
-    let config = SimConfig::new(horizon)
-        .continue_on_failure()
-        .without_obstructions();
+    let config = SimConfig::new(horizon).continue_on_failure();
     let mut generator = TraceReplay::new(trace.clone());
     let mut sim = EngineVariant::Incremental.simulator(&system, config);
     if let Some(budget) = repair_budget {
@@ -1138,9 +1155,7 @@ pub fn shrink_scripted(
 /// its round is stepped.
 pub fn replay_seed(seed: &SeedFile) -> Result<SimulationReport, String> {
     let system = seed.system.build();
-    let config = SimConfig::new(seed.horizon)
-        .continue_on_failure()
-        .without_obstructions();
+    let config = SimConfig::new(seed.horizon).continue_on_failure();
     let run = |variant: EngineVariant| {
         let mut generator = TraceReplay::new(seed.demands.clone());
         let mut sim = variant.simulator(&system, config);
@@ -1299,6 +1314,83 @@ mod tests {
         };
         let back = SeedFile::from_json_str(&file.to_json_string()).unwrap();
         assert_eq!(file, back);
+    }
+
+    /// A scripted seed on the 4-box tiny system, for the malformed-file
+    /// tests to break one way each.
+    fn scripted_seed() -> SeedFile {
+        SeedFile {
+            system: tiny_seed(),
+            horizon: 4,
+            demands: DemandTrace::from_demands([VideoDemand::new(BoxId(0), VideoId(0), 0)]),
+            churn: vec![ScriptedChurn {
+                round: 1,
+                box_id: 2,
+                rejoin: false,
+            }],
+            faults: vec![ScriptedFault {
+                round: 2,
+                box_id: 1,
+                pct: 50,
+                duration: 2,
+            }],
+            repair_budget: None,
+            degradation: None,
+            note: "malformed".to_string(),
+        }
+    }
+
+    /// Loading `seed` fails with an error naming `expected`.
+    fn assert_rejected(seed: &SeedFile, expected: &str) {
+        let err = SeedFile::from_json_str(&seed.to_json_string()).unwrap_err();
+        assert!(err.to_string().contains(expected), "{err}");
+    }
+
+    #[test]
+    fn a_fault_on_a_box_outside_the_universe_is_a_load_error() {
+        let mut seed = scripted_seed();
+        assert!(SeedFile::from_json_str(&seed.to_json_string()).is_ok());
+        seed.faults[0].box_id = 9;
+        assert_rejected(
+            &seed,
+            "fault script names box 9 outside the universe of 4 boxes",
+        );
+    }
+
+    #[test]
+    fn churn_on_a_box_outside_the_universe_is_a_load_error() {
+        let mut seed = scripted_seed();
+        seed.churn[0].box_id = 4;
+        assert_rejected(
+            &seed,
+            "churn script names box 4 outside the universe of 4 boxes",
+        );
+    }
+
+    #[test]
+    fn a_fault_pct_above_100_is_a_load_error() {
+        let mut seed = scripted_seed();
+        seed.faults[0].pct = 150;
+        assert_rejected(&seed, "fault pct 150 is above 100");
+    }
+
+    #[test]
+    fn an_inconsistent_churn_script_is_a_load_error() {
+        let mut seed = scripted_seed();
+        // Box 2 leaves twice without rejoining in between.
+        seed.churn.push(ScriptedChurn {
+            round: 3,
+            box_id: 2,
+            rejoin: false,
+        });
+        assert_rejected(&seed, "churn script makes a departed box leave");
+        // A live box cannot rejoin.
+        seed.churn = vec![ScriptedChurn {
+            round: 1,
+            box_id: 0,
+            rejoin: true,
+        }];
+        assert_rejected(&seed, "a live box rejoin");
     }
 
     #[test]

@@ -28,9 +28,7 @@ fn run(spec: &TrialSpec, scheduler: Box<dyn Scheduler>) -> f64 {
         SequentialViewing::new(spec.n, system.m(), NextVideoPolicy::RoundRobin, spec.mu, 3);
     let report = Simulator::with_scheduler(
         &system,
-        SimConfig::new(spec.rounds)
-            .continue_on_failure()
-            .without_obstructions(),
+        SimConfig::new(spec.rounds).continue_on_failure(),
         scheduler,
     )
     .run(&mut gen);

@@ -76,12 +76,7 @@ struct ChurnRun {
 /// Runs `sys` for `rounds` with optional churn and repair on the default
 /// (incremental + global max-flow) pipeline.
 fn run(sys: &VideoSystem, rounds: u64, churn: bool, repair: Option<u32>) -> ChurnRun {
-    let mut sim = Simulator::new(
-        sys,
-        SimConfig::new(rounds)
-            .continue_on_failure()
-            .without_obstructions(),
-    );
+    let mut sim = Simulator::new(sys, SimConfig::new(rounds).continue_on_failure());
     if churn {
         sim.attach_churn(churn_model(sys));
     }
@@ -118,9 +113,7 @@ fn pipeline_trace<'a>(
     budget: u32,
     make: impl FnOnce(SimConfig) -> Simulator<'a>,
 ) -> RoundTrace {
-    let config = SimConfig::new(rounds)
-        .continue_on_failure()
-        .without_obstructions();
+    let config = SimConfig::new(rounds).continue_on_failure();
     let mut sim = make(config);
     sim.attach_churn(churn_model(sys));
     sim.attach_repair(RepairPlanner::for_system(sys, budget));
@@ -177,12 +170,7 @@ fn run_relayed(
     rounds: u64,
     dynamic: Option<u64>,
 ) -> (SimulationReport, u32, f64) {
-    let mut sim = Simulator::new(
-        sys,
-        SimConfig::new(rounds)
-            .continue_on_failure()
-            .without_obstructions(),
-    );
+    let mut sim = Simulator::new(sys, SimConfig::new(rounds).continue_on_failure());
     if let Some(window) = dynamic {
         sim.enable_dynamic_reservations(window);
     }

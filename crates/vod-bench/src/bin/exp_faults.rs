@@ -83,12 +83,7 @@ fn run(
     degradation: Option<DegradationConfig>,
     outage: Option<(u64, u64)>,
 ) -> FaultRun {
-    let mut sim = Simulator::new(
-        sys,
-        SimConfig::new(rounds)
-            .continue_on_failure()
-            .without_obstructions(),
-    );
+    let mut sim = Simulator::new(sys, SimConfig::new(rounds).continue_on_failure());
     if drop_ppm > 0 {
         sim.attach_faults(FaultModel::new(sys.boxes(), 0xFA17).with_drop_rate(drop_ppm, 0));
     }
@@ -149,9 +144,7 @@ fn pipeline_trace<'a>(
     rounds: u64,
     make: impl FnOnce(SimConfig) -> Simulator<'a>,
 ) -> RoundTrace {
-    let config = SimConfig::new(rounds)
-        .continue_on_failure()
-        .without_obstructions();
+    let config = SimConfig::new(rounds).continue_on_failure();
     let mut sim = make(config);
     sim.attach_faults(gate_model(sys));
     sim.attach_degradation(DegradationConfig::default());
@@ -187,12 +180,7 @@ fn main() {
 
     // ---- Part 1: fault-free identity (the zero-cost gate) ----
     let plain = {
-        let mut sim = Simulator::new(
-            &sys,
-            SimConfig::new(rounds)
-                .continue_on_failure()
-                .without_obstructions(),
-        );
+        let mut sim = Simulator::new(&sys, SimConfig::new(rounds).continue_on_failure());
         let mut gen =
             SequentialViewing::new(sys.n(), sys.m(), NextVideoPolicy::RoundRobin, 1.3, 41);
         let start = Instant::now();
@@ -205,12 +193,7 @@ fn main() {
         (sim.into_report(), signatures, ms)
     };
     let idle = {
-        let mut sim = Simulator::new(
-            &sys,
-            SimConfig::new(rounds)
-                .continue_on_failure()
-                .without_obstructions(),
-        );
+        let mut sim = Simulator::new(&sys, SimConfig::new(rounds).continue_on_failure());
         // A zero-rate model: tracker attached, every hazard off.
         sim.attach_faults(FaultModel::new(sys.boxes(), 0xFA17));
         let mut gen =

@@ -101,9 +101,7 @@ fn replay(
         .with_priority_boxes(poor.to_vec());
     let sim = Simulator::with_scheduler(
         system,
-        SimConfig::new(rounds)
-            .continue_on_failure()
-            .without_obstructions(),
+        SimConfig::new(rounds).continue_on_failure(),
         scheduler,
     );
     let start = Instant::now();

@@ -155,9 +155,7 @@ fn relay_fleet(scale: Scale) -> VideoSystem {
 }
 
 fn sim_config(rounds: u64) -> SimConfig {
-    SimConfig::new(rounds)
-        .continue_on_failure()
-        .without_obstructions()
+    SimConfig::new(rounds).continue_on_failure()
 }
 
 /// Where a [`CountingScheduler`] leaves its matcher's cumulative search

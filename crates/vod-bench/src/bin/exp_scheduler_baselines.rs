@@ -23,9 +23,7 @@ fn run_with(spec: &TrialSpec, scheduler: Box<dyn Scheduler>, seed: u64) -> (bool
     );
     let report = Simulator::with_scheduler(
         &system,
-        SimConfig::new(spec.rounds)
-            .continue_on_failure()
-            .without_obstructions(),
+        SimConfig::new(spec.rounds).continue_on_failure(),
         scheduler,
     )
     .run(&mut gen);

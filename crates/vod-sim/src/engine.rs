@@ -30,8 +30,18 @@
 //!    assignment by one alternating search ([`HallCut`]; no flow network,
 //!    no second solve) and the run either aborts or keeps counting stalls,
 //!    per the failure policy.
+//!
+//! A [`Simulator`] is three parts. The *round state* is the model and the
+//! report: [`Simulator::fork_with`] copies exactly it and
+//! [`Simulator::state_signature`] reads only it. The *round scratch* —
+//! pooled buffers, generation marks, the Lemma-1 cut reader, the class-row
+//! memo — is nothing a round's outcome depends on, so a fork starts with
+//! fresh scratch. The *handles* are the system, the configuration, the
+//! scheduler and the tracer. Stages borrow state and scratch separately,
+//! and hand later stages values, not fields.
 
 use crate::candidates::{CandidateIndex, CandidateStats};
+use crate::class_rows::ClassRows;
 use crate::delivery::{
     Admission, DegradationConfig, DegradationController, DeliveryOutcome, DeliveryPolicy,
     DeliverySummary, DeliveryTracker,
@@ -45,11 +55,9 @@ use crate::request::{
 };
 use crate::scheduler::{MaxFlowScheduler, RelayBroker, RelayEvent, RequestKey, Scheduler};
 use crate::swarm::SwarmTracker;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
-use vod_core::{BoxId, FxHasher64, Placement, SortedSignature, StripeId, VideoId, VideoSystem};
+use vod_core::{BoxId, Placement, SortedSignature, StripeId, VideoId, VideoSystem};
 use vod_flow::bitset::{for_each_bit_of_word, for_each_set_bit};
-use vod_flow::{BitSet, CandidateBuf};
+use vod_flow::BitSet;
 use vod_obs::{Stage, TraceHandle};
 use vod_workloads::{
     ChurnEvent, ChurnModel, DemandGenerator, FaultEvent, FaultModel, OccupancyView, VideoDemand,
@@ -74,10 +82,6 @@ pub struct SimConfig {
     pub max_rounds: u64,
     /// Behaviour on an infeasible round.
     pub failure_policy: FailurePolicy,
-    /// Whether to extract the obstruction witness on failures (one
-    /// alternating search over the failing round's assignment, see
-    /// [`HallCut`]; no flow network is built).
-    pub collect_obstructions: bool,
 }
 
 impl SimConfig {
@@ -86,19 +90,12 @@ impl SimConfig {
         SimConfig {
             max_rounds,
             failure_policy: FailurePolicy::Abort,
-            collect_obstructions: true,
         }
     }
 
     /// Switches to the stall-and-continue failure policy.
     pub fn continue_on_failure(mut self) -> Self {
         self.failure_policy = FailurePolicy::Continue;
-        self
-    }
-
-    /// Disables obstruction extraction.
-    pub fn without_obstructions(mut self) -> Self {
-        self.collect_obstructions = false;
         self
     }
 }
@@ -140,26 +137,6 @@ fn playback_record(viewer: BoxId, st: &PlaybackState, stalled_rounds: u64) -> Pl
     }
 }
 
-/// One memoized class row (see `Simulator::row_cache`): the box list every
-/// request for a given (stripe, issue round) resolves to. The row is
-/// replayable while the stripe's shrink stamp is the one it was built
-/// under — the index redraws that stamp on every change that can alter an
-/// existing row, so an equal stamp guarantees a bit-identical rebuild.
-#[derive(Default)]
-struct ClassRow {
-    /// [`CandidateIndex::shrink_stamp`] of the stripe at build time.
-    shrink_stamp: u64,
-    /// Which build of a class row this is, counted over the whole run
-    /// (0 = not built yet): handed down as the row's change stamp, so equal
-    /// stamps mean the same build and therefore the same row.
-    build: u64,
-    /// `round + 1` of the last round that replayed the row, and the id it
-    /// was stored under in that round's candidate buffer.
-    used: u64,
-    stored: u32,
-    boxes: Vec<BoxId>,
-}
-
 /// One open fault window: `box_id` keeps `pct` % of its at-rest budget
 /// until round `until` (0 = until restored).
 #[derive(Clone, Copy, Debug)]
@@ -169,19 +146,19 @@ struct FaultWindow {
     until: u64,
 }
 
-/// The round-based protocol simulator.
-pub struct Simulator<'a> {
-    system: &'a VideoSystem,
-    config: SimConfig,
-    scheduler: Box<dyn Scheduler>,
+/// The behavioural state of a run: everything the future of the
+/// simulation depends on, plus the report it has produced. A fork is a
+/// clone of it.
+#[derive(Clone)]
+struct RoundState {
     round: u64,
     playing: Vec<Option<PlaybackState>>,
     /// The active-viewer index: bit `b` is set iff `playing[b]` is `Some`.
     /// Every per-round walk over the viewers (playback end, request
     /// collection, the viewer count, the free list handed to generators)
     /// visits set bits in ascending box order instead of all `n` slots.
-    /// Written only where `playing` is: [`Simulator::start_playback`] and
-    /// [`Simulator::end_playback`].
+    /// Written only where `playing` is: [`RoundState::start_playback`] and
+    /// [`RoundState::end_playback`].
     viewers: BitSet,
     /// Which boxes hold which stripe in their playback cache, and since
     /// when (the expiry-wheel index).
@@ -197,40 +174,6 @@ pub struct Simulator<'a> {
     placement: Placement,
     /// Liveness per box: cleared by a leave/crash until rejoin.
     alive: BitSet,
-    /// Engine-driven churn process, when attached: drained every round
-    /// inside [`Simulator::step`] so membership changes interleave with
-    /// admissions.
-    churn: Option<ChurnModel>,
-    /// Pooled buffer for the round's churn events.
-    churn_buf: Vec<ChurnEvent>,
-    /// Engine-driven fault process, when attached: drained every round
-    /// right after churn, so transient capacity loss is held on the same
-    /// ledger the repair planner and the scheduler read.
-    faults: Option<FaultModel>,
-    /// Pooled buffer for the round's fault events.
-    fault_buf: Vec<FaultEvent>,
-    /// The open fault windows, at most one per box, in no particular
-    /// order. Empty is the faults-off path: the drain then costs nothing.
-    fault_windows: Vec<FaultWindow>,
-    /// Total slots the round's fault holds removed (failure
-    /// attribution: see [`FailureRecord::fault_slots_lost`]).
-    fault_slots_lost: u64,
-    /// Delivery-reliability state machine, when attached: resolves every
-    /// scheduled connection into an outcome and runs the retry queue.
-    delivery: Option<DeliveryTracker>,
-    /// Graceful-degradation controller, when attached: sheds load under
-    /// sustained infeasibility, with hysteresis.
-    degrade: Option<DegradationController>,
-    /// Per-round viewer dedup marks for rebuffer accounting (viewers with
-    /// at least one failed delivery this round).
-    rebuffer_mark: Vec<u64>,
-    /// Stripe repair planner, when attached: plans budgeted re-replication
-    /// before each round is scheduled and commits after.
-    repair: Option<RepairPlanner>,
-    /// The repair stats of the round being scheduled (threaded into its
-    /// `RoundMetrics::repair`).
-    round_repair: Option<RepairRoundStats>,
-    report: SimulationReport,
     /// Per-box upload-slot budgets and their only writer: at rest they are
     /// the system's `⌊u_b·c⌋` net of relay reservations, set by churn and
     /// by broker resyncs; within a round they carry the fault-window and
@@ -239,87 +182,80 @@ pub struct Simulator<'a> {
     /// The relay subsystem, when the system carries a compensation plan:
     /// owns the live reservation table and per-relay utilization counters.
     relay_broker: Option<RelayBroker>,
-    /// Reused per-round buffers: active requests, request keys, the flat
-    /// CSR candidate buffer with its per-row change stamps, assignment,
-    /// per-relay forwarding loads, and the demand batch pulled from the
-    /// generator.
-    request_buf: Vec<StripeRequest>,
-    sched_keys: Vec<RequestKey>,
-    cand_buf: CandidateBuf,
-    cand_stamps: Vec<u64>,
+    /// Engine-driven churn process, when attached: drained every round
+    /// inside [`Simulator::step`] so membership changes interleave with
+    /// admissions.
+    churn: Option<ChurnModel>,
+    /// Stripe repair planner, when attached: plans budgeted re-replication
+    /// before each round is scheduled and commits after.
+    repair: Option<RepairPlanner>,
+    /// Engine-driven fault process, when attached: drained every round
+    /// right after churn, so transient capacity loss is held on the same
+    /// ledger the repair planner and the scheduler read.
+    faults: Option<FaultModel>,
+    /// The open fault windows, at most one per box, in no particular
+    /// order. Empty is the faults-off path: the drain then costs nothing.
+    fault_windows: Vec<FaultWindow>,
+    /// Delivery-reliability state machine, when attached: resolves every
+    /// scheduled connection into an outcome and runs the retry queue.
+    delivery: Option<DeliveryTracker>,
+    /// Graceful-degradation controller, when attached: sheds load under
+    /// sustained infeasibility, with hysteresis.
+    degrade: Option<DegradationController>,
+    report: SimulationReport,
+}
+
+/// Pooled per-round buffers and memos: no round's outcome depends on them.
+struct RoundScratch {
+    churn_events: Vec<ChurnEvent>,
+    fault_events: Vec<FaultEvent>,
+    demands: Vec<VideoDemand>,
+    /// The round's active requests, their keys, the candidate rows built
+    /// for them, the scheduler's assignment, and per-relay forwarding
+    /// loads.
+    requests: Vec<StripeRequest>,
+    keys: Vec<RequestKey>,
+    rows: ClassRows,
     assignment: Vec<Option<BoxId>>,
     relay_loads: Vec<u32>,
-    demand_buf: Vec<VideoDemand>,
-    /// Per-box generation marks for O(1) candidate dedup (holders vs cache
-    /// holders) — one epoch per request row.
-    box_seen: Vec<u64>,
-    seen_epoch: u64,
-    /// Per-(stripe, issue round) class-row cache: a row is a pure function
-    /// of the stripe's static holders, the index entries that started
-    /// before the issue round, and nothing else — the requester is in
-    /// neither (it does not store the stripe, or the request would be
-    /// self-served, and its own index entry starts at the issue round) — so
-    /// every viewer that issued the stripe in the same round shares one
-    /// row, built once and replayed for each of them until the stripe's
-    /// shrink stamp moves.
-    row_cache: HashMap<(StripeId, u64), ClassRow, BuildHasherDefault<FxHasher64>>,
-    /// Class rows built so far (the source of `ClassRow::build`).
-    row_builds: u64,
-    /// Class rows the last round replayed (the live share of `row_cache`).
-    rows_in_use: usize,
-    row_cache_hits: u64,
-    /// Pooled stalled-viewer / failed-video accumulation with per-round
-    /// generation marks (replacing the old linear `contains` scans).
-    stalled_viewers: Vec<BoxId>,
+    /// The round's failed videos, and per-round generation marks that
+    /// dedup stalled viewers, failed videos and rebuffering viewers.
     failed_videos: Vec<VideoId>,
     viewer_mark: Vec<u64>,
     video_mark: Vec<u64>,
+    rebuffer_mark: Vec<u64>,
     /// Scratch for the debug-only assignment validity check.
     dbg_loads: Vec<u32>,
     /// Scratch for reading the Lemma-1 cut of a failing round.
     hall_cut: HallCut,
+}
+
+/// The round-based protocol simulator.
+pub struct Simulator<'a> {
+    system: &'a VideoSystem,
+    config: SimConfig,
+    scheduler: Box<dyn Scheduler>,
     /// Round-pipeline span sink. Off by default: every span site goes
     /// through a `TraceHandle` whose disabled path is a single `Option`
     /// check (no clock read, no lock), so untraced runs pay nothing.
     tracer: TraceHandle,
+    state: RoundState,
+    scratch: RoundScratch,
 }
 
-impl<'a> Simulator<'a> {
-    /// Creates a simulator with the paper's max-flow scheduler.
-    pub fn new(system: &'a VideoSystem, config: SimConfig) -> Self {
-        Simulator::with_scheduler(system, config, Box::new(MaxFlowScheduler::new()))
-    }
-
-    /// Creates a simulator with an explicit scheduler.
-    pub fn with_scheduler(
-        system: &'a VideoSystem,
-        config: SimConfig,
-        scheduler: Box<dyn Scheduler>,
-    ) -> Self {
+impl RoundState {
+    fn new(system: &VideoSystem, max_rounds: u64) -> Self {
         let n = system.n();
-        let ledger = CapacityLedger::new(
-            (0..n as u32)
-                .map(|i| system.upload_slots(BoxId(i)))
-                .collect(),
-        );
-        // Heterogeneous systems get the relay subsystem: the broker mirrors
-        // the system's compensation plan and manages it as live structure.
-        let relay_broker = system
-            .compensation()
-            .map(|plan| RelayBroker::from_plan(plan.clone(), system.boxes(), system.c()));
         let mut report = SimulationReport::default();
         // Bounded pre-reservation keeps steady-state rounds free of metric
         // reallocation (the zero-alloc engine contract); very long runs
         // amortize the occasional growth as usual.
         report
             .rounds
-            .reserve(usize::try_from(config.max_rounds).unwrap_or(0).min(4096));
+            .reserve(usize::try_from(max_rounds).unwrap_or(0).min(4096));
         let mut viewers = BitSet::new();
         viewers.reset(n);
-        Simulator {
-            system,
-            config,
-            scheduler,
+        RoundState {
             round: 0,
             playing: vec![None; n],
             viewers,
@@ -328,266 +264,29 @@ impl<'a> Simulator<'a> {
             stalls: vec![0; n],
             placement: system.placement().clone(),
             alive: BitSet::ones(n),
+            ledger: CapacityLedger::new(
+                (0..n as u32)
+                    .map(|i| system.upload_slots(BoxId(i)))
+                    .collect(),
+            ),
+            // Heterogeneous systems get the relay subsystem: the broker
+            // mirrors the system's compensation plan and manages it as live
+            // structure.
+            relay_broker: system
+                .compensation()
+                .map(|plan| RelayBroker::from_plan(plan.clone(), system.boxes(), system.c())),
             churn: None,
-            churn_buf: Vec::new(),
+            repair: None,
             faults: None,
-            fault_buf: Vec::new(),
             fault_windows: Vec::new(),
-            fault_slots_lost: 0,
             delivery: None,
             degrade: None,
-            rebuffer_mark: vec![0; n],
-            repair: None,
-            round_repair: None,
             report,
-            ledger,
-            relay_broker,
-            request_buf: Vec::new(),
-            sched_keys: Vec::new(),
-            cand_buf: CandidateBuf::new(),
-            cand_stamps: Vec::new(),
-            assignment: Vec::new(),
-            relay_loads: Vec::new(),
-            demand_buf: Vec::new(),
-            box_seen: vec![0; n],
-            seen_epoch: 0,
-            row_cache: HashMap::default(),
-            row_builds: 0,
-            rows_in_use: 0,
-            row_cache_hits: 0,
-            stalled_viewers: Vec::new(),
-            failed_videos: Vec::new(),
-            viewer_mark: vec![0; n],
-            video_mark: vec![0; system.m()],
-            dbg_loads: Vec::new(),
-            hall_cut: HallCut::new(),
-            tracer: TraceHandle::off(),
         }
     }
 
-    /// Attaches a recording trace handle: from the next [`Simulator::step`]
-    /// on, every pipeline stage (and the scheduler's solver phases) emits
-    /// timing spans into it. Per-round aggregates land in
-    /// [`RoundMetrics::timing`](crate::metrics::RoundMetrics::timing) and
-    /// the whole-run profile in
-    /// [`SimulationReport::profile`](crate::metrics::SimulationReport::profile);
-    /// neither participates in report equality, so traced and untraced runs
-    /// of the same workload compare equal.
-    pub fn attach_tracer(&mut self, tracer: TraceHandle) {
-        self.scheduler.attach_tracer(&tracer);
-        self.tracer = tracer;
-    }
-
-    /// The current round.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// The system being simulated.
-    pub fn system(&self) -> &VideoSystem {
-        self.system
-    }
-
-    /// Candidate-row cache profile as `(hits, misses)`: request rows
-    /// replayed from a class row that was already built (this round, for an
-    /// earlier request of the class, or in an earlier round) vs class rows
-    /// built from the holder sets and the index.
-    pub fn candidate_row_cache_stats(&self) -> (u64, u64) {
-        (self.row_cache_hits, self.row_builds)
-    }
-
-    /// The playback state of box `b`, when it is currently viewing.
-    pub fn playback(&self, b: BoxId) -> Option<&PlaybackState> {
-        self.playing.get(b.index()).and_then(|p| p.as_ref())
-    }
-
-    /// The report accumulated so far (rounds simulated up to now). Unlike
-    /// [`Simulator::run`], this does not flush in-flight playbacks or the
-    /// relay utilization profile — it is the live view a stepping driver
-    /// (the exhaustive explorer) compares across engine variants.
-    pub fn report_so_far(&self) -> &SimulationReport {
-        &self.report
-    }
-
-    /// The relay subsystem, when the system is heterogeneous.
-    pub fn relay_broker(&self) -> Option<&RelayBroker> {
-        self.relay_broker.as_ref()
-    }
-
-    /// The live upload-slot capacity of box `b` as the scheduler sees it
-    /// (static allocation minus reservations, updated by churn through
-    /// [`Simulator::apply_churn`]). Between rounds no hold is open, so this
-    /// is the box's at-rest budget.
-    pub fn upload_slots(&self, b: BoxId) -> u32 {
-        self.ledger.slots().get(b.index()).copied().unwrap_or(0)
-    }
-
-    /// The live allocation table (static placement ⊖ departures ⊕ repairs).
-    pub fn live_placement(&self) -> &Placement {
-        &self.placement
-    }
-
-    /// Whether box `b` is currently part of the population.
-    pub fn is_alive(&self, b: BoxId) -> bool {
-        self.alive.get(b.index())
-    }
-
-    /// Boxes currently part of the population.
-    pub fn alive_count(&self) -> usize {
-        self.alive.count_ones()
-    }
-
-    /// The attached repair planner, when repair is enabled.
-    pub fn repair_planner(&self) -> Option<&RepairPlanner> {
-        self.repair.as_ref()
-    }
-
-    /// Attaches an engine-driven churn process: from the next round on,
-    /// its events are drained at the top of every [`Simulator::step`] —
-    /// after finished playbacks end, before new demands are admitted — so
-    /// membership changes interleave with admissions instead of being
-    /// replayed between rounds, through [`Simulator::apply_churn`].
-    pub fn attach_churn(&mut self, model: ChurnModel) {
-        assert!(
-            model.box_count() <= self.playing.len(),
-            "churn model spans {} boxes but the engine universe has {}",
-            model.box_count(),
-            self.playing.len()
-        );
-        self.churn = Some(model);
-    }
-
-    /// Attaches a stripe repair planner: each round it plans a budgeted
-    /// batch of replica transfers from the live placement, the transfer
-    /// slots are deducted from the source boxes' `⌊u_b·c⌋` budgets *before*
-    /// the scheduler runs (repair competes with serving through the same
-    /// Lemma-1 budgets), and the new replicas are committed after the round
-    /// so they serve from the next round on.
-    pub fn attach_repair(&mut self, planner: RepairPlanner) {
-        self.repair = Some(planner);
-    }
-
-    /// Attaches an engine-driven fault process: from the next round on its
-    /// events are drained right after churn — a faulted box stays in the
-    /// population (replicas, playback, swarm membership intact) but its
-    /// upload budget is held down on the capacity ledger every round the
-    /// window is open. Attaching faults also attaches a default-policy
-    /// [`DeliveryTracker`] (unless one is already attached) carrying the
-    /// model's per-connection drop/timeout hazards and outcome salt.
-    pub fn attach_faults(&mut self, model: FaultModel) {
-        assert!(
-            model.box_count() <= self.playing.len(),
-            "fault model spans {} boxes but the engine universe has {}",
-            model.box_count(),
-            self.playing.len()
-        );
-        if self.delivery.is_none() {
-            self.delivery = Some(DeliveryTracker::new(DeliveryPolicy::default()));
-        }
-        self.delivery.as_mut().expect("attached above").set_hazards(
-            model.salt(),
-            model.drop_ppm(),
-            model.timeout_ppm(),
-        );
-        self.faults = Some(model);
-    }
-
-    /// Attaches (or replaces) the delivery-reliability state machine with
-    /// an explicit retry policy. When a fault model is already attached,
-    /// its per-connection hazards and outcome salt carry over; call this
-    /// *before* exercising faults to pin a non-default policy (e.g.
-    /// [`DeliveryPolicy::no_retry`] for the no-retry baseline).
-    pub fn attach_delivery(&mut self, policy: DeliveryPolicy) {
-        let mut tracker = DeliveryTracker::new(policy);
-        if let Some(model) = &self.faults {
-            tracker.set_hazards(model.salt(), model.drop_ppm(), model.timeout_ppm());
-        }
-        self.delivery = Some(tracker);
-    }
-
-    /// Attaches the graceful-degradation controller: from the next round
-    /// on it folds every round's (attempted, unserved) into its window and
-    /// sheds load — new admissions, and optionally tail stripes — while
-    /// the windowed unserved ratio stays above the configured thresholds.
-    pub fn attach_degradation(&mut self, config: DegradationConfig) {
-        self.degrade = Some(DegradationController::new(config));
-    }
-
-    /// The delivery-reliability state machine, when attached.
-    pub fn delivery_tracker(&self) -> Option<&DeliveryTracker> {
-        self.delivery.as_ref()
-    }
-
-    /// The graceful-degradation controller, when attached.
-    pub fn degradation(&self) -> Option<&DegradationController> {
-        self.degrade.as_ref()
-    }
-
-    /// Applies one fault event to the engine, scripted or model-driven: a
-    /// degradation or stall opens a per-box capacity window, replacing the
-    /// box's open one (a restore closes it early), that every round's
-    /// fault drain holds against the ledger; a drop surge raises the
-    /// delivery tracker's per-connection hazards. This is both the
-    /// step-loop's internal path for an attached [`FaultModel`] and the
-    /// public entry point for scripted faults (the explorer's fault-event
-    /// branches). A [`FaultEvent::DropSurge`] is a no-op unless a delivery
-    /// tracker is attached.
-    pub fn apply_fault(&mut self, event: FaultEvent) {
-        if let Some(box_id) = event.box_id() {
-            assert!(
-                box_id.index() < self.playing.len(),
-                "fault event targets box {} outside the universe of {} boxes",
-                box_id,
-                self.playing.len()
-            );
-        }
-        match event {
-            FaultEvent::Degraded { box_id, pct, until } => self.open_window(box_id, pct, until),
-            FaultEvent::Stalled { box_id, until } => self.open_window(box_id, 0, until),
-            FaultEvent::Restored { box_id } => self.open_window(box_id, 100, 0),
-            FaultEvent::DropSurge { add_ppm, until } => {
-                if let Some(tracker) = &mut self.delivery {
-                    tracker.apply_surge(add_ppm, until);
-                }
-            }
-        }
-    }
-
-    /// Replaces `box_id`'s open fault window with one keeping `pct` % of
-    /// its budget until round `until` (0 = until restored). A full-budget
-    /// window that never closes is no window at all.
-    fn open_window(&mut self, box_id: BoxId, pct: u8, until: u64) {
-        self.fault_windows.retain(|w| w.box_id != box_id);
-        if pct != 100 || until != 0 {
-            self.fault_windows.push(FaultWindow { box_id, pct, until });
-        }
-    }
-
-    /// Enables dynamic relay-reservation sizing (heterogeneous systems
-    /// only): instead of holding every relay at the worst-case
-    /// `u* + 1 − 2u_b` reservation forever, the broker shrinks a relay's
-    /// reserved slots after `window` consecutive calm rounds and grows them
-    /// back on saturation, never past the plan's worst case. The engine
-    /// resyncs its capacity table from the broker after every round, so
-    /// freed slots serve ordinary traffic the next round. The sizing
-    /// feedback reads observed relay loads, which are scheduler-dependent —
-    /// enable it only when comparing runs within one scheduler family.
-    pub fn enable_dynamic_reservations(&mut self, window: u64) {
-        self.relay_broker
-            .as_mut()
-            .expect("dynamic reservation sizing needs a heterogeneous (relayed) system")
-            .enable_dynamic_reservations(window);
-    }
-
-    /// Canonical signature of the behavioural state: everything the future
-    /// of the simulation depends on — playback states (with their request
-    /// plans), live candidate-cache entries, swarm preload counters, the
-    /// current round, the live capacity table, and the relay plan. Pooled
-    /// scratch, warm scheduler state, and accumulated reports are excluded:
-    /// the equivalence gates prove they never change a schedule. Components
-    /// are combined order-insensitively ([`SortedSignature`]); where order
-    /// is behaviour (holder lists), each component carries its position.
-    pub fn state_signature(&self) -> u64 {
+    /// See [`Simulator::state_signature`].
+    fn signature(&self) -> u64 {
         let mut sig = SortedSignature::new();
         sig.push(&(0u8, self.round));
         for_each_set_bit(self.viewers.words(), |idx| {
@@ -650,68 +349,9 @@ impl<'a> Simulator<'a> {
         sig.finish()
     }
 
-    /// Branches the simulation: an independent simulator continuing from
-    /// this one's exact behavioural state, scheduling with `scheduler`.
-    ///
-    /// Live state (round, playbacks, candidate index, swarms, stalls,
-    /// report, capacity table, relay broker) is cloned; pooled scratch,
-    /// memoized candidate rows, and the scheduler's warm state start cold —
-    /// sound because the warm-vs-cold and incremental-vs-rebuild
-    /// equivalence suites pin those as output-invariant. The fork and the
-    /// original evolve independently from here; this is the branch
-    /// primitive of the exhaustive explorer.
-    pub fn fork_with(&self, scheduler: Box<dyn Scheduler>) -> Simulator<'a> {
-        let mut fork = Simulator::with_scheduler(self.system, self.config, scheduler);
-        fork.round = self.round;
-        fork.playing = self.playing.clone();
-        fork.viewers = self.viewers.clone();
-        fork.candidates = self.candidates.clone();
-        fork.swarms = self.swarms.clone();
-        fork.stalls = self.stalls.clone();
-        fork.report = self.report.clone();
-        fork.ledger = self.ledger.clone();
-        fork.relay_broker = self.relay_broker.clone();
-        fork.placement = self.placement.clone();
-        fork.alive = self.alive.clone();
-        fork.churn = self.churn.clone();
-        fork.repair = self.repair.clone();
-        fork.faults = self.faults.clone();
-        fork.fault_windows = self.fault_windows.clone();
-        fork.delivery = self.delivery.clone();
-        fork.degrade = self.degrade.clone();
-        fork
-    }
-
-    /// Applies one [`ChurnEvent`] to the engine, on homogeneous and
-    /// heterogeneous systems alike. This is both the step-loop's internal
-    /// path for an attached [`ChurnModel`] and the public entry point for
-    /// scripted churn (the explorer's churn-event branches).
-    ///
-    /// A departure ([`ChurnEvent::Left`] or [`ChurnEvent::Crashed`]) also
-    /// detaches the box from the engine's live structures *the round it
-    /// leaves*: its in-flight playback ends (recorded with its stalls so
-    /// far), its playback-cache entries are purged from the candidate
-    /// index, and its replicas are stripped from the live allocation table
-    /// (notifying the repair planner when one is attached). Without the
-    /// purge, a departed box lingers as a stripe holder in candidate rows
-    /// until cache expiry — and worse, a later rejoin would claim replicas
-    /// the box no longer stores.
-    ///
-    /// Homogeneous systems then set the box's budget to `⌊u_b·c⌋` (0 once
-    /// it left). Heterogeneous systems hand the event to the relay broker,
-    /// which re-plans the reservations it touches
-    /// ([`RelayBroker::last_deltas`] lists the moves), and resync every
-    /// budget from the live plan. A failed re-plan leaves poor boxes
-    /// uncovered and the simulation continues — the resulting stalls are
-    /// the modelled behaviour. Future playbacks plan against the updated
-    /// live plan; playbacks already in flight keep the plans they were
-    /// admitted with.
-    ///
-    /// # Panics
-    /// Panics when a [`ChurnEvent::Joined`] id lies outside the original
-    /// box universe (the engine's per-box tables are sized at
-    /// construction).
-    pub fn apply_churn(&mut self, event: ChurnEvent) {
+    /// See [`Simulator::apply_churn`]; a relay re-plan is traced on
+    /// `tracer`.
+    fn apply_churn(&mut self, system: &VideoSystem, tracer: &TraceHandle, event: ChurnEvent) {
         match event {
             ChurnEvent::Joined(node) => {
                 assert!(
@@ -725,34 +365,26 @@ impl<'a> Simulator<'a> {
             ChurnEvent::Left(id) | ChurnEvent::Crashed(id) => self.detach_box(id),
             ChurnEvent::UploadChanged(..) => {}
         }
-        if self.relay_broker.is_some() {
-            self.apply_relay_event(match event {
+        if let Some(broker) = &mut self.relay_broker {
+            // Re-plan the reservations the event touches, then resync the
+            // ledger from the live plan.
+            let clock = tracer.begin();
+            let result = broker.apply(match event {
                 ChurnEvent::Joined(node) => RelayEvent::BoxJoined(node),
                 ChurnEvent::Left(id) | ChurnEvent::Crashed(id) => RelayEvent::BoxLeft(id),
                 ChurnEvent::UploadChanged(id, upload) => RelayEvent::UploadChanged(id, upload),
             });
+            let moves = result.map_or(0, |deltas| deltas.len() as u64);
+            tracer.end(clock, Stage::RelayReplan, moves);
+            self.resync_from_broker();
             return;
         }
         let slots = match event {
-            ChurnEvent::Joined(node) => node.upload.stripe_slots(self.system.c()),
+            ChurnEvent::Joined(node) => node.upload.stripe_slots(system.c()),
             ChurnEvent::Left(_) | ChurnEvent::Crashed(_) => 0,
-            ChurnEvent::UploadChanged(_, upload) => upload.stripe_slots(self.system.c()),
+            ChurnEvent::UploadChanged(_, upload) => upload.stripe_slots(system.c()),
         };
         self.ledger.set(event.box_id(), slots);
-    }
-
-    /// Re-plans the relay reservations `event` touches, then resyncs the
-    /// ledger from the live plan.
-    fn apply_relay_event(&mut self, event: RelayEvent) {
-        let broker = self.relay_broker.as_mut().expect("relayed system");
-        let clock = self.tracer.begin();
-        let result = broker.apply(event);
-        self.tracer.end(
-            clock,
-            Stage::RelayReplan,
-            result.map_or(0, |deltas| deltas.len() as u64),
-        );
-        self.resync_from_broker();
     }
 
     /// Sets every box's at-rest budget to its open slots under the relay
@@ -784,156 +416,55 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Runs the configured number of rounds against a demand generator and
-    /// returns the report.
-    pub fn run(mut self, generator: &mut dyn DemandGenerator) -> SimulationReport {
-        while self.round < self.config.max_rounds {
-            let feasible = self.step(generator);
-            if !feasible && self.config.failure_policy == FailurePolicy::Abort {
-                self.report.aborted = true;
-                break;
+    /// See [`Simulator::apply_fault`].
+    fn apply_fault(&mut self, event: FaultEvent) {
+        if let Some(box_id) = event.box_id() {
+            assert!(
+                box_id.index() < self.playing.len(),
+                "fault event targets box {} outside the universe of {} boxes",
+                box_id,
+                self.playing.len()
+            );
+        }
+        match event {
+            FaultEvent::Degraded { box_id, pct, until } => self.open_window(box_id, pct, until),
+            FaultEvent::Stalled { box_id, until } => self.open_window(box_id, 0, until),
+            FaultEvent::Restored { box_id } => self.open_window(box_id, 100, 0),
+            FaultEvent::DropSurge { add_ppm, until } => {
+                if let Some(tracker) = &mut self.delivery {
+                    tracker.apply_surge(add_ppm, until);
+                }
             }
         }
-        self.finish()
     }
 
-    /// Consumes a manually-stepped simulator and finalizes its report
-    /// (flushing in-flight playbacks and the relay utilization profile),
-    /// exactly as [`Simulator::run`] does at the end of a run. For drivers
-    /// that interleave [`Simulator::step`] with scripted churn.
-    pub fn into_report(self) -> SimulationReport {
-        self.finish()
-    }
-
-    /// Finalizes the report: flushes in-flight playbacks and the relay
-    /// utilization profile.
-    fn finish(mut self) -> SimulationReport {
-        self.report.profile = self.tracer.run_profile();
-        if self.delivery.is_some() {
-            self.report.delivery = Some(DeliverySummary::from_rounds(&self.report.rounds));
+    /// Replaces `box_id`'s open fault window with one keeping `pct` % of
+    /// its budget until round `until` (0 = until restored). A full-budget
+    /// window that never closes is no window at all.
+    fn open_window(&mut self, box_id: BoxId, pct: u8, until: u64) {
+        self.fault_windows.retain(|w| w.box_id != box_id);
+        if pct != 100 || until != 0 {
+            self.fault_windows.push(FaultWindow { box_id, pct, until });
         }
-        if let Some(broker) = &self.relay_broker {
-            self.report.relays = broker.utilization();
-        }
-        for_each_set_bit(self.viewers.words(), |idx| {
-            let st = self.playing[idx].as_ref().expect("indexed viewer plays");
-            self.report
-                .playbacks
-                .push(playback_record(BoxId(idx as u32), st, self.stalls[idx]));
-        });
-        self.report
     }
 
-    /// Simulates one round. Returns `true` when every active request was
-    /// served.
-    pub fn step(&mut self, generator: &mut dyn DemandGenerator) -> bool {
-        let now = self.round;
-        self.tracer.set_round(now);
-
-        let clock = self.tracer.begin();
-        self.end_finished_playbacks(now);
-        self.tracer.end(clock, Stage::PlaybackEnd, 0);
-        let clock = self.tracer.begin();
-        self.candidates.begin_round(now);
-        self.tracer.end(clock, Stage::CandidateMaintain, 0);
-        // Engine-driven churn: membership changes land before admissions,
-        // interleaved with the round rather than replayed between rounds.
-        let clock = self.tracer.begin();
-        self.drain_churn(now);
-        self.tracer.end(clock, Stage::ChurnDrain, 0);
-        // Fault holds: open this round's fault windows (model events +
-        // scripted ones still pending), expire finished windows, and hold
-        // the transient capacity loss before the repair planner and the
-        // scheduler read the ledger.
-        let clock = self.tracer.begin();
+    /// Opens the round for the delivery tracker and the degradation
+    /// controller, drains the attached fault model's events for `now`
+    /// (through the pooled `events`), expires the fault windows whose round
+    /// has come, and holds each open window's loss `cap − ⌊cap·pct/100⌋` on
+    /// the ledger. Returns the upload slots held. O(open windows), not O(n).
+    fn drain_faults(&mut self, now: u64, events: &mut Vec<FaultEvent>) -> u64 {
         if let Some(tracker) = &mut self.delivery {
             tracker.begin_round(now);
         }
         if let Some(ctrl) = &mut self.degrade {
             ctrl.begin_round(now);
         }
-        self.fault_slots_lost = self.drain_faults(now);
-        self.tracer
-            .end(clock, Stage::FaultDrain, self.fault_slots_lost);
-        // Repair planning holds the transfer slots on the source boxes'
-        // post-fault budgets before the scheduler sees them.
-        let clock = self.tracer.begin();
-        self.round_repair = self.plan_repairs();
-        let planned = self.round_repair.as_ref().map_or(0, |s| s.repaired as u64);
-        self.tracer.end(clock, Stage::RepairPlan, planned);
-        let clock = self.tracer.begin();
-        let new_demands = self.accept_demands(generator, now);
-        self.tracer
-            .end(clock, Stage::DemandIntake, new_demands as u64);
-        // Detach the pooled request buffer so collection can borrow `self`.
-        let mut requests = std::mem::take(&mut self.request_buf);
-        requests.clear();
-        let clock = self.tracer.begin();
-        let self_served = self.collect_active_requests_into(now, &mut requests);
-        self.tracer
-            .end(clock, Stage::RequestCollect, requests.len() as u64);
-        let (metrics, feasible) = self.schedule_round(now, &requests, self_served, new_demands);
-        self.request_buf = requests;
-        self.report.rounds.push(metrics);
-        // Commit the planned repairs: the new replicas enter the live
-        // placement, serving from the next round on (a transfer takes the
-        // round it was planned in).
-        let clock = self.tracer.begin();
-        self.commit_repairs();
-        self.tracer.end(clock, Stage::RepairCommit, 0);
-        // The round's fault and repair holds end with it.
-        self.ledger.release();
-        // Dynamic reservation sizing re-tunes inside `note_round`; pick the
-        // shifted budgets up for the next round.
-        if self
-            .relay_broker
-            .as_ref()
-            .is_some_and(RelayBroker::dynamic_reservations_enabled)
-        {
-            self.resync_from_broker();
-        }
-        // The repair commit lands after the metrics push, so the round's
-        // timing aggregate is patched into the record it belongs to.
-        if let Some(timing) = self.tracer.take_round_timings() {
-            if let Some(last) = self.report.rounds.last_mut() {
-                last.timing = Some(timing);
-            }
-        }
-        self.round += 1;
-        feasible
-    }
-
-    /// Drains the attached churn model's events for `now` and applies them.
-    fn drain_churn(&mut self, now: u64) {
-        if self.churn.is_none() {
-            return;
-        }
-        let mut events = std::mem::take(&mut self.churn_buf);
-        self.churn
-            .as_mut()
-            .expect("checked above")
-            .events_into(now, &mut events);
-        for event in events.drain(..) {
-            self.apply_churn(event);
-        }
-        self.churn_buf = events;
-    }
-
-    /// Drains the attached fault model's events for `now`, expires the
-    /// fault windows whose round has come, and holds each open window's
-    /// loss `cap − ⌊cap·pct/100⌋` on the ledger. Returns the upload slots
-    /// held. O(open windows), not O(n).
-    fn drain_faults(&mut self, now: u64) -> u64 {
-        if self.faults.is_some() {
-            let mut events = std::mem::take(&mut self.fault_buf);
-            self.faults
-                .as_mut()
-                .expect("checked above")
-                .events_into(now, &mut events);
+        if let Some(faults) = &mut self.faults {
+            faults.events_into(now, events);
             for event in events.drain(..) {
                 self.apply_fault(event);
             }
-            self.fault_buf = events;
         }
         self.fault_windows.retain(|w| w.until == 0 || w.until > now);
         let mut lost = 0u64;
@@ -1008,48 +539,50 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    fn accept_demands(&mut self, generator: &mut dyn DemandGenerator, now: u64) -> usize {
-        // Pull the round's demands into the pooled buffer (detached so the
-        // generator call can borrow the viewer and liveness sets).
-        let mut demands = std::mem::take(&mut self.demand_buf);
-        {
-            let occupancy = Occupancy {
-                viewers: &self.viewers,
-                alive: &self.alive,
-            };
-            generator.demands_into(now, &occupancy, &mut demands);
-        }
+    /// Pulls the round's demands from `generator` into the pooled `demands`
+    /// and admits them, returning how many were accepted.
+    fn accept_demands(
+        &mut self,
+        system: &VideoSystem,
+        generator: &mut dyn DemandGenerator,
+        now: u64,
+        demands: &mut Vec<VideoDemand>,
+    ) -> usize {
+        let occupancy = Occupancy {
+            viewers: &self.viewers,
+            alive: &self.alive,
+        };
+        generator.demands_into(now, &occupancy, demands);
         let mut accepted = 0;
         for demand in demands.drain(..) {
             let idx = demand.box_id.index();
             if idx >= self.playing.len()
                 || self.playing[idx].is_some()
                 || !self.alive.contains(idx)
-                || self.system.catalog().video(demand.video).is_none()
+                || system.catalog().video(demand.video).is_none()
             {
                 self.report.rejected_demands += 1;
                 continue;
             }
             // Degraded mode sheds new admissions deterministically:
             // existing playbacks' continuity outranks new entrants.
-            if self.degrade.as_ref().is_some_and(|c| c.shedding()) {
+            if let Some(ctrl) = self.degrade.as_mut().filter(|c| c.shedding()) {
                 self.report.rejected_demands += 1;
-                self.degrade.as_mut().expect("checked above").note_shed();
+                ctrl.note_shed();
                 continue;
             }
-            self.start_playback(demand.box_id, demand.video, now);
+            self.start_playback(system, demand.box_id, demand.video, now);
             accepted += 1;
         }
-        self.demand_buf = demands;
         self.report.total_demands += accepted;
         accepted
     }
 
-    fn start_playback(&mut self, box_id: BoxId, video: VideoId, now: u64) {
-        let c = self.system.c();
+    fn start_playback(&mut self, system: &VideoSystem, box_id: BoxId, video: VideoId, now: u64) {
+        let c = system.c();
         let preload = self.swarms.join(video, box_id, now);
-        let duration = self.system.duration() as u64;
-        let mu = self.system.params().swarm_growth;
+        let duration = system.duration() as u64;
+        let mu = system.params().swarm_growth;
 
         // Plans consult the *live* plan when the relay subsystem is active
         // (the broker starts as a mirror of the system's static plan, so
@@ -1062,7 +595,7 @@ impl<'a> Simulator<'a> {
                 let upload = broker
                     .node(box_id)
                     .map(|n| n.upload)
-                    .unwrap_or_else(|| self.system.boxes().get(box_id).upload);
+                    .unwrap_or_else(|| system.boxes().get(box_id).upload);
                 match broker.plan().relay(box_id) {
                     Some(relay) => {
                         let budget = direct_stripe_budget(c, upload.as_streams(), mu);
@@ -1096,18 +629,15 @@ impl<'a> Simulator<'a> {
         });
     }
 
-    /// Collects the round's active stripe requests into the pooled buffer,
-    /// returning the number of requests served from the requester's own
-    /// static storage (no connection needed). With a delivery tracker
-    /// attached, each request first consults the retry queue: a stream in
-    /// backoff (or abandoned) is suppressed this round, an expired backoff
-    /// re-enters as a first-class request. With partial service active,
-    /// tail stripes (`index ≥ c'`) are suppressed without counting as
-    /// stalls.
-    fn collect_active_requests_into(&mut self, now: u64, out: &mut Vec<StripeRequest>) -> usize {
-        // Detach the tracker so the closure can consult the retry queue
-        // mutably while `self` is borrowed for the playback iteration.
-        let mut delivery = self.delivery.take();
+    /// Collects the round's active stripe requests into `out`, returning
+    /// the number of requests served from the requester's own static
+    /// storage (no connection needed). With a delivery tracker attached,
+    /// each request first consults the retry queue: a stream in backoff (or
+    /// abandoned) is suppressed this round, an expired backoff re-enters as
+    /// a first-class request. With partial service active, tail stripes
+    /// (`index ≥ c'`) are suppressed without counting as stalls.
+    fn collect_requests(&mut self, now: u64, out: &mut Vec<StripeRequest>) -> usize {
+        out.clear();
         let stripe_limit = self
             .degrade
             .as_ref()
@@ -1122,7 +652,8 @@ impl<'a> Simulator<'a> {
                 } else if stripe_limit.is_some_and(|limit| req.stripe.index >= limit) {
                     suppressed += 1;
                 } else {
-                    match delivery
+                    match self
+                        .delivery
                         .as_mut()
                         .map_or(Admission::Emit, |t| t.admit(req.viewer, req.stripe, now))
                     {
@@ -1132,7 +663,6 @@ impl<'a> Simulator<'a> {
                 }
             });
         });
-        self.delivery = delivery;
         if suppressed > 0 {
             self.degrade
                 .as_mut()
@@ -1142,102 +672,451 @@ impl<'a> Simulator<'a> {
         self_served
     }
 
-    /// Builds every request's candidate supplier row into the pooled flat
-    /// CSR buffer: static holders of the stripe plus boxes whose playback
-    /// cache is ahead on the same stripe, excluding the requester itself.
-    /// Per-box generation marks give O(1) dedup between the two sources;
-    /// a row lists the holders in placement order, then the cache holders
-    /// in index insertion order.
-    ///
-    /// The fill works in class rows: one build per (stripe, issue round),
-    /// stored in the buffer once a round and referred to by every request
-    /// of the class, all under the build's number as their change stamp —
-    /// the buffer is linear in a crowd.
-    fn fill_round_candidates(&mut self, now: u64, requests: &[StripeRequest]) {
-        let window = self.system.duration() as u64;
-        let index = &self.candidates;
-        self.cand_buf.clear();
-        self.cand_stamps.clear();
-        // The row cache is only worth keeping while it tracks the live
-        // classes; once it clearly outgrows them (their viewers finished,
-        // the rows can never hit again) drop it wholesale.
-        if self.row_cache.len() > 2 * self.rows_in_use + 64 {
-            self.row_cache.clear();
+    /// Consumes the state into the final report: flushes in-flight
+    /// playbacks and the relay utilization profile.
+    fn into_report(mut self, tracer: &TraceHandle) -> SimulationReport {
+        self.report.profile = tracer.run_profile();
+        if self.delivery.is_some() {
+            self.report.delivery = Some(DeliverySummary::from_rounds(&self.report.rounds));
         }
-        self.rows_in_use = 0;
-        for req in requests {
-            let shrink_stamp = index.shrink_stamp(req.stripe);
-            let row = self
-                .row_cache
-                .entry((req.stripe, req.issued_at))
-                .or_default();
-            if row.build != 0 && row.shrink_stamp == shrink_stamp {
-                self.row_cache_hits += 1;
-            } else {
-                self.seen_epoch += 1;
-                let epoch = self.seen_epoch;
-                row.boxes.clear();
-                for &b in self.placement.holders_of(req.stripe) {
-                    self.box_seen[b.index()] = epoch;
-                    row.boxes.push(b);
-                }
-                // Entries are live by construction (the wheel drained
-                // everything older than the window), so only the
-                // ahead-of-the-class condition remains per entry.
-                for &(b, start) in index.candidates(req.stripe) {
-                    debug_assert!(start + window >= now, "index kept an expired entry");
-                    if self.box_seen[b.index()] != epoch && start < req.issued_at {
-                        row.boxes.push(b);
-                    }
-                }
-                self.row_builds += 1;
-                row.build = self.row_builds;
-                row.shrink_stamp = shrink_stamp;
-            }
-            // What lets one row serve the whole class: no requester is in
-            // it. A requester that stored the stripe would be self-served,
-            // and `start_playback` filed (or refreshed) its index entry at
-            // `start = issued_at`, not before.
-            debug_assert!(
-                !row.boxes.contains(&req.requester),
-                "{} is a candidate of its own request for {:?}",
-                req.requester,
-                req.stripe
-            );
-            // The class's first request of the round stores the row (the
-            // index does not move during a fill, so a row is not rebuilt
-            // after it); the others refer to it.
-            if row.used != now + 1 {
-                row.used = now + 1;
-                self.rows_in_use += 1;
-                row.stored = self.cand_buf.push_row(row.boxes.iter().copied());
-            } else {
-                self.cand_buf.push_shared(row.stored);
-            }
-            self.cand_stamps.push(row.build);
+        if let Some(broker) = &self.relay_broker {
+            self.report.relays = broker.utilization();
+        }
+        for_each_set_bit(self.viewers.words(), |idx| {
+            let st = self.playing[idx].as_ref().expect("indexed viewer plays");
+            self.report
+                .playbacks
+                .push(playback_record(BoxId(idx as u32), st, self.stalls[idx]));
+        });
+        self.report
+    }
+}
+
+impl RoundScratch {
+    fn new(system: &VideoSystem) -> Self {
+        let n = system.n();
+        RoundScratch {
+            churn_events: Vec::new(),
+            fault_events: Vec::new(),
+            demands: Vec::new(),
+            requests: Vec::new(),
+            keys: Vec::new(),
+            rows: ClassRows::new(n, system.duration() as u64),
+            assignment: Vec::new(),
+            relay_loads: Vec::new(),
+            failed_videos: Vec::new(),
+            viewer_mark: vec![0; n],
+            video_mark: vec![0; system.m()],
+            rebuffer_mark: vec![0; n],
+            dbg_loads: Vec::new(),
+            hall_cut: HallCut::new(),
+        }
+    }
+}
+
+impl<'a> Simulator<'a> {
+    /// Creates a simulator with the paper's max-flow scheduler.
+    pub fn new(system: &'a VideoSystem, config: SimConfig) -> Self {
+        Simulator::with_scheduler(system, config, Box::new(MaxFlowScheduler::new()))
+    }
+
+    /// Creates a simulator with an explicit scheduler.
+    pub fn with_scheduler(
+        system: &'a VideoSystem,
+        config: SimConfig,
+        scheduler: Box<dyn Scheduler>,
+    ) -> Self {
+        Simulator {
+            system,
+            config,
+            scheduler,
+            tracer: TraceHandle::off(),
+            state: RoundState::new(system, config.max_rounds),
+            scratch: RoundScratch::new(system),
         }
     }
 
-    fn schedule_round(
-        &mut self,
-        now: u64,
-        requests: &[StripeRequest],
-        self_served: usize,
-        new_demands: usize,
-    ) -> (RoundMetrics, bool) {
-        let clock = self.tracer.begin();
-        self.fill_round_candidates(now, requests);
-        self.tracer
-            .end(clock, Stage::CandidateFill, requests.len() as u64);
+    /// Attaches a recording trace handle: from the next [`Simulator::step`]
+    /// on, every pipeline stage (and the scheduler's solver phases) emits
+    /// timing spans into it. Per-round aggregates land in
+    /// [`RoundMetrics::timing`](crate::metrics::RoundMetrics::timing) and
+    /// the whole-run profile in
+    /// [`SimulationReport::profile`](crate::metrics::SimulationReport::profile);
+    /// neither participates in report equality, so traced and untraced runs
+    /// of the same workload compare equal.
+    pub fn attach_tracer(&mut self, tracer: TraceHandle) {
+        self.scheduler.attach_tracer(&tracer);
+        self.tracer = tracer;
+    }
+
+    /// The current round.
+    pub fn round(&self) -> u64 {
+        self.state.round
+    }
+
+    /// The system being simulated.
+    pub fn system(&self) -> &VideoSystem {
+        self.system
+    }
+
+    /// Candidate-row cache profile as `(hits, misses)`: request rows
+    /// replayed from a class row that was already built (this round, for an
+    /// earlier request of the class, or in an earlier round) vs class rows
+    /// built from the holder sets and the index.
+    pub fn candidate_row_cache_stats(&self) -> (u64, u64) {
+        self.scratch.rows.cache_stats()
+    }
+
+    /// The playback state of box `b`, when it is currently viewing.
+    pub fn playback(&self, b: BoxId) -> Option<&PlaybackState> {
+        self.state.playing.get(b.index()).and_then(|p| p.as_ref())
+    }
+
+    /// The report accumulated so far (rounds simulated up to now). Unlike
+    /// [`Simulator::run`], this does not flush in-flight playbacks or the
+    /// relay utilization profile — it is the live view a stepping driver
+    /// (the exhaustive explorer) compares across engine variants.
+    pub fn report_so_far(&self) -> &SimulationReport {
+        &self.state.report
+    }
+
+    /// The relay subsystem, when the system is heterogeneous.
+    pub fn relay_broker(&self) -> Option<&RelayBroker> {
+        self.state.relay_broker.as_ref()
+    }
+
+    /// The live upload-slot capacity of box `b` as the scheduler sees it
+    /// (static allocation minus reservations, updated by churn through
+    /// [`Simulator::apply_churn`]). Between rounds no hold is open, so this
+    /// is the box's at-rest budget.
+    pub fn upload_slots(&self, b: BoxId) -> u32 {
+        self.state
+            .ledger
+            .slots()
+            .get(b.index())
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// The live allocation table (static placement ⊖ departures ⊕ repairs).
+    pub fn live_placement(&self) -> &Placement {
+        &self.state.placement
+    }
+
+    /// Whether box `b` is currently part of the population.
+    pub fn is_alive(&self, b: BoxId) -> bool {
+        self.state.alive.get(b.index())
+    }
+
+    /// Boxes currently part of the population.
+    pub fn alive_count(&self) -> usize {
+        self.state.alive.count_ones()
+    }
+
+    /// The attached repair planner, when repair is enabled.
+    pub fn repair_planner(&self) -> Option<&RepairPlanner> {
+        self.state.repair.as_ref()
+    }
+
+    /// Attaches an engine-driven churn process: from the next round on,
+    /// its events are drained at the top of every [`Simulator::step`] —
+    /// after finished playbacks end, before new demands are admitted — so
+    /// membership changes interleave with admissions instead of being
+    /// replayed between rounds, through [`Simulator::apply_churn`].
+    pub fn attach_churn(&mut self, model: ChurnModel) {
+        assert!(
+            model.box_count() <= self.system.n(),
+            "churn model spans {} boxes but the engine universe has {}",
+            model.box_count(),
+            self.system.n()
+        );
+        self.state.churn = Some(model);
+    }
+
+    /// Attaches a stripe repair planner: each round it plans a budgeted
+    /// batch of replica transfers from the live placement, the transfer
+    /// slots are deducted from the source boxes' `⌊u_b·c⌋` budgets *before*
+    /// the scheduler runs (repair competes with serving through the same
+    /// Lemma-1 budgets), and the new replicas are committed after the round
+    /// so they serve from the next round on.
+    pub fn attach_repair(&mut self, planner: RepairPlanner) {
+        self.state.repair = Some(planner);
+    }
+
+    /// Attaches an engine-driven fault process: from the next round on its
+    /// events are drained right after churn — a faulted box stays in the
+    /// population (replicas, playback, swarm membership intact) but its
+    /// upload budget is held down on the capacity ledger every round the
+    /// window is open. Attaching faults also attaches a default-policy
+    /// [`DeliveryTracker`] (unless one is already attached) carrying the
+    /// model's per-connection drop/timeout hazards and outcome salt.
+    pub fn attach_faults(&mut self, model: FaultModel) {
+        assert!(
+            model.box_count() <= self.system.n(),
+            "fault model spans {} boxes but the engine universe has {}",
+            model.box_count(),
+            self.system.n()
+        );
+        let tracker = self
+            .state
+            .delivery
+            .get_or_insert_with(|| DeliveryTracker::new(DeliveryPolicy::default()));
+        tracker.set_hazards(model.salt(), model.drop_ppm(), model.timeout_ppm());
+        self.state.faults = Some(model);
+    }
+
+    /// Attaches (or replaces) the delivery-reliability state machine with
+    /// an explicit retry policy. When a fault model is already attached,
+    /// its per-connection hazards and outcome salt carry over; call this
+    /// *before* exercising faults to pin a non-default policy (e.g.
+    /// [`DeliveryPolicy::no_retry`] for the no-retry baseline).
+    pub fn attach_delivery(&mut self, policy: DeliveryPolicy) {
+        let mut tracker = DeliveryTracker::new(policy);
+        if let Some(model) = &self.state.faults {
+            tracker.set_hazards(model.salt(), model.drop_ppm(), model.timeout_ppm());
+        }
+        self.state.delivery = Some(tracker);
+    }
+
+    /// Attaches the graceful-degradation controller: from the next round
+    /// on it folds every round's (attempted, unserved) into its window and
+    /// sheds load — new admissions, and optionally tail stripes — while
+    /// the windowed unserved ratio stays above the configured thresholds.
+    pub fn attach_degradation(&mut self, config: DegradationConfig) {
+        self.state.degrade = Some(DegradationController::new(config));
+    }
+
+    /// Applies one fault event to the engine, scripted or model-driven: a
+    /// degradation or stall opens a per-box capacity window, replacing the
+    /// box's open one (a restore closes it early), that every round's
+    /// fault drain holds against the ledger; a drop surge raises the
+    /// delivery tracker's per-connection hazards. This is both the
+    /// step-loop's internal path for an attached [`FaultModel`] and the
+    /// public entry point for scripted faults (the explorer's fault-event
+    /// branches). A [`FaultEvent::DropSurge`] is a no-op unless a delivery
+    /// tracker is attached.
+    ///
+    /// # Panics
+    /// Panics when the event targets a box outside the universe.
+    pub fn apply_fault(&mut self, event: FaultEvent) {
+        self.state.apply_fault(event);
+    }
+
+    /// Enables dynamic relay-reservation sizing (heterogeneous systems
+    /// only): instead of holding every relay at the worst-case
+    /// `u* + 1 − 2u_b` reservation forever, the broker shrinks a relay's
+    /// reserved slots after `window` consecutive calm rounds and grows them
+    /// back on saturation, never past the plan's worst case. The engine
+    /// resyncs its capacity table from the broker after every round, so
+    /// freed slots serve ordinary traffic the next round. The sizing
+    /// feedback reads each relay's forwarding demand, counted from the
+    /// round's requests (never from the assignment), so it is the same
+    /// under every scheduler.
+    pub fn enable_dynamic_reservations(&mut self, window: u64) {
+        self.state
+            .relay_broker
+            .as_mut()
+            .expect("dynamic reservation sizing needs a heterogeneous (relayed) system")
+            .enable_dynamic_reservations(window);
+    }
+
+    /// Canonical signature of the behavioural state: everything the future
+    /// of the simulation depends on — playback states (with their request
+    /// plans), live candidate-cache entries, swarm preload counters, the
+    /// current round, the live capacity table, and the relay plan. Round
+    /// scratch, warm scheduler state, and accumulated reports are excluded:
+    /// the equivalence gates prove they never change a schedule. Components
+    /// are combined order-insensitively ([`SortedSignature`]); where order
+    /// is behaviour (holder lists), each component carries its position.
+    pub fn state_signature(&self) -> u64 {
+        self.state.signature()
+    }
+
+    /// Branches the simulation: an independent simulator continuing from
+    /// this one's exact behavioural state, scheduling with `scheduler`.
+    ///
+    /// The round state (round, playbacks, candidate index, swarms, stalls,
+    /// report, capacity table, and every attached subsystem) is cloned
+    /// whole; round scratch — pooled buffers, memoized candidate rows —
+    /// and the scheduler's warm state start cold, which is sound because
+    /// the warm-vs-cold and incremental-vs-rebuild equivalence suites pin
+    /// those as output-invariant. The fork is untraced. The fork and the
+    /// original evolve independently from here; this is the branch
+    /// primitive of the exhaustive explorer.
+    pub fn fork_with(&self, scheduler: Box<dyn Scheduler>) -> Simulator<'a> {
+        Simulator {
+            system: self.system,
+            config: self.config,
+            scheduler,
+            tracer: TraceHandle::off(),
+            state: self.state.clone(),
+            scratch: RoundScratch::new(self.system),
+        }
+    }
+
+    /// Applies one [`ChurnEvent`] to the engine, on homogeneous and
+    /// heterogeneous systems alike. This is both the step-loop's internal
+    /// path for an attached [`ChurnModel`] and the public entry point for
+    /// scripted churn (the explorer's churn-event branches).
+    ///
+    /// A departure ([`ChurnEvent::Left`] or [`ChurnEvent::Crashed`]) also
+    /// detaches the box from the engine's live structures *the round it
+    /// leaves*: its in-flight playback ends (recorded with its stalls so
+    /// far), its playback-cache entries are purged from the candidate
+    /// index, and its replicas are stripped from the live allocation table
+    /// (notifying the repair planner when one is attached). Without the
+    /// purge, a departed box lingers as a stripe holder in candidate rows
+    /// until cache expiry — and worse, a later rejoin would claim replicas
+    /// the box no longer stores.
+    ///
+    /// Homogeneous systems then set the box's budget to `⌊u_b·c⌋` (0 once
+    /// it left). Heterogeneous systems hand the event to the relay broker,
+    /// which re-plans the reservations it touches
+    /// ([`RelayBroker::last_deltas`] lists the moves), and resync every
+    /// budget from the live plan. A failed re-plan leaves poor boxes
+    /// uncovered and the simulation continues — the resulting stalls are
+    /// the modelled behaviour. Future playbacks plan against the updated
+    /// live plan; playbacks already in flight keep the plans they were
+    /// admitted with.
+    ///
+    /// # Panics
+    /// Panics when a [`ChurnEvent::Joined`] id lies outside the original
+    /// box universe (the engine's per-box tables are sized at
+    /// construction).
+    pub fn apply_churn(&mut self, event: ChurnEvent) {
+        self.state.apply_churn(self.system, &self.tracer, event);
+    }
+
+    /// Runs the configured number of rounds against a demand generator and
+    /// returns the report.
+    pub fn run(mut self, generator: &mut dyn DemandGenerator) -> SimulationReport {
+        while self.state.round < self.config.max_rounds {
+            let feasible = self.step(generator);
+            if !feasible && self.config.failure_policy == FailurePolicy::Abort {
+                self.state.report.aborted = true;
+                break;
+            }
+        }
+        self.into_report()
+    }
+
+    /// Consumes the simulator and finalizes its report (flushing in-flight
+    /// playbacks and the relay utilization profile), exactly as
+    /// [`Simulator::run`] does at the end of a run. For drivers that
+    /// interleave [`Simulator::step`] with scripted churn.
+    pub fn into_report(self) -> SimulationReport {
+        self.state.into_report(&self.tracer)
+    }
+
+    /// Simulates one round. Returns `true` when every active request was
+    /// served.
+    pub fn step(&mut self, generator: &mut dyn DemandGenerator) -> bool {
+        let now = self.state.round;
+        let (state, scratch, tracer) = (&mut self.state, &mut self.scratch, &self.tracer);
+        tracer.set_round(now);
+
+        let clock = tracer.begin();
+        state.end_finished_playbacks(now);
+        tracer.end(clock, Stage::PlaybackEnd, 0);
+        let clock = tracer.begin();
+        state.candidates.begin_round(now);
+        tracer.end(clock, Stage::CandidateMaintain, 0);
+        // Engine-driven churn: membership changes land before admissions,
+        // interleaved with the round rather than replayed between rounds.
+        let clock = tracer.begin();
+        if let Some(churn) = &mut state.churn {
+            churn.events_into(now, &mut scratch.churn_events);
+            for event in scratch.churn_events.drain(..) {
+                state.apply_churn(self.system, tracer, event);
+            }
+        }
+        tracer.end(clock, Stage::ChurnDrain, 0);
+        // Fault holds: open this round's fault windows (model events +
+        // scripted ones still pending), expire finished windows, and hold
+        // the transient capacity loss before the repair planner and the
+        // scheduler read the ledger.
+        let clock = tracer.begin();
+        let fault_slots_lost = state.drain_faults(now, &mut scratch.fault_events);
+        tracer.end(clock, Stage::FaultDrain, fault_slots_lost);
+        // Repair planning holds the transfer slots on the source boxes'
+        // post-fault budgets before the scheduler sees them.
+        let clock = tracer.begin();
+        let repair = state.plan_repairs();
+        let planned = repair.as_ref().map_or(0, |s| s.repaired as u64);
+        tracer.end(clock, Stage::RepairPlan, planned);
+        let clock = tracer.begin();
+        let new_demands = state.accept_demands(self.system, generator, now, &mut scratch.demands);
+        tracer.end(clock, Stage::DemandIntake, new_demands as u64);
+        let clock = tracer.begin();
+        let self_served = state.collect_requests(now, &mut scratch.requests);
+        tracer.end(clock, Stage::RequestCollect, scratch.requests.len() as u64);
+
+        let (metrics, feasible) = self.schedule_round(now, fault_slots_lost);
+        let (state, tracer) = (&mut self.state, &self.tracer);
+        state.report.rounds.push(RoundMetrics {
+            new_demands,
+            self_served,
+            repair,
+            ..metrics
+        });
+        // Commit the planned repairs: the new replicas enter the live
+        // placement, serving from the next round on (a transfer takes the
+        // round it was planned in).
+        let clock = tracer.begin();
+        state.commit_repairs();
+        tracer.end(clock, Stage::RepairCommit, 0);
+        // The round's fault and repair holds end with it.
+        state.ledger.release();
+        // Dynamic reservation sizing re-tunes inside `note_round`; pick the
+        // shifted budgets up for the next round.
+        if state
+            .relay_broker
+            .as_ref()
+            .is_some_and(RelayBroker::dynamic_reservations_enabled)
+        {
+            state.resync_from_broker();
+        }
+        // The repair commit lands after the metrics push, so the round's
+        // timing aggregate is patched into the record it belongs to.
+        if let Some(timing) = tracer.take_round_timings() {
+            if let Some(last) = state.report.rounds.last_mut() {
+                last.timing = Some(timing);
+            }
+        }
+        state.round += 1;
+        feasible
+    }
+
+    /// Schedules the round's collected requests and accounts for the
+    /// outcome: relay loads, delivery outcomes, stalls, the degradation
+    /// window and, on a failing round, its failure record (with the
+    /// `fault_slots_lost` the round's fault holds took). Returns whether
+    /// every request was served and the round's metrics, except what the
+    /// stages before scheduling measured (`new_demands`, `self_served`,
+    /// `repair`), which `step` fills in.
+    fn schedule_round(&mut self, now: u64, fault_slots_lost: u64) -> (RoundMetrics, bool) {
+        let Simulator {
+            scheduler,
+            tracer,
+            state,
+            scratch,
+            ..
+        } = self;
+        let requests = &scratch.requests;
+        let clock = tracer.begin();
+        scratch
+            .rows
+            .fill(now, requests, &state.placement, &state.candidates);
+        tracer.end(clock, Stage::CandidateFill, requests.len() as u64);
         let candidate_stats = CandidateStats {
-            index_entries: self.candidates.live_entries(),
-            expired: self.candidates.expired_this_round(),
-            inserted: self.candidates.inserted_this_round(),
+            index_entries: state.candidates.live_entries(),
+            expired: state.candidates.expired_this_round(),
+            inserted: state.candidates.inserted_this_round(),
         };
         // Stable request identities let incremental schedulers patch the
         // previous round's flow network instead of rebuilding it.
-        self.sched_keys.clear();
-        self.sched_keys.extend(requests.iter().map(|r| RequestKey {
+        scratch.keys.clear();
+        scratch.keys.extend(requests.iter().map(|r| RequestKey {
             viewer: r.viewer,
             stripe: r.stripe,
         }));
@@ -1245,204 +1124,168 @@ impl<'a> Simulator<'a> {
         // Every system schedules the plain Lemma-1 instance: relay
         // reservations are already netted out of the ledger and are
         // disjoint from the open budgets the matching allocates.
-        let mut assignment = std::mem::take(&mut self.assignment);
-        let clock = self.tracer.begin();
-        self.scheduler.schedule_keyed_view(
-            self.ledger.slots(),
-            &self.sched_keys,
-            self.cand_buf.view_with_stamps(&self.cand_stamps),
-            &mut assignment,
+        let clock = tracer.begin();
+        scheduler.schedule_keyed_view(
+            state.ledger.slots(),
+            &scratch.keys,
+            scratch.rows.view(),
+            &mut scratch.assignment,
         );
-        self.tracer
-            .end(clock, Stage::Schedule, requests.len() as u64);
+        tracer.end(clock, Stage::Schedule, requests.len() as u64);
         debug_assert!(crate::scheduler::assignment_is_valid_view(
-            &assignment,
-            self.ledger.slots(),
-            self.cand_buf.view(),
-            &mut self.dbg_loads,
+            &scratch.assignment,
+            state.ledger.slots(),
+            scratch.rows.view(),
+            &mut scratch.dbg_loads,
         ));
 
         // Fold this round's forwarding demand into the relay subsystem's
         // utilization counters. A request downloaded by a box other than its
         // viewer is a poor box's stripe fetched by its relay, whose
         // reservation forwards it every active round.
-        let relay_metrics = match &mut self.relay_broker {
-            Some(broker) => {
-                let clock = self.tracer.begin();
-                self.relay_loads.clear();
-                self.relay_loads.resize(self.ledger.slots().len(), 0);
-                for req in requests.iter().filter(|r| r.requester != r.viewer) {
-                    self.relay_loads[req.requester.index()] += 1;
-                }
-                let stats = broker.note_round(&self.relay_loads);
-                self.tracer
-                    .end(clock, Stage::RelayAccount, stats.forwarded as u64);
-                Some(stats)
+        let relay_metrics = state.relay_broker.as_mut().map(|broker| {
+            let clock = tracer.begin();
+            scratch.relay_loads.clear();
+            scratch.relay_loads.resize(state.ledger.slots().len(), 0);
+            for req in requests.iter().filter(|r| r.requester != r.viewer) {
+                scratch.relay_loads[req.requester.index()] += 1;
             }
-            None => None,
-        };
+            let stats = broker.note_round(&scratch.relay_loads);
+            tracer.end(clock, Stage::RelayAccount, stats.forwarded as u64);
+            stats
+        });
 
-        let mut served = 0usize;
-        let mut served_from_allocation = 0usize;
-        let mut served_from_cache = 0usize;
-        let mut unserved = 0usize;
-        // Pooled accumulation with generation marks: no linear `contains`
-        // scan per unserved request.
-        self.stalled_viewers.clear();
-        self.failed_videos.clear();
+        let (mut served, mut served_from_allocation, mut unserved) = (0usize, 0usize, 0usize);
+        // Generation marks dedup stalled viewers and failed videos: no
+        // linear `contains` scan per unserved request.
+        scratch.failed_videos.clear();
         let mark = now + 1;
 
         // Delivery resolution rides the served loop: the outcome hash
         // depends only on (salt, round, viewer, stripe) — never on the
         // assigned supplier — so every scheduler pipeline resolves every
         // connection identically.
-        let mut delivery = self.delivery.take();
-        let deliver_clock = delivery.is_some().then(|| self.tracer.begin());
-        for (req, assigned) in requests.iter().zip(&assignment) {
-            match assigned {
-                Some(supplier) => {
-                    let outcome = delivery.as_mut().map_or(DeliveryOutcome::Delivered, |t| {
+        let deliver_clock = state.delivery.is_some().then(|| tracer.begin());
+        for (req, assigned) in requests.iter().zip(&scratch.assignment) {
+            let viewer = req.viewer.index();
+            match *assigned {
+                Some(supplier) => match state
+                    .delivery
+                    .as_mut()
+                    .map_or(DeliveryOutcome::Delivered, |t| {
                         t.resolve(req.viewer, req.stripe, now)
-                    });
-                    match outcome {
-                        DeliveryOutcome::Delivered => {
-                            served += 1;
-                            if self.placement.stores(*supplier, req.stripe) {
-                                served_from_allocation += 1;
-                            } else {
-                                served_from_cache += 1;
-                            }
-                        }
-                        DeliveryOutcome::Dropped | DeliveryOutcome::Timeout => {
-                            // A failed delivery is a rebuffer round for its
-                            // viewer, not a Lemma-1 failure: the matching
-                            // existed, the data path lost it. It counts
-                            // neither `served` nor `unserved`.
-                            if self.rebuffer_mark[req.viewer.index()] != mark {
-                                self.rebuffer_mark[req.viewer.index()] = mark;
-                                delivery
-                                    .as_mut()
-                                    .expect("outcome came from the tracker")
-                                    .note_rebuffer();
-                            }
-                            if self.viewer_mark[req.viewer.index()] != mark {
-                                self.viewer_mark[req.viewer.index()] = mark;
-                                self.stalled_viewers.push(req.viewer);
-                            }
+                    }) {
+                    DeliveryOutcome::Delivered => {
+                        served += 1;
+                        served_from_allocation +=
+                            usize::from(state.placement.stores(supplier, req.stripe));
+                        continue;
+                    }
+                    // A failed delivery is a rebuffer round for its viewer,
+                    // not a Lemma-1 failure: the matching existed, the data
+                    // path lost it. It counts neither `served` nor
+                    // `unserved`.
+                    DeliveryOutcome::Dropped | DeliveryOutcome::Timeout => {
+                        if scratch.rebuffer_mark[viewer] != mark {
+                            scratch.rebuffer_mark[viewer] = mark;
+                            let tracker = state.delivery.as_mut().expect("outcome came from it");
+                            tracker.note_rebuffer();
                         }
                     }
-                }
+                },
+                // Scheduler-unserved requests do not enter the retry queue
+                // (Lemma-1 shortfall is the round's failure, not a
+                // data-path fault), keeping the fault-free run
+                // bit-identical to the pre-delivery engine.
                 None => {
                     unserved += 1;
-                    // Scheduler-unserved requests take the legacy stall
-                    // path untouched — they do not enter the retry queue
-                    // (Lemma-1 shortfall is the round's failure, not a
-                    // data-path fault), keeping the fault-free run
-                    // bit-identical to the pre-delivery engine.
-                    if self.viewer_mark[req.viewer.index()] != mark {
-                        self.viewer_mark[req.viewer.index()] = mark;
-                        self.stalled_viewers.push(req.viewer);
-                    }
-                    let video_idx = req.stripe.video.0 as usize;
-                    if self.video_mark[video_idx] != mark {
-                        self.video_mark[video_idx] = mark;
-                        self.failed_videos.push(req.stripe.video);
+                    let video = req.stripe.video.0 as usize;
+                    if scratch.video_mark[video] != mark {
+                        scratch.video_mark[video] = mark;
+                        scratch.failed_videos.push(req.stripe.video);
                     }
                 }
             }
+            // Either way the viewer stalls this round, once.
+            if scratch.viewer_mark[viewer] != mark {
+                scratch.viewer_mark[viewer] = mark;
+                state.stalls[viewer] += 1;
+            }
         }
-        let delivery_stats = delivery.as_ref().map(DeliveryTracker::round_stats);
-        self.delivery = delivery;
+        let delivery_stats = state.delivery.as_ref().map(DeliveryTracker::round_stats);
         if let Some(clock) = deliver_clock {
             let failed = delivery_stats
                 .map(|d| (d.dropped + d.timed_out) as u64)
                 .unwrap_or(0);
-            self.tracer.end(clock, Stage::Deliver, failed);
-        }
-
-        for viewer in &self.stalled_viewers {
-            self.stalls[viewer.index()] += 1;
+            tracer.end(clock, Stage::Deliver, failed);
         }
 
         // The degradation controller observes the round's scheduling
         // outcome last (its mode switch, if any, takes effect next round).
-        let degradation_stats = match &mut self.degrade {
-            Some(ctrl) => {
-                let clock = self.tracer.begin();
-                let stats = ctrl.note_round(now, requests.len() as u64, unserved as u64);
-                self.tracer
-                    .end(clock, Stage::Degrade, stats.window_unserved_ppm as u64);
-                Some(stats)
-            }
-            None => None,
-        };
+        let degradation_stats = state.degrade.as_mut().map(|ctrl| {
+            let clock = tracer.begin();
+            let stats = ctrl.note_round(now, requests.len() as u64, unserved as u64);
+            tracer.end(clock, Stage::Degrade, stats.window_unserved_ppm as u64);
+            stats
+        });
 
         // A round fails iff a *download* leg goes unserved — the quantity
         // the paper's Lemma-1 feasibility (and every scheduler) decides.
         // Forwarding starvation on reserved relay capacity does not fail
         // the round: the reservation is the model's statically-provisioned
         // resource (Theorem 2 sizes it for the worst case), so demand
-        // exceeding it is a model-assumption violation reported through `RelayRoundStats::starved` and
+        // exceeding it is a model-assumption violation reported through
+        // `RelayRoundStats::starved` and
         // `RelayUtilization::oversubscribed_rounds` each round, and named
         // per relay in `FailureRecord::starved_relays` whenever a failing
         // round is diagnosed below.
         let feasible = unserved == 0;
         if !feasible {
-            let clock = self.tracer.begin();
-            let mut record = FailureRecord {
+            let clock = tracer.begin();
+            // The supply side is the one Lemma-1 min cut, read off the
+            // round's assignment: reserve chains are dead ends of the
+            // two-hop residual graph, so relaying leaves it unchanged. The
+            // forwarding side is the relays whose demand exceeds their
+            // reservation, read after `note_round` retuned it.
+            let cut = scratch.hall_cut.read(
+                state.ledger.slots(),
+                scratch.rows.view(),
+                &scratch.assignment,
+            );
+            let starved_relays = state.relay_broker.as_ref().map_or_else(Vec::new, |broker| {
+                broker.starved_relays(&scratch.relay_loads)
+            });
+            state.report.failures.push(FailureRecord {
                 round: now,
                 unserved,
-                obstruction_size: None,
-                obstruction_capacity: None,
-                starved_relays: Vec::new(),
-                videos: self.failed_videos.clone(),
-                fault_slots_lost: self.fault_slots_lost,
-            };
-            if self.config.collect_obstructions {
-                // The supply side is the one Lemma-1 min cut, read off the
-                // round's assignment: reserve chains are dead ends of the
-                // two-hop residual graph, so relaying leaves it unchanged.
-                // The forwarding side is the relays whose demand exceeds
-                // their reservation, read after `note_round` retuned it.
-                if let Some(cut) =
-                    self.hall_cut
-                        .read(self.ledger.slots(), self.cand_buf.view(), &assignment)
-                {
-                    record.obstruction_size = Some(cut.size);
-                    record.obstruction_capacity = Some(cut.capacity);
-                }
-                if let Some(broker) = &self.relay_broker {
-                    record.starved_relays = broker.starved_relays(&self.relay_loads);
-                }
-            }
-            self.tracer
-                .end(clock, Stage::FailureDiagnose, unserved as u64);
-            self.report.failures.push(record);
+                obstruction_size: cut.map(|cut| cut.size),
+                obstruction_capacity: cut.map(|cut| cut.capacity),
+                starved_relays,
+                videos: scratch.failed_videos.clone(),
+                fault_slots_lost,
+            });
+            tracer.end(clock, Stage::FailureDiagnose, unserved as u64);
         }
 
         let metrics = RoundMetrics {
             round: now,
-            new_demands,
             active_requests: requests.len(),
-            self_served,
             served,
             unserved,
             served_from_allocation,
-            served_from_cache,
-            upload_slots_available: self.ledger.total(),
-            viewers: self.viewers.count_ones(),
-            max_swarm: self.swarms.max_swarm_size(),
+            served_from_cache: served - served_from_allocation,
+            upload_slots_available: state.ledger.total(),
+            viewers: state.viewers.count_ones(),
+            max_swarm: state.swarms.max_swarm_size(),
             relay: relay_metrics,
             candidates: Some(candidate_stats),
-            repair: self.round_repair.take(),
             delivery: delivery_stats,
             degradation: degradation_stats,
-            // Patched in by `step` once the round (including the repair
-            // commit, which lands after this record is pushed) has closed.
-            timing: None,
+            // `timing` is patched in by `step` once the round (including
+            // the repair commit, which lands after this record is pushed)
+            // has closed.
+            ..RoundMetrics::default()
         };
-        // Return the reused buffers for the next round.
-        self.assignment = assignment;
         (metrics, feasible)
     }
 }
@@ -1453,6 +1296,7 @@ mod tests {
     use crate::scheduler::{GreedyScheduler, NaiveScheduler};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashMap;
     use vod_core::{RandomPermutationAllocator, SystemParams};
     use vod_workloads::{FlashCrowd, NextVideoPolicy, SequentialViewing};
 
@@ -1676,7 +1520,7 @@ mod tests {
                 assert_eq!(*len, row.len(), "round {now}: stamp {stamp} names two rows");
             }
             assert_eq!(seen.stored_rows, class_rows.len(), "round {now}");
-            assert_eq!(seen.stored_rows, sim.rows_in_use, "round {now}");
+            assert_eq!(seen.stored_rows, sim.scratch.rows.in_use(), "round {now}");
             let class_entries: usize = class_rows.values().sum();
             assert!(
                 seen.stored_entries <= class_entries,
@@ -1824,19 +1668,14 @@ mod tests {
     #[test]
     fn continue_policy_keeps_simulating_after_failures() {
         let sys = small_system(16, 0.4, 4, 1, 30);
-        let sim = Simulator::new(
-            &sys,
-            SimConfig::new(20)
-                .continue_on_failure()
-                .without_obstructions(),
-        );
+        let sim = Simulator::new(&sys, SimConfig::new(20).continue_on_failure());
         let mut gen = SequentialViewing::new(16, sys.m(), NextVideoPolicy::RoundRobin, 1.5, 1);
         let report = sim.run(&mut gen);
         assert_eq!(report.round_count(), 20);
         assert!(!report.aborted);
         assert!(!report.failures.is_empty());
         assert!(report.service_ratio() < 1.0);
-        assert!(report.failures.iter().all(|f| f.obstruction_size.is_none()));
+        assert!(report.failures.iter().all(|f| f.obstruction_size.is_some()));
     }
 
     #[test]
@@ -1938,6 +1777,96 @@ mod tests {
         }
     }
 
+    /// The state signature of the loaded engine below at its fork point,
+    /// pinned when the engine still kept its state in loose fields: moving
+    /// that state into one struct must not move the signature.
+    const LOADED_FORK_SIGNATURE: u64 = 0xb592_cef2_401a_035c;
+
+    /// A fork of an engine with every subsystem attached — a relayed
+    /// heterogeneous fleet with dynamic reservations, churn with repair,
+    /// faults with delivery retries, and degradation — continues exactly
+    /// like the original, and forking does not move the state signature.
+    #[test]
+    fn fork_of_a_loaded_engine_continues_bit_identically() {
+        use vod_core::{Bandwidth, Catalog};
+        use vod_workloads::{ChurnModel, SessionLength};
+        let c: u16 = 4;
+        let mut uploads = vec![0.6; 4];
+        uploads.extend([2.6; 12]);
+        let boxes = VideoSystem::proportional_boxes(&uploads, 6.0, c);
+        let params = SystemParams::new(boxes.len(), 1.8, 8, c, 3, 1.3, 10);
+        let catalog = Catalog::uniform(8, 10, c);
+        let mut rng = StdRng::seed_from_u64(9);
+        let sys = VideoSystem::heterogeneous(
+            params,
+            boxes,
+            catalog,
+            &RandomPermutationAllocator::new(3),
+            Some(Bandwidth::from_streams(1.2)),
+            &mut rng,
+        )
+        .unwrap();
+        let mut original = Simulator::new(&sys, SimConfig::new(60).continue_on_failure());
+        original.enable_dynamic_reservations(2);
+        original.attach_churn(
+            ChurnModel::new(sys.boxes(), 41)
+                .with_session(SessionLength::Geometric { leave_rate: 0.04 })
+                .with_crash_rate(0.01)
+                .with_rejoin_delay(1, 3)
+                .with_min_up(6),
+        );
+        original.attach_repair(RepairPlanner::for_system(&sys, 4));
+        original.attach_faults(
+            FaultModel::new(sys.boxes(), 0xFA17)
+                .with_degradation(0.08, vec![25, 50], 1, 3)
+                .with_drop_rate(80_000, 20_000),
+        );
+        original.attach_delivery(DeliveryPolicy::default());
+        original.attach_degradation(DegradationConfig::default());
+        let mut gen = SequentialViewing::new(16, sys.m(), NextVideoPolicy::UniformRandom, 1.3, 3);
+        for _ in 0..20 {
+            original.step(&mut gen);
+        }
+        let mut fork = original.fork_with(Box::new(MaxFlowScheduler::new()));
+        let signature = fork.state_signature();
+        assert_eq!(signature, original.state_signature());
+        assert_eq!(
+            signature, LOADED_FORK_SIGNATURE,
+            "signature {signature:#018x}"
+        );
+        let mut gen_fork = gen.clone();
+        for round in 20..30 {
+            fork.step(&mut gen_fork);
+            original.step(&mut gen);
+            assert_eq!(
+                fork.state_signature(),
+                original.state_signature(),
+                "round {round}"
+            );
+            let last = |sim: &Simulator| sim.report_so_far().rounds.last().map(|r| r.normalized());
+            assert_eq!(last(&fork), last(&original), "round {round}");
+        }
+        // Every subsystem took part.
+        let report = original.report_so_far();
+        let sum = |f: &dyn Fn(&RoundMetrics) -> usize| report.rounds.iter().map(f).sum::<usize>();
+        assert!(
+            sum(&|r| r.repair.map_or(0, |s| s.repaired)) > 0,
+            "no repair"
+        );
+        assert!(
+            sum(&|r| r.delivery.map_or(0, |d| d.dropped + d.timed_out)) > 0,
+            "no failed delivery"
+        );
+        assert!(
+            sum(&|r| r.relay.map_or(0, |s| s.forwarded)) > 0,
+            "no relaying"
+        );
+        assert!(
+            report.failures.iter().any(|f| f.fault_slots_lost > 0),
+            "no fault hold"
+        );
+    }
+
     /// The full-scan oracle for the active-viewer index: bit `b` is set iff
     /// `playing[b]` is `Some`, no dead box plays, and the free list handed to
     /// generators is exactly the alive, idle boxes in ascending order —
@@ -1945,18 +1874,21 @@ mod tests {
     /// and box by box through `is_free` (`tests/active_set.rs` compares with
     /// the trait's default filter).
     fn assert_index_matches_full_scan(sim: &Simulator) {
-        let n = sim.playing.len();
-        assert_eq!((sim.viewers.len(), sim.alive.len()), (n, n));
+        let n = sim.state.playing.len();
+        assert_eq!((sim.state.viewers.len(), sim.state.alive.len()), (n, n));
         let occupancy = Occupancy {
-            viewers: &sim.viewers,
-            alive: &sim.alive,
+            viewers: &sim.state.viewers,
+            alive: &sim.state.alive,
         };
         assert_eq!(occupancy.box_count(), n);
         let mut free = Vec::new();
-        for (idx, slot) in sim.playing.iter().enumerate() {
-            assert_eq!(sim.viewers.contains(idx), slot.is_some(), "box {idx}");
-            assert!(slot.is_none() || sim.alive.contains(idx), "dead box {idx}");
-            let idle = slot.is_none() && sim.alive.contains(idx);
+        for (idx, slot) in sim.state.playing.iter().enumerate() {
+            assert_eq!(sim.state.viewers.contains(idx), slot.is_some(), "box {idx}");
+            assert!(
+                slot.is_none() || sim.state.alive.contains(idx),
+                "dead box {idx}"
+            );
+            let idle = slot.is_none() && sim.state.alive.contains(idx);
             assert_eq!(occupancy.is_free(BoxId(idx as u32)), idle, "box {idx}");
             if idle {
                 free.push(BoxId(idx as u32));
@@ -1964,8 +1896,8 @@ mod tests {
         }
         assert!(!occupancy.is_free(BoxId(n as u32)), "out of range is busy");
         assert_eq!(
-            sim.viewers.count_ones(),
-            sim.playing.iter().flatten().count()
+            sim.state.viewers.count_ones(),
+            sim.state.playing.iter().flatten().count()
         );
         assert_eq!(occupancy.free_boxes(), free);
         let mut pooled = vec![BoxId(7); 5];
@@ -1989,7 +1921,11 @@ mod tests {
             let mut sim = Simulator::new(&sys, SimConfig::new(40).continue_on_failure());
             assert_index_matches_full_scan(&sim);
             sim.step(&mut gen);
-            assert_eq!(sim.viewers.count_ones(), n, "n = {n}: every box plays");
+            assert_eq!(
+                sim.state.viewers.count_ones(),
+                n,
+                "n = {n}: every box plays"
+            );
             assert_eq!(sim.report_so_far().rounds[0].viewers, n);
             assert_index_matches_full_scan(&sim);
 
@@ -2018,7 +1954,7 @@ mod tests {
                 sim.apply_churn(ChurnEvent::Crashed(BoxId(b)));
             }
             assert_index_matches_full_scan(&sim);
-            assert_eq!((sim.alive_count(), sim.viewers.count_ones()), (0, 0));
+            assert_eq!((sim.alive_count(), sim.state.viewers.count_ones()), (0, 0));
             sim.step(&mut gen);
             let last_round = sim.report_so_far().rounds.last().unwrap();
             assert_eq!((last_round.viewers, last_round.active_requests), (0, 0));
@@ -2037,9 +1973,7 @@ mod tests {
     fn active_index_tracks_the_playback_table_under_churn_and_faults() {
         use vod_workloads::{ChurnModel, SessionLength};
         let sys = small_system(70, 2.0, 4, 3, 6);
-        let config = SimConfig::new(80)
-            .continue_on_failure()
-            .without_obstructions();
+        let config = SimConfig::new(80).continue_on_failure();
         let mut churned = Simulator::new(&sys, config);
         churned.attach_churn(
             ChurnModel::new(sys.boxes(), 33)
@@ -2132,9 +2066,7 @@ mod tests {
     #[test]
     fn pipelines_agree_under_injected_faults() {
         let sys = small_system(16, 2.0, 4, 4, 10);
-        let config = SimConfig::new(30)
-            .continue_on_failure()
-            .without_obstructions();
+        let config = SimConfig::new(30).continue_on_failure();
         let make_gen = || SequentialViewing::new(16, sys.m(), NextVideoPolicy::RoundRobin, 1.5, 5);
         let make_faults = || {
             FaultModel::new(sys.boxes(), 0xFA17)
@@ -2225,12 +2157,7 @@ mod tests {
     fn degradation_sheds_and_readmits_with_hysteresis() {
         // u = 0.4 < 1: chronically infeasible under sustained demand.
         let sys = small_system(16, 0.4, 4, 1, 30);
-        let mut sim = Simulator::new(
-            &sys,
-            SimConfig::new(60)
-                .continue_on_failure()
-                .without_obstructions(),
-        );
+        let mut sim = Simulator::new(&sys, SimConfig::new(60).continue_on_failure());
         sim.attach_degradation(DegradationConfig {
             enter_ppm: 100_000,
             exit_ppm: 20_000,
@@ -2344,7 +2271,7 @@ mod tests {
             .collect();
         assert!(!held_before.is_empty(), "box 3 held no replicas");
         let cached = |sim: &Simulator| {
-            let entries = sim.candidates.iter_live();
+            let entries = sim.state.candidates.iter_live();
             entries.filter(|&(_, b, _)| b == gone).count()
         };
         assert!(cached(&sim) > 0, "box 3 cached nothing");
@@ -2373,7 +2300,7 @@ mod tests {
         let rejoined_at = sim.round();
         for _ in 0..10 {
             sim.step(&mut gen);
-            for (stripe, b, start) in sim.candidates.iter_live() {
+            for (stripe, b, start) in sim.state.candidates.iter_live() {
                 assert!(
                     b != gone || start >= rejoined_at,
                     "{stripe}: box 3's entry from round {start} is back"

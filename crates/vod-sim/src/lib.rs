@@ -37,6 +37,7 @@
 #![forbid(unsafe_code)]
 
 pub mod candidates;
+mod class_rows;
 pub mod delivery;
 pub mod engine;
 mod hall_cut;

@@ -279,9 +279,7 @@ fn check_against_full_scans<G: DemandGenerator>(
         inner: MaxFlowScheduler::new(),
         captured: Rc::clone(&captured),
     };
-    let config = SimConfig::new(rounds)
-        .continue_on_failure()
-        .without_obstructions();
+    let config = SimConfig::new(rounds).continue_on_failure();
     let mut sim = Simulator::with_scheduler(system, config, Box::new(scheduler));
     match setup {
         Setup::ChurnRepair => sim.attach_repair(RepairPlanner::for_system(system, 6)),

@@ -24,12 +24,7 @@ fn retries_and_repair_never_oversubscribe_round_capacity() {
     let repair_budget = 2u32;
     for seed in [11u64, 29, 47] {
         let sys = homogeneous(24, 2.0, 4, 3, 12, seed);
-        let mut sim = Simulator::new(
-            &sys,
-            SimConfig::new(50)
-                .continue_on_failure()
-                .without_obstructions(),
-        );
+        let mut sim = Simulator::new(&sys, SimConfig::new(50).continue_on_failure());
         sim.attach_faults(
             FaultModel::new(sys.boxes(), seed ^ 0xFA17)
                 .with_degradation(0.08, vec![25, 50], 1, 3)
@@ -256,12 +251,7 @@ fn reports_serialized_before_fault_tracking_still_parse() {
 fn outage_failures_are_fault_attributed() {
     let sys = homogeneous(24, 2.0, 4, 3, 12, 17);
     let run = |outage: bool| {
-        let mut sim = Simulator::new(
-            &sys,
-            SimConfig::new(30)
-                .continue_on_failure()
-                .without_obstructions(),
-        );
+        let mut sim = Simulator::new(&sys, SimConfig::new(30).continue_on_failure());
         let mut gen = SequentialViewing::new(24, sys.m(), NextVideoPolicy::RoundRobin, 1.3, 41);
         for _ in 0..30 {
             if outage && sim.round() == 10 {

@@ -136,9 +136,7 @@ fn run(sys: &VideoSystem, label: &str, generator: &mut dyn DemandGenerator) -> (
         inner: MaxFlowScheduler::new(),
         tally: tally.clone(),
     };
-    let config = SimConfig::new(ROUNDS)
-        .continue_on_failure()
-        .without_obstructions();
+    let config = SimConfig::new(ROUNDS).continue_on_failure();
     let mut sim = Simulator::with_scheduler(sys, config, Box::new(scheduler));
     for _ in 0..ROUNDS {
         sim.step(generator);

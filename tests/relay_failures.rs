@@ -235,3 +235,44 @@ fn relayed_failures_are_diagnosed_by_the_min_cut_and_the_reservation_count() {
     let digest = p2p_vod::core::fx_hash(&(&fixed.digest_parts, &dynamic.digest_parts));
     assert_eq!(digest, FAILURE_DIGEST, "digest {digest:#018x}");
 }
+
+/// Dynamic reservation sizing reads the relay loads counted from the
+/// round's requests, never from the assignment, so it is the same under
+/// every scheduler: the matcher and the textbook Kuhn matching walk the
+/// dynamic-sizing fleet through equal normalized reports, failure records
+/// and their Lemma-1 cuts included.
+#[test]
+fn dynamic_reservation_sizing_is_scheduler_invariant() {
+    let rounds = 120;
+    let system = starved_relayed_fleet();
+    let poor = system.boxes().poor_ids(Bandwidth::from_streams(1.2));
+    let run = |scheduler: Box<dyn Scheduler>| {
+        let config = SimConfig::new(rounds).continue_on_failure();
+        let mut sim = Simulator::with_scheduler(&system, config, scheduler);
+        sim.enable_dynamic_reservations(1);
+        let mut demand = MultiSwarmChurn::new(system.m(), 3, 4, 1.5, 2)
+            .with_rotation(4)
+            .with_priority_boxes(poor.clone());
+        for _ in 0..rounds {
+            sim.step(&mut demand);
+        }
+        let mut report = p2p_vod::analysis::normalize_report(&sim.into_report());
+        // Lemma 1 fixes how many requests a failing round leaves unserved,
+        // not whose, so which viewers stall (and so how many) is the
+        // matching's choice.
+        for playback in &mut report.playbacks {
+            playback.stalled_rounds = 0;
+        }
+        report
+    };
+    let matcher = run(Box::new(MaxFlowScheduler::new()));
+    let naive = run(Box::new(NaiveScheduler::new()));
+    assert!(
+        matcher
+            .failures
+            .iter()
+            .any(|f| !f.starved_relays.is_empty()),
+        "dynamic sizing never starved a relay"
+    );
+    assert_eq!(matcher, naive);
+}
