@@ -75,8 +75,10 @@ impl Allocator for RandomPermutationAllocator {
 
 #[cfg(test)]
 mod tests {
+    use super::super::INITIAL_ROW_CAP;
     use super::*;
     use crate::capacity::{Bandwidth, StorageSlots};
+    use crate::json::JsonCodec;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -156,6 +158,105 @@ mod tests {
         assert!(RandomPermutationAllocator::new(0)
             .allocate(&boxes, &catalog, &mut rng)
             .is_err());
+    }
+
+    /// The allocation as `add` builds it, box by box: one `Option<StripeId>`
+    /// per slot through the same shuffle, then one `add` per replica.
+    fn allocate_by_add(k: u32, boxes: &BoxSet, catalog: &Catalog, seed: u64) -> Placement {
+        let mut entries: Vec<Option<StripeId>> = catalog
+            .stripes()
+            .flat_map(|s| std::iter::repeat(Some(s)).take(k as usize))
+            .collect();
+        entries.resize(boxes.total_storage().slots() as usize, None);
+        entries.shuffle(&mut StdRng::seed_from_u64(seed));
+        let mut placement = Placement::empty(boxes.len(), catalog);
+        let mut slots = entries.iter();
+        for b in boxes.iter() {
+            for stripe in slots.by_ref().take(b.storage.slots() as usize).flatten() {
+                placement.add(b.id, *stripe);
+            }
+        }
+        placement
+    }
+
+    /// Both placements answer alike, serialize alike and hold the same
+    /// capacities (so the bulk build costs no more memory than `add`).
+    fn assert_same(bulk: &Placement, by_add: &Placement, at: &str) {
+        assert!(bulk == by_add, "{at}: placements differ");
+        assert_eq!(bulk.to_json_string(), by_add.to_json_string(), "{at}: JSON");
+        for (b, (x, y)) in bulk.per_box.iter().zip(&by_add.per_box).enumerate() {
+            assert_eq!(x.capacity(), y.capacity(), "{at}: list capacity of box {b}");
+        }
+        let caps = |p: &Placement| p.rows.iter().map(|r| r.cap).collect::<Vec<_>>();
+        assert_eq!(caps(bulk), caps(by_add), "{at}: row capacities");
+    }
+
+    /// The bulk build against box-by-box `add`: homogeneous and
+    /// heterogeneous storage, full catalogs and ones padded with filler
+    /// slots, `k = 6` rows past the initial row capacity, and duplicate
+    /// draws. A seeded `add` / `remove` script then keeps both in step.
+    #[test]
+    fn bulk_build_equals_box_by_box_add() {
+        use crate::node::{BoxId, NodeBox};
+        use crate::video::VideoId;
+        use rand::Rng;
+        let (mut wasted, mut relocated, mut filler) = (0, 0, 0);
+        for (case, (n, k, shape)) in [1usize, 63, 64, 65, 1000]
+            .into_iter()
+            .flat_map(|n| [1u32, 3, 6].map(|k| (n, k)))
+            .flat_map(|(n, k)| [0, 1, 2].map(|shape| (n, k, shape)))
+            .enumerate()
+        {
+            let seed = 0xb01c + case as u64;
+            // Shape 0: 12 slots a box; 1 and 2: 1 to 24 slots a box.
+            let boxes = BoxSet::new(
+                (0..n as u32)
+                    .map(|b| {
+                        let slots = if shape == 0 { 12 } else { 1 + (b * 7 + 3) % 24 };
+                        let storage = StorageSlots::from_slots(slots);
+                        NodeBox::new(BoxId(b), Bandwidth::ONE_STREAM, storage)
+                    })
+                    .collect(),
+            );
+            let c = 3u16;
+            let total = boxes.total_storage().slots() as usize;
+            // Shapes 0 and 1 fill what `k` replicas can; shape 2 half of it.
+            let m = (total / (k as usize * c as usize) / [1, 1, 2][shape]).max(1);
+            let catalog = Catalog::uniform(m, 60, c);
+            if k as usize * catalog.stripe_count() > total {
+                continue; // a single box too small for k replicas of one video
+            }
+            let at = format!("n {n}, k {k}, shape {shape}");
+            let mut bulk = RandomPermutationAllocator::new(k)
+                .allocate(&boxes, &catalog, &mut StdRng::seed_from_u64(seed))
+                .unwrap();
+            let mut by_add = allocate_by_add(k, &boxes, &catalog, seed);
+            assert_same(&bulk, &by_add, &at);
+            wasted += usize::from(bulk.wasted_slots() > 0);
+            relocated += usize::from(bulk.rows.iter().any(|r| r.cap > INITIAL_ROW_CAP));
+            filler += usize::from(k as usize * catalog.stripe_count() < total);
+
+            let mut rng = StdRng::seed_from_u64(seed);
+            for step in 0..60 {
+                let b = BoxId(rng.gen_range(0..n as u32));
+                let s = StripeId::new(VideoId(rng.gen_range(0..m as u32)), rng.gen_range(0..c));
+                match rng.gen_range(0..4) {
+                    0 | 1 => assert_eq!(bulk.add(b, s), by_add.add(b, s)),
+                    2 => assert_eq!(bulk.remove(b, s), by_add.remove(b, s)),
+                    _ => assert_eq!(bulk.remove_box(b), by_add.remove_box(b)),
+                }
+                assert!(bulk == by_add, "{at}: step {step}");
+            }
+            assert_eq!(
+                bulk.to_json_string(),
+                by_add.to_json_string(),
+                "{at}: script"
+            );
+        }
+        assert!(
+            wasted >= 10 && relocated >= 10 && filler >= 10,
+            "{wasted} {relocated} {filler}"
+        );
     }
 
     #[test]

@@ -273,6 +273,100 @@ mod tests {
         assert_eq!(lim.swarm_size(v), 2);
     }
 
+    /// The limiter as a plain table: `advance_to` folds every video's
+    /// joins, whether or not it got any.
+    struct FoldEveryVideo {
+        mu: f64,
+        previous: Vec<usize>,
+        current_joins: Vec<usize>,
+        current_round: u64,
+    }
+
+    impl FoldEveryVideo {
+        fn advance_to(&mut self, round: u64) {
+            if round <= self.current_round {
+                return;
+            }
+            for (p, j) in self.previous.iter_mut().zip(&mut self.current_joins) {
+                *p += std::mem::take(j);
+            }
+            self.current_round = round;
+        }
+        fn headroom(&self, v: usize) -> usize {
+            let f = self.previous[v];
+            let ceiling = (f.max(1) as f64 * self.mu).ceil() as usize;
+            ceiling
+                .saturating_sub(f)
+                .saturating_sub(self.current_joins[v])
+        }
+        fn admit(&mut self, v: usize, wanted: usize) -> usize {
+            let admitted = wanted.min(self.headroom(v));
+            self.current_joins[v] += admitted;
+            admitted
+        }
+        fn record_departures(&mut self, v: usize, leaving: usize) {
+            self.previous[v] = self.previous[v].saturating_sub(leaving);
+        }
+    }
+
+    /// Seeded scripts of admits (repeated on one video within a round, and
+    /// past the headroom so some admit nothing), departures, repeated and
+    /// skipped rounds: every video's swarm size and headroom match a
+    /// limiter that folds the whole catalog each round.
+    #[test]
+    fn limiter_folds_like_a_full_catalog_fold() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(0x11_417 + seed);
+            let videos = [1usize, 7, 50][seed as usize % 3];
+            let mu = [1.0, 1.5, 2.0][(seed as usize / 3) % 3];
+            let mut lim = SwarmGrowthLimiter::new(videos, mu);
+            let mut reference = FoldEveryVideo {
+                mu,
+                previous: vec![0; videos],
+                current_joins: vec![0; videos],
+                current_round: 0,
+            };
+            let (mut round, mut zero_admits) = (0u64, 0);
+            for step in 0..400 {
+                let at = format!("seed {seed} step {step} round {round}");
+                let v = rng.gen_range(0..videos);
+                match rng.gen_range(0..10u32) {
+                    0..=4 => {
+                        let wanted = rng.gen_range(0..6usize);
+                        let admitted = lim.admit(VideoId(v as u32), wanted);
+                        assert_eq!(admitted, reference.admit(v, wanted), "{at}");
+                        zero_admits += usize::from(admitted == 0);
+                        // A second admit of the same video in the round.
+                        let again = lim.admit(VideoId(v as u32), 1);
+                        assert_eq!(again, reference.admit(v, 1), "{at}: again");
+                    }
+                    5..=6 => {
+                        let leaving = rng.gen_range(0..4usize);
+                        lim.record_departures(VideoId(v as u32), leaving);
+                        reference.record_departures(v, leaving);
+                    }
+                    // A repeated round, the next one, or a skip of up to three.
+                    _ => round += rng.gen_range(0..4u64),
+                }
+                lim.advance_to(round);
+                reference.advance_to(round);
+                for v in 0..videos {
+                    let id = VideoId(v as u32);
+                    let size = reference.previous[v] + reference.current_joins[v];
+                    assert_eq!(lim.swarm_size(id), size, "{at}: size of {id}");
+                    assert_eq!(
+                        lim.headroom(id),
+                        reference.headroom(v),
+                        "{at}: headroom of {id}"
+                    );
+                }
+            }
+            assert!(zero_admits > 0, "seed {seed}: no admit came back empty");
+        }
+    }
+
     #[test]
     fn verify_accepts_exponential_and_rejects_jump() {
         // Growth exactly doubling each round is fine for µ = 2.

@@ -465,15 +465,29 @@ fn golden_streams_over_vec_bool() -> Vec<(&'static str, u64, Vec<VideoDemand>)> 
         .collect()
 }
 
-/// The same generators driven by a `Simulator`, i.e. reading the engine's
-/// own `OccupancyView` (playbacks of `T = 6` rounds keep the free set
-/// moving).
-fn golden_streams_through_engine() -> Vec<(&'static str, u64, Vec<VideoDemand>)> {
-    let params = SystemParams::new(48, 2.0, 8, 4, 4, 1.5, 6);
+/// [`golden_generators`] plus a rotating multi-swarm generator, the set
+/// the multi-word engine stream pins.
+fn multi_word_generators(n: usize, m: usize) -> Vec<(&'static str, Box<dyn DemandGenerator>)> {
+    let mut generators = golden_generators(n, m);
+    generators.push((
+        "multi-swarm",
+        Box::new(MultiSwarmChurn::new(m, 8, 12, 1.5, 2013).with_rotation(5)),
+    ));
+    generators
+}
+
+/// The `generators` driven by a `Simulator` over `n` boxes, i.e. reading
+/// the engine's own `OccupancyView` (playbacks of `T = 6` rounds keep the
+/// free set moving).
+fn golden_streams_through_engine(
+    n: usize,
+    generators: fn(usize, usize) -> Vec<(&'static str, Box<dyn DemandGenerator>)>,
+) -> Vec<(&'static str, u64, Vec<VideoDemand>)> {
+    let params = SystemParams::new(n, 2.0, 8, 4, 4, 1.5, 6);
     let mut rng = StdRng::seed_from_u64(12);
     let system =
         VideoSystem::homogeneous(params, &RandomPermutationAllocator::new(4), &mut rng).unwrap();
-    golden_generators(system.n(), system.m())
+    generators(system.n(), system.m())
         .into_iter()
         .map(|(label, inner)| {
             let mut stream = Vec::new();
@@ -552,7 +566,11 @@ fn generator_streams_match_their_golden_values() {
             golden_streams_over_vec_bool(),
             expected_vec_bool,
         ),
-        ("engine", golden_streams_through_engine(), expected_engine),
+        (
+            "engine",
+            golden_streams_through_engine(48, golden_generators),
+            expected_engine,
+        ),
     ] {
         for ((label, hash, stream), (want_label, want_hash, want_head)) in
             streams.into_iter().zip(expected)
@@ -565,5 +583,52 @@ fn generator_streams_match_their_golden_values() {
                 "{label} over {occupancy}: the demand stream moved"
             );
         }
+    }
+}
+
+/// The engine streams again at n = 200: three full 64-box words of the
+/// free-box scan and an 8-box tail (n = 48 above sits inside one partial
+/// word), with every generator's swarm limiter folding joins over many
+/// rounds.
+#[test]
+fn multi_word_engine_streams_match_their_golden_values() {
+    let expected: [(&str, u64, [VideoDemand; 3]); 5] = [
+        (
+            "zipf",
+            0x3b27_9ea4_a753_01bd,
+            [demand(14, 61, 0), demand(12, 25, 0), demand(168, 4, 0)],
+        ),
+        (
+            "poisson",
+            0xb179_24be_9088_cb76,
+            [demand(94, 0, 0), demand(179, 240, 0), demand(123, 0, 0)],
+        ),
+        (
+            "flash-crowd",
+            0xdc9c_a7bb_905c_b7b0,
+            [demand(126, 0, 0), demand(54, 0, 0), demand(96, 0, 1)],
+        ),
+        (
+            "sequential",
+            0x2f37_1ab9_071d_93b1,
+            [demand(0, 2, 0), demand(1, 203, 0), demand(2, 69, 0)],
+        ),
+        (
+            "multi-swarm",
+            0xdca6_8e07_df14_5101,
+            [demand(99, 0, 0), demand(69, 1, 0), demand(120, 2, 0)],
+        ),
+    ];
+    let streams = golden_streams_through_engine(200, multi_word_generators);
+    for ((label, hash, stream), (want_label, want_hash, want_head)) in
+        streams.into_iter().zip(expected)
+    {
+        assert_eq!(label, want_label);
+        assert_eq!(stream.len(), GOLDEN, "{label}");
+        assert_eq!(
+            (&stream[..3], hash),
+            (&want_head[..], want_hash),
+            "{label} at n = 200: the demand stream moved"
+        );
     }
 }
