@@ -249,6 +249,54 @@ impl Placement {
         }
     }
 
+    /// The placement whose per-box lists are `per_box` (deduplicated, each
+    /// stripe's index below `c`), in one pass: count every row, lay the
+    /// rows out in slot order with the capacity `add` would have grown
+    /// them to, and fill them in ascending box id — the holder order
+    /// adding box by box produces. The table has at least `rows` rows, and
+    /// whole videos beyond them for any stripe past the last.
+    pub(crate) fn from_box_lists(
+        per_box: Vec<Vec<StripeId>>,
+        c: u16,
+        rows: usize,
+        wasted_slots: usize,
+    ) -> Self {
+        assert!(c > 0, "stripe count must be positive");
+        let mut spans = vec![RowSpan::default(); rows];
+        for stripe in per_box.iter().flatten() {
+            debug_assert!(stripe.index < c, "stripe {stripe} past c = {c}");
+            let slot = stripe.global_index(c);
+            if slot >= spans.len() {
+                spans.resize((stripe.video.index() + 1) * c as usize, RowSpan::default());
+            }
+            spans[slot].len += 1;
+        }
+        let mut end = 0u32;
+        for span in &mut spans {
+            span.start = end;
+            span.cap = span.len.next_power_of_two().max(INITIAL_ROW_CAP);
+            span.len = 0;
+            end = end
+                .checked_add(span.cap)
+                .expect("holder pool indexed by u32");
+        }
+        let mut pool = vec![BoxId(0); end as usize];
+        for (b, stripes) in per_box.iter().enumerate() {
+            for stripe in stripes {
+                let span = &mut spans[stripe.global_index(c)];
+                pool[(span.start + span.len) as usize] = BoxId(b as u32);
+                span.len += 1;
+            }
+        }
+        Placement {
+            per_box,
+            stripes_per_video: c,
+            rows: spans,
+            pool,
+            wasted_slots,
+        }
+    }
+
     /// Number of boxes the placement spans.
     pub fn box_count(&self) -> usize {
         self.per_box.len()

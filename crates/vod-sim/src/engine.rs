@@ -115,12 +115,20 @@ impl OccupancyView for Occupancy<'_> {
     fn box_count(&self) -> usize {
         self.alive.len()
     }
-    /// `alive & !viewers`, 64 boxes per step.
+    /// `alive & !viewers`, 64 boxes per step; an all-free word (the common
+    /// one on an idle fleet) is one range. Padding bits are zero, so only
+    /// words wholly inside the fleet can be all free.
     fn free_boxes_into(&self, out: &mut Vec<BoxId>) {
         out.clear();
         let words = self.alive.words().iter().zip(self.viewers.words());
         for (wi, (&alive, &viewing)) in words.enumerate() {
-            for_each_bit_of_word(wi, alive & !viewing, |idx| out.push(BoxId(idx as u32)));
+            match alive & !viewing {
+                u64::MAX => {
+                    let first = wi as u32 * 64;
+                    out.extend((first..first + 64).map(BoxId));
+                }
+                free => for_each_bit_of_word(wi, free, |idx| out.push(BoxId(idx as u32))),
+            }
         }
     }
 }

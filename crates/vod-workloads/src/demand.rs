@@ -139,6 +139,9 @@ pub struct SwarmGrowthLimiter {
     previous: Vec<usize>,
     /// New joins recorded for the current round.
     current_joins: Vec<usize>,
+    /// The videos whose `current_joins` is non-zero, in first-join order:
+    /// the only entries `advance_to` has to fold.
+    joined: Vec<u32>,
     current_round: u64,
 }
 
@@ -150,6 +153,7 @@ impl SwarmGrowthLimiter {
             mu,
             previous: vec![0; videos],
             current_joins: vec![0; videos],
+            joined: Vec::new(),
             current_round: 0,
         }
     }
@@ -162,14 +166,15 @@ impl SwarmGrowthLimiter {
     /// Moves the limiter to `round`, folding the joins recorded so far into
     /// the per-video swarm sizes. Rounds must be visited in non-decreasing
     /// order; skipped rounds count as rounds with no join (the swarm ceiling
-    /// still grows accordingly because growth is per elapsed round).
+    /// still grows accordingly because growth is per elapsed round). Costs
+    /// the videos that got joins, not the catalog.
     pub fn advance_to(&mut self, round: u64) {
         if round <= self.current_round {
             return;
         }
-        for v in 0..self.previous.len() {
-            self.previous[v] += self.current_joins[v];
-            self.current_joins[v] = 0;
+        for v in self.joined.drain(..) {
+            let v = v as usize;
+            self.previous[v] += std::mem::take(&mut self.current_joins[v]);
         }
         self.current_round = round;
     }
@@ -195,7 +200,11 @@ impl SwarmGrowthLimiter {
     /// returns how many were admitted (≤ `wanted`, capped by the headroom).
     pub fn admit(&mut self, video: VideoId, wanted: usize) -> usize {
         let admitted = wanted.min(self.headroom(video));
-        self.current_joins[video.index()] += admitted;
+        let joins = &mut self.current_joins[video.index()];
+        if *joins == 0 && admitted > 0 {
+            self.joined.push(video.0);
+        }
+        *joins += admitted;
         admitted
     }
 

@@ -123,12 +123,7 @@ impl DemandGenerator for MultiSwarmChurn {
         out.clear();
         self.limiter.advance_to(round);
         let start = self.window_start(round);
-        self.free_buf.clear();
-        self.free_buf.extend(
-            (0..occupancy.box_count() as u32)
-                .map(BoxId)
-                .filter(|&b| occupancy.is_free(b)),
-        );
+        occupancy.free_boxes_into(&mut self.free_buf);
         self.free_buf.shuffle(&mut self.rng);
         if !self.priority.is_empty() {
             // Stable partition: free priority boxes first (ascending id —

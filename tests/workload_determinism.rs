@@ -386,10 +386,13 @@ fn generators_respect_occupancy() {
 /// How many demands each golden stream pins.
 const GOLDEN: usize = 200;
 
+/// Labelled demand generators.
+type Generators = Vec<(&'static str, Box<dyn DemandGenerator>)>;
+
 /// The generators that read the free list (`free_boxes_into`) and, except
 /// `SequentialViewing`, shuffle it with their own RNG — at fixed seeds,
 /// over `n` boxes and `m` videos.
-fn golden_generators(n: usize, m: usize) -> Vec<(&'static str, Box<dyn DemandGenerator>)> {
+fn golden_generators(n: usize, m: usize) -> Generators {
     let crowds = (0..16)
         .map(|i| CrowdSpec {
             video: VideoId(i),
@@ -467,7 +470,7 @@ fn golden_streams_over_vec_bool() -> Vec<(&'static str, u64, Vec<VideoDemand>)> 
 
 /// [`golden_generators`] plus a rotating multi-swarm generator, the set
 /// the multi-word engine stream pins.
-fn multi_word_generators(n: usize, m: usize) -> Vec<(&'static str, Box<dyn DemandGenerator>)> {
+fn multi_word_generators(n: usize, m: usize) -> Generators {
     let mut generators = golden_generators(n, m);
     generators.push((
         "multi-swarm",
@@ -481,7 +484,7 @@ fn multi_word_generators(n: usize, m: usize) -> Vec<(&'static str, Box<dyn Deman
 /// free set moving).
 fn golden_streams_through_engine(
     n: usize,
-    generators: fn(usize, usize) -> Vec<(&'static str, Box<dyn DemandGenerator>)>,
+    generators: fn(usize, usize) -> Generators,
 ) -> Vec<(&'static str, u64, Vec<VideoDemand>)> {
     let params = SystemParams::new(n, 2.0, 8, 4, 4, 1.5, 6);
     let mut rng = StdRng::seed_from_u64(12);
