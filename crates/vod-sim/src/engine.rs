@@ -1786,14 +1786,15 @@ mod tests {
     }
 
     /// The state signature of the loaded engine below at its fork point,
-    /// pinned when the engine still kept its state in loose fields: moving
-    /// that state into one struct must not move the signature.
-    const LOADED_FORK_SIGNATURE: u64 = 0xb592_cef2_401a_035c;
+    /// pinned with the relayed fleet at its plan-derived reservations
+    /// before the dynamic-sizing code was deleted, so the deletion must
+    /// not move it.
+    const LOADED_FORK_SIGNATURE: u64 = 0xa55d_4571_309c_a0e1;
 
     /// A fork of an engine with every subsystem attached — a relayed
-    /// heterogeneous fleet with dynamic reservations, churn with repair,
-    /// faults with delivery retries, and degradation — continues exactly
-    /// like the original, and forking does not move the state signature.
+    /// heterogeneous fleet, churn with repair, faults with delivery
+    /// retries, and degradation — continues exactly like the original, and
+    /// forking does not move the state signature.
     #[test]
     fn fork_of_a_loaded_engine_continues_bit_identically() {
         use vod_core::{Bandwidth, Catalog};
@@ -1815,7 +1816,6 @@ mod tests {
         )
         .unwrap();
         let mut original = Simulator::new(&sys, SimConfig::new(60).continue_on_failure());
-        original.enable_dynamic_reservations(2);
         original.attach_churn(
             ChurnModel::new(sys.boxes(), 41)
                 .with_session(SessionLength::Geometric { leave_rate: 0.04 })

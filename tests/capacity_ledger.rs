@@ -3,10 +3,12 @@
 //! A seeded script churns boxes (`apply_churn`), opens and closes fault
 //! windows (`apply_fault`, including `pct` 0 and 100 and windows that never
 //! expire) and runs a repair budget, on a homogeneous and on a relayed
-//! fleet (the latter with dynamic reservation sizing). The test keeps its
-//! own per-box at-rest table — `alive × ⌊u·c⌋`, or the relay broker's open
-//! slots — and its own list of open windows, and after every round checks
-//! that the round was scheduled against exactly
+//! fleet. The test keeps its own per-box at-rest table — 0 for a dead box,
+//! `⌊(u_b − Σ_p (u* + 1 − 2·u_p))·c⌋` for a live one, the sum over the live
+//! poor boxes `p` the live plan relays through `b` (none on a homogeneous
+//! fleet), with every upload from its own table — and its own list of open
+//! windows. Around every round it checks the broker's reserved slots
+//! against the same sums, that the round was scheduled against exactly
 //! `Σ at-rest − Σ fault loss − repair budget` slots, and that no hold
 //! outlived its round.
 
@@ -52,8 +54,6 @@ struct Coverage {
     churn_events: u32,
     fault_loss: u64,
     repair_slots: u64,
-    /// Rounds after which a dynamic retune moved some box's budget.
-    retuned: u32,
 }
 
 /// Runs `ROUNDS` scripted rounds on `sys`, checking the ledger against the
@@ -61,25 +61,40 @@ struct Coverage {
 fn run_against_model(sys: &VideoSystem, seed: u64) -> Coverage {
     let n = sys.n();
     let c = sys.c();
-    let is_relayed = sys.compensation().is_some();
+    let u_star = Bandwidth::from_streams(1.2);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut sim = Simulator::new(sys, SimConfig::new(ROUNDS).continue_on_failure());
     sim.attach_repair(RepairPlanner::for_system(sys, 3));
-    if is_relayed {
-        sim.enable_dynamic_reservations(2);
-    }
     let mut gen = SequentialViewing::new(n, sys.m(), NextVideoPolicy::RoundRobin, 1.3, seed);
 
     // The homogeneous at-rest model: liveness and upload per box.
     let mut alive = vec![true; n];
     let mut upload: Vec<Bandwidth> = sys.boxes().iter().map(|b| b.upload).collect();
     let mut windows: Vec<Window> = vec![None; n];
-    let at_rest = |sim: &Simulator, alive: &[bool], upload: &[Bandwidth], b: usize| match sim
-        .relay_broker()
-    {
-        Some(broker) => broker.open_upload_slots(BoxId(b as u32)),
-        None if alive[b] => upload[b].stripe_slots(c),
-        None => 0,
+    // The at-rest model: each box's reservation, summed from the live
+    // plan's assignments of live poor boxes and the model's own uploads
+    // (and checked against the broker's reserved slots), then its open
+    // slots.
+    let at_rest = |sim: &Simulator, alive: &[bool], upload: &[Bandwidth]| -> Vec<u32> {
+        let mut reserved = vec![Bandwidth::ZERO; n];
+        if let Some(broker) = sim.relay_broker() {
+            for p in (0..n).filter(|&p| alive[p] && upload[p] < u_star) {
+                if let Some(relay) = broker.plan().relay(BoxId(p as u32)) {
+                    reserved[relay.index()] += relay_reservation(u_star, upload[p]);
+                }
+            }
+            let slots: Vec<u32> = reserved.iter().map(|r| r.stripe_slots(c)).collect();
+            assert_eq!(broker.reserved_slots(), slots, "reserved slots");
+        }
+        (0..n)
+            .map(|b| {
+                if alive[b] {
+                    upload[b].saturating_sub(reserved[b]).stripe_slots(c)
+                } else {
+                    0
+                }
+            })
+            .collect()
     };
     let mut coverage = Coverage::default();
     let uploads = [0.6, 1.0, 1.4, 2.0, 2.6, 3.2];
@@ -142,7 +157,7 @@ fn run_against_model(sys: &VideoSystem, seed: u64) -> Coverage {
         }
 
         // Between rounds the table is at rest and agrees with the model.
-        let before: Vec<u32> = (0..n).map(|b| at_rest(&sim, &alive, &upload, b)).collect();
+        let before = at_rest(&sim, &alive, &upload);
         for (b, &slots) in before.iter().enumerate() {
             assert_eq!(
                 sim.upload_slots(BoxId(b as u32)),
@@ -173,17 +188,14 @@ fn run_against_model(sys: &VideoSystem, seed: u64) -> Coverage {
             "round {now}: scheduled against the wrong budget \
              (at rest {rest}, fault loss {loss}, repair {repair})"
         );
-        // Every hold was released: the table is back at rest (after the
-        // relayed run's dynamic retune, when one happened).
-        let after: Vec<u32> = (0..n).map(|b| at_rest(&sim, &alive, &upload, b)).collect();
-        for (b, &slots) in after.iter().enumerate() {
+        // Every hold was released: the table is back at rest.
+        for (b, &slots) in at_rest(&sim, &alive, &upload).iter().enumerate() {
             assert_eq!(
                 sim.upload_slots(BoxId(b as u32)),
                 slots,
                 "round {now}: box {b} kept a hold"
             );
         }
-        coverage.retuned += u32::from(after != before);
         coverage.fault_loss += loss;
         coverage.repair_slots += repair;
     }
@@ -204,9 +216,6 @@ fn ledger_matches_an_independent_model() {
                 "{label} seed {seed}: no fault loss"
             );
             assert!(coverage.repair_slots > 0, "{label} seed {seed}: no repair");
-            if label == "relayed" {
-                assert!(coverage.retuned > 0, "{label} seed {seed}: no retune");
-            }
         }
     }
 }

@@ -13,12 +13,13 @@
 //!   requests, requester ≠ viewer) exceeds its reserved forwarding slots,
 //!   in ascending box id.
 //!
-//! A chronically infeasible u*-compensated fleet is driven twice — static
-//! reservations, then dynamic sizing, which shrinks calm reservations and
-//! so starves relays when demand returns — and each record is rechecked
-//! against a brute force over every box subset of the captured instance
-//! and an independent count of the captured requests against the broker's
-//! reserved slots. A digest of all records pins the diagnosis bit for bit.
+//! A chronically infeasible u*-compensated fleet is driven twice — as it
+//! stands, then with scripted departures of relays whose poor boxes are
+//! mid-playback, whose in-flight relayed requests keep naming the departed
+//! relay and so starve it — and each record is rechecked against a brute
+//! force over every box subset of the captured instance and an independent
+//! count of the captured requests against the broker's reserved slots. A
+//! digest of each run's records pins the diagnosis bit for bit.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -125,10 +126,18 @@ struct Coverage {
     supply: usize,
     starved: usize,
     both: usize,
+    departures: usize,
     digest_parts: Vec<u64>,
 }
 
-fn run_and_recheck(dynamic: bool, rounds: u64) -> Coverage {
+/// The departure run's script: from round 5, every 20th round the relay of
+/// the lowest poor box that is mid-playback leaves, and rejoins 10 rounds
+/// later, so the fleet never drops below 11 of its 12 boxes.
+const DEPART_FROM: u64 = 5;
+const DEPART_EVERY: u64 = 20;
+const REJOIN_AFTER: u64 = 10;
+
+fn run_and_recheck(departures: bool, rounds: u64) -> Coverage {
     let system = starved_relayed_fleet();
     let poor = system.boxes().poor_ids(Bandwidth::from_streams(1.2));
     let captured = Rc::new(RefCell::new(Captured::default()));
@@ -138,14 +147,27 @@ fn run_and_recheck(dynamic: bool, rounds: u64) -> Coverage {
     });
     let config = SimConfig::new(rounds).continue_on_failure();
     let mut sim = Simulator::with_scheduler(&system, config, scheduler);
-    if dynamic {
-        sim.enable_dynamic_reservations(1);
-    }
     let mut demand = MultiSwarmChurn::new(system.m(), 3, 4, 1.5, 2)
         .with_rotation(4)
-        .with_priority_boxes(poor);
+        .with_priority_boxes(poor.clone());
     let mut coverage = Coverage::default();
+    let mut departed: Option<(BoxId, u64)> = None;
     for now in 0..rounds {
+        if let Some((relay, _)) = departed.take_if(|&mut (_, back)| back == now) {
+            sim.apply_churn(ChurnEvent::Joined(*system.boxes().get(relay)));
+        }
+        if departures && now >= DEPART_FROM && (now - DEPART_FROM) % DEPART_EVERY == 0 {
+            let broker = sim.relay_broker().expect("relayed fleet");
+            let relay = poor
+                .iter()
+                .filter(|&&p| sim.playback(p).is_some())
+                .find_map(|&p| broker.plan().relay(p));
+            if let Some(relay) = relay {
+                sim.apply_churn(ChurnEvent::Left(relay));
+                departed = Some((relay, now + REJOIN_AFTER));
+                coverage.departures += 1;
+            }
+        }
         let failures_before = sim.report_so_far().failures.len();
         sim.step(&mut demand);
         let report = sim.report_so_far();
@@ -209,31 +231,38 @@ fn run_and_recheck(dynamic: bool, rounds: u64) -> Coverage {
     coverage
 }
 
-/// The digest of every failure record of both runs, pinned when the engine
-/// still diagnosed relayed rounds through a two-hop relay flow network
-/// (supply and forwarding legs in one max flow): the Lemma-1 min cut plus
-/// the reservation count reproduce that diagnosis bit for bit.
-const FAILURE_DIGEST: u64 = 0xf9c8_da31_4299_3e43;
+/// The digest of every failure record of the static run, pinned when the
+/// engine still diagnosed relayed rounds through a two-hop relay flow
+/// network (supply and forwarding legs in one max flow): the Lemma-1 min
+/// cut plus the reservation count reproduce that diagnosis bit for bit.
+const STATIC_DIGEST: u64 = 0x1e26_8e6f_e108_ce4c;
+
+/// The digest of every failure record of the departure run.
+const DEPARTURE_DIGEST: u64 = 0xf648_3f87_ff84_defa;
 
 #[test]
 fn relayed_failures_are_diagnosed_by_the_min_cut_and_the_reservation_count() {
     let rounds = 120;
     let fixed = run_and_recheck(false, rounds);
-    let dynamic = run_and_recheck(true, rounds);
-    for (label, run) in [("static", &fixed), ("dynamic", &dynamic)] {
+    let departure = run_and_recheck(true, rounds);
+    for (label, run) in [("static", &fixed), ("departure", &departure)] {
         assert!(run.failures > 0, "{label}: the fleet never failed");
         assert_eq!(
             run.supply, run.failures,
             "{label}: a failure without a witness"
         );
     }
-    // Static reservations cover Theorem 2's worst case, so only dynamic
-    // sizing starves relays — and then in rounds that also fail on supply.
+    // Static reservations cover Theorem 2's worst case, so only a relay
+    // that left under its poor boxes' in-flight requests starves — and
+    // then in rounds that also fail on supply.
     assert_eq!(fixed.starved, 0);
-    assert!(dynamic.starved > 0, "no failing round starved a relay");
-    assert!(dynamic.both > 0, "no round had both diagnoses");
-    let digest = p2p_vod::core::fx_hash(&(&fixed.digest_parts, &dynamic.digest_parts));
-    assert_eq!(digest, FAILURE_DIGEST, "digest {digest:#018x}");
+    assert!(departure.departures > 0, "the script removed no relay");
+    assert!(departure.starved > 0, "no failing round starved a relay");
+    assert!(departure.both > 0, "no round had both diagnoses");
+    let digest = p2p_vod::core::fx_hash(&fixed.digest_parts);
+    assert_eq!(digest, STATIC_DIGEST, "static digest {digest:#018x}");
+    let digest = p2p_vod::core::fx_hash(&departure.digest_parts);
+    assert_eq!(digest, DEPARTURE_DIGEST, "departure digest {digest:#018x}");
 }
 
 /// Dynamic reservation sizing reads the relay loads counted from the
