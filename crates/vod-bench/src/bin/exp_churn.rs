@@ -1,5 +1,4 @@
-//! E16 — Live population: engine-driven churn, budgeted stripe repair, and
-//! dynamic relay reservations.
+//! E16 — Live population: engine-driven churn and budgeted stripe repair.
 //!
 //! The paper's threshold analysis fixes the box population; this
 //! experiment measures what its guarantees cost to keep when boxes come
@@ -16,26 +15,18 @@
 //!   `NaiveScheduler`. Served and unserved counts and the per-round repair
 //!   stats must be identical; the run **exits
 //!   non-zero on any divergence**, extending the CI determinism gates to
-//!   live-population state;
-//! * **dynamic reservations** — a u*-compensated heterogeneous fleet under
-//!   mild load runs with worst-case `u* + 1 − 2u_b` reservations held
-//!   forever, then with saturation-driven sizing: calm relays shrink their
-//!   reserved slots toward a floor of one, saturated relays grow back
-//!   toward the plan. The reclaimed slots serve ordinary traffic, and the
-//!   served count must not fall below the worst-case-reservation run.
+//!   live-population state.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 use vod_analysis::Table;
 use vod_bench::{print_header, Scale};
-use vod_core::{Bandwidth, Catalog, RandomPermutationAllocator, SystemParams, VideoSystem};
+use vod_core::{RandomPermutationAllocator, SystemParams, VideoSystem};
 use vod_sim::{
     NaiveScheduler, RepairPlanner, RepairRoundStats, SimConfig, SimulationReport, Simulator,
 };
-use vod_workloads::{
-    ChurnModel, MultiSwarmChurn, NextVideoPolicy, SequentialViewing, SessionLength,
-};
+use vod_workloads::{ChurnModel, NextVideoPolicy, SequentialViewing, SessionLength};
 
 /// A homogeneous at-threshold system with storage headroom: the catalog is
 /// held below the `⌊d·n/k⌋` saturation point so repair has spare slots to
@@ -128,71 +119,10 @@ fn pipeline_trace<'a>(
         .collect()
 }
 
-/// A u*-compensated two-class fleet for the dynamic-reservation series.
-fn relay_fleet(scale: Scale) -> VideoSystem {
-    let c: u16 = 8;
-    let poor = scale.pick(8, 16);
-    let rich = scale.pick(8, 16);
-    let mut uploads = vec![0.6f64; poor];
-    uploads.extend(vec![3.6f64; rich]);
-    let boxes = VideoSystem::proportional_boxes(&uploads, 6.0, c);
-    let n = boxes.len();
-    let d_avg = boxes.average_storage_videos(c);
-    let k = 3u32;
-    let catalog_size = ((d_avg * n as f64) / k as f64).floor() as usize;
-    let catalog = Catalog::uniform(catalog_size, scale.pick(24, 40), c);
-    let params = SystemParams::new(
-        n,
-        boxes.average_upload(),
-        d_avg.round().max(1.0) as u32,
-        c,
-        k,
-        1.2,
-        scale.pick(24, 40),
-    );
-    let mut rng = StdRng::seed_from_u64(8);
-    VideoSystem::heterogeneous(
-        params,
-        boxes,
-        catalog,
-        &RandomPermutationAllocator::new(k),
-        Some(Bandwidth::from_streams(1.2)),
-        &mut rng,
-    )
-    .expect("two-class fleet is u*-compensable")
-}
-
-/// Runs the relay fleet under a mild multi-swarm workload, optionally with
-/// dynamic reservation sizing. Returns (report, total reserved slots at
-/// the end of the run, ms/round).
-fn run_relayed(
-    sys: &VideoSystem,
-    rounds: u64,
-    dynamic: Option<u64>,
-) -> (SimulationReport, u32, f64) {
-    let mut sim = Simulator::new(sys, SimConfig::new(rounds).continue_on_failure());
-    if let Some(window) = dynamic {
-        sim.enable_dynamic_reservations(window);
-    }
-    let mut gen = MultiSwarmChurn::new(sys.m(), 4, 6, 1.2, 5).with_rotation(6);
-    let start = Instant::now();
-    for _ in 0..rounds {
-        sim.step(&mut gen);
-    }
-    let ms = start.elapsed().as_secs_f64() * 1e3 / rounds.max(1) as f64;
-    let reserved: u32 = sim
-        .relay_broker()
-        .expect("heterogeneous system")
-        .reserved_slots()
-        .iter()
-        .sum();
-    (sim.into_report(), reserved, ms)
-}
-
 fn main() {
     let scale = Scale::from_env();
     print_header(
-        "E16 exp_churn — live population: churn, budgeted repair, dynamic reservations",
+        "E16 exp_churn — live population: churn and budgeted repair",
         "with budgeted repair the Theorem 1 service level survives sustained churn; without it replica erosion degrades service",
         scale,
     );
@@ -288,63 +218,9 @@ fn main() {
         "equivalence: incremental and naive pipelines agree on served, unserved, and repair stats across {gate_rounds} churned rounds ({gate_repaired} repairs) ✓\n"
     );
 
-    // ---- Part 3: dynamic relay reservations vs worst-case ----
-    let fleet = relay_fleet(scale);
-    let relay_rounds = scale.pick(60u64, 120);
-    let (static_report, static_reserved, static_ms) = run_relayed(&fleet, relay_rounds, None);
-    let window = 8u64;
-    let (dyn_report, dyn_reserved, dyn_ms) = run_relayed(&fleet, relay_rounds, Some(window));
-
-    let mut relay_table = Table::new(
-        "Dynamic reservation sizing (same fleet, same workload seed)",
-        &[
-            "reservations",
-            "served",
-            "reserved slots (end)",
-            "relay saturated rounds",
-            "ms/round",
-        ],
-    );
-    let saturated = |report: &SimulationReport| -> u64 {
-        report.relays.iter().map(|r| r.saturated_rounds).sum()
-    };
-    relay_table.push_row(vec![
-        "worst-case (static)".to_string(),
-        static_report.total_served().to_string(),
-        static_reserved.to_string(),
-        saturated(&static_report).to_string(),
-        format!("{static_ms:.3}"),
-    ]);
-    relay_table.push_row(vec![
-        format!("dynamic (window {window})"),
-        dyn_report.total_served().to_string(),
-        dyn_reserved.to_string(),
-        saturated(&dyn_report).to_string(),
-        format!("{dyn_ms:.3}"),
-    ]);
-    println!("{}", relay_table.to_markdown());
-    println!(
-        "(poor boxes keep their relays; calm relays release reserved slots to ordinary serving, growing back on saturation)"
-    );
-
-    if dyn_reserved > static_reserved {
-        eprintln!(
-            "FAIL: dynamic sizing reserved {dyn_reserved} slots, above the worst-case plan's {static_reserved}"
-        );
-        failed = true;
-    }
-    if dyn_report.total_served() < static_report.total_served() {
-        eprintln!(
-            "FAIL: dynamic sizing lost service ({} vs {} with worst-case reservations)",
-            dyn_report.total_served(),
-            static_report.total_served()
-        );
-        failed = true;
-    }
-
     if failed {
         eprintln!("\nexp_churn: FAILED");
         std::process::exit(1);
     }
-    println!("\nexp_churn: resilience, equivalence, and reservation checks passed");
+    println!("\nexp_churn: resilience and equivalence checks passed");
 }

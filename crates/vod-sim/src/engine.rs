@@ -384,7 +384,14 @@ impl RoundState {
             });
             let moves = result.map_or(0, |deltas| deltas.len() as u64);
             tracer.end(clock, Stage::RelayReplan, moves);
-            self.resync_from_broker();
+            // The one place a relayed system's at-rest budgets move: every
+            // box's budget becomes its open slots under the live plan
+            // (departed boxes drop to zero, freed or grown reservations
+            // open slots).
+            for idx in 0..self.ledger.slots().len() {
+                let b = BoxId(idx as u32);
+                self.ledger.set(b, broker.open_upload_slots(b));
+            }
             return;
         }
         let slots = match event {
@@ -393,17 +400,6 @@ impl RoundState {
             ChurnEvent::UploadChanged(_, upload) => upload.stripe_slots(system.c()),
         };
         self.ledger.set(event.box_id(), slots);
-    }
-
-    /// Sets every box's at-rest budget to its open slots under the relay
-    /// broker's live plan: departed boxes drop to zero, freed or grown
-    /// reservations open slots.
-    fn resync_from_broker(&mut self) {
-        let broker = self.relay_broker.as_ref().expect("relayed system");
-        for idx in 0..self.ledger.slots().len() {
-            let b = BoxId(idx as u32);
-            self.ledger.set(b, broker.open_upload_slots(b));
-        }
     }
 
     /// Detaches a departed box from every live structure, effective this
@@ -910,24 +906,6 @@ impl<'a> Simulator<'a> {
         self.state.apply_fault(event);
     }
 
-    /// Enables dynamic relay-reservation sizing (heterogeneous systems
-    /// only): instead of holding every relay at the worst-case
-    /// `u* + 1 − 2u_b` reservation forever, the broker shrinks a relay's
-    /// reserved slots after `window` consecutive calm rounds and grows them
-    /// back on saturation, never past the plan's worst case. The engine
-    /// resyncs its capacity table from the broker after every round, so
-    /// freed slots serve ordinary traffic the next round. The sizing
-    /// feedback reads each relay's forwarding demand, counted from the
-    /// round's requests (never from the assignment), so it is the same
-    /// under every scheduler.
-    pub fn enable_dynamic_reservations(&mut self, window: u64) {
-        self.state
-            .relay_broker
-            .as_mut()
-            .expect("dynamic reservation sizing needs a heterogeneous (relayed) system")
-            .enable_dynamic_reservations(window);
-    }
-
     /// Canonical signature of the behavioural state: everything the future
     /// of the simulation depends on — playback states (with their request
     /// plans), live candidate-cache entries, swarm preload counters, the
@@ -1075,15 +1053,6 @@ impl<'a> Simulator<'a> {
         tracer.end(clock, Stage::RepairCommit, 0);
         // The round's fault and repair holds end with it.
         state.ledger.release();
-        // Dynamic reservation sizing re-tunes inside `note_round`; pick the
-        // shifted budgets up for the next round.
-        if state
-            .relay_broker
-            .as_ref()
-            .is_some_and(RelayBroker::dynamic_reservations_enabled)
-        {
-            state.resync_from_broker();
-        }
         // The repair commit lands after the metrics push, so the round's
         // timing aggregate is patched into the record it belongs to.
         if let Some(timing) = tracer.take_round_timings() {
@@ -1254,7 +1223,7 @@ impl<'a> Simulator<'a> {
             // round's assignment: reserve chains are dead ends of the
             // two-hop residual graph, so relaying leaves it unchanged. The
             // forwarding side is the relays whose demand exceeds their
-            // reservation, read after `note_round` retuned it.
+            // reservation.
             let cut = scratch.hall_cut.read(
                 state.ledger.slots(),
                 scratch.rows.view(),
@@ -1785,10 +1754,9 @@ mod tests {
         }
     }
 
-    /// The state signature of the loaded engine below at its fork point,
-    /// pinned with the relayed fleet at its plan-derived reservations
-    /// before the dynamic-sizing code was deleted, so the deletion must
-    /// not move it.
+    /// The state signature of the loaded engine below at its fork point:
+    /// a change that moves it changes what the engine does, or what the
+    /// signature reads.
     const LOADED_FORK_SIGNATURE: u64 = 0xa55d_4571_309c_a0e1;
 
     /// A fork of an engine with every subsystem attached — a relayed

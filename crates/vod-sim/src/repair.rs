@@ -94,8 +94,6 @@ pub struct RepairPlanner {
     target: usize,
     /// Maximum transfers per round across all stripes.
     round_budget: u32,
-    /// Maximum transfers drawn from a single source box per round.
-    per_box_egress: u32,
     /// Storage capacity (stripe slots) per box.
     storage: Vec<u32>,
     /// Under-replicated stripes awaiting repair (sorted, deduped).
@@ -122,7 +120,6 @@ impl RepairPlanner {
         RepairPlanner {
             target: target_replication,
             round_budget,
-            per_box_egress: round_budget,
             storage,
             pending: Vec::new(),
             lost: Vec::new(),
@@ -144,12 +141,6 @@ impl RepairPlanner {
             RepairPlanner::new(storage, system.params().replication as usize, round_budget);
         planner.prime(system.placement(), system.catalog());
         planner
-    }
-
-    /// Caps the upload slots repair may draw from one source per round.
-    pub fn with_per_box_egress(mut self, cap: u32) -> Self {
-        self.per_box_egress = cap;
-        self
     }
 
     /// Enqueues every stripe of `catalog` currently below the target level.
@@ -252,9 +243,7 @@ impl RepairPlanner {
         let holders = placement.holders_of(stripe);
         let source = holders.iter().copied().find(|b| {
             let i = b.index();
-            alive.get(i)
-                && self.egress[i] < self.per_box_egress
-                && self.egress[i] < capacities.get(i).copied().unwrap_or(0)
+            alive.get(i) && self.egress[i] < capacities.get(i).copied().unwrap_or(0)
         })?;
         let mut best: Option<(u32, BoxId)> = None;
         for i in 0..self.storage.len() {
@@ -421,7 +410,7 @@ mod tests {
     fn round_budget_caps_transfers_and_egress_respects_capacities() {
         let (boxes, _catalog, mut placement) = setup(12, 24, 12, 4, 3);
         let storage: Vec<u32> = boxes.iter().map(|b| b.storage.slots()).collect();
-        let mut planner = RepairPlanner::new(storage, 3, 3).with_per_box_egress(1);
+        let mut planner = RepairPlanner::new(storage, 3, 3);
         let mut alive = BitSet::ones(12);
         let caps = vec![2u32; 12];
         depart(&mut planner, &mut placement, &mut alive, 0);
@@ -430,7 +419,6 @@ mod tests {
         assert!(stats.repaired <= 3, "round budget");
         assert_eq!(stats.budget_slots as usize, stats.repaired);
         for (b, &e) in planner.egress().iter().enumerate() {
-            assert!(e <= 1, "per-box egress cap violated on {b}");
             assert!(e <= caps[b], "egress exceeds open capacity on {b}");
         }
         // Transfers only name alive sources that hold the stripe and alive
@@ -516,7 +504,7 @@ mod tests {
         alive: &BitSet,
         capacities: &[u32],
         storage: &[u32],
-        (target, budget, egress_cap): (usize, usize, u32),
+        (target, budget): (usize, usize),
         holder_led: &mut usize,
     ) -> Vec<RepairTransfer> {
         let mut queue: Vec<StripeId> = catalog
@@ -532,11 +520,10 @@ mod tests {
                     break;
                 }
                 let drawn = |b: BoxId| plan.iter().filter(|t| t.source == b).count() as u32;
-                let source = holders.iter().copied().find(|&b| {
-                    alive.contains(b.index())
-                        && drawn(b) < egress_cap
-                        && drawn(b) < capacities[b.index()]
-                });
+                let source = holders
+                    .iter()
+                    .copied()
+                    .find(|&b| alive.contains(b.index()) && drawn(b) < capacities[b.index()]);
                 let spare = |b: BoxId| {
                     let planned = plan.iter().filter(|t| t.dest == b).count();
                     (storage[b.index()] as usize).saturating_sub(placement.box_load(b) + planned)
@@ -579,7 +566,7 @@ mod tests {
         for budget in [1u32, 4, 64] {
             let (boxes, catalog, mut placement) = setup(N, 24, 100, 4, 3);
             let storage: Vec<u32> = boxes.iter().map(|b| b.storage.slots()).collect();
-            let mut planner = RepairPlanner::new(storage.clone(), 3, budget).with_per_box_egress(2);
+            let mut planner = RepairPlanner::new(storage.clone(), 3, budget);
             // Upload slots open to repair differ per box; some have none.
             let caps: Vec<u32> = (0..N as u32).map(|b| b % 4).collect();
             let mut alive = BitSet::ones(N);
@@ -600,7 +587,7 @@ mod tests {
                     &alive,
                     &caps,
                     &storage,
-                    (3, budget as usize, 2),
+                    (3, budget as usize),
                     &mut holder_led,
                 );
                 let stats = planner.plan_round(&placement, &alive, &caps);

@@ -142,25 +142,6 @@ impl JsonCodec for RelayRoundStats {
     }
 }
 
-/// State of opt-in dynamic reservation sizing: per-relay effective-slot
-/// overrides retuned from observed saturation instead of holding every
-/// relay at the static worst-case `u* + 1 − 2·u_b` bound forever.
-///
-/// An override of `None` means "use the plan's worst case". A shrink only
-/// ever *reduces* a reservation, so [`CompensationPlan::validate`] over
-/// the plan stays the authoritative feasibility check; the override never
-/// admits more forwarding than Theorem 2 budgeted for.
-#[derive(Clone, Debug)]
-struct DynSizing {
-    /// Consecutive calm (non-saturated) rounds required before a
-    /// reservation shrinks by one slot.
-    window: u64,
-    /// Consecutive calm rounds observed per box.
-    calm: Vec<u64>,
-    /// Effective-slot override per box; `None` = the plan's worst case.
-    slots: Vec<Option<u32>>,
-}
-
 /// Live manager of the `u*`-compensation reservations.
 ///
 /// ```
@@ -205,8 +186,6 @@ pub struct RelayBroker {
     last_deltas: Vec<CompensationDelta>,
     rounds: u64,
     migrations: u64,
-    /// Opt-in dynamic reservation sizing; `None` = static plan sizing.
-    dynamic: Option<DynSizing>,
 }
 
 impl RelayBroker {
@@ -231,7 +210,6 @@ impl RelayBroker {
             last_deltas: Vec::new(),
             rounds: 0,
             migrations: 0,
-            dynamic: None,
         };
         broker.sync_reserved_slots();
         broker
@@ -251,44 +229,13 @@ impl RelayBroker {
     /// `⌊(u_b − reserved(b))·c⌋`, or 0 when the box is absent. The churned
     /// twin of [`vod_core::VideoSystem::upload_slots`], which reads the
     /// static plan.
-    ///
-    /// When dynamic sizing holds an override for `b`, the computation
-    /// switches to slot arithmetic — `⌊u_b·c⌋ − effective_slots` — so the
-    /// slots a shrink released become open upload capacity.
     pub fn open_upload_slots(&self, b: BoxId) -> u32 {
         let Some(node) = self.node(b) else {
             return 0;
         };
-        if let Some(dynamic) = &self.dynamic {
-            if let Some(&Some(effective)) = dynamic.slots.get(b.index()) {
-                return node.upload.stripe_slots(self.c).saturating_sub(effective);
-            }
-        }
         node.upload
             .saturating_sub(self.plan.reserved(b))
             .stripe_slots(self.c)
-    }
-
-    /// Opts into dynamic reservation sizing: after `window` consecutive
-    /// calm (non-saturated) rounds a relay's effective reservation shrinks
-    /// by one forwarding slot (never below one); a saturated round grows
-    /// it back toward the plan's worst case. The plan itself is untouched
-    /// — overrides only narrow it — so [`RelayBroker::validate`] keeps
-    /// checking Theorem 2's bound. The engine re-reads
-    /// [`RelayBroker::open_upload_slots`] each round while this is
-    /// enabled, turning released slots into serving capacity live.
-    pub fn enable_dynamic_reservations(&mut self, window: u64) {
-        assert!(window > 0, "calm window must be positive");
-        self.dynamic = Some(DynSizing {
-            window,
-            calm: vec![0; self.boxes.len()],
-            slots: vec![None; self.boxes.len()],
-        });
-    }
-
-    /// Whether dynamic reservation sizing is enabled.
-    pub fn dynamic_reservations_enabled(&self) -> bool {
-        self.dynamic.is_some()
     }
 
     /// The threshold `u*` the plan is built for.
@@ -311,77 +258,19 @@ impl RelayBroker {
         self.rounds
     }
 
-    /// Re-derives the per-box slot table from the plan, then re-applies
-    /// any dynamic-sizing overrides clamped to the fresh plan values —
-    /// churn re-planning can shrink a relay's worst case below a stale
-    /// override, and a box that lost all reservations drops its override
-    /// (and calm counter) entirely.
+    /// Re-derives the per-box slot table (and the utilization snapshots)
+    /// from the plan. The one writer of `reserved_slots`, run by
+    /// construction and by every [`RelayBroker::apply`].
     fn sync_reserved_slots(&mut self) {
         self.reserved_slots.clear();
         self.reserved_slots.resize(self.boxes.len(), 0);
         for (b, slot) in self.reserved_slots.iter_mut().enumerate() {
             *slot = self.plan.reserved(BoxId(b as u32)).stripe_slots(self.c);
         }
-        if let Some(dynamic) = &mut self.dynamic {
-            dynamic.calm.resize(self.boxes.len(), 0);
-            dynamic.slots.resize(self.boxes.len(), None);
-            for (b, slot) in self.reserved_slots.iter_mut().enumerate() {
-                match dynamic.slots[b] {
-                    Some(over) if *slot > 0 => {
-                        let effective = over.min(*slot);
-                        dynamic.slots[b] = Some(effective);
-                        *slot = effective;
-                    }
-                    _ => {
-                        dynamic.slots[b] = None;
-                        dynamic.calm[b] = 0;
-                    }
-                }
-            }
-        }
         for (b, util) in self.util.iter_mut().enumerate() {
             util.reserved_slots = self.reserved_slots[b];
             util.assigned_poor = self.plan.assigned_to(BoxId(b as u32)).len();
         }
-    }
-
-    /// Dynamic-sizing retune step, run once per observed round: saturated
-    /// relays grow one slot back toward the plan's worst case (reaching it
-    /// drops the override), relays calm for `window` consecutive rounds
-    /// shrink one slot (never below one). Returns whether any effective
-    /// size changed.
-    fn retune_reservations(&mut self, loads: &[u32]) -> bool {
-        let Some(dynamic) = &mut self.dynamic else {
-            return false;
-        };
-        let mut changed = false;
-        for b in 0..self.reserved_slots.len() {
-            let plan_slots = self.plan.reserved(BoxId(b as u32)).stripe_slots(self.c);
-            if plan_slots == 0 {
-                continue;
-            }
-            let effective = self.reserved_slots[b];
-            let load = loads.get(b).copied().unwrap_or(0);
-            if load >= effective {
-                dynamic.calm[b] = 0;
-                if effective < plan_slots {
-                    dynamic.slots[b] = if effective + 1 == plan_slots {
-                        None
-                    } else {
-                        Some(effective + 1)
-                    };
-                    changed = true;
-                }
-            } else {
-                dynamic.calm[b] += 1;
-                if dynamic.calm[b] >= dynamic.window && effective > 1 {
-                    dynamic.slots[b] = Some(effective - 1);
-                    dynamic.calm[b] = 0;
-                    changed = true;
-                }
-            }
-        }
-        changed
     }
 
     /// Residual relay headroom of box `a`: `u_a − u* − reserved(a)`, or
@@ -665,9 +554,6 @@ impl RelayBroker {
             util.forwards += forwarded as u64;
             util.peak_load = util.peak_load.max(load);
         }
-        if self.retune_reservations(loads) {
-            self.sync_reserved_slots();
-        }
         stats
     }
 
@@ -683,9 +569,7 @@ impl RelayBroker {
 
     /// The relays whose forwarding demand exceeds their reservation, in
     /// ascending box id. `loads[b]` counts the relayed requests forwarding
-    /// through box `b` this round, as for [`RelayBroker::note_round`]; the
-    /// reservation is the table as it stands, so after `note_round` it
-    /// includes that round's dynamic retune.
+    /// through box `b` this round, as for [`RelayBroker::note_round`].
     pub fn starved_relays(&self, loads: &[u32]) -> Vec<BoxId> {
         (0..loads.len())
             .filter(|&b| loads[b] > self.reserved_slots.get(b).copied().unwrap_or(0))
@@ -889,79 +773,6 @@ mod tests {
             broker.starved_relays(&loads),
             vec![BoxId(0), BoxId(1), BoxId(3)]
         );
-    }
-
-    #[test]
-    fn dynamic_sizing_shrinks_on_calm_and_grows_on_saturation() {
-        let mut broker = tests_broker();
-        broker.enable_dynamic_reservations(2);
-        assert!(broker.dynamic_reservations_enabled());
-        let relay = broker.plan().relay(BoxId(2)).unwrap();
-        assert_eq!(broker.reserved_slots()[relay.index()], 4);
-        // Enabling alone changes nothing: the plan path still answers.
-        let static_open = broker.open_upload_slots(relay);
-
-        // Two calm rounds shrink the reservation by one slot; the freed
-        // slot shows up as open upload capacity (slot arithmetic: the
-        // relay's ⌊6.0·4⌋ = 24 total minus 3 effective).
-        broker.note_round(&[0; 4]);
-        assert_eq!(broker.reserved_slots()[relay.index()], 4, "mid-window");
-        broker.note_round(&[0; 4]);
-        assert_eq!(broker.reserved_slots()[relay.index()], 3);
-        assert!(broker.open_upload_slots(relay) > static_open);
-        assert_eq!(broker.open_upload_slots(relay), 24 - 3);
-
-        // Shrinks floor at one slot, no matter how long the calm.
-        for _ in 0..20 {
-            broker.note_round(&[0; 4]);
-        }
-        assert_eq!(broker.reserved_slots()[relay.index()], 1);
-
-        // Saturated rounds grow it back toward the plan's worst case, one
-        // slot per round, and never beyond it.
-        let mut loads = vec![0u32; 4];
-        loads[relay.index()] = 4;
-        for expect in [2, 3, 4, 4] {
-            broker.note_round(&loads);
-            assert_eq!(broker.reserved_slots()[relay.index()], expect);
-        }
-        // Back at the worst case the override is gone: the plan path
-        // (fractional arithmetic) answers again.
-        assert_eq!(broker.open_upload_slots(relay), static_open);
-        broker.validate().unwrap();
-    }
-
-    #[test]
-    fn dynamic_overrides_clamp_after_churn() {
-        let mut broker = tests_broker();
-        broker.enable_dynamic_reservations(1);
-        let relay = broker.plan().relay(BoxId(2)).unwrap();
-        // One calm round: both relays shrink to 3 effective slots.
-        broker.note_round(&[0; 4]);
-        assert_eq!(broker.reserved_slots()[relay.index()], 3);
-
-        // The hosted poor box is promoted to rich: the relay's plan-level
-        // reservation drops to zero, so the stale override must drop too.
-        broker
-            .apply(RelayEvent::UploadChanged(
-                BoxId(2),
-                Bandwidth::from_streams(2.0),
-            ))
-            .unwrap();
-        assert_eq!(broker.plan().reserved(relay), Bandwidth::ZERO);
-        assert_eq!(broker.reserved_slots()[relay.index()], 0);
-        // With no override left, open slots follow the plan again.
-        assert_eq!(
-            broker.open_upload_slots(relay),
-            Bandwidth::from_streams(6.0).stripe_slots(4)
-        );
-        broker.validate().unwrap();
-
-        // A join grows the dynamic tables alongside the universe.
-        broker.apply(RelayEvent::BoxJoined(node(4, 0.5))).unwrap();
-        assert_eq!(broker.reserved_slots().len(), 5);
-        broker.note_round(&[0; 5]);
-        broker.validate().unwrap();
     }
 
     #[test]

@@ -67,7 +67,7 @@ fn run_against_model(sys: &VideoSystem, seed: u64) -> Coverage {
     sim.attach_repair(RepairPlanner::for_system(sys, 3));
     let mut gen = SequentialViewing::new(n, sys.m(), NextVideoPolicy::RoundRobin, 1.3, seed);
 
-    // The homogeneous at-rest model: liveness and upload per box.
+    // The model's own tables: liveness and upload per box.
     let mut alive = vec![true; n];
     let mut upload: Vec<Bandwidth> = sys.boxes().iter().map(|b| b.upload).collect();
     let mut windows: Vec<Window> = vec![None; n];

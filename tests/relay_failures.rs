@@ -156,7 +156,7 @@ fn run_and_recheck(departures: bool, rounds: u64) -> Coverage {
         if let Some((relay, _)) = departed.take_if(|&mut (_, back)| back == now) {
             sim.apply_churn(ChurnEvent::Joined(*system.boxes().get(relay)));
         }
-        if departures && now >= DEPART_FROM && (now - DEPART_FROM) % DEPART_EVERY == 0 {
+        if departures && now >= DEPART_FROM && (now - DEPART_FROM).is_multiple_of(DEPART_EVERY) {
             let broker = sim.relay_broker().expect("relayed fleet");
             let relay = poor
                 .iter()
@@ -263,45 +263,4 @@ fn relayed_failures_are_diagnosed_by_the_min_cut_and_the_reservation_count() {
     assert_eq!(digest, STATIC_DIGEST, "static digest {digest:#018x}");
     let digest = p2p_vod::core::fx_hash(&departure.digest_parts);
     assert_eq!(digest, DEPARTURE_DIGEST, "departure digest {digest:#018x}");
-}
-
-/// Dynamic reservation sizing reads the relay loads counted from the
-/// round's requests, never from the assignment, so it is the same under
-/// every scheduler: the matcher and the textbook Kuhn matching walk the
-/// dynamic-sizing fleet through equal normalized reports, failure records
-/// and their Lemma-1 cuts included.
-#[test]
-fn dynamic_reservation_sizing_is_scheduler_invariant() {
-    let rounds = 120;
-    let system = starved_relayed_fleet();
-    let poor = system.boxes().poor_ids(Bandwidth::from_streams(1.2));
-    let run = |scheduler: Box<dyn Scheduler>| {
-        let config = SimConfig::new(rounds).continue_on_failure();
-        let mut sim = Simulator::with_scheduler(&system, config, scheduler);
-        sim.enable_dynamic_reservations(1);
-        let mut demand = MultiSwarmChurn::new(system.m(), 3, 4, 1.5, 2)
-            .with_rotation(4)
-            .with_priority_boxes(poor.clone());
-        for _ in 0..rounds {
-            sim.step(&mut demand);
-        }
-        let mut report = p2p_vod::analysis::normalize_report(&sim.into_report());
-        // Lemma 1 fixes how many requests a failing round leaves unserved,
-        // not whose, so which viewers stall (and so how many) is the
-        // matching's choice.
-        for playback in &mut report.playbacks {
-            playback.stalled_rounds = 0;
-        }
-        report
-    };
-    let matcher = run(Box::new(MaxFlowScheduler::new()));
-    let naive = run(Box::new(NaiveScheduler::new()));
-    assert!(
-        matcher
-            .failures
-            .iter()
-            .any(|f| !f.starved_relays.is_empty()),
-        "dynamic sizing never starved a relay"
-    );
-    assert_eq!(matcher, naive);
 }
