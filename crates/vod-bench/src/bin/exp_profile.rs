@@ -8,9 +8,12 @@
 //! including the solvers' analyze/phase/relabel stages — relay accounting
 //! and re-plans),
 //! reporting per-stage p50/p99/max latencies from the recorder's
-//! log-bucketed histograms. Beside the times it prints the work the
-//! matcher's targeted augmenting search did (searches, augmentations,
-//! passes, look-ahead hits, entries scanned, longest path).
+//! log-bucketed histograms. Beside the times it prints, per round, the
+//! class rows the engine's memo built and replayed and the rows the matcher
+//! hashed to resolve requests to classes (so a round that rebuilds the
+//! whole memo shows up as one), and the work the matcher's targeted
+//! augmenting search did (searches, augmentations, passes, look-ahead hits,
+//! entries scanned, longest path).
 //!
 //! Five standard workloads are profiled: sustained churn, a flash crowd,
 //! a heterogeneous relayed fleet, a fleet exactly at the threshold
@@ -38,7 +41,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::io::Write as _;
 use std::rc::Rc;
 use std::time::Instant;
@@ -49,8 +52,8 @@ use vod_core::{
 };
 use vod_flow::CandidateView;
 use vod_sim::{
-    MaxFlowScheduler, RepairPlanner, RequestKey, RunProfile, Scheduler, SearchCounters, SimConfig,
-    SimulationReport, Simulator, TraceHandle, TraceRecord,
+    MaxFlowScheduler, RepairPlanner, RequestKey, RowWork, RunProfile, Scheduler, SearchCounters,
+    SimConfig, SimulationReport, Simulator, TraceHandle, TraceRecord,
 };
 use vod_workloads::{
     ChurnModel, DemandGenerator, FlashCrowd, MultiSwarmChurn, NextVideoPolicy, SequentialViewing,
@@ -158,20 +161,31 @@ fn sim_config(rounds: u64) -> SimConfig {
     SimConfig::new(rounds).continue_on_failure()
 }
 
-/// Where a [`CountingScheduler`] leaves its matcher's cumulative search
-/// counters after every round (the simulator owns the scheduler, so the
-/// experiment reads them from here once a run is over).
-type SearchCell = Rc<Cell<SearchCounters>>;
+/// What a [`CountingScheduler`] publishes after every round: its matcher's
+/// cumulative search counters and each round's [`RowWork`] so far (the
+/// simulator owns the scheduler, so the experiment reads them from here once
+/// a run is over).
+#[derive(Default)]
+struct Published {
+    search: SearchCounters,
+    row_work: Vec<RowWork>,
+}
+
+type SearchCell = Rc<RefCell<Published>>;
 
 /// The default [`MaxFlowScheduler`], publishing its matcher's targeted-search
-/// work counters; every scheduling call is forwarded unchanged.
+/// and row-hashing work counters; every scheduling call is forwarded
+/// unchanged.
 struct CountingScheduler {
     inner: MaxFlowScheduler,
     search: SearchCell,
 }
 
 impl CountingScheduler {
+    /// A fresh scheduler for a fresh run: the cell's per-round list starts
+    /// over.
     fn boxed(search: &SearchCell) -> Box<dyn Scheduler> {
+        search.borrow_mut().row_work.clear();
         Box::new(CountingScheduler {
             inner: MaxFlowScheduler::new(),
             search: search.clone(),
@@ -179,7 +193,10 @@ impl CountingScheduler {
     }
 
     fn publish(&self) {
-        self.search.set(self.inner.matcher().search_stats().total);
+        let mut published = self.search.borrow_mut();
+        let matcher = self.inner.matcher();
+        published.search = matcher.search_stats().total;
+        published.row_work.push(matcher.row_work());
     }
 }
 
@@ -210,14 +227,16 @@ impl Scheduler for CountingScheduler {
 }
 
 /// One profiled workload: untraced and traced reports (which must be
-/// equal), the traced run's whole-run stage profile and span ring, and the
-/// best-of-repeats timings for the overhead gate.
+/// equal), the traced run's whole-run stage profile and span ring, its
+/// class rows `(built, replayed)` per round, and the best-of-repeats timings
+/// for the overhead gate.
 struct WorkloadRun {
     untraced: SimulationReport,
     traced: SimulationReport,
     profile: RunProfile,
     trace: Vec<TraceRecord>,
     dropped: u64,
+    class_rows: Vec<(u64, u64)>,
     ms_untraced: f64,
     ms_traced: f64,
 }
@@ -248,14 +267,19 @@ fn profile_workload<'a>(
     let mut traced = None;
     let mut trace = Vec::new();
     let mut dropped = 0;
+    let mut class_rows = Vec::new();
     for _ in 0..repeats {
         let mut sim = make_sim();
         let tracer = TraceHandle::recording(RING);
         sim.attach_tracer(tracer.clone());
         let mut gen = make_gen();
+        class_rows.clear();
         let start = Instant::now();
         for _ in 0..rounds {
+            let (replayed, built) = sim.candidate_row_cache_stats();
             sim.step(gen.as_mut());
+            let (replayed_after, built_after) = sim.candidate_row_cache_stats();
+            class_rows.push((built_after - built, replayed_after - replayed));
         }
         ms_traced = ms_traced.min(start.elapsed().as_secs_f64() * 1e3 / rounds.max(1) as f64);
         trace = tracer.drain_trace();
@@ -274,6 +298,7 @@ fn profile_workload<'a>(
         profile,
         trace,
         dropped,
+        class_rows,
         ms_untraced,
         ms_traced,
     }
@@ -296,6 +321,45 @@ fn print_stage_table(label: &str, rounds: u64, profile: &RunProfile) {
             format!("{:.1}", sp.hist.p99() as f64 / 1e3),
             format!("{:.1}", sp.max_ns as f64 / 1e3),
             format!("{:.1}%", sp.total_ns as f64 / total * 100.0),
+        ]);
+    }
+    println!("{}", table.to_markdown());
+}
+
+/// Prints one workload's per-round row work: the class rows the engine's
+/// memo built and replayed (from `candidate_row_cache_stats` deltas) and the
+/// rows and entries the matcher hashed ([`RowWork`]), each as the mean and
+/// the largest round.
+fn print_row_table(label: &str, class_rows: &[(u64, u64)], row_work: &[RowWork]) {
+    let mut table = Table::new(
+        format!("{label} — class rows and row hashing per round"),
+        &["counter", "mean", "max", "max at round"],
+    );
+    let series: [(&str, Vec<u64>); 4] = [
+        ("rows built", class_rows.iter().map(|r| r.0).collect()),
+        ("rows replayed", class_rows.iter().map(|r| r.1).collect()),
+        (
+            "rows hashed",
+            row_work.iter().map(|w| w.hashed_rows).collect(),
+        ),
+        (
+            "entries hashed",
+            row_work.iter().map(|w| w.hashed_entries).collect(),
+        ),
+    ];
+    for (name, values) in series {
+        let (at, max) = values
+            .iter()
+            .copied()
+            .enumerate()
+            .max_by_key(|&(round, v)| (v, std::cmp::Reverse(round)))
+            .unwrap_or((0, 0));
+        let mean = values.iter().sum::<u64>() as f64 / values.len().max(1) as f64;
+        table.push_row(vec![
+            name.to_string(),
+            format!("{mean:.1}"),
+            max.to_string(),
+            at.to_string(),
         ]);
     }
     println!("{}", table.to_markdown());
@@ -481,8 +545,9 @@ fn main() {
         ),
     ];
 
-    for (label, rounds, run) in &workloads {
+    for ((label, rounds, run), cell) in workloads.iter().zip(&searches) {
         print_stage_table(label, *rounds, &run.profile);
+        print_row_table(label, &run.class_rows, &cell.borrow().row_work);
         if !run.profile.any() {
             eprintln!("FAIL [{label}]: traced run recorded no stage spans");
             failed = true;
@@ -514,7 +579,7 @@ fn main() {
         ],
     );
     for ((label, _, _), cell) in workloads.iter().zip(&searches) {
-        let c = cell.get();
+        let c = cell.borrow().search;
         search_table.push_row(vec![
             label.to_string(),
             c.searches.to_string(),

@@ -640,6 +640,12 @@ impl RoundState {
     /// abandoned) is suppressed this round, an expired backoff re-enters as
     /// a first-class request. With partial service active, tail stripes
     /// (`index ≥ c'`) are suppressed without counting as stalls.
+    ///
+    /// The requests come out in strictly ascending [`RequestKey`] order —
+    /// `(viewer, video, stripe index)` — because viewers are walked by bit
+    /// and a playback's stripes in plan order. The class-row memo and the
+    /// matcher merge each round against the last in that order, so a
+    /// surviving request finds its class without a hash probe.
     fn collect_requests(&mut self, now: u64, out: &mut Vec<StripeRequest>) -> usize {
         out.clear();
         let stripe_limit = self
@@ -1097,6 +1103,10 @@ impl<'a> Simulator<'a> {
             viewer: r.viewer,
             stripe: r.stripe,
         }));
+        debug_assert!(
+            scratch.keys.windows(2).all(|pair| pair[0] < pair[1]),
+            "requests not collected in strictly ascending key order"
+        );
 
         // Every system schedules the plain Lemma-1 instance: relay
         // reservations are already netted out of the ledger and are
@@ -1473,6 +1483,64 @@ mod tests {
         }
         assert!(growth_rounds > 10, "the crowd never grew");
         assert!(largest_class > 32, "largest class: {largest_class}");
+    }
+
+    #[test]
+    fn a_churn_run_builds_rows_for_new_and_restamped_classes_only() {
+        // 2 000 rounds of churn over a small fleet: viewers come and go, a
+        // box leaving purges its cache entries and replicas, and expiries
+        // shrink rows. A round builds a row only for a class it did not have
+        // last round or one whose stripe's shrink stamp moved since — never
+        // the whole memo over — and the memo holds exactly the live classes.
+        // (Nothing moves a stamp after the fill without repair, so the stamp
+        // read after a step is the one the fill saw.)
+        use std::collections::HashSet;
+        use vod_workloads::{ChurnModel, SessionLength};
+        let n = 64;
+        let sys = small_system(n, 2.0, 4, 3, 16);
+        let mut sim = Simulator::new(&sys, SimConfig::new(2000).continue_on_failure());
+        sim.attach_churn(
+            ChurnModel::new(sys.boxes(), 5)
+                .with_session(SessionLength::Geometric { leave_rate: 0.01 })
+                .with_crash_rate(0.002)
+                .with_rejoin_delay(1, 4)
+                .with_min_up(n - n / 8),
+        );
+        let mut gen = SequentialViewing::new(n, sys.m(), NextVideoPolicy::UniformRandom, 1.3, 5);
+        let mut last: HashMap<(StripeId, u64), u64> = HashMap::new();
+        let (mut new_total, mut moved_total) = (0, 0);
+        for now in 0..2000 {
+            let builds_before = sim.candidate_row_cache_stats().1;
+            sim.step(&mut gen);
+            let built = sim.candidate_row_cache_stats().1 - builds_before;
+            let classes: HashSet<(StripeId, u64)> = sim
+                .scratch
+                .requests
+                .iter()
+                .map(|r| (r.stripe, r.issued_at))
+                .collect();
+            let stamp = |class: &(StripeId, u64)| sim.state.candidates.shrink_stamp(class.0);
+            let new = classes.iter().filter(|c| !last.contains_key(c)).count();
+            let moved = classes
+                .iter()
+                .filter(|c| last.get(c).is_some_and(|&was| was != stamp(c)))
+                .count();
+            assert!(
+                built <= (new + moved) as u64,
+                "round {now}: {built} rows built for {new} new and {moved} restamped classes"
+            );
+            assert_eq!(
+                sim.scratch.rows.live_classes(),
+                classes.len(),
+                "round {now}"
+            );
+            (new_total, moved_total) = (new_total + new, moved_total + moved);
+            last = classes.iter().map(|c| (*c, stamp(c))).collect();
+        }
+        assert!(
+            new_total > 1000 && moved_total > 100,
+            "{new_total} new, {moved_total} moved"
+        );
     }
 
     #[test]

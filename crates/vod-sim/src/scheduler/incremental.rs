@@ -74,8 +74,6 @@ use vod_obs::TraceHandle;
 /// keys (shared with the flow layer via [`vod_core::hash`]).
 pub type KeyHasher = vod_core::FxHasher64;
 
-type KeyMap<V> = HashMap<RequestKey, V, BuildHasherDefault<KeyHasher>>;
-
 /// Row hash → first class of the chain of classes whose row has that hash.
 type RowMap = HashMap<u64, u32, BuildHasherDefault<KeyHasher>>;
 
@@ -183,13 +181,12 @@ struct Frame {
     link: u32,
 }
 
-/// One tracked request (the value of `by_key`): a member of the class
-/// holding its row.
+/// One tracked request (an entry of the key-ordered request list): a member
+/// of the class holding its row.
 #[derive(Clone, Copy, Debug)]
 struct Member {
+    /// Its class ([`NIL`] in a position's slot of `pos_member`: an arrival).
     class: u32,
-    /// Round stamp of the last round that listed this request.
-    seen: u64,
     /// The producer change stamp the request's row last arrived under
     /// ([`vod_flow::NO_STAMP`] when the producer attached none): an equal
     /// stamp on the next round proves the row unchanged without comparing
@@ -322,7 +319,10 @@ pub struct IncrementalMatcher {
     states: Vec<ClassState>,
     free_classes: Vec<u32>,
     by_row: RowMap,
-    by_key: KeyMap<Member>,
+    /// Last round's requests in ascending key order, each with its member
+    /// record; the merge of this round's key order against it finds every
+    /// survivor's class and every departure without a hash probe.
+    tracked: Vec<(RequestKey, Member)>,
     /// Assignment mirror: the pooled records of the pairs that carry flow.
     links: Vec<FlowLink>,
     free_links: Vec<u32>,
@@ -341,7 +341,14 @@ pub struct IncrementalMatcher {
     /// be restored); untouched rounds keep the previous maximum matching.
     changed: bool,
     // Scratch buffers (reused every round).
-    stale_keys: Vec<(RequestKey, u32)>,
+    /// This round's input positions in ascending key order, the member
+    /// record each position had last round (class [`NIL`]: an arrival), the
+    /// classes of last round's requests missing from this one, and the
+    /// request list being written for the next round.
+    order: Vec<u32>,
+    pos_member: Vec<Member>,
+    departed: Vec<u32>,
+    next_tracked: Vec<(RequestKey, Member)>,
     /// Class per input position for the current round.
     pos_class: Vec<u32>,
     /// Class per stored row of the current round's view, for the stored rows
@@ -396,7 +403,7 @@ impl IncrementalMatcher {
             states: Vec::new(),
             free_classes: Vec::new(),
             by_row: RowMap::default(),
-            by_key: KeyMap::default(),
+            tracked: Vec::new(),
             links: Vec::new(),
             free_links: Vec::new(),
             stamp: 0,
@@ -407,7 +414,10 @@ impl IncrementalMatcher {
             rounds: 0,
             dirty: true,
             changed: false,
-            stale_keys: Vec::new(),
+            order: Vec::new(),
+            pos_member: Vec::new(),
+            departed: Vec::new(),
+            next_tracked: Vec::new(),
             pos_class: Vec::new(),
             row_class: Vec::new(),
             dirty_classes: Vec::new(),
@@ -561,7 +571,7 @@ impl IncrementalMatcher {
         self.box_mark.resize(boxes, 0);
         self.links.clear();
         self.free_links.clear();
-        self.by_key.clear();
+        self.tracked.clear();
         self.by_row.clear();
         self.states.fill(ClassState::POOLED);
         self.classes.iter_mut().for_each(|class| class.cand.clear());
@@ -574,8 +584,8 @@ impl IncrementalMatcher {
     }
 
     /// Diffs the incoming round against the tracked instance: applies the
-    /// changed capacities, resolves every request to its class, sweeps the
-    /// departures, then settles each class that is new, retargeted or
+    /// changed capacities, resolves every request to its class, takes the
+    /// departures out, then settles each class that is new, retargeted or
     /// changed in size, repairing the matching's validity.
     fn patch(&mut self, capacities: &[u32], keys: &[RequestKey], candidates: CandidateView<'_>) {
         self.stamp += 1;
@@ -596,115 +606,135 @@ impl IncrementalMatcher {
             }
         }
 
-        // Upsert this round's requests.
+        // Upsert this round's requests, in input order.
+        self.merge_keys(keys);
         self.pos_class.clear();
         self.dirty_classes.clear();
-        let mut arrivals = false;
         // An arrival reaches its class through its stored row: only the
         // first one of a stored row has the row hashed and compared.
         self.row_class.clear();
         self.row_class.resize(candidates.stored_rows(), NIL);
-        for (pos, key) in keys.iter().enumerate() {
+        for pos in 0..keys.len() {
             // The row itself is looked up only where it is read.
             let stamp = candidates.row_stamp(pos);
-            let class = match self.by_key.get_mut(key) {
-                Some(member) => {
-                    // A duplicate key in one round would silently alias two
-                    // requests onto one unit of demand; reject it outright.
-                    assert_ne!(
-                        member.seen, now,
-                        "duplicate request key {key:?} in one round"
+            let member = self.pos_member[pos];
+            let class = if member.class != NIL {
+                let unchanged = stamp != NO_STAMP && stamp == member.given_stamp;
+                let old = member.class;
+                // Untouched so far, the class still holds last round's row,
+                // which was this request's; touched, it holds the row of a
+                // request of this view, and equal stamps within one view mean
+                // equal rows.
+                let state = &self.states[old as usize];
+                let proven = if state.touched != now {
+                    unchanged
+                } else {
+                    stamp != NO_STAMP && stamp == state.given_stamp
+                };
+                if proven {
+                    debug_assert_eq!(
+                        self.classes[old as usize].given,
+                        candidates.row(pos),
+                        "stale change stamp"
                     );
-                    member.seen = now;
-                    let unchanged = stamp != NO_STAMP && stamp == member.given_stamp;
-                    member.given_stamp = stamp;
-                    let old = member.class;
-                    // Untouched so far, the class still holds last round's
-                    // row, which was this request's; touched, it holds the
-                    // row of a request of this view, and equal stamps within
-                    // one view mean equal rows.
-                    let state = &self.states[old as usize];
-                    let proven = if state.touched != now {
-                        unchanged
-                    } else {
-                        stamp != NO_STAMP && stamp == state.given_stamp
-                    };
-                    if proven {
-                        debug_assert_eq!(
-                            self.classes[old as usize].given,
-                            candidates.row(pos),
-                            "stale change stamp"
-                        );
-                        self.touch_class(old, stamp);
-                        old
-                    } else {
-                        let class = self.resolve_class(Some(old), candidates.row(pos), stamp);
-                        if class != old {
-                            self.resize_class(old, -1);
-                            self.resize_class(class, 1);
-                            self.by_key.get_mut(key).expect("looked up above").class = class;
-                        }
-                        class
+                    self.touch_class(old, stamp);
+                    old
+                } else {
+                    let class = self.resolve_class(Some(old), candidates.row(pos), stamp);
+                    if class != old {
+                        self.resize_class(old, -1);
+                        self.resize_class(class, 1);
                     }
-                }
-                None => {
-                    arrivals = true;
-                    let id = candidates.row_id(pos) as usize;
-                    let class = match self.row_class[id] {
-                        NIL => {
-                            let class = self.resolve_class(None, candidates.row(pos), stamp);
-                            self.row_class[id] = class;
-                            class
-                        }
-                        // Equal ids are one row, and a class touched this
-                        // round is not retargeted before the next: the class
-                        // recorded for the id still holds the row.
-                        class => {
-                            debug_assert_eq!(
-                                self.classes[class as usize].given,
-                                candidates.row(pos)
-                            );
-                            self.touch_class(class, stamp);
-                            class
-                        }
-                    };
-                    self.resize_class(class, 1);
-                    let member = Member {
-                        class,
-                        seen: now,
-                        given_stamp: stamp,
-                    };
-                    self.by_key.insert(*key, member);
                     class
                 }
+            } else {
+                let id = candidates.row_id(pos) as usize;
+                let class = match self.row_class[id] {
+                    NIL => {
+                        let class = self.resolve_class(None, candidates.row(pos), stamp);
+                        self.row_class[id] = class;
+                        class
+                    }
+                    // Equal ids are one row, and a class touched this round
+                    // is not retargeted before the next: the class recorded
+                    // for the id still holds the row.
+                    class => {
+                        debug_assert_eq!(self.classes[class as usize].given, candidates.row(pos));
+                        self.touch_class(class, stamp);
+                        class
+                    }
+                };
+                self.resize_class(class, 1);
+                class
             };
             self.pos_class.push(class);
         }
 
-        // Sweep requests that disappeared this round. With no arrivals and
-        // matching cardinality the tracked set is exactly the input set, so
-        // the sweep can be skipped.
-        if arrivals || self.by_key.len() != keys.len() {
-            // `stale_keys` is a scratch field, so detach it while mutating.
-            let mut stale = std::mem::take(&mut self.stale_keys);
-            stale.clear();
-            stale.extend(
-                self.by_key
-                    .iter()
-                    .filter(|(_, member)| member.seen != now)
-                    .map(|(key, member)| (*key, member.class)),
-            );
-            for (key, class) in stale.drain(..) {
-                self.by_key.remove(&key);
-                self.resize_class(class, -1);
-            }
-            self.stale_keys = stale;
+        // The requests that disappeared this round leave their classes.
+        for i in 0..self.departed.len() {
+            self.resize_class(self.departed[i], -1);
         }
+
+        // Next round's request list, in key order.
+        self.next_tracked.clear();
+        self.next_tracked.extend(self.order.iter().map(|&pos| {
+            let pos = pos as usize;
+            let member = Member {
+                class: self.pos_class[pos],
+                given_stamp: candidates.row_stamp(pos),
+            };
+            (keys[pos], member)
+        }));
+        std::mem::swap(&mut self.tracked, &mut self.next_tracked);
 
         for i in 0..self.dirty_classes.len() {
             let (idx, members_before) = self.dirty_classes[i];
             self.settle(idx as usize, members_before);
         }
+    }
+
+    /// Merges this round's keys against last round's request list: `order`
+    /// becomes the input positions in ascending key order, `pos_member` each
+    /// position's member record of last round (class [`NIL`] for an
+    /// arrival), and `departed` the classes of last round's requests that
+    /// this round does not list, in key order. The sort is linear on input
+    /// that is already in key order, as the engine's is; any order is legal.
+    ///
+    /// # Panics
+    /// Panics on a key listed twice: it would alias two requests onto one
+    /// unit of demand.
+    fn merge_keys(&mut self, keys: &[RequestKey]) {
+        self.order.clear();
+        self.order.extend(0..keys.len() as u32);
+        self.order.sort_unstable_by_key(|&pos| keys[pos as usize]);
+        if let Some(pair) = self
+            .order
+            .windows(2)
+            .find(|pair| keys[pair[0] as usize] == keys[pair[1] as usize])
+        {
+            panic!(
+                "duplicate request key {:?} in one round",
+                keys[pair[0] as usize]
+            );
+        }
+        let arrival = Member {
+            class: NIL,
+            given_stamp: NO_STAMP,
+        };
+        self.pos_member.clear();
+        self.pos_member.resize(keys.len(), arrival);
+        self.departed.clear();
+        let mut old = self.tracked.iter().peekable();
+        for &pos in &self.order {
+            let key = keys[pos as usize];
+            while let Some((_, member)) = old.next_if(|(tracked, _)| *tracked < key) {
+                self.departed.push(member.class);
+            }
+            if let Some((_, member)) = old.next_if(|(tracked, _)| *tracked == key) {
+                self.pos_member[pos as usize] = *member;
+            }
+        }
+        self.departed.extend(old.map(|(_, member)| member.class));
     }
 
     /// The class holding `row` this round, for a request that was in class
@@ -1414,7 +1444,7 @@ impl std::fmt::Debug for IncrementalMatcher {
         f.debug_struct("IncrementalMatcher")
             .field("solver", &self.solver.name())
             .field("boxes", &self.caps.len())
-            .field("tracked_requests", &self.by_key.len())
+            .field("tracked_requests", &self.tracked.len())
             .field("classes", &(self.classes.len() - self.free_classes.len()))
             .field("total_flow", &self.total_flow)
             .field("rebuilds", &self.rebuilds)
@@ -1428,6 +1458,7 @@ mod tests {
     use super::*;
     use crate::scheduler::{assignment_is_valid, assignment_is_valid_view};
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
     use vod_core::VideoId;
     use vod_flow::{HopcroftKarpSolve, PushRelabel};
@@ -2256,7 +2287,11 @@ mod tests {
 
     /// The boxes of the search row of `key`'s class, in order.
     fn search_row(matcher: &IncrementalMatcher, key: RequestKey) -> Vec<u32> {
-        let class = matcher.by_key[&key].class as usize;
+        let at = matcher
+            .tracked
+            .binary_search_by_key(&key, |&(tracked, _)| tracked)
+            .expect("a tracked key");
+        let class = matcher.tracked[at].1.class as usize;
         let cand = &matcher.classes[class].cand;
         cand.iter().map(|&(box_idx, _)| box_idx).collect()
     }
@@ -2372,5 +2407,110 @@ mod tests {
                 assert_eq!(matcher.search_stats().total, searched, "{what}");
             }
         }
+    }
+
+    /// The tracked request list is last round's key set, ascending.
+    fn assert_tracks(matcher: &IncrementalMatcher, keys: &[RequestKey], what: &str) {
+        let mut sorted = keys.to_vec();
+        sorted.sort_unstable();
+        let tracked: Vec<RequestKey> = matcher.tracked.iter().map(|&(key, _)| key).collect();
+        assert_eq!(tracked, sorted, "{what}");
+    }
+
+    #[test]
+    fn any_key_order_serves_what_the_sorted_order_and_the_naive_matcher_serve() {
+        use crate::scheduler::{NaiveScheduler, Scheduler};
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let boxes = 10;
+            let caps: Vec<u32> = (0..boxes).map(|_| rng.gen_range(0u32..4)).collect();
+            // Rows shared by classes of requests, keys spread over viewers.
+            let rows: Vec<Vec<BoxId>> = (0..6).map(|_| random_row(&mut rng, boxes)).collect();
+            let mut live: Live = (0..60u32)
+                .map(|v| {
+                    (
+                        key(v, v % 4, (v % 3) as u16),
+                        rows[rng.gen_range(0..rows.len())].clone(),
+                    )
+                })
+                .collect();
+            live.sort_unstable_by_key(|(key, _)| *key);
+            let what = format!("seed {seed}");
+            let mut sorted = IncrementalMatcher::default();
+            let mut out = Vec::new();
+            checked_round(&mut sorted, &caps, &live, &mut out, &what);
+            let served = out.iter().flatten().count();
+            let cands: Vec<Vec<BoxId>> = live.iter().map(|(_, row)| row.clone()).collect();
+            let naive = NaiveScheduler::new().schedule(&caps, &cands);
+            assert_eq!(served, naive.iter().flatten().count(), "{what}");
+
+            // A cold matcher on a shuffle, and the sorted matcher warm on
+            // another: the same size, and every request that stayed is
+            // found again — an identical round hashes no row.
+            let mut shuffled = live.clone();
+            let mut cold = IncrementalMatcher::default();
+            for (label, matcher) in [("cold", &mut cold), ("warm", &mut sorted)] {
+                shuffled.shuffle(&mut rng);
+                let what = format!("{what}, {label} shuffle");
+                checked_round(matcher, &caps, &shuffled, &mut out, &what);
+                assert_eq!(out.iter().flatten().count(), served, "{what}");
+                let keys: Vec<RequestKey> = shuffled.iter().map(|(key, _)| *key).collect();
+                assert_tracks(matcher, &keys, &what);
+            }
+            assert_eq!(sorted.row_work(), RowWork::default(), "{what}");
+            assert_eq!(sorted.rebuilds(), 1, "{what}");
+
+            // Drop a third, shuffle the rest: the departures leave exactly.
+            shuffled.retain(|_| rng.gen_bool(0.66));
+            let what = format!("{what}, departures");
+            checked_round(&mut sorted, &caps, &shuffled, &mut out, &what);
+            let keys: Vec<RequestKey> = shuffled.iter().map(|(key, _)| *key).collect();
+            assert_tracks(&sorted, &keys, &what);
+            let members: u32 = sorted.states.iter().map(|state| state.members).sum();
+            assert_eq!(members as usize, shuffled.len(), "{what}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate request key")]
+    fn a_duplicate_key_in_key_order_panics() {
+        let mut matcher = IncrementalMatcher::default();
+        let keys = [key(0, 0, 0), key(1, 0, 0), key(1, 0, 0)];
+        let cands = vec![vec![b(0)]; 3];
+        matcher.schedule_keyed(&[3], &keys, &cands, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate request key")]
+    fn a_duplicate_key_out_of_order_panics_on_a_warm_round() {
+        let mut matcher = IncrementalMatcher::default();
+        let keys = [key(0, 0, 0), key(1, 0, 0), key(2, 0, 0)];
+        let cands = vec![vec![b(0)]; 3];
+        matcher.schedule_keyed(&[3], &keys, &cands, &mut Vec::new());
+        let keys = [key(2, 0, 0), key(0, 0, 0), key(2, 0, 0)];
+        matcher.schedule_keyed(&[3], &keys, &cands, &mut Vec::new());
+    }
+
+    #[test]
+    fn a_key_that_skips_a_round_is_admitted_again() {
+        let caps = [1, 1, 1];
+        let (gone, kept) = (key(0, 0, 1), key(5, 0, 1));
+        let both: Live = vec![(gone, vec![b(0), b(1)]), (kept, vec![b(1), b(2)])];
+        let mut matcher = IncrementalMatcher::default();
+        let mut out = Vec::new();
+        checked_round(&mut matcher, &caps, &both, &mut out, "both");
+        checked_round(&mut matcher, &caps, &both[1..], &mut out, "skipped");
+        assert_tracks(&matcher, &[kept], "skipped");
+        assert_eq!(matcher.live_classes, 1);
+        // Back, on a row of its own again: a class of one, served.
+        checked_round(&mut matcher, &caps, &both, &mut out, "back");
+        assert_tracks(&matcher, &[gone, kept], "back");
+        assert_eq!(out.iter().flatten().count(), 2);
+        assert_eq!(matcher.live_classes, 2);
+        assert_eq!(
+            matcher.row_work().hashed_rows,
+            1,
+            "the returning key is an arrival"
+        );
     }
 }
