@@ -44,13 +44,12 @@ struct ClassRow {
     boxes: Vec<BoxId>,
 }
 
-/// One request of the last fill: its identity, its issue round and the slot
-/// of its class.
+/// One request of the last fill: its identity and the slot of its class
+/// (which holds its issue round).
 #[derive(Clone, Copy)]
 struct Tracked {
     viewer: BoxId,
     stripe: StripeId,
-    issued_at: u64,
     slot: u32,
 }
 
@@ -65,11 +64,11 @@ pub(crate) struct ClassRows {
     free: Vec<u32>,
     /// `(stripe, issue round)` → slot, read for arrivals only.
     by_class: HashMap<(StripeId, u64), u32, BuildHasherDefault<FxHasher64>>,
-    /// Last fill's requests in request order, and the list the current fill
-    /// writes for the next one.
+    /// Last fill's requests in request order.
     tracked: Vec<Tracked>,
-    next_tracked: Vec<Tracked>,
-    /// Slots of the requests the current fill found gone.
+    /// The slot of each request of the current fill, and the slots of the
+    /// requests it found gone.
+    slots: Vec<u32>,
     departed: Vec<u32>,
     /// Class rows built so far (the source of `ClassRow::build`).
     builds: u64,
@@ -94,7 +93,7 @@ impl ClassRows {
             free: Vec::new(),
             by_class: HashMap::default(),
             tracked: Vec::new(),
-            next_tracked: Vec::new(),
+            slots: Vec::new(),
             departed: Vec::new(),
             builds: 0,
             in_use: 0,
@@ -122,7 +121,7 @@ impl ClassRows {
         self.buf.clear();
         self.stamps.clear();
         self.in_use = 0;
-        self.next_tracked.clear();
+        self.slots.clear();
         self.departed.clear();
         let mut old = 0;
         for req in requests {
@@ -134,7 +133,7 @@ impl ClassRows {
             let slot = match self.tracked.get(old).copied() {
                 Some(t) if (t.viewer, t.stripe) == key => {
                     old += 1;
-                    if t.issued_at == req.issued_at {
+                    if self.slab[t.slot as usize].issued_at == req.issued_at {
                         t.slot
                     } else {
                         // The viewer restarted the video: a new class.
@@ -144,12 +143,7 @@ impl ClassRows {
                 }
                 _ => self.arrive(req.stripe, req.issued_at),
             };
-            self.next_tracked.push(Tracked {
-                viewer: req.viewer,
-                stripe: req.stripe,
-                issued_at: req.issued_at,
-                slot,
-            });
+            self.slots.push(slot);
 
             let shrink_stamp = index.shrink_stamp(req.stripe);
             let row = &mut self.slab[slot as usize];
@@ -206,7 +200,17 @@ impl ClassRows {
                 self.free.push(slot);
             }
         }
-        std::mem::swap(&mut self.tracked, &mut self.next_tracked);
+        self.tracked.clear();
+        self.tracked.extend(
+            requests
+                .iter()
+                .zip(&self.slots)
+                .map(|(req, &slot)| Tracked {
+                    viewer: req.viewer,
+                    stripe: req.stripe,
+                    slot,
+                }),
+        );
     }
 
     /// The slot of class `(stripe, issued_at)` for a request that joins it

@@ -20,11 +20,13 @@
 //! has a spare slot while the load is below the capacity.
 //!
 //! * requests are identified by a stable [`RequestKey`]; each round the
-//!   incoming key set is diffed against the previous round's, and every
-//!   request is resolved to the class holding its row — by the producer's
-//!   change stamp when it proves the row unchanged, by hashing and comparing
-//!   the row otherwise, so stamped, unstamped and slice-of-vecs inputs build
-//!   the same classes in the same order;
+//!   incoming keys, taken in key order, are merged against the previous
+//!   round's key-ordered request list, so a survivor finds its class with
+//!   no hash probe and the old entries the merge passes over are the
+//!   departures. Every request is resolved to the class holding its row by
+//!   the producer's change stamp when it proves the row unchanged, by
+//!   hashing and comparing the row otherwise, so stamped, unstamped and
+//!   slice-of-vecs inputs build the same classes in the same order;
 //! * a class whose row changed is *retargeted* in place by one pass over
 //!   `cand`: the entries the new row keeps stay **in their order, with the
 //!   flow on them**, a dropped candidate's flow is cancelled and its entry
@@ -57,8 +59,8 @@
 //! one-shot instance behind [`Scheduler::schedule`](crate::scheduler::Scheduler::schedule).
 //!
 //! All bookkeeping (class slots, search rows, mirror records, scratch, the
-//! key and row maps) reuses its allocations, so a steady-state round — same
-//! working set of requests — performs **zero heap allocations** in the
+//! request list and the row map) reuses its allocations, so a steady-state
+//! round — same working set of requests — performs **zero heap allocations** in the
 //! matching layer, and a dropped candidate or a departed class leaves
 //! nothing behind in the tables.
 
@@ -342,13 +344,11 @@ pub struct IncrementalMatcher {
     changed: bool,
     // Scratch buffers (reused every round).
     /// This round's input positions in ascending key order, the member
-    /// record each position had last round (class [`NIL`]: an arrival), the
-    /// classes of last round's requests missing from this one, and the
-    /// request list being written for the next round.
+    /// record each position had last round (class [`NIL`]: an arrival), and
+    /// the classes of last round's requests missing from this one.
     order: Vec<u32>,
     pos_member: Vec<Member>,
     departed: Vec<u32>,
-    next_tracked: Vec<(RequestKey, Member)>,
     /// Class per input position for the current round.
     pos_class: Vec<u32>,
     /// Class per stored row of the current round's view, for the stored rows
@@ -417,7 +417,6 @@ impl IncrementalMatcher {
             order: Vec::new(),
             pos_member: Vec::new(),
             departed: Vec::new(),
-            next_tracked: Vec::new(),
             pos_class: Vec::new(),
             row_class: Vec::new(),
             dirty_classes: Vec::new(),
@@ -675,9 +674,10 @@ impl IncrementalMatcher {
             self.resize_class(self.departed[i], -1);
         }
 
-        // Next round's request list, in key order.
-        self.next_tracked.clear();
-        self.next_tracked.extend(self.order.iter().map(|&pos| {
+        // Next round's request list, in key order: the merge has read all
+        // of last round's, so it is rewritten in place.
+        self.tracked.clear();
+        self.tracked.extend(self.order.iter().map(|&pos| {
             let pos = pos as usize;
             let member = Member {
                 class: self.pos_class[pos],
@@ -685,7 +685,6 @@ impl IncrementalMatcher {
             };
             (keys[pos], member)
         }));
-        std::mem::swap(&mut self.tracked, &mut self.next_tracked);
 
         for i in 0..self.dirty_classes.len() {
             let (idx, members_before) = self.dirty_classes[i];
