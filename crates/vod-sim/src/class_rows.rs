@@ -10,15 +10,18 @@
 //! buffer once, under its build number as change stamp.
 //!
 //! A request keeps its issue round for its whole playback, so it keeps its
-//! class. The memo keeps last round's requests, in request order, each with
-//! the slot of its class, and merges every round's requests against that
-//! list: a surviving request reaches its row without a hash probe, and only
-//! an arrival looks its class up by `(stripe, issue round)`. The merge also
-//! sees every request that left, so a class's slot is freed in the round
-//! its last request leaves, and the memo holds exactly the live classes.
+//! class. The memo writes each round's [`RequestKey`]s (the list the
+//! scheduler receives) and keeps last round's, each with the slot of its
+//! class, and merges every round's requests against them in key order: a
+//! surviving request reaches its row without a hash probe, and only an
+//! arrival looks its class up by `(stripe, issue round)`. The merge also sees
+//! every request that left, so a class's slot is freed in the round its last
+//! request leaves, and the memo holds exactly the live classes.
 
 use crate::candidates::CandidateIndex;
 use crate::request::StripeRequest;
+use crate::scheduler::RequestKey;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use vod_core::{BoxId, FxHasher64, Placement, StripeId};
@@ -44,15 +47,6 @@ struct ClassRow {
     boxes: Vec<BoxId>,
 }
 
-/// One request of the last fill: its identity and the slot of its class
-/// (which holds its issue round).
-#[derive(Clone, Copy)]
-struct Tracked {
-    viewer: BoxId,
-    stripe: StripeId,
-    slot: u32,
-}
-
 /// The memo and the round's candidate buffer it fills.
 pub(crate) struct ClassRows {
     /// The round's rows as one flat CSR buffer, and one change stamp per
@@ -64,11 +58,14 @@ pub(crate) struct ClassRows {
     free: Vec<u32>,
     /// `(stripe, issue round)` → slot, read for arrivals only.
     by_class: HashMap<(StripeId, u64), u32, BuildHasherDefault<FxHasher64>>,
-    /// Last fill's requests in request order.
-    tracked: Vec<Tracked>,
-    /// The slot of each request of the current fill, and the slots of the
-    /// requests it found gone.
+    /// The key of each request of the fill and the slot of its class (which
+    /// holds its issue round), in request order, and the same for the fill
+    /// before.
+    keys: Vec<RequestKey>,
     slots: Vec<u32>,
+    prev_keys: Vec<RequestKey>,
+    prev_slots: Vec<u32>,
+    /// The slots of the requests the fill found gone.
     departed: Vec<u32>,
     /// Class rows built so far (the source of `ClassRow::build`).
     builds: u64,
@@ -92,8 +89,10 @@ impl ClassRows {
             slab: Vec::new(),
             free: Vec::new(),
             by_class: HashMap::default(),
-            tracked: Vec::new(),
+            keys: Vec::new(),
             slots: Vec::new(),
+            prev_keys: Vec::new(),
+            prev_slots: Vec::new(),
             departed: Vec::new(),
             builds: 0,
             in_use: 0,
@@ -105,12 +104,12 @@ impl ClassRows {
     }
 
     /// Fills the round's buffer with one row per request of `requests`,
-    /// issued before or at `now`.
+    /// issued before or at `now`, and the round's key list.
     ///
     /// `requests` is expected in the engine's collection order, ascending by
-    /// `(viewer, stripe)`: then every request that was listed last round is
-    /// matched to its class by the merge. Any other order is still correct,
-    /// only slower — an unmatched survivor is looked up like an arrival.
+    /// key: then every request that was listed last round is matched to its
+    /// class by the merge. Any other order is still correct, only slower —
+    /// an unmatched survivor is looked up like an arrival.
     pub(crate) fn fill(
         &mut self,
         now: u64,
@@ -121,27 +120,38 @@ impl ClassRows {
         self.buf.clear();
         self.stamps.clear();
         self.in_use = 0;
+        std::mem::swap(&mut self.keys, &mut self.prev_keys);
+        std::mem::swap(&mut self.slots, &mut self.prev_slots);
+        self.keys.clear();
         self.slots.clear();
         self.departed.clear();
         let mut old = 0;
         for req in requests {
-            let key = (req.viewer, req.stripe);
-            while let Some(t) = self.tracked.get(old).filter(|t| (t.viewer, t.stripe) < key) {
-                self.departed.push(t.slot);
-                old += 1;
-            }
-            let slot = match self.tracked.get(old).copied() {
-                Some(t) if (t.viewer, t.stripe) == key => {
-                    old += 1;
-                    if self.slab[t.slot as usize].issued_at == req.issued_at {
-                        t.slot
-                    } else {
-                        // The viewer restarted the video: a new class.
-                        self.departed.push(t.slot);
-                        self.arrive(req.stripe, req.issued_at)
-                    }
+            let key = RequestKey {
+                viewer: req.viewer,
+                stripe: req.stripe,
+            };
+            self.keys.push(key);
+            let mut survivor = None;
+            while let Some(prev) = self.prev_keys.get(old) {
+                match prev.cmp(&key) {
+                    Ordering::Less => self.departed.push(self.prev_slots[old]),
+                    Ordering::Equal => survivor = Some(self.prev_slots[old]),
+                    Ordering::Greater => break,
                 }
-                _ => self.arrive(req.stripe, req.issued_at),
+                old += 1;
+                if survivor.is_some() {
+                    break;
+                }
+            }
+            let slot = match survivor {
+                Some(slot) if self.slab[slot as usize].issued_at == req.issued_at => slot,
+                Some(slot) => {
+                    // The viewer restarted the video: a new class.
+                    self.departed.push(slot);
+                    self.arrive(req.stripe, req.issued_at)
+                }
+                None => self.arrive(req.stripe, req.issued_at),
             };
             self.slots.push(slot);
 
@@ -187,8 +197,7 @@ impl ClassRows {
             }
             self.stamps.push(row.build);
         }
-        self.departed
-            .extend(self.tracked[old..].iter().map(|t| t.slot));
+        self.departed.extend_from_slice(&self.prev_slots[old..]);
         // Departures are counted last, so a class that both lost and gained
         // requests this round kept its row throughout.
         for i in 0..self.departed.len() {
@@ -200,17 +209,6 @@ impl ClassRows {
                 self.free.push(slot);
             }
         }
-        self.tracked.clear();
-        self.tracked.extend(
-            requests
-                .iter()
-                .zip(&self.slots)
-                .map(|(req, &slot)| Tracked {
-                    viewer: req.viewer,
-                    stripe: req.stripe,
-                    slot,
-                }),
-        );
     }
 
     /// The slot of class `(stripe, issued_at)` for a request that joins it
@@ -250,6 +248,11 @@ impl ClassRows {
     /// The round's rows, each under its class build as change stamp.
     pub(crate) fn view(&self) -> CandidateView<'_> {
         self.buf.view_with_stamps(&self.stamps)
+    }
+
+    /// The round's request keys, one per row of [`ClassRows::view`].
+    pub(crate) fn keys(&self) -> &[RequestKey] {
+        &self.keys
     }
 
     /// `(hits, builds)`: request rows replayed from a class row already

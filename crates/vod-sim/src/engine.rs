@@ -53,7 +53,7 @@ use crate::repair::{RepairPlanner, RepairRoundStats};
 use crate::request::{
     direct_stripe_budget, homogeneous_plan, poor_plan, rich_plan, PlaybackState, StripeRequest,
 };
-use crate::scheduler::{MaxFlowScheduler, RelayBroker, RelayEvent, RequestKey, Scheduler};
+use crate::scheduler::{MaxFlowScheduler, RelayBroker, RelayEvent, Scheduler};
 use crate::swarm::SwarmTracker;
 use vod_core::{BoxId, Placement, SortedSignature, StripeId, VideoId, VideoSystem};
 use vod_flow::bitset::{for_each_bit_of_word, for_each_set_bit};
@@ -218,11 +218,10 @@ struct RoundScratch {
     churn_events: Vec<ChurnEvent>,
     fault_events: Vec<FaultEvent>,
     demands: Vec<VideoDemand>,
-    /// The round's active requests, their keys, the candidate rows built
-    /// for them, the scheduler's assignment, and per-relay forwarding
-    /// loads.
+    /// The round's active requests, the candidate rows built for them
+    /// (with their keys), the scheduler's assignment, and per-relay
+    /// forwarding loads.
     requests: Vec<StripeRequest>,
-    keys: Vec<RequestKey>,
     rows: ClassRows,
     assignment: Vec<Option<BoxId>>,
     relay_loads: Vec<u32>,
@@ -641,7 +640,8 @@ impl RoundState {
     /// a first-class request. With partial service active, tail stripes
     /// (`index ≥ c'`) are suppressed without counting as stalls.
     ///
-    /// The requests come out in strictly ascending [`RequestKey`] order —
+    /// The requests come out in strictly ascending
+    /// [`RequestKey`](crate::scheduler::RequestKey) order —
     /// `(viewer, video, stripe index)` — because viewers are walked by bit
     /// and a playback's stripes in plan order. The class-row memo and the
     /// matcher merge each round against the last in that order, so a
@@ -710,7 +710,6 @@ impl RoundScratch {
             fault_events: Vec::new(),
             demands: Vec::new(),
             requests: Vec::new(),
-            keys: Vec::new(),
             rows: ClassRows::new(n, system.duration() as u64),
             assignment: Vec::new(),
             relay_loads: Vec::new(),
@@ -1096,15 +1095,12 @@ impl<'a> Simulator<'a> {
             expired: state.candidates.expired_this_round(),
             inserted: state.candidates.inserted_this_round(),
         };
-        // Stable request identities let incremental schedulers patch the
-        // previous round's flow network instead of rebuilding it.
-        scratch.keys.clear();
-        scratch.keys.extend(requests.iter().map(|r| RequestKey {
-            viewer: r.viewer,
-            stripe: r.stripe,
-        }));
+        // Stable request identities (built by the fill, in request order)
+        // let incremental schedulers patch the previous round's instance
+        // instead of rebuilding it.
+        let keys = scratch.rows.keys();
         debug_assert!(
-            scratch.keys.windows(2).all(|pair| pair[0] < pair[1]),
+            keys.windows(2).all(|pair| pair[0] < pair[1]),
             "requests not collected in strictly ascending key order"
         );
 
@@ -1114,7 +1110,7 @@ impl<'a> Simulator<'a> {
         let clock = tracer.begin();
         scheduler.schedule_keyed_view(
             state.ledger.slots(),
-            &scratch.keys,
+            keys,
             scratch.rows.view(),
             &mut scratch.assignment,
         );
@@ -1280,7 +1276,7 @@ impl<'a> Simulator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{GreedyScheduler, NaiveScheduler};
+    use crate::scheduler::{GreedyScheduler, NaiveScheduler, RequestKey};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashMap;

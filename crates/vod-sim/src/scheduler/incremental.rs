@@ -64,6 +64,7 @@
 //! matching layer, and a dropped candidate or a departed class leaves
 //! nothing behind in the tables.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use vod_core::{BoxId, StripeId};
@@ -183,11 +184,11 @@ struct Frame {
     link: u32,
 }
 
-/// One tracked request (an entry of the key-ordered request list): a member
-/// of the class holding its row.
+/// One tracked request: a member of the class holding its row.
 #[derive(Clone, Copy, Debug)]
 struct Member {
-    /// Its class ([`NIL`] in a position's slot of `pos_member`: an arrival).
+    /// Its class ([`NIL`] for an arrival, in `pos_member` before the round
+    /// has resolved it).
     class: u32,
     /// The producer change stamp the request's row last arrived under
     /// ([`vod_flow::NO_STAMP`] when the producer attached none): an equal
@@ -321,10 +322,14 @@ pub struct IncrementalMatcher {
     states: Vec<ClassState>,
     free_classes: Vec<u32>,
     by_row: RowMap,
-    /// Last round's requests in ascending key order, each with its member
-    /// record; the merge of this round's key order against it finds every
-    /// survivor's class and every departure without a hash probe.
-    tracked: Vec<(RequestKey, Member)>,
+    /// Last round's requests: their keys and member records by input
+    /// position, and the positions in ascending key order. Merging this
+    /// round's key order against it finds every survivor's class and every
+    /// departure without a hash probe; on the engine's input, which arrives
+    /// in key order, the order is the identity.
+    keys: Vec<RequestKey>,
+    members: Vec<Member>,
+    order: Vec<u32>,
     /// Assignment mirror: the pooled records of the pairs that carry flow.
     links: Vec<FlowLink>,
     free_links: Vec<u32>,
@@ -343,14 +348,14 @@ pub struct IncrementalMatcher {
     /// be restored); untouched rounds keep the previous maximum matching.
     changed: bool,
     // Scratch buffers (reused every round).
-    /// This round's input positions in ascending key order, the member
-    /// record each position had last round (class [`NIL`]: an arrival), and
-    /// the classes of last round's requests missing from this one.
-    order: Vec<u32>,
+    /// This round's input positions in ascending key order; per position,
+    /// last round's member record (class [`NIL`]: an arrival) until the
+    /// round resolves it to this round's; and the classes of last round's
+    /// requests missing from this one. The first two swap with `order` and
+    /// `members` once the round is resolved.
+    next_order: Vec<u32>,
     pos_member: Vec<Member>,
     departed: Vec<u32>,
-    /// Class per input position for the current round.
-    pos_class: Vec<u32>,
     /// Class per stored row of the current round's view, for the stored rows
     /// an arrival has been resolved through ([`NIL`] for the others).
     row_class: Vec<u32>,
@@ -403,7 +408,9 @@ impl IncrementalMatcher {
             states: Vec::new(),
             free_classes: Vec::new(),
             by_row: RowMap::default(),
-            tracked: Vec::new(),
+            keys: Vec::new(),
+            members: Vec::new(),
+            order: Vec::new(),
             links: Vec::new(),
             free_links: Vec::new(),
             stamp: 0,
@@ -414,10 +421,9 @@ impl IncrementalMatcher {
             rounds: 0,
             dirty: true,
             changed: false,
-            order: Vec::new(),
+            next_order: Vec::new(),
             pos_member: Vec::new(),
             departed: Vec::new(),
-            pos_class: Vec::new(),
             row_class: Vec::new(),
             dirty_classes: Vec::new(),
             short_classes: Vec::new(),
@@ -570,7 +576,9 @@ impl IncrementalMatcher {
         self.box_mark.resize(boxes, 0);
         self.links.clear();
         self.free_links.clear();
-        self.tracked.clear();
+        self.keys.clear();
+        self.members.clear();
+        self.order.clear();
         self.by_row.clear();
         self.states.fill(ClassState::POOLED);
         self.classes.iter_mut().for_each(|class| class.cand.clear());
@@ -607,7 +615,6 @@ impl IncrementalMatcher {
 
         // Upsert this round's requests, in input order.
         self.merge_keys(keys);
-        self.pos_class.clear();
         self.dirty_classes.clear();
         // An arrival reaches its class through its stored row: only the
         // first one of a stored row has the row hashed and compared.
@@ -666,25 +673,17 @@ impl IncrementalMatcher {
                 self.resize_class(class, 1);
                 class
             };
-            self.pos_class.push(class);
+            self.pos_member[pos] = Member {
+                class,
+                given_stamp: stamp,
+            };
         }
+        std::mem::swap(&mut self.members, &mut self.pos_member);
 
         // The requests that disappeared this round leave their classes.
         for i in 0..self.departed.len() {
             self.resize_class(self.departed[i], -1);
         }
-
-        // Next round's request list, in key order: the merge has read all
-        // of last round's, so it is rewritten in place.
-        self.tracked.clear();
-        self.tracked.extend(self.order.iter().map(|&pos| {
-            let pos = pos as usize;
-            let member = Member {
-                class: self.pos_class[pos],
-                given_stamp: candidates.row_stamp(pos),
-            };
-            (keys[pos], member)
-        }));
 
         for i in 0..self.dirty_classes.len() {
             let (idx, members_before) = self.dirty_classes[i];
@@ -692,29 +691,33 @@ impl IncrementalMatcher {
         }
     }
 
-    /// Merges this round's keys against last round's request list: `order`
-    /// becomes the input positions in ascending key order, `pos_member` each
-    /// position's member record of last round (class [`NIL`] for an
-    /// arrival), and `departed` the classes of last round's requests that
-    /// this round does not list, in key order. The sort is linear on input
-    /// that is already in key order, as the engine's is; any order is legal.
+    /// Merges this round's keys against last round's: `next_order` becomes
+    /// the input positions in ascending key order (the identity when the
+    /// input is in key order already, as the engine's is; any order is
+    /// legal), `pos_member` each position's member record of last round
+    /// (class [`NIL`] for an arrival), and `departed` the classes of last
+    /// round's requests that this round does not list, in key order. Then
+    /// this round's keys and order replace last round's.
     ///
     /// # Panics
     /// Panics on a key listed twice: it would alias two requests onto one
     /// unit of demand.
     fn merge_keys(&mut self, keys: &[RequestKey]) {
-        self.order.clear();
-        self.order.extend(0..keys.len() as u32);
-        self.order.sort_unstable_by_key(|&pos| keys[pos as usize]);
-        if let Some(pair) = self
-            .order
-            .windows(2)
-            .find(|pair| keys[pair[0] as usize] == keys[pair[1] as usize])
-        {
-            panic!(
-                "duplicate request key {:?} in one round",
-                keys[pair[0] as usize]
-            );
+        self.next_order.clear();
+        self.next_order.extend(0..keys.len() as u32);
+        if !keys.windows(2).all(|pair| pair[0] < pair[1]) {
+            self.next_order
+                .sort_unstable_by_key(|&pos| keys[pos as usize]);
+            if let Some(pair) = self
+                .next_order
+                .windows(2)
+                .find(|pair| keys[pair[0] as usize] == keys[pair[1] as usize])
+            {
+                panic!(
+                    "duplicate request key {:?} in one round",
+                    keys[pair[0] as usize]
+                );
+            }
         }
         let arrival = Member {
             class: NIL,
@@ -723,17 +726,29 @@ impl IncrementalMatcher {
         self.pos_member.clear();
         self.pos_member.resize(keys.len(), arrival);
         self.departed.clear();
-        let mut old = self.tracked.iter().peekable();
-        for &pos in &self.order {
-            let key = keys[pos as usize];
-            while let Some((_, member)) = old.next_if(|(tracked, _)| *tracked < key) {
-                self.departed.push(member.class);
-            }
-            if let Some((_, member)) = old.next_if(|(tracked, _)| *tracked == key) {
-                self.pos_member[pos as usize] = *member;
+        let mut old = 0;
+        for &pos in &self.next_order {
+            let key = &keys[pos as usize];
+            while let Some(&prev) = self.order.get(old) {
+                let prev = prev as usize;
+                match self.keys[prev].cmp(key) {
+                    Ordering::Less => self.departed.push(self.members[prev].class),
+                    Ordering::Equal => {
+                        self.pos_member[pos as usize] = self.members[prev];
+                        old += 1;
+                        break;
+                    }
+                    Ordering::Greater => break,
+                }
+                old += 1;
             }
         }
-        self.departed.extend(old.map(|(_, member)| member.class));
+        let rest = &self.order[old..];
+        self.departed
+            .extend(rest.iter().map(|&prev| self.members[prev as usize].class));
+        std::mem::swap(&mut self.order, &mut self.next_order);
+        self.keys.clear();
+        self.keys.extend_from_slice(keys);
     }
 
     /// The class holding `row` this round, for a request that was in class
@@ -1276,8 +1291,8 @@ impl IncrementalMatcher {
     /// last. Reads the mirror records only.
     fn extract(&mut self, out: &mut Vec<Option<BoxId>>) {
         out.clear();
-        for &idx in &self.pos_class {
-            let state = &mut self.states[idx as usize];
+        for member in &self.members {
+            let state = &mut self.states[member.class as usize];
             if state.hand == FRESH {
                 state.hand = state.head;
                 state.hand_left = 0;
@@ -1443,7 +1458,7 @@ impl std::fmt::Debug for IncrementalMatcher {
         f.debug_struct("IncrementalMatcher")
             .field("solver", &self.solver.name())
             .field("boxes", &self.caps.len())
-            .field("tracked_requests", &self.tracked.len())
+            .field("tracked_requests", &self.keys.len())
             .field("classes", &(self.classes.len() - self.free_classes.len()))
             .field("total_flow", &self.total_flow)
             .field("rebuilds", &self.rebuilds)
@@ -2287,10 +2302,11 @@ mod tests {
     /// The boxes of the search row of `key`'s class, in order.
     fn search_row(matcher: &IncrementalMatcher, key: RequestKey) -> Vec<u32> {
         let at = matcher
-            .tracked
-            .binary_search_by_key(&key, |&(tracked, _)| tracked)
+            .keys
+            .iter()
+            .position(|&k| k == key)
             .expect("a tracked key");
-        let class = matcher.tracked[at].1.class as usize;
+        let class = matcher.members[at].class as usize;
         let cand = &matcher.classes[class].cand;
         cand.iter().map(|&(box_idx, _)| box_idx).collect()
     }
@@ -2408,12 +2424,18 @@ mod tests {
         }
     }
 
-    /// The tracked request list is last round's key set, ascending.
+    /// The tracked requests are last round's keys, and `order` lists them
+    /// ascending.
     fn assert_tracks(matcher: &IncrementalMatcher, keys: &[RequestKey], what: &str) {
         let mut sorted = keys.to_vec();
         sorted.sort_unstable();
-        let tracked: Vec<RequestKey> = matcher.tracked.iter().map(|&(key, _)| key).collect();
+        let tracked: Vec<RequestKey> = matcher
+            .order
+            .iter()
+            .map(|&pos| matcher.keys[pos as usize])
+            .collect();
         assert_eq!(tracked, sorted, "{what}");
+        assert_eq!(matcher.members.len(), keys.len(), "{what}");
     }
 
     #[test]
