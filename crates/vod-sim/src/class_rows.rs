@@ -136,13 +136,14 @@ impl ClassRows {
             while let Some(prev) = self.prev_keys.get(old) {
                 match prev.cmp(&key) {
                     Ordering::Less => self.departed.push(self.prev_slots[old]),
-                    Ordering::Equal => survivor = Some(self.prev_slots[old]),
+                    Ordering::Equal => {
+                        survivor = Some(self.prev_slots[old]);
+                        old += 1;
+                        break;
+                    }
                     Ordering::Greater => break,
                 }
                 old += 1;
-                if survivor.is_some() {
-                    break;
-                }
             }
             let slot = match survivor {
                 Some(slot) if self.slab[slot as usize].issued_at == req.issued_at => slot,

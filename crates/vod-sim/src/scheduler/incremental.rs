@@ -21,8 +21,8 @@
 //!
 //! * requests are identified by a stable [`RequestKey`]; each round the
 //!   incoming keys, taken in key order, are merged against the previous
-//!   round's key-ordered request list, so a survivor finds its class with
-//!   no hash probe and the old entries the merge passes over are the
+//!   round's, also in key order, so a survivor finds its class with no
+//!   hash probe and the old requests the merge passes over are the
 //!   departures. Every request is resolved to the class holding its row by
 //!   the producer's change stamp when it proves the row unchanged, by
 //!   hashing and comparing the row otherwise, so stamped, unstamped and
@@ -59,7 +59,7 @@
 //! one-shot instance behind [`Scheduler::schedule`](crate::scheduler::Scheduler::schedule).
 //!
 //! All bookkeeping (class slots, search rows, mirror records, scratch, the
-//! request list and the row map) reuses its allocations, so a steady-state
+//! tracked requests and the row map) reuses its allocations, so a steady-state
 //! round — same working set of requests — performs **zero heap allocations** in the
 //! matching layer, and a dropped candidate or a departed class leaves
 //! nothing behind in the tables.
@@ -85,6 +85,9 @@ type RowMap = HashMap<u64, u32, BuildHasherDefault<KeyHasher>>;
 /// Within one round a viewer has at most one active request per stripe, and a
 /// viewer's playback of a video spans contiguous rounds, so `(viewer,
 /// stripe)` identifies "the same request as last round".
+///
+/// Keys are ordered by viewer, then video, then stripe index — the order in
+/// which the engine collects its requests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RequestKey {
     /// The box that will play the stripe.
@@ -673,10 +676,13 @@ impl IncrementalMatcher {
                 self.resize_class(class, 1);
                 class
             };
-            self.pos_member[pos] = Member {
+            let resolved = Member {
                 class,
                 given_stamp: stamp,
             };
+            if (member.class, member.given_stamp) != (class, stamp) {
+                self.pos_member[pos] = resolved;
+            }
         }
         std::mem::swap(&mut self.members, &mut self.pos_member);
 
@@ -723,18 +729,20 @@ impl IncrementalMatcher {
             class: NIL,
             given_stamp: NO_STAMP,
         };
-        self.pos_member.clear();
+        // Every position is written below, so only new tail slots need a
+        // value here.
         self.pos_member.resize(keys.len(), arrival);
         self.departed.clear();
         let mut old = 0;
         for &pos in &self.next_order {
             let key = &keys[pos as usize];
+            let mut member = arrival;
             while let Some(&prev) = self.order.get(old) {
                 let prev = prev as usize;
                 match self.keys[prev].cmp(key) {
                     Ordering::Less => self.departed.push(self.members[prev].class),
                     Ordering::Equal => {
-                        self.pos_member[pos as usize] = self.members[prev];
+                        member = self.members[prev];
                         old += 1;
                         break;
                     }
@@ -742,6 +750,7 @@ impl IncrementalMatcher {
                 }
                 old += 1;
             }
+            self.pos_member[pos as usize] = member;
         }
         let rest = &self.order[old..];
         self.departed

@@ -10,14 +10,14 @@
 //!
 //! ```text
 //! pair --parent <vod-benchmark> --change <vod-benchmark> --out <file.json>
-//!      [--runs 2009:10,7331:3] [--workloads a,b] [--seconds 24]
-//!      [--spec BENCHMARK.json] [--scratch <dir>]
+//!      [--runs 2009:10,7331:3] [--spec BENCHMARK.json] [--scratch <dir>]
 //! ```
 //!
 //! `--runs` lists `seed:pairs` blocks (default `2009:10`); every run is
 //! `<binary> --workload W --seed S --seconds N --trace 0 --out <scratch>`,
-//! and its last stdout line is the benchmark's result object. The metric
-//! names and their better direction come from the spec's `end_to_end` list.
+//! and its last stdout line is the benchmark's result object. The
+//! workloads, the run length `N`, the metric names and each metric's better
+//! direction come from the spec (`workloads`, `run_seconds`, `end_to_end`).
 //! The output file is rewritten after every pair, so an interrupted
 //! comparison keeps what it measured. Passing the same binary on both
 //! sides is an A/A run: its ratios are the host's noise band.
@@ -55,16 +55,21 @@ struct Args {
     change: PathBuf,
     out: PathBuf,
     runs: Vec<(u64, usize)>,
-    workloads: Option<Vec<String>>,
-    seconds: String,
     spec: PathBuf,
     scratch: PathBuf,
+}
+
+/// What the benchmark spec says about a run.
+struct Spec {
+    workloads: Vec<String>,
+    seconds: String,
+    metrics: Vec<Metric>,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: pair --parent <bin> --change <bin> --out <file.json> [--runs SEED:PAIRS,...] \
-         [--workloads a,b] [--seconds S] [--spec BENCHMARK.json] [--scratch DIR]"
+         [--spec BENCHMARK.json] [--scratch DIR]"
     );
     std::process::exit(2);
 }
@@ -75,8 +80,6 @@ fn parse_args() -> Args {
         change: PathBuf::new(),
         out: PathBuf::new(),
         runs: vec![(2009, 10)],
-        workloads: None,
-        seconds: "24".into(),
         spec: "BENCHMARK.json".into(),
         scratch: std::env::temp_dir().join(format!("pair-{}", std::process::id())),
     };
@@ -88,8 +91,6 @@ fn parse_args() -> Args {
             "--change" => args.change = value.into(),
             "--out" => args.out = value.into(),
             "--runs" => args.runs = parse_runs(&value).unwrap_or_else(|| usage()),
-            "--workloads" => args.workloads = Some(value.split(',').map(String::from).collect()),
-            "--seconds" => args.seconds = value,
             "--spec" => args.spec = value.into(),
             "--scratch" => args.scratch = value.into(),
             _ => usage(),
@@ -114,8 +115,8 @@ fn parse_runs(text: &str) -> Option<Vec<(u64, usize)>> {
         .collect()
 }
 
-/// The spec's workload names and end-to-end metrics.
-fn read_spec(path: &Path) -> Result<(Vec<String>, Vec<Metric>), String> {
+/// The spec's workload names, run length and end-to-end metrics.
+fn read_spec(path: &Path) -> Result<Spec, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let spec = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
     let field = |json: &Json, key: &str| -> Result<String, String> {
@@ -143,7 +144,16 @@ fn read_spec(path: &Path) -> Result<(Vec<String>, Vec<Metric>), String> {
             })
         })
         .collect::<Result<_, String>>()?;
-    Ok((workloads, metrics))
+    let seconds = spec
+        .field("run_seconds")
+        .and_then(Json::as_u64)
+        .map_err(|e| e.to_string())?
+        .to_string();
+    Ok(Spec {
+        workloads,
+        seconds,
+        metrics,
+    })
 }
 
 /// Reads a benchmark's last stdout line.
@@ -170,13 +180,13 @@ fn run_once(
     binary: &Path,
     workload: &str,
     seed: u64,
-    args: &Args,
-    metrics: &[Metric],
+    spec: &Spec,
+    scratch: &Path,
 ) -> Result<RunResult, String> {
     let output = Command::new(binary)
         .args(["--workload", workload, "--seed", &seed.to_string()])
-        .args(["--seconds", &args.seconds, "--trace", "0", "--out"])
-        .arg(&args.scratch)
+        .args(["--seconds", &spec.seconds, "--trace", "0", "--out"])
+        .arg(scratch)
         .output()
         .map_err(|e| format!("{}: {e}", binary.display()))?;
     if !output.status.success() {
@@ -193,7 +203,7 @@ fn run_once(
         .rev()
         .find(|l| !l.trim().is_empty())
         .ok_or("no result line")?;
-    parse_result(line, metrics)
+    parse_result(line, &spec.metrics)
 }
 
 /// The `q`-quantile of `values`, interpolated between order statistics.
@@ -280,14 +290,19 @@ fn block_json(block: &Block, metrics: &[Metric]) -> Json {
     ])
 }
 
-fn write_report(args: &Args, blocks: &[Block], metrics: &[Metric]) -> Result<(), String> {
+fn write_report(args: &Args, spec: &Spec, blocks: &[Block]) -> Result<(), String> {
     let report = obj(vec![
         ("parent", Json::Str(args.parent.display().to_string())),
         ("change", Json::Str(args.change.display().to_string())),
-        ("seconds", Json::Str(args.seconds.clone())),
+        ("seconds", Json::Str(spec.seconds.clone())),
         (
             "blocks",
-            Json::Arr(blocks.iter().map(|b| block_json(b, metrics)).collect()),
+            Json::Arr(
+                blocks
+                    .iter()
+                    .map(|b| block_json(b, &spec.metrics))
+                    .collect(),
+            ),
         ),
     ]);
     std::fs::write(&args.out, format!("{report}\n"))
@@ -296,18 +311,17 @@ fn write_report(args: &Args, blocks: &[Block], metrics: &[Metric]) -> Result<(),
 
 fn main() {
     let args = parse_args();
-    let (spec_workloads, metrics) = read_spec(&args.spec).unwrap_or_else(|e| {
+    let spec = read_spec(&args.spec).unwrap_or_else(|e| {
         eprintln!("pair: {e}");
         std::process::exit(2);
     });
-    let workloads = args.workloads.clone().unwrap_or(spec_workloads);
     if let Err(e) = std::fs::create_dir_all(&args.scratch) {
         eprintln!("pair: {}: {e}", args.scratch.display());
         std::process::exit(2);
     }
     let mut blocks: Vec<Block> = Vec::new();
     for &(seed, pairs) in &args.runs {
-        for workload in &workloads {
+        for workload in &spec.workloads {
             blocks.push(Block {
                 workload: workload.clone(),
                 seed,
@@ -324,8 +338,8 @@ fn main() {
                 let block = blocks.last_mut().expect("pushed above");
                 block.parent_first.push(parent_first);
                 for (binary, is_parent) in sides {
-                    let result =
-                        run_once(binary, workload, seed, &args, &metrics).unwrap_or_else(|e| {
+                    let result = run_once(binary, workload, seed, &spec, &args.scratch)
+                        .unwrap_or_else(|e| {
                             eprintln!("pair: {e}");
                             std::process::exit(1);
                         });
@@ -339,7 +353,7 @@ fn main() {
                     "pair: {workload} seed {seed}: pair {}/{pairs} done",
                     pair + 1
                 );
-                if let Err(e) = write_report(&args, &blocks, &metrics) {
+                if let Err(e) = write_report(&args, &spec, &blocks) {
                     eprintln!("pair: {e}");
                     std::process::exit(1);
                 }
@@ -353,16 +367,13 @@ fn main() {
             block.seed,
             block.parent.len()
         );
-        for (i, metric) in metrics.iter().enumerate() {
-            let Some(Json::Obj(fields)) = metric_json(block, i, metric) else {
+        for (i, metric) in spec.metrics.iter().enumerate() {
+            let Some(json) = metric_json(block, i, metric) else {
                 continue;
             };
             let get = |key: &str| {
-                fields
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .and_then(|(_, v)| v.as_f64().ok())
-                    .unwrap_or(f64::NAN)
+                json.get(key)
+                    .map_or(f64::NAN, |v| v.as_f64().unwrap_or(f64::NAN))
             };
             println!(
                 "  {:<18} ratio {:.3} [{:.3}, {:.3}]  wins {}/{}",
