@@ -19,7 +19,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
 use vod_analysis::Table;
 use vod_bench::{print_header, Scale};
 use vod_core::{RandomPermutationAllocator, SystemParams, VideoSystem};
@@ -59,7 +58,6 @@ fn churn_model(sys: &VideoSystem) -> ChurnModel {
 
 struct ChurnRun {
     report: SimulationReport,
-    ms_per_round: f64,
     repaired_total: u64,
     lost: usize,
 }
@@ -75,18 +73,15 @@ fn run(sys: &VideoSystem, rounds: u64, churn: bool, repair: Option<u32>) -> Chur
         sim.attach_repair(RepairPlanner::for_system(sys, budget));
     }
     let mut gen = SequentialViewing::new(sys.n(), sys.m(), NextVideoPolicy::RoundRobin, 1.3, 41);
-    let start = Instant::now();
     for _ in 0..rounds {
         sim.step(&mut gen);
     }
-    let ms_per_round = start.elapsed().as_secs_f64() * 1e3 / rounds.max(1) as f64;
     let (repaired_total, lost) = sim
         .repair_planner()
         .map(|p| (p.repaired_total(), p.lost().len()))
         .unwrap_or((0, 0));
     ChurnRun {
         report: sim.into_report(),
-        ms_per_round,
         repaired_total,
         lost,
     }
@@ -145,7 +140,6 @@ fn main() {
             "service ratio",
             "repaired",
             "lost stripes",
-            "ms/round",
         ],
     );
     let served_static = statik.report.total_served() as f64;
@@ -160,7 +154,6 @@ fn main() {
             format!("{:.4}", run.report.service_ratio()),
             run.repaired_total.to_string(),
             run.lost.to_string(),
-            format!("{:.3}", run.ms_per_round),
         ]);
     };
     push("static population", &statik);

@@ -27,7 +27,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
 use vod_analysis::Table;
 use vod_bench::{print_header, Scale};
 use vod_core::{BoxId, RandomPermutationAllocator, SystemParams, VideoSystem};
@@ -66,11 +65,6 @@ fn outage_events(sys: &VideoSystem, start: u64, width: u64) -> Vec<FaultEvent> {
         .collect()
 }
 
-struct FaultRun {
-    report: SimulationReport,
-    ms_per_round: f64,
-}
-
 /// One scenario run on the default (incremental + global max-flow)
 /// pipeline: an optional drop hazard (via a zero-event fault model), an
 /// optional retry policy, an optional degradation controller, and an
@@ -82,7 +76,7 @@ fn run(
     policy: Option<DeliveryPolicy>,
     degradation: Option<DegradationConfig>,
     outage: Option<(u64, u64)>,
-) -> FaultRun {
+) -> SimulationReport {
     let mut sim = Simulator::new(sys, SimConfig::new(rounds).continue_on_failure());
     if drop_ppm > 0 {
         sim.attach_faults(FaultModel::new(sys.boxes(), 0xFA17).with_drop_rate(drop_ppm, 0));
@@ -94,7 +88,6 @@ fn run(
         sim.attach_degradation(config);
     }
     let mut gen = SequentialViewing::new(sys.n(), sys.m(), NextVideoPolicy::RoundRobin, 1.3, 41);
-    let start = Instant::now();
     for _ in 0..rounds {
         if let Some((outage_start, width)) = outage {
             if sim.round() == outage_start {
@@ -105,11 +98,24 @@ fn run(
         }
         sim.step(&mut gen);
     }
-    let ms_per_round = start.elapsed().as_secs_f64() * 1e3 / rounds.max(1) as f64;
-    FaultRun {
-        report: sim.into_report(),
-        ms_per_round,
+    sim.into_report()
+}
+
+/// A plain run, or one with a zero-rate fault model attached (tracker
+/// attached, every hazard off), with every round's state signature.
+fn signed_run(sys: &VideoSystem, rounds: u64, idle_faults: bool) -> (SimulationReport, Vec<u64>) {
+    let mut sim = Simulator::new(sys, SimConfig::new(rounds).continue_on_failure());
+    if idle_faults {
+        sim.attach_faults(FaultModel::new(sys.boxes(), 0xFA17));
     }
+    let mut gen = SequentialViewing::new(sys.n(), sys.m(), NextVideoPolicy::RoundRobin, 1.3, 41);
+    let signatures = (0..rounds)
+        .map(|_| {
+            sim.step(&mut gen);
+            sim.state_signature()
+        })
+        .collect();
+    (sim.into_report(), signatures)
 }
 
 /// Served requests in the post-outage segment (rounds ≥ `from`).
@@ -179,34 +185,8 @@ fn main() {
     let rounds = scale.pick(80u64, 200);
 
     // ---- Part 1: fault-free identity (the zero-cost gate) ----
-    let plain = {
-        let mut sim = Simulator::new(&sys, SimConfig::new(rounds).continue_on_failure());
-        let mut gen =
-            SequentialViewing::new(sys.n(), sys.m(), NextVideoPolicy::RoundRobin, 1.3, 41);
-        let start = Instant::now();
-        let mut signatures = Vec::with_capacity(rounds as usize);
-        for _ in 0..rounds {
-            sim.step(&mut gen);
-            signatures.push(sim.state_signature());
-        }
-        let ms = start.elapsed().as_secs_f64() * 1e3 / rounds.max(1) as f64;
-        (sim.into_report(), signatures, ms)
-    };
-    let idle = {
-        let mut sim = Simulator::new(&sys, SimConfig::new(rounds).continue_on_failure());
-        // A zero-rate model: tracker attached, every hazard off.
-        sim.attach_faults(FaultModel::new(sys.boxes(), 0xFA17));
-        let mut gen =
-            SequentialViewing::new(sys.n(), sys.m(), NextVideoPolicy::RoundRobin, 1.3, 41);
-        let start = Instant::now();
-        let mut signatures = Vec::with_capacity(rounds as usize);
-        for _ in 0..rounds {
-            sim.step(&mut gen);
-            signatures.push(sim.state_signature());
-        }
-        let ms = start.elapsed().as_secs_f64() * 1e3 / rounds.max(1) as f64;
-        (sim.into_report(), signatures, ms)
-    };
+    let plain = signed_run(&sys, rounds, false);
+    let idle = signed_run(&sys, rounds, true);
     if plain.1 != idle.1 {
         let round = plain.1.iter().zip(&idle.1).position(|(a, b)| a != b);
         eprintln!(
@@ -224,8 +204,7 @@ fn main() {
         }
     }
     println!(
-        "identity: zero-rate fault model is bit-identical to the plain engine across {rounds} rounds ({:.3} vs {:.3} ms/round) ✓\n",
-        plain.2, idle.2
+        "identity: zero-rate fault model is bit-identical to the plain engine across {rounds} rounds ✓\n"
     );
 
     // ---- Part 2: outage recovery — retry + degradation vs no-retry ----
@@ -253,7 +232,7 @@ fn main() {
         outage,
     );
 
-    let base_post = served_after(&baseline.report, recover_from);
+    let base_post = served_after(&baseline, recover_from);
     let mut table = Table::new(
         "Outage recovery (identical demand seeds; outage stalls 3n/4 boxes)",
         &[
@@ -265,22 +244,20 @@ fn main() {
             "retries",
             "abandoned",
             "degraded rounds",
-            "ms/round",
         ],
     );
-    let mut push = |label: &str, run: &FaultRun| {
-        let delivery = run.report.delivery.unwrap_or_default();
-        let post = served_after(&run.report, recover_from);
+    let mut push = |label: &str, report: &SimulationReport| {
+        let delivery = report.delivery.unwrap_or_default();
+        let post = served_after(report, recover_from);
         table.push_row(vec![
             label.to_string(),
-            run.report.total_served().to_string(),
+            report.total_served().to_string(),
             post.to_string(),
             format!("{:.1}%", post as f64 / base_post.max(1) as f64 * 100.0),
             delivery.dropped.to_string(),
             delivery.retries.to_string(),
             delivery.abandoned.to_string(),
             delivery.degraded_rounds.to_string(),
-            format!("{:.3}", run.ms_per_round),
         ]);
     };
     push("fault-free baseline", &baseline);
@@ -292,11 +269,7 @@ fn main() {
         sys.n(),
         outage_start + outage_width
     );
-    let degraded = resilient
-        .report
-        .delivery
-        .map(|d| d.degraded_rounds)
-        .unwrap_or(0);
+    let degraded = resilient.delivery.map(|d| d.degraded_rounds).unwrap_or(0);
     if degraded == 0 {
         eprintln!(
             "FAIL: the outage never pushed the degradation controller into degraded mode — the shed path went untested"
@@ -306,23 +279,22 @@ fn main() {
     // Failure attribution: infeasible rounds during the outage window are
     // charged to the fault overlay, not to the allocation.
     let fault_attributed = resilient
-        .report
         .failures
         .iter()
         .filter(|f| f.cause() == "fault-degraded")
         .count();
-    let allocation_attributed = resilient.report.failures.len() - fault_attributed;
+    let allocation_attributed = resilient.failures.len() - fault_attributed;
     println!(
         "failure attribution: {fault_attributed} fault-degraded, {allocation_attributed} allocation (of {} infeasible rounds)",
-        resilient.report.failures.len()
+        resilient.failures.len()
     );
-    if fault_attributed == 0 && !resilient.report.failures.is_empty() {
+    if fault_attributed == 0 && !resilient.failures.is_empty() {
         eprintln!("FAIL: outage-window failures were not attributed to the fault overlay");
         failed = true;
     }
 
-    let resilient_post = served_after(&resilient.report, recover_from);
-    let fragile_post = served_after(&fragile.report, recover_from);
+    let resilient_post = served_after(&resilient, recover_from);
+    let fragile_post = served_after(&fragile, recover_from);
     let recovery = resilient_post as f64 / base_post.max(1) as f64;
     if recovery < 0.95 {
         eprintln!(
@@ -337,7 +309,7 @@ fn main() {
         );
         failed = true;
     }
-    let resilient_delivery = resilient.report.delivery.unwrap_or_default();
+    let resilient_delivery = resilient.delivery.unwrap_or_default();
     if resilient_delivery.retries == 0 || resilient_delivery.dropped == 0 {
         eprintln!("FAIL: the drop hazard never fired or never retried — the gate tested nothing");
         failed = true;

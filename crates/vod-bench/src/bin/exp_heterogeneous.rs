@@ -8,17 +8,15 @@
 //!
 //! Part 2 is the **relay series**: the same heterogeneous fleet driven by
 //! a poor-box-prioritized multi-swarm churn workload (relay edges crossing
-//! swarms), replayed through the max-flow scheduler, the bare incremental
-//! matcher, and the textbook `NaiveScheduler`. Every configuration must
-//! serve exactly the same number of requests every round — the run **exits
-//! non-zero on any divergence**, so it doubles as the CI smoke gate for
-//! relayed scheduling — and the run closes with the relay subsystem's
-//! utilization profile (per-relay reserved capacity vs observed forwarding
-//! load, saturation).
+//! swarms), replayed through the max-flow scheduler and the textbook
+//! `NaiveScheduler`. Both must serve exactly the same number of requests
+//! every round — the run **exits non-zero on any divergence**, so it
+//! doubles as the CI smoke gate for relayed scheduling — and the run closes
+//! with the relay subsystem's utilization profile (per-relay reserved
+//! capacity vs observed forwarding load, saturation).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
 use vod_analysis::{theorem2, Table};
 use vod_bench::{print_header, Scale};
 use vod_core::{
@@ -26,8 +24,7 @@ use vod_core::{
     VideoSystem,
 };
 use vod_sim::{
-    IncrementalMatcher, MaxFlowScheduler, NaiveScheduler, Scheduler, SimConfig, SimulationReport,
-    Simulator,
+    MaxFlowScheduler, NaiveScheduler, Scheduler, SimConfig, SimulationReport, Simulator,
 };
 use vod_workloads::{MultiSwarmChurn, PoorBoxesSameVideo};
 
@@ -66,11 +63,17 @@ fn build_fleet(
     .ok()
 }
 
-fn run_fleet(poor_count: usize, rich_count: usize, relay: bool, scale: Scale) -> (bool, f64) {
+/// Runs the pile-on attack on a two-class fleet: whether every round was
+/// feasible and the service ratio, or `None` when the fleet is not built
+/// (not compensable).
+fn run_fleet(
+    poor_count: usize,
+    rich_count: usize,
+    relay: bool,
+    scale: Scale,
+) -> Option<(bool, f64)> {
     let duration = scale.pick(32, 48);
-    let Some(system) = build_fleet(poor_count, rich_count, 2.6, relay, duration) else {
-        return (false, 0.0);
-    };
+    let system = build_fleet(poor_count, rich_count, 2.6, relay, duration)?;
     let u_star = Bandwidth::from_streams(U_STAR);
     let poor = system.boxes().poor_ids(u_star);
     let rich = system.boxes().rich_ids(u_star);
@@ -84,18 +87,25 @@ fn run_fleet(poor_count: usize, rich_count: usize, relay: bool, scale: Scale) ->
     );
     let rounds = scale.pick(60u64, 120);
     let report = Simulator::new(&system, SimConfig::new(rounds)).run(&mut attack);
-    (report.all_rounds_feasible(), report.service_ratio())
+    Some((report.all_rounds_feasible(), report.service_ratio()))
+}
+
+/// A `run_fleet` cell: "feasible / service", or "not built".
+fn fleet_cell(outcome: Option<(bool, f64)>) -> String {
+    match outcome {
+        Some((feasible, service)) => format!("{feasible} / {service:.3}"),
+        None => "not built".to_string(),
+    }
 }
 
 /// One relay-series replay: simulate the churn workload under the given
-/// scheduler, returning the report and the wall-clock milliseconds per
-/// round.
+/// scheduler.
 fn replay(
     system: &VideoSystem,
     poor: &[BoxId],
     rounds: u64,
     scheduler: Box<dyn Scheduler>,
-) -> (SimulationReport, f64) {
+) -> SimulationReport {
     let mut gen = MultiSwarmChurn::new(system.m(), 6, 8, 1.2, 5)
         .with_rotation(6)
         .with_priority_boxes(poor.to_vec());
@@ -104,10 +114,7 @@ fn replay(
         SimConfig::new(rounds).continue_on_failure(),
         scheduler,
     );
-    let start = Instant::now();
-    let report = sim.run(&mut gen);
-    let ms = start.elapsed().as_secs_f64() * 1e3;
-    (report, ms / rounds.max(1) as f64)
+    sim.run(&mut gen)
 }
 
 /// Asserts per-round equivalence of a replay against the reference;
@@ -150,42 +157,25 @@ fn relay_series(scale: Scale, total: usize) {
         rounds
     );
 
-    let (reference, incremental_ms) =
-        replay(&system, &poor, rounds, Box::<IncrementalMatcher>::default());
-    let (maxflow_report, maxflow_ms) =
-        replay(&system, &poor, rounds, Box::new(MaxFlowScheduler::new()));
-    check_equivalent("max-flow", &reference, &maxflow_report);
-    let (naive_report, naive_ms) = replay(&system, &poor, rounds, Box::new(NaiveScheduler::new()));
-    check_equivalent("naive", &reference, &naive_report);
+    let report = replay(&system, &poor, rounds, Box::new(MaxFlowScheduler::new()));
+    let naive_report = replay(&system, &poor, rounds, Box::new(NaiveScheduler::new()));
+    check_equivalent("max-flow vs naive", &naive_report, &report);
 
     let mut table = Table::new(
         "Heterogeneous fleet under relayed churn (identical schedules enforced)",
-        &[
-            "scheduler",
-            "ms/round",
-            "speedup vs incremental",
-            "served",
-            "forwarded",
-            "fwd starved",
-        ],
+        &["scheduler", "served", "forwarded", "fwd starved"],
     );
-    let row = |label: &str, ms: f64, report: &SimulationReport| {
-        vec![
+    for (label, report) in [("max-flow", &report), ("naive (reference)", &naive_report)] {
+        table.push_row(vec![
             label.to_string(),
-            format!("{ms:.3}"),
-            format!("{:.2}x", incremental_ms / ms.max(1e-9)),
             report.total_served().to_string(),
             report.total_forwarded().to_string(),
             report.total_forward_starved().to_string(),
-        ]
-    };
-    table.push_row(row("incremental", incremental_ms, &reference));
-    table.push_row(row("max-flow", maxflow_ms, &maxflow_report));
-    table.push_row(row("naive (reference)", naive_ms, &naive_report));
+        ]);
+    }
     println!("{}", table.to_markdown());
 
     // Relay utilization profile.
-    let report = reference;
     let mut profile = Table::new(
         "Relay utilization (reserved forwarding capacity vs observed load)",
         &[
@@ -214,7 +204,7 @@ fn relay_series(scale: Scale, total: usize) {
         println!("({} more relays elided)", report.relays.len() - 12);
     }
     println!(
-        "equivalence: all schedulers served identical per-round counts across {} rounds ✓",
+        "equivalence: max-flow and naive served identical per-round counts across {} rounds ✓",
         rounds
     );
 }
@@ -250,15 +240,13 @@ fn main() {
         let (avg_u, necessary) = theorem2::necessary_condition(&boxes);
         let compensable = compensate(&boxes, Bandwidth::from_streams(U_STAR)).is_ok();
 
-        let (ok_relay, sr_relay) = run_fleet(poor_count, rich_count, true, scale);
-        let (ok_plain, sr_plain) = run_fleet(poor_count, rich_count, false, scale);
         table.push_row(vec![
             format!("{poor_fraction:.3}"),
             format!("{avg_u:.2}"),
             format!("{necessary:.2}"),
             compensable.to_string(),
-            format!("{} / {:.3}", ok_relay, sr_relay),
-            format!("{} / {:.3}", ok_plain, sr_plain),
+            fleet_cell(run_fleet(poor_count, rich_count, true, scale)),
+            fleet_cell(run_fleet(poor_count, rich_count, false, scale)),
         ]);
     }
     println!("{}", table.to_markdown());

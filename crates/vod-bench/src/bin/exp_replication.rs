@@ -26,10 +26,15 @@ fn main() {
     };
     let config = search_config(scale);
 
-    let prescribed = theorem1::min_replication(spec.u, spec.d as f64, spec.c, spec.mu);
+    let prescribed = match theorem1::min_replication(spec.u, spec.d as f64, spec.c, spec.mu) {
+        Some(k) => format!("k ≥ {k}"),
+        None => {
+            "no finite k (outside the theorem's hypotheses: u ≤ 1, ν ≤ 0 or u′ ≤ 1)".to_string()
+        }
+    };
     println!(
-        "Theorem 1 prescription for (u = {}, d = {}, c = {}, µ = {}): k ≥ {:?}\n",
-        spec.u, spec.d, spec.c, spec.mu, prescribed
+        "Theorem 1 prescription for (u = {}, d = {}, c = {}, µ = {}): {prescribed}\n",
+        spec.u, spec.d, spec.c, spec.mu
     );
 
     let mut table = Table::new(

@@ -4,11 +4,11 @@
 //! Keyed rounds never reach it — the [`vod_sim::IncrementalMatcher`]
 //! routes every keyed round by its own targeted search, the cold round
 //! after a reset (first round, fleet-size change) from the empty matching —
-//! so replaying a script keyed through each backend times the matcher three
-//! times over. This experiment therefore solves every round of identical
-//! scripts **cold**, through [`MaxFlowScheduler::schedule`] wired to each
-//! [`vod_flow::MaxFlowSolve`] family, and times them head-to-head: `dinic`
-//! (word-parallel level BFS on Lemma-1 shapes), `hopcroft-karp`
+//! so replaying a script keyed through each backend would step the matcher
+//! three times over. This experiment therefore solves every round of
+//! identical scripts **cold**, through [`MaxFlowScheduler::schedule`] wired
+//! to each [`vod_flow::MaxFlowSolve`] family, and compares what they serve:
+//! `dinic` (word-parallel level BFS on Lemma-1 shapes), `hopcroft-karp`
 //! (capacitated word-parallel matcher) and `push-relabel` (gap +
 //! global-relabel heuristics).
 //!
@@ -18,27 +18,20 @@
 //! paths, the relabel stress case), a heterogeneous-relay shape (a few
 //! high-`u` superboxes carrying most of the load, as produced by
 //! `u*`-compensation), and a threshold-trial shape sized like one trial of
-//! the paper's E1 sweep (`n = 128`, `c = 4`, `k = 4`, `u = 1`). No sweep
-//! trial pays these solves any more (its cold first round is searched
-//! too); the table is what a one-shot [`Scheduler::schedule`] costs.
+//! the paper's E1 sweep (`n = 128`, `c = 4`, `k = 4`, `u = 1`).
 //!
-//! The run doubles as a CI determinism gate: every family must produce an
+//! The run is a CI determinism gate: every family must produce an
 //! identical per-round served sequence on every workload (they are all
 //! exact maximum-flow algorithms), and the run exits non-zero on any
 //! divergence.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
 use vod_analysis::Table;
 use vod_bench::{multi_swarm_script, print_header, RoundScript, Scale};
 use vod_core::{BoxId, StripeId, VideoId};
 use vod_flow::{Dinic, HopcroftKarpSolve, MaxFlowSolve, PushRelabel};
 use vod_sim::{MaxFlowScheduler, RequestKey, Scheduler};
-
-/// Timing repetitions per configuration: schedules are deterministic, so
-/// the minimum over repeats is a sound noise filter (the host is shared).
-const REPEATS: usize = 3;
 
 struct Shape {
     label: &'static str,
@@ -191,44 +184,40 @@ const FAMILIES: [MakeSolver; 3] = [
     || Box::new(PushRelabel::new()),
 ];
 
-/// One replay, every round solved cold: per-round served counts
-/// (replay-invariant) plus the best wall-clock per round over `REPEATS`.
-fn profile(script: &RoundScript, make: MakeSolver) -> (Vec<usize>, f64) {
-    let mut best = f64::INFINITY;
-    let mut per_round = Vec::new();
-    for _ in 0..REPEATS {
-        let mut scheduler = MaxFlowScheduler::with_solver(make());
-        let mut served = Vec::with_capacity(script.rounds.len());
-        let start = Instant::now();
-        for (_, cands) in &script.rounds {
-            let out = scheduler.schedule(&script.caps, cands);
-            served.push(out.iter().flatten().count());
-        }
-        let elapsed = start.elapsed().as_secs_f64() * 1e3;
-        best = best.min(elapsed / script.rounds.len().max(1) as f64);
-        per_round = served;
-    }
-    (per_round, best)
+/// One replay, every round solved cold: the per-round served counts.
+fn served_per_round(script: &RoundScript, make: MakeSolver) -> Vec<usize> {
+    let mut scheduler = MaxFlowScheduler::with_solver(make());
+    script
+        .rounds
+        .iter()
+        .map(|(_, cands)| {
+            scheduler
+                .schedule(&script.caps, cands)
+                .iter()
+                .flatten()
+                .count()
+        })
+        .collect()
 }
 
 fn main() {
     let scale = Scale::from_env();
     print_header(
         "E14 exp_solvers — solver kernels on cold instances",
-        "all three max-flow families serve identical per-round sequences (Lemma 1 has a unique optimum value); the table is what each costs on a one-shot Scheduler::schedule call, the one entry point that still reaches a solver",
+        "all three max-flow families serve identical per-round sequences (Lemma 1 has a unique optimum value) on a one-shot Scheduler::schedule call, the one entry point that still reaches a solver",
         scale,
     );
 
     let mut diverged = false;
     let mut table = Table::new(
-        "Cold solve wall-clock per round (identical served sequences required)",
-        &["workload", "solver", "served", "ms/round"],
+        "Cold solves (identical served sequences required)",
+        &["workload", "solver", "served"],
     );
 
     for shape in shapes(scale) {
         let mut reference: Option<(&str, Vec<usize>)> = None;
         for make in FAMILIES {
-            let (per_round, ms) = profile(&shape.script, make);
+            let per_round = served_per_round(&shape.script, make);
             let series = make().name();
             // Determinism gate: every family must serve the same sequence.
             match &reference {
@@ -246,7 +235,6 @@ fn main() {
                 shape.label.to_string(),
                 series.to_string(),
                 per_round.iter().sum::<usize>().to_string(),
-                format!("{ms:.4}"),
             ]);
         }
     }

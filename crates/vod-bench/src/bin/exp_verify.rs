@@ -26,7 +26,6 @@
 //! differential comparison fails. Divergences are dumped as replayable
 //! seed files next to the working directory.
 
-use std::time::Instant;
 use vod_analysis::{
     crosscheck_first_moment, explore, is_admissible, replay_fails, shrink_counterexample,
     ExploreOutcome, ExploreSpec, HeteroSpec, SeedSystem, Table,
@@ -110,17 +109,12 @@ fn fmt_counterexample(trace: &DemandTrace) -> String {
 struct Run {
     label: &'static str,
     outcome: ExploreOutcome,
-    elapsed_ms: f64,
 }
 
 fn run_explore(label: &'static str, spec: &ExploreSpec) -> Run {
-    let start = Instant::now();
-    let outcome = explore(spec);
-    let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
     Run {
         label,
-        outcome,
-        elapsed_ms,
+        outcome: explore(spec),
     }
 }
 
@@ -143,7 +137,6 @@ fn main() {
             "edges",
             "failures",
             "divergences",
-            "ms",
             "verdict",
         ],
     );
@@ -264,7 +257,6 @@ fn main() {
             run.outcome.edges.to_string(),
             run.outcome.failures.to_string(),
             run.outcome.divergences.len().to_string(),
-            format!("{:.0}", run.elapsed_ms),
             if *ok { "ok" } else { "FAIL" }.to_string(),
         ]);
     }

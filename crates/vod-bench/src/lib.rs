@@ -1,9 +1,11 @@
 //! # vod-bench
 //!
-//! Experiment harness shared by the `exp_*` binaries (one per experiment in
-//! EXPERIMENTS.md) and by the Criterion micro-benchmarks. The binaries print
-//! markdown tables so their output can be pasted into EXPERIMENTS.md
-//! verbatim.
+//! Experiment harness shared by the `exp_*` binaries. Each binary checks
+//! one of the paper's claims (or one of the engine's equivalence gates) and
+//! prints a markdown table of counts: served sets, failure rates,
+//! thresholds. None of them reads a clock. Timings come from the engine's
+//! tracer (`exp_profile` prints its stage table) and from the paired
+//! `benchmark/` runs of `tools/pair`.
 //!
 //! Every binary honours the `EXP_SCALE` environment variable:
 //! `EXP_SCALE=quick` (default) runs laptop-scale parameter grids in seconds;
@@ -119,8 +121,8 @@ pub struct RoundScript {
 /// (arrivals and departures), `c` requests per viewer, candidates drawn
 /// from per-video holder sets plus occasional cross-swarm caches.
 ///
-/// Many medium swarms coupled through shared boxes, without the cost of
-/// running the full simulator inside a timing loop.
+/// Many medium swarms coupled through shared boxes, without running the
+/// full simulator.
 pub fn multi_swarm_script(
     boxes: usize,
     swarms: usize,

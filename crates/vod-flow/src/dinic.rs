@@ -21,7 +21,6 @@ use crate::arena::{FlowArena, NodeId};
 use crate::bitset::{BipartiteShape, BitSet, NONE};
 use crate::solver::MaxFlowSolve;
 use std::collections::VecDeque;
-use vod_obs::{Stage, TraceHandle};
 
 /// Maximum-flow solver state (level graph + adjacency cursors), reusable
 /// across solves.
@@ -51,8 +50,6 @@ pub struct Dinic {
     frontier_mask: BitSet,
     /// Box columns labelled this phase.
     visited_boxes: BitSet,
-    /// Span sink for shape analyses (off by default).
-    tracer: TraceHandle,
 }
 
 impl Dinic {
@@ -233,13 +230,7 @@ impl MaxFlowSolve for Dinic {
             "a solve starts from an arena carrying no flow"
         );
         // The word-parallel BFS applies only to Lemma-1 shapes.
-        let clock = self.tracer.begin();
         let use_bits = self.shape.analyze(arena, source, sink);
-        self.tracer.end(
-            clock,
-            Stage::SolverAnalyze,
-            self.shape.requests.len() as u64,
-        );
         let mut flow = 0;
         loop {
             let sink_reachable = if use_bits {
@@ -267,10 +258,6 @@ impl MaxFlowSolve for Dinic {
 
     fn name(&self) -> &'static str {
         "dinic"
-    }
-
-    fn attach_tracer(&mut self, tracer: &TraceHandle) {
-        self.tracer = tracer.clone();
     }
 }
 

@@ -19,7 +19,6 @@ use crate::bitset::{BipartiteShape, BitAdjacency, BitSet, NONE};
 use crate::dinic::Dinic;
 use crate::solver::MaxFlowSolve;
 use std::collections::VecDeque;
-use vod_obs::{Stage, TraceHandle};
 
 const NIL: usize = usize::MAX;
 const INF: u32 = u32::MAX;
@@ -170,20 +169,6 @@ impl BitHopcroftKarp {
     /// unmatched); its contents on entry are ignored. Returns the matching
     /// size.
     pub fn solve(&mut self, adj: &BitAdjacency, caps: &[u32], match_of: &mut [u32]) -> usize {
-        self.solve_traced(adj, caps, match_of, &TraceHandle::off())
-    }
-
-    /// [`BitHopcroftKarp::solve`] with per-phase tracing: each BFS+DFS
-    /// phase emits one [`Stage::HkPhase`] span whose payload is the number
-    /// of augmenting paths the phase harvested (0 for the final BFS that
-    /// proves maximality). An off handle makes this identical to `solve`.
-    pub fn solve_traced(
-        &mut self,
-        adj: &BitAdjacency,
-        caps: &[u32],
-        match_of: &mut [u32],
-        tracer: &TraceHandle,
-    ) -> usize {
         let rows = adj.rows();
         let cols = adj.cols();
         assert_eq!(caps.len(), cols, "one budget per box");
@@ -208,9 +193,7 @@ impl BitHopcroftKarp {
 
         let mut size = 0usize;
         loop {
-            let clock = tracer.begin();
             if !self.bfs(adj, caps, match_of) {
-                tracer.end(clock, Stage::HkPhase, 0);
                 break;
             }
             let mut augmented = 0u64;
@@ -220,7 +203,6 @@ impl BitHopcroftKarp {
                     augmented += 1;
                 }
             }
-            tracer.end(clock, Stage::HkPhase, augmented);
             debug_assert!(augmented > 0, "BFS found a layer but DFS augmented nothing");
             if augmented == 0 {
                 break;
@@ -409,8 +391,6 @@ pub struct HopcroftKarpSolve {
     caps: Vec<u32>,
     /// Per request row: matched box column (`u32::MAX` free).
     match_of: Vec<u32>,
-    /// Span sink for shape analyses and matching phases (off by default).
-    tracer: TraceHandle,
 }
 
 impl HopcroftKarpSolve {
@@ -423,14 +403,7 @@ impl HopcroftKarpSolve {
     /// written into the arena as a flow. `None` when the arena is not a
     /// Lemma-1 shape with unit rows (nothing has been touched then).
     fn bit_max_flow(&mut self, arena: &mut FlowArena, source: NodeId, sink: NodeId) -> Option<i64> {
-        let clock = self.tracer.begin();
-        let matchable = self.shape.analyze(arena, source, sink) && self.shape.unit_rows;
-        self.tracer.end(
-            clock,
-            Stage::SolverAnalyze,
-            self.shape.requests.len() as u64,
-        );
-        if !matchable {
+        if !(self.shape.analyze(arena, source, sink) && self.shape.unit_rows) {
             return None;
         }
 
@@ -445,12 +418,9 @@ impl HopcroftKarpSolve {
                 .push(u32::try_from(cap).expect("box budget fits in u32"));
         }
         self.match_of.resize(self.shape.requests.len(), NONE);
-        let size = self.core.solve_traced(
-            &self.shape.adj,
-            &self.caps,
-            &mut self.match_of,
-            &self.tracer,
-        );
+        let size = self
+            .core
+            .solve(&self.shape.adj, &self.caps, &mut self.match_of);
 
         for (row, &col) in self.match_of.iter().enumerate() {
             if col == NONE {
@@ -482,11 +452,6 @@ impl MaxFlowSolve for HopcroftKarpSolve {
 
     fn name(&self) -> &'static str {
         "hopcroft-karp"
-    }
-
-    fn attach_tracer(&mut self, tracer: &TraceHandle) {
-        self.tracer = tracer.clone();
-        self.general.attach_tracer(tracer);
     }
 }
 

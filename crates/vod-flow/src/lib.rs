@@ -32,6 +32,12 @@
 //!   reservations are disjoint from the open budgets, so every round is a
 //!   plain Lemma-1 instance.
 //!
+//! No solver reads a clock. Round time is measured by the engine's tracer
+//! (`vod-obs`) and by `benchmark/`; the `vod-obs` dependency is only the
+//! [`TraceHandle`](vod_obs::TraceHandle) in the signature of the no-op
+//! [`MaxFlowSolve::attach_tracer`], which `benchmark/` still compiles
+//! against.
+//!
 //! ## Solving a round
 //!
 //! Every solve is cold: a solver receives a freshly built [`FlowArena`]

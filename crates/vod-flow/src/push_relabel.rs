@@ -17,13 +17,12 @@ use crate::arena::{FlowArena, NodeId};
 use crate::bitset::BitSet;
 use crate::solver::MaxFlowSolve;
 use std::collections::VecDeque;
-use vod_obs::{Stage, TraceHandle};
 
 /// Distance sentinel for the global-relabel BFS passes.
 const UNREACHED: u32 = u32::MAX;
 
 /// FIFO push–relabel solver state, reusable across solves.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PushRelabel {
     height: Vec<usize>,
     excess: Vec<i64>,
@@ -43,33 +42,12 @@ pub struct PushRelabel {
     visited: BitSet,
     /// BFS queue scratch.
     bfs_queue: Vec<NodeId>,
-    /// Span sink for global-relabel passes (off by default).
-    tracer: TraceHandle,
-}
-
-impl Default for PushRelabel {
-    fn default() -> Self {
-        PushRelabel::new()
-    }
 }
 
 impl PushRelabel {
     /// Creates a solver with the gap and global-relabel heuristics enabled.
     pub fn new() -> Self {
-        PushRelabel {
-            height: Vec::new(),
-            excess: Vec::new(),
-            in_queue: Vec::new(),
-            height_count: Vec::new(),
-            queue: VecDeque::new(),
-            relabels_since: 0,
-            global_relabels: 0,
-            dist_sink: Vec::new(),
-            dist_src: Vec::new(),
-            visited: BitSet::new(),
-            bfs_queue: Vec::new(),
-            tracer: TraceHandle::off(),
-        }
+        PushRelabel::default()
     }
 
     /// Global relabels performed so far (benchmark observability).
@@ -127,7 +105,6 @@ impl PushRelabel {
     /// height: labels are lower bounds on residual distances throughout the
     /// algorithm, so the label-validity invariant is preserved.
     fn do_global_relabel(&mut self, arena: &FlowArena, source: NodeId, sink: NodeId) {
-        let clock = self.tracer.begin();
         let n = arena.node_count();
         self.dist_sink.clear();
         self.dist_sink.resize(n, UNREACHED);
@@ -166,8 +143,6 @@ impl PushRelabel {
         }
         self.relabels_since = 0;
         self.global_relabels += 1;
-        self.tracer
-            .end(clock, Stage::GlobalRelabel, self.global_relabels);
     }
 }
 
@@ -291,10 +266,6 @@ impl MaxFlowSolve for PushRelabel {
 
     fn name(&self) -> &'static str {
         "push-relabel"
-    }
-
-    fn attach_tracer(&mut self, tracer: &TraceHandle) {
-        self.tracer = tracer.clone();
     }
 }
 

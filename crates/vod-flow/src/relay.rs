@@ -17,7 +17,7 @@
 //! round through the one Lemma-1 min cut (read off the round's assignment),
 //! and names a relay as starved when its forwarding demand exceeds its
 //! reservation. Nothing in the tree calls the relayed entry points; these
-//! two types are kept for `benchmark/` until revision 2.
+//! two types are kept for `benchmark/` until revision 2a.
 
 use vod_core::BoxId;
 
@@ -38,7 +38,7 @@ pub struct RelayView<'a> {
 
 /// Per-round relay-lending counts a scheduler may report through
 /// `Scheduler::relay_stats`. No scheduler in the tree does; the type is
-/// kept for `benchmark/` until revision 2.
+/// kept for `benchmark/` until revision 2a.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RelayLendStats {
     /// Distinct relays drawn on by this round's relayed requests.

@@ -47,10 +47,9 @@ pub trait MaxFlowSolve: Send {
     /// Short solver name for reports and benchmark labels.
     fn name(&self) -> &'static str;
 
-    /// Installs a trace handle for solver-phase spans (shape analysis,
-    /// matching phases, global relabels). The default keeps the solver
-    /// untraced — solvers without internal phases need not override this,
-    /// and an [`TraceHandle::off`] handle costs nothing on the hot path.
+    /// A no-op: no solver records spans, and nothing in the tree calls or
+    /// overrides this. Kept for `benchmark/`, which implements and calls
+    /// it, until revision 2a.
     fn attach_tracer(&mut self, tracer: &TraceHandle) {
         let _ = tracer;
     }

@@ -10,7 +10,7 @@
 //! arrays, and draining only happens when a run finishes.
 //!
 //! * [`stage`] — the [`Stage`] taxonomy: every timed phase of
-//!   `Simulator::step` and the flow solvers;
+//!   `Simulator::step`;
 //! * [`record`] — [`TraceRecord`] `(stage, round, ns, payload)` events and
 //!   the preallocated wrapping [`TraceRing`];
 //! * [`hist`] — [`LogHistogram`]: fixed 64-bucket log2 latency histograms
@@ -19,8 +19,8 @@
 //!   count aggregate, attached to `RoundMetrics`;
 //! * [`profile`] — [`RunProfile`]: the whole-run per-stage aggregate
 //!   attached to `SimulationReport`;
-//! * [`tracer`] — the [`Recorder`] trait (with its provably-free no-op
-//!   default), the shareable [`TraceHandle`], and [`StageClock`] spans;
+//! * [`tracer`] — the shareable [`TraceHandle`] (off by default) and its
+//!   [`StageClock`] spans;
 //! * [`neutral`] — the [`TimingNeutral`] trait centralizing the repo-wide
 //!   "equality ignores wall-clock" rule used by every bit-equality gate.
 
@@ -41,4 +41,4 @@ pub use profile::{RunProfile, StageProfile};
 pub use record::{TraceRecord, TraceRing};
 pub use stage::Stage;
 pub use timings::StageTimings;
-pub use tracer::{NoopRecorder, Recorder, StageClock, TraceHandle};
+pub use tracer::{StageClock, TraceHandle};

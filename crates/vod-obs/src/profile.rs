@@ -173,7 +173,7 @@ mod tests {
     #[test]
     fn equality_is_timing_neutral() {
         let mut a = RunProfile::default();
-        a.add(Stage::HkPhase, 12345);
+        a.add(Stage::Deliver, 12345);
         assert_eq!(a, RunProfile::default());
     }
 
@@ -184,7 +184,7 @@ mod tests {
             ..RunProfile::default()
         };
         p.add(Stage::Schedule, 100);
-        p.add(Stage::HkPhase, 700);
+        p.add(Stage::Deliver, 700);
         let back = RunProfile::from_json(&p.to_json()).unwrap();
         assert_eq!(back.rounds, 40);
         // PartialEq is timing-neutral, so compare the stage vectors.

@@ -3,7 +3,7 @@
 use crate::stage::Stage;
 
 /// One traced span or event: which stage, in which round, how long, plus a
-/// stage-specific payload (e.g. augmentations for an HK phase, slots lost
+/// stage-specific payload (e.g. requests for a schedule call, slots lost
 /// for a fault drain).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceRecord {

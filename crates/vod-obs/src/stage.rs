@@ -1,8 +1,7 @@
 //! The stage taxonomy: every timed phase of the round pipeline.
 //!
-//! One variant per instrumentation point, ordered the way a round executes:
-//! the engine's `step` phases first, then the flow-solver phases that run
-//! inside a schedule call. The discriminants index the fixed-size arrays of
+//! One variant per instrumentation point in the engine's `step`; every one
+//! of them is emitted by some engine round. The discriminants index the fixed-size arrays of
 //! [`crate::StageTimings`] and [`crate::RunProfile`]; everything written to
 //! disk names a stage by [`Stage::name`], never by index.
 
@@ -37,15 +36,6 @@ pub enum Stage {
     RepairCommit,
     /// `RelayBroker`: re-planning reservations after a churn event.
     RelayReplan,
-    /// Flow solvers: Lemma-1 [`BipartiteShape`] analysis rebuilding the bit
-    /// rows after an arena structure change.
-    ///
-    /// [`BipartiteShape`]: https://docs.rs/vod-flow
-    SolverAnalyze,
-    /// One Hopcroft–Karp BFS+DFS phase (payload = augmentations found).
-    HkPhase,
-    /// One push–relabel global-relabel BFS pass (payload = pass ordinal).
-    GlobalRelabel,
     /// Draining the round's fault events and overlaying the capacity
     /// deductions of the active fault windows (payload = slots lost).
     FaultDrain,
@@ -58,7 +48,7 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages (the length of the per-stage arrays).
-    pub const COUNT: usize = 18;
+    pub const COUNT: usize = 15;
 
     /// Every stage, in discriminant order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -74,9 +64,6 @@ impl Stage {
         Stage::FailureDiagnose,
         Stage::RepairCommit,
         Stage::RelayReplan,
-        Stage::SolverAnalyze,
-        Stage::HkPhase,
-        Stage::GlobalRelabel,
         Stage::FaultDrain,
         Stage::Deliver,
         Stage::Degrade,
@@ -103,9 +90,6 @@ impl Stage {
             Stage::FailureDiagnose => "failure-diagnose",
             Stage::RepairCommit => "repair-commit",
             Stage::RelayReplan => "relay-replan",
-            Stage::SolverAnalyze => "solver-analyze",
-            Stage::HkPhase => "hk-phase",
-            Stage::GlobalRelabel => "global-relabel",
             Stage::FaultDrain => "fault-drain",
             Stage::Deliver => "deliver",
             Stage::Degrade => "degrade",
@@ -148,9 +132,12 @@ mod tests {
     #[test]
     fn unknown_name_is_an_error() {
         assert!(Stage::from_name("no-such-stage").is_err());
-        // A trace written before the per-swarm stages were deleted is
-        // rejected with a typed error, not mapped onto a neighbour.
-        let err = Stage::from_name("shard-solve").unwrap_err();
-        assert!(err.to_string().contains("shard-solve"), "{err}");
+        // A trace written before the per-swarm or solver stages were
+        // deleted is rejected with a typed error, not mapped onto a
+        // neighbour.
+        for old in ["shard-solve", "hk-phase"] {
+            let err = Stage::from_name(old).unwrap_err();
+            assert!(err.to_string().contains(old), "{err}");
+        }
     }
 }

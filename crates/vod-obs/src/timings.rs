@@ -134,7 +134,7 @@ mod tests {
         let mut a = StageTimings::default();
         let mut b = StageTimings::default();
         a.add(Stage::Schedule, 100);
-        b.add(Stage::HkPhase, 999);
+        b.add(Stage::Deliver, 999);
         // Both values are pure wall-clock: equality must hold regardless.
         assert_eq!(a, b);
         assert_eq!(a, StageTimings::default());
@@ -153,8 +153,8 @@ mod tests {
     fn json_round_trip_preserves_contents() {
         let mut t = StageTimings::default();
         t.add(Stage::Schedule, 1234);
-        t.add(Stage::HkPhase, 55);
-        t.add(Stage::HkPhase, 45);
+        t.add(Stage::Deliver, 55);
+        t.add(Stage::Deliver, 45);
         let back = StageTimings::from_json(&t.to_json()).unwrap();
         // PartialEq is timing-neutral (always true), so compare fields.
         assert_eq!(back.ns, t.ns);

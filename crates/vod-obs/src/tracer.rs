@@ -1,4 +1,4 @@
-//! The recorder trait, the shareable trace handle, and stage clocks.
+//! The shareable trace handle and its stage clocks.
 
 use crate::profile::RunProfile;
 use crate::record::{TraceRecord, TraceRing};
@@ -10,76 +10,18 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// A started stage span: the clock read when recording is on, nothing when
-/// it is off. Constructed by [`Recorder::begin`]; consumed by
-/// [`Recorder::end`].
+/// it is off. Constructed by [`TraceHandle::begin`]; consumed by
+/// [`TraceHandle::end`].
 #[must_use = "a started span must be ended to be recorded"]
 #[derive(Clone, Copy, Debug)]
 pub struct StageClock(Option<Instant>);
 
 impl StageClock {
-    /// A span that was never started (the disabled path).
-    #[inline]
-    pub fn disabled() -> Self {
-        StageClock(None)
-    }
-
     /// Whether the span actually read the clock.
     pub fn is_running(&self) -> bool {
         self.0.is_some()
     }
 }
-
-/// A sink for stage spans and events.
-///
-/// The two required-by-override methods default to the no-op path:
-/// [`Recorder::enabled`] returns `false` and [`Recorder::emit`] discards.
-/// The span helpers [`Recorder::begin`]/[`Recorder::end`] are built on
-/// them, so for a recorder using the defaults (like [`NoopRecorder`]) the
-/// whole surface constant-folds away: `begin` never reads the clock
-/// (`enabled()` is a compile-time `false`) and `end` matches on an `Option`
-/// that is statically `None`. That is what makes instrumented hot loops
-/// free when tracing is off.
-pub trait Recorder {
-    /// Whether spans are being recorded.
-    #[inline]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    /// Records one completed span or event. `ns` is the duration (0 for
-    /// pure events); `payload` is stage-specific.
-    #[inline]
-    fn emit(&self, stage: Stage, ns: u64, payload: u64) {
-        let _ = (stage, ns, payload);
-    }
-
-    /// Starts a span: reads the clock only when recording is enabled.
-    #[inline]
-    fn begin(&self) -> StageClock {
-        if self.enabled() {
-            StageClock(Some(Instant::now()))
-        } else {
-            StageClock(None)
-        }
-    }
-
-    /// Ends a span started by [`Recorder::begin`], emitting it when the
-    /// clock was actually read.
-    #[inline]
-    fn end(&self, clock: StageClock, stage: Stage, payload: u64) {
-        if let Some(start) = clock.0 {
-            self.emit(stage, start.elapsed().as_nanos() as u64, payload);
-        }
-    }
-}
-
-/// The recorder that records nothing — all trait defaults, zero-sized, so
-/// the instrumentation it is passed through compiles to straight-line code
-/// with no clock reads.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {}
 
 /// Everything a recording handle accumulates, behind one lock.
 struct TracerState {
@@ -96,12 +38,13 @@ struct TracerShared {
 
 /// A cloneable, thread-safe handle to one run's tracer.
 ///
-/// The default handle is *off*: it holds no state, [`Recorder::enabled`]
-/// is `false`, and every span helper takes the no-op path without reading
-/// the clock. [`TraceHandle::recording`] builds an *on* handle whose clones
-/// all feed one shared ring + aggregate set (the engine hands clones to
-/// schedulers and solvers). Recording locks a mutex and writes into preallocated
-/// storage — no allocation in steady state.
+/// The default handle is *off*: it holds no state, [`TraceHandle::enabled`]
+/// is `false`, and [`TraceHandle::begin`] returns a span that never read
+/// the clock, so [`TraceHandle::end`] has nothing to emit — an untraced
+/// round pays one `Option` test per stage. [`TraceHandle::recording`]
+/// builds an *on* handle whose clones all feed one shared ring + aggregate
+/// set. Recording locks a mutex and writes into preallocated storage — no
+/// allocation in steady state.
 #[derive(Clone, Default)]
 pub struct TraceHandle {
     shared: Option<Arc<TracerShared>>,
@@ -207,8 +150,7 @@ impl TraceHandle {
         }
     }
 
-    /// Starts a span: reads the clock only when recording (see
-    /// [`Recorder::begin`]).
+    /// Starts a span: reads the clock only when recording.
     #[inline]
     pub fn begin(&self) -> StageClock {
         if self.enabled() {
@@ -218,8 +160,8 @@ impl TraceHandle {
         }
     }
 
-    /// Ends a span started by [`TraceHandle::begin`] (see
-    /// [`Recorder::end`]).
+    /// Ends a span started by [`TraceHandle::begin`], emitting it when the
+    /// clock was actually read.
     #[inline]
     pub fn end(&self, clock: StageClock, stage: Stage, payload: u64) {
         if let Some(start) = clock.0 {
@@ -228,32 +170,9 @@ impl TraceHandle {
     }
 }
 
-impl Recorder for TraceHandle {
-    #[inline]
-    fn enabled(&self) -> bool {
-        TraceHandle::enabled(self)
-    }
-
-    #[inline]
-    fn emit(&self, stage: Stage, ns: u64, payload: u64) {
-        self.emit_ns(stage, ns, payload);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn noop_recorder_is_zero_sized_and_clock_free() {
-        assert_eq!(std::mem::size_of::<NoopRecorder>(), 0);
-        let rec = NoopRecorder;
-        assert!(!rec.enabled());
-        // The no-op begin never reads the clock.
-        assert!(!rec.begin().is_running());
-        // Ending a never-started span emits nothing (and cannot panic).
-        rec.end(StageClock::disabled(), Stage::Schedule, 0);
-    }
 
     #[test]
     fn off_handle_records_nothing() {
@@ -296,10 +215,10 @@ mod tests {
     fn clones_share_one_tracer() {
         let h = TraceHandle::recording(8);
         let clone = h.clone();
-        clone.emit_ns(Stage::HkPhase, 10, 5);
+        clone.emit_ns(Stage::Deliver, 10, 5);
         let trace = h.drain_trace();
         assert_eq!(trace.len(), 1);
-        assert_eq!(trace[0].stage, Stage::HkPhase);
+        assert_eq!(trace[0].stage, Stage::Deliver);
         assert_eq!(trace[0].payload, 5);
     }
 
@@ -319,6 +238,5 @@ mod tests {
     fn handles_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<TraceHandle>();
-        assert_send_sync::<NoopRecorder>();
     }
 }

@@ -746,15 +746,13 @@ impl<'a> Simulator<'a> {
     }
 
     /// Attaches a recording trace handle: from the next [`Simulator::step`]
-    /// on, every pipeline stage (and the scheduler's solver phases) emits
-    /// timing spans into it. Per-round aggregates land in
+    /// on, every pipeline stage emits timing spans into it. Per-round aggregates land in
     /// [`RoundMetrics::timing`](crate::metrics::RoundMetrics::timing) and
     /// the whole-run profile in
     /// [`SimulationReport::profile`](crate::metrics::SimulationReport::profile);
     /// neither participates in report equality, so traced and untraced runs
     /// of the same workload compare equal.
     pub fn attach_tracer(&mut self, tracer: TraceHandle) {
-        self.scheduler.attach_tracer(&tracer);
         self.tracer = tracer;
     }
 

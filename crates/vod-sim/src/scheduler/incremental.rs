@@ -69,7 +69,6 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use vod_core::{BoxId, StripeId};
 use vod_flow::{CandidateBuf, CandidateView, Dinic, FlowArena, MaxFlowSolve, NO_STAMP};
-use vod_obs::TraceHandle;
 
 /// Deterministic multiply-xor hasher for the request-key and row maps: the
 /// default SipHash dominates the per-round diff cost at thousands of lookups
@@ -440,13 +439,6 @@ impl IncrementalMatcher {
             dbg_stack: Vec::new(),
             csr_bridge: CandidateBuf::new(),
         }
-    }
-
-    /// Installs a trace handle on the underlying flow solver, so the solver
-    /// phases of one-shot solves (shape analyses, HK phases, global
-    /// relabels) emit spans.
-    pub fn attach_tracer(&mut self, tracer: &TraceHandle) {
-        self.solver.attach_tracer(tracer);
     }
 
     /// The number of cold rounds so far: keyed rounds that started the
@@ -1451,10 +1443,6 @@ impl crate::scheduler::Scheduler for IncrementalMatcher {
         out: &mut Vec<Option<BoxId>>,
     ) {
         IncrementalMatcher::schedule_keyed_view(self, capacities, keys, candidates, out);
-    }
-
-    fn attach_tracer(&mut self, tracer: &TraceHandle) {
-        IncrementalMatcher::attach_tracer(self, tracer);
     }
 
     fn name(&self) -> &'static str {

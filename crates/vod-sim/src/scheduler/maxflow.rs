@@ -71,10 +71,6 @@ impl Scheduler for MaxFlowScheduler {
             .schedule_keyed_view(capacities, keys, candidates, out);
     }
 
-    fn attach_tracer(&mut self, tracer: &vod_obs::TraceHandle) {
-        self.matcher.attach_tracer(tracer);
-    }
-
     fn name(&self) -> &'static str {
         "max-flow"
     }

@@ -98,7 +98,7 @@ pub trait Scheduler {
     /// the default ignores it and delegates to [`Scheduler::schedule_keyed`].
     /// Nothing in the tree calls or overrides it — the engine schedules
     /// every system through [`Scheduler::schedule_keyed_view`]; it is kept
-    /// for `benchmark/` until revision 2.
+    /// for `benchmark/` until revision 2a.
     fn schedule_relayed(
         &mut self,
         capacities: &[u32],
@@ -115,7 +115,7 @@ pub trait Scheduler {
     /// bridges exactly like [`Scheduler::schedule_keyed_view`]: rows are
     /// materialized and handed to the slice-of-vecs form. Nothing in the
     /// tree calls or overrides it; it is kept for `benchmark/` until
-    /// revision 2.
+    /// revision 2a.
     fn schedule_relayed_view(
         &mut self,
         capacities: &[u32],
@@ -129,22 +129,21 @@ pub trait Scheduler {
     }
 
     /// Nothing implements or reads this. Kept for `benchmark/` until
-    /// revision 2.
+    /// revision 2a.
     fn shard_stats(&self) -> Option<ShardRoundStats> {
         None
     }
 
     /// Nothing implements or reads this. Kept for `benchmark/` until
-    /// revision 2.
+    /// revision 2a.
     fn relay_stats(&self) -> Option<RelayLendStats> {
         None
     }
 
-    /// Installs a trace handle for scheduler-internal stage spans (solver
-    /// phases). The engine calls this
-    /// when a tracer is attached to the simulator; schedulers without
-    /// internal stages keep the default no-op, and an off handle costs
-    /// nothing on the hot path.
+    /// A no-op: no scheduler records spans of its own (the engine's
+    /// [`Stage::Schedule`](vod_obs::Stage::Schedule) span times the call),
+    /// and nothing in the tree calls or overrides this. Kept for
+    /// `benchmark/`, which implements and calls it, until revision 2a.
     fn attach_tracer(&mut self, tracer: &TraceHandle) {
         let _ = tracer;
     }
@@ -154,7 +153,7 @@ pub trait Scheduler {
 }
 
 /// The return type of [`Scheduler::shard_stats`]. Kept for `benchmark/`
-/// until revision 2.
+/// until revision 2a.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardRoundStats;
 

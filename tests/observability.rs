@@ -1,4 +1,4 @@
-//! Observability contract of the `vod-obs` recorder, end to end:
+//! Observability contract of the `vod-obs` tracer, end to end:
 //!
 //! * **zero overhead, proven at the allocator** — steady-state engine
 //!   rounds stay allocation-free even with a *recording* tracer attached
@@ -9,26 +9,35 @@
 //!   untraced run's bit for bit (report equality excludes wall-clock
 //!   timing by construction), and a timing-only difference can never fail
 //!   an equivalence gate;
+//! * **coverage** — every [`Stage`] has an engine emitter: one traced run
+//!   of a relayed fleet with churn, repair, faults and failing rounds
+//!   records a span of each;
 //! * **serialization** — reports carrying `profile`/`timing` round-trip
 //!   through the hand-rolled JSON codec, and legacy reports written before
 //!   these fields existed still parse (mirroring the `candidates`
 //!   backcompat precedent).
 
+#[path = "support/fleets.rs"]
+mod fleets;
 mod support;
 
+use fleets::starved_relayed_fleet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::Cell;
 use std::rc::Rc;
 use support::{thread_allocations, CountingAllocator};
 use vod_core::json::{Json, JsonCodec};
-use vod_core::{BoxId, RandomPermutationAllocator, SystemParams, VideoId, VideoSystem};
+use vod_core::{Bandwidth, BoxId, RandomPermutationAllocator, SystemParams, VideoId, VideoSystem};
 use vod_flow::CandidateView;
 use vod_sim::{
-    MaxFlowScheduler, RequestKey, Scheduler, SearchStats, SimConfig, SimulationReport, Simulator,
-    Stage, StageTimings, TraceHandle,
+    DegradationConfig, DeliveryPolicy, MaxFlowScheduler, RepairPlanner, RequestKey, Scheduler,
+    SearchStats, SimConfig, SimulationReport, Simulator, Stage, StageTimings, TraceHandle,
 };
-use vod_workloads::{DemandGenerator, OccupancyView, VideoDemand};
+use vod_workloads::{
+    ChurnModel, DemandGenerator, FaultModel, MultiSwarmChurn, OccupancyView, SessionLength,
+    VideoDemand,
+};
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
@@ -116,7 +125,7 @@ fn traced_run_is_bit_identical_to_untraced() {
     let traced = run_steady(Some(TraceHandle::recording(4096)));
     assert_eq!(
         untraced, traced,
-        "attaching a recorder must not change behaviour"
+        "attaching a tracer must not change behaviour"
     );
     assert!(untraced.profile.is_none(), "untraced runs carry no profile");
     let profile = traced
@@ -236,10 +245,6 @@ impl Scheduler for PublishingScheduler {
         self.search.set(self.inner.matcher().search_stats());
     }
 
-    fn attach_tracer(&mut self, tracer: &TraceHandle) {
-        self.inner.attach_tracer(tracer);
-    }
-
     fn name(&self) -> &'static str {
         self.inner.name()
     }
@@ -247,13 +252,10 @@ impl Scheduler for PublishingScheduler {
 
 #[test]
 fn clones_share_one_tracer_across_engine_layers() {
-    // The engine hands clones of one handle to the scheduler, which hands
-    // one to its solver. No engine round reaches the solver — the matcher
-    // routes every keyed round by its own search, the cold first one from
-    // the empty matching — so the run's scheduling shows as the engine's
-    // `schedule` spans and the matcher's search counters, and a solver span
-    // (a one-shot solve's shape analysis) folds into the same profile
-    // through another clone.
+    // The engine records into a clone of the handle the caller keeps, so
+    // the caller reads the run's profile from its own copy. The matcher
+    // records no spans of its own: the run's scheduling shows as the
+    // engine's `schedule` spans and the matcher's search counters.
     let system = steady_system();
     let mut gen = OneShotCohort {
         n: 16,
@@ -272,15 +274,52 @@ fn clones_share_one_tracer_across_engine_layers() {
     }
     let profile = tracer.run_profile().expect("recording handle");
     assert_eq!(profile.stage(Stage::Schedule).count, 20);
-    assert_eq!(profile.stage(Stage::SolverAnalyze).count, 0);
     // The matcher's search placed the cohort's stripe units.
     let total = search.get().total;
     assert!(total.augmented > 0 && total.passes > 0, "{total:?}");
+}
 
-    let mut one_shot = MaxFlowScheduler::new();
-    one_shot.attach_tracer(&tracer);
-    let served = one_shot.schedule(&[1, 1], &[vec![BoxId(0)], vec![BoxId(0), BoxId(1)]]);
-    assert_eq!(served.iter().flatten().count(), 2);
+/// Every stage has an engine emitter: one traced run of the
+/// `relay_failures.rs` starved relayed fleet under churn, repair, faults,
+/// retried delivery and degradation, with failing rounds, records a span
+/// of every [`Stage`]. A stage that no
+/// engine round reaches fails here.
+#[test]
+fn every_stage_is_recorded_by_a_traced_engine_run() {
+    let system = starved_relayed_fleet();
+    let poor = system.boxes().poor_ids(Bandwidth::from_streams(1.2));
+    let rounds = 120;
+    let mut sim = Simulator::new(&system, SimConfig::new(rounds).continue_on_failure());
+    sim.attach_churn(
+        ChurnModel::new(system.boxes(), 7)
+            .with_session(SessionLength::Geometric { leave_rate: 0.02 })
+            .with_rejoin_delay(1, 3)
+            .with_min_up(system.n() - 2),
+    );
+    sim.attach_repair(RepairPlanner::for_system(&system, 2));
+    sim.attach_faults(
+        FaultModel::new(system.boxes(), 0xFA17)
+            .with_degradation(0.04, vec![25, 50], 1, 3)
+            .with_drop_rate(40_000, 15_000),
+    );
+    sim.attach_delivery(DeliveryPolicy::default());
+    sim.attach_degradation(DegradationConfig::default());
+    let tracer = TraceHandle::recording(1);
+    sim.attach_tracer(tracer.clone());
+    let mut demand = MultiSwarmChurn::new(system.m(), 3, 4, 1.5, 2)
+        .with_rotation(4)
+        .with_priority_boxes(poor);
+    let report = sim.run(&mut demand);
+    assert!(
+        !report.failures.is_empty(),
+        "the fleet must fail some rounds"
+    );
+
     let profile = tracer.run_profile().expect("recording handle");
-    assert!(profile.stage(Stage::SolverAnalyze).count > 0);
+    let silent: Vec<&str> = Stage::ALL
+        .iter()
+        .filter(|&&stage| profile.stage(stage).count == 0)
+        .map(|stage| stage.name())
+        .collect();
+    assert!(silent.is_empty(), "stages with no span: {silent:?}");
 }
