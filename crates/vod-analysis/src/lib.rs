@@ -44,8 +44,8 @@ pub use montecarlo::{
 pub use obstruction::{
     first_moment_bound, ln_first_moment_bound, required_k_for_bound, BoundParams,
 };
-pub use report::{fmt_f, fmt_prob, Table};
-pub use stats::{quantile, wilson_ci95, Histogram, Summary};
+pub use report::{fmt_prob, Table};
+pub use stats::{quantile, wilson_ci95, Summary};
 pub use theorem1::Theorem1Params;
 pub use theorem2::Theorem2Params;
 pub use threshold::{find_upload_threshold, max_feasible_catalog, SearchConfig};

@@ -1,8 +1,7 @@
 //! Experiment report tables.
 //!
-//! Every experiment binary in `vod-bench` prints its results as one or more
-//! [`Table`]s, rendered either as GitHub-flavoured markdown (for
-//! EXPERIMENTS.md) or CSV (for plotting).
+//! Every experiment in `vod-bench` prints its results as one or more
+//! [`Table`]s, rendered as GitHub-flavoured markdown.
 
 use std::fmt::Write as _;
 
@@ -73,41 +72,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders the table as CSV (header + rows). Cells containing commas or
-    /// quotes are quoted.
-    pub fn to_csv(&self) -> String {
-        fn escape(cell: &str) -> String {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        }
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{}",
-            self.columns
-                .iter()
-                .map(|c| escape(c))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{}",
-                row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(",")
-            );
-        }
-        out
-    }
-}
-
-/// Formats a float with `prec` decimal places (experiment cells).
-pub fn fmt_f(x: f64, prec: usize) -> String {
-    format!("{x:.prec$}")
 }
 
 /// Formats a probability either in fixed or scientific notation depending on
@@ -143,15 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_rendering_and_escaping() {
-        let mut t = Table::new("", &["a", "b"]);
-        t.push_row(vec!["1,5".into(), "say \"hi\"".into()]);
-        let csv = t.to_csv();
-        assert!(csv.starts_with("a,b\n"));
-        assert!(csv.contains("\"1,5\",\"say \"\"hi\"\"\""));
-    }
-
-    #[test]
     #[should_panic(expected = "row has 1 cells")]
     fn mismatched_row_rejected() {
         let mut t = Table::new("x", &["a", "b"]);
@@ -160,7 +115,6 @@ mod tests {
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(fmt_f(1.23456, 2), "1.23");
         assert_eq!(fmt_prob(0.0), "0");
         assert_eq!(fmt_prob(0.25), "0.2500");
         assert!(fmt_prob(3.2e-9).contains('e'));

@@ -36,16 +36,6 @@ impl Summary {
             max: values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
         }
     }
-
-    /// Half-width of the 95% confidence interval for the mean
-    /// (normal approximation; 0 for fewer than 2 samples).
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            1.96 * self.std_dev / (self.count as f64).sqrt()
-        }
-    }
 }
 
 /// Wilson score 95% confidence interval for a binomial proportion
@@ -86,49 +76,6 @@ pub fn quantile(values: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Fixed-width histogram over `[min, max]` with `bins` buckets.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Histogram {
-    /// Left edge of the first bucket.
-    pub min: f64,
-    /// Right edge of the last bucket.
-    pub max: f64,
-    /// Bucket counts.
-    pub counts: Vec<u64>,
-    /// Observations falling outside `[min, max]`.
-    pub outliers: u64,
-}
-
-impl Histogram {
-    /// Builds a histogram of `values` over `[min, max]` with `bins` buckets.
-    pub fn build(values: &[f64], min: f64, max: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(max > min, "histogram range must be non-empty");
-        let mut counts = vec![0u64; bins];
-        let mut outliers = 0u64;
-        let width = (max - min) / bins as f64;
-        for &v in values {
-            if v < min || v > max || v.is_nan() {
-                outliers += 1;
-                continue;
-            }
-            let idx = (((v - min) / width) as usize).min(bins - 1);
-            counts[idx] += 1;
-        }
-        Histogram {
-            min,
-            max,
-            counts,
-            outliers,
-        }
-    }
-
-    /// Total in-range observations.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,7 +88,6 @@ mod tests {
         assert!((s.std_dev - 2.138_089_935).abs() < 1e-6);
         assert_eq!(s.min, 2.0);
         assert_eq!(s.max, 9.0);
-        assert!(s.ci95_half_width() > 0.0);
     }
 
     #[test]
@@ -150,7 +96,6 @@ mod tests {
         let s = Summary::of(&[3.5]);
         assert_eq!(s.mean, 3.5);
         assert_eq!(s.std_dev, 0.0);
-        assert_eq!(s.ci95_half_width(), 0.0);
     }
 
     #[test]
@@ -175,19 +120,5 @@ mod tests {
         assert_eq!(quantile(&v, 1.0), 4.0);
         assert!((quantile(&v, 0.5) - 2.5).abs() < 1e-12);
         assert!(quantile(&[], 0.5).is_nan());
-    }
-
-    #[test]
-    fn histogram_counts_and_outliers() {
-        let h = Histogram::build(&[0.1, 0.2, 0.5, 0.9, 1.5, -0.3], 0.0, 1.0, 2);
-        assert_eq!(h.counts, vec![2, 2]);
-        assert_eq!(h.outliers, 2);
-        assert_eq!(h.total(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn histogram_rejects_zero_bins() {
-        Histogram::build(&[1.0], 0.0, 1.0, 0);
     }
 }

@@ -111,10 +111,15 @@ pub fn find_upload_threshold(
     (hi, probes)
 }
 
-/// Finds the largest catalog size in `[1, m_hi]` that stays feasible,
-/// assuming feasibility is monotone decreasing in the catalog size (a larger
-/// catalog spreads the same storage thinner). Returns 0 when even a single
-/// video cannot be served.
+/// Finds the largest catalog size in `[1, m_hi]` that stays feasible.
+/// Returns 0 when no catalog in the range is feasible.
+///
+/// Feasibility is not monotone in the catalog size: a larger catalog
+/// spreads the same storage thinner, but a tiny one packs the viewers into
+/// swarms too large for `c` (at `n = 96`, `u = 1.05`, sequential viewing
+/// fails at `m = 1` and is served at `m = 192`). So the search anchors at a
+/// feasible catalog found from the top (`m_hi`, `m_hi/2`, …) and bisects
+/// between it and the infeasible probe above it.
 pub fn max_feasible_catalog(
     spec_template: &TrialSpec,
     workload: WorkloadKind,
@@ -122,9 +127,6 @@ pub fn max_feasible_catalog(
     config: &SearchConfig,
 ) -> usize {
     let feasible_at = |m: usize| -> bool {
-        if m == 0 {
-            return true;
-        }
         let spec = TrialSpec {
             catalog: Some(m),
             ..*spec_template
@@ -141,14 +143,22 @@ pub fn max_feasible_catalog(
         est.trials == config.trials_per_point && est.failure_rate <= config.max_failure_rate
     };
 
-    if !feasible_at(1) {
-        return 0;
-    }
-    let mut lo = 1usize; // feasible
     let mut hi = m_hi.max(1);
     if feasible_at(hi) {
         return hi;
     }
+    let mut lo = hi / 2;
+    loop {
+        if lo == 0 {
+            return 0;
+        }
+        if feasible_at(lo) {
+            break;
+        }
+        hi = lo;
+        lo /= 2;
+    }
+    // `lo` is feasible and `hi` is not.
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
         if feasible_at(mid) {
@@ -248,6 +258,41 @@ mod tests {
         );
         assert!(high >= low, "catalog(u=2.5)={high} < catalog(u=1.1)={low}");
         assert!(high >= 1);
+    }
+
+    /// Sequential viewing on a 96-box fleet at u = 1.05 fails at m = 1
+    /// (the fleet packs into swarms too large for c = 4) and is served at
+    /// the full m = 192: the search must not stop at the failing bottom.
+    #[test]
+    fn max_catalog_is_found_above_an_infeasible_bottom() {
+        let spec = TrialSpec {
+            n: 96,
+            u: 1.05,
+            k: 4,
+            duration: 40,
+            rounds: 80,
+            ..spec()
+        };
+        let config = SearchConfig {
+            trials_per_point: 10,
+            base_seed: 0x2009,
+            ..quick_config()
+        };
+        let bottom = TrialSpec {
+            catalog: Some(1),
+            ..spec
+        };
+        let est = estimate_failure_probability(&bottom, WorkloadKind::Sequential, 10, 0x2009, 2);
+        assert!(est.failures > 0, "m = 1 is served: the premise moved");
+        let m = max_feasible_catalog(&spec, WorkloadKind::Sequential, 192, &config);
+        assert_eq!(m, 192);
+    }
+
+    #[test]
+    fn max_catalog_is_zero_when_nothing_is_feasible() {
+        let spec = TrialSpec { u: 0.5, ..spec() };
+        let m = max_feasible_catalog(&spec, WorkloadKind::NeverOwned, 64, &quick_config());
+        assert_eq!(m, 0);
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! # vod-bench
 //!
-//! Experiment harness shared by the `exp_*` binaries. Each binary checks
-//! one of the paper's claims (or one of the engine's equivalence gates) and
-//! prints a markdown table of counts: served sets, failure rates,
-//! thresholds. None of them reads a clock. Timings come from the engine's
-//! tracer (`exp_profile` prints its stage table) and from the paired
-//! `benchmark/` runs of `tools/pair`.
+//! Experiment harness. [`paper`] holds the paper's eight checkable claims,
+//! one function each, with one test per claim at quick scale; the
+//! `exp_paper` binary runs them all, prints their tables and a verdict per
+//! claim, and exits non-zero if an asserted direction fails. The other
+//! `exp_*` binaries are the engine's gates (`exp_solvers`, `exp_churn`,
+//! `exp_faults`, `exp_profile`, `exp_verify`). All print markdown tables of
+//! counts: served sets, failure rates, thresholds. None of them reads a
+//! clock. Timings come from the engine's tracer (`exp_profile` prints its
+//! stage table) and from the paired `benchmark/` runs of `tools/pair`.
 //!
 //! Every binary honours the `EXP_SCALE` environment variable:
 //! `EXP_SCALE=quick` (default) runs laptop-scale parameter grids in seconds;
@@ -13,6 +16,8 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+
+pub mod paper;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -100,11 +105,16 @@ pub fn build_system(spec: &TrialSpec, seed: u64) -> VideoSystem {
     .expect("experiment spec must be allocatable")
 }
 
-/// Prints the standard experiment header (name, scale, parameters).
+/// The standard experiment header (name, claim, scale).
+pub fn header(experiment: &str, claim: &str, scale: Scale) -> String {
+    format!(
+        "# {experiment}\npaper claim: {claim}\nscale: {scale:?} (set EXP_SCALE=full for larger grids)\n"
+    )
+}
+
+/// Prints the standard experiment header (name, claim, scale).
 pub fn print_header(experiment: &str, claim: &str, scale: Scale) {
-    println!("# {experiment}");
-    println!("paper claim: {claim}");
-    println!("scale: {scale:?} (set EXP_SCALE=full for larger grids)\n");
+    println!("{}", header(experiment, claim, scale));
 }
 
 /// A pre-generated sequence of keyed scheduling rounds (`exp_solvers`'

@@ -16,7 +16,7 @@
 //!   live capacity table each round;
 //! * [`flashcrowd`] — maximal-growth flash crowds (Theorem 1's stress case);
 //! * [`multiswarm`] — many concurrently hot swarms with a sliding window;
-//! * [`zipf`] / [`poisson`] — long-tailed and steady-state stochastic traffic;
+//! * [`zipf`] — long-tailed stochastic traffic;
 //! * [`sequential`] — back-to-back viewing keeping all `n` boxes busy;
 //! * [`trace`] — recordable, serializable, replayable demand traces.
 
@@ -29,7 +29,6 @@ pub mod demand;
 pub mod faults;
 pub mod flashcrowd;
 pub mod multiswarm;
-pub mod poisson;
 pub mod sequential;
 pub mod trace;
 pub mod zipf;
@@ -40,7 +39,6 @@ pub use demand::{DemandGenerator, OccupancyView, SwarmGrowthLimiter, VideoDemand
 pub use faults::{FaultCounts, FaultEvent, FaultModel};
 pub use flashcrowd::{CrowdSpec, FlashCrowd};
 pub use multiswarm::MultiSwarmChurn;
-pub use poisson::{PoissonDemand, Popularity};
 pub use sequential::{NextVideoPolicy, SequentialViewing};
 pub use trace::{DemandTrace, TraceReplay};
 pub use zipf::{ZipfDemand, ZipfSampler};

@@ -10,7 +10,7 @@
 //! * [`flow`] — the max-flow / matching substrate behind the per-round
 //!   connection-matching feasibility (Lemma 1);
 //! * [`workloads`] — adversarial and stochastic demand generators
-//!   (never-owned attack, flash crowds, Zipf, Poisson…);
+//!   (never-owned attack, flash crowds, Zipf…);
 //! * [`sim`] — the discrete round-based protocol simulator (preloading
 //!   strategy, relaying, schedulers, metrics, churn, fault injection and
 //!   delivery reliability);
@@ -77,8 +77,8 @@ pub mod prelude {
     };
     pub use vod_workloads::{
         ChurnCounts, ChurnEvent, ChurnModel, DemandGenerator, DemandTrace, FaultCounts, FaultEvent,
-        FaultModel, FlashCrowd, MultiSwarmChurn, NeverOwnedAttack, NextVideoPolicy, PoissonDemand,
-        PoorBoxesSameVideo, Popularity, SequentialViewing, SessionLength, SwarmGrowthLimiter,
-        VideoDemand, ZipfDemand, ZipfSampler,
+        FaultModel, FlashCrowd, MultiSwarmChurn, NeverOwnedAttack, NextVideoPolicy,
+        PoorBoxesSameVideo, SequentialViewing, SessionLength, SwarmGrowthLimiter, VideoDemand,
+        ZipfDemand, ZipfSampler,
     };
 }

@@ -10,8 +10,8 @@
 //!   at most one demand per box per round, demands only on free boxes, and
 //!   per-video swarm growth bounded by `f(t+1) ≤ ⌈max{f(t),1}·µ⌉`.
 //!
-//! Both are checked for every stochastic generator (zipf, poisson,
-//! flash-crowd, multi-swarm) and the adversarial ones (never-owned,
+//! Both are checked for every stochastic generator (zipf, flash-crowd,
+//! multi-swarm) and the adversarial ones (never-owned,
 //! poor-boxes pile-on, sequential).
 
 use p2p_vod::prelude::*;
@@ -86,20 +86,6 @@ fn zipf_demand_is_seed_deterministic_and_admissible() {
     // A different seed must (for this configuration) change the sequence.
     let other = replay(&mut ZipfDemand::new(30, 0.9, 5, mu, 43), ROUNDS, BOXES);
     assert_ne!(sequence, other, "zipf ignores its seed");
-}
-
-#[test]
-fn poisson_demand_is_seed_deterministic_and_admissible() {
-    let mu = 2.0;
-    for popularity in [Popularity::Uniform, Popularity::Zipf(1.1)] {
-        let sequence = check_generator("poisson", mu, || {
-            Box::new(PoissonDemand::new(20, 3.0, popularity.clone(), mu, 7))
-        });
-        assert!(
-            sequence.iter().any(|b| !b.is_empty()),
-            "poisson emitted nothing"
-        );
-    }
 }
 
 #[test]
@@ -353,7 +339,6 @@ fn churn_session_bounds_are_respected() {
 fn generators_respect_occupancy() {
     let mut generators: Vec<Box<dyn DemandGenerator>> = vec![
         Box::new(ZipfDemand::new(10, 1.0, 8, 2.0, 1)),
-        Box::new(PoissonDemand::new(10, 4.0, Popularity::Uniform, 2.0, 2)),
         Box::new(FlashCrowd::single(VideoId(0), 50, 10, 2.0, 3)),
         Box::new(MultiSwarmChurn::new(10, 3, 8, 2.0, 4)),
         Box::new(SequentialViewing::new(
@@ -402,10 +387,6 @@ fn golden_generators(n: usize, m: usize) -> Generators {
         .collect();
     vec![
         ("zipf", Box::new(ZipfDemand::new(m, 0.8, 5, 1.5, 2009))),
-        (
-            "poisson",
-            Box::new(PoissonDemand::new(m, 4.0, Popularity::Zipf(1.1), 1.5, 2010)),
-        ),
         (
             "flash-crowd",
             Box::new(FlashCrowd::staggered(crowds, m, 1.5, 2011)),
@@ -519,16 +500,11 @@ fn demand(box_id: u32, video: u32, round: u64) -> VideoDemand {
 /// benchmark's `expected/*.json` totals depend on exactly these streams.
 #[test]
 fn generator_streams_match_their_golden_values() {
-    let expected_vec_bool: [(&str, u64, [VideoDemand; 3]); 4] = [
+    let expected_vec_bool: [(&str, u64, [VideoDemand; 3]); 3] = [
         (
             "zipf",
             0xdc06_90a8_b00e_66a2,
             [demand(40, 16, 0), demand(16, 1, 0), demand(37, 5, 0)],
-        ),
-        (
-            "poisson",
-            0xc94b_02eb_632b_9f32,
-            [demand(19, 12, 0), demand(34, 11, 0), demand(39, 6, 0)],
         ),
         (
             "flash-crowd",
@@ -541,16 +517,11 @@ fn generator_streams_match_their_golden_values() {
             [demand(0, 0, 0), demand(1, 15, 0), demand(2, 5, 0)],
         ),
     ];
-    let expected_engine: [(&str, u64, [VideoDemand; 3]); 4] = [
+    let expected_engine: [(&str, u64, [VideoDemand; 3]); 3] = [
         (
             "zipf",
             0x2eec_4cf3_29c4_5605,
             [demand(40, 47, 0), demand(16, 3, 0), demand(37, 13, 0)],
-        ),
-        (
-            "poisson",
-            0xafde_d03e_fdec_bd4d,
-            [demand(19, 30, 0), demand(34, 26, 0), demand(39, 13, 0)],
         ),
         (
             "flash-crowd",
@@ -595,16 +566,11 @@ fn generator_streams_match_their_golden_values() {
 /// rounds.
 #[test]
 fn multi_word_engine_streams_match_their_golden_values() {
-    let expected: [(&str, u64, [VideoDemand; 3]); 5] = [
+    let expected: [(&str, u64, [VideoDemand; 3]); 4] = [
         (
             "zipf",
             0x3b27_9ea4_a753_01bd,
             [demand(14, 61, 0), demand(12, 25, 0), demand(168, 4, 0)],
-        ),
-        (
-            "poisson",
-            0xb179_24be_9088_cb76,
-            [demand(94, 0, 0), demand(179, 240, 0), demand(123, 0, 0)],
         ),
         (
             "flash-crowd",
