@@ -756,6 +756,104 @@ mod tests {
         );
     }
 
+    /// The purge as a scan of every stripe slot, kept as the model the
+    /// per-box purge must match: ascending slot order, one ordered removal,
+    /// entry-map removal and stamp per slot that lists the box.
+    fn scan_purge(index: &mut CandidateIndex, box_id: BoxId) -> usize {
+        let mut purged = 0;
+        for slot in 0..index.lists.len() {
+            let list = &mut index.lists[slot];
+            let Some(pos) = list.iter().position(|&(b, _)| b == box_id) else {
+                continue;
+            };
+            list.remove(pos);
+            let c = index.stripes_per_video as usize;
+            let stripe = s((slot / c) as u32, (slot % c) as u16);
+            index.entries.remove(&pack(stripe, box_id));
+            index.note_shrink(slot);
+            index.live -= 1;
+            purged += 1;
+        }
+        index.expired_this_round += purged;
+        purged
+    }
+
+    /// Reference test: over seeded insert / refresh / expiry / purge
+    /// scripts on fleets of 63, 64, 65 and 200 boxes, every purge leaves
+    /// the lists, the entry map, every stripe's stamp and the counters
+    /// exactly as the full scan leaves a clone of the index. Purged boxes
+    /// often come straight back and leave again inside one window, and the
+    /// first purge of every run finds a box that holds nothing.
+    #[test]
+    fn purge_matches_the_full_scan_model() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let (window, c, videos) = (6u64, 3u16, 7u32);
+        for n in [63u32, 64, 65, 200] {
+            let mut rng = StdRng::seed_from_u64(0x9e29 + n as u64);
+            let mut index = CandidateIndex::new(window, c);
+            let (mut purges, mut purged_entries, mut round_trips) = (0, 0, 0);
+            let mut purge = |index: &mut CandidateIndex, box_id: BoxId, what: &str| {
+                let mut model = index.clone();
+                let expected = scan_purge(&mut model, box_id);
+                assert_eq!(index.purge_box(box_id), expected, "{what}");
+                assert_eq!(index.lists, model.lists, "{what}");
+                assert_eq!(index.entries, model.entries, "{what}");
+                assert_eq!(index.shrunk, model.shrunk, "{what}");
+                assert_eq!(index.shrinks, model.shrinks, "{what}");
+                assert_eq!(index.live, model.live, "{what}");
+                assert_eq!(index.expired_this_round, model.expired_this_round, "{what}");
+                purges += 1;
+                purged_entries += expected;
+                expected
+            };
+            index.begin_round(0);
+            assert_eq!(purge(&mut index, b(n - 1), "n {n}: first purge"), 0);
+            let mut now = 0u64;
+            while now < 240 {
+                // Mostly one round at a time, sometimes several buckets.
+                now += if rng.gen_bool(0.1) {
+                    rng.gen_range(2u64..5)
+                } else {
+                    1
+                };
+                index.begin_round(now);
+                let what = format!("n {n} round {now}");
+                // Fresh inserts, refreshes and ignored older starts.
+                for _ in 0..rng.gen_range(0..n / 4) {
+                    let stripe = s(rng.gen_range(0..videos), rng.gen_range(0..c));
+                    let box_id = b(rng.gen_range(0..n));
+                    index.insert(stripe, box_id, now + rng.gen_range(0u64..3), now);
+                }
+                for _ in 0..rng.gen_range(0..4) {
+                    let box_id = b(rng.gen_range(0..n));
+                    if purge(&mut index, box_id, &what) == 0 || !rng.gen_bool(0.5) {
+                        continue;
+                    }
+                    // Rejoin, cache again and leave again inside the window.
+                    for _ in 0..rng.gen_range(1..5) {
+                        let stripe = s(rng.gen_range(0..videos), rng.gen_range(0..c));
+                        index.insert(stripe, box_id, now + rng.gen_range(0u64..2), now);
+                    }
+                    if rng.gen_bool(0.5) {
+                        purge(&mut index, box_id, &what);
+                        round_trips += 1;
+                    }
+                }
+            }
+            assert!(purges > 100, "n {n}: {purges} purges");
+            assert!(
+                purged_entries > 100,
+                "n {n}: {purged_entries} entries purged"
+            );
+            assert!(
+                round_trips > 10,
+                "n {n}: {round_trips} leave-rejoin-leave trips"
+            );
+        }
+    }
+
     #[test]
     fn iter_live_round_trips_entries() {
         let mut index = CandidateIndex::new(10, 3);

@@ -615,6 +615,120 @@ mod tests {
         }
     }
 
+    /// Reference test for the destination rule: uneven storage (ties,
+    /// boxes that are or become full), dead boxes, and departures of two
+    /// holders of one stripe in one round, planned transfer for transfer
+    /// against the naive rule's scan of the whole fleet.
+    #[test]
+    fn destinations_match_the_fleet_scan_under_ties_and_full_boxes() {
+        use rand::Rng;
+        const N: usize = 64;
+        for (seed, budget) in [(1u64, 2u32), (2, 8), (3, 64)] {
+            let (_boxes, catalog, mut placement) = setup(N, 24, 100, 4, 3);
+            // 18.75 replicas a box: boxes of 18 or 19 slots start full.
+            let storage: Vec<u32> = (0..N as u32).map(|b| 18 + b % 5).collect();
+            let mut planner = RepairPlanner::new(storage.clone(), 3, budget);
+            let caps = vec![3u32; N];
+            let mut alive = BitSet::ones(N);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut ties, mut full, mut doubled) = (0, 0, 0);
+            for round in 0..150 {
+                let mut leaving: Vec<u32> = Vec::new();
+                if rng.gen_bool(0.3) && alive.count_ones() > 40 {
+                    // Two holders of one stripe leave together.
+                    let stripe = catalog.stripes().nth(rng.gen_range(0..400usize)).unwrap();
+                    leaving.extend(placement.holders_of(stripe).iter().take(2).map(|b| b.0));
+                }
+                for _ in 0..rng.gen_range(0..3) {
+                    let b = rng.gen_range(0..N as u32);
+                    if alive.contains(b as usize) && alive.count_ones() > 40 {
+                        leaving.push(b);
+                    } else if !alive.contains(b as usize) {
+                        alive.set(b as usize);
+                    }
+                }
+                for b in leaving {
+                    if alive.contains(b as usize) {
+                        depart(&mut planner, &mut placement, &mut alive, b);
+                    }
+                }
+                let spare: Vec<usize> = (0..N)
+                    .filter(|&i| alive.contains(i))
+                    .map(|i| {
+                        (storage[i] as usize).saturating_sub(placement.box_load(BoxId(i as u32)))
+                    })
+                    .collect();
+                let top = spare.iter().copied().max().unwrap_or(0);
+                ties += usize::from(top > 0 && spare.iter().filter(|&&s| s == top).count() > 1);
+                full += usize::from(spare.contains(&0));
+                let expected = naive_plan(
+                    &placement,
+                    &catalog,
+                    &alive,
+                    &caps,
+                    &storage,
+                    (3, budget as usize),
+                    &mut 0,
+                );
+                planner.plan_round(&placement, &alive, &caps);
+                assert_eq!(planner.transfers(), expected, "seed {seed} round {round}");
+                doubled += usize::from(expected.windows(2).any(|w| w[0].stripe == w[1].stripe));
+                planner.commit(&mut placement);
+            }
+            assert!(ties > 2, "seed {seed}: {ties} rounds with a tie at the top");
+            assert!(
+                full > 10,
+                "seed {seed}: {full} rounds with a full alive box"
+            );
+            assert!(
+                doubled > 0,
+                "seed {seed}: no stripe got two replicas in one round"
+            );
+        }
+    }
+
+    /// Legal extremes end with stats, not a panic: a zero budget defers
+    /// everything, a fleet with no free slot defers everything, and a
+    /// fleet with every box dead moves every stripe to `lost`.
+    #[test]
+    fn extreme_budgets_storage_and_liveness_end_in_stats() {
+        let (boxes, catalog, placement) = setup(12, 24, 12, 4, 3);
+        let storage: Vec<u32> = boxes.iter().map(|b| b.storage.slots()).collect();
+        let caps = vec![4u32; 12];
+
+        let mut placement_zero = placement.clone();
+        let mut alive = BitSet::ones(12);
+        let mut zero = RepairPlanner::new(storage.clone(), 3, 0);
+        depart(&mut zero, &mut placement_zero, &mut alive, 5);
+        let stats = zero.plan_round(&placement_zero, &alive, &caps);
+        assert_eq!((stats.repaired, stats.budget_slots), (0, 0));
+        assert!(stats.pending > 0);
+        assert_eq!(stats.deferred, stats.pending);
+
+        let mut placement_full = placement.clone();
+        let mut alive = BitSet::ones(12);
+        let loads: Vec<u32> = (0..12)
+            .map(|b| placement.box_load(BoxId(b)) as u32)
+            .collect();
+        let mut full = RepairPlanner::new(loads, 3, 8);
+        depart(&mut full, &mut placement_full, &mut alive, 5);
+        let stats = full.plan_round(&placement_full, &alive, &caps);
+        assert_eq!(stats.repaired, 0);
+        assert!(stats.pending > 0);
+        assert_eq!(stats.deferred, stats.pending);
+
+        let mut placement_dead = placement;
+        let mut alive = BitSet::ones(12);
+        let mut dead = RepairPlanner::new(storage, 3, 8);
+        for b in 0..12 {
+            depart(&mut dead, &mut placement_dead, &mut alive, b);
+        }
+        let stats = dead.plan_round(&placement_dead, &alive, &caps);
+        assert_eq!((stats.pending, stats.repaired, stats.deferred), (0, 0, 0));
+        assert_eq!(stats.lost, catalog.stripes().count());
+        assert_eq!(dead.plan_round(&placement_dead, &alive, &caps), stats);
+    }
+
     #[test]
     fn stats_roundtrip_json() {
         let stats = RepairRoundStats {

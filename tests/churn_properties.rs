@@ -251,3 +251,99 @@ fn post_repair_population_passes_compensation_validation() {
         "two departures must trigger repair"
     );
 }
+
+/// Legal extremes of churn and repair end every round with a report, not a
+/// panic: a zero repair budget, survivors with no free storage slot, a
+/// churn floor of `n` (nobody may leave), a first departure by a box that
+/// caches nothing, a box that leaves, rejoins and leaves again inside one
+/// cache window, and every box gone.
+#[test]
+fn extreme_churn_and_repair_inputs_end_in_reports() {
+    let sys = homogeneous(24, 2.0, 4, 3, 12, 31);
+    let n = sys.n();
+    let last_repair = |sim: &Simulator| {
+        sim.report_so_far()
+            .rounds
+            .last()
+            .and_then(|r| r.repair)
+            .expect("repair attached: every round carries stats")
+    };
+    let churn = |min_up: usize| {
+        ChurnModel::new(sys.boxes(), 41)
+            .with_session(SessionLength::Geometric { leave_rate: 0.05 })
+            .with_rejoin_delay(1000, 1000)
+            .with_min_up(min_up)
+    };
+
+    // A zero budget, and survivors whose storage is full (a departed box
+    // rejoins empty, so none rejoins in the run): everything defers.
+    let loads: Vec<u32> = (0..n)
+        .map(|b| sys.placement().box_load(BoxId(b as u32)) as u32)
+        .collect();
+    for planner in [
+        RepairPlanner::for_system(&sys, 0),
+        RepairPlanner::new(loads, 3, 8),
+    ] {
+        let mut sim = Simulator::new(&sys, SimConfig::new(30).continue_on_failure());
+        sim.attach_churn(churn(16));
+        sim.attach_repair(planner);
+        let mut gen = viewing(&sys, 41);
+        let mut deferred = 0;
+        for _ in 0..30 {
+            sim.step(&mut gen);
+            let stats = last_repair(&sim);
+            assert_eq!((stats.repaired, stats.budget_slots), (0, 0));
+            assert_eq!(stats.deferred, stats.pending);
+            deferred += stats.deferred;
+        }
+        assert!(deferred > 0, "churn never left a stripe to defer");
+    }
+
+    // A floor of n: the most eager churn model removes nobody.
+    let mut sim = Simulator::new(&sys, SimConfig::new(20).continue_on_failure());
+    sim.attach_churn(
+        ChurnModel::new(sys.boxes(), 43)
+            .with_session(SessionLength::Geometric { leave_rate: 1.0 })
+            .with_crash_rate(1.0)
+            .with_min_up(n),
+    );
+    sim.attach_repair(RepairPlanner::for_system(&sys, 4));
+    let mut gen = viewing(&sys, 43);
+    for _ in 0..20 {
+        sim.step(&mut gen);
+        assert!((0..n).all(|b| sim.is_alive(BoxId(b as u32))));
+        assert_eq!(last_repair(&sim).lost, 0);
+    }
+
+    // The run's first departure holds nothing; later a box leaves, rejoins
+    // and leaves again while its cache entries are still in the window.
+    let mut sim = Simulator::new(&sys, SimConfig::new(60).continue_on_failure());
+    sim.attach_repair(RepairPlanner::for_system(&sys, 4));
+    let mut gen = viewing(&sys, 47);
+    sim.apply_churn(ChurnEvent::Left(BoxId(5)));
+    sim.apply_churn(ChurnEvent::Joined(*sys.boxes().get(BoxId(5))));
+    for _ in 0..4 {
+        sim.step(&mut gen);
+    }
+    for _ in 0..3 {
+        sim.apply_churn(ChurnEvent::Left(BoxId(7)));
+        sim.step(&mut gen);
+        sim.apply_churn(ChurnEvent::Joined(*sys.boxes().get(BoxId(7))));
+        sim.step(&mut gen);
+        sim.step(&mut gen);
+    }
+    assert!(sim.is_alive(BoxId(7)));
+    assert!(sim.repair_planner().unwrap().repaired_total() > 0);
+
+    // Every box leaves: each stripe's last replica goes and moves to `lost`.
+    for b in 0..n {
+        sim.apply_churn(ChurnEvent::Left(BoxId(b as u32)));
+    }
+    for _ in 0..3 {
+        sim.step(&mut gen);
+        let stats = last_repair(&sim);
+        assert_eq!((stats.pending, stats.repaired), (0, 0));
+        assert_eq!(stats.lost, sys.catalog().stripe_count());
+    }
+    assert_eq!(sim.live_placement().stripes().count(), 0);
+}
