@@ -32,14 +32,32 @@
 //!   whose start is never before the issue round of an existing request —
 //!   draws the stripe a fresh [`CandidateIndex::shrink_stamp`]. The engine
 //!   validates its memoized class rows against it, so a growing crowd does
-//!   not rebuild the rows of the viewers already in it.
+//!   not rebuild the rows of the viewers already in it;
+//! * a departure ([`CandidateIndex::purge_box`]) visits only the stripes
+//!   the box caches: from the run's first purge on, each box's entries are
+//!   chained through the entry map, so a purge costs what the box held, not
+//!   a walk of the whole catalog.
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use vod_core::json::{obj, Json, JsonCodec, JsonError};
 use vod_core::{BoxId, StripeId};
 
-type EntryMap = HashMap<u128, u64, BuildHasherDefault<vod_core::FxHasher64>>;
+type EntryMap = HashMap<u128, Entry, BuildHasherDefault<vod_core::FxHasher64>>;
+
+/// End of a box's chain of entries.
+const NIL: u32 = u32::MAX;
+
+/// A live entry: its current download start, and the stripe slots of its
+/// neighbours in its box's chain (both [`NIL`] until the run's first
+/// purge builds the chains). The links ride in the padding of the map's
+/// `(u128, u64)` bucket, so chaining adds no memory per entry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Entry {
+    start: u64,
+    prev: u32,
+    next: u32,
+}
 
 /// One record filed in the expiry wheel. Records are immutable once filed:
 /// a refreshed entry files a *new* record under its new eviction round, and
@@ -126,16 +144,23 @@ pub struct CandidateIndex {
     /// Shrink events so far, over all stripes (so no two events share a
     /// stamp, whatever rounds they happen in).
     shrinks: u64,
-    /// Packed (stripe, box) → current download start: O(1) membership and
-    /// refresh detection.
+    /// Packed (stripe, box) → current download start and chain links: O(1)
+    /// membership and refresh detection.
     entries: EntryMap,
     /// The expiry wheel: ring of buckets indexed by `expiry % wheel.len()`.
     wheel: Vec<Vec<WheelRecord>>,
     /// Every round up to and including this one has been drained.
     drained_to: u64,
-    /// Scratch of [`CandidateIndex::begin_round`]: the stripe slots a
-    /// drained bucket's expiries touch (empty between calls).
+    /// Scratch of [`CandidateIndex::begin_round`] and
+    /// [`CandidateIndex::purge_box`]: the stripe slots a drained bucket's
+    /// expiries or a departure touch (empty between calls).
     expiring_slots: Vec<usize>,
+    /// Whether the per-box chains are kept: from the run's first purge on,
+    /// so a run without departures never pays for them.
+    chained: bool,
+    /// Per box, the stripe slot at the head of its chain of live entries
+    /// (linked through [`Entry::prev`] / [`Entry::next`]), or [`NIL`].
+    heads: Vec<u32>,
     /// Live entry count (= `entries.len()`, tracked for O(1) stats).
     live: usize,
     expired_this_round: usize,
@@ -171,6 +196,8 @@ impl CandidateIndex {
             wheel: (0..ring).map(|_| Vec::new()).collect(),
             drained_to: 0,
             expiring_slots: Vec::new(),
+            chained: false,
+            heads: Vec::new(),
             live: 0,
             expired_this_round: 0,
             inserted_this_round: 0,
@@ -186,6 +213,15 @@ impl CandidateIndex {
             self.shrunk.resize(slot + 1, 0);
         }
         slot
+    }
+
+    /// The stripe at dense slot `slot`.
+    fn stripe_at(&self, slot: usize) -> StripeId {
+        let c = self.stripes_per_video as usize;
+        StripeId::new(
+            vod_core::VideoId((slot / c) as u32),
+            (slot % c) as vod_core::StripeIndex,
+        )
     }
 
     /// Stamps a change of `slot`'s stripe that is not a fresh insert.
@@ -226,11 +262,14 @@ impl CandidateIndex {
                 // Stale record: the entry was refreshed to a later start
                 // (and re-filed) after this record was written.
                 let current = self.entries.get(&key).copied();
-                let expires_now = current.is_some_and(|start| start + self.window + 1 == round);
+                let expires_now = current.is_some_and(|e| e.start + self.window + 1 == round);
                 if !expires_now {
                     continue;
                 }
-                self.entries.remove(&key);
+                let entry = self.entries.remove(&key).expect("checked above");
+                if self.chained {
+                    self.unlink(record.box_id, entry);
+                }
                 let slot = self.slot(record.stripe);
                 // A stamp drawn since the drain began marks a stripe that is
                 // listed already.
@@ -273,10 +312,10 @@ impl CandidateIndex {
         debug_assert!(expiry > now, "inserting an already-expired entry");
         match self.entries.get_mut(&key) {
             Some(current) => {
-                if *current >= start {
+                if current.start >= start {
                     return; // an equal or newer download is already cached
                 }
-                *current = start;
+                current.start = start;
                 let slot = self.slot(stripe);
                 let list = &mut self.lists[slot];
                 let pos = list
@@ -287,8 +326,18 @@ impl CandidateIndex {
                 self.note_shrink(slot);
             }
             None => {
-                self.entries.insert(key, start);
                 let slot = self.slot(stripe);
+                let next = if self.chained {
+                    self.push_head(box_id, slot)
+                } else {
+                    NIL
+                };
+                let entry = Entry {
+                    start,
+                    prev: NIL,
+                    next,
+                };
+                self.entries.insert(key, entry);
                 self.lists[slot].push((box_id, start));
                 self.live += 1;
                 self.inserted_this_round += 1;
@@ -330,26 +379,103 @@ impl CandidateIndex {
     /// cleanup — with the entry gone from the map, the current-start check
     /// skips them when their bucket drains. Returns the number of entries
     /// purged; they count toward this round's expiry stats.
+    ///
+    /// O(entries the box held + the lists they leave): the box's chain
+    /// names its slots, visited in ascending order — the order a scan of
+    /// every slot meets them in, so removals and stamps are the scan's. The
+    /// run's first purge builds the chains, in one walk of the lists.
     pub fn purge_box(&mut self, box_id: BoxId) -> usize {
-        let mut purged = 0;
-        for slot in 0..self.lists.len() {
-            let list = &mut self.lists[slot];
-            let Some(pos) = list.iter().position(|&(b, _)| b == box_id) else {
-                continue;
-            };
-            list.remove(pos);
-            let c = self.stripes_per_video as usize;
-            let stripe = StripeId::new(
-                vod_core::VideoId((slot / c) as u32),
-                (slot % c) as vod_core::StripeIndex,
-            );
-            self.entries.remove(&pack(stripe, box_id));
-            self.note_shrink(slot);
-            self.live -= 1;
-            purged += 1;
+        if !self.chained {
+            self.build_chains();
         }
+        let mut slots = std::mem::take(&mut self.expiring_slots);
+        let mut at = self
+            .heads
+            .get_mut(box_id.index())
+            .map_or(NIL, |head| std::mem::replace(head, NIL));
+        while at != NIL {
+            let key = pack(self.stripe_at(at as usize), box_id);
+            let entry = self
+                .entries
+                .remove(&key)
+                .expect("a chained slot holds an entry");
+            slots.push(at as usize);
+            at = entry.next;
+        }
+        slots.sort_unstable();
+        debug_assert_eq!(slots, self.held_by_scan(box_id), "chain of {box_id}");
+        for &slot in &slots {
+            let list = &mut self.lists[slot];
+            let pos = list
+                .iter()
+                .position(|&(b, _)| b == box_id)
+                .expect("a chained slot lists its box");
+            list.remove(pos);
+            self.note_shrink(slot);
+        }
+        let purged = slots.len();
+        slots.clear();
+        self.expiring_slots = slots;
+        self.live -= purged;
         self.expired_this_round += purged;
         purged
+    }
+
+    /// Chains every live entry to its box (the run's first purge).
+    fn build_chains(&mut self) {
+        self.chained = true;
+        for slot in 0..self.lists.len() {
+            for i in 0..self.lists[slot].len() {
+                let box_id = self.lists[slot][i].0;
+                let next = self.push_head(box_id, slot);
+                let key = pack(self.stripe_at(slot), box_id);
+                let entry = self.entries.get_mut(&key).expect("a listed entry is live");
+                (entry.prev, entry.next) = (NIL, next);
+            }
+        }
+    }
+
+    /// Makes `slot` the head of `box_id`'s chain and returns the old head,
+    /// which the caller links as the entry's `next`.
+    fn push_head(&mut self, box_id: BoxId, slot: usize) -> u32 {
+        let b = box_id.index();
+        if b >= self.heads.len() {
+            self.heads.resize(b + 1, NIL);
+        }
+        let head = std::mem::replace(&mut self.heads[b], slot as u32);
+        if head != NIL {
+            self.link_mut(head, box_id).prev = slot as u32;
+        }
+        head
+    }
+
+    /// Closes the gap a removed `entry` of `box_id` leaves in its chain.
+    fn unlink(&mut self, box_id: BoxId, entry: Entry) {
+        if entry.prev == NIL {
+            self.heads[box_id.index()] = entry.next;
+        } else {
+            self.link_mut(entry.prev, box_id).next = entry.next;
+        }
+        if entry.next != NIL {
+            self.link_mut(entry.next, box_id).prev = entry.prev;
+        }
+    }
+
+    /// The chained entry of `box_id` at stripe slot `slot`.
+    fn link_mut(&mut self, slot: u32, box_id: BoxId) -> &mut Entry {
+        let key = pack(self.stripe_at(slot as usize), box_id);
+        self.entries
+            .get_mut(&key)
+            .expect("a chain names live entries")
+    }
+
+    /// The slots whose list names `box_id`, by a scan of every list: what
+    /// its chain must hold (the debug cross-check of
+    /// [`CandidateIndex::purge_box`]).
+    fn held_by_scan(&self, box_id: BoxId) -> Vec<usize> {
+        (0..self.lists.len())
+            .filter(|&slot| self.lists[slot].iter().any(|&(b, _)| b == box_id))
+            .collect()
     }
 
     /// Bumps `stripe`'s change stamp without touching its cache entries.
@@ -403,12 +529,8 @@ impl CandidateIndex {
     /// Iterator over every live entry: `(stripe, box, start)` (test and
     /// diagnostics support; ordering follows the per-stripe lists).
     pub fn iter_live(&self) -> impl Iterator<Item = (StripeId, BoxId, u64)> + '_ {
-        let c = self.stripes_per_video as usize;
         self.lists.iter().enumerate().flat_map(move |(slot, list)| {
-            let stripe = StripeId::new(
-                vod_core::VideoId((slot / c) as u32),
-                (slot % c) as vod_core::StripeIndex,
-            );
+            let stripe = self.stripe_at(slot);
             list.iter().map(move |&(b, start)| (stripe, b, start))
         })
     }

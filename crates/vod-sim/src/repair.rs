@@ -25,9 +25,16 @@
 //! deterministic), and destinations maximise spare storage with lowest box
 //! id on ties. The plan is a pure function of (placement, alive, capacities,
 //! config), identical across schedulers and thread counts.
+//!
+//! Cost: a plan with work to do walks the fleet once, bucketing the alive
+//! boxes with free storage by spare slots; each transfer then takes the
+//! lowest eligible id of the highest non-empty bucket and moves it one
+//! bucket down, so a transfer costs what it touches, not a walk of the
+//! fleet.
 
 use vod_core::json::{obj, Json, JsonCodec, JsonError};
 use vod_core::{BoxId, Catalog, Placement, StripeId, VideoSystem};
+use vod_flow::bitset::for_each_set_bit;
 use vod_flow::BitSet;
 
 /// One planned replica transfer: `dest` fetches `stripe` from `source`,
@@ -103,12 +110,15 @@ pub struct RepairPlanner {
     /// Transfers planned by the most recent [`RepairPlanner::plan_round`].
     transfers: Vec<RepairTransfer>,
     /// The most recent plan's transfers once committed: what the next
-    /// [`RepairPlanner::plan_round`] walks to zero `egress` and `dest_load`.
+    /// [`RepairPlanner::plan_round`] walks to zero `egress`.
     committed: Vec<RepairTransfer>,
     /// Upload slots drawn per source box by the most recent plan.
     egress: Vec<u32>,
-    /// Scratch: replicas planned onto each destination this round.
-    dest_load: Vec<u32>,
+    /// Scratch of one plan: `levels[s]` lists, in ascending id order, the
+    /// alive boxes with `s` free storage slots left (level 0 stays empty).
+    levels: Vec<Vec<BoxId>>,
+    /// The highest level that may be non-empty.
+    top: usize,
     /// Replicas committed over the planner's lifetime.
     repaired_total: u64,
 }
@@ -126,7 +136,8 @@ impl RepairPlanner {
             transfers: Vec::new(),
             committed: Vec::new(),
             egress: vec![0; n],
-            dest_load: vec![0; n],
+            levels: Vec::new(),
+            top: 0,
             repaired_total: 0,
         }
     }
@@ -193,8 +204,12 @@ impl RepairPlanner {
             .sort_by_cached_key(|&s| (placement.replica_count(s), s));
 
         let mut budget = self.round_budget;
+        if budget > 0 && !self.pending.is_empty() {
+            self.fill_levels(placement, alive);
+        }
         let mut deferred = 0usize;
-        for &stripe in &self.pending {
+        for i in 0..self.pending.len() {
+            let stripe = self.pending[i];
             let have = placement.replica_count(stripe);
             let missing = target - have;
             let mut planned = 0usize;
@@ -212,7 +227,6 @@ impl RepairPlanner {
                     dest,
                 });
                 self.egress[source.index()] += 1;
-                self.dest_load[dest.index()] += 1;
                 budget -= 1;
                 planned += 1;
             }
@@ -230,11 +244,38 @@ impl RepairPlanner {
         }
     }
 
+    /// Buckets the alive boxes with free storage by spare slots, each level
+    /// in ascending id order: the plan's one walk of the fleet.
+    fn fill_levels(&mut self, placement: &Placement, alive: &BitSet) {
+        for level in &mut self.levels {
+            level.clear();
+        }
+        let (storage, levels, top) = (&self.storage, &mut self.levels, &mut self.top);
+        *top = 0;
+        for_each_set_bit(alive.words(), |i| {
+            let Some(&slots) = storage.get(i) else {
+                return;
+            };
+            let b = BoxId(i as u32);
+            let spare = slots.saturating_sub(placement.box_load(b) as u32) as usize;
+            if spare == 0 {
+                return;
+            }
+            if spare >= levels.len() {
+                levels.resize_with(spare + 1, Vec::new);
+            }
+            levels[spare].push(b);
+            *top = (*top).max(spare);
+        });
+    }
+
     /// Deterministic (source, dest) choice for one missing replica of
     /// `stripe`, or `None` when no holder has upload budget or no alive box
-    /// has a free storage slot.
+    /// has a free storage slot. The destination is the roomiest alive box,
+    /// lowest id on ties, that neither holds the stripe nor already has a
+    /// replica of it planned this round; it moves one level down.
     fn pick_transfer(
-        &self,
+        &mut self,
         placement: &Placement,
         alive: &BitSet,
         capacities: &[u32],
@@ -245,24 +286,58 @@ impl RepairPlanner {
             let i = b.index();
             alive.get(i) && self.egress[i] < capacities.get(i).copied().unwrap_or(0)
         })?;
+        // This stripe's transfers so far are the plan's last ones.
+        let planned = |b: BoxId| {
+            self.transfers
+                .iter()
+                .rev()
+                .take_while(|t| t.stripe == stripe)
+                .any(|t| t.dest == b)
+        };
+        let found = (1..=self.top).rev().find_map(|level| {
+            let row = &self.levels[level];
+            let pos = row
+                .iter()
+                .position(|&b| !holders.contains(&b) && !planned(b))?;
+            Some((level, pos))
+        });
+        debug_assert_eq!(
+            found.map(|(level, pos)| self.levels[level][pos]),
+            self.roomiest_by_scan(placement, alive, holders, stripe),
+            "destination of {stripe}"
+        );
+        let (level, pos) = found?;
+        let dest = self.levels[level].remove(pos);
+        if level > 1 {
+            let below = &mut self.levels[level - 1];
+            let at = below.binary_search(&dest).unwrap_err();
+            below.insert(at, dest);
+        }
+        while self.top > 0 && self.levels[self.top].is_empty() {
+            self.top -= 1;
+        }
+        Some((source, dest))
+    }
+
+    /// The destination rule as a scan of the whole fleet (the debug
+    /// cross-check of [`RepairPlanner::pick_transfer`]): the alive box with
+    /// the most storage left after this round's planned replicas, lowest id
+    /// on ties, that neither holds `stripe` nor has a replica of it planned.
+    fn roomiest_by_scan(
+        &self,
+        placement: &Placement,
+        alive: &BitSet,
+        holders: &[BoxId],
+        stripe: StripeId,
+    ) -> Option<BoxId> {
         let mut best: Option<(u32, BoxId)> = None;
         for i in 0..self.storage.len() {
-            if !alive.get(i) {
-                continue;
-            }
             let b = BoxId(i as u32);
-            let used = placement.box_load(b) as u32 + self.dest_load[i];
-            if used >= self.storage[i] {
-                continue;
-            }
-            let spare = self.storage[i] - used;
-            if best.is_some_and(|(top, _)| spare <= top) {
-                continue;
-            }
-            // Only a box that would take the lead pays for the membership
-            // checks: it must not hold the stripe, nor a planned
-            // (uncommitted) replica of it from earlier this round.
-            if holders.contains(&b)
+            let planned = self.transfers.iter().filter(|t| t.dest == b).count();
+            let used = (placement.box_load(b) + planned) as u32;
+            if !alive.get(i)
+                || used >= self.storage[i]
+                || holders.contains(&b)
                 || self
                     .transfers
                     .iter()
@@ -270,9 +345,12 @@ impl RepairPlanner {
             {
                 continue;
             }
-            best = Some((spare, b));
+            let spare = self.storage[i] - used;
+            if best.is_none_or(|(top, _)| spare > top) {
+                best = Some((spare, b));
+            }
         }
-        best.map(|(_, dest)| (source, dest))
+        best.map(|(_, b)| b)
     }
 
     /// Applies the planned transfers to the live placement (new replicas
@@ -285,13 +363,12 @@ impl RepairPlanner {
         }
     }
 
-    /// Forgets the previous plan, committed or not. `egress` and
-    /// `dest_load` are non-zero only at boxes its transfers name, so zeroing
-    /// those is zeroing all.
+    /// Forgets the previous plan, committed or not. `egress` is non-zero
+    /// only at the sources its transfers name, so zeroing those is zeroing
+    /// all.
     fn clear_plan(&mut self) {
         for t in self.transfers.drain(..).chain(self.committed.drain(..)) {
             self.egress[t.source.index()] = 0;
-            self.dest_load[t.dest.index()] = 0;
         }
     }
 
