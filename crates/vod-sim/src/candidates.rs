@@ -326,8 +326,8 @@ impl CandidateIndex {
                 self.note_shrink(slot);
             }
             None => {
-                let slot = self.slot(stripe);
                 let next = if self.chained {
+                    let slot = self.slot(stripe);
                     self.push_head(box_id, slot)
                 } else {
                     NIL
@@ -337,7 +337,12 @@ impl CandidateIndex {
                     prev: NIL,
                     next,
                 };
+                // The map takes the entry before `slot` may grow the
+                // per-stripe tables: in a fresh index the two first grow
+                // together, and the other order raised `sparse-fleet`'s
+                // peak resident set by 5 MB (heap layout alone).
                 self.entries.insert(key, entry);
+                let slot = self.slot(stripe);
                 self.lists[slot].push((box_id, start));
                 self.live += 1;
                 self.inserted_this_round += 1;
