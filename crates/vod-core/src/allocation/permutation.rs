@@ -314,4 +314,49 @@ mod tests {
         assert!(p.box_load(BoxId(1)) <= 20);
         assert!(p.box_load(BoxId(2)) <= 6);
     }
+
+    /// A bulk-built placement through a seeded `add` / `remove` /
+    /// `remove_box` script that grows box 0's list past its storage: the
+    /// per-box lists, the JSON text and the placement read back from it are
+    /// pinned to what the table of one `Vec<StripeId>` per box answered.
+    #[test]
+    fn per_box_lists_answer_as_pinned_through_a_growing_script() {
+        use crate::hash::fx_hash;
+        use crate::node::BoxId;
+        use crate::video::VideoId;
+        use rand::Rng;
+        let (n, m, c) = (40u32, 50u32, 3u16);
+        let mut p = run(n as usize, 8, m as usize, c, 2, 0x5eed);
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for step in 0..300 {
+            let s = StripeId::new(VideoId(rng.gen_range(0..m)), rng.gen_range(0..c));
+            let b = if step % 3 == 0 {
+                BoxId(0)
+            } else {
+                BoxId(rng.gen_range(0..n))
+            };
+            match rng.gen_range(0..10) {
+                0..=5 => {
+                    p.add(b, s);
+                }
+                6..=8 => {
+                    p.remove(b, s);
+                }
+                _ if b != BoxId(0) => {
+                    p.remove_box(b);
+                }
+                _ => {}
+            }
+        }
+        assert!(p.box_load(BoxId(0)) > 8, "box 0 outgrew its storage");
+        let lists: Vec<Vec<_>> = (0..n).map(|b| p.stored_by(BoxId(b)).to_vec()).collect();
+        let text = p.to_json_string();
+        let back = Placement::from_json_str(&text).expect("own JSON loads");
+        assert!(back == p);
+        assert_eq!(back.to_json_string(), text);
+        assert_eq!(
+            [fx_hash(&lists), fx_hash(&text), p.wasted_slots() as u64],
+            [16055140545218122429, 10138842604500725080, 26]
+        );
+    }
 }

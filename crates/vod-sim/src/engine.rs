@@ -2394,6 +2394,33 @@ mod tests {
         assert_eq!(report, twin.report_so_far());
     }
 
+    /// The first departure gives the run a placement of its own: the box
+    /// is stripped from the live table, repairs land in it, and the
+    /// system's placement stays what it was before the run.
+    #[test]
+    fn a_departure_leaves_the_system_placement_as_it_was() {
+        use vod_workloads::ChurnEvent;
+        let sys = small_system(16, 2.0, 4, 3, 12);
+        let before = sys.placement().clone();
+        let mut sim = Simulator::new(&sys, SimConfig::new(20).continue_on_failure());
+        sim.attach_repair(RepairPlanner::for_system(&sys, 6));
+        let mut gen = SequentialViewing::new(16, sys.m(), NextVideoPolicy::RoundRobin, 1.5, 3);
+        for _ in 0..4 {
+            sim.step(&mut gen);
+        }
+        let gone = BoxId(5);
+        assert!(sim.live_placement().box_load(gone) > 0);
+        sim.apply_churn(ChurnEvent::Left(gone));
+        assert!(!std::ptr::eq(sim.live_placement(), sys.placement()));
+        assert_eq!(sim.live_placement().box_load(gone), 0);
+        for _ in 0..6 {
+            sim.step(&mut gen);
+        }
+        assert!(sim.repair_planner().unwrap().repaired_total() > 0);
+        assert!(sys.placement() == &before, "the system's placement moved");
+        assert!(sim.live_placement() != &before);
+    }
+
     /// The live-population loop keeps the scheduler equivalence intact:
     /// with the same seeded churn process and repair planner attached, the
     /// matcher's and the naive scheduler's engines walk through identical
