@@ -44,8 +44,8 @@ use rand::RngCore;
 /// relocates a row.
 const INITIAL_ROW_CAP: u32 = 4;
 
-/// Where one stripe's holders live in [`Placement::pool`]:
-/// `pool[start..start + len]`, with room to grow up to `cap` in place.
+/// Where one row lives in its [`RowPool`]: `pool[start..start + len]`,
+/// with room to grow up to `cap` in place.
 #[derive(Clone, Copy, Debug, Default)]
 struct RowSpan {
     start: u32,
@@ -53,36 +53,138 @@ struct RowSpan {
     cap: u32,
 }
 
+/// Rows of `T` over one pooled `Vec<T>`, one [`RowSpan`] per row. A row
+/// that outgrows its capacity moves to the end of the pool with twice the
+/// room (the vacated span is not reused: total garbage is bounded by the
+/// live capacity), and a removal shifts the tail of the row down one place,
+/// so a row keeps strict insertion order with ordered removals. Cloning
+/// copies the spans and the pool: two allocations however many rows there
+/// are. Both directions of a [`Placement`] are one of these.
+#[derive(Clone, Debug)]
+struct RowPool<T> {
+    spans: Vec<RowSpan>,
+    /// Backing store of every row. Entries outside the live spans are
+    /// filler.
+    pool: Vec<T>,
+}
+
+impl<T: Copy + PartialEq> RowPool<T> {
+    /// Empty rows with room for `caps` entries each, back to back; `fill`
+    /// pads the pool.
+    fn with_caps(caps: impl IntoIterator<Item = u32>, fill: T) -> Self {
+        let mut end = 0u32;
+        let spans: Vec<RowSpan> = caps
+            .into_iter()
+            .map(|cap| {
+                let start = end;
+                end = end.checked_add(cap).expect("row pool indexed by u32");
+                RowSpan { start, len: 0, cap }
+            })
+            .collect();
+        RowPool {
+            spans,
+            pool: vec![fill; end as usize],
+        }
+    }
+
+    /// The rows `spans` lay out over `pool`, as a bulk build wrote them.
+    fn from_parts(spans: Vec<RowSpan>, pool: Vec<T>) -> Self {
+        debug_assert!(spans
+            .iter()
+            .all(|s| s.len <= s.cap && (s.start + s.cap) as usize <= pool.len()));
+        RowPool { spans, pool }
+    }
+
+    /// Number of rows.
+    fn rows(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Row `i` (empty past the last row).
+    fn row(&self, i: usize) -> &[T] {
+        match self.spans.get(i) {
+            Some(span) => &self.pool[span.start as usize..(span.start + span.len) as usize],
+            None => &[],
+        }
+    }
+
+    /// Every row in order.
+    fn iter(&self) -> impl Iterator<Item = &[T]> {
+        (0..self.rows()).map(|i| self.row(i))
+    }
+
+    /// Adds empty rows without room until there are `rows`.
+    fn extend_to(&mut self, rows: usize) {
+        if rows > self.spans.len() {
+            self.spans.resize(rows, RowSpan::default());
+        }
+    }
+
+    /// Appends `value` to row `i`, first moving the row to the end of the
+    /// pool with doubled capacity when it is full.
+    fn push(&mut self, i: usize, value: T) {
+        let mut span = self.spans[i];
+        if span.len == span.cap {
+            let cap = (span.cap * 2).max(INITIAL_ROW_CAP);
+            let start = self.pool.len();
+            let end = u32::try_from(start + cap as usize).expect("row pool indexed by u32");
+            self.pool
+                .extend_from_within(span.start as usize..(span.start + span.len) as usize);
+            self.pool.resize(end as usize, value);
+            span.start = start as u32;
+            span.cap = cap;
+        }
+        self.pool[(span.start + span.len) as usize] = value;
+        span.len += 1;
+        self.spans[i] = span;
+    }
+
+    /// Removes `value` from row `i`, shifting later entries down. Returns
+    /// whether the row held it.
+    fn pull(&mut self, i: usize, value: T) -> bool {
+        let Some(span) = self.spans.get_mut(i) else {
+            return false;
+        };
+        let row = &mut self.pool[span.start as usize..(span.start + span.len) as usize];
+        let Some(pos) = row.iter().position(|&v| v == value) else {
+            return false;
+        };
+        row.copy_within(pos + 1.., pos);
+        span.len -= 1;
+        true
+    }
+
+    /// Empties row `i`, keeping its room.
+    fn clear(&mut self, i: usize) {
+        self.spans[i].len = 0;
+    }
+}
+
 /// The result of an allocation: which box stores which stripes.
 ///
-/// Both directions are index-addressed. `stored_by(box)` is the box's own
-/// list; `holders_of(stripe)` is a row of the *placement table*: the stripe's
-/// dense slot `video · c + index` ([`StripeId::global_index`]) selects a
-/// `(start, len, cap)` span of one pooled `Vec<BoxId>` shared by all rows. A
-/// row that outgrows its capacity moves to the end of the pool with twice
-/// the room (the vacated span is not reused: total garbage is bounded by the
-/// live capacity), and a removal shifts the tail of the row down one place,
-/// so holder order is strict insertion order with ordered removals —
-/// candidate rows, repair sources and every report depend on that order.
-/// Cloning the holder side copies the spans and the pool: two allocations
-/// however many stripes there are.
+/// Both directions are index-addressed rows of a pooled table: a `(start,
+/// len, cap)` span per row over one `Vec`. `holders_of(stripe)` is a row of
+/// the *placement table*: the stripe's dense slot `video · c + index`
+/// ([`StripeId::global_index`]) selects a span of one pooled `Vec<BoxId>`.
+/// `stored_by(box)` is the box's row of one pooled `Vec<u32>` of those
+/// slots, in storage order. Holder order is strict insertion order with
+/// ordered removals — candidate rows, repair sources and every report
+/// depend on that order. Cloning copies two span tables and two pools: four
+/// allocations however many boxes and stripes there are.
 ///
 /// `c` is fixed at construction. Reads of a stripe outside the table (an
 /// index `≥ c`, or a video past the last row) answer "no holders"; `add`
 /// extends the table by whole videos but rejects an index `≥ c`.
 #[derive(Clone, Debug)]
 pub struct Placement {
-    /// Stripes stored by each box (catalog storage, not the playback cache).
-    /// A stripe appears at most once per box; duplicate draws are counted in
-    /// `wasted_slots` instead.
-    per_box: Vec<Vec<StripeId>>,
+    /// Stripes stored by each box (catalog storage, not the playback
+    /// cache), as table slots. A stripe appears at most once per box;
+    /// duplicate draws are counted in `wasted_slots` instead.
+    stored: RowPool<u32>,
     /// Stripes per video (`c`): the slot arithmetic's row width.
     stripes_per_video: u16,
-    /// One span per stripe slot, `videos · c` of them.
-    rows: Vec<RowSpan>,
-    /// Backing store of every holder row (deduplicated, insertion order
-    /// within a row). Entries outside the live spans are filler.
-    pool: Vec<BoxId>,
+    /// One holder row per stripe slot, `videos · c` of them.
+    holders: RowPool<BoxId>,
     /// Slots lost to duplicate replica draws (same stripe drawn twice for the
     /// same box). Only random allocations can produce these.
     wasted_slots: usize,
@@ -90,14 +192,14 @@ pub struct Placement {
 
 /// Two placements are equal when they answer every query alike: same `c`,
 /// same per-box lists, same holder rows in the same order, same waste. Where
-/// a row sits in the pool, and trailing rows without holders, do not count.
+/// a row sits in its pool, and trailing rows without holders, do not count.
 impl PartialEq for Placement {
     fn eq(&self, other: &Self) -> bool {
         self.stripes_per_video == other.stripes_per_video
             && self.wasted_slots == other.wasted_slots
-            && self.per_box == other.per_box
-            && (0..self.rows.len().max(other.rows.len()))
-                .all(|slot| self.row(slot) == other.row(slot))
+            && self.stored.iter().eq(other.stored.iter())
+            && (0..self.holders.rows().max(other.holders.rows()))
+                .all(|slot| self.holders.row(slot) == other.holders.row(slot))
     }
 }
 
@@ -111,12 +213,23 @@ impl Eq for Placement {}
 /// box always produced.
 impl JsonCodec for Placement {
     fn to_json(&self) -> Json {
-        let holders: Vec<Json> = (0..self.rows.len())
-            .map(|slot| Json::Arr(self.row(slot).iter().map(BoxId::to_json).collect()))
+        let per_box: Vec<Json> = (0..self.box_count())
+            .map(|b| {
+                Json::Arr(
+                    self.stored_by(BoxId(b as u32))
+                        .map(|s| s.to_json())
+                        .collect(),
+                )
+            })
+            .collect();
+        let holders: Vec<Json> = self
+            .holders
+            .iter()
+            .map(|row| Json::Arr(row.iter().map(BoxId::to_json).collect()))
             .collect();
         obj(vec![
             ("stripes_per_video", self.stripes_per_video.to_json()),
-            ("per_box", self.per_box.to_json()),
+            ("per_box", Json::Arr(per_box)),
             ("holders", Json::Arr(holders)),
             ("wasted_slots", self.wasted_slots.to_json()),
         ])
@@ -190,10 +303,10 @@ impl JsonCodec for Placement {
                         "holder {b} of stripe {stripe} is not one of {n} boxes"
                     ));
                 }
-                if placement.row(slot).contains(&b) {
+                if placement.holders.row(slot).contains(&b) {
                     return bad(format!("stripe {stripe} lists holder {b} twice"));
                 }
-                placement.push_holder(slot, b);
+                placement.holders.push(slot, b);
                 held += 1;
             }
         }
@@ -216,7 +329,12 @@ impl JsonCodec for Placement {
                 }
             }
         }
-        placement.per_box = per_box;
+        placement.stored = RowPool::with_caps(per_box.iter().map(|s| s.len() as u32), 0);
+        for (idx, stripes) in per_box.iter().enumerate() {
+            for stripe in stripes {
+                placement.stored.push(idx, stripe.global_index(c) as u32);
+            }
+        }
         Ok(placement)
     }
 }
@@ -228,115 +346,55 @@ impl Placement {
         Placement::with_rows(n, catalog.stripes_per_video(), catalog.stripe_count())
     }
 
-    /// `rows` empty holder rows of the initial capacity, back to back.
+    /// `n` boxes without stored stripes, and `rows` empty holder rows of the
+    /// initial capacity, back to back.
     fn with_rows(n: usize, c: u16, rows: usize) -> Self {
         assert!(c > 0, "stripe count must be positive");
-        let cap = INITIAL_ROW_CAP as usize;
-        let pool_len = u32::try_from(rows * cap).expect("holder pool indexed by u32");
         Placement {
-            per_box: vec![Vec::new(); n],
+            stored: RowPool::with_caps(std::iter::repeat_n(0, n), 0),
             stripes_per_video: c,
-            rows: (0..pool_len)
-                .step_by(cap)
-                .map(|start| RowSpan {
-                    start,
-                    len: 0,
-                    cap: INITIAL_ROW_CAP,
-                })
-                .collect(),
-            pool: vec![BoxId(0); pool_len as usize],
+            holders: RowPool::with_caps(std::iter::repeat_n(INITIAL_ROW_CAP, rows), BoxId(0)),
             wasted_slots: 0,
         }
     }
 
-    /// The placement whose per-box lists are `per_box` (deduplicated, each
-    /// stripe's index below `c`), in one pass: count every row, lay the
-    /// rows out in slot order with the capacity `add` would have grown
-    /// them to, and fill them in ascending box id — the holder order
-    /// adding box by box produces. The table has at least `rows` rows, and
-    /// whole videos beyond them for any stripe past the last.
-    pub(crate) fn from_box_lists(
-        per_box: Vec<Vec<StripeId>>,
-        c: u16,
-        rows: usize,
-        wasted_slots: usize,
-    ) -> Self {
+    /// The placement whose per-box rows are `stored` (deduplicated table
+    /// slots, each stripe's index below `c`), in one pass: count every
+    /// holder row, lay the rows out in slot order with the capacity `add`
+    /// would have grown them to, and fill them in ascending box id — the
+    /// holder order adding box by box produces. The table has at least
+    /// `rows` rows, and whole videos beyond them for any stripe past the
+    /// last.
+    fn from_stored(stored: RowPool<u32>, c: u16, rows: usize, wasted_slots: usize) -> Self {
         assert!(c > 0, "stripe count must be positive");
-        let mut spans = vec![RowSpan::default(); rows];
-        for stripe in per_box.iter().flatten() {
-            debug_assert!(stripe.index < c, "stripe {stripe} past c = {c}");
-            let slot = stripe.global_index(c);
-            if slot >= spans.len() {
-                spans.resize((stripe.video.index() + 1) * c as usize, RowSpan::default());
+        let mut counts = vec![0u32; rows];
+        for &code in stored.iter().flatten() {
+            let slot = code as usize;
+            if slot >= counts.len() {
+                counts.resize((slot / c as usize + 1) * c as usize, 0);
             }
-            spans[slot].len += 1;
+            counts[slot] += 1;
         }
-        let mut end = 0u32;
-        for span in &mut spans {
-            span.start = end;
-            span.cap = span.len.next_power_of_two().max(INITIAL_ROW_CAP);
-            span.len = 0;
-            end = end
-                .checked_add(span.cap)
-                .expect("holder pool indexed by u32");
-        }
-        let mut pool = vec![BoxId(0); end as usize];
-        for (b, stripes) in per_box.iter().enumerate() {
-            for stripe in stripes {
-                let span = &mut spans[stripe.global_index(c)];
-                pool[(span.start + span.len) as usize] = BoxId(b as u32);
-                span.len += 1;
+        let caps = counts
+            .iter()
+            .map(|&len| len.next_power_of_two().max(INITIAL_ROW_CAP));
+        let mut holders = RowPool::with_caps(caps, BoxId(0));
+        for (b, codes) in stored.iter().enumerate() {
+            for &code in codes {
+                holders.push(code as usize, BoxId(b as u32));
             }
         }
         Placement {
-            per_box,
+            stored,
             stripes_per_video: c,
-            rows: spans,
-            pool,
+            holders,
             wasted_slots,
         }
     }
 
     /// Number of boxes the placement spans.
     pub fn box_count(&self) -> usize {
-        self.per_box.len()
-    }
-
-    /// The holders in table slot `slot` (empty past the last row).
-    fn row(&self, slot: usize) -> &[BoxId] {
-        match self.rows.get(slot) {
-            Some(span) => &self.pool[span.start as usize..(span.start + span.len) as usize],
-            None => &[],
-        }
-    }
-
-    /// Appends `box_id` to the row in `slot`, first moving the row to the
-    /// end of the pool with doubled capacity when it is full.
-    fn push_holder(&mut self, slot: usize, box_id: BoxId) {
-        let mut span = self.rows[slot];
-        if span.len == span.cap {
-            let cap = (span.cap * 2).max(INITIAL_ROW_CAP);
-            let start = self.pool.len();
-            let end = u32::try_from(start + cap as usize).expect("holder pool indexed by u32");
-            self.pool
-                .extend_from_within(span.start as usize..(span.start + span.len) as usize);
-            self.pool.resize(end as usize, BoxId(0));
-            span.start = start as u32;
-            span.cap = cap;
-        }
-        self.pool[(span.start + span.len) as usize] = box_id;
-        span.len += 1;
-        self.rows[slot] = span;
-    }
-
-    /// Removes `box_id` from the row in `slot`, shifting later holders down.
-    fn pull_holder(&mut self, slot: usize, box_id: BoxId) {
-        let span = &mut self.rows[slot];
-        let row = &mut self.pool[span.start as usize..(span.start + span.len) as usize];
-        if let Some(pos) = row.iter().position(|&b| b == box_id) {
-            row.copy_within(pos + 1.., pos);
-            span.len -= 1;
-        }
+        self.stored.rows()
     }
 
     /// Records that `box_id` stores a replica of `stripe`.
@@ -355,18 +413,16 @@ impl Placement {
             stripe.index < c,
             "stripe {stripe} added to a placement of c = {c} stripes per video"
         );
-        let list = &mut self.per_box[box_id.index()];
-        if list.contains(&stripe) {
+        let slot = stripe.global_index(c);
+        let code = u32::try_from(slot).expect("stripe table indexed by u32");
+        if self.stored.row(box_id.index()).contains(&code) {
             self.wasted_slots += 1;
             return false;
         }
-        list.push(stripe);
-        let slot = stripe.global_index(c);
-        if slot >= self.rows.len() {
-            let rows = (stripe.video.index() + 1) * c as usize;
-            self.rows.resize(rows, RowSpan::default());
-        }
-        self.push_holder(slot, box_id);
+        self.stored.push(box_id.index(), code);
+        self.holders
+            .extend_to((stripe.video.index() + 1) * c as usize);
+        self.holders.push(slot, box_id);
         true
     }
 
@@ -377,13 +433,18 @@ impl Placement {
     ///
     /// Returns `true` if the box actually stored the stripe.
     pub fn remove(&mut self, box_id: BoxId, stripe: StripeId) -> bool {
-        let list = &mut self.per_box[box_id.index()];
-        let Some(pos) = list.iter().position(|&s| s == stripe) else {
+        let c = self.stripes_per_video;
+        if stripe.index >= c {
+            return false; // the slot would alias a stripe of the next video
+        }
+        let slot = stripe.global_index(c);
+        let Ok(code) = u32::try_from(slot) else {
             return false;
         };
-        list.remove(pos);
-        let slot = stripe.global_index(self.stripes_per_video);
-        self.pull_holder(slot, box_id);
+        if !self.stored.pull(box_id.index(), code) {
+            return false;
+        }
+        self.holders.pull(slot, box_id);
         true
     }
 
@@ -392,10 +453,11 @@ impl Placement {
     /// order; stripes whose last replica vanishes become unheld (and, with a
     /// repair planner running, under-replicated work items).
     pub fn remove_box(&mut self, box_id: BoxId) -> Vec<StripeId> {
-        let stripes = std::mem::take(&mut self.per_box[box_id.index()]);
+        let stripes: Vec<StripeId> = self.stored_by(box_id).collect();
+        self.stored.clear(box_id.index());
         for &stripe in &stripes {
-            let slot = stripe.global_index(self.stripes_per_video);
-            self.pull_holder(slot, box_id);
+            self.holders
+                .pull(stripe.global_index(self.stripes_per_video), box_id);
         }
         stripes
     }
@@ -407,12 +469,16 @@ impl Placement {
         if stripe.index >= c {
             return &[]; // the slot would alias a stripe of the next video
         }
-        self.row(stripe.global_index(c))
+        self.holders.row(stripe.global_index(c))
     }
 
-    /// The stripes stored by `box_id`.
-    pub fn stored_by(&self, box_id: BoxId) -> &[StripeId] {
-        &self.per_box[box_id.index()]
+    /// The stripes stored by `box_id`, in storage order.
+    pub fn stored_by(&self, box_id: BoxId) -> impl ExactSizeIterator<Item = StripeId> + '_ {
+        let c = self.stripes_per_video;
+        self.stored
+            .row(box_id.index())
+            .iter()
+            .map(move |&code| StripeId::from_global_index(code as usize, c))
     }
 
     /// True when `box_id` stores a replica of `stripe`.
@@ -427,22 +493,22 @@ impl Placement {
 
     /// Number of stripe replicas stored by `box_id` (its storage load).
     pub fn box_load(&self, box_id: BoxId) -> usize {
-        self.per_box[box_id.index()].len()
+        self.stored.row(box_id.index()).len()
     }
 
     /// The maximum storage load over all boxes.
     pub fn max_load(&self) -> usize {
-        self.per_box.iter().map(Vec::len).max().unwrap_or(0)
+        self.stored.iter().map(<[u32]>::len).max().unwrap_or(0)
     }
 
     /// The minimum storage load over all boxes.
     pub fn min_load(&self) -> usize {
-        self.per_box.iter().map(Vec::len).min().unwrap_or(0)
+        self.stored.iter().map(<[u32]>::len).min().unwrap_or(0)
     }
 
     /// Total number of (deduplicated) replicas placed.
     pub fn total_replicas(&self) -> usize {
-        self.per_box.iter().map(Vec::len).sum()
+        self.stored.iter().map(<[u32]>::len).sum()
     }
 
     /// Slots lost to duplicate draws.
@@ -459,8 +525,10 @@ impl Placement {
     /// holder, in ascending stripe order.
     pub fn stripes(&self) -> impl Iterator<Item = (StripeId, &[BoxId])> {
         let c = self.stripes_per_video;
-        (0..self.rows.len())
-            .map(move |slot| (StripeId::from_global_index(slot, c), self.row(slot)))
+        self.holders
+            .iter()
+            .enumerate()
+            .map(move |(slot, row)| (StripeId::from_global_index(slot, c), row))
             .filter(|(_, holders)| !holders.is_empty())
     }
 
@@ -712,7 +780,11 @@ mod tests {
         }
         for b in (0..n as u32).map(BoxId) {
             let stored = model.stored_by(b);
-            assert_eq!(p.stored_by(b), stored.as_slice(), "{at}: stored by {b}");
+            assert_eq!(
+                p.stored_by(b).collect::<Vec<_>>(),
+                stored,
+                "{at}: stored by {b}"
+            );
             assert_eq!(p.box_load(b), stored.len(), "{at}: load of {b}");
         }
         assert_eq!(p.wasted_slots(), model.wasted, "{at}: wasted");
@@ -856,8 +928,8 @@ mod tests {
             &[BoxId(1), BoxId(0)]
         );
         assert_eq!(
-            back.stored_by(BoxId(0)),
-            &[StripeId::new(VideoId(0), 0), StripeId::new(VideoId(1), 2)]
+            back.stored_by(BoxId(0)).collect::<Vec<_>>(),
+            [StripeId::new(VideoId(0), 0), StripeId::new(VideoId(1), 2)]
         );
     }
 

@@ -9,11 +9,10 @@
 //! independent allocation — storage load is perfectly balanced by
 //! construction.
 
-use super::{check_capacity, Allocator, Placement};
+use super::{check_capacity, Allocator, Placement, RowPool, RowSpan};
 use crate::catalog::Catalog;
 use crate::error::CoreError;
 use crate::node::BoxSet;
-use crate::video::StripeId;
 use rand::seq::SliceRandom;
 use rand::RngCore;
 
@@ -63,35 +62,42 @@ impl Allocator for RandomPermutationAllocator {
         codes.resize(total_slots, FILLER);
         codes.shuffle(rng);
 
-        // Each box keeps its slots' stripes once, in slot order; a repeat
-        // draw is a wasted slot, as `Placement::add` counts it. A list is
-        // collected at its length, never more than pushing would reserve.
+        // The shuffled codes are the per-box table: each box's slots are a
+        // run of them, compacted in place to its stripes once, in slot
+        // order, with room for the whole run. A repeat draw is a wasted
+        // slot, as `Placement::add` counts it.
         let mut wasted_slots = 0;
-        let mut drawn: Vec<u32> = Vec::new();
-        let mut slots = codes.iter().copied();
-        let per_box = boxes
-            .iter()
-            .map(|b| {
-                drawn.clear();
-                for code in slots.by_ref().take(b.storage.slots() as usize) {
-                    if code == FILLER {
-                        continue;
-                    }
-                    if drawn.contains(&code) {
-                        wasted_slots += 1;
-                    } else {
-                        drawn.push(code);
-                    }
+        let mut spans = Vec::with_capacity(boxes.len());
+        let mut start = 0u32;
+        for b in boxes.iter() {
+            let cap = b.storage.slots();
+            let end = start
+                .checked_add(cap)
+                .expect("storage slots indexed by u32");
+            let run = &mut codes[start as usize..end as usize];
+            let mut len = 0;
+            for i in 0..run.len() {
+                let code = run[i];
+                if code == FILLER {
+                    continue;
                 }
-                drawn
-                    .iter()
-                    .map(|&code| StripeId::from_global_index(code as usize, c))
-                    .collect()
-            })
-            .collect();
-        debug_assert!(slots.next().is_none(), "every slot belongs to a box");
-        Ok(Placement::from_box_lists(
-            per_box,
+                if run[..len].contains(&code) {
+                    wasted_slots += 1;
+                } else {
+                    run[len] = code;
+                    len += 1;
+                }
+            }
+            spans.push(RowSpan {
+                start,
+                len: len as u32,
+                cap,
+            });
+            start = end;
+        }
+        debug_assert_eq!(start as usize, codes.len(), "every slot belongs to a box");
+        Ok(Placement::from_stored(
+            RowPool::from_parts(spans, codes),
             c,
             catalog.stripe_count(),
             wasted_slots,
@@ -109,6 +115,7 @@ mod tests {
     use super::*;
     use crate::capacity::{Bandwidth, StorageSlots};
     use crate::json::JsonCodec;
+    use crate::video::StripeId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -209,19 +216,22 @@ mod tests {
         placement
     }
 
-    /// Both placements answer alike, serialize alike, and the bulk build
-    /// holds no more memory than `add`: rows of the same capacity, lists
-    /// of at most the capacity pushing reserved.
-    fn assert_same(bulk: &Placement, by_add: &Placement, at: &str) {
+    /// Both placements answer alike and serialize alike, the bulk build's
+    /// holder rows have the capacities `add` grew them to, and its per-box
+    /// table is the shuffled slots themselves: one entry per storage slot,
+    /// with no relocated row.
+    fn assert_same(bulk: &Placement, by_add: &Placement, boxes: &BoxSet, at: &str) {
         assert!(bulk == by_add, "{at}: placements differ");
         assert_eq!(bulk.to_json_string(), by_add.to_json_string(), "{at}: JSON");
-        for (b, (x, y)) in bulk.per_box.iter().zip(&by_add.per_box).enumerate() {
-            assert!(
-                x.capacity() <= y.capacity(),
-                "{at}: list capacity of box {b}"
-            );
-        }
-        let caps = |p: &Placement| p.rows.iter().map(|r| r.cap).collect::<Vec<_>>();
+        let slots = boxes.iter().map(|b| b.storage.slots());
+        let caps: Vec<u32> = bulk.stored.spans.iter().map(|r| r.cap).collect();
+        assert_eq!(caps, slots.collect::<Vec<_>>(), "{at}: per-box room");
+        assert_eq!(
+            bulk.stored.pool.len(),
+            boxes.total_storage().slots() as usize,
+            "{at}: per-box pool"
+        );
+        let caps = |p: &Placement| p.holders.spans.iter().map(|r| r.cap).collect::<Vec<_>>();
         assert_eq!(caps(bulk), caps(by_add), "{at}: row capacities");
     }
 
@@ -265,9 +275,9 @@ mod tests {
                 .allocate(&boxes, &catalog, &mut StdRng::seed_from_u64(seed))
                 .unwrap();
             let mut by_add = allocate_by_add(k, &boxes, &catalog, seed);
-            assert_same(&bulk, &by_add, &at);
+            assert_same(&bulk, &by_add, &boxes, &at);
             wasted += usize::from(bulk.wasted_slots() > 0);
-            relocated += usize::from(bulk.rows.iter().any(|r| r.cap > INITIAL_ROW_CAP));
+            relocated += usize::from(bulk.holders.spans.iter().any(|r| r.cap > INITIAL_ROW_CAP));
             filler += usize::from(k as usize * catalog.stripe_count() < total);
 
             let mut rng = StdRng::seed_from_u64(seed);
@@ -349,7 +359,7 @@ mod tests {
             }
         }
         assert!(p.box_load(BoxId(0)) > 8, "box 0 outgrew its storage");
-        let lists: Vec<Vec<_>> = (0..n).map(|b| p.stored_by(BoxId(b)).to_vec()).collect();
+        let lists: Vec<Vec<_>> = (0..n).map(|b| p.stored_by(BoxId(b)).collect()).collect();
         let text = p.to_json_string();
         let back = Placement::from_json_str(&text).expect("own JSON loads");
         assert!(back == p);

@@ -36,16 +36,19 @@
 //! * a departure ([`CandidateIndex::purge_box`]) visits only the stripes
 //!   the box caches: from the run's first purge on, each box's entries are
 //!   chained through the entry map, so a purge costs what the box held, not
-//!   a walk of the whole catalog.
+//!   a walk of the whole catalog;
+//! * only stripes the index has touched own a list and a stamp: a dense
+//!   `u32` row index per stripe slot names them, so a catalog linear in the
+//!   fleet costs four bytes a stripe while few boxes are watching.
 
-use std::collections::HashMap;
+use std::collections::{hash_map, HashMap};
 use std::hash::BuildHasherDefault;
 use vod_core::json::{obj, Json, JsonCodec, JsonError};
 use vod_core::{BoxId, StripeId};
 
 type EntryMap = HashMap<u128, Entry, BuildHasherDefault<vod_core::FxHasher64>>;
 
-/// End of a box's chain of entries.
+/// End of a box's chain of entries; a stripe slot without a row.
 const NIL: u32 = u32::MAX;
 
 /// A live entry: its current download start, and the stripe slots of its
@@ -134,11 +137,15 @@ pub struct CandidateIndex {
     window: u64,
     /// Stripes per video, for dense stripe-slot arithmetic.
     stripes_per_video: u16,
-    /// Per-stripe holder lists `(box, start)`, dense by stripe slot, kept
-    /// in strict insertion order (ordered removals): candidate rows list
-    /// cache holders in the order they started caching.
+    /// Per stripe slot, the stripe's row in `lists` and `shrunk`, or
+    /// [`NIL`] for a stripe never touched (an empty list, stamp 0). A row,
+    /// once given, is kept for the index's lifetime.
+    rows: Vec<u32>,
+    /// Per-row holder lists `(box, start)`, kept in strict insertion order
+    /// (ordered removals): candidate rows list cache holders in the order
+    /// they started caching.
     lists: Vec<Vec<(BoxId, u64)>>,
-    /// Per-stripe shrink stamp: the value of `shrinks` at the last change
+    /// Per-row shrink stamp: the value of `shrinks` at the last change
     /// other than a fresh insert; 0 = none yet.
     shrunk: Vec<u64>,
     /// Shrink events so far, over all stripes (so no two events share a
@@ -151,10 +158,10 @@ pub struct CandidateIndex {
     wheel: Vec<Vec<WheelRecord>>,
     /// Every round up to and including this one has been drained.
     drained_to: u64,
-    /// Scratch of [`CandidateIndex::begin_round`] and
-    /// [`CandidateIndex::purge_box`]: the stripe slots a drained bucket's
-    /// expiries or a departure touch (empty between calls).
-    expiring_slots: Vec<usize>,
+    /// Scratch of [`CandidateIndex::begin_round`] (the rows a drained
+    /// bucket's expiries touch) and [`CandidateIndex::purge_box`] (the
+    /// stripe slots a departure touches); empty between calls.
+    expiring: Vec<usize>,
     /// Whether the per-box chains are kept: from the run's first purge on,
     /// so a run without departures never pays for them.
     chained: bool,
@@ -189,13 +196,14 @@ impl CandidateIndex {
         CandidateIndex {
             window,
             stripes_per_video: stripes_per_video.max(1),
+            rows: Vec::new(),
             lists: Vec::new(),
             shrunk: Vec::new(),
             shrinks: 0,
             entries: EntryMap::default(),
             wheel: (0..ring).map(|_| Vec::new()).collect(),
             drained_to: 0,
-            expiring_slots: Vec::new(),
+            expiring: Vec::new(),
             chained: false,
             heads: Vec::new(),
             live: 0,
@@ -204,30 +212,47 @@ impl CandidateIndex {
         }
     }
 
-    /// Dense slot of a stripe (grows the per-stripe tables on demand).
-    fn slot(&mut self, stripe: StripeId) -> usize {
-        let slot =
-            stripe.video.0 as usize * self.stripes_per_video as usize + stripe.index as usize;
-        if slot >= self.lists.len() {
-            self.lists.resize_with(slot + 1, Vec::new);
-            self.shrunk.resize(slot + 1, 0);
+    /// Dense slot of a stripe: `video · c + index`.
+    fn slot(&self, stripe: StripeId) -> usize {
+        stripe.global_index(self.stripes_per_video)
+    }
+
+    /// The row of the stripe at `slot`, if it has one.
+    fn row_at(&self, slot: usize) -> Option<usize> {
+        match self.rows.get(slot) {
+            Some(&row) if row != NIL => Some(row as usize),
+            _ => None,
         }
-        slot
+    }
+
+    /// The row of `stripe`, given an empty list and stamp 0 on first touch.
+    fn row_mut(&mut self, stripe: StripeId) -> usize {
+        let slot = self.slot(stripe);
+        if let Some(row) = self.row_at(slot) {
+            return row;
+        }
+        if slot >= self.rows.len() {
+            self.rows.resize(slot + 1, NIL);
+        }
+        let row = self.lists.len();
+        self.rows[slot] = u32::try_from(row)
+            .ok()
+            .filter(|&row| row != NIL)
+            .expect("candidate rows indexed by u32");
+        self.lists.push(Vec::new());
+        self.shrunk.push(0);
+        row
     }
 
     /// The stripe at dense slot `slot`.
     fn stripe_at(&self, slot: usize) -> StripeId {
-        let c = self.stripes_per_video as usize;
-        StripeId::new(
-            vod_core::VideoId((slot / c) as u32),
-            (slot % c) as vod_core::StripeIndex,
-        )
+        StripeId::from_global_index(slot, self.stripes_per_video)
     }
 
-    /// Stamps a change of `slot`'s stripe that is not a fresh insert.
-    fn note_shrink(&mut self, slot: usize) {
+    /// Stamps a change of `row`'s stripe that is not a fresh insert.
+    fn note_shrink(&mut self, row: usize) {
         self.shrinks += 1;
-        self.shrunk[slot] = self.shrinks;
+        self.shrunk[row] = self.shrinks;
     }
 
     /// Starts a round: drains every wheel bucket whose eviction round has
@@ -258,25 +283,28 @@ impl CandidateIndex {
                     keep += 1;
                     continue;
                 }
+                // Stale record: the entry was purged, or refreshed to a
+                // later start (and re-filed) after this record was written.
                 let key = pack(record.stripe, record.box_id);
-                // Stale record: the entry was refreshed to a later start
-                // (and re-filed) after this record was written.
-                let current = self.entries.get(&key).copied();
-                let expires_now = current.is_some_and(|e| e.start + self.window + 1 == round);
-                if !expires_now {
+                let hash_map::Entry::Occupied(live) = self.entries.entry(key) else {
+                    continue;
+                };
+                if live.get().start + self.window + 1 != round {
                     continue;
                 }
-                let entry = self.entries.remove(&key).expect("checked above");
+                let entry = live.remove();
                 if self.chained {
                     self.unlink(record.box_id, entry);
                 }
-                let slot = self.slot(record.stripe);
+                let row = self
+                    .row_at(self.slot(record.stripe))
+                    .expect("a live entry's stripe has a row");
                 // A stamp drawn since the drain began marks a stripe that is
                 // listed already.
-                if self.shrunk[slot] <= stamped_before {
-                    self.expiring_slots.push(slot);
+                if self.shrunk[row] <= stamped_before {
+                    self.expiring.push(row);
                 }
-                self.note_shrink(slot);
+                self.note_shrink(row);
             }
             bucket.truncate(keep);
             // Return the bucket's storage (and any kept records) to the ring.
@@ -288,8 +316,8 @@ impl CandidateIndex {
             // stripe keeps the legacy insertion order intact.
             let expired = (self.shrinks - stamped_before) as usize;
             let mut dropped = 0;
-            for slot in self.expiring_slots.drain(..) {
-                let list = &mut self.lists[slot];
+            for row in self.expiring.drain(..) {
+                let list = &mut self.lists[row];
                 let before = list.len();
                 list.retain(|&(_, start)| start + self.window + 1 != round);
                 dropped += before - list.len();
@@ -310,25 +338,24 @@ impl CandidateIndex {
         let key = pack(stripe, box_id);
         let expiry = start + self.window + 1;
         debug_assert!(expiry > now, "inserting an already-expired entry");
+        let row = self.row_mut(stripe);
         match self.entries.get_mut(&key) {
             Some(current) => {
                 if current.start >= start {
                     return; // an equal or newer download is already cached
                 }
                 current.start = start;
-                let slot = self.slot(stripe);
-                let list = &mut self.lists[slot];
+                let list = &mut self.lists[row];
                 let pos = list
                     .iter()
                     .position(|&(b, _)| b == box_id)
                     .expect("live entry is listed");
                 list[pos].1 = start;
-                self.note_shrink(slot);
+                self.note_shrink(row);
             }
             None => {
                 let next = if self.chained {
-                    let slot = self.slot(stripe);
-                    self.push_head(box_id, slot)
+                    self.push_head(box_id, self.slot(stripe))
                 } else {
                     NIL
                 };
@@ -337,13 +364,8 @@ impl CandidateIndex {
                     prev: NIL,
                     next,
                 };
-                // The map takes the entry before `slot` may grow the
-                // per-stripe tables: in a fresh index the two first grow
-                // together, and the other order raised `sparse-fleet`'s
-                // peak resident set by 5 MB (heap layout alone).
                 self.entries.insert(key, entry);
-                let slot = self.slot(stripe);
-                self.lists[slot].push((box_id, start));
+                self.lists[row].push((box_id, start));
                 self.live += 1;
                 self.inserted_this_round += 1;
             }
@@ -393,7 +415,7 @@ impl CandidateIndex {
         if !self.chained {
             self.build_chains();
         }
-        let mut slots = std::mem::take(&mut self.expiring_slots);
+        let mut slots = std::mem::take(&mut self.expiring);
         let mut at = self
             .heads
             .get_mut(box_id.index())
@@ -410,28 +432,33 @@ impl CandidateIndex {
         slots.sort_unstable();
         debug_assert_eq!(slots, self.held_by_scan(box_id), "chain of {box_id}");
         for &slot in &slots {
-            let list = &mut self.lists[slot];
+            let row = self.row_at(slot).expect("a chained slot has a row");
+            let list = &mut self.lists[row];
             let pos = list
                 .iter()
                 .position(|&(b, _)| b == box_id)
                 .expect("a chained slot lists its box");
             list.remove(pos);
-            self.note_shrink(slot);
+            self.note_shrink(row);
         }
         let purged = slots.len();
         slots.clear();
-        self.expiring_slots = slots;
+        self.expiring = slots;
         self.live -= purged;
         self.expired_this_round += purged;
         purged
     }
 
-    /// Chains every live entry to its box (the run's first purge).
+    /// Chains every live entry to its box (the run's first purge), in
+    /// ascending stripe slot order.
     fn build_chains(&mut self) {
         self.chained = true;
-        for slot in 0..self.lists.len() {
-            for i in 0..self.lists[slot].len() {
-                let box_id = self.lists[slot][i].0;
+        for slot in 0..self.rows.len() {
+            let Some(row) = self.row_at(slot) else {
+                continue;
+            };
+            for i in 0..self.lists[row].len() {
+                let box_id = self.lists[row][i].0;
                 let next = self.push_head(box_id, slot);
                 let key = pack(self.stripe_at(slot), box_id);
                 let entry = self.entries.get_mut(&key).expect("a listed entry is live");
@@ -478,8 +505,11 @@ impl CandidateIndex {
     /// its chain must hold (the debug cross-check of
     /// [`CandidateIndex::purge_box`]).
     fn held_by_scan(&self, box_id: BoxId) -> Vec<usize> {
-        (0..self.lists.len())
-            .filter(|&slot| self.lists[slot].iter().any(|&(b, _)| b == box_id))
+        (0..self.rows.len())
+            .filter(|&slot| {
+                self.row_at(slot)
+                    .is_some_and(|row| self.lists[row].iter().any(|&(b, _)| b == box_id))
+            })
             .collect()
     }
 
@@ -489,8 +519,8 @@ impl CandidateIndex {
     /// placement), so memoized candidate rows and incremental schedulers
     /// rebuild the row instead of replaying a stale one.
     pub fn touch(&mut self, stripe: StripeId) {
-        let slot = self.slot(stripe);
-        self.note_shrink(slot);
+        let row = self.row_mut(stripe);
+        self.note_shrink(row);
     }
 
     /// Boxes currently holding `stripe` in their playback cache, with their
@@ -498,9 +528,8 @@ impl CandidateIndex {
     /// live: `start + window ≥` the round last passed to
     /// [`CandidateIndex::begin_round`].
     pub fn candidates(&self, stripe: StripeId) -> &[(BoxId, u64)] {
-        let slot =
-            stripe.video.0 as usize * self.stripes_per_video as usize + stripe.index as usize;
-        self.lists.get(slot).map_or(&[], Vec::as_slice)
+        self.row_at(self.slot(stripe))
+            .map_or(&[], |row| self.lists[row].as_slice())
     }
 
     /// Shrink stamp of `stripe`: redrawn (never reused, by any stripe) on
@@ -511,9 +540,8 @@ impl CandidateIndex {
     /// Equal stamps therefore guarantee that a row built from the stripe for
     /// a fixed issue round is still what a rebuild would give.
     pub fn shrink_stamp(&self, stripe: StripeId) -> u64 {
-        let slot =
-            stripe.video.0 as usize * self.stripes_per_video as usize + stripe.index as usize;
-        self.shrunk.get(slot).copied().unwrap_or(0)
+        self.row_at(self.slot(stripe))
+            .map_or(0, |row| self.shrunk[row])
     }
 
     /// Live (stripe, box) entries currently indexed.
@@ -534,10 +562,17 @@ impl CandidateIndex {
     /// Iterator over every live entry: `(stripe, box, start)` (test and
     /// diagnostics support; ordering follows the per-stripe lists).
     pub fn iter_live(&self) -> impl Iterator<Item = (StripeId, BoxId, u64)> + '_ {
-        self.lists.iter().enumerate().flat_map(move |(slot, list)| {
+        (0..self.rows.len()).flat_map(move |slot| {
             let stripe = self.stripe_at(slot);
+            let list = self.row_at(slot).map_or(&[][..], |row| &self.lists[row]);
             list.iter().map(move |&(b, start)| (stripe, b, start))
         })
+    }
+
+    /// Stripes that own a list and a stamp.
+    #[cfg(test)]
+    fn touched_rows(&self) -> usize {
+        self.lists.len()
     }
 }
 
@@ -888,16 +923,17 @@ mod tests {
     /// entry-map removal and stamp per slot that lists the box.
     fn scan_purge(index: &mut CandidateIndex, box_id: BoxId) -> usize {
         let mut purged = 0;
-        for slot in 0..index.lists.len() {
-            let list = &mut index.lists[slot];
+        for slot in 0..index.rows.len() {
+            let Some(row) = index.row_at(slot) else {
+                continue;
+            };
+            let list = &mut index.lists[row];
             let Some(pos) = list.iter().position(|&(b, _)| b == box_id) else {
                 continue;
             };
             list.remove(pos);
-            let c = index.stripes_per_video as usize;
-            let stripe = s((slot / c) as u32, (slot % c) as u16);
-            index.entries.remove(&pack(stripe, box_id));
-            index.note_shrink(slot);
+            index.entries.remove(&pack(index.stripe_at(slot), box_id));
+            index.note_shrink(row);
             index.live -= 1;
             purged += 1;
         }
@@ -925,6 +961,7 @@ mod tests {
                 let mut model = index.clone();
                 let expected = scan_purge(&mut model, box_id);
                 assert_eq!(index.purge_box(box_id), expected, "{what}");
+                assert_eq!(index.rows, model.rows, "{what}");
                 assert_eq!(index.lists, model.lists, "{what}");
                 assert_eq!(index.entries, model.entries, "{what}");
                 assert_eq!(index.shrunk, model.shrunk, "{what}");
@@ -979,6 +1016,32 @@ mod tests {
                 "n {n}: {round_trips} leave-rejoin-leave trips"
             );
         }
+    }
+
+    /// Only touched stripes own a list and a stamp: an insert at the last
+    /// stripe of a fleet-sized catalog gives one row, a touch one more, an
+    /// expiry keeps its stripe's row, and every other stripe reads an empty
+    /// list and stamp 0.
+    #[test]
+    fn rows_exist_for_touched_stripes_only() {
+        let (videos, c) = (174_763u32, 4u16);
+        let last = s(videos - 1, c - 1);
+        let mut index = CandidateIndex::new(16, c);
+        index.begin_round(0);
+        index.insert(last, b(9), 0, 0);
+        assert_eq!(index.touched_rows(), 1);
+        assert_eq!(index.candidates(last), &[(b(9), 0)]);
+        index.touch(s(3, 1));
+        assert_eq!(index.touched_rows(), 2);
+        index.begin_round(17);
+        assert!(index.candidates(last).is_empty());
+        assert_ne!(index.shrink_stamp(last), 0);
+        assert_eq!(index.touched_rows(), 2);
+        for untouched in [s(0, 0), s(3, 0), s(videos - 1, c - 2), s(videos, 0)] {
+            assert!(index.candidates(untouched).is_empty(), "{untouched:?}");
+            assert_eq!(index.shrink_stamp(untouched), 0, "{untouched:?}");
+        }
+        assert_eq!(index.iter_live().count(), 0);
     }
 
     #[test]

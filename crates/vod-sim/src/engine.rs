@@ -55,6 +55,7 @@ use crate::request::{
 };
 use crate::scheduler::{MaxFlowScheduler, RelayBroker, RelayEvent, Scheduler};
 use crate::swarm::SwarmTracker;
+use std::borrow::Cow;
 use vod_core::{BoxId, Placement, SortedSignature, StripeId, VideoId, VideoSystem};
 use vod_flow::bitset::{for_each_bit_of_word, for_each_set_bit};
 use vod_flow::BitSet;
@@ -158,7 +159,7 @@ struct FaultWindow {
 /// simulation depends on, plus the report it has produced. A fork is a
 /// clone of it.
 #[derive(Clone)]
-struct RoundState {
+struct RoundState<'a> {
     round: u64,
     playing: Vec<Option<PlaybackState>>,
     /// The active-viewer index: bit `b` is set iff `playing[b]` is `Some`.
@@ -174,12 +175,13 @@ struct RoundState {
     swarms: SwarmTracker,
     /// Stall-round counters for in-flight playbacks.
     stalls: Vec<u64>,
-    /// The *live* allocation table: starts as a clone of the system's
-    /// static placement and tracks the population — departures strip a
-    /// box's replicas the round it leaves, repair adds them back. Every
+    /// The *live* allocation table: the system's static placement,
+    /// borrowed until its first change and copied then — departures strip
+    /// a box's replicas the round it leaves, repair adds them back. Every
     /// candidate row, self-serve check, and sourcing/swarming attribution
-    /// reads this table, never the static one.
-    placement: Placement,
+    /// reads this table. A run without departures or repairs, and every
+    /// fork of it, shares the system's table.
+    placement: Cow<'a, Placement>,
     /// Liveness per box: cleared by a leave/crash until rejoin.
     alive: BitSet,
     /// Per-box upload-slot budgets and their only writer: at rest they are
@@ -246,12 +248,12 @@ pub struct Simulator<'a> {
     /// through a `TraceHandle` whose disabled path is a single `Option`
     /// check (no clock read, no lock), so untraced runs pay nothing.
     tracer: TraceHandle,
-    state: RoundState,
+    state: RoundState<'a>,
     scratch: RoundScratch,
 }
 
-impl RoundState {
-    fn new(system: &VideoSystem, max_rounds: u64) -> Self {
+impl<'a> RoundState<'a> {
+    fn new(system: &'a VideoSystem, max_rounds: u64) -> Self {
         let n = system.n();
         let mut report = SimulationReport::default();
         // Bounded pre-reservation keeps steady-state rounds free of metric
@@ -269,7 +271,7 @@ impl RoundState {
             candidates: CandidateIndex::new(system.duration() as u64, system.c()),
             swarms: SwarmTracker::new(system.c()),
             stalls: vec![0; n],
-            placement: system.placement().clone(),
+            placement: Cow::Borrowed(system.placement()),
             alive: BitSet::ones(n),
             ledger: CapacityLedger::new(
                 (0..n as u32)
@@ -410,7 +412,7 @@ impl RoundState {
         self.alive.unset(id.index());
         self.end_playback(id);
         self.candidates.purge_box(id);
-        let lost = self.placement.remove_box(id);
+        let lost = self.placement.to_mut().remove_box(id);
         for &stripe in &lost {
             self.candidates.touch(stripe);
         }
@@ -505,10 +507,13 @@ impl RoundState {
         let Some(planner) = &mut self.repair else {
             return;
         };
+        if planner.transfers().is_empty() {
+            return; // nothing lands: the placement stays shared
+        }
         for t in planner.transfers() {
             self.candidates.touch(t.stripe);
         }
-        planner.commit(&mut self.placement);
+        planner.commit(self.placement.to_mut());
     }
 
     fn end_finished_playbacks(&mut self, now: u64) {
@@ -654,10 +659,11 @@ impl RoundState {
             .and_then(DegradationController::active_stripe_limit);
         let mut suppressed = 0usize;
         let mut self_served = 0usize;
+        let placement: &Placement = &self.placement;
         for_each_set_bit(self.viewers.words(), |idx| {
             let st = self.playing[idx].as_ref().expect("indexed viewer plays");
             st.for_each_active(BoxId(idx as u32), now, |req| {
-                if self.placement.stores(req.requester, req.stripe) {
+                if placement.stores(req.requester, req.stripe) {
                     self_served += 1;
                 } else if stripe_limit.is_some_and(|limit| req.stripe.index >= limit) {
                     suppressed += 1;
@@ -1147,6 +1153,7 @@ impl<'a> Simulator<'a> {
         // assigned supplier — so every scheduler pipeline resolves every
         // connection identically.
         let deliver_clock = state.delivery.is_some().then(|| tracer.begin());
+        let placement: &Placement = &state.placement;
         for (req, assigned) in requests.iter().zip(&scratch.assignment) {
             let viewer = req.viewer.index();
             match *assigned {
@@ -1159,7 +1166,7 @@ impl<'a> Simulator<'a> {
                     DeliveryOutcome::Delivered => {
                         served += 1;
                         served_from_allocation +=
-                            usize::from(state.placement.stores(supplier, req.stripe));
+                            usize::from(placement.stores(supplier, req.stripe));
                         continue;
                     }
                     // A failed delivery is a rebuffer round for its viewer,
@@ -2392,6 +2399,39 @@ mod tests {
         let twin = run();
         assert_eq!(sim.state_signature(), twin.state_signature());
         assert_eq!(report, twin.report_so_far());
+    }
+
+    /// A run that moves no replica, and every fork of it, reads the
+    /// system's own placement: no copy is made, with or without a repair
+    /// planner whose every plan is empty (nothing queued, nothing lost).
+    #[test]
+    fn an_unchanged_run_borrows_the_system_placement() {
+        let sys = small_system(16, 2.0, 4, 3, 12);
+        let run = |repair: bool| {
+            let mut sim = Simulator::new(&sys, SimConfig::new(20).continue_on_failure());
+            if repair {
+                let storage = sys.boxes().iter().map(|b| b.storage.slots()).collect();
+                sim.attach_repair(RepairPlanner::new(storage, 3, 6));
+            }
+            let mut gen = SequentialViewing::new(16, sys.m(), NextVideoPolicy::RoundRobin, 1.5, 3);
+            for _ in 0..8 {
+                sim.step(&mut gen);
+            }
+            sim
+        };
+        let plain = run(false);
+        assert!(std::ptr::eq(plain.live_placement(), sys.placement()));
+        let fork = plain.fork_with(Box::new(MaxFlowScheduler::new()));
+        assert!(std::ptr::eq(fork.live_placement(), sys.placement()));
+        let repaired = run(true);
+        let planned = repaired
+            .report_so_far()
+            .rounds
+            .iter()
+            .filter(|r| r.repair.is_some());
+        assert_eq!(planned.count(), 8, "the planner ran every round");
+        assert_eq!(repaired.repair_planner().unwrap().repaired_total(), 0);
+        assert!(std::ptr::eq(repaired.live_placement(), sys.placement()));
     }
 
     /// The first departure gives the run a placement of its own: the box

@@ -11,13 +11,23 @@
 //! set-up (allocation, `Simulator::new`), memory per box and whatever the
 //! round still walks per box. Prints the set-up seconds, the peak resident
 //! set, bytes per box and ms/round (100 rounds unless `rounds` says
-//! otherwise), and exits non-zero unless every round is fully served.
+//! otherwise), and exits non-zero unless every round is fully served and,
+//! from [`GATED_FROM`] boxes on, the peak resident set stays within
+//! [`MAX_BYTES_PER_BOX`].
 
 use p2p_vod::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
 use std::time::Instant;
+
+/// The memory ceiling: peak resident bytes per box (the scale ladder's
+/// target for 2^20 boxes).
+const MAX_BYTES_PER_BOX: f64 = 600.0;
+
+/// The smallest fleet the ceiling holds for: below it the process's fixed
+/// resident set is a large share of the peak.
+const GATED_FROM: usize = 1 << 17;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -67,25 +77,30 @@ fn ladder_step(n: usize, rounds: u64) -> ExitCode {
     println!("  Simulator::new   : {sim_new_s:.3} s");
     println!("  peak viewers     : {}", peak_viewers.unwrap_or(0));
     println!("  ms/round         : {mean_ms:.3} (median {median_ms:.3})");
+    let mut within_ceiling = true;
     match peak_rss_mb() {
         Some(mb) => {
+            let per_box = mb * 1024.0 * 1024.0 / n as f64;
             println!("  VmHWM            : {mb:.1} MB");
-            println!(
-                "  bytes per box    : {:.0}",
-                mb * 1024.0 * 1024.0 / n as f64
-            );
+            println!("  bytes per box    : {per_box:.0} (ceiling {MAX_BYTES_PER_BOX:.0})");
+            within_ceiling = n < GATED_FROM || per_box <= MAX_BYTES_PER_BOX;
         }
         None => println!("  VmHWM            : not available on this platform"),
     }
     println!("  every round fully served: {all_served}");
-    if all_served {
-        ExitCode::SUCCESS
-    } else {
+    if !all_served {
         let failure = &report.failures[0];
         eprintln!(
             "round {} left {} requests unserved",
             failure.round, failure.unserved
         );
+    }
+    if !within_ceiling {
+        eprintln!("peak resident set over {MAX_BYTES_PER_BOX:.0} bytes per box");
+    }
+    if all_served && within_ceiling {
+        ExitCode::SUCCESS
+    } else {
         ExitCode::FAILURE
     }
 }

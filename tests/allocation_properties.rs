@@ -128,9 +128,9 @@ fn order_digest(boxes: &BoxSet, catalog: &Catalog, placement: &Placement) -> u64
         .stripes()
         .map(|s| (s, placement.holders_of(s)))
         .collect();
-    let stored: Vec<(BoxId, &[StripeId])> = boxes
+    let stored: Vec<(BoxId, Vec<StripeId>)> = boxes
         .iter()
-        .map(|b| (b.id, placement.stored_by(b.id)))
+        .map(|b| (b.id, placement.stored_by(b.id).collect()))
         .collect();
     p2p_vod::core::fx_hash(&(holders, stored, placement.wasted_slots()))
 }
