@@ -6,7 +6,12 @@
 //! goes first from pair to pair, on every workload of the benchmark spec,
 //! and writes per workload and end-to-end metric the change/parent ratio of
 //! every pair, its median and quartiles, the pairs the change won, and both
-//! sides' raw values, median and quartiles.
+//! sides' raw values, median and quartiles. Two verdicts go with each
+//! metric: `resolved` — the change won at least nine tenths of the pairs
+//! and its median beats the parent's by more than the parent's
+//! interquartile range, the rule a claimed gain must meet — and
+//! `beyond_bound` — the median ratio is worse than 1 by more than the
+//! metric's `bound` in the spec.
 //!
 //! ```text
 //! pair --parent <vod-benchmark> --change <vod-benchmark> --out <file.json>
@@ -16,8 +21,9 @@
 //! `--runs` lists `seed:pairs` blocks (default `2009:10`); every run is
 //! `<binary> --workload W --seed S --seconds N --trace 0 --out <scratch>`,
 //! and its last stdout line is the benchmark's result object. The
-//! workloads, the run length `N`, the metric names and each metric's better
-//! direction come from the spec (`workloads`, `run_seconds`, `end_to_end`).
+//! workloads, the run length `N`, the metric names, each metric's better
+//! direction and its bound come from the spec (`workloads`, `run_seconds`,
+//! `end_to_end`).
 //! The output file is rewritten after every pair, so an interrupted
 //! comparison keeps what it measured. Passing the same binary on both
 //! sides is an A/A run: its ratios are the host's noise band.
@@ -31,6 +37,9 @@ use vod_core::Json;
 struct Metric {
     name: String,
     lower_is_better: bool,
+    /// The largest adverse change the spec lets a median ratio show, as a
+    /// fraction (0.25: a quarter worse).
+    bound: f64,
 }
 
 /// One workload of one seed block: each side's result per pair.
@@ -141,6 +150,10 @@ fn read_spec(path: &Path) -> Result<Spec, String> {
             Ok(Metric {
                 name: field(m, "name")?,
                 lower_is_better: field(m, "better")? == "lower",
+                bound: m
+                    .field("bound")
+                    .and_then(Json::as_f64)
+                    .map_err(|e| e.to_string())?,
             })
         })
         .collect::<Result<_, String>>()?;
@@ -245,15 +258,21 @@ fn metric_json(block: &Block, index: usize, metric: &Metric) -> Option<Json> {
     let [ratio_q1, ratio_median, ratio_q3] = spread(&ratios);
     let [parent_q1, parent_median, parent_q3] = spread(&parent);
     let [change_q1, change_median, change_q3] = spread(&change);
-    let better = if metric.lower_is_better {
-        "lower"
+    let (better, gain, beyond_bound) = if metric.lower_is_better {
+        let gain = parent_median - change_median;
+        ("lower", gain, ratio_median > 1.0 + metric.bound)
     } else {
-        "higher"
+        let gain = change_median - parent_median;
+        ("higher", gain, ratio_median < 1.0 - metric.bound)
     };
+    let resolved = wins * 10 >= ratios.len() * 9 && gain > parent_q3 - parent_q1;
     Some(obj(vec![
         ("better", Json::Str(better.into())),
+        ("bound", Json::Num(metric.bound)),
         ("pairs", Json::Num(ratios.len() as f64)),
         ("wins", Json::Num(wins as f64)),
+        ("resolved", Json::Bool(resolved)),
+        ("beyond_bound", Json::Bool(beyond_bound)),
         ("ratio_median", Json::Num(ratio_median)),
         ("ratio_q1", Json::Num(ratio_q1)),
         ("ratio_q3", Json::Num(ratio_q3)),
@@ -375,14 +394,17 @@ fn main() {
                 json.get(key)
                     .map_or(f64::NAN, |v| v.as_f64().unwrap_or(f64::NAN))
             };
+            let flag = |key: &str| json.get(key).is_some_and(|v| v.as_bool().unwrap_or(false));
             println!(
-                "  {:<18} ratio {:.3} [{:.3}, {:.3}]  wins {}/{}",
+                "  {:<18} ratio {:.3} [{:.3}, {:.3}]  wins {}/{}  resolved {}  beyond_bound {}",
                 metric.name,
                 get("ratio_median"),
                 get("ratio_q1"),
                 get("ratio_q3"),
                 get("wins"),
                 get("pairs"),
+                flag("resolved"),
+                flag("beyond_bound"),
             );
         }
     }
@@ -397,10 +419,12 @@ mod tests {
             Metric {
                 name: "round_ms_p99".into(),
                 lower_is_better: true,
+                bound: 0.25,
             },
             Metric {
                 name: "requests_per_s".into(),
                 lower_is_better: false,
+                bound: 0.25,
             },
         ]
     }
@@ -448,5 +472,62 @@ mod tests {
         assert_eq!(json.get("ratio_median").unwrap().as_f64().unwrap(), 0.75);
         let json = metric_json(&block, 1, &metrics[1]).unwrap();
         assert_eq!(json.get("wins").unwrap().as_f64().unwrap(), 2.0);
+    }
+
+    /// A block of one metric per side from per-pair `(parent, change)`
+    /// values, both metrics reading the same numbers.
+    fn block_of(pairs: &[(f64, f64)]) -> Block {
+        let run = |v: f64| RunResult {
+            correct: true,
+            values: vec![Some(v), Some(v)],
+        };
+        Block {
+            workload: "w".into(),
+            seed: 1,
+            parent_first: pairs.iter().enumerate().map(|(i, _)| i % 2 == 0).collect(),
+            parent: pairs.iter().map(|&(p, _)| run(p)).collect(),
+            change: pairs.iter().map(|&(_, c)| run(c)).collect(),
+        }
+    }
+
+    /// `(resolved, beyond_bound)` of metric `index`.
+    fn verdicts(block: &Block, index: usize) -> (bool, bool) {
+        let json = metric_json(block, index, &metrics()[index]).unwrap();
+        let flag = |key: &str| json.get(key).unwrap().as_bool().unwrap();
+        (flag("resolved"), flag("beyond_bound"))
+    }
+
+    #[test]
+    fn a_gain_is_resolved_by_nine_tenths_of_wins_beyond_the_parent_spread() {
+        // Ten parents 10..=19 (quartiles 12.25 and 16.75: IQR 4.5).
+        let parents: Vec<f64> = (10..20).map(f64::from).collect();
+        // Every pair 5 lower: all wins, but the medians differ by 5 > 4.5.
+        let big = block_of(&parents.iter().map(|&p| (p, p - 5.0)).collect::<Vec<_>>());
+        assert_eq!(verdicts(&big, 0), (true, false));
+        // Every pair 1 lower: all wins, a median gap inside the spread.
+        let small = block_of(&parents.iter().map(|&p| (p, p - 1.0)).collect::<Vec<_>>());
+        assert_eq!(verdicts(&small, 0), (false, false));
+        // 8 of 10 wins, however large the gap.
+        let mut mixed: Vec<(f64, f64)> = parents.iter().map(|&p| (p, p - 8.0)).collect();
+        mixed[0].1 = 30.0;
+        mixed[1].1 = 30.0;
+        assert_eq!(verdicts(&block_of(&mixed), 0), (false, false));
+        // 9 of 10 wins is enough.
+        mixed[0].1 = 2.0;
+        assert_eq!(verdicts(&block_of(&mixed), 0), (true, false));
+    }
+
+    #[test]
+    fn beyond_bound_reads_the_adverse_direction_of_each_metric() {
+        // Ratio 1.25 exactly: at the bound, not past it.
+        let at = block_of(&[(4.0, 5.0); 3]);
+        assert_eq!(verdicts(&at, 0), (false, false));
+        let past = block_of(&[(4.0, 5.2); 3]);
+        assert_eq!(verdicts(&past, 0), (false, true));
+        // For a higher-is-better metric a rise is never adverse, a fall
+        // past 1 − bound is.
+        assert_eq!(verdicts(&past, 1), (true, false));
+        let fall = block_of(&[(4.0, 2.9); 3]);
+        assert_eq!(verdicts(&fall, 1), (false, true));
     }
 }
