@@ -3,12 +3,14 @@
 //! Experiment harness. [`paper`] holds the paper's eight checkable claims,
 //! one function each, with one test per claim at quick scale; the
 //! `exp_paper` binary runs them all, prints their tables and a verdict per
-//! claim, and exits non-zero if an asserted direction fails. The other
-//! `exp_*` binaries are the engine's gates (`exp_solvers`, `exp_churn`,
-//! `exp_faults`, `exp_profile`, `exp_verify`). All print markdown tables of
-//! counts: served sets, failure rates, thresholds. None of them reads a
-//! clock. Timings come from the engine's tracer (`exp_profile` prints its
-//! stage table) and from the paired `benchmark/` runs of `tools/pair`.
+//! claim, and exits non-zero if an asserted direction fails. `exp_verify`
+//! model-checks small systems exhaustively and exits non-zero on a
+//! divergence. `exp_profile` prints the engine tracer's stage tables and
+//! the matcher's work counters for five workloads; its gates (traced runs
+//! equal untraced ones, spans recorded, bounded search work) are a test in
+//! the same file. Apart from `exp_profile`'s stage timings, the output is
+//! counts: served sets, failure rates, thresholds. Other timings come from
+//! the paired `benchmark/` runs of `tools/pair`.
 //!
 //! Every binary honours the `EXP_SCALE` environment variable:
 //! `EXP_SCALE=quick` (default) runs laptop-scale parameter grids in seconds;
@@ -117,99 +119,6 @@ pub fn print_header(experiment: &str, claim: &str, scale: Scale) {
     println!("{}", header(experiment, claim, scale));
 }
 
-/// A pre-generated sequence of keyed scheduling rounds (`exp_solvers`'
-/// instances).
-pub struct RoundScript {
-    /// Per-box upload capacities.
-    pub caps: Vec<u32>,
-    /// One entry per round: stable request keys and candidate sets.
-    pub rounds: Vec<(Vec<vod_sim::RequestKey>, Vec<Vec<vod_core::BoxId>>)>,
-}
-
-/// Generates a seeded multi-swarm churn script directly at the scheduler
-/// interface: `swarms` concurrently hot videos, per-round viewer churn
-/// (arrivals and departures), `c` requests per viewer, candidates drawn
-/// from per-video holder sets plus occasional cross-swarm caches.
-///
-/// Many medium swarms coupled through shared boxes, without running the
-/// full simulator.
-pub fn multi_swarm_script(
-    boxes: usize,
-    swarms: usize,
-    viewers: usize,
-    c: u16,
-    rounds: usize,
-    seed: u64,
-) -> RoundScript {
-    use rand::Rng;
-    use vod_core::{BoxId, StripeId, VideoId};
-    use vod_sim::RequestKey;
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let caps: Vec<u32> = (0..boxes).map(|_| rng.gen_range(3u32..8)).collect();
-    // Static per-video holder sets, sized so each swarm's neighbourhood
-    // capacity comfortably covers its expected demand (≈70% load): the
-    // paper's regime is feasible rounds, and a chronically starved script
-    // would just measure the failure path.
-    let per_swarm_demand = (viewers / swarms).max(1) * c as usize;
-    let holder_count = (per_swarm_demand as f64 / (4.0 * 0.7)).ceil() as usize;
-    let holders: Vec<Vec<BoxId>> = (0..swarms)
-        .map(|_| {
-            let k = holder_count.clamp(4.min(boxes), boxes);
-            let mut set: Vec<BoxId> = (0..k)
-                .map(|_| BoxId(rng.gen_range(0usize..boxes) as u32))
-                .collect();
-            set.sort();
-            set.dedup();
-            set
-        })
-        .collect();
-
-    let mut live: Vec<(u32, u32, Vec<Vec<BoxId>>)> = Vec::new(); // (viewer, video, per-stripe cands)
-    let mut next_viewer = 0u32;
-    let mut script = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        // ~10% departures, arrivals refill toward the viewer target.
-        live.retain(|_| !rng.gen_bool(0.1));
-        while live.len() < viewers {
-            let video = rng.gen_range(0usize..swarms);
-            let cands: Vec<Vec<BoxId>> = (0..c)
-                .map(|_| {
-                    let mut list: Vec<BoxId> = holders[video]
-                        .iter()
-                        .copied()
-                        .filter(|_| rng.gen_bool(0.9))
-                        .collect();
-                    if rng.gen_bool(0.2) {
-                        list.push(BoxId(rng.gen_range(0usize..boxes) as u32));
-                    }
-                    list.sort();
-                    list.dedup();
-                    list
-                })
-                .collect();
-            live.push((next_viewer, video as u32, cands));
-            next_viewer += 1;
-        }
-        let mut keys = Vec::new();
-        let mut cands = Vec::new();
-        for (viewer, video, stripe_cands) in &live {
-            for (idx, list) in stripe_cands.iter().enumerate() {
-                keys.push(RequestKey {
-                    viewer: BoxId(*viewer),
-                    stripe: StripeId::new(VideoId(*video), idx as u16),
-                });
-                cands.push(list.clone());
-            }
-        }
-        script.push((keys, cands));
-    }
-    RoundScript {
-        caps,
-        rounds: script,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,14 +141,5 @@ mod tests {
     fn worker_threads_positive_and_bounded() {
         let t = worker_threads();
         assert!((1..=8).contains(&t));
-    }
-
-    #[test]
-    fn multi_swarm_script_is_deterministic() {
-        let a = multi_swarm_script(32, 4, 20, 2, 5, 7);
-        let b = multi_swarm_script(32, 4, 20, 2, 5, 7);
-        assert_eq!(a.caps, b.caps);
-        assert_eq!(a.rounds, b.rounds);
-        assert!(a.rounds.iter().any(|(keys, _)| !keys.is_empty()));
     }
 }

@@ -1,8 +1,8 @@
 //! FIFO push–relabel maximum-flow algorithm.
 //!
 //! The third solver family next to Dinic and Hopcroft–Karp: the tests
-//! cross-check the three, and `exp_solvers` times them. The implementation
-//! is the classic FIFO variant with the gap heuristic, `O(V³)`, plus the
+//! cross-check the three. The implementation is the classic FIFO variant
+//! with the gap heuristic, `O(V³)`, plus the
 //! *global-relabel* heuristic: periodically (and once right after
 //! initialisation) heights are reset to exact residual BFS distances — a
 //! backward BFS from the sink, then one from the source for the nodes the

@@ -1,8 +1,10 @@
 //! Fault-tolerance properties of the delivery-reliability subsystem:
 //! retry/backoff discipline never oversubscribes the per-round `⌊u_b·c⌋`
 //! upload budgets or the repair budget, the degradation controller's
-//! hysteresis never flaps round-to-round, and reports serialized before
-//! the fault-era fields existed still parse.
+//! hysteresis never flaps round-to-round, reports serialized before the
+//! fault-era fields existed still parse, and an outage's failures are
+//! charged to it and its lost service is won back by retry and
+//! degradation.
 
 use p2p_vod::prelude::*;
 use rand::rngs::StdRng;
@@ -285,4 +287,74 @@ fn outage_failures_are_fault_attributed() {
         assert_eq!(f.cause(), "fault-degraded");
         assert!(f.fault_slots_lost > 0);
     }
+}
+
+/// Retry with backoff and the degradation controller bring service back
+/// after a correlated outage: on an at-threshold system with storage
+/// headroom (catalog at 3/5 of `⌊d·n/k⌋`), 3n/4 boxes stall for rounds
+/// 26..32 on top of a sustained 2 % connection-drop hazard. The controller
+/// must engage, the drop hazard must fire and be retried, and from round 40
+/// on the retrying run must serve at least 95 % of what the fault-free run
+/// serves, while the run that abandons on the first drop serves strictly
+/// less.
+#[test]
+fn retry_and_degradation_recover_service_after_an_outage() {
+    let n = 32;
+    let params = SystemParams::new(n, 2.0, 4, 4, 3, 1.3, 12);
+    let mut rng = StdRng::seed_from_u64(0x2009);
+    let sys = VideoSystem::homogeneous_with_catalog(
+        params,
+        (4 * n / 3) * 3 / 5,
+        &RandomPermutationAllocator::new(3),
+        &mut rng,
+    )
+    .unwrap();
+    let (rounds, outage_start, outage_end, recover_from) = (80, 26, 32, 40);
+    let run = |policy: Option<DeliveryPolicy>| {
+        let mut sim = Simulator::new(&sys, SimConfig::new(rounds).continue_on_failure());
+        if let Some(policy) = policy {
+            sim.attach_faults(FaultModel::new(sys.boxes(), 0xFA17).with_drop_rate(20_000, 0));
+            sim.attach_delivery(policy);
+            sim.attach_degradation(DegradationConfig::default());
+        }
+        let mut gen = SequentialViewing::new(n, sys.m(), NextVideoPolicy::RoundRobin, 1.3, 41);
+        for _ in 0..rounds {
+            if policy.is_some() && sim.round() == outage_start {
+                for idx in 0..n * 3 / 4 {
+                    sim.apply_fault(FaultEvent::Stalled {
+                        box_id: BoxId(idx as u32),
+                        until: outage_end,
+                    });
+                }
+            }
+            sim.step(&mut gen);
+        }
+        let report = sim.into_report();
+        let post: u64 = report
+            .rounds
+            .iter()
+            .filter(|r| r.round >= recover_from)
+            .map(|r| r.served as u64)
+            .sum();
+        (post, report.delivery.unwrap_or_default())
+    };
+    let (baseline, _) = run(None);
+    let (resilient, delivery) = run(Some(DeliveryPolicy::default()));
+    let (fragile, _) = run(Some(DeliveryPolicy::no_retry()));
+    assert!(
+        delivery.degraded_rounds > 0,
+        "the outage never engaged the degradation controller"
+    );
+    assert!(
+        delivery.dropped > 0 && delivery.retries > 0,
+        "the drop hazard never fired or was never retried"
+    );
+    assert!(
+        resilient as f64 >= 0.95 * baseline as f64,
+        "retry + degradation recovered {resilient} of the baseline's {baseline} post-outage (need ≥ 95 %)"
+    );
+    assert!(
+        fragile < resilient,
+        "no-retry recovered {fragile}, not less than retry's {resilient}"
+    );
 }

@@ -435,6 +435,24 @@ fn adversarial_tight_instance(rng: &mut StdRng) -> (Vec<u32>, Vec<Vec<BoxId>>) {
     (caps, cands)
 }
 
+/// Random instance over exactly `boxes` boxes, each with a budget of 1–3
+/// (so every box is a column of the Lemma-1 shape), demand at about the
+/// total budget and rows of 1–5 candidates: past 64 boxes the rows of
+/// `BitAdjacency` run into a second, partly filled word.
+fn sized_instance(rng: &mut StdRng, boxes: usize) -> (Vec<u32>, Vec<Vec<BoxId>>) {
+    let caps: Vec<u32> = (0..boxes).map(|_| rng.gen_range(1u32..4)).collect();
+    let requests = caps.iter().sum::<u32>() as usize + rng.gen_range(0usize..8);
+    let cands: Vec<Vec<BoxId>> = (0..requests)
+        .map(|_| {
+            let degree = rng.gen_range(1usize..6);
+            (0..degree)
+                .map(|_| BoxId(rng.gen_range(0usize..boxes) as u32))
+                .collect()
+        })
+        .collect();
+    (caps, cands)
+}
+
 /// Constructor of one boxed solver.
 type MakeSolver = fn() -> Box<dyn MaxFlowSolve>;
 
@@ -467,8 +485,9 @@ fn sub_box_reference(caps: &[u32], cands: &[Vec<BoxId>]) -> usize {
 
 /// The three solver families — the word-parallel Dinic and Hopcroft–Karp
 /// paths and the scalar push–relabel — serve exactly what the scalar
-/// sub-box reference serves, with a valid matching, on both random and
-/// adversarially tight instances.
+/// sub-box reference serves, with a valid matching, on random and
+/// adversarially tight instances of up to 8 boxes and on instances of 63,
+/// 64, 65 and 96 boxes, either side of a 64-bit word boundary.
 #[test]
 fn bit_and_scalar_solver_variants_agree_cold() {
     let families: [(&str, MakeSolver); 3] = [
@@ -478,31 +497,36 @@ fn bit_and_scalar_solver_variants_agree_cold() {
     ];
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(18_000 + seed);
-        for adversarial in [false, true] {
-            let (caps, cands) = if adversarial {
-                adversarial_tight_instance(&mut rng)
-            } else {
-                random_instance(&mut rng)
-            };
+        let mut instances = vec![
+            ("random".to_string(), random_instance(&mut rng)),
+            (
+                "adversarial".to_string(),
+                adversarial_tight_instance(&mut rng),
+            ),
+        ];
+        for boxes in [63, 64, 65, 96] {
+            instances.push((format!("{boxes} boxes"), sized_instance(&mut rng, boxes)));
+        }
+        for (shape, (caps, cands)) in instances {
             let problem = build_problem(&caps, &cands);
             let reference = sub_box_reference(&caps, &cands);
             for (name, make) in &families {
                 let got = problem.solve_with(make().as_mut());
                 assert_eq!(
                     got.flow, reference as u64,
-                    "seed {seed} adversarial={adversarial}: {name} flow"
+                    "seed {seed} {shape}: {name} flow"
                 );
                 assert_eq!(
                     got.served(),
                     reference,
-                    "seed {seed} adversarial={adversarial}: {name} served"
+                    "seed {seed} {shape}: {name} served"
                 );
                 assert!(
                     got.is_valid_for(&problem),
-                    "seed {seed} adversarial={adversarial}: {name} invalid matching"
+                    "seed {seed} {shape}: {name} invalid matching"
                 );
             }
-            if adversarial {
+            if shape == "adversarial" {
                 // Tight instances must saturate: flow = min(capacity, demand),
                 // reached whenever every row is complete (the common case);
                 // sparse rows can only lower it, never raise it.
